@@ -161,7 +161,8 @@ func (a *ObjAlloc) Free(class int, ptr pmem.Ptr) {
 	cs := a.classes[class]
 	a.dev.AtomicStore64(uint64(ptr), FlagDirty) // valid off, dirty on
 	a.dev.Persist(uint64(ptr), 8)
-	a.dev.Zero(uint64(ptr)+BodyOff, cs.cfg.ObjSize-BodyOff)
+	// Word-atomic: an optimistic reader may still be looking at the object.
+	a.dev.AtomicZero(uint64(ptr)+BodyOff, cs.cfg.ObjSize-BodyOff)
 	// The zeroed body must be durable before the dirty bit clears: a free
 	// object's body is relied upon to be zero by the next allocation.
 	a.dev.Persist(uint64(ptr)+BodyOff, cs.cfg.ObjSize-BodyOff)
@@ -244,14 +245,14 @@ func (a *ObjAlloc) grow(class int, hint uint64) error {
 // scanClass walks the persistent segment chain of a class.
 func (a *ObjAlloc) scanClass(class int, fn func(ptr pmem.Ptr, flags uint64)) {
 	cs := a.classes[class]
-	seg := a.dev.Load64(cs.cfg.HeadOff)
+	seg := a.dev.AtomicLoad64(cs.cfg.HeadOff)
 	for seg != 0 {
 		if a.dev.Load64(seg) != segMagic {
 			panic(fmt.Sprintf("alloc: corrupt slab segment at %#x", seg))
 		}
 		for i := uint64(0); i < cs.objsPerSeg; i++ {
 			ptr := pmem.Ptr(seg + segHeaderLen + i*cs.cfg.ObjSize)
-			fn(ptr, a.dev.Load64(uint64(ptr)))
+			fn(ptr, a.dev.AtomicLoad64(uint64(ptr)))
 		}
 		seg = a.dev.Load64(seg + 8)
 	}
@@ -289,7 +290,7 @@ func (a *ObjAlloc) Sweep(class int, inUse func(pmem.Ptr) bool) SweepStats {
 			a.pushFree(cs, ptr)
 		case !valid && dirty:
 			// Deallocation was interrupted: finish zeroing and free.
-			a.dev.Zero(uint64(ptr)+BodyOff, cs.cfg.ObjSize-BodyOff)
+			a.dev.AtomicZero(uint64(ptr)+BodyOff, cs.cfg.ObjSize-BodyOff)
 			a.dev.Persist(uint64(ptr)+BodyOff, cs.cfg.ObjSize-BodyOff)
 			a.dev.AtomicStore64(uint64(ptr), 0)
 			a.dev.Persist(uint64(ptr), 8)

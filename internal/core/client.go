@@ -104,69 +104,135 @@ func (oc opCall) end(errp *error) {
 // traversed directory and following symlinks (up to maxSymlinkDepth). If
 // followLast is false a final symlink is returned as-is.
 func (c *Client) resolve(path string, followLast bool) (pmem.Ptr, error) {
+	ref, err := c.resolveEntry(path, followLast)
+	return ref.inode, err
+}
+
+// resolveEntry is resolve for callers that go on to pin the file: it
+// returns the entry that names it (see entryRef for the root).
+//
+// A plain path is walked in place, component by component, and a hit
+// allocates nothing; a path with "." or ".." goes through SplitPath first.
+func (c *Client) resolveEntry(path string, followLast bool) (entryRef, error) {
+	plain, err := fsapi.CheckPath(path)
+	if err != nil {
+		return entryRef{}, err
+	}
+	if plain {
+		return c.walkPath(c.fs.rootInode, path, followLast)
+	}
 	comps, err := fsapi.SplitPath(path)
 	if err != nil {
-		return 0, err
+		return entryRef{}, err
 	}
-	return c.walk(comps, followLast, 0)
+	return c.walkFrom(c.fs.rootInode, comps, followLast, 0)
 }
 
-func (c *Client) walk(comps []string, followLast bool, depth int) (pmem.Ptr, error) {
-	return c.walkFrom(c.fs.rootInode, comps, followLast, depth)
-}
-
-// walkFrom resolves components starting at an arbitrary directory inode.
-func (c *Client) walkFrom(start pmem.Ptr, comps []string, followLast bool, depth int) (pmem.Ptr, error) {
+// step looks name up in the directory inode dir, which the client must be
+// allowed to search.
+func (c *Client) step(dir pmem.Ptr, name string) (entryRef, error) {
 	fs := c.fs
-	cur := start
-	for i := 0; i < len(comps); i++ {
-		mode := fs.inoMode(cur)
-		if !fsapi.IsDir(mode) {
-			return 0, fsapi.ErrNotDir
-		}
-		if err := fsapi.CheckPerm(c.cred, fs.inoUID(cur), fs.inoGID(cur), mode, fsapi.AccessExec); err != nil {
-			return 0, err
-		}
-		ref, err := fs.lookupEntry(fs.inoData(cur), comps[i])
+	mode := fs.inoMode(dir)
+	if !fsapi.IsDir(mode) {
+		return entryRef{}, fsapi.ErrNotDir
+	}
+	if err := fsapi.CheckPerm(c.cred, fs.inoUID(dir), fs.inoGID(dir), mode, fsapi.AccessExec); err != nil {
+		return entryRef{}, err
+	}
+	return fs.lookupEntry(fs.inoData(dir), name)
+}
+
+// walkPath resolves the components of a plain path starting at an arbitrary
+// directory inode. Only a symlink makes it materialize components: what is
+// left of the path is split, and walkFrom takes over.
+func (c *Client) walkPath(start pmem.Ptr, path string, followLast bool) (entryRef, error) {
+	cur := entryRef{inode: start}
+	name, rest := fsapi.NextComponent(path, 0)
+	for name != "" {
+		ref, err := c.step(cur.inode, name)
 		if err != nil {
-			return 0, err
+			return entryRef{}, err
 		}
-		ino := ref.inode
-		if fsapi.IsSymlink(fs.inoMode(ino)) && (i < len(comps)-1 || followLast) {
-			if depth >= maxSymlinkDepth {
-				return 0, fsapi.ErrLoop
+		name, rest = fsapi.NextComponent(path, rest)
+		if fsapi.IsSymlink(c.fs.inoMode(ref.inode)) && (name != "" || followLast) {
+			var tail []string
+			for ; name != ""; name, rest = fsapi.NextComponent(path, rest) {
+				tail = append(tail, name)
 			}
-			target, err := fs.readSymlink(ino)
-			if err != nil {
-				return 0, err
-			}
-			tcomps, err := fsapi.SplitPath(target)
-			if err != nil {
-				return 0, err
-			}
-			rest := comps[i+1:]
-			if target != "" && target[0] == '/' {
-				return c.walk(append(tcomps, rest...), followLast, depth+1)
-			}
-			return c.walkFrom(cur, append(append([]string{}, tcomps...), rest...), followLast, depth+1)
+			return c.followSymlink(cur.inode, ref, tail, followLast, 0)
 		}
-		cur = ino
+		cur = ref
 	}
 	return cur, nil
+}
+
+// walkFrom is walkPath over components that are already split.
+func (c *Client) walkFrom(start pmem.Ptr, comps []string, followLast bool, depth int) (entryRef, error) {
+	cur := entryRef{inode: start}
+	for i, name := range comps {
+		ref, err := c.step(cur.inode, name)
+		if err != nil {
+			return entryRef{}, err
+		}
+		if fsapi.IsSymlink(c.fs.inoMode(ref.inode)) && (i < len(comps)-1 || followLast) {
+			return c.followSymlink(cur.inode, ref, comps[i+1:], followLast, depth)
+		}
+		cur = ref
+	}
+	return cur, nil
+}
+
+// followSymlink continues a walk through the symlink link, found in
+// directory inode dir, with rest still to go after it.
+func (c *Client) followSymlink(dir pmem.Ptr, link entryRef, rest []string, followLast bool, depth int) (entryRef, error) {
+	if depth >= maxSymlinkDepth {
+		return entryRef{}, fsapi.ErrLoop
+	}
+	target, err := c.fs.readSymlink(link.inode)
+	if err != nil {
+		return entryRef{}, err
+	}
+	if !c.fs.stillNames(link) {
+		// Unlinked under the walk: what was read may be anything.
+		return entryRef{}, fsapi.ErrNotExist
+	}
+	comps, err := fsapi.SplitPath(target)
+	if err != nil {
+		return entryRef{}, err
+	}
+	if target != "" && target[0] == '/' {
+		dir = c.fs.rootInode
+	}
+	return c.walkFrom(dir, append(comps, rest...), followLast, depth+1)
 }
 
 // resolveParent returns the parent directory inode of path and the final
 // component name, checking write+exec permission on the parent when
 // forWrite is set.
 func (c *Client) resolveParent(path string, forWrite bool) (pmem.Ptr, string, error) {
-	dir, name, err := fsapi.BaseDir(path)
+	plain, err := fsapi.CheckPath(path)
 	if err != nil {
 		return 0, "", err
 	}
-	parent, err := c.walk(dir, true, 0)
+	var dir entryRef
+	var name string
+	if plain {
+		var dirPath string
+		if dirPath, name = fsapi.SplitLast(path); name == "" {
+			return 0, "", fsapi.ErrInval
+		}
+		dir, err = c.walkPath(c.fs.rootInode, dirPath, true)
+	} else {
+		var comps []string
+		if comps, name, err = fsapi.BaseDir(path); err != nil {
+			return 0, "", err
+		}
+		dir, err = c.walkFrom(c.fs.rootInode, comps, true, 0)
+	}
 	if err != nil {
 		return 0, "", err
 	}
+	parent := dir.inode
 	if !fsapi.IsDir(c.fs.inoMode(parent)) {
 		return 0, "", fsapi.ErrNotDir
 	}
@@ -180,14 +246,24 @@ func (c *Client) resolveParent(path string, forWrite bool) (pmem.Ptr, string, er
 	return parent, name, nil
 }
 
-func (c *Client) install(ino pmem.Ptr, flags fsapi.OpenFlag) (fsapi.FD, error) {
-	if err := c.fs.incRef(ino); err != nil {
-		return -1, err
+// pin takes an open reference on the inode a lookup returned. Lookups are
+// optimistic: until the reference is held, the file can be unlinked and its
+// inode freed, even recycled, under the caller. So the reference comes
+// first and then the entry must still name the inode; if it does not, the
+// reference is dropped and pin reports false: resolve again.
+func (c *Client) pin(ref entryRef) (bool, error) {
+	fs := c.fs
+	if err := fs.incRef(ref.inode); err != nil {
+		if fs.stillNames(ref) {
+			return false, err // a live entry naming a dead inode: not a race
+		}
+		return false, nil
 	}
-	fd := fsapi.FD(c.nextFD.Add(1))
-	of := &openFile{ino: ino, flags: flags, append: flags&fsapi.OAppend != 0}
-	c.files.Store(fd, of)
-	return fd, nil
+	if !fs.stillNames(ref) {
+		fs.decRef(ref.inode)
+		return false, nil
+	}
+	return true, nil
 }
 
 func (c *Client) file(fd fsapi.FD) (*openFile, error) {
@@ -211,58 +287,92 @@ func (c *Client) Open(path string, flags fsapi.OpenFlag, perm uint32) (fd fsapi.
 	return c.open(path, flags, perm)
 }
 
-// open is the shared uninstrumented open/create path.
+// open is the shared uninstrumented open/create path. Whatever it returns a
+// descriptor for is pinned first (see pin); losing a race against an unlink
+// or another creator means starting over, so O_CREAT fails with ErrNotExist
+// only when a directory on the way is missing.
 func (c *Client) open(path string, flags fsapi.OpenFlag, perm uint32) (fsapi.FD, error) {
-	fs := c.fs
-	ino, err := c.resolve(path, true)
-	switch {
-	case err == nil:
-		if flags&(fsapi.OCreate|fsapi.OExcl) == fsapi.OCreate|fsapi.OExcl {
-			return -1, fsapi.ErrExist
-		}
-	case err == fsapi.ErrNotExist && flags&fsapi.OCreate != 0:
-		parent, name, perr := c.resolveParent(path, true)
-		if perr != nil {
-			return -1, perr
-		}
-		ino, err = c.createFile(parent, name, perm)
-		if err == fsapi.ErrExist && flags&fsapi.OExcl == 0 {
-			// Raced with a concurrent creator; use the winner's file.
-			ino, err = c.resolve(path, true)
-		}
-		if err != nil {
+	dangling := false
+	for {
+		ref, err := c.resolveEntry(path, true)
+		switch {
+		case err == nil:
+			if flags&(fsapi.OCreate|fsapi.OExcl) == fsapi.OCreate|fsapi.OExcl {
+				return -1, fsapi.ErrExist
+			}
+			if ok, err := c.pin(ref); err != nil {
+				return -1, err
+			} else if !ok {
+				continue
+			}
+			return c.openPinned(ref.inode, flags)
+		case err == fsapi.ErrNotExist && flags&fsapi.OCreate != 0 && !dangling:
+			parent, name, perr := c.resolveParent(path, true)
+			if perr != nil {
+				return -1, perr
+			}
+			ino, err := c.createFile(parent, name, perm)
+			if err == fsapi.ErrExist && flags&fsapi.OExcl == 0 {
+				// Somebody else's entry is in the way. A file: look again,
+				// one of us wins. A symlink to nothing stays in the way
+				// however often we look, so that is looked at once more only.
+				ref, lerr := c.fs.lookupEntry(c.fs.inoData(parent), name)
+				dangling = lerr == nil && ref.symlink
+				continue
+			}
+			if err != nil {
+				return -1, err
+			}
+			return c.openPinned(ino, flags)
+		default:
 			return -1, err
 		}
-	default:
+	}
+}
+
+// openPinned finishes an open of a pinned inode: access checks and
+// truncation, then the descriptor. On failure the pin is released.
+func (c *Client) openPinned(ino pmem.Ptr, flags fsapi.OpenFlag) (fsapi.FD, error) {
+	if err := c.admit(ino, flags); err != nil {
+		c.fs.decRef(ino)
 		return -1, err
 	}
+	fd := fsapi.FD(c.nextFD.Add(1))
+	c.files.Store(fd, &openFile{ino: ino, flags: flags, append: flags&fsapi.OAppend != 0})
+	return fd, nil
+}
+
+// admit checks that the client may open ino with flags, and truncates it
+// if they say so.
+func (c *Client) admit(ino pmem.Ptr, flags fsapi.OpenFlag) error {
+	fs := c.fs
 	mode := fs.inoMode(ino)
-	if fsapi.IsDir(mode) && flags&(fsapi.OWronly|fsapi.ORdwr) != 0 {
-		return -1, fsapi.ErrIsDir
+	writing := flags&(fsapi.OWronly|fsapi.ORdwr) != 0
+	if fsapi.IsDir(mode) && writing {
+		return fsapi.ErrIsDir
 	}
 	var want uint32
-	if flags&(fsapi.OWronly|fsapi.ORdwr) != 0 {
+	if writing {
 		want |= fsapi.AccessWrite
 	}
 	if flags&fsapi.OWronly == 0 {
 		want |= fsapi.AccessRead
 	}
 	if err := fsapi.CheckPerm(c.cred, fs.inoUID(ino), fs.inoGID(ino), mode, want); err != nil {
-		return -1, err
+		return err
 	}
-	if flags&fsapi.OTrunc != 0 && fsapi.IsRegular(mode) && flags&(fsapi.OWronly|fsapi.ORdwr) != 0 {
+	if flags&fsapi.OTrunc != 0 && fsapi.IsRegular(mode) && writing {
 		l := fs.fileLock(ino)
 		fs.lockFileExcl(l)
-		err := fs.truncate(ino, 0)
-		l.Unlock()
-		if err != nil {
-			return -1, err
-		}
+		defer l.Unlock()
+		return fs.truncate(ino, 0)
 	}
-	return c.install(ino, flags)
+	return nil
 }
 
 // createFile allocates the inode and inserts the directory entry (Fig 5a).
+// The inode comes back pinned: the open reference is taken before the entry
+// makes the file visible, so nobody can unlink and free it first.
 func (c *Client) createFile(parent pmem.Ptr, name string, perm uint32) (pmem.Ptr, error) {
 	fs := c.fs
 	ino, err := fs.newInode(c.cred, fsapi.ModeRegular|perm&fsapi.ModePermMask, uint64(parent))
@@ -272,8 +382,12 @@ func (c *Client) createFile(parent pmem.Ptr, name string, perm uint32) (pmem.Ptr
 	if fs.crash("create.after-inode") {
 		return 0, ErrCrashed
 	}
+	if err := fs.incRef(ino); err != nil {
+		return 0, err
+	}
 	if err := fs.createEntry(fs.inoData(parent), name, ino, false); err != nil {
 		if err != ErrCrashed {
+			fs.decRef(ino)
 			fs.oa.Free(ClassInode, ino)
 		}
 		return 0, err
@@ -483,21 +597,29 @@ func (c *Client) Fstat(fd fsapi.FD) (st fsapi.Stat, err error) {
 // Stat implements fsapi.Client.
 func (c *Client) Stat(path string) (st fsapi.Stat, err error) {
 	defer c.begin(obs.OpStat).end(&err)
-	ino, err := c.resolve(path, true)
-	if err != nil {
-		return fsapi.Stat{}, err
-	}
-	return c.fs.statOf(ino), nil
+	return c.stat(path, true)
 }
 
 // Lstat implements fsapi.Client.
 func (c *Client) Lstat(path string) (st fsapi.Stat, err error) {
 	defer c.begin(obs.OpLstat).end(&err)
-	ino, err := c.resolve(path, false)
-	if err != nil {
-		return fsapi.Stat{}, err
+	return c.stat(path, false)
+}
+
+// stat reads the attributes of what path names. It takes no reference, so
+// the attributes only count if the entry still names the inode afterwards:
+// otherwise the file was unlinked meanwhile and what was read may belong to
+// whatever the inode has been recycled into.
+func (c *Client) stat(path string, followLast bool) (fsapi.Stat, error) {
+	for {
+		ref, err := c.resolveEntry(path, followLast)
+		if err != nil {
+			return fsapi.Stat{}, err
+		}
+		if st := c.fs.statOf(ref.inode); c.fs.stillNames(ref) {
+			return st, nil
+		}
 	}
-	return c.fs.statOf(ino), nil
 }
 
 // Mkdir implements fsapi.Client.
@@ -518,8 +640,11 @@ func (c *Client) Mkdir(path string, perm uint32) (err error) {
 		return err
 	}
 	fs.oa.ClearDirty(first)
-	fs.dev.Store64(uint64(ino)+inoDataOff, uint64(first))
-	fs.dev.Store32(uint64(ino)+inoNlinkOff, 2)
+	// A walker that resolved the block's previous directory as it was being
+	// removed may have rebuilt state for it since freeInode dropped it.
+	fs.dirs.drop(first)
+	fs.dev.AtomicStore64(uint64(ino)+inoDataOff, uint64(first))
+	fs.dev.AtomicStore32(uint64(ino)+inoNlinkOff, 2)
 	fs.dev.Persist(uint64(ino), InodeSize)
 	if err := fs.createEntry(fs.inoData(parent), name, ino, false); err != nil {
 		if err != ErrCrashed {
@@ -687,7 +812,7 @@ func (c *Client) Chmod(path string, perm uint32) (err error) {
 		return fsapi.ErrPerm
 	}
 	mode := fs.inoMode(ino)&fsapi.ModeTypeMask | perm&fsapi.ModePermMask
-	fs.dev.Store32(uint64(ino)+inoModeOff, mode)
+	fs.dev.AtomicStore32(uint64(ino)+inoModeOff, mode)
 	fs.dev.Persist(uint64(ino)+inoModeOff, 4)
 	fs.touchMtime(ino)
 	return nil
@@ -704,8 +829,8 @@ func (c *Client) Utimes(path string, atime, mtime int64) (err error) {
 	if c.cred.UID != 0 && c.cred.UID != fs.inoUID(ino) {
 		return fsapi.ErrPerm
 	}
-	fs.dev.Store64(uint64(ino)+inoAtimeOff, uint64(atime))
-	fs.dev.Store64(uint64(ino)+inoMtimeOff, uint64(mtime))
+	fs.dev.AtomicStore64(uint64(ino)+inoAtimeOff, uint64(atime))
+	fs.dev.AtomicStore64(uint64(ino)+inoMtimeOff, uint64(mtime))
 	fs.dev.Persist(uint64(ino)+inoAtimeOff, 16)
 	return nil
 }

@@ -19,13 +19,19 @@ import (
 // serialize on the directory inode. Location lookups go through the
 // volatile per-line index (dirindex.go); the persistent protocol steps are
 // exactly Figure 5.
+//
+// Entries, inodes and name blobs are read optimistically — by lookups, which
+// take no lock, and by listings and maintenance walks — so every access to
+// their fields, on either side, is a word-atomic device operation.
 
-// entryRef locates a live directory entry.
+// entryRef locates a live directory entry. The zero slot stands for the
+// root directory, which no entry names.
 type entryRef struct {
 	entry   pmem.Ptr // the file entry object
 	slot    uint64   // device offset of the slot pointing at it
 	inode   pmem.Ptr
 	symlink bool
+	dirty   bool // the create that linked the entry has not committed it
 }
 
 // lockLine acquires the busy bit of a line, performing waiter-side crash
@@ -33,14 +39,20 @@ type entryRef struct {
 // waiting process performs the recovery corresponding to this lock").
 // The uncontended path is one load and one CAS with no clock reads;
 // contended acquisitions are timed into the line lock-wait histogram.
-func (fs *FS) lockLine(first pmem.Ptr, line int) {
+//
+// The directory's index is built before the bit is taken, and returned:
+// every holder announces itself to lock-free lookups through the line's
+// sequence counter (see dirLine.seq).
+func (fs *FS) lockLine(first pmem.Ptr, line int) *dirState {
+	ds := fs.ensureIndex(first)
 	bit := uint64(1) << uint(line)
 	off := uint64(first) + dirBusyOff
 	old := fs.dev.AtomicLoad64(off)
-	if old&bit == 0 && fs.dev.CompareAndSwap64(off, old, old|bit) {
-		return
+	if old&bit != 0 || !fs.dev.CompareAndSwap64(off, old, old|bit) {
+		fs.lockLineSlow(first, line, bit, off)
 	}
-	fs.lockLineSlow(first, line, bit, off)
+	ds.lines[line].seq.Add(1)
+	return ds
 }
 
 func (fs *FS) lockLineSlow(first pmem.Ptr, line int, bit, off uint64) {
@@ -68,7 +80,13 @@ func (fs *FS) lockLineSlow(first pmem.Ptr, line int, bit, off uint64) {
 	}
 }
 
+// unlockLine releases the busy bit (also on behalf of a dead holder). The
+// counter moves first: a lookup that finds the bit clear must not be able to
+// read the same count it read while the holder was still mutating.
 func (fs *FS) unlockLine(first pmem.Ptr, line int) {
+	if ds := fs.dirs.get(first); ds != nil {
+		ds.lines[line].seq.Add(1)
+	}
 	fs.dev.AtomicAnd64(uint64(first)+dirBusyOff, ^(uint64(1) << uint(line)))
 }
 
@@ -80,26 +98,22 @@ func (fs *FS) nextBlock(b pmem.Ptr) pmem.Ptr {
 // entryName reads an entry's name (inline or blob).
 func (fs *FS) entryName(e pmem.Ptr) string {
 	d := fs.dev
-	nlen := uint64(d.Load32(uint64(e)+feHashOff+4) & 0xffff)
-	bits := d.Load32(uint64(e)+feHashOff+4) >> 16
-	if bits&feBitLongName != 0 {
-		blob := pmem.Ptr(d.Load64(uint64(e) + feNameOff))
-		if blob.IsNull() {
+	meta := d.AtomicLoad32(uint64(e) + feNlenOff)
+	n, off := uint64(meta&0xffff), uint64(e)+feNameOff
+	if (meta>>16)&feBitLongName != 0 {
+		blob := pmem.Ptr(d.AtomicLoad64(off))
+		if !fs.plausible(blob, BlobSize) {
 			return ""
 		}
-		n := d.Load64(uint64(blob) + blobLenOff)
+		n, off = d.AtomicLoad64(uint64(blob)+blobLenOff), uint64(blob)+blobDataOff
 		if n > blobCap {
 			return ""
 		}
-		buf := make([]byte, n)
-		d.ReadAt(uint64(blob)+blobDataOff, buf)
-		return string(buf)
-	}
-	if nlen > shortNameLen {
+	} else if n > shortNameLen {
 		return ""
 	}
-	buf := make([]byte, nlen)
-	d.ReadAt(uint64(e)+feNameOff, buf)
+	buf := make([]byte, n)
+	d.AtomicReadAt(off, buf)
 	return string(buf)
 }
 
@@ -107,33 +121,21 @@ func (fs *FS) entryName(e pmem.Ptr) string {
 // It compares in place (no allocation: this is the path-walk hot path).
 func (fs *FS) entryMatches(e pmem.Ptr, hash uint32, name string) bool {
 	d := fs.dev
-	if d.Load32(uint64(e)+feHashOff) != hash {
+	if d.AtomicLoad32(uint64(e)+feHashOff) != hash {
 		return false
 	}
-	meta := d.Load32(uint64(e) + feHashOff + 4)
+	meta := d.AtomicLoad32(uint64(e) + feNlenOff)
 	if int(meta&0xffff) != len(name) {
 		return false
 	}
 	if (meta>>16)&feBitLongName != 0 {
-		blob := pmem.Ptr(d.Load64(uint64(e) + feNameOff))
-		if blob.IsNull() || d.Load64(uint64(blob)+blobLenOff) != uint64(len(name)) {
+		blob := pmem.Ptr(d.AtomicLoad64(uint64(e) + feNameOff))
+		if !fs.plausible(blob, BlobSize) || d.AtomicLoad64(uint64(blob)+blobLenOff) != uint64(len(name)) {
 			return false
 		}
-		return memeq(d.Bytes(uint64(blob)+blobDataOff, uint64(len(name))), name)
+		return d.AtomicEqual(uint64(blob)+blobDataOff, name)
 	}
-	return memeq(d.Bytes(uint64(e)+feNameOff, uint64(len(name))), name)
-}
-
-func memeq(b []byte, s string) bool {
-	if len(b) != len(s) {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if b[i] != s[i] {
-			return false
-		}
-	}
-	return true
+	return len(name) <= shortNameLen && d.AtomicEqual(uint64(e)+feNameOff, name)
 }
 
 // newEntry allocates and fills a file entry (valid|dirty until committed).
@@ -153,97 +155,150 @@ func (fs *FS) newEntry(name string, ino pmem.Ptr, symlink bool, hint uint64) (pm
 			fs.oa.Free(ClassFileEntry, e)
 			return 0, err
 		}
-		d.Store64(uint64(blob)+blobLenOff, uint64(len(name)))
-		d.WriteAt(uint64(blob)+blobDataOff, []byte(name))
+		d.AtomicStore64(uint64(blob)+blobLenOff, uint64(len(name)))
+		d.AtomicWriteAt(uint64(blob)+blobDataOff, []byte(name))
 		d.Persist(uint64(blob), BlobSize)
 		fs.oa.ClearDirtyLazy(blob)
-		d.Store64(uint64(e)+feNameOff, uint64(blob))
+		d.AtomicStore64(uint64(e)+feNameOff, uint64(blob))
 		bits |= feBitLongName
 	} else {
-		d.WriteAt(uint64(e)+feNameOff, []byte(name))
+		d.AtomicWriteAt(uint64(e)+feNameOff, []byte(name))
 	}
-	d.Store64(uint64(e)+feInodeOff, uint64(ino))
-	d.Store32(uint64(e)+feHashOff, fnv32(name))
-	d.Store32(uint64(e)+feHashOff+4, uint32(len(name))|bits<<16)
+	d.AtomicStore64(uint64(e)+feInodeOff, uint64(ino))
+	d.AtomicStore32(uint64(e)+feHashOff, fnv32(name))
+	d.AtomicStore32(uint64(e)+feNlenOff, uint32(len(name))|bits<<16)
 	d.Persist(uint64(e), FileEntrySize)
 	return e, nil
 }
 
-// freeEntry releases a file entry and its name blob, if any.
+// freeEntry releases a file entry that was never linked, and its name blob.
 func (fs *FS) freeEntry(e pmem.Ptr) {
-	meta := fs.dev.Load32(uint64(e) + feHashOff + 4)
-	if (meta>>16)&feBitLongName != 0 {
-		blob := pmem.Ptr(fs.dev.Load64(uint64(e) + feNameOff))
-		if !blob.IsNull() {
-			fs.oa.Free(ClassBlob, blob)
-		}
-	}
+	fs.freeNameBlob(e)
 	fs.oa.Free(ClassFileEntry, e)
 }
 
-// freeEntryBody completes an entry deallocation whose valid bit is already
-// clear: free the name blob, zero the body, clear dirty.
-func (fs *FS) freeEntryBody(e pmem.Ptr) {
-	meta := fs.dev.Load32(uint64(e) + feHashOff + 4)
+func (fs *FS) freeNameBlob(e pmem.Ptr) {
+	meta := fs.dev.AtomicLoad32(uint64(e) + feNlenOff)
 	if (meta>>16)&feBitLongName != 0 {
-		blob := pmem.Ptr(fs.dev.Load64(uint64(e) + feNameOff))
+		blob := pmem.Ptr(fs.dev.AtomicLoad64(uint64(e) + feNameOff))
 		if !blob.IsNull() {
 			fs.oa.Free(ClassBlob, blob)
 		}
 	}
-	fs.dev.Zero(uint64(e)+alloc.BodyOff, FileEntrySize-alloc.BodyOff)
+}
+
+// zeroEntry is the persistent half of deallocating an entry whose valid bit
+// is already clear: free the name blob, zero the body, clear dirty. The
+// caller recycles e — but not while a slot still points at it: a lookup that
+// finds the slot unchanged after reading the entry relies on having read one
+// incarnation of it.
+func (fs *FS) zeroEntry(e pmem.Ptr) {
+	fs.freeNameBlob(e)
+	fs.dev.AtomicZero(uint64(e)+alloc.BodyOff, FileEntrySize-alloc.BodyOff)
 	fs.dev.Persist(uint64(e)+alloc.BodyOff, FileEntrySize-alloc.BodyOff)
 	fs.dev.AtomicStore64(uint64(e), 0)
 	fs.dev.Persist(uint64(e), 8)
+}
+
+// freeEntryBody deallocates an invalidated entry that no slot points at.
+func (fs *FS) freeEntryBody(e pmem.Ptr) {
+	fs.zeroEntry(e)
 	fs.oa.Recycle(ClassFileEntry, e)
 }
 
 // lookupEntry finds name in the directory whose first hash block is first.
-// Reads are lock-free (index consult + NVMM verification); entries whose
-// create never cleared the dirty bit are committed lazily (idempotent
-// recovery-on-access, Fig 5a).
+//
+// Reads take no lock and store nothing: the line's index yields candidate
+// slots, and checkSlot verifies each against NVMM. What makes the result
+// exact is the line's sequence counter. Holders of the busy bit bump it on
+// the way in and on the way out, so reading the same count before and after
+// means the lookup overlapped at most one critical section: a verified hit
+// is then one incarnation of one entry, linked in this line (a single
+// critical section cannot unlink an entry and link a recycled copy of it
+// under another name), and a miss is only believed if, in addition, nobody
+// held the bit — otherwise the index may lag NVMM, and the persistent line
+// is scanned instead. Lookups never wait for the bit, as in the paper; a
+// changed count just means looking again.
+//
+// An entry whose create reached the slot store but never cleared the dirty
+// bits is committed on the way out (idempotent recovery-on-access, Fig 5a).
 func (fs *FS) lookupEntry(first pmem.Ptr, name string) (entryRef, error) {
 	ds := fs.ensureIndex(first)
-	hash := fnv32(name)
+	hash, key := hashName(name)
 	line := lineOf(hash)
-	var cbuf [4]uint64
-	for _, so := range ds.lines[line].candidates(fnv64(name), cbuf[:0]) {
-		e := pmem.Ptr(fs.dev.AtomicLoad64(so))
-		if e.IsNull() {
+	l := &ds.lines[line]
+	for {
+		seq := l.seq.Load()
+		ref, ok := fs.lookupLine(first, l, line, hash, key, name)
+		if l.seq.Load() != seq {
 			continue
 		}
-		flags := fs.oa.Flags(e)
-		if flags&alloc.FlagValid == 0 {
-			continue
+		if !ok {
+			return entryRef{}, fsapi.ErrNotExist
 		}
-		if !fs.entryMatches(e, hash, name) {
-			continue
-		}
-		if flags&alloc.FlagDirty != 0 {
-			// Create reached the slot store but crashed before clearing
-			// dirty bits: complete the creation (Fig 5a recovery).
-			ino := pmem.Ptr(fs.dev.Load64(uint64(e) + feInodeOff))
-			if !ino.IsNull() && fs.oa.Flags(ino)&alloc.FlagValid != 0 {
-				fs.oa.ClearDirty(ino)
+		if ref.dirty {
+			if fs.oa.Flags(ref.inode)&alloc.FlagValid != 0 {
+				fs.oa.ClearDirty(ref.inode)
 			}
-			fs.oa.ClearDirty(e)
+			fs.oa.ClearDirty(ref.entry)
 		}
-		meta := fs.dev.Load32(uint64(e) + feHashOff + 4)
-		return entryRef{
-			entry:   e,
-			slot:    so,
-			inode:   pmem.Ptr(fs.dev.Load64(uint64(e) + feInodeOff)),
-			symlink: (meta>>16)&feBitSymlink != 0,
-		}, nil
+		return ref, nil
 	}
-	// Index miss. If the line is mid-mutation (possibly by a crashed
-	// process that committed the slot store but died before the index
-	// update), fall back to reading the persistent line directly — lookups
-	// in the paper always read NVMM and never block on the busy bit.
-	if fs.dev.AtomicLoad64(uint64(first)+dirBusyOff)&(1<<uint(line)) != 0 {
-		return fs.lookupLineSlow(first, line, hash, name)
+}
+
+// lookupLine is one attempt of lookupEntry: index first, then — if the
+// index has nothing and the line is mid-mutation (possibly by a crashed
+// process that committed the slot store but died before the index update) —
+// the persistent line itself.
+func (fs *FS) lookupLine(first pmem.Ptr, l *dirLine, line int, hash uint32, key uint64, name string) (entryRef, bool) {
+	var cbuf [4]uint64
+	for _, so := range l.candidates(key, cbuf[:0]) {
+		if ref, ok := fs.checkSlot(so, hash, name); ok {
+			return ref, true
+		}
 	}
-	return entryRef{}, fsapi.ErrNotExist
+	if fs.dev.AtomicLoad64(uint64(first)+dirBusyOff)&(1<<uint(line)) == 0 {
+		return entryRef{}, false
+	}
+	return fs.lookupLineSlow(first, line, hash, name)
+}
+
+// checkSlot reports whether slot so holds a live entry carrying hash and
+// name. The entry is read with no protection at all, so what was read only
+// counts if, afterwards, the slot still points at the entry and the entry
+// is still valid: an unlink clears the valid bit before it zeroes the body,
+// and no entry is recycled while a slot points at it.
+func (fs *FS) checkSlot(so uint64, hash uint32, name string) (entryRef, bool) {
+	d := fs.dev
+	e := pmem.Ptr(d.AtomicLoad64(so))
+	if !fs.plausible(e, FileEntrySize) {
+		return entryRef{}, false
+	}
+	flags := fs.oa.Flags(e)
+	if flags&alloc.FlagValid == 0 || !fs.entryMatches(e, hash, name) {
+		return entryRef{}, false
+	}
+	ref := entryRef{
+		entry:   e,
+		slot:    so,
+		inode:   pmem.Ptr(d.AtomicLoad64(uint64(e) + feInodeOff)),
+		symlink: (d.AtomicLoad32(uint64(e)+feNlenOff)>>16)&feBitSymlink != 0,
+		dirty:   flags&alloc.FlagDirty != 0,
+	}
+	if !fs.stillNames(ref) || !fs.plausible(ref.inode, InodeSize) {
+		return entryRef{}, false
+	}
+	return ref, true
+}
+
+// stillNames reports whether the entry a lookup returned is still linked
+// where it was found, still valid and still naming the same inode — in which
+// case the inode has had a name, and so has not been freed, all along.
+func (fs *FS) stillNames(ref entryRef) bool {
+	return ref.slot == 0 ||
+		pmem.Ptr(fs.dev.AtomicLoad64(ref.slot)) == ref.entry &&
+			fs.oa.Flags(ref.entry)&alloc.FlagValid != 0 &&
+			pmem.Ptr(fs.dev.AtomicLoad64(uint64(ref.entry)+feInodeOff)) == ref.inode
 }
 
 // dirProbeSpan records the elapsed time since start as a dir-probe span
@@ -254,49 +309,25 @@ func (fs *FS) dirProbeSpan(start time.Time) {
 
 // lookupLineSlow scans the persistent line (used only while the line's busy
 // bit is set and the index may lag the NVMM state).
-func (fs *FS) lookupLineSlow(first pmem.Ptr, line int, hash uint32, name string) (entryRef, error) {
+func (fs *FS) lookupLineSlow(first pmem.Ptr, line int, hash uint32, name string) (entryRef, bool) {
 	if fs.obsR.TraceEnabled() {
 		defer fs.dirProbeSpan(time.Now())
 	}
 	for b := first; fs.plausible(b, DirBlockSize); b = fs.nextBlock(b) {
 		for s := 0; s < SlotsPerLine; s++ {
-			so := slotOff(b, line, s)
-			e := pmem.Ptr(fs.dev.AtomicLoad64(so))
-			if !fs.plausible(e, FileEntrySize) {
-				continue
+			if ref, ok := fs.checkSlot(slotOff(b, line, s), hash, name); ok {
+				return ref, true
 			}
-			flags := fs.oa.Flags(e)
-			if flags&alloc.FlagValid == 0 || !fs.entryMatches(e, hash, name) {
-				continue
-			}
-			if flags&alloc.FlagDirty != 0 {
-				ino := pmem.Ptr(fs.dev.Load64(uint64(e) + feInodeOff))
-				if !ino.IsNull() && fs.oa.Flags(ino)&alloc.FlagValid != 0 {
-					fs.oa.ClearDirty(ino)
-				}
-				fs.oa.ClearDirty(e)
-			}
-			meta := fs.dev.Load32(uint64(e) + feHashOff + 4)
-			return entryRef{
-				entry:   e,
-				slot:    so,
-				inode:   pmem.Ptr(fs.dev.Load64(uint64(e) + feInodeOff)),
-				symlink: (meta>>16)&feBitSymlink != 0,
-			}, nil
 		}
 	}
-	return entryRef{}, fsapi.ErrNotExist
+	return entryRef{}, false
 }
 
 // nameExists checks for a duplicate under the line lock.
-func (fs *FS) nameExists(ds *dirState, line int, hash uint32, name string) bool {
+func (fs *FS) nameExists(l *dirLine, hash uint32, key uint64, name string) bool {
 	var cbuf [4]uint64
-	for _, so := range ds.lines[line].candidates(fnv64(name), cbuf[:0]) {
-		e := pmem.Ptr(fs.dev.AtomicLoad64(so))
-		if e.IsNull() {
-			continue
-		}
-		if fs.oa.Flags(e)&alloc.FlagValid != 0 && fs.entryMatches(e, hash, name) {
+	for _, so := range l.candidates(key, cbuf[:0]) {
+		if _, ok := fs.checkSlot(so, hash, name); ok {
 			return true
 		}
 	}
@@ -316,9 +347,8 @@ func (fs *FS) takeSlot(first pmem.Ptr, ds *dirState, line int) (uint64, error) {
 // must already be persisted (valid|dirty). On success both objects are
 // committed (dirty cleared).
 func (fs *FS) createEntry(dirFirst pmem.Ptr, name string, ino pmem.Ptr, symlink bool) error {
-	hash := fnv32(name)
+	hash, key := hashName(name)
 	line := lineOf(hash)
-	ds := fs.ensureIndex(dirFirst)
 
 	entry, err := fs.newEntry(name, ino, symlink, uint64(ino))
 	if err != nil {
@@ -327,9 +357,8 @@ func (fs *FS) createEntry(dirFirst pmem.Ptr, name string, ino pmem.Ptr, symlink 
 	if fs.crash("create.after-entry") {
 		return ErrCrashed
 	}
-	fs.lockLine(dirFirst, line)
-	ds = fs.ensureIndex(dirFirst) // recovery may have replaced the index
-	if fs.nameExists(ds, line, hash, name) {
+	ds := fs.lockLine(dirFirst, line)
+	if fs.nameExists(&ds.lines[line], hash, key, name) {
 		fs.unlockLine(dirFirst, line)
 		fs.freeEntry(entry)
 		return fsapi.ErrExist
@@ -355,7 +384,7 @@ func (fs *FS) createEntry(dirFirst pmem.Ptr, name string, ino pmem.Ptr, symlink 
 	fs.oa.ClearDirtyLazy(ino)
 	fs.oa.ClearDirtyLazy(entry)
 	fs.dev.Fence()
-	ds.lines[line].add(fnv64(name), slot)
+	ds.lines[line].add(key, slot)
 	fs.unlockLine(dirFirst, line)
 	return nil
 }
@@ -365,8 +394,7 @@ func (fs *FS) createEntry(dirFirst pmem.Ptr, name string, ino pmem.Ptr, symlink 
 func (fs *FS) removeEntry(dirFirst pmem.Ptr, name string, wantDir *bool) (pmem.Ptr, error) {
 	hash := fnv32(name)
 	line := lineOf(hash)
-	fs.lockLine(dirFirst, line)
-	ds := fs.ensureIndex(dirFirst)
+	ds := fs.lockLine(dirFirst, line)
 	ref, err := fs.lookupEntry(dirFirst, name)
 	if err != nil {
 		fs.unlockLine(dirFirst, line)
@@ -390,21 +418,17 @@ func (fs *FS) removeEntry(dirFirst pmem.Ptr, name string, wantDir *bool) (pmem.P
 		return 0, ErrCrashed
 	}
 	// Steps 4-5: zero the entry, then the slot pointer.
-	fs.freeEntryBody(ref.entry)
+	fs.zeroEntry(ref.entry)
 	if fs.crash("delete.after-entry-zero") {
 		return 0, ErrCrashed
 	}
 	fs.dev.AtomicStore64(ref.slot, 0)
 	fs.dev.Persist(ref.slot, 8)
+	fs.oa.Recycle(ClassFileEntry, ref.entry)
 	ds.lines[line].remove(fnv64(name), ref.slot)
 	ds.lines[line].pushFree(ref.slot)
 	fs.unlockLine(dirFirst, line)
 	return ref.inode, nil
-}
-
-// oaRecycle returns a fully zeroed object to the volatile free lists.
-func (fs *FS) oaRecycle(class int, e pmem.Ptr) {
-	fs.oa.Recycle(class, e)
 }
 
 // replaceDst removes an existing rename destination (POSIX overwrite).
@@ -412,9 +436,10 @@ func (fs *FS) oaRecycle(class int, e pmem.Ptr) {
 func (fs *FS) replaceDst(ds *dirState, line int, dst entryRef, name string) {
 	fs.dev.AtomicStore64(uint64(dst.entry), alloc.FlagDirty)
 	fs.dev.Persist(uint64(dst.entry), 8)
-	fs.freeEntryBody(dst.entry)
+	fs.zeroEntry(dst.entry)
 	fs.dev.AtomicStore64(dst.slot, 0)
 	fs.dev.Persist(dst.slot, 8)
+	fs.oa.Recycle(ClassFileEntry, dst.entry)
 	ds.lines[line].remove(fnv64(name), dst.slot)
 	ds.lines[line].pushFree(dst.slot)
 	if fsapi.IsDir(fs.inoMode(dst.inode)) {
@@ -436,7 +461,7 @@ func (fs *FS) renameSameDir(dirFirst pmem.Ptr, oldName, newName string) error {
 	if l1 > l2 {
 		l1, l2 = l2, l1
 	}
-	fs.lockLine(dirFirst, l1)
+	ds := fs.lockLine(dirFirst, l1)
 	if l2 != l1 {
 		fs.lockLine(dirFirst, l2)
 	}
@@ -446,7 +471,6 @@ func (fs *FS) renameSameDir(dirFirst pmem.Ptr, oldName, newName string) error {
 		}
 		fs.unlockLine(dirFirst, l1)
 	}
-	ds := fs.ensureIndex(dirFirst)
 
 	ref, err := fs.lookupEntry(dirFirst, oldName)
 	if err != nil {
@@ -485,6 +509,17 @@ func (fs *FS) renameSameDir(dirFirst pmem.Ptr, oldName, newName string) error {
 	fs.dev.Persist(uint64(ref.entry), 8)
 	fs.freeEntryBody(ref.entry)
 
+	if newLine == oldLine {
+		// Both names hash to this line, so the swapped slot already is where
+		// the shadow belongs. (Moving it anyway would, for a crash between
+		// steps 7 and 8, leave two slots of one line on one entry with no
+		// hash mismatch for recovery to key on.)
+		fs.oa.ClearDirty(shadow)
+		ds.lines[newLine].add(fnv64(newName), ref.slot)
+		unlock()
+		return nil
+	}
+
 	// Step 7: place the shadow into its proper line.
 	slot, err := fs.takeSlot(dirFirst, ds, newLine)
 	if err == ErrCrashed {
@@ -518,19 +553,18 @@ func (fs *FS) renameCrossDir(srcFirst, dstFirst pmem.Ptr, oldName, newName strin
 
 	// Lock the two directories' lines in a global order (by first-block
 	// pointer) to avoid deadlocks between concurrent cross-dir renames.
+	var sds, dds *dirState
 	if srcFirst < dstFirst {
-		fs.lockLine(srcFirst, oldLine)
-		fs.lockLine(dstFirst, newLine)
+		sds = fs.lockLine(srcFirst, oldLine)
+		dds = fs.lockLine(dstFirst, newLine)
 	} else {
-		fs.lockLine(dstFirst, newLine)
-		fs.lockLine(srcFirst, oldLine)
+		dds = fs.lockLine(dstFirst, newLine)
+		sds = fs.lockLine(srcFirst, oldLine)
 	}
 	unlockBoth := func() {
 		fs.unlockLine(srcFirst, oldLine)
 		fs.unlockLine(dstFirst, newLine)
 	}
-	sds := fs.ensureIndex(srcFirst)
-	dds := fs.ensureIndex(dstFirst)
 
 	ref, err := fs.lookupEntry(srcFirst, oldName)
 	if err != nil {
@@ -554,9 +588,9 @@ func (fs *FS) renameCrossDir(srcFirst, dstFirst pmem.Ptr, oldName, newName strin
 	// Step 1-2: write the log entry in the source directory and set its
 	// dirty flag; from here recovery can either roll forward or back.
 	d := fs.dev
-	d.Store64(uint64(srcFirst)+dirLogOldOff, uint64(ref.entry))
-	d.Store64(uint64(srcFirst)+dirLogNewOff, uint64(shadow))
-	d.Store64(uint64(srcFirst)+dirLogDstOff, uint64(dstFirst))
+	d.AtomicStore64(uint64(srcFirst)+dirLogOldOff, uint64(ref.entry))
+	d.AtomicStore64(uint64(srcFirst)+dirLogNewOff, uint64(shadow))
+	d.AtomicStore64(uint64(srcFirst)+dirLogDstOff, uint64(dstFirst))
 	d.Persist(uint64(srcFirst)+dirLogOldOff, 24)
 	d.AtomicOr64(uint64(srcFirst)+dirMetaOff, dirLogDirtyBit)
 	d.Persist(uint64(srcFirst)+dirMetaOff, 8)
@@ -602,9 +636,9 @@ func (fs *FS) clearRenameLog(srcFirst pmem.Ptr) {
 	d := fs.dev
 	d.AtomicAnd64(uint64(srcFirst)+dirMetaOff, ^uint64(dirLogDirtyBit))
 	d.Persist(uint64(srcFirst)+dirMetaOff, 8)
-	d.Store64(uint64(srcFirst)+dirLogOldOff, 0)
-	d.Store64(uint64(srcFirst)+dirLogNewOff, 0)
-	d.Store64(uint64(srcFirst)+dirLogDstOff, 0)
+	d.AtomicStore64(uint64(srcFirst)+dirLogOldOff, 0)
+	d.AtomicStore64(uint64(srcFirst)+dirLogNewOff, 0)
+	d.AtomicStore64(uint64(srcFirst)+dirLogDstOff, 0)
 	d.Persist(uint64(srcFirst)+dirLogOldOff, 24)
 }
 
@@ -653,7 +687,7 @@ func (fs *FS) listDir(first pmem.Ptr) []fsapi.DirEntry {
 			if !fs.plausible(e, FileEntrySize) || fs.oa.Flags(e)&alloc.FlagValid == 0 {
 				continue
 			}
-			ino := pmem.Ptr(fs.dev.Load64(uint64(e) + feInodeOff))
+			ino := pmem.Ptr(fs.dev.AtomicLoad64(uint64(e) + feInodeOff))
 			if !fs.plausible(ino, InodeSize) {
 				continue
 			}

@@ -19,46 +19,260 @@ import (
 // index is derived data, rebuilt from NVMM on first access after a mount or
 // a recovery, and every mutation happens under the same per-line busy lock
 // that guards the persistent slot.
-type dirLine struct {
-	mu     sync.RWMutex
-	byHash map[uint64][]uint64 // fnv64(name) -> candidate slot offsets
-	free   []uint64            // free slot offsets of this line
+//
+// Readers only load. A lookup finds the directory's state in dirTable,
+// probes the line's table for candidate slots and verifies each against
+// NVMM; the line's sequence counter tells it whether a writer held the line
+// at any point in between (see lookupEntry). Everything a writer touches —
+// the counter aside — sits behind the line's mutex.
+
+// dirTable maps a directory, named by its first hash block, to its volatile
+// state. It is a two-level array indexed by first/DirBlockSize: directory
+// blocks are DirBlockSize-byte slab objects, so no two of them start within
+// the same DirBlockSize-aligned window. get is two loads; cells are
+// installed and cleared with single atomic stores, so a reader racing drop
+// keeps the (garbage-collected) state it already holds and finds nothing in
+// it that NVMM does not confirm.
+type dirTable struct {
+	top []atomic.Pointer[dirLeaf]
 }
 
+const dirLeafBits = 9
+
+type dirLeaf [1 << dirLeafBits]atomic.Pointer[dirState]
+
+func newDirTable(devSize uint64) dirTable {
+	return dirTable{top: make([]atomic.Pointer[dirLeaf], devSize/DirBlockSize>>dirLeafBits+1)}
+}
+
+func (t *dirTable) get(first pmem.Ptr) *dirState {
+	i := uint64(first) / DirBlockSize
+	leaf := t.top[i>>dirLeafBits].Load()
+	if leaf == nil {
+		return nil
+	}
+	return leaf[i&(1<<dirLeafBits-1)].Load()
+}
+
+func (t *dirTable) getOrCreate(first pmem.Ptr) *dirState {
+	i := uint64(first) / DirBlockSize
+	top := &t.top[i>>dirLeafBits]
+	leaf := top.Load()
+	for leaf == nil {
+		top.CompareAndSwap(nil, new(dirLeaf))
+		leaf = top.Load()
+	}
+	cell := &leaf[i&(1<<dirLeafBits-1)]
+	for {
+		if ds := cell.Load(); ds != nil {
+			return ds
+		}
+		cell.CompareAndSwap(nil, new(dirState))
+	}
+}
+
+// drop forgets a directory's state: when the directory is removed (its
+// blocks go back to the allocator, and the next directory to get one must
+// not inherit this index), and when recovery repairs the persistent chain
+// behind the index's back.
+func (t *dirTable) drop(first pmem.Ptr) {
+	i := uint64(first) / DirBlockSize
+	if leaf := t.top[i>>dirLeafBits].Load(); leaf != nil {
+		leaf[i&(1<<dirLeafBits-1)].Store(nil)
+	}
+}
+
+// dirState is the volatile per-directory coordination state: the per-line
+// index plus what serializes building it and extending the chain. The
+// persistent chain itself remains the single source of truth.
+type dirState struct {
+	lines    [NLines]dirLine
+	built    atomic.Bool
+	buildMu  sync.Mutex
+	extendMu sync.Mutex
+	blocks   []pmem.Ptr
+}
+
+// dirLine is the volatile state of one hash line. Readers load seq and tab
+// and nothing else. Its fields end within 72 bytes of a 128-byte struct, so
+// wherever the allocator puts the array (it promises 8-byte alignment only),
+// no two lines' fields share a cache line: a writer on line k never
+// invalidates what readers of line k±1 have cached. TestDirLineLayout checks.
+type dirLine struct {
+	// seq counts acquisitions and releases of the line's busy bit: lockLine
+	// bumps it after setting the bit, unlockLine before clearing it. A lookup
+	// that reads the same value before and after overlapped at most one
+	// critical section, and none at all if it also found the bit clear.
+	seq atomic.Uint64
+	tab atomic.Pointer[lineTable]
+
+	// Writer side. The busy bit already serializes the table's writers; mu
+	// is for the free list, which chain extension feeds on every line at once.
+	mu   sync.Mutex
+	live uint32 // cells holding an entry
+	used uint32 // live + tombstones
+	free []uint64
+	_    [72]byte
+}
+
+// lineTable is an open-addressed (linear probing) table of fixed capacity, a
+// power of two. A line replaces its table when it fills up; the old one is
+// never written again, so a reader holding it still sees a consistent (if
+// dated) snapshot.
+type lineTable struct {
+	shift uint8 // 64 - log2(len(cells))
+	cells []lineCell
+}
+
+// lineCell pairs a name hash with the slot of an entry carrying it. key is
+// cellEmpty in a never-used cell (probes stop there) and cellTomb in a
+// vacated one (probes go on). An insert stores slot before key, so a reader
+// that matched key loads a slot of this line — the right one unless the cell
+// was reused meanwhile, which NVMM verification sorts out like any other
+// stale candidate.
+type lineCell struct {
+	key  atomic.Uint64
+	slot atomic.Uint64
+}
+
+const (
+	cellEmpty   = 0
+	cellTomb    = 1
+	minLineCap  = 8
+	fibonacci64 = 0x9E3779B97F4A7C15
+)
+
+func newLineTable(capacity int) *lineTable {
+	t := &lineTable{shift: 64, cells: make([]lineCell, capacity)}
+	for c := capacity; c > 1; c >>= 1 {
+		t.shift--
+	}
+	return t
+}
+
+// pos is the probe start of key: the high bits of a multiplicative hash, as
+// FNV's low bits are what already selected the line.
+func (t *lineTable) pos(key uint64) uint64 { return key * fibonacci64 >> t.shift }
+
+// put stores (key, slot) in the first reusable cell of key's probe sequence
+// and reports whether that cell had never been used.
+func (t *lineTable) put(key, slot uint64) (fresh bool) {
+	mask := uint64(len(t.cells) - 1)
+	for i := t.pos(key); ; i = (i + 1) & mask {
+		c := &t.cells[i]
+		if k := c.key.Load(); k == cellEmpty || k == cellTomb {
+			c.slot.Store(slot)
+			c.key.Store(key)
+			return k == cellEmpty
+		}
+	}
+}
+
+// find returns the cell holding (key, slot), or nil.
+func (t *lineTable) find(key, slot uint64) *lineCell {
+	mask := uint64(len(t.cells) - 1)
+	for i := t.pos(key); ; i = (i + 1) & mask {
+		c := &t.cells[i]
+		switch c.key.Load() {
+		case cellEmpty:
+			return nil
+		case key:
+			if c.slot.Load() == slot {
+				return c
+			}
+		}
+	}
+}
+
+// cellKey maps a name hash into the key space (two values are reserved).
+func cellKey(h uint64) uint64 {
+	if h <= cellTomb {
+		return h + 2
+	}
+	return h
+}
+
+// add indexes slot under name hash h. Amortized O(1): the table is rebuilt,
+// at twice the live population, only when three quarters of it are used up.
 func (l *dirLine) add(h uint64, slot uint64) {
 	l.mu.Lock()
-	if l.byHash == nil {
-		l.byHash = make(map[uint64][]uint64, 4)
+	t := l.tab.Load()
+	if t == nil || (l.used+1)*4 > uint32(len(t.cells))*3 {
+		capacity := minLineCap
+		for uint32(capacity) < (l.live+1)*2 {
+			capacity <<= 1
+		}
+		nt := newLineTable(capacity)
+		if t != nil {
+			for i := range t.cells {
+				if k := t.cells[i].key.Load(); k > cellTomb {
+					nt.put(k, t.cells[i].slot.Load())
+				}
+			}
+		}
+		l.used = l.live
+		l.tab.Store(nt)
+		t = nt
 	}
-	l.byHash[h] = append(l.byHash[h], slot)
+	if t.put(cellKey(h), slot) {
+		l.used++
+	}
+	l.live++
 	l.mu.Unlock()
 }
 
 func (l *dirLine) remove(h uint64, slot uint64) {
 	l.mu.Lock()
-	ss := l.byHash[h]
-	for i, s := range ss {
-		if s == slot {
-			ss[i] = ss[len(ss)-1]
-			ss = ss[:len(ss)-1]
-			break
+	if t := l.tab.Load(); t != nil {
+		if c := t.find(cellKey(h), slot); c != nil {
+			c.key.Store(cellTomb)
+			l.live--
 		}
-	}
-	if len(ss) == 0 {
-		delete(l.byHash, h)
-	} else {
-		l.byHash[h] = ss
 	}
 	l.mu.Unlock()
 }
 
+// removeSlotAnyHash drops a slot from the index when the entry's name is no
+// longer recoverable (the crashed delete already zeroed it).
+func (l *dirLine) removeSlotAnyHash(slot uint64) {
+	l.mu.Lock()
+	if t := l.tab.Load(); t != nil {
+		for i := range t.cells {
+			c := &t.cells[i]
+			if c.key.Load() > cellTomb && c.slot.Load() == slot {
+				c.key.Store(cellTomb)
+				l.live--
+				break
+			}
+		}
+	}
+	l.mu.Unlock()
+}
+
+// containsSlot reports whether the index already references the slot.
+func (l *dirLine) containsSlot(h uint64, slot uint64) bool {
+	t := l.tab.Load()
+	return t != nil && t.find(cellKey(h), slot) != nil
+}
+
 // candidates appends the slots indexed under h to buf (callers pass a small
-// stack buffer so the common single-candidate case does not allocate).
+// stack buffer so the common single-candidate case does not allocate). It is
+// the reader side: atomic loads only.
 func (l *dirLine) candidates(h uint64, buf []uint64) []uint64 {
-	l.mu.RLock()
-	buf = append(buf[:0], l.byHash[h]...)
-	l.mu.RUnlock()
-	return buf
+	t := l.tab.Load()
+	if t == nil {
+		return buf
+	}
+	key, mask := cellKey(h), uint64(len(t.cells)-1)
+	for i := t.pos(key); ; i = (i + 1) & mask {
+		c := &t.cells[i]
+		switch c.key.Load() {
+		case cellEmpty:
+			return buf
+		case key:
+			buf = append(buf, c.slot.Load())
+		}
+	}
 }
 
 func (l *dirLine) pushFree(slot uint64) {
@@ -78,30 +292,37 @@ func (l *dirLine) popFree() (uint64, bool) {
 	return s, true
 }
 
-// fnv64 is the index key hash (the persistent entries store fnv32, which
-// also selects the line).
-func fnv64(name string) uint64 {
-	h := uint64(14695981039346656037)
+// hashName computes both hashes of a name in one pass: FNV-1a 32, which the
+// persistent entries store and which selects the line, and FNV-1a 64, the
+// index key.
+func hashName(name string) (uint32, uint64) {
+	h32, h64 := uint32(2166136261), uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
+		h32 = (h32 ^ uint32(name[i])) * 16777619
+		h64 = (h64 ^ uint64(name[i])) * 1099511628211
 	}
+	return h32, h64
+}
+
+// fnv64 is the index key hash.
+func fnv64(name string) uint64 {
+	_, h := hashName(name)
 	return h
 }
 
-// ensureIndex returns the directory's state with the index built.
+// ensureIndex returns the directory's state with the index built. Once it
+// is, that takes three loads.
 func (fs *FS) ensureIndex(first pmem.Ptr) *dirState {
-	ds := fs.dirState(first)
-	if ds.built.Load() {
+	if ds := fs.dirs.get(first); ds != nil && ds.built.Load() {
 		return ds
 	}
+	ds := fs.dirs.getOrCreate(first)
 	ds.buildMu.Lock()
 	defer ds.buildMu.Unlock()
-	if ds.built.Load() {
-		return ds
+	if !ds.built.Load() {
+		fs.buildIndex(first, ds)
+		ds.built.Store(true)
 	}
-	fs.buildIndex(first, ds)
-	ds.built.Store(true)
 	return ds
 }
 
@@ -145,12 +366,6 @@ func (fs *FS) buildIndex(first pmem.Ptr, ds *dirState) {
 	}
 }
 
-// invalidateDir drops a directory's volatile index (after recovery repairs
-// the persistent chain behind its back).
-func (fs *FS) invalidateDir(first pmem.Ptr) {
-	fs.dirs.drop(first)
-}
-
 // extendChain appends a fresh hash block to the directory and feeds its
 // slots into the free lists. Returns a free slot for the requested line.
 func (fs *FS) extendChain(first pmem.Ptr, ds *dirState, line int) (uint64, error) {
@@ -192,12 +407,4 @@ func (fs *FS) extendChain(first pmem.Ptr, ds *dirState, line int) (uint64, error
 		}
 	}
 	return out, nil
-}
-
-// dirState is defined in fs.go; the index fields live here.
-type dirIndexState struct {
-	built   atomic.Bool
-	buildMu sync.Mutex
-	blocks  []pmem.Ptr
-	lines   [NLines]dirLine
 }

@@ -38,7 +38,8 @@ type Options struct {
 	LineLockTimeout time.Duration
 	// Cost is the per-call CPU cost model; nil charges nothing.
 	Cost *cost.Model
-	// Shards overrides the volatile lock/dir sharding (defaults to 64).
+	// Shards overrides the sharding of the volatile lock and open-reference
+	// maps (defaults to 64).
 	Shards int
 	// Now overrides the clock (tests); defaults to time.Now().UnixNano.
 	Now func() int64
@@ -49,9 +50,10 @@ type Options struct {
 
 const defaultLineLockTimeout = 500 * time.Millisecond
 
-// sharded is the one generic volatile sharded-map type backing all of the
-// FS's "shared DRAM" coordination state: file locks, open-file references
-// and per-directory state are all instances of it. Shards are selected by
+// sharded is the generic volatile sharded-map type backing the FS's
+// mutex-guarded "shared DRAM" coordination state: file locks and open-file
+// references (per-directory state, which lookups read, lives in the
+// load-only dirTable instead). Shards are selected by
 // key, values are created on demand, and every shard counts how many lock
 // acquisitions found the shard already held so Stats() can expose
 // contention per map.
@@ -161,15 +163,6 @@ type refEntry struct {
 	orphan bool
 }
 
-// dirState is the volatile per-directory coordination state ("shared
-// DRAM"): a mutex serializing chain extension plus the derived directory
-// index (see dirindex.go). The persistent chain itself remains the single
-// source of truth.
-type dirState struct {
-	extendMu sync.Mutex
-	dirIndexState
-}
-
 // FS is a mounted Simurgh volume. All attached clients (processes) share it.
 type FS struct {
 	dev   *pmem.Device
@@ -187,7 +180,7 @@ type FS struct {
 	obsR *obs.Registry
 
 	locks sharded[*sync.RWMutex]
-	dirs  sharded[*dirState]
+	dirs  dirTable // see dirindex.go
 	open  sharded[refEntry]
 
 	// recoveryMu serializes concurrent waiter-initiated line recoveries.
@@ -258,7 +251,7 @@ func newFS(dev *pmem.Device, opts Options) (*FS, error) {
 		now:           opts.Now,
 		obsR:          obsR,
 		locks:         newSharded("locks", opts.Shards, func() *sync.RWMutex { return new(sync.RWMutex) }),
-		dirs:          newSharded("dirs", opts.Shards, func() *dirState { return new(dirState) }),
+		dirs:          newDirTable(dev.Size()),
 		open:          newSharded("refs", opts.Shards, func() refEntry { return refEntry{} }),
 	}
 	return fs, nil
@@ -346,8 +339,8 @@ func Format(dev *pmem.Device, cred fsapi.Cred, opts Options) (*FS, error) {
 		return nil, err
 	}
 	fs.oa.ClearDirty(first)
-	d.Store64(uint64(root)+inoDataOff, uint64(first))
-	d.Store32(uint64(root)+inoNlinkOff, 2)
+	d.AtomicStore64(uint64(root)+inoDataOff, uint64(first))
+	d.AtomicStore32(uint64(root)+inoNlinkOff, 2)
 	d.Persist(uint64(root), InodeSize)
 	fs.oa.ClearDirty(root)
 
@@ -421,7 +414,7 @@ func (fs *FS) Obs() *obs.Registry { return fs.obsR }
 // belongs on polling paths, not inside operations.
 func (fs *FS) Stats() obs.Snapshot {
 	s := fs.obsR.Snapshot()
-	s.Shards = []obs.ShardStat{fs.locks.stats(), fs.open.stats(), fs.dirs.stats()}
+	s.Shards = []obs.ShardStat{fs.locks.stats(), fs.open.stats()}
 	s.Device = toDelta(fs.dev.StatsSnapshot())
 	s.Gauges = fs.gauges()
 	return s
@@ -519,12 +512,6 @@ func (fs *FS) dropFileLock(ino pmem.Ptr) {
 	fs.locks.drop(ino)
 }
 
-// dirState returns the volatile coordination state of a directory,
-// identified by its first hash block.
-func (fs *FS) dirState(first pmem.Ptr) *dirState {
-	return fs.dirs.get(first)
-}
-
 // newInode allocates and fills an inode (valid|dirty until the caller
 // commits). nlink starts at 1 for files, set by the caller for dirs.
 func (fs *FS) newInode(cred fsapi.Cred, mode uint32, hint uint64) (pmem.Ptr, error) {
@@ -534,40 +521,40 @@ func (fs *FS) newInode(cred fsapi.Cred, mode uint32, hint uint64) (pmem.Ptr, err
 	}
 	d := fs.dev
 	now := fs.now()
-	d.Store32(uint64(ino)+inoModeOff, mode)
-	d.Store32(uint64(ino)+inoUIDOff, cred.UID)
-	d.Store32(uint64(ino)+inoGIDOff, cred.GID)
-	d.Store32(uint64(ino)+inoNlinkOff, 1)
-	d.Store64(uint64(ino)+inoSizeOff, 0)
-	d.Store64(uint64(ino)+inoAtimeOff, uint64(now))
-	d.Store64(uint64(ino)+inoMtimeOff, uint64(now))
-	d.Store64(uint64(ino)+inoCtimeOff, uint64(now))
-	d.Store64(uint64(ino)+inoDataOff, 0)
-	d.Store64(uint64(ino)+inoBlocksOff, 0)
+	// Size, data and block count start at zero, as every free object's body
+	// does. The stores are atomic because a walk that resolved the inode's
+	// previous incarnation may still be reading it.
+	d.AtomicStore32(uint64(ino)+inoModeOff, mode)
+	d.AtomicStore32(uint64(ino)+inoUIDOff, cred.UID)
+	d.AtomicStore32(uint64(ino)+inoGIDOff, cred.GID)
+	d.AtomicStore32(uint64(ino)+inoNlinkOff, 1)
+	d.AtomicStore64(uint64(ino)+inoAtimeOff, uint64(now))
+	d.AtomicStore64(uint64(ino)+inoMtimeOff, uint64(now))
+	d.AtomicStore64(uint64(ino)+inoCtimeOff, uint64(now))
 	d.Persist(uint64(ino), InodeSize)
 	return ino, nil
 }
 
 // inode field helpers.
 
-func (fs *FS) inoMode(ino pmem.Ptr) uint32  { return fs.dev.Load32(uint64(ino) + inoModeOff) }
-func (fs *FS) inoUID(ino pmem.Ptr) uint32   { return fs.dev.Load32(uint64(ino) + inoUIDOff) }
-func (fs *FS) inoGID(ino pmem.Ptr) uint32   { return fs.dev.Load32(uint64(ino) + inoGIDOff) }
-func (fs *FS) inoNlink(ino pmem.Ptr) uint32 { return fs.dev.Load32(uint64(ino) + inoNlinkOff) }
+func (fs *FS) inoMode(ino pmem.Ptr) uint32  { return fs.dev.AtomicLoad32(uint64(ino) + inoModeOff) }
+func (fs *FS) inoUID(ino pmem.Ptr) uint32   { return fs.dev.AtomicLoad32(uint64(ino) + inoUIDOff) }
+func (fs *FS) inoGID(ino pmem.Ptr) uint32   { return fs.dev.AtomicLoad32(uint64(ino) + inoGIDOff) }
+func (fs *FS) inoNlink(ino pmem.Ptr) uint32 { return fs.dev.AtomicLoad32(uint64(ino) + inoNlinkOff) }
 func (fs *FS) inoSize(ino pmem.Ptr) uint64  { return fs.dev.AtomicLoad64(uint64(ino) + inoSizeOff) }
 func (fs *FS) inoData(ino pmem.Ptr) pmem.Ptr {
 	return pmem.Ptr(fs.dev.AtomicLoad64(uint64(ino) + inoDataOff))
 }
 
 func (fs *FS) setNlink(ino pmem.Ptr, n uint32) {
-	fs.dev.Store32(uint64(ino)+inoNlinkOff, n)
+	fs.dev.AtomicStore32(uint64(ino)+inoNlinkOff, n)
 	fs.dev.Persist(uint64(ino)+inoNlinkOff, 4)
 }
 
 func (fs *FS) touchMtime(ino pmem.Ptr) {
 	now := uint64(fs.now())
-	fs.dev.Store64(uint64(ino)+inoMtimeOff, now)
-	fs.dev.Store64(uint64(ino)+inoCtimeOff, now)
+	fs.dev.AtomicStore64(uint64(ino)+inoMtimeOff, now)
+	fs.dev.AtomicStore64(uint64(ino)+inoCtimeOff, now)
 	fs.dev.Persist(uint64(ino)+inoMtimeOff, 16)
 }
 
@@ -575,8 +562,8 @@ func (fs *FS) touchMtime(ino pmem.Ptr) {
 // fence commits it (timestamps need no ordering guarantee).
 func (fs *FS) touchMtimeLazy(ino pmem.Ptr) {
 	now := uint64(fs.now())
-	fs.dev.Store64(uint64(ino)+inoMtimeOff, now)
-	fs.dev.Store64(uint64(ino)+inoCtimeOff, now)
+	fs.dev.AtomicStore64(uint64(ino)+inoMtimeOff, now)
+	fs.dev.AtomicStore64(uint64(ino)+inoCtimeOff, now)
 	fs.dev.Flush(uint64(ino)+inoMtimeOff, 16)
 }
 
@@ -585,13 +572,13 @@ func (fs *FS) statOf(ino pmem.Ptr) fsapi.Stat {
 	d := fs.dev
 	return fsapi.Stat{
 		Ino:   uint64(ino),
-		Mode:  d.Load32(uint64(ino) + inoModeOff),
-		UID:   d.Load32(uint64(ino) + inoUIDOff),
-		GID:   d.Load32(uint64(ino) + inoGIDOff),
-		Nlink: d.Load32(uint64(ino) + inoNlinkOff),
+		Mode:  fs.inoMode(ino),
+		UID:   fs.inoUID(ino),
+		GID:   fs.inoGID(ino),
+		Nlink: fs.inoNlink(ino),
 		Size:  fs.inoSize(ino),
-		Atime: int64(d.Load64(uint64(ino) + inoAtimeOff)),
-		Mtime: int64(d.Load64(uint64(ino) + inoMtimeOff)),
-		Ctime: int64(d.Load64(uint64(ino) + inoCtimeOff)),
+		Atime: int64(d.AtomicLoad64(uint64(ino) + inoAtimeOff)),
+		Mtime: int64(d.AtomicLoad64(uint64(ino) + inoMtimeOff)),
+		Ctime: int64(d.AtomicLoad64(uint64(ino) + inoCtimeOff)),
 	}
 }

@@ -320,6 +320,9 @@ func (fs *FS) freeInode(ino pmem.Ptr) {
 	data := fs.inoData(ino)
 	switch {
 	case fsapi.IsDir(mode):
+		// The volatile state goes before the blocks do: the next directory
+		// to be given one of them must not inherit this one's index.
+		fs.dirs.drop(data)
 		for b := data; !b.IsNull(); {
 			next := fs.nextBlock(b)
 			fs.oa.Free(ClassDirBlock, b)
@@ -365,12 +368,12 @@ func (fs *FS) newSymlinkInode(cred fsapi.Cred, target string, hint uint64) (pmem
 		return 0, err
 	}
 	d := fs.dev
-	d.Store64(uint64(blob)+blobLenOff, uint64(len(target)))
-	d.WriteAt(uint64(blob)+blobDataOff, []byte(target))
+	d.AtomicStore64(uint64(blob)+blobLenOff, uint64(len(target)))
+	d.AtomicWriteAt(uint64(blob)+blobDataOff, []byte(target))
 	d.Persist(uint64(blob), BlobSize)
 	fs.oa.ClearDirty(blob)
-	d.Store64(uint64(ino)+inoDataOff, uint64(blob))
-	d.Store64(uint64(ino)+inoSizeOff, uint64(len(target)))
+	d.AtomicStore64(uint64(ino)+inoDataOff, uint64(blob))
+	d.AtomicStore64(uint64(ino)+inoSizeOff, uint64(len(target)))
 	d.Persist(uint64(ino), InodeSize)
 	return ino, nil
 }
@@ -378,14 +381,14 @@ func (fs *FS) newSymlinkInode(cred fsapi.Cred, target string, hint uint64) (pmem
 // readSymlink returns the target stored in a symlink inode.
 func (fs *FS) readSymlink(ino pmem.Ptr) (string, error) {
 	blob := fs.inoData(ino)
-	if blob.IsNull() {
+	if !fs.plausible(blob, BlobSize) {
 		return "", fsapi.ErrInval
 	}
-	n := fs.dev.Load64(uint64(blob) + blobLenOff)
+	n := fs.dev.AtomicLoad64(uint64(blob) + blobLenOff)
 	if n > blobCap {
 		return "", fsapi.ErrInval
 	}
 	buf := make([]byte, n)
-	fs.dev.ReadAt(uint64(blob)+blobDataOff, buf)
+	fs.dev.AtomicReadAt(uint64(blob)+blobDataOff, buf)
 	return string(buf), nil
 }

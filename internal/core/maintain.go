@@ -24,9 +24,9 @@ type MaintainStats struct {
 // is safe against concurrent creates that would otherwise take slots in the
 // blocks being freed.
 func (fs *FS) compactDir(first pmem.Ptr, st *MaintainStats) {
-	ds := fs.ensureIndex(first)
+	var ds *dirState
 	for line := 0; line < NLines; line++ {
-		fs.lockLine(first, line)
+		ds = fs.lockLine(first, line)
 	}
 	defer func() {
 		for line := NLines - 1; line >= 0; line-- {
@@ -128,7 +128,7 @@ func (fs *FS) maintainDir(ino pmem.Ptr, st *MaintainStats, seen map[pmem.Ptr]boo
 			if e.IsNull() || fs.oa.Flags(e)&alloc.FlagValid == 0 {
 				continue
 			}
-			child := pmem.Ptr(d.Load64(uint64(e) + feInodeOff))
+			child := pmem.Ptr(d.AtomicLoad64(uint64(e) + feInodeOff))
 			if !child.IsNull() {
 				fs.maintainDir(child, st, seen)
 			}

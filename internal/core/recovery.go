@@ -37,40 +37,6 @@ type RecoveryStats struct {
 	WasClean      bool
 }
 
-// removeSlotFromIndex drops a slot from a line's index when the entry's
-// name is no longer recoverable (the crashed delete already zeroed it).
-func (l *dirLine) removeSlotAnyHash(slot uint64) {
-	l.mu.Lock()
-	for h, ss := range l.byHash {
-		for i, s := range ss {
-			if s == slot {
-				ss[i] = ss[len(ss)-1]
-				ss = ss[:len(ss)-1]
-				if len(ss) == 0 {
-					delete(l.byHash, h)
-				} else {
-					l.byHash[h] = ss
-				}
-				l.mu.Unlock()
-				return
-			}
-		}
-	}
-	l.mu.Unlock()
-}
-
-// containsSlot reports whether the index already references the slot.
-func (l *dirLine) containsSlot(h uint64, slot uint64) bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	for _, s := range l.byHash[h] {
-		if s == slot {
-			return true
-		}
-	}
-	return false
-}
-
 // recoverStuckLine is the waiter-side recovery: called after a line lock
 // timed out. It repairs every recoverable state in the line and then clears
 // the busy bit on behalf of the dead holder.
@@ -120,7 +86,7 @@ func (fs *FS) repairLine(first pmem.Ptr, line int, st *RecoveryStats) {
 					}
 				}
 			case flags&alloc.FlagValid != 0:
-				hash := d.Load32(uint64(e) + feHashOff)
+				hash := d.AtomicLoad32(uint64(e) + feHashOff)
 				if lineOf(hash) != line {
 					// Hash mismatch: a same-directory rename got as far as
 					// swinging the old slot to the shadow entry (Fig 5c
@@ -132,7 +98,7 @@ func (fs *FS) repairLine(first pmem.Ptr, line int, st *RecoveryStats) {
 				if flags&alloc.FlagDirty != 0 {
 					// Create reached the slot store but not the dirty
 					// clears: commit it.
-					ino := pmem.Ptr(d.Load64(uint64(e) + feInodeOff))
+					ino := pmem.Ptr(d.AtomicLoad64(uint64(e) + feInodeOff))
 					if !ino.IsNull() && fs.oa.Flags(ino)&alloc.FlagValid != 0 {
 						fs.oa.ClearDirty(ino)
 					}
@@ -154,7 +120,7 @@ func (fs *FS) repairLine(first pmem.Ptr, line int, st *RecoveryStats) {
 // the wrong line (srcLine); move it to the line its hash selects.
 func (fs *FS) completeRenameMove(first pmem.Ptr, ds *dirState, srcLine int, srcSlot uint64, e pmem.Ptr, st *RecoveryStats) {
 	d := fs.dev
-	hash := d.Load32(uint64(e) + feHashOff)
+	hash := d.AtomicLoad32(uint64(e) + feHashOff)
 	target := lineOf(hash)
 	name := fs.entryName(e)
 	h64 := fnv64(name)
@@ -202,9 +168,9 @@ func (fs *FS) completeRenameMove(first pmem.Ptr, ds *dirState, srcLine int, srcS
 // directory, the move completes; otherwise it is undone.
 func (fs *FS) recoverRenameLog(srcFirst pmem.Ptr, st *RecoveryStats) {
 	d := fs.dev
-	oldE := pmem.Ptr(d.Load64(uint64(srcFirst) + dirLogOldOff))
-	newE := pmem.Ptr(d.Load64(uint64(srcFirst) + dirLogNewOff))
-	dstFirst := pmem.Ptr(d.Load64(uint64(srcFirst) + dirLogDstOff))
+	oldE := pmem.Ptr(d.AtomicLoad64(uint64(srcFirst) + dirLogOldOff))
+	newE := pmem.Ptr(d.AtomicLoad64(uint64(srcFirst) + dirLogNewOff))
+	dstFirst := pmem.Ptr(d.AtomicLoad64(uint64(srcFirst) + dirLogDstOff))
 	if newE.IsNull() || dstFirst.IsNull() {
 		fs.clearRenameLog(srcFirst)
 		return
@@ -215,7 +181,7 @@ func (fs *FS) recoverRenameLog(srcFirst pmem.Ptr, st *RecoveryStats) {
 	var insertedSlot uint64
 	var newLine int
 	if fs.oa.Flags(newE)&alloc.FlagValid != 0 {
-		hash := d.Load32(uint64(newE) + feHashOff)
+		hash := d.AtomicLoad32(uint64(newE) + feHashOff)
 		newLine = lineOf(hash)
 		for b := dstFirst; !b.IsNull(); b = fs.nextBlock(b) {
 			for s := 0; s < SlotsPerLine; s++ {
@@ -229,7 +195,7 @@ func (fs *FS) recoverRenameLog(srcFirst pmem.Ptr, st *RecoveryStats) {
 	if insertedSlot != 0 {
 		// Roll forward: remove the old entry from the source directory.
 		if !oldE.IsNull() && fs.oa.Flags(oldE) != 0 {
-			ohash := d.Load32(uint64(oldE) + feHashOff)
+			ohash := d.AtomicLoad32(uint64(oldE) + feHashOff)
 			oline := lineOf(ohash)
 			for b := srcFirst; !b.IsNull(); b = fs.nextBlock(b) {
 				for s := 0; s < SlotsPerLine; s++ {
@@ -390,13 +356,13 @@ func (fs *FS) markInode(ino pmem.Ptr, ms *markState, st *RecoveryStats, fix bool
 					continue
 				}
 				ms.entries[e] = true
-				meta := d.Load32(uint64(e) + feHashOff + 4)
+				meta := d.AtomicLoad32(uint64(e) + feNlenOff)
 				if (meta>>16)&feBitLongName != 0 {
-					if blob := pmem.Ptr(d.Load64(uint64(e) + feNameOff)); fs.plausible(blob, BlobSize) {
+					if blob := pmem.Ptr(d.AtomicLoad64(uint64(e) + feNameOff)); fs.plausible(blob, BlobSize) {
 						ms.blobs[blob] = true
 					}
 				}
-				child := pmem.Ptr(d.Load64(uint64(e) + feInodeOff))
+				child := pmem.Ptr(d.AtomicLoad64(uint64(e) + feInodeOff))
 				if !child.IsNull() {
 					fs.markInode(child, ms, st, fix)
 				}
@@ -446,7 +412,7 @@ func (fs *FS) reclaimTree(ino pmem.Ptr, st *RecoveryStats) {
 				if !fs.plausible(e, FileEntrySize) || fs.oa.Flags(e) == 0 {
 					continue
 				}
-				child := pmem.Ptr(d.Load64(uint64(e) + feInodeOff))
+				child := pmem.Ptr(d.AtomicLoad64(uint64(e) + feInodeOff))
 				if fs.plausible(child, InodeSize) && fs.oa.Flags(child)&alloc.FlagValid != 0 {
 					fs.reclaimTree(child, st)
 				}
@@ -456,7 +422,7 @@ func (fs *FS) reclaimTree(ino pmem.Ptr, st *RecoveryStats) {
 				st.Reclaimed++
 			}
 		}
-		fs.invalidateDir(first)
+		fs.dirs.drop(first)
 	}
 	fs.freeInode(ino)
 	st.Reclaimed++

@@ -195,36 +195,69 @@ type ObsProvider interface {
 	Obs() *obs.Registry
 }
 
+// NextComponent returns the first component of path at or after byte offset
+// i and the offset just past it, skipping the slashes in front. name is empty
+// when no component is left. It is the allocation-free way to walk a path
+// that CheckPath reported plain.
+func NextComponent(path string, i int) (name string, next int) {
+	for i < len(path) && path[i] == '/' {
+		i++
+	}
+	j := i
+	for j < len(path) && path[j] != '/' {
+		j++
+	}
+	return path[i:j], j
+}
+
+// CheckPath validates path as SplitPath does, without allocating, and
+// reports whether it is plain: free of "." and ".." components, so that
+// NextComponent yields exactly the components SplitPath would return.
+func CheckPath(path string) (plain bool, err error) {
+	plain = true
+	for name, i := NextComponent(path, 0); name != ""; name, i = NextComponent(path, i) {
+		switch {
+		case name == "." || name == "..":
+			plain = false
+		case len(name) > MaxNameLen:
+			return false, ErrNameTooLong
+		}
+	}
+	return plain, nil
+}
+
+// SplitLast cuts a plain path in front of its final component: dir is
+// everything before it, name the component itself (empty if path has none).
+func SplitLast(path string) (dir, name string) {
+	end := len(path)
+	for end > 0 && path[end-1] == '/' {
+		end--
+	}
+	start := end
+	for start > 0 && path[start-1] != '/' {
+		start--
+	}
+	return path[:start], path[start:end]
+}
+
 // SplitPath canonicalizes path into components, rejecting empty and
 // overlong names. "." and ".." are resolved lexically ( ".." never escapes
 // the root).
 func SplitPath(path string) ([]string, error) {
 	var comps []string
-	i := 0
-	for i < len(path) {
-		for i < len(path) && path[i] == '/' {
-			i++
-		}
-		j := i
-		for j < len(path) && path[j] != '/' {
-			j++
-		}
-		if j > i {
-			name := path[i:j]
-			switch name {
-			case ".":
-			case "..":
-				if len(comps) > 0 {
-					comps = comps[:len(comps)-1]
-				}
-			default:
-				if len(name) > MaxNameLen {
-					return nil, ErrNameTooLong
-				}
-				comps = append(comps, name)
+	for name, i := NextComponent(path, 0); name != ""; name, i = NextComponent(path, i) {
+		switch name {
+		case ".":
+		case "..":
+			if len(comps) > 0 {
+				comps = comps[:len(comps)-1]
 			}
+		default:
+			if len(name) > MaxNameLen {
+				return nil, ErrNameTooLong
+			}
+			comps = append(comps, name)
 		}
-		i = j
 	}
 	return comps, nil
 }

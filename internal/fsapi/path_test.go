@@ -146,3 +146,69 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestInPlaceWalkAgreesWithSplitPath checks the allocation-free path API
+// against SplitPath and BaseDir: same errors; on a plain path the same
+// components and the same final name; and a path is plain exactly when it
+// has no "." or ".." component.
+func TestInPlaceWalkAgreesWithSplitPath(t *testing.T) {
+	long := strings.Repeat("x", MaxNameLen+1)
+	paths := []string{
+		"", "/", "//", "a", "/a", "a/", "/a/b/c", "//a///b//", "/a/./b", "/a/../b", "..", ".",
+		"/.hidden/..x/...", "/a/" + long, "/" + long + "/..", "/./" + long, "/a/b/", "/d01/sub/f0001",
+	}
+	for _, p := range paths {
+		want, werr := SplitPath(p)
+		plain, err := CheckPath(p)
+		if !errors.Is(err, werr) {
+			t.Errorf("CheckPath(%q) err = %v, SplitPath says %v", p, err, werr)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		dotted := false
+		var got []string
+		for name, i := NextComponent(p, 0); name != ""; name, i = NextComponent(p, i) {
+			dotted = dotted || name == "." || name == ".."
+			got = append(got, name)
+		}
+		if plain == dotted {
+			t.Errorf("CheckPath(%q) plain = %v, components %q", p, plain, got)
+		}
+		if !plain {
+			continue
+		}
+		if !sameComps(got, want) {
+			t.Errorf("NextComponent over %q = %q, SplitPath = %q", p, got, want)
+		}
+		dir, name := SplitLast(p)
+		wdir, wname, berr := BaseDir(p)
+		if (name == "") != (berr != nil) {
+			t.Errorf("SplitLast(%q) name = %q, BaseDir err = %v", p, name, berr)
+			continue
+		}
+		if berr != nil {
+			continue
+		}
+		gdir, _ := SplitPath(dir)
+		if name != wname || !sameComps(gdir, wdir) {
+			t.Errorf("SplitLast(%q) = (%q, %q), BaseDir = (%q, %q)", p, dir, name, wdir, wname)
+		}
+	}
+}
+
+func TestInPlaceWalkDoesNotAllocate(t *testing.T) {
+	const p = "/d01/sub/f0001"
+	n := testing.AllocsPerRun(100, func() {
+		if plain, err := CheckPath(p); !plain || err != nil {
+			t.Fatal(plain, err)
+		}
+		for name, i := NextComponent(p, 0); name != ""; name, i = NextComponent(p, i) {
+		}
+		SplitLast(p)
+	})
+	if n != 0 {
+		t.Fatalf("%v allocations per walk", n)
+	}
+}

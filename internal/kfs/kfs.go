@@ -87,6 +87,12 @@ type node struct {
 	// Per-directory persistent dentry area (chunked).
 	dentArea run
 	dentOff  uint64
+	// Open descriptors (vfs Hold/Release). A file that loses its last name
+	// while held lives on as an orphan until the last Release; gone marks a
+	// node that has been freed, for a Hold that raced its last unlink.
+	holds  int
+	orphan bool
+	gone   bool
 }
 
 // pathCosts are the CPU path lengths (cycles) of each design's in-kernel
@@ -509,17 +515,65 @@ func (fs *FS) Unlink(dir vfs.NodeID, name string) error {
 	if _, err := fs.dirRemove(dir, name); err != nil {
 		return err
 	}
-	cn.mu.Lock()
-	cn.attr.Nlink--
-	last := cn.attr.Nlink == 0
-	cn.mu.Unlock()
-	fs.persistInode(child)
-	if last {
-		fs.releaseData(cn)
-		fs.freeNode(child)
-	}
+	fs.dropLink(child, cn)
 	fs.j.commitSmall()
 	return nil
+}
+
+// dropLink removes one name of a file; the last one retires it.
+func (fs *FS) dropLink(id vfs.NodeID, n *node) {
+	n.mu.Lock()
+	n.attr.Nlink--
+	last := n.attr.Nlink == 0
+	n.mu.Unlock()
+	fs.persistInode(id)
+	if last {
+		fs.retire(id, n)
+	}
+}
+
+// retire frees a node that has no name left — now, or, if descriptors still
+// hold it, when the last of them is released.
+func (fs *FS) retire(id vfs.NodeID, n *node) {
+	n.mu.Lock()
+	n.orphan = n.holds > 0
+	n.gone = !n.orphan
+	gone := n.gone
+	n.mu.Unlock()
+	if gone {
+		fs.releaseData(n)
+		fs.freeNode(id)
+	}
+}
+
+// Hold implements vfs.InnerFS.
+func (fs *FS) Hold(id vfs.NodeID) error {
+	n := fs.node(id)
+	if n == nil {
+		return fsapi.ErrNotExist
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.gone {
+		return fsapi.ErrNotExist
+	}
+	n.holds++
+	return nil
+}
+
+// Release implements vfs.InnerFS.
+func (fs *FS) Release(id vfs.NodeID) {
+	n := fs.node(id)
+	if n == nil {
+		return
+	}
+	n.mu.Lock()
+	n.holds--
+	last := n.orphan && n.holds == 0
+	n.mu.Unlock()
+	if last {
+		fs.retire(id, n)
+	}
 }
 
 // Rmdir implements vfs.InnerFS.
@@ -549,7 +603,7 @@ func (fs *FS) Rmdir(dir vfs.NodeID, name string) error {
 	if cn.dentArea.n > 0 {
 		fs.ba.Free(cn.dentArea.start, cn.dentArea.n)
 	}
-	fs.freeNode(child)
+	fs.retire(child, cn)
 	fs.j.commitSmall()
 	return nil
 }
@@ -580,17 +634,10 @@ func (fs *FS) Rename(odir vfs.NodeID, oname string, ndir vfs.NodeID, nname strin
 					return fsapi.ErrNotEmpty
 				}
 				fs.dirRemove(ndir, nname)
-				fs.freeNode(existing)
+				fs.retire(existing, en)
 			default:
 				fs.dirRemove(ndir, nname)
-				en.mu.Lock()
-				en.attr.Nlink--
-				last := en.attr.Nlink == 0
-				en.mu.Unlock()
-				if last {
-					fs.releaseData(en)
-					fs.freeNode(existing)
-				}
+				fs.dropLink(existing, en)
 			}
 		}
 	}

@@ -220,3 +220,73 @@ func TestSplitFSHelpers(t *testing.T) {
 		t.Fatalf("relinked data mismatch (n=%d err=%v)", n, err)
 	}
 }
+
+// TestUnlinkWhileOpenUnderVFS: a descriptor keeps its file alive (the
+// kernel's inode reference): unlinking the last name — or renaming over it —
+// must not fail later reads and writes, nor hand the node to a new file, and
+// the last close frees it.
+func TestUnlinkWhileOpenUnderVFS(t *testing.T) {
+	for _, kind := range []Kind{KindNova, KindPMFS, KindExtDax} {
+		t.Run(kind.String(), func(t *testing.T) {
+			fs := newKFS(t, kind)
+			c, _ := vfs.New(fs, nil).Attach(fsapi.Root)
+			for _, replace := range []bool{false, true} {
+				fd, err := c.Open("/victim", fsapi.OCreate|fsapi.ORdwr, 0o644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.Write(fd, []byte("before")); err != nil {
+					t.Fatal(err)
+				}
+				if replace {
+					other, _ := c.Create("/other", 0o644)
+					c.Close(other)
+					err = c.Rename("/other", "/victim")
+				} else {
+					err = c.Unlink("/victim")
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A new file must not land on the held node.
+				nfd, err := c.Create("/newcomer", 0o644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.Write(nfd, []byte("XXXXXXXXXXXX"))
+				c.Close(nfd)
+				if _, err := c.Pwrite(fd, []byte(" after"), 6); err != nil {
+					t.Fatalf("replace=%v: write through the descriptor of an unlinked file: %v", replace, err)
+				}
+				buf := make([]byte, 32)
+				n, err := c.Pread(fd, buf, 0)
+				if err != nil || string(buf[:n]) != "before after" {
+					t.Fatalf("replace=%v: read %q (%v), want %q", replace, buf[:n], err, "before after")
+				}
+				if err := c.Close(fd); err != nil {
+					t.Fatal(err)
+				}
+				c.Unlink("/newcomer")
+				c.Unlink("/victim")
+			}
+			// The last Release is what frees an orphan.
+			id, _ := fs.Create(fs.Root(), "held", fsapi.ModeRegular|0o644, 0, 0)
+			if err := fs.Hold(id); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Unlink(fs.Root(), "held"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.GetAttr(id); err != nil {
+				t.Fatalf("held node gone after unlink: %v", err)
+			}
+			fs.Release(id)
+			if _, err := fs.GetAttr(id); err != fsapi.ErrNotExist {
+				t.Fatalf("orphan after its last release: %v", err)
+			}
+			if err := fs.Hold(id); err != fsapi.ErrNotExist {
+				t.Fatalf("hold of a freed node: %v", err)
+			}
+		})
+	}
+}

@@ -296,6 +296,19 @@ func (d *Device) AtomicLoad64(off uint64) uint64 {
 	return atomic.LoadUint64(d.word(off))
 }
 
+// AtomicLoad32 reads the 4-byte word at off with acquire semantics.
+func (d *Device) AtomicLoad32(off uint64) uint32 {
+	return atomic.LoadUint32(d.word32(off))
+}
+
+// AtomicStore32 writes the 4-byte word at off with release semantics.
+func (d *Device) AtomicStore32(off uint64, v uint32) {
+	atomic.StoreUint32(d.word32(off), v)
+	if d.tracked() {
+		d.markDirty(off, 4)
+	}
+}
+
 // AtomicStore64 writes the word at off with release semantics. Like real
 // hardware, the store is not durable until the line is flushed and fenced.
 func (d *Device) AtomicStore64(off uint64, v uint64) {
@@ -397,6 +410,79 @@ func (d *Device) Zero(off, n uint64) {
 	}
 }
 
+// The Atomic* bulk operations move the body of a metadata object one aligned
+// 8-byte word at a time with atomic loads and stores. File-system metadata is
+// read optimistically: a path walk may still be looking at an entry or inode
+// that another process is freeing or has already recycled, and only
+// afterwards finds out and discards what it read. Both sides of that overlap
+// therefore have to be word-atomic. off must be 8-byte aligned.
+
+// words returns the n aligned 8-byte words starting at off, bounds-checked
+// once.
+func (d *Device) words(off uint64, n int) []uint64 {
+	if n == 0 {
+		return nil
+	}
+	d.check(off, uint64(n)*8)
+	return unsafe.Slice(d.word(off), n)
+}
+
+// AtomicZero clears [off, off+n), n a multiple of 8, leaving words that are
+// already zero untouched.
+func (d *Device) AtomicZero(off, n uint64) {
+	ws := d.words(off, int(n/8))
+	for i := range ws {
+		if atomic.LoadUint64(&ws[i]) != 0 {
+			atomic.StoreUint64(&ws[i], 0)
+		}
+	}
+	d.Stats.StoreBytes.Add(n)
+	if d.tracked() {
+		d.markDirty(off, n)
+	}
+}
+
+// AtomicWriteAt copies p to off; the bytes of the last word past len(p) are
+// written as zero.
+func (d *Device) AtomicWriteAt(off uint64, p []byte) {
+	ws := d.words(off, (len(p)+7)/8)
+	for i := range ws {
+		var w [8]byte
+		copy(w[:], p[i*8:])
+		atomic.StoreUint64(&ws[i], binary.NativeEndian.Uint64(w[:]))
+	}
+	d.Stats.StoreBytes.Add(uint64(len(p)))
+	if len(ws) != 0 && d.tracked() {
+		d.markDirty(off, uint64(len(ws))*8)
+	}
+}
+
+// AtomicReadAt copies len(p) bytes starting at off into p.
+func (d *Device) AtomicReadAt(off uint64, p []byte) {
+	ws := d.words(off, (len(p)+7)/8)
+	for i := range ws {
+		var w [8]byte
+		binary.NativeEndian.PutUint64(w[:], atomic.LoadUint64(&ws[i]))
+		copy(p[i*8:], w[:])
+	}
+	d.Stats.LoadBytes.Add(uint64(len(p)))
+}
+
+// AtomicEqual reports whether the len(s) bytes at off equal s. It is the
+// name comparison of the path walk, so it neither allocates nor counts
+// towards Stats (a shared counter would make every lookup a store).
+func (d *Device) AtomicEqual(off uint64, s string) bool {
+	ws := d.words(off, (len(s)+7)/8)
+	for i := range ws {
+		var w [8]byte
+		binary.NativeEndian.PutUint64(w[:], atomic.LoadUint64(&ws[i]))
+		if rest := s[i*8:]; string(w[:min(8, len(rest))]) != rest[:min(8, len(rest))] {
+			return false
+		}
+	}
+	return true
+}
+
 // Flush issues a cache-line write back (clwb) for every line overlapping
 // [off, off+n). The lines become durable at the next Fence.
 func (d *Device) Flush(off, n uint64) {
@@ -432,7 +518,11 @@ func (d *Device) fence() {
 	}
 	d.mu.Lock()
 	for l := range d.staged {
-		copy(d.shadow[l:l+CachelineSize], d.buf[l:l+CachelineSize])
+		// Word by word: another process may be storing to a neighbouring
+		// word of the line (atomically, if it is metadata) right now.
+		for o := l; o < l+CachelineSize; o += 8 {
+			*(*uint64)(unsafe.Pointer(&d.shadow[o])) = atomic.LoadUint64(d.word(o))
+		}
 	}
 	clear(d.staged)
 	d.mu.Unlock()

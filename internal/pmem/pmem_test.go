@@ -376,3 +376,64 @@ func BenchmarkNTStore4K(b *testing.B) {
 		d.Fence()
 	}
 }
+
+// TestAtomicBulkOps checks the word-atomic body operations against the
+// plain ones, at every length around the word boundaries.
+func TestAtomicBulkOps(t *testing.T) {
+	d := New(4096)
+	d.SetMode(ModeTracked)
+	const off = 128
+	for n := 0; n <= 40; n++ {
+		src := make([]byte, n)
+		for i := range src {
+			src[i] = byte(i + 1)
+		}
+		d.Zero(off, 64)
+		d.AtomicWriteAt(off, src)
+		plain := make([]byte, 48)
+		d.ReadAt(off, plain)
+		for i, b := range plain {
+			want := byte(0) // the tail of the last word, and everything after, reads zero
+			if i < n {
+				want = src[i]
+			}
+			if b != want {
+				t.Fatalf("n=%d: byte %d = %d after AtomicWriteAt, want %d", n, i, b, want)
+			}
+		}
+		got := make([]byte, n)
+		d.AtomicReadAt(off, got)
+		if string(got) != string(src) {
+			t.Fatalf("n=%d: AtomicReadAt = %v, want %v", n, got, src)
+		}
+		if !d.AtomicEqual(off, string(src)) {
+			t.Fatalf("n=%d: AtomicEqual rejects what was written", n)
+		}
+		if n > 0 {
+			other := []byte(string(src))
+			other[n-1] ^= 0x80
+			if d.AtomicEqual(off, string(other)) {
+				t.Fatalf("n=%d: AtomicEqual accepts a different last byte", n)
+			}
+		}
+	}
+	// Bytes past the compared length do not matter.
+	d.WriteAt(off, []byte("abcdefghij"))
+	if !d.AtomicEqual(off, "abcde") || d.AtomicEqual(off, "abcdX") {
+		t.Fatal("AtomicEqual must compare exactly len(s) bytes")
+	}
+	// AtomicZero clears, and what it clears is tracked like any store.
+	d.Persist(off, 64)
+	d.AtomicZero(off, 64)
+	if d.Load64(off) != 0 || d.Load64(off+8) != 0 {
+		t.Fatal("AtomicZero left data behind")
+	}
+	d.Crash()
+	if !d.AtomicEqual(off, "abcdefghij") {
+		t.Fatal("an unflushed AtomicZero survived the crash")
+	}
+	d.AtomicStore32(off+4, 7)
+	if d.AtomicLoad32(off+4) != 7 || d.Load32(off+4) != 7 {
+		t.Fatal("AtomicStore32/AtomicLoad32 disagree")
+	}
+}

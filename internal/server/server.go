@@ -178,6 +178,7 @@ type Server struct {
 	work     chan *job
 	draining atomic.Bool
 	drainCh  chan struct{} // closed when Shutdown starts
+	aborted  atomic.Bool   // set by Abort before it touches any connection
 
 	mu    sync.Mutex
 	ln    net.Listener
@@ -798,11 +799,22 @@ func (s *Server) waitQuorum(rep Replica, seq uint64, trace uint64, op obs.Op) {
 	}
 }
 
+// errAborted is what a reply flush reports once Abort has begun.
+var errAborted = errors.New("server: aborted")
+
 // flushReplies writes every staged reply frame in one vectored write under
 // the session's write lock and resets the scratch. Bytes are attributed to
 // the wire metrics directly (the vectored path bypasses countingConn so the
 // kernel sees a single writev).
 func (s *Server) flushReplies(sess *session, rs *replyScratch) error {
+	if s.aborted.Load() {
+		// A killed daemon acknowledges nothing. Abort cuts connections one
+		// by one; when the replication link goes first, the quorum wait ends
+		// and releases this worker while its client's connection is still up.
+		rs.vw.Flush(io.Discard)
+		rs.payload, rs.frameStart = rs.payload[:0], 0
+		return errAborted
+	}
 	nf := rs.vw.Count()
 	sess.wmu.Lock()
 	n, err := rs.vw.Flush(sess.conn)
@@ -898,6 +910,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // SIGKILLed daemon in-process; production shutdown is Shutdown.
 func (s *Server) Abort() {
 	s.shutdownOnce.Do(func() {
+		s.aborted.Store(true)
 		s.draining.Store(true)
 		close(s.drainCh)
 		s.mu.Lock()

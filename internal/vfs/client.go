@@ -14,38 +14,67 @@ func (c *Client) Create(path string, perm uint32) (fsapi.FD, error) {
 	return c.Open(path, fsapi.OCreate|fsapi.OWronly|fsapi.OTrunc, perm)
 }
 
-// Open implements fsapi.Client.
+// Open implements fsapi.Client. Path resolution runs ahead of the directory
+// mutex, so by the time the create or the hold gets there the name may have
+// appeared or gone: losing such a race means starting over, and O_CREAT
+// fails with ErrNotExist only when a directory on the way is missing.
 func (c *Client) Open(path string, flags fsapi.OpenFlag, perm uint32) (fsapi.FD, error) {
 	c.syscall()
 	v := c.v
-	n, err := c.resolve(path, true)
-	switch {
-	case err == nil:
-		if flags&(fsapi.OCreate|fsapi.OExcl) == fsapi.OCreate|fsapi.OExcl {
-			return -1, fsapi.ErrExist
-		}
-	case err == fsapi.ErrNotExist && flags&fsapi.OCreate != 0:
-		parent, name, perr := c.resolveParent(path, true)
-		if perr != nil {
-			return -1, perr
-		}
-		// Directory mutation: serialize on the parent's inode mutex.
-		vn := v.vnode(parent)
-		vn.dirMu.Lock()
-		n, err = v.inner.Create(parent, name, fsapi.ModeRegular|perm&fsapi.ModePermMask, c.cred.UID, c.cred.GID)
-		if err == nil {
-			v.dcacheInsert(parent, name, n)
-		}
-		vn.dirMu.Unlock()
-		if err == fsapi.ErrExist && flags&fsapi.OExcl == 0 {
-			n, err = c.resolve(path, true)
-		}
-		if err != nil {
+	dangling := false
+	for {
+		n, from, err := c.resolveEntry(path, true)
+		switch {
+		case err == nil:
+			if flags&(fsapi.OCreate|fsapi.OExcl) == fsapi.OCreate|fsapi.OExcl {
+				return -1, fsapi.ErrExist
+			}
+			if !c.hold(n, from) {
+				continue
+			}
+		case err == fsapi.ErrNotExist && flags&fsapi.OCreate != 0 && !dangling:
+			parent, name, perr := c.resolveParent(path, true)
+			if perr != nil {
+				return -1, perr
+			}
+			// Directory mutation: serialize on the parent's inode mutex. The
+			// new file is held before anyone else can get at its name.
+			vn := v.vnode(parent)
+			vn.dirMu.Lock()
+			n, err = v.inner.Create(parent, name, fsapi.ModeRegular|perm&fsapi.ModePermMask, c.cred.UID, c.cred.GID)
+			if err == nil {
+				v.dcacheInsert(parent, name, n)
+				err = v.inner.Hold(n)
+			}
+			vn.dirMu.Unlock()
+			if err == fsapi.ErrExist && flags&fsapi.OExcl == 0 {
+				// Somebody else's entry is in the way. A file: look again,
+				// one of us wins. A symlink to nothing stays in the way
+				// however often we look, so that is looked at once more only.
+				if ln, lerr := c.lookupStep(parent, name); lerr == nil {
+					a, aerr := v.inner.GetAttr(ln)
+					dangling = aerr == nil && fsapi.IsSymlink(a.Mode)
+				}
+				continue
+			}
+			if err != nil {
+				return -1, err
+			}
+		default:
 			return -1, err
 		}
-	default:
-		return -1, err
+		fd, err := c.openHeld(n, flags)
+		if err != nil {
+			v.inner.Release(n)
+		}
+		return fd, err
 	}
+}
+
+// openHeld finishes an open of a held node: access checks, truncation,
+// descriptor.
+func (c *Client) openHeld(n NodeID, flags fsapi.OpenFlag) (fsapi.FD, error) {
+	v := c.v
 	attr, err := v.inner.GetAttr(n)
 	if err != nil {
 		return -1, err
@@ -78,9 +107,11 @@ func (c *Client) Open(path string, flags fsapi.OpenFlag, perm uint32) (fsapi.FD,
 // Close implements fsapi.Client.
 func (c *Client) Close(fd fsapi.FD) error {
 	c.syscall()
-	if _, ok := c.files.LoadAndDelete(fd); !ok {
+	of, ok := c.files.LoadAndDelete(fd)
+	if !ok {
 		return fsapi.ErrBadFD
 	}
+	c.v.inner.Release(of.(*openFile).node)
 	return nil
 }
 
@@ -304,11 +335,8 @@ func (c *Client) Rmdir(path string) error {
 	vn := c.v.vnode(parent)
 	vn.dirMu.Lock()
 	defer vn.dirMu.Unlock()
-	if err := c.v.inner.Rmdir(parent, name); err != nil {
-		return err
-	}
-	c.v.dcacheRemove(parent, name)
-	return nil
+	c.v.dcacheRemove(parent, name) // first, as in Unlink
+	return c.v.inner.Rmdir(parent, name)
 }
 
 // Unlink implements fsapi.Client.
@@ -321,11 +349,10 @@ func (c *Client) Unlink(path string) error {
 	vn := c.v.vnode(parent)
 	vn.dirMu.Lock()
 	defer vn.dirMu.Unlock()
-	if err := c.v.inner.Unlink(parent, name); err != nil {
-		return err
-	}
+	// The dentry goes first: a cached name must never outlive its node (an
+	// open validates the node it is about to hold against the dcache).
 	c.v.dcacheRemove(parent, name)
-	return nil
+	return c.v.inner.Unlink(parent, name)
 }
 
 // Rename implements fsapi.Client: the global rename mutex plus both
@@ -360,12 +387,9 @@ func (c *Client) Rename(oldPath, newPath string) error {
 		defer v2.dirMu.Unlock()
 		defer v1.dirMu.Unlock()
 	}
-	if err := c.v.inner.Rename(oldParent, oldName, newParent, newName); err != nil {
-		return err
-	}
 	c.v.dcacheRemove(oldParent, oldName)
 	c.v.dcacheRemove(newParent, newName)
-	return nil
+	return c.v.inner.Rename(oldParent, oldName, newParent, newName)
 }
 
 // Symlink implements fsapi.Client.
@@ -492,7 +516,9 @@ func (c *Client) Utimes(path string, atime, mtime int64) error {
 // Detach implements fsapi.Client.
 func (c *Client) Detach() error {
 	c.files.Range(func(k, _ any) bool {
-		c.files.Delete(k)
+		if of, ok := c.files.LoadAndDelete(k); ok {
+			c.v.inner.Release(of.(*openFile).node)
+		}
 		return true
 	})
 	return nil

@@ -61,6 +61,14 @@ type InnerFS interface {
 	Fallocate(n NodeID, size uint64) error
 	Fsync(n NodeID) error
 	SetAttr(n NodeID, perm *uint32, atime, mtime *int64) error
+	// Hold pins a node for an open descriptor (the kernel's inode
+	// reference): until the matching Release, removing its last name
+	// leaves the node and its data in place. It fails with ErrNotExist if
+	// the node is already gone.
+	Hold(n NodeID) error
+	// Release drops one Hold; the last one frees a node that has no name
+	// left.
+	Release(n NodeID)
 }
 
 // dentry is a cached name→inode mapping. Its reference count is bumped with
@@ -224,40 +232,42 @@ func (c *Client) lookupStep(dir NodeID, name string) (NodeID, error) {
 }
 
 // walk resolves components from start, enforcing exec permission and
-// following symlinks.
-func (c *Client) walk(start NodeID, comps []string, followLast bool, depth int) (NodeID, error) {
+// following symlinks. Besides the node it returns the dentry (directory and
+// name) of the last step, the zero dkey if there was none.
+func (c *Client) walk(start NodeID, comps []string, followLast bool, depth int) (NodeID, dkey, error) {
 	v := c.v
 	cur := start
+	var last dkey
 	for i := 0; i < len(comps); i++ {
 		attr, err := v.inner.GetAttr(cur)
 		if err != nil {
-			return 0, err
+			return 0, dkey{}, err
 		}
 		if !fsapi.IsDir(attr.Mode) {
-			return 0, fsapi.ErrNotDir
+			return 0, dkey{}, fsapi.ErrNotDir
 		}
 		if err := fsapi.CheckPerm(c.cred, attr.UID, attr.GID, attr.Mode, fsapi.AccessExec); err != nil {
-			return 0, err
+			return 0, dkey{}, err
 		}
 		n, err := c.lookupStep(cur, comps[i])
 		if err != nil {
-			return 0, err
+			return 0, dkey{}, err
 		}
 		nattr, err := v.inner.GetAttr(n)
 		if err != nil {
-			return 0, err
+			return 0, dkey{}, err
 		}
 		if fsapi.IsSymlink(nattr.Mode) && (i < len(comps)-1 || followLast) {
 			if depth >= maxSymlinkDepth {
-				return 0, fsapi.ErrLoop
+				return 0, dkey{}, fsapi.ErrLoop
 			}
 			target, err := v.inner.Readlink(n)
 			if err != nil {
-				return 0, err
+				return 0, dkey{}, err
 			}
 			tcomps, err := fsapi.SplitPath(target)
 			if err != nil {
-				return 0, err
+				return 0, dkey{}, err
 			}
 			rest := comps[i+1:]
 			next := cur
@@ -266,17 +276,43 @@ func (c *Client) walk(start NodeID, comps []string, followLast bool, depth int) 
 			}
 			return c.walk(next, append(append([]string{}, tcomps...), rest...), followLast, depth+1)
 		}
+		last = dkey{cur, comps[i]}
 		cur = n
 	}
-	return cur, nil
+	return cur, last, nil
 }
 
 func (c *Client) resolve(path string, followLast bool) (NodeID, error) {
+	n, _, err := c.resolveEntry(path, followLast)
+	return n, err
+}
+
+// resolveEntry is resolve for callers that go on to hold the node: it also
+// returns the dentry that names it.
+func (c *Client) resolveEntry(path string, followLast bool) (NodeID, dkey, error) {
 	comps, err := fsapi.SplitPath(path)
 	if err != nil {
-		return 0, err
+		return 0, dkey{}, err
 	}
 	return c.walk(c.v.inner.Root(), comps, followLast, 0)
+}
+
+// hold pins the node a walk returned. The walk ran ahead of every lock, so
+// until the reference is held the file can be unlinked and the node freed,
+// its ID even reused. The reference therefore comes first and then the
+// dentry must still name the node; if it does not, the reference is dropped
+// and hold reports false: resolve again.
+func (c *Client) hold(n NodeID, from dkey) bool {
+	if c.v.inner.Hold(n) != nil {
+		return false
+	}
+	if from != (dkey{}) {
+		if again, err := c.lookupStep(from.dir, from.name); err != nil || again != n {
+			c.v.inner.Release(n)
+			return false
+		}
+	}
+	return true
 }
 
 // resolveParent returns the parent dir node and final name of path.
@@ -285,7 +321,7 @@ func (c *Client) resolveParent(path string, forWrite bool) (NodeID, string, erro
 	if err != nil {
 		return 0, "", err
 	}
-	parent, err := c.walk(c.v.inner.Root(), dir, true, 0)
+	parent, _, err := c.walk(c.v.inner.Root(), dir, true, 0)
 	if err != nil {
 		return 0, "", err
 	}

@@ -208,6 +208,9 @@ func (m *memFS) Truncate(n NodeID, size uint64) error {
 func (m *memFS) Fallocate(n NodeID, size uint64) error { return m.Truncate(n, size) }
 func (m *memFS) Fsync(n NodeID) error                  { return nil }
 
+func (m *memFS) Hold(NodeID) error { return nil }
+func (m *memFS) Release(NodeID)    {}
+
 func (m *memFS) SetAttr(n NodeID, perm *uint32, atime, mtime *int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Bench-smoke gate: run the wire codec and server steady-state benchmarks
-# with -benchmem and fail if any benchmark reports nonzero allocs/op,
-# unless it is listed in scripts/alloc_allowlist.txt. This pins the PR's
-# zero-allocation hot-path guarantee in CI.
+# Bench-smoke gate: run the path-resolution, wire codec and server
+# steady-state benchmarks with -benchmem and fail if any benchmark reports
+# nonzero allocs/op, unless it is listed in scripts/alloc_allowlist.txt. This
+# pins the zero-allocation hot-path guarantees in CI.
+#
+# BenchmarkResolve{Shared,Private} are depth-3 Stat calls from parallel
+# goroutines: core walks a plain path in place and must not allocate on a hit.
 #
 # The BenchmarkServer* pattern also covers the traced-but-unsampled path
 # (BenchmarkServerPwriteTracedUnsampled): a node running with -trace must
@@ -14,9 +17,9 @@ cd "$(dirname "$0")/.."
 allow="scripts/alloc_allowlist.txt"
 
 out=$(go test -run '^$' \
-	-bench 'BenchmarkBatchCodec|BenchmarkResponseCodec|BenchmarkEntryCodec|BenchmarkServer|BenchmarkShip' \
+	-bench 'BenchmarkResolve|BenchmarkBatchCodec|BenchmarkResponseCodec|BenchmarkEntryCodec|BenchmarkServer|BenchmarkShip' \
 	-benchmem -benchtime 2000x -count=1 \
-	./internal/wire/ ./internal/server/ ./internal/replica/)
+	./internal/core/ ./internal/wire/ ./internal/server/ ./internal/replica/)
 echo "$out"
 echo
 
