@@ -24,6 +24,7 @@ package replica
 import (
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,6 +164,7 @@ func newSession(id uint64, cred fsapi.Cred, client fsapi.Client) *session {
 // unknown), kept as the dependency key for pipelined data ops; oi records
 // the open's origin for migration-time re-export.
 func (s *session) allocVFD(lfd fsapi.FD, ino uint64, oi openInfo) fsapi.FD {
+	oi.path = strings.Clone(oi.path) // the request's path points into a pooled frame
 	s.fdmu.Lock()
 	defer s.fdmu.Unlock()
 	v := lfd
@@ -187,6 +189,7 @@ func (s *session) allocVFD(lfd fsapi.FD, ino uint64, oi openInfo) fsapi.FD {
 // mapVFD installs an explicit virtual→local mapping (backup replay, where
 // the log dictates the virtual descriptor).
 func (s *session) mapVFD(vfd, lfd fsapi.FD, ino uint64, oi openInfo) {
+	oi.path = strings.Clone(oi.path) // the entry's path points into a pooled frame
 	s.fdmu.Lock()
 	s.fdMap[vfd] = lfd
 	s.inos[vfd] = ino
@@ -233,23 +236,24 @@ func inoOf(c fsapi.Client, lfd fsapi.FD) uint64 {
 	return st.Ino
 }
 
-// cacheResp remembers a request's response for idempotent replay. Caller
-// holds s.dmu.
+// cacheResp remembers a request's response for idempotent replay. The byte
+// bound counts what the cache keeps alive — the capacity of the data, not
+// its length; wire.Execute makes the two equal. Caller holds s.dmu.
 func (s *session) cacheResp(id uint32, resp wire.Response, seq uint64) {
 	if old, ok := s.dedup[id]; ok {
 		// An ID reused this fast means the 4G-wide counter wrapped within
 		// the window; keep the newer answer.
-		s.dedupBytes -= len(old.resp.Data)
+		s.dedupBytes -= cap(old.resp.Data)
 	}
 	s.dedup[id] = cachedResp{resp: resp, seq: seq}
 	s.dedupFIFO = append(s.dedupFIFO, id)
-	s.dedupBytes += len(resp.Data)
+	s.dedupBytes += cap(resp.Data)
 	for len(s.dedupFIFO) > maxDedupEntries ||
 		(s.dedupBytes > maxDedupBytes && len(s.dedupFIFO) > minDedupEntries) {
 		victim := s.dedupFIFO[0]
 		s.dedupFIFO = s.dedupFIFO[1:]
 		if old, ok := s.dedup[victim]; ok {
-			s.dedupBytes -= len(old.resp.Data)
+			s.dedupBytes -= cap(old.resp.Data)
 			delete(s.dedup, victim)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"path"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -45,30 +44,42 @@ type Authority struct {
 	staleAttaches atomic.Uint64
 }
 
-// authState is one immutable generation of the authority's view.
+// authState is one immutable generation of the authority's view: the map
+// compiled for routing, and beside it what this node knows about each of the
+// map's shards, indexed by the table's slots.
 type authState struct {
-	m         *Map
+	tab       *Table
 	payload   []byte
-	serves    map[uint32]bool
+	slots     []slotState      // parallel to tab.Map().Shards
+	byID      map[uint32]int32 // shard ID → slot, for claims
 	servesAny bool
-	scaffold  map[string]bool           // strict ancestors of served prefixes
-	ops       map[uint32]*atomic.Uint64 // per-shard served-op counters
+	scaffold  map[string]bool // strict ancestors of served prefixes
 }
 
+// slotState is one shard as this node sees it.
+type slotState struct {
+	serves bool
+	ops    *atomic.Uint64 // served-op counter
+}
+
+// buildState compiles m into the next generation. The state is complete
+// before it is published, so a reader that loads it never sees a table of
+// one epoch beside serve bits of another.
 func (a *Authority) buildState(m *Map, payload []byte) *authState {
 	st := &authState{
-		m:        m,
+		tab:      Compile(m),
 		payload:  payload,
-		serves:   make(map[uint32]bool, len(m.Shards)),
+		slots:    make([]slotState, len(m.Shards)),
+		byID:     make(map[uint32]int32, len(m.Shards)),
 		scaffold: make(map[string]bool),
-		ops:      make(map[uint32]*atomic.Uint64, len(m.Shards)),
 	}
 	prev := a.state.Load()
 	for i := range m.Shards {
 		sh := &m.Shards[i]
+		st.byID[sh.ID] = int32(i)
 		for _, addr := range sh.Addrs {
 			if addr == a.self {
-				st.serves[sh.ID] = true
+				st.slots[i].serves = true
 				st.servesAny = true
 				// The scaffolding directories above a served prefix live on
 				// this volume too (the router provisions them); operations on
@@ -81,13 +92,20 @@ func (a *Authority) buildState(m *Map, payload []byte) *authState {
 		}
 		// Counters survive installs so a migration doesn't zero the node's
 		// op accounting mid-scrape.
-		if prev != nil && prev.ops[sh.ID] != nil {
-			st.ops[sh.ID] = prev.ops[sh.ID]
-		} else {
-			st.ops[sh.ID] = new(atomic.Uint64)
+		st.slots[i].ops = new(atomic.Uint64)
+		if prev != nil {
+			if slot, ok := prev.byID[sh.ID]; ok {
+				st.slots[i].ops = prev.slots[slot].ops
+			}
 		}
 	}
 	return st
+}
+
+// servesID reports whether this node serves the shard with the given ID.
+func (st *authState) servesID(id uint32) bool {
+	slot, ok := st.byID[id]
+	return ok && st.slots[slot].serves
 }
 
 // NewAuthority builds an authority for the node advertised at self, serving
@@ -106,13 +124,13 @@ func NewAuthority(m *Map, self string, onRetire func(lost []uint32, next *Map) e
 func (a *Authority) Self() string { return a.self }
 
 // Current returns the installed map. Callers must not mutate it.
-func (a *Authority) Current() *Map { return a.state.Load().m }
+func (a *Authority) Current() *Map { return a.state.Load().tab.Map() }
 
 // MapFor returns the encoded map, or nil when the caller's epoch is
 // already current (the KindMapGet fast path).
 func (a *Authority) MapFor(haveEpoch uint64) []byte {
 	st := a.state.Load()
-	if st.m.Epoch == haveEpoch {
+	if st.tab.Map().Epoch == haveEpoch {
 		return nil
 	}
 	return st.payload
@@ -133,10 +151,11 @@ func (a *Authority) Install(payload []byte) ([]byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	cur := a.state.Load()
-	if m.Epoch < cur.m.Epoch {
-		return nil, fmt.Errorf("shard: install of epoch %d behind current %d", m.Epoch, cur.m.Epoch)
+	curEpoch := cur.tab.Map().Epoch
+	if m.Epoch < curEpoch {
+		return nil, fmt.Errorf("shard: install of epoch %d behind current %d", m.Epoch, curEpoch)
 	}
-	if m.Epoch == cur.m.Epoch {
+	if m.Epoch == curEpoch {
 		if bytes.Equal(payload, cur.payload) {
 			return cur.payload, nil
 		}
@@ -146,8 +165,8 @@ func (a *Authority) Install(payload []byte) ([]byte, error) {
 	a.state.Store(next)
 	a.installs.Add(1)
 	var lost []uint32
-	for id := range cur.serves {
-		if !next.serves[id] {
+	for i, sl := range cur.slots {
+		if id := cur.tab.Map().Shards[i].ID; sl.serves && !next.servesID(id) {
 			lost = append(lost, id)
 		}
 	}
@@ -163,7 +182,7 @@ func (a *Authority) Install(payload []byte) ([]byte, error) {
 // serves the claimed shard, a Moved naming the current owner otherwise.
 func (a *Authority) CheckAttach(claim wire.AttachClaim) *wire.Moved {
 	st := a.state.Load()
-	if st.serves[claim.Shard] {
+	if st.servesID(claim.Shard) {
 		return nil
 	}
 	a.staleAttaches.Add(1)
@@ -176,31 +195,30 @@ func (a *Authority) CheckAttach(claim wire.AttachClaim) *wire.Moved {
 // namespace — every serving node answers for them (the router's root
 // listings merge across shards, and subtree ancestors live on the subtree
 // owner's volume), so they are never fenced while the node serves anything.
+//
+// The decision reads one generation and takes no lock. A path is proved
+// canonical once; only one that is not pays for path.Clean.
 func (a *Authority) MovedPath(p string) *wire.Moved {
 	st := a.state.Load()
-	if st.servesAny {
-		if cp := cleanRooted(p); cp == "/" || st.scaffold[cp] {
-			return nil
-		}
+	resolved, routed := p, p
+	if !canonical(p) {
+		resolved, routed = resolvedForm(p), routedForm(p)
 	}
-	sh := st.m.Route(p)
-	if sh == nil {
-		return &wire.Moved{Shard: NoShard, Epoch: st.m.Epoch}
+	if st.servesAny && (resolved == "/" || st.scaffold[resolved]) {
+		return nil
 	}
-	if st.serves[sh.ID] {
-		st.ops[sh.ID].Add(1)
+	m := st.tab.Map()
+	slot := st.tab.slot(routed)
+	if slot < 0 {
+		return &wire.Moved{Shard: NoShard, Epoch: m.Epoch}
+	}
+	if sl := &st.slots[slot]; sl.serves {
+		sl.ops.Add(1)
 		return nil
 	}
 	a.moved.Add(1)
-	return &wire.Moved{Shard: sh.ID, Epoch: st.m.Epoch, Addr: sh.Addrs[0]}
-}
-
-// cleanRooted canonicalizes a path to its cleaned, rooted form.
-func cleanRooted(p string) string {
-	if !strings.HasPrefix(p, "/") {
-		p = "/" + p
-	}
-	return path.Clean(p)
+	sh := &m.Shards[slot]
+	return &wire.Moved{Shard: sh.ID, Epoch: m.Epoch, Addr: sh.Addrs[0]}
 }
 
 // MovedShard decides a descriptor operation, which carries no path: the
@@ -215,10 +233,10 @@ func (a *Authority) MovedShard(shard uint32, claimed bool) *wire.Moved {
 			return nil
 		}
 		a.moved.Add(1)
-		return &wire.Moved{Shard: NoShard, Epoch: st.m.Epoch}
+		return &wire.Moved{Shard: NoShard, Epoch: st.tab.Map().Epoch}
 	}
-	if st.serves[shard] {
-		st.ops[shard].Add(1)
+	if slot, ok := st.byID[shard]; ok && st.slots[slot].serves {
+		st.slots[slot].ops.Add(1)
 		return nil
 	}
 	a.moved.Add(1)
@@ -227,9 +245,10 @@ func (a *Authority) MovedShard(shard uint32, claimed bool) *wire.Moved {
 
 // movedTo builds the Moved answer for a shard under this state.
 func (st *authState) movedTo(id uint32) *wire.Moved {
-	mv := &wire.Moved{Shard: id, Epoch: st.m.Epoch}
-	if sh := st.m.ByID(id); sh != nil {
-		mv.Addr = sh.Addrs[0]
+	m := st.tab.Map()
+	mv := &wire.Moved{Shard: id, Epoch: m.Epoch}
+	if slot, ok := st.byID[id]; ok {
+		mv.Addr = m.Shards[slot].Addrs[0]
 	}
 	return mv
 }
@@ -237,16 +256,22 @@ func (st *authState) movedTo(id uint32) *wire.Moved {
 // WriteMetrics appends the simurgh_shard_* series to a /metrics scrape.
 func (a *Authority) WriteMetrics(w io.Writer) {
 	st := a.state.Load()
-	fmt.Fprintf(w, "# HELP simurgh_shard_epoch Installed shard map epoch.\n# TYPE simurgh_shard_epoch gauge\nsimurgh_shard_epoch %d\n", st.m.Epoch)
-	fmt.Fprintf(w, "# HELP simurgh_shard_serving Shards this node serves.\n# TYPE simurgh_shard_serving gauge\nsimurgh_shard_serving %d\n", len(st.serves))
+	m := st.tab.Map()
+	serving := 0
+	for _, sl := range st.slots {
+		if sl.serves {
+			serving++
+		}
+	}
+	fmt.Fprintf(w, "# HELP simurgh_shard_epoch Installed shard map epoch.\n# TYPE simurgh_shard_epoch gauge\nsimurgh_shard_epoch %d\n", m.Epoch)
+	fmt.Fprintf(w, "# HELP simurgh_shard_serving Shards this node serves.\n# TYPE simurgh_shard_serving gauge\nsimurgh_shard_serving %d\n", serving)
 	fmt.Fprintf(w, "# HELP simurgh_shard_moved_total Operations answered with Moved (stale-routed clients).\n# TYPE simurgh_shard_moved_total counter\nsimurgh_shard_moved_total %d\n", a.moved.Load())
 	fmt.Fprintf(w, "# HELP simurgh_shard_map_installs_total Shard map installs accepted.\n# TYPE simurgh_shard_map_installs_total counter\nsimurgh_shard_map_installs_total %d\n", a.installs.Load())
 	fmt.Fprintf(w, "# HELP simurgh_shard_stale_attaches_total Attach claims refused for shards not served here.\n# TYPE simurgh_shard_stale_attaches_total counter\nsimurgh_shard_stale_attaches_total %d\n", a.staleAttaches.Load())
 	fmt.Fprintf(w, "# HELP simurgh_shard_ops_total Operations served, by shard.\n# TYPE simurgh_shard_ops_total counter\n")
-	for i := range st.m.Shards {
-		sh := &st.m.Shards[i]
-		if c := st.ops[sh.ID]; c != nil && st.serves[sh.ID] {
-			fmt.Fprintf(w, "simurgh_shard_ops_total{shard=\"%d\"} %d\n", sh.ID, c.Load())
+	for i, sl := range st.slots {
+		if sl.serves {
+			fmt.Fprintf(w, "simurgh_shard_ops_total{shard=\"%d\"} %d\n", m.Shards[i].ID, sl.ops.Load())
 		}
 	}
 }
@@ -256,18 +281,15 @@ func (a *Authority) WriteMetrics(w io.Writer) {
 // caller positioned just after the document's last regular member.
 func (a *Authority) WriteClusterRows(w io.Writer) {
 	st := a.state.Load()
-	fmt.Fprintf(w, ",\n  \"shard_epoch\": %d,\n  \"shards\": [", st.m.Epoch)
-	for i := range st.m.Shards {
-		sh := &st.m.Shards[i]
+	m := st.tab.Map()
+	fmt.Fprintf(w, ",\n  \"shard_epoch\": %d,\n  \"shards\": [", m.Epoch)
+	for i := range m.Shards {
+		sh := &m.Shards[i]
 		if i > 0 {
 			io.WriteString(w, ",")
 		}
-		var ops uint64
-		if c := st.ops[sh.ID]; c != nil {
-			ops = c.Load()
-		}
 		fmt.Fprintf(w, "\n    {\"id\": %d, \"prefix\": %q, \"state\": %q, \"served\": %v, \"ops\": %d, \"addrs\": [",
-			sh.ID, sh.Prefix, sh.State.String(), st.serves[sh.ID], ops)
+			sh.ID, sh.Prefix, sh.State.String(), st.slots[i].serves, st.slots[i].ops.Load())
 		for j, addr := range sh.Addrs {
 			if j > 0 {
 				io.WriteString(w, ", ")
@@ -276,7 +298,7 @@ func (a *Authority) WriteClusterRows(w io.Writer) {
 		}
 		io.WriteString(w, "]}")
 	}
-	if len(st.m.Shards) > 0 {
+	if len(m.Shards) > 0 {
 		io.WriteString(w, "\n  ")
 	}
 	io.WriteString(w, "]")

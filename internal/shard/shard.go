@@ -28,9 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"path"
-	"sort"
 	"strings"
 
 	"simurgh/internal/wire"
@@ -188,77 +186,12 @@ func (m *Map) ByID(id uint32) *Shard {
 	return nil
 }
 
-// hashShards returns the hash-fallback members sorted by ID (the bucket
-// order every router must agree on).
-func (m *Map) hashShards() []*Shard {
-	var hs []*Shard
-	for i := range m.Shards {
-		if m.Shards[i].Prefix == "" {
-			hs = append(hs, &m.Shards[i])
-		}
-	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i].ID < hs[j].ID })
-	return hs
-}
-
-// firstComponent extracts the first path component of a cleaned rooted
-// path ("/a/b/c" → "a"); empty for "/".
-func firstComponent(p string) string {
-	p = strings.TrimPrefix(p, "/")
-	if i := strings.IndexByte(p, '/'); i >= 0 {
-		return p[:i]
-	}
-	return p
-}
-
-// Route maps a path to its owning shard. Precedence: the longest matching
-// non-root prefix wins; otherwise hash shards bucket the path by the FNV-1a
-// hash of its first component; otherwise the "/" shard takes it. The root
-// path itself goes to the "/" shard when one exists, else to the first hash
-// bucket (routers must agree, so the choice is fixed, not hashed). Returns
-// nil only on an invalid map (no coverage).
+// Route maps a path to its owning shard; see Table.Route for the rules. It
+// compiles the map on every call, which suits tools that route a handful of
+// paths against a map they are still building. Anything that routes per
+// operation compiles once and keeps the Table.
 func (m *Map) Route(p string) *Shard {
-	p = path.Clean(p)
-	if !strings.HasPrefix(p, "/") {
-		p = "/" + p
-	}
-	var best *Shard
-	var root *Shard
-	for i := range m.Shards {
-		sh := &m.Shards[i]
-		pre := sh.Prefix
-		if pre == "" {
-			continue
-		}
-		if pre == "/" {
-			root = sh
-			continue
-		}
-		if p == pre || strings.HasPrefix(p, pre+"/") {
-			if best == nil || len(pre) > len(best.Prefix) {
-				best = sh
-			}
-		}
-	}
-	if best != nil {
-		return best
-	}
-	hs := m.hashShards()
-	if p == "/" {
-		if root != nil {
-			return root
-		}
-		if len(hs) > 0 {
-			return hs[0]
-		}
-		return nil
-	}
-	if len(hs) > 0 {
-		h := fnv.New32a()
-		h.Write([]byte(firstComponent(p)))
-		return hs[int(h.Sum32())%len(hs)]
-	}
-	return root
+	return Compile(m).Route(p)
 }
 
 // --- binary codec (KindMapOK / KindMapSet payloads) ---------------------

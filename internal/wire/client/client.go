@@ -331,10 +331,12 @@ func (r *Remote) reapIdle(now time.Time) {
 		}
 	}
 	r.idle = kept
+	// Counted before the lock drops: whoever sees the pool shrunk sees the
+	// reaping accounted.
+	r.st.idleReaped.Add(uint64(len(dead)))
 	r.mu.Unlock()
 	for _, c := range dead {
 		c.Close()
-		r.st.idleReaped.Add(1)
 	}
 }
 

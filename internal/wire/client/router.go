@@ -83,8 +83,13 @@ type Router struct {
 	seeds []string
 	opts  RouterOptions
 
-	mu      sync.Mutex
-	m       *shard.Map // immutable once installed; replaced whole
+	// tab is the cached map, compiled for routing. Requests read it with one
+	// load and no lock; an install builds the next epoch's table whole and
+	// swaps the pointer, so a reader sees one epoch or the other, never a
+	// mixture.
+	tab atomic.Pointer[shard.Table]
+
+	mu      sync.Mutex // guards remotes and closed; serializes installs
 	remotes map[uint32]*Remote
 	closed  bool
 
@@ -107,12 +112,13 @@ func DialRouter(seeds string, opts RouterOptions) (*Router, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire client: fetching shard map: %w", err)
 	}
-	return &Router{
-		seeds:   list,
-		opts:    opts,
-		m:       m,
-		remotes: make(map[uint32]*Remote),
-	}, nil
+	return newRouter(m, list, opts), nil
+}
+
+func newRouter(m *shard.Map, seeds []string, opts RouterOptions) *Router {
+	rt := &Router{seeds: seeds, opts: opts, remotes: make(map[uint32]*Remote)}
+	rt.tab.Store(shard.Compile(m))
+	return rt
 }
 
 // NewRouter builds a Router over an already-fetched map (tools that load a
@@ -123,36 +129,24 @@ func NewRouter(m *shard.Map, seeds []string, opts RouterOptions) (*Router, error
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return &Router{
-		seeds:   append([]string(nil), seeds...),
-		opts:    opts,
-		m:       m.Clone(),
-		remotes: make(map[uint32]*Remote),
-	}, nil
+	return newRouter(m.Clone(), append([]string(nil), seeds...), opts), nil
 }
 
 // Name identifies the sharded volume.
 func (rt *Router) Name() string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return fmt.Sprintf("sharded(%d shards, epoch %d)", len(rt.m.Shards), rt.m.Epoch)
+	m := rt.Map()
+	return fmt.Sprintf("sharded(%d shards, epoch %d)", len(m.Shards), m.Epoch)
 }
 
 // Map returns the cached shard map. Callers must not mutate it.
-func (rt *Router) Map() *shard.Map {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.m
-}
+func (rt *Router) Map() *shard.Map { return rt.tab.Load().Map() }
 
 // Stats snapshots the router's counters.
 func (rt *Router) Stats() RouterStats {
-	rt.mu.Lock()
-	epoch, n := rt.m.Epoch, len(rt.m.Shards)
-	rt.mu.Unlock()
+	m := rt.Map()
 	return RouterStats{
-		Epoch:        epoch,
-		Shards:       n,
+		Epoch:        m.Epoch,
+		Shards:       len(m.Shards),
 		Moves:        rt.moves.Load(),
 		MapRefreshes: rt.refreshes.Load(),
 		CrossRenames: rt.crossRenames.Load(),
@@ -200,9 +194,7 @@ func (rt *Router) Close() error {
 
 // route resolves a path to its owning shard ID under the cached map.
 func (rt *Router) route(p string) uint32 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.m.Route(p).ID // Validate guarantees coverage
+	return rt.tab.Load().Route(p).ID // Validate guarantees coverage
 }
 
 // remote returns (dialing if needed) the Remote for a shard, plus the
@@ -213,9 +205,10 @@ func (rt *Router) remote(id uint32) (*Remote, string, error) {
 	if rt.closed {
 		return nil, "", ErrClosed
 	}
-	sh := rt.m.ByID(id)
+	m := rt.Map()
+	sh := m.ByID(id)
 	if sh == nil {
-		return nil, "", fmt.Errorf("wire client: shard %d not in map epoch %d", id, rt.m.Epoch)
+		return nil, "", fmt.Errorf("wire client: shard %d not in map epoch %d", id, m.Epoch)
 	}
 	r := rt.remotes[id]
 	if r == nil {
@@ -226,7 +219,7 @@ func (rt *Router) remote(id uint32) (*Remote, string, error) {
 		}
 		rt.remotes[id] = r
 	}
-	r.SetClaim(id, rt.m.Epoch)
+	r.SetClaim(id, m.Epoch)
 	return r, sh.Prefix, nil
 }
 
@@ -235,8 +228,7 @@ func (rt *Router) remote(id uint32) (*Remote, string, error) {
 // whether the map advanced. Affected Remotes are re-pointed (SetAddrs) and
 // re-claimed; live sessions rehome on their own retry path.
 func (rt *Router) Refresh() bool {
-	rt.mu.Lock()
-	cur := rt.m
+	cur := rt.Map()
 	targets := append([]string(nil), rt.seeds...)
 	seen := make(map[string]bool, len(targets))
 	for _, a := range targets {
@@ -250,7 +242,6 @@ func (rt *Router) Refresh() bool {
 			}
 		}
 	}
-	rt.mu.Unlock()
 	for _, addr := range targets {
 		m, err := shard.FetchMap(addr, cur.Epoch, rt.opts.FetchTimeout)
 		if err != nil || m == nil || m.Epoch <= cur.Epoch {
@@ -271,9 +262,7 @@ func (rt *Router) RefreshFrom(addr string) bool {
 	if addr == "" {
 		return false
 	}
-	rt.mu.Lock()
-	cur := rt.m
-	rt.mu.Unlock()
+	cur := rt.Map()
 	m, err := shard.FetchMap(addr, cur.Epoch, rt.opts.FetchTimeout)
 	if err != nil || m == nil || m.Epoch <= cur.Epoch {
 		return false
@@ -290,12 +279,13 @@ func (rt *Router) install(m *shard.Map) {
 		id    uint32
 		addrs []string
 	}
+	tab := shard.Compile(m) // whole, before any request can see it
 	rt.mu.Lock()
-	if m.Epoch <= rt.m.Epoch {
+	if m.Epoch <= rt.Map().Epoch {
 		rt.mu.Unlock()
 		return
 	}
-	rt.m = m
+	rt.tab.Store(tab)
 	var ups []upd
 	for id, r := range rt.remotes {
 		if sh := m.ByID(id); sh != nil {
@@ -330,6 +320,10 @@ type RoutedSession struct {
 	fds      map[fsapi.FD]routedFD
 	nextFD   fsapi.FD
 	closed   bool
+
+	// idle is Submit's working set between calls. A Submit takes it and puts
+	// it back; one that finds it taken makes its own.
+	idle atomic.Pointer[scatter]
 }
 
 // session returns (attaching if needed) the wire session for a shard.
@@ -990,28 +984,68 @@ func (ss *RoutedSession) Utimes(path string, atime, mtime int64) error {
 	return ss.doPath(path, func(s *Session, _ uint32) error { return s.Utimes(path, atime, mtime) })
 }
 
-// Submit splits an explicit batch by shard, submits the parts concurrently,
-// and stitches the responses back into request order. Create/open responses
-// allocate virtual descriptors; descriptor requests are translated to their
+// part is one shard's share of a routed batch.
+type part struct {
+	shard uint32
+	sess  *Session // the shard's session when it was already attached
+	idx   []int32  // positions in the caller's batch
+	reqs  []wire.Request
+	sub   submission
+	sent  bool
+}
+
+// scatter is the reusable working set of one Submit: a part per shard the
+// batch touches. parts[:n] are in use; the rest keep their buffers.
+type scatter struct {
+	parts []*part
+	n     int
+}
+
+// part returns the in-use part for a shard, adding one when the batch has
+// not touched the shard yet. Caller holds ss.mu.
+func (sc *scatter) part(ss *RoutedSession, shard uint32) *part {
+	for _, p := range sc.parts[:sc.n] {
+		if p.shard == shard {
+			return p
+		}
+	}
+	if sc.n == len(sc.parts) {
+		sc.parts = append(sc.parts, new(part))
+	}
+	p := sc.parts[sc.n]
+	sc.n++
+	p.shard, p.sess, p.sent = shard, ss.sessions[shard], false
+	p.idx, p.reqs = p.idx[:0], p.reqs[:0]
+	return p
+}
+
+// Submit splits an explicit batch by shard, starts every part, then waits
+// for them, and lands the responses in request order. The parts overlap on
+// the wire without a goroutine each: a session's submission is started
+// (registered and queued for its writer) and waited for in two steps, and
+// every part is started before any is waited for. A batch that touches one
+// shard is the same code with one part. Create/open responses allocate
+// virtual descriptors; descriptor requests are translated to their
 // shard-local descriptors. Unlike the single-call path, Moved answers are
 // not retried — they come back as CodeMoved responses for the caller (the
 // benchmark reruns; the fsapi methods are the transparent path).
 func (ss *RoutedSession) Submit(reqs []wire.Request) ([]wire.Response, error) {
-	type part struct {
-		idx  []int
-		reqs []wire.Request
-	}
 	out := make([]wire.Response, len(reqs))
-	parts := make(map[uint32]*part)
+	tab := ss.rt.tab.Load() // one epoch routes the whole batch
+	sc := ss.idle.Swap(nil)
+	if sc == nil {
+		sc = new(scatter)
+	}
+	sc.n = 0
 	ss.mu.Lock() // one hold for the whole translation loop, not per request
 	for i := range reqs {
 		req := reqs[i] // copy: the FD field may be rewritten
 		var id uint32
 		switch {
 		case req.Op == wire.OpSymlink:
-			id = ss.rt.route(req.Path2)
+			id = tab.Route(req.Path2).ID
 		case req.Path != "":
-			id = ss.rt.route(req.Path)
+			id = tab.Route(req.Path).ID
 		default:
 			rf, ok := ss.fds[req.FD]
 			if !ok {
@@ -1020,67 +1054,60 @@ func (ss *RoutedSession) Submit(reqs []wire.Request) ([]wire.Response, error) {
 			}
 			id, req.FD = rf.shard, rf.fd
 		}
-		p := parts[id]
-		if p == nil {
-			p = &part{}
-			parts[id] = p
-		}
-		p.idx = append(p.idx, i)
+		p := sc.part(ss, id)
+		p.idx = append(p.idx, int32(i))
 		p.reqs = append(p.reqs, req)
 	}
 	ss.mu.Unlock()
-	if len(parts) == 1 {
-		// Whole batch on one shard (the common case for a worker pinned to
-		// its own files): skip the fan-out machinery.
-		for id, p := range parts {
-			s, err := ss.session(id)
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", id, err)
-			}
-			resps, err := s.Submit(p.reqs)
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", id, err)
-			}
-			for j, r := range resps {
-				if r.Code == wire.CodeOK && (r.Op == wire.OpCreate || r.Op == wire.OpOpen) {
-					r.FD = ss.registerFD(id, r.FD)
+	var err error
+	for _, p := range sc.parts[:sc.n] {
+		perr := ss.startPart(p, out)
+		p.sent = perr == nil
+		err = joinShardErr(err, p.shard, perr)
+	}
+	for _, p := range sc.parts[:sc.n] {
+		if p.sent {
+			err = joinShardErr(err, p.shard, p.sub.wait())
+		}
+	}
+	if err == nil {
+		for _, p := range sc.parts[:sc.n] {
+			for _, i := range p.idx {
+				if r := &out[i]; r.Code == wire.CodeOK && (r.Op == wire.OpCreate || r.Op == wire.OpOpen) {
+					r.FD = ss.registerFD(p.shard, r.FD)
 				}
-				out[p.idx[j]] = r
 			}
 		}
-		return out, nil
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, 0, len(parts))
-	var emu sync.Mutex
-	for id, p := range parts {
-		wg.Add(1)
-		go func(id uint32, p *part) {
-			defer wg.Done()
-			s, err := ss.session(id)
-			var resps []wire.Response
-			if err == nil {
-				resps, err = s.Submit(p.reqs)
-			}
-			if err != nil {
-				emu.Lock()
-				errs = append(errs, fmt.Errorf("shard %d: %w", id, err))
-				emu.Unlock()
-				return
-			}
-			for j, r := range resps {
-				if r.Code == wire.CodeOK && (r.Op == wire.OpCreate || r.Op == wire.OpOpen) {
-					r.FD = ss.registerFD(id, r.FD)
-				}
-				out[p.idx[j]] = r
-			}
-		}(id, p)
+	for _, p := range sc.parts[:sc.n] {
+		clear(p.reqs) // the requests point at the caller's paths and data
 	}
-	wg.Wait()
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
+	ss.idle.Store(sc)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// startPart attaches the part's shard session if need be and starts the
+// part's submission on it.
+func (ss *RoutedSession) startPart(p *part, out []wire.Response) error {
+	s := p.sess
+	if s == nil {
+		var err error
+		if s, err = ss.session(p.shard); err != nil {
+			return err
+		}
+	}
+	return s.start(&p.sub, p.reqs, out, p.idx, nil)
+}
+
+// joinShardErr adds a shard's failure to a batch's error.
+func joinShardErr(err error, shard uint32, perr error) error {
+	if perr == nil {
+		return err
+	}
+	return errors.Join(err, fmt.Errorf("shard %d: %w", shard, perr))
 }
 
 // Detach releases every shard session.

@@ -3,11 +3,13 @@ package client_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,6 +20,7 @@ import (
 	"simurgh/internal/replica"
 	"simurgh/internal/server"
 	"simurgh/internal/shard"
+	"simurgh/internal/wire"
 	"simurgh/internal/wire/client"
 )
 
@@ -38,7 +41,15 @@ func newVolume(t testing.TB) (*pmem.Device, *core.FS) {
 // routing/conformance tests.
 func serveCluster(t testing.TB, prefixes []string) (*client.Router, *shard.Map) {
 	t.Helper()
+	rt, m, _ := serveClusterVols(t, prefixes)
+	return rt, m
+}
+
+// serveClusterVols is serveCluster that also hands back the nodes' volumes.
+func serveClusterVols(t testing.TB, prefixes []string) (*client.Router, *shard.Map, []*core.FS) {
+	t.Helper()
 	n := len(prefixes)
+	vols := make([]*core.FS, n)
 	lns := make([]net.Listener, n)
 	m := &shard.Map{Epoch: 1}
 	for i := 0; i < n; i++ {
@@ -53,6 +64,7 @@ func serveCluster(t testing.TB, prefixes []string) (*client.Router, *shard.Map) 
 	}
 	for i := 0; i < n; i++ {
 		_, vol := newVolume(t)
+		vols[i] = vol
 		auth, err := shard.NewAuthority(m, lns[i].Addr().String(), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +81,7 @@ func serveCluster(t testing.TB, prefixes []string) (*client.Router, *shard.Map) 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rt.Close() })
-	return rt, m
+	return rt, m, vols
 }
 
 // serveHashCluster is serveCluster with n pure hash shards.
@@ -595,6 +607,251 @@ func TestRouterConformanceAfterMigration(t *testing.T) {
 	for _, p := range []string{pre, dst} {
 		if !found[strings.TrimPrefix(p, "/")] {
 			t.Errorf("root listing missing %s after migration", p)
+		}
+	}
+}
+
+// blackhole is a TCP proxy whose backend→client direction can be switched
+// off: requests keep reaching the server, replies stop coming back.
+type blackhole struct {
+	*chaosProxy
+	swallow atomic.Bool
+}
+
+func startBlackhole(t *testing.T, backend string) *blackhole {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &blackhole{chaosProxy: &chaosProxy{ln: ln, backend: backend, conns: make(map[net.Conn]struct{})}}
+	go func() {
+		for {
+			in, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			out, err := net.Dial("tcp", backend)
+			if err != nil {
+				in.Close()
+				continue
+			}
+			b.mu.Lock()
+			b.conns[in], b.conns[out] = struct{}{}, struct{}{}
+			b.mu.Unlock()
+			go func() { io.Copy(out, in); out.Close() }()
+			go func() {
+				buf := make([]byte, 32<<10)
+				for {
+					n, err := out.Read(buf)
+					if n > 0 && !b.swallow.Load() {
+						in.Write(buf[:n])
+					}
+					if err != nil {
+						in.Close()
+						return
+					}
+				}
+			}()
+		}
+	}()
+	t.Cleanup(b.close)
+	return b
+}
+
+// TestRoutedSubmitShardDiesMidGather splits a 32-op batch over two shards and
+// kills one shard's session while the router is gathering: the other part
+// has been answered, this one is registered, written and waiting. Submit must
+// return the error, leave nothing registered on either session, and give
+// every pooled request buffer back.
+func TestRoutedSubmitShardDiesMidGather(t *testing.T) {
+	lns := make([]net.Listener, 2)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i] = ln
+	}
+	hole := startBlackhole(t, lns[1].Addr().String())
+	m := &shard.Map{Epoch: 1, Shards: []shard.Shard{
+		{ID: 0, Addrs: []string{lns[0].Addr().String()}},
+		{ID: 1, Addrs: []string{hole.addr()}},
+	}}
+	for i, ln := range lns {
+		_, vol := newVolume(t)
+		auth, err := shard.NewAuthority(m, m.Shards[i].Addrs[0], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(server.Config{FS: vol, Sharding: auth, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		t.Cleanup(srv.Shutdown)
+	}
+	opts := client.RouterOptions{}
+	opts.FailoverTimeout = 300 * time.Millisecond
+	rt, err := client.NewRouter(m, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	c, err := rt.Attach(fsapi.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Detach()
+	rs := c.(*client.RoutedSession)
+
+	reqs := make([]wire.Request, 32)
+	for i := range reqs {
+		reqs[i] = wire.Request{Op: wire.OpStat, Path: pathOnShard(t, m, fmt.Sprintf("f%d-", i), uint32(i%2))}
+	}
+	// Both shard sessions attach, and the whole path works, before the fault.
+	if _, err := rs.Submit(reqs); err != nil {
+		t.Fatalf("healthy submit: %v", err)
+	}
+
+	hole.swallow.Store(true)
+	done := make(chan error, 1)
+	go func() {
+		_, err := rs.Submit(reqs)
+		done <- err
+	}()
+	// Mid-gather: shard 0 has answered, shard 1's 16 calls are all that is
+	// still registered.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if calls, _ := rs.InFlight(); calls == 16 {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("%d calls pending, want shard 1's 16", calls)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	hole.close() // the transport dies and no redial can succeed
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "shard 1") {
+			t.Fatalf("Submit = %v, want shard 1's failure", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Submit never returned after its shard died")
+	}
+	// Both payloads were written long ago, so the writers' references are
+	// gone; what is left to count is Submit's own.
+	if calls, buffers := rs.InFlight(); calls != 0 || buffers != 0 {
+		t.Errorf("after the failed submit: %d calls still registered, %d request buffers not released", calls, buffers)
+	}
+}
+
+// TestMapInstallRacesSubmits swaps the map under four submitting sessions,
+// on the router and on both servers at once. Every epoch describes the same
+// placement with the shards listed in the opposite order, so a table
+// compiled from one epoch read beside per-shard state of another — on
+// either side of the wire — answers Moved; a whole epoch, old or new, never
+// does.
+func TestMapInstallRacesSubmits(t *testing.T) {
+	rt, m := serveHashCluster(t, 2)
+	reqs := make([]wire.Request, 32)
+	for i := range reqs {
+		reqs[i] = wire.Request{Op: wire.OpStat, Path: pathOnShard(t, m, fmt.Sprintf("f%d-", i), uint32(i%2))}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		c, err := rt.Attach(fsapi.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Detach()
+		rs := c.(*client.RoutedSession)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			batch := append([]wire.Request(nil), reqs...)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resps, err := rs.Submit(batch)
+				if err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				for i, r := range resps {
+					if err := r.Err(); !errors.Is(err, fsapi.ErrNotExist) {
+						t.Errorf("stat %s = %v, want ErrNotExist from its owner", batch[i].Path, err)
+						return
+					}
+				}
+				if _, err := rs.Stat(batch[0].Path); !errors.Is(err, fsapi.ErrNotExist) {
+					t.Errorf("stat %s = %v, want ErrNotExist", batch[0].Path, err)
+					return
+				}
+			}
+		}()
+	}
+	next := m.Clone()
+	for epoch := uint64(2); epoch <= 40; epoch++ {
+		next = next.Clone()
+		next.Epoch = epoch
+		next.Shards[0], next.Shards[1] = next.Shards[1], next.Shards[0]
+		for _, sh := range next.Shards {
+			if err := shard.PushMap(sh.Addrs[0], next.Encode(), 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !rt.Refresh() {
+			t.Fatalf("router did not pick up epoch %d", epoch)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if st := rt.Stats(); st.Epoch != 40 || st.Moves != 0 {
+		t.Errorf("router at epoch %d after %d moves, want epoch 40 and none", st.Epoch, st.Moves)
+	}
+}
+
+// BenchmarkRoutedSubmitStat is the routed fan-out's steady state: 32 stats
+// per call, split over two in-process groups. bench-smoke gates it at the one
+// allocation a call cannot avoid — the []wire.Response it returns.
+func BenchmarkRoutedSubmitStat(b *testing.B) {
+	rt, m, vols := serveClusterVols(b, make([]string, 2))
+	for _, vol := range vols {
+		// A volume deep-samples one operation in 32 and allocates that
+		// sample's window; 32 stats a call would make it one a call. It is the
+		// volume's allocation, and BenchmarkResolve* gates the volume.
+		vol.Obs().SetSamplePeriod(1 << 30)
+	}
+	c, err := rt.Attach(fsapi.Root)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Detach()
+	rs := c.(*client.RoutedSession)
+	reqs := make([]wire.Request, 32)
+	for i := range reqs {
+		p := pathOnShard(b, m, fmt.Sprintf("f%d-", i), uint32(i%2))
+		fd, err := rs.Create(p, 0o644)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rs.Close(fd)
+		reqs[i] = wire.Request{Op: wire.OpStat, Path: p}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resps, err := rs.Submit(reqs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resps[31].Code != wire.CodeOK {
+			b.Fatalf("stat: %v", resps[31].Err())
 		}
 	}
 }

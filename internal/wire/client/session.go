@@ -20,20 +20,26 @@ import (
 // releases it once the bytes are on the wire. trace (0 = untraced) marks a
 // sampled group: the writer tags the whole coalesced frame with it and
 // records the enqueue/send spans; start is the submission time the enqueue
-// span begins at.
+// span begins at. t is the transport that was live when the group's calls
+// were registered: a writer sends only its own transport's groups, because a
+// group registered under an earlier one was in pend when resume took its
+// snapshot and has already been replayed — sending it again would put the
+// same request IDs on the wire twice, and two copies in flight at once can
+// both miss the server's replay cache.
 type sendItem struct {
 	rb      *refBuf
 	payload []byte
 	n       int // requests in payload
 	trace   uint64
 	start   time.Time
+	t       *transport
 }
 
 // refBuf is a reference-counted pooled request buffer. One buffer backs a
-// whole submitted group: each pending call references its own encoded
-// segment (kept for failover replay) and the write loop references the
-// payload until it is written, so the buffer recycles only when the last
-// holder lets go.
+// whole submitted group and has two holders: the submission, whose pending
+// calls keep their encoded segments in it for failover replay until the
+// group retires, and the write loop, until the payload is written. It
+// recycles when the second of them lets go.
 type refBuf struct {
 	buf  *wire.Buf
 	refs atomic.Int32
@@ -43,65 +49,85 @@ var refBufPool = sync.Pool{New: func() any { return new(refBuf) }}
 
 // getRefBuf returns a refcounted buffer with room for est bytes and zero
 // length. The caller must Store the reference count before sharing it.
-func getRefBuf(est int) *refBuf {
+func (s *Session) getRefBuf(est int) *refBuf {
 	rb := refBufPool.Get().(*refBuf)
 	if rb.buf == nil || cap(rb.buf.B) < est {
 		wire.PutBuf(rb.buf)
 		rb.buf = wire.GetBuf(est)
 	}
 	rb.buf.B = rb.buf.B[:0]
+	s.reqBufs.Add(1)
 	return rb
 }
 
-// release drops one reference; the last one returns the buffer and the
-// wrapper to their pools.
-func (rb *refBuf) release() {
+// release drops one of the references to a buffer s handed out; the last one
+// returns the buffer and the wrapper to their pools.
+func (rb *refBuf) release(s *Session) {
 	if rb.refs.Add(-1) == 0 {
 		wire.PutBuf(rb.buf)
 		rb.buf = nil
 		refBufPool.Put(rb)
+		s.reqBufs.Add(-1)
 	}
 }
 
-// pendingCall is one submitted, unanswered request. seg retains the
-// request's encoded bytes so a failover can replay it verbatim (same ID —
-// the server deduplicates replicated operations by request ID, making the
-// replay exactly-once), and seqNo orders replays by original submission.
-// dst, when set, is where the reader lands read data (the caller's buffer,
-// eliminating the frame→response→caller double copy); rb is the request
-// buffer reference released when the call retires.
+// pendingCall is one submitted, unanswered request of a submission. seg
+// retains the request's encoded bytes so a failover can replay it verbatim
+// (same ID — the server deduplicates replicated operations by request ID,
+// making the replay exactly-once), and seqNo orders replays by original
+// submission. out is where the reader lands the response; dst, when set, is
+// where it lands read data (the caller's buffer, eliminating the
+// frame→response→caller double copy).
 //
 // Ownership protocol: a pendingCall in s.pend may be touched only by
 // whoever removes it from the map under s.mu — the reader claims it to
-// deliver (and is the only goroutine allowed to decode into dst), the
-// waiter claims it back to abandon. A call that cannot be claimed back
-// (the reader got there first) is leaked to the GC rather than pooled: a
-// late delivery into a reused call would corrupt an unrelated request.
+// deliver (and is the only goroutine allowed to decode into dst and write
+// out), the waiter claims it back to withdraw it. The reader's last touch of
+// a call is the decrement of its submission's count; a submission whose
+// count has reached zero belongs to its waiter alone.
 type pendingCall struct {
-	ch    chan wire.Response
+	sub   *submission
+	id    uint32
+	out   *wire.Response
 	seg   []byte
 	seqNo uint64
 	dst   []byte
-	rb    *refBuf
-	trace uint64    // distributed trace ID of the submission; 0 = untraced
-	start time.Time // submission time; the round-trip span's begin
 }
 
-var pcPool = sync.Pool{New: func() any {
-	return &pendingCall{ch: make(chan wire.Response, 1)}
-}}
+// submission is one group of requests in flight on a session: start
+// registers and enqueues it, wait collects it. Splitting the two is what
+// lets a router start a batch's part on every shard before it waits on any
+// of them, from one goroutine. The waiter is woken once, when the reader
+// has landed the group's last response — not once per request.
+//
+// A submission is reusable: between a wait (or a failed start) and the next
+// start it is idle and wholly its owner's.
+type submission struct {
+	s     *Session
+	calls []pendingCall // registered in s.pend by pointer; never moved while in flight
+	rb    *refBuf       // the group's encoded requests, held until the group retires
+	left  atomic.Int32  // calls neither answered nor withdrawn
+	done  chan struct{} // buffered 1: sent by whichever reader takes left to zero
+	trace uint64        // distributed trace ID; 0 = untraced
+	begin time.Time     // submission time; the round-trip spans' begin
 
-func getPC() *pendingCall { return pcPool.Get().(*pendingCall) }
-
-func putPC(pc *pendingCall) {
-	select { // defensive: a pooled call must never carry a stale response
-	case <-pc.ch:
-	default:
+	// one is the request and response of a single call (callDst): they live
+	// here, not on the caller's stack, because the call's out pointer is
+	// reachable from s.pend.
+	one struct {
+		req  [1]wire.Request
+		resp [1]wire.Response
 	}
-	pc.seg, pc.dst, pc.rb = nil, nil, nil
-	pc.seqNo = 0
-	pc.trace = 0
-	pcPool.Put(pc)
+}
+
+var subPool = sync.Pool{New: func() any { return new(submission) }}
+
+func getSub() *submission { return subPool.Get().(*submission) }
+
+// putSub returns an idle submission to the pool.
+func putSub(sub *submission) {
+	sub.one.req[0], sub.one.resp[0] = wire.Request{}, wire.Response{}
+	subPool.Put(sub)
 }
 
 // transport is one connection generation. A session survives its
@@ -120,11 +146,12 @@ type Session struct {
 	cred     fsapi.Cred
 	clientID uint64
 
-	seq   atomic.Uint32
-	mu    sync.Mutex
-	subNo uint64 // submission counter, orders failover replays
-	pend  map[uint32]*pendingCall
-	t     *transport
+	seq     atomic.Uint32
+	reqBufs atomic.Int32 // request buffers out of the pool: zero when idle, or one leaked
+	mu      sync.Mutex
+	subNo   uint64 // submission counter, orders failover replays
+	pend    map[uint32]*pendingCall
+	t       *transport
 
 	// Distributed-trace sampling state (from Options.Obs/TraceSample). The
 	// untraced steady state costs one atomic load per submission; only the
@@ -288,40 +315,41 @@ func (s *Session) resume(conn net.Conn, fr *wire.FrameReader) {
 	for _, pc := range s.pend {
 		replay = append(replay, pc)
 	}
+	sort.Slice(replay, func(i, j int) bool { return replay[i].seqNo < replay[j].seqNo })
+	// The segments are copied out under the lock. A call in pend is
+	// unanswered, so its group still holds the buffer seg points into; once
+	// the lock drops, a reply the old transport's reader had already
+	// buffered may retire the group and recycle that buffer.
+	type replayFrame struct {
+		b []byte
+		n int
+	}
+	var frames []replayFrame
+	var cur replayFrame
+	for _, pc := range replay {
+		if cur.n == wire.MaxBatch || (cur.n > 0 && len(cur.b)-5+len(pc.seg) > maxCoalesce) {
+			frames = append(frames, cur)
+			cur = replayFrame{}
+		}
+		if cur.n == 0 {
+			cur.b = append(cur.b, 0, 0, 0, 0, byte(wire.KindBatch))
+		}
+		cur.b = append(cur.b, pc.seg...)
+		cur.n++
+	}
+	if cur.n > 0 {
+		frames = append(frames, cur)
+	}
 	s.t = t
 	s.mu.Unlock()
-	sort.Slice(replay, func(i, j int) bool { return replay[i].seqNo < replay[j].seqNo })
 	go s.readLoop(t)
-	frame := make([]byte, 0, 64<<10)
-	count := 0
-	flush := func() bool {
-		if count == 0 {
-			return true
-		}
-		binary.LittleEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-		_, err := conn.Write(frame)
-		if err != nil {
+	for _, f := range frames {
+		binary.LittleEndian.PutUint32(f.b[:4], uint32(len(f.b)-4))
+		if _, err := conn.Write(f.b); err != nil {
 			s.transportFailed(t, err)
-			return false
+			return
 		}
-		s.r.st.replays.Add(uint64(count))
-		frame, count = frame[:0], 0
-		return true
-	}
-	for _, pc := range replay {
-		if count == wire.MaxBatch || (count > 0 && len(frame)-5+len(pc.seg) > maxCoalesce) {
-			if !flush() {
-				return
-			}
-		}
-		if count == 0 {
-			frame = append(frame[:0], 0, 0, 0, 0, byte(wire.KindBatch))
-		}
-		frame = append(frame, pc.seg...)
-		count++
-	}
-	if !flush() {
-		return
+		s.r.st.replays.Add(uint64(f.n))
 	}
 	go s.writeLoop(t)
 }
@@ -337,8 +365,20 @@ func (s *Session) writeLoop(t *transport) {
 	// frames use only its first 5 bytes.
 	var hdr [5 + wire.TraceCtxSize]byte
 	acc := make([][]byte, 0, 16)
+	// vec is the view WriteTo consumes each round. It lives outside the loop
+	// because WriteTo hands its receiver's address to the connection: a
+	// per-round variable would be a heap allocation per frame.
+	var vec net.Buffers
 	items := make([]sendItem, 0, 16)
 	var held *sendItem
+	// replayed drops a group that resume already sent over this transport.
+	replayed := func(it *sendItem) bool {
+		if it.t == t {
+			return false
+		}
+		it.rb.release(s)
+		return true
+	}
 	for {
 		var first sendItem
 		if held != nil {
@@ -351,6 +391,9 @@ func (s *Session) writeLoop(t *transport) {
 			case <-s.dead:
 				return
 			}
+			if replayed(&first) {
+				continue
+			}
 		}
 		acc = append(acc[:0], hdr[:5], first.payload)
 		items = append(items[:0], first)
@@ -361,6 +404,9 @@ func (s *Session) writeLoop(t *transport) {
 		for count < wire.MaxBatch {
 			select {
 			case it := <-s.sendq:
+				if replayed(&it) {
+					continue
+				}
 				if total+len(it.payload) > maxCoalesce || count+it.n > wire.MaxBatch {
 					held = &it
 					break coalesce
@@ -391,19 +437,17 @@ func (s *Session) writeLoop(t *transport) {
 			binary.LittleEndian.PutUint32(hdr[:4], uint32(total+1))
 			hdr[4] = byte(wire.KindBatch)
 		}
-		vec := net.Buffers(acc)
+		vec = acc
 		_, err := vec.WriteTo(t.conn)
 		if trace != 0 {
 			s.tr.SpanCtx(obs.SpanClientSend, 0, trace, writeStart, uint64(time.Since(writeStart)), err != nil)
 		}
 		for i := range items {
-			if items[i].rb != nil {
-				items[i].rb.release()
-			}
+			items[i].rb.release(s)
 		}
 		if err != nil {
-			if held != nil && held.rb != nil {
-				held.rb.release()
+			if held != nil {
+				held.rb.release(s)
 			}
 			s.transportFailed(t, err)
 			return
@@ -454,11 +498,15 @@ func (s *Session) readLoop(t *transport) {
 				}
 				payload = rest
 				if pc != nil {
-					if pc.trace != 0 {
-						s.tr.SpanCtx(obs.SpanClientAwait, obs.Op(resp.Op-1), pc.trace,
-							pc.start, uint64(time.Since(pc.start)), resp.Code != wire.CodeOK)
+					sub := pc.sub
+					if sub.trace != 0 {
+						s.tr.SpanCtx(obs.SpanClientAwait, obs.Op(resp.Op-1), sub.trace,
+							sub.begin, uint64(time.Since(sub.begin)), resp.Code != wire.CodeOK)
 					}
-					pc.ch <- resp // buffered; never blocks
+					*pc.out = resp
+					if sub.left.Add(-1) == 0 {
+						sub.done <- struct{}{} // buffered; never blocks
+					}
 				}
 			}
 		case wire.KindErr:
@@ -481,19 +529,27 @@ func (s *Session) Submit(reqs []wire.Request) ([]wire.Response, error) {
 		return nil, nil
 	}
 	out := make([]wire.Response, len(reqs))
-	if err := s.submitInto(reqs, out, nil); err != nil {
+	sub := getSub()
+	err := s.start(sub, reqs, out, nil, nil)
+	if err == nil {
+		err = sub.wait()
+	}
+	putSub(sub)
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// submitInto is the submission engine behind Submit and every fsapi call:
-// it encodes reqs into a pooled refcounted buffer, registers pooled pending
-// calls, queues the group for the writer, and collects the responses into
-// out (len(out) == len(reqs)). dst, when non-nil, is handed to the first
-// request's pending call so the reader can land read data directly in the
-// caller's buffer; only single-request submissions pass it.
-func (s *Session) submitInto(reqs []wire.Request, out []wire.Response, dst []byte) error {
+// start is the first half of every submission, explicit batch or single
+// fsapi call: it encodes reqs into a pooled refcounted buffer, registers
+// sub's pending calls, and queues the group for the writer. Request j's
+// response will land in out[idx[j]] (out[j] when idx is nil). dst, when
+// non-nil, is handed to the first request's pending call so the reader can
+// land read data directly in the caller's buffer; only single-request
+// submissions pass it. After a nil return the caller owes sub a wait; after
+// an error sub is idle again.
+func (s *Session) start(sub *submission, reqs []wire.Request, out []wire.Response, idx []int32, dst []byte) error {
 	if len(reqs) > wire.MaxBatch {
 		return fmt.Errorf("%w: %d requests > %d", wire.ErrBadMessage, len(reqs), wire.MaxBatch)
 	}
@@ -510,29 +566,28 @@ func (s *Session) submitInto(reqs []wire.Request, out []wire.Response, dst []byt
 	if err := s.err(); err != nil {
 		return err
 	}
-	var pcsArr [8]*pendingCall
-	var pcs []*pendingCall
-	if len(reqs) <= len(pcsArr) {
-		pcs = pcsArr[:len(reqs)]
-	} else {
-		pcs = make([]*pendingCall, len(reqs))
+	sub.s = s
+	if sub.done == nil {
+		sub.done = make(chan struct{}, 1)
 	}
-	for i := range pcs {
-		pcs[i] = getPC()
+	if cap(sub.calls) < len(reqs) {
+		sub.calls = make([]pendingCall, len(reqs))
 	}
-	pcs[0].dst = dst
+	sub.calls = sub.calls[:len(reqs)]
 	// Trace sampling: one atomic load when the recorder is off, one more
 	// counter increment when it is on; only the sampled 1-in-N submission
 	// reads the clock and carries a trace context to the server.
-	var trace uint64
-	var traceStart time.Time
+	sub.trace = 0
 	if s.tr.TraceEnabled() {
 		if n := s.traceCtr.Add(1); n&s.traceMask == 0 {
-			trace = s.traceBase | (n & (1<<48 - 1))
-			traceStart = time.Now()
+			sub.trace = s.traceBase | (n & (1<<48 - 1))
+			sub.begin = time.Now()
 		}
 	}
-	rb := getRefBuf(est)
+	rb := s.getRefBuf(est)
+	sub.rb = rb
+	rb.refs.Store(2) // the submission's and the writer's
+	sub.left.Store(int32(len(reqs)))
 	payload := rb.buf.B
 	s.mu.Lock()
 	for i := range reqs {
@@ -547,111 +602,96 @@ func (s *Session) submitInto(reqs []wire.Request, out []wire.Response, dst []byt
 			id = s.seq.Add(1)
 		}
 		reqs[i].ID = id
-		start := len(payload)
+		begin := len(payload)
 		payload = wire.AppendRequest(payload, &reqs[i])
 		s.subNo++
-		pc := pcs[i]
-		pc.seg = payload[start:len(payload):len(payload)]
-		pc.seqNo = s.subNo
-		pc.rb = rb
-		if trace != 0 {
-			pc.trace = trace
-			pc.start = traceStart
+		k := i
+		if idx != nil {
+			k = int(idx[i])
 		}
+		pc := &sub.calls[i]
+		*pc = pendingCall{sub: sub, id: id, out: &out[k],
+			seg: payload[begin:len(payload):len(payload)], seqNo: s.subNo}
 		s.pend[id] = pc
 	}
+	sub.calls[0].dst = dst
 	rb.buf.B = payload
-	// One reference per pending call plus one for the writer.
-	rb.refs.Store(int32(len(reqs)) + 1)
+	t := s.t
 	s.mu.Unlock()
 	if len(payload) > maxCoalesce {
-		s.unregisterPCs(reqs, pcs)
-		rb.release() // the writer's reference; the send never happens
+		s.withdraw(sub)
+		rb.release(s) // the writer's reference; the send never happens
 		return wire.ErrFrameTooLarge
 	}
 	select {
-	case s.sendq <- sendItem{rb: rb, payload: payload, n: len(reqs), trace: trace, start: traceStart}:
+	case s.sendq <- sendItem{rb: rb, payload: payload, n: len(reqs), trace: sub.trace, start: sub.begin, t: t}:
 	case <-s.dead:
-		s.unregisterPCs(reqs, pcs)
-		rb.release()
+		s.withdraw(sub)
+		rb.release(s)
 		return s.err()
-	}
-	for i := range pcs {
-		resp, err := s.waitPC(reqs[i].ID, pcs[i])
-		if err != nil {
-			s.unregisterPCs(reqs[i+1:], pcs[i+1:])
-			return err
-		}
-		out[i] = resp
 	}
 	return nil
 }
 
-// unregisterPCs withdraws pending calls after a failed submit, releasing
-// each one that is still claimable (present in pend). A call the reader
-// already claimed is leaked to the GC instead of pooled — the reader may be
-// delivering into it right now.
-func (s *Session) unregisterPCs(reqs []wire.Request, pcs []*pendingCall) {
-	for i := range reqs {
-		s.mu.Lock()
-		cur, ok := s.pend[reqs[i].ID]
-		mine := ok && cur == pcs[i]
-		if mine {
-			delete(s.pend, reqs[i].ID)
-		}
-		s.mu.Unlock()
-		if mine {
-			s.retirePC(pcs[i])
-		}
-	}
-}
-
-// retirePC releases a fully-owned pending call: its request-buffer
-// reference and the call itself return to their pools.
-func (s *Session) retirePC(pc *pendingCall) {
-	if pc.rb != nil {
-		pc.rb.release()
-	}
-	putPC(pc)
-}
-
-// waitPC blocks for id's response, preferring a delivered response over the
-// session's death (the reply may have raced the failure). On death it
-// claims the call back out of pend before giving up — whoever removes a
-// call from pend owns it, so a successful claim-back guarantees no reader
-// will ever touch the call (or its dst buffer) again. If the reader won the
-// claim, its delivery or re-registration is imminent: spin until one
-// happens.
-func (s *Session) waitPC(id uint32, pc *pendingCall) (wire.Response, error) {
+// wait is the second half of a submission: it blocks until every response
+// has landed, preferring a completed group over the session's death (the
+// last reply may have raced the failure). On death it withdraws what is
+// still unanswered and reports the session's error.
+func (sub *submission) wait() error {
+	s := sub.s
 	select {
-	case r := <-pc.ch:
-		s.retirePC(pc)
-		return r, nil
+	case <-sub.done:
+		sub.retire()
+		return nil
 	case <-s.dead:
 	}
+	if s.withdraw(sub) {
+		return s.err()
+	}
+	return nil
+}
+
+// withdraw takes a started submission out of flight early and retires it,
+// reporting whether any call went unanswered. It claims the submission's
+// calls back out of pend — whoever removes a call from pend owns it, so a
+// claimed-back call will never be touched by a reader (nor will its out and
+// dst) again. A call some reader claimed first is about to be delivered, or
+// re-registered if its decode failed; withdraw yields until one happens.
+// The session is dead or the group was never sent, so latency is irrelevant.
+func (s *Session) withdraw(sub *submission) (unanswered bool) {
 	for {
 		select {
-		case r := <-pc.ch:
-			s.retirePC(pc)
-			return r, nil
+		case <-sub.done: // a reader landed the last response
+			sub.retire()
+			return unanswered
 		default:
 		}
+		var n int32
 		s.mu.Lock()
-		cur, ok := s.pend[id]
-		mine := ok && cur == pc
-		if mine {
-			delete(s.pend, id)
+		for i := range sub.calls {
+			if pc := &sub.calls[i]; s.pend[pc.id] == pc {
+				delete(s.pend, pc.id)
+				n++
+			}
 		}
 		s.mu.Unlock()
-		if mine {
-			err := s.err()
-			s.retirePC(pc)
-			return wire.Response{}, err
+		if n > 0 {
+			unanswered = true
+			if sub.left.Add(-n) == 0 {
+				sub.retire()
+				return true
+			}
 		}
-		// Claimed by a reader mid-decode; the session is already dead, so
-		// latency is irrelevant — yield until it delivers or re-registers.
 		time.Sleep(100 * time.Microsecond)
 	}
+}
+
+// retire makes a submission whose count has reached zero idle: it drops the
+// group's buffer reference and everything the calls point at.
+func (sub *submission) retire() {
+	sub.rb.release(sub.s)
+	sub.rb = nil
+	clear(sub.calls)
 }
 
 // call performs one request/response round trip. Overloaded answers (the
@@ -661,20 +701,25 @@ func (s *Session) call(req wire.Request) (wire.Response, error) {
 	return s.callDst(req, nil)
 }
 
-// callDst is call with a destination buffer for read data (see submitInto).
-// The single-request round trip runs with stack-allocated request and
-// response slots — no per-call heap allocation.
+// callDst is call with a destination buffer for read data (see start). A
+// single call is a submission of one, through the same two halves as a
+// batch; its request and response slots live in the pooled submission — no
+// per-call heap allocation.
 func (s *Session) callDst(req wire.Request, dst []byte) (wire.Response, error) {
 	o := &s.r.opts
+	sub := getSub()
+	defer putSub(sub)
 	var backoff, total time.Duration
 	for attempt := 0; ; attempt++ {
-		var one [1]wire.Request
-		var out [1]wire.Response
-		one[0] = req
-		if err := s.submitInto(one[:], out[:], dst); err != nil {
+		sub.one.req[0] = req
+		err := s.start(sub, sub.one.req[:], sub.one.resp[:], nil, dst)
+		if err == nil {
+			err = sub.wait()
+		}
+		if err != nil {
 			return wire.Response{}, err
 		}
-		resp := out[0]
+		resp := sub.one.resp[0]
 		if resp.Code != wire.CodeOverload || attempt >= o.OverloadRetries || total >= o.OverloadBudget {
 			return resp, nil
 		}

@@ -7,8 +7,9 @@ import "simurgh/internal/fsapi"
 // terms of fsapi, shared by the network server's batch workers and the
 // replication layer's shadow replay (both must agree exactly, or replicas
 // diverge). Unknown sizes were already bounded by the decoder. Read data is
-// freshly allocated, so the response is safe to retain (the replication
-// dedup cache depends on this).
+// freshly allocated and exactly as large as what was read (cap == len,
+// whatever size the request asked for), so the response is safe and cheap
+// to retain (the replication replay cache depends on both).
 func Execute(c fsapi.Client, req *Request) Response {
 	resp, _ := ExecuteInto(c, req, nil)
 	return resp
@@ -19,7 +20,8 @@ func Execute(c fsapi.Client, req *Request) Response {
 // it. It returns the (possibly grown) scratch for reuse. The caller must
 // not retain resp.Data past the scratch's next use — server workers encode
 // the response into the reply frame before reusing it. Passing nil scratch
-// allocates per read, which is exactly Execute.
+// is exactly Execute: the read goes through a pooled buffer and the bytes
+// read are copied out.
 func ExecuteInto(c fsapi.Client, req *Request, scratch []byte) (Response, []byte) {
 	resp := Response{ID: req.ID, Op: req.Op}
 	var err error
@@ -31,17 +33,17 @@ func ExecuteInto(c fsapi.Client, req *Request, scratch []byte) (Response, []byte
 	case OpClose:
 		err = c.Close(req.FD)
 	case OpRead:
-		var p []byte
-		p, scratch = readBuf(req.Size, scratch)
+		var d readDst
+		d, scratch = readBuf(req.Size, scratch)
 		var n int
-		n, err = c.Read(req.FD, p)
-		resp.Data = p[:n]
+		n, err = c.Read(req.FD, d.p)
+		resp.Data = d.data(n)
 	case OpPread:
-		var p []byte
-		p, scratch = readBuf(req.Size, scratch)
+		var d readDst
+		d, scratch = readBuf(req.Size, scratch)
 		var n int
-		n, err = c.Pread(req.FD, p, req.Off)
-		resp.Data = p[:n]
+		n, err = c.Pread(req.FD, d.p, req.Off)
+		resp.Data = d.data(n)
 	case OpWrite:
 		var n int
 		n, err = c.Write(req.FD, req.Data)
@@ -98,16 +100,39 @@ func ExecuteInto(c fsapi.Client, req *Request, scratch []byte) (Response, []byte
 	return resp, scratch
 }
 
-// readBuf carves a size-byte read destination out of scratch, growing it if
-// needed; nil scratch stays nil so Execute keeps fresh-allocation
-// semantics.
-func readBuf(size uint32, scratch []byte) (p, out []byte) {
+// readDst is where one read lands: p, carved out of the caller's scratch or
+// (pooled != nil) borrowed from the buffer pool.
+type readDst struct {
+	p      []byte
+	pooled *Buf
+}
+
+// readBuf returns a size-byte read destination, carved out of scratch
+// (grown if needed) when the caller lends one. Nil scratch stays nil and the
+// destination is pooled: size is the client's wish, up to MaxIO, and a read
+// at end of file fills none of it — allocating (and zeroing) that much per
+// read to keep the few bytes read would let a client pin a megabyte of
+// server memory per cached response.
+func readBuf(size uint32, scratch []byte) (readDst, []byte) {
 	n := int(size)
 	if scratch == nil {
-		return make([]byte, n), nil
+		b := GetBuf(n)
+		return readDst{p: b.B, pooled: b}, nil
 	}
 	if cap(scratch) < n {
 		scratch = make([]byte, n)
 	}
-	return scratch[:n], scratch
+	return readDst{p: scratch[:n]}, scratch
+}
+
+// data returns the n bytes a read left in d. Out of a pooled destination
+// they are copied into a slice of their own — cap == len, nothing beyond
+// them retained or zeroed — and the destination goes back to the pool.
+func (d readDst) data(n int) []byte {
+	if d.pooled == nil {
+		return d.p[:n]
+	}
+	out := append([]byte(nil), d.p[:n]...)
+	PutBuf(d.pooled)
+	return out[:n:n]
 }

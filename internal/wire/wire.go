@@ -844,6 +844,7 @@ func WriteFrame(w io.Writer, kind Kind, payload []byte) error {
 type FrameReader struct {
 	r   *bufio.Reader
 	buf *Buf
+	hdr [4]byte // a field, not a local: io.ReadFull would move a local to the heap per frame
 }
 
 // NewFrameReader wraps r for frame-at-a-time reading.
@@ -855,11 +856,10 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // aliases a pooled buffer that the next call overwrites; either decode with
 // copies before calling Next again, or take ownership with Detach.
 func (fr *FrameReader) Next() (Kind, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(fr.hdr[:])
 	if n == 0 {
 		return 0, nil, fmt.Errorf("%w: empty frame", ErrBadMessage)
 	}
