@@ -25,7 +25,8 @@
 // The steady-state request path is allocation-free: frames land in pooled
 // buffers, requests decode aliasing the frame (wire.DecodeBatchInto),
 // responses encode straight into a reused reply payload sized by
-// wire.ResponseSize, and reply frames go out in one vectored write
+// wire.ResponseSize — read data lands there directly from the file system
+// (wire.AppendRead) — and reply frames go out in one vectored write
 // (wire.VecWriter). A batch that does queue transfers frame-buffer
 // ownership into a pooled job, released only after its reply is written.
 //
@@ -228,13 +229,12 @@ const maxStagedReply = 2 * wire.MaxFrame
 
 // replyScratch is the reusable buffer set each reply-producing goroutine (a
 // worker, or a connection's fast path) threads through batch execution:
-// responses encode into payload, whole frames are staged as views into it,
-// and reads land in rbuf via wire.ExecuteInto.
+// responses encode into payload — reads land there straight from the file
+// system (wire.AppendRead) — and whole frames are staged as views into it.
 type replyScratch struct {
 	payload    []byte
 	frameStart int // start of the currently open frame within payload
 	vw         wire.VecWriter
-	rbuf       []byte
 }
 
 // shrink drops an outsized payload after a batch so a single giant reply
@@ -242,6 +242,15 @@ type replyScratch struct {
 func (rs *replyScratch) shrink() {
 	if cap(rs.payload) > maxStagedReply {
 		rs.payload = nil
+	}
+}
+
+// grow makes the payload's capacity at least want, keeping its contents.
+// Frames already staged keep pointing into the old array, whose bytes are
+// complete and never mutated again.
+func (rs *replyScratch) grow(want int) {
+	if want > cap(rs.payload) {
+		rs.payload = append(make([]byte, 0, want), rs.payload...)
 	}
 }
 
@@ -668,7 +677,10 @@ func (s *Server) worker() {
 // flush waits for the quorum to cover the highest sequence it carries —
 // acks pipeline across a batch instead of stalling per op. Replicated ops
 // keep allocation semantics (wire.Execute) because the replica's dedup
-// cache retains their responses; everything else reads into scratch.
+// cache retains their responses. Every other read lands in the reply frame:
+// room for the most it may return is reserved at the payload's tail, the
+// file system reads into it, and the reservation is trimmed to what came
+// back — one copy, device to frame.
 func (s *Server) execBatch(sess *session, reqs []wire.Request, rs *replyScratch, enq time.Time, trace uint64, fast bool) {
 	rep := s.cfg.Replica
 	var pendingSeq uint64
@@ -684,11 +696,48 @@ func (s *Server) execBatch(sess *session, reqs []wire.Request, rs *replyScratch,
 	}
 	rs.payload = rs.payload[:0]
 	rs.frameStart = 0
-	if rs.rbuf == nil {
-		// ExecuteInto treats nil scratch as "allocate fresh per read"
-		// (Execute semantics); hand it a non-nil empty one so it grows a
-		// reusable buffer instead.
-		rs.rbuf = make([]byte, 0)
+	// Size the payload once, from what the batch's reads may return, rather
+	// than by doubling under staged frames that keep every outgrown array
+	// alive until the flush.
+	reads := 0
+	for i := range reqs {
+		if readsIntoFrame(reqs[i].Op, rep != nil) {
+			reads += wire.ReadResponseMax(&reqs[i])
+		}
+	}
+	rs.grow(min(reads, maxStagedReply))
+	// flush writes out everything staged, after the quorum covers it; false
+	// means the session is dead and the batch with it.
+	flush := func() bool {
+		if rep != nil && pendingSeq > 0 {
+			s.waitQuorum(rep, pendingSeq, trace, batchOp(reqs))
+			pendingSeq = 0
+		}
+		if err := s.flushReplies(sess, rs); err != nil {
+			s.cfg.Logf("server: reply to %s failed: %v", sess.conn.RemoteAddr(), err)
+			sess.conn.Close() // unwedge the reader; the session is dead
+			return false
+		}
+		return true
+	}
+	// closeFrame stages the open frame. The staged view stays valid even if
+	// payload's array is later reallocated: the old array's bytes are
+	// complete and never mutated.
+	closeFrame := func() {
+		if len(rs.payload) > rs.frameStart {
+			rs.vw.Stage(wire.KindReply, rs.payload[rs.frameStart:len(rs.payload):len(rs.payload)])
+			rs.frameStart = len(rs.payload)
+		}
+	}
+	// full reports that a response of up to need bytes would overflow the
+	// open frame; nextFrame then closes it, and flushes once enough is staged.
+	full := func(need int) bool {
+		open := len(rs.payload) - rs.frameStart
+		return open > 0 && open+need > replyBudget
+	}
+	nextFrame := func() bool {
+		closeFrame()
+		return rs.vw.StagedBytes() < maxStagedReply || flush()
 	}
 	shd := s.cfg.Sharding
 	for i := range reqs {
@@ -698,9 +747,35 @@ func (s *Server) execBatch(sess *session, reqs []wire.Request, rs *replyScratch,
 		if shd != nil {
 			mv = s.shardMoved(sess, req)
 		}
+		landed := false // a read's response is in the payload already
 		switch {
 		case mv != nil:
 			resp = movedResponse(sess, req, mv)
+		case readsIntoFrame(req.Op, rep != nil):
+			// The reservation, not the bytes read, is the bound the frame
+			// and the staging budget are held to: what a read returns is
+			// known only once it is in place.
+			need := wire.ReadResponseMax(req)
+			if full(need) && !nextFrame() {
+				return
+			}
+			if tail := len(rs.payload) + need; tail > cap(rs.payload) {
+				if tail > maxStagedReply {
+					// The payload never outgrows the staging budget on a
+					// reservation's account: write out what it holds.
+					closeFrame()
+					if !flush() {
+						return
+					}
+					tail = need
+				}
+				rs.grow(max(tail, min(2*cap(rs.payload), maxStagedReply)))
+			}
+			if p, err := wire.AppendRead(rs.payload, sess.client, req); err != nil {
+				resp = errResponse(req, err)
+			} else {
+				rs.payload, landed = p, true
+			}
 		case rep != nil && req.Op.Replicated():
 			var seq uint64
 			resp, seq = rep.Apply(sess.sessID, req, trace, func() wire.Response {
@@ -720,51 +795,31 @@ func (s *Server) execBatch(sess *session, reqs []wire.Request, rs *replyScratch,
 				pendingSeq = seq
 			}
 		default:
-			resp, rs.rbuf = wire.ExecuteInto(sess.client, req, rs.rbuf)
-		}
-		need := wire.ResponseSize(&resp)
-		if need > replyBudget {
-			// A single response no frame can carry (an enormous directory
-			// listing): answer that request with an error instead of
-			// tearing the connection down on an unwritable frame.
-			code := wire.CodeOf(wire.ErrFrameTooLarge)
-			resp = wire.Response{ID: req.ID, Op: req.Op,
-				Code: code, Msg: wire.MsgFor(code, wire.ErrFrameTooLarge)}
-			need = wire.ResponseSize(&resp)
+			resp, _ = wire.ExecuteInto(sess.client, req, nil)
 		}
 		s.m.requestNs.observe(uint64(time.Since(enq)))
 		s.m.requests.Add(1)
 		if resp.Code != wire.CodeOK {
 			s.m.requestErrors.Add(1)
 		}
-		if open := len(rs.payload) - rs.frameStart; open > 0 && open+need > replyBudget {
-			// Close the open frame. The staged view stays valid even if
-			// payload's array is later reallocated by append: the old array's
-			// bytes are complete and never mutated.
-			rs.vw.Stage(wire.KindReply, rs.payload[rs.frameStart:len(rs.payload):len(rs.payload)])
-			rs.frameStart = len(rs.payload)
-			if rs.vw.StagedBytes() >= maxStagedReply {
-				if rep != nil && pendingSeq > 0 {
-					s.waitQuorum(rep, pendingSeq, trace, batchOp(reqs))
-					pendingSeq = 0
-				}
-				if err := s.flushReplies(sess, rs); err != nil {
-					s.cfg.Logf("server: reply to %s failed: %v", sess.conn.RemoteAddr(), err)
-					sess.conn.Close() // unwedge the reader; the session is dead
-					return
-				}
-			}
+		if landed {
+			continue
+		}
+		need := wire.ResponseSize(&resp)
+		if need > replyBudget {
+			// A single response no frame can carry (an enormous directory
+			// listing): answer that request with an error instead of
+			// tearing the connection down on an unwritable frame.
+			resp = errResponse(req, wire.ErrFrameTooLarge)
+			need = wire.ResponseSize(&resp)
+		}
+		if full(need) && !nextFrame() {
+			return
 		}
 		rs.payload = wire.AppendResponse(rs.payload, &resp)
 	}
-	rs.vw.Stage(wire.KindReply, rs.payload[rs.frameStart:])
-	rs.frameStart = len(rs.payload)
-	if rep != nil && pendingSeq > 0 {
-		s.waitQuorum(rep, pendingSeq, trace, batchOp(reqs))
-	}
-	if err := s.flushReplies(sess, rs); err != nil {
-		s.cfg.Logf("server: reply to %s failed: %v", sess.conn.RemoteAddr(), err)
-		sess.conn.Close() // unwedge the reader; the session is dead
+	closeFrame()
+	if !flush() {
 		return
 	}
 	if trace != 0 {
@@ -774,6 +829,19 @@ func (s *Server) execBatch(sess *session, reqs []wire.Request, rs *replyScratch,
 		}
 		s.cfg.Obs.SpanCtx(kind, batchOp(reqs), trace, execStart, uint64(time.Since(execStart)), false)
 	}
+}
+
+// readsIntoFrame reports the operations whose data goes from the file system
+// straight into the reply frame: reads that never enter the replication log,
+// whose replay cache would have to keep the data.
+func readsIntoFrame(op wire.Op, replicated bool) bool {
+	return op == wire.OpPread || (op == wire.OpRead && !replicated)
+}
+
+// errResponse answers req with err's wire code and message.
+func errResponse(req *wire.Request, err error) wire.Response {
+	code := wire.CodeOf(err)
+	return wire.Response{ID: req.ID, Op: req.Op, Code: code, Msg: wire.MsgFor(code, err)}
 }
 
 // batchOp maps a batch to the obs operation class of its first request, for

@@ -176,9 +176,10 @@ func BenchmarkServerPwriteTracedUnsampled(b *testing.B) {
 }
 
 // BenchmarkServerPreadLarge exercises the large-IO reply path — MaxIO reads
-// whose responses split across several staged frames — pinning the
-// double-copy fix: read data moves frame-ward exactly once (fs → scratch →
-// encoded payload), with the reply written vectored, never re-staged.
+// whose responses split across several staged frames: the file system reads
+// into the reply payload, which is sized once from the request sizes, capped
+// at the staging budget and so kept for the next batch, and the reply is
+// written vectored, never re-staged.
 func BenchmarkServerPreadLarge(b *testing.B) {
 	reqs := preadBatch(8, wire.MaxIO)
 	s, sess, payload := steadyState(b, reqs)

@@ -15,3 +15,17 @@ func (ss *RoutedSession) InFlight() (calls, buffers int) {
 	}
 	return calls, buffers
 }
+
+// FrameReads is the session's count of in-flight read calls that brought no
+// destination buffer — what makes its reader hand reply frames to responses.
+func (s *Session) FrameReads() int { return int(s.frameReads.Load()) }
+
+// FrameReads sums Session.FrameReads over the routed session's shards.
+func (ss *RoutedSession) FrameReads() (n int) {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	for _, s := range ss.sessions {
+		n += s.FrameReads()
+	}
+	return n
+}

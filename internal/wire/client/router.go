@@ -1029,6 +1029,12 @@ func (sc *scatter) part(ss *RoutedSession, shard uint32) *part {
 // shard-local descriptors. Unlike the single-call path, Moved answers are
 // not retried — they come back as CodeMoved responses for the caller (the
 // benchmark reruns; the fsapi methods are the transparent path).
+//
+// The responses are the caller's for good. As with Session.Submit, the Data
+// of the read and pread responses one shard answered may be views of one
+// shared backing array — the reply frame they arrived in — so keeping a
+// single Data alive keeps up to a whole frame (at most wire.MaxFrame)
+// reachable; copy it out to hold on to less.
 func (ss *RoutedSession) Submit(reqs []wire.Request) ([]wire.Response, error) {
 	out := make([]wire.Response, len(reqs))
 	tab := ss.rt.tab.Load() // one epoch routes the whole batch

@@ -110,6 +110,7 @@ type submission struct {
 	done  chan struct{} // buffered 1: sent by whichever reader takes left to zero
 	trace uint64        // distributed trace ID; 0 = untraced
 	begin time.Time     // submission time; the round-trip spans' begin
+	reads int32         // read calls that brought no buffer: s.frameReads' share
 
 	// one is the request and response of a single call (callDst): they live
 	// here, not on the caller's stack, because the call's out pointer is
@@ -152,6 +153,13 @@ type Session struct {
 	subNo   uint64 // submission counter, orders failover replays
 	pend    map[uint32]*pendingCall
 	t       *transport
+
+	// frameReads counts the read calls in flight that brought no destination
+	// buffer (a Submit's; Read and Pread bring theirs). While it is non-zero
+	// the reader takes large reply frames out of the pool and hands them to
+	// the responses as their Data's backing store. start adds and retire
+	// subtracts, so a call stays counted across a failover replay.
+	frameReads atomic.Int32
 
 	// Distributed-trace sampling state (from Options.Obs/TraceSample). The
 	// untraced steady state costs one atomic load per submission; only the
@@ -455,15 +463,30 @@ func (s *Session) writeLoop(t *transport) {
 	}
 }
 
+// ownedFrameMin is the smallest reply payload worth taking out of the pool
+// to back its responses' read data: below it, a frame holds less than one
+// block and the pooled buffer plus a copy is the cheaper way.
+const ownedFrameMin = 4 << 10
+
 // readLoop decodes reply frames and routes each response to its waiter.
 // Each response's call is claimed out of pend before decoding, so the
 // claimer may safely land read data in the call's dst buffer; a response
 // for an already-answered ID (a failover replay racing its original) is
 // dropped. On a decode error the claimed call is returned to pend so the
 // failover replay still covers it.
+//
+// Read data reaches the caller with one copy or none. A call that brought a
+// buffer gets its bytes copied into it out of the frame. A call that did not
+// gets a view of the frame itself: while any such call is in flight, a large
+// frame is read into a buffer of its own (wire.FrameReader.NextOwned) that
+// is never pooled or reused — the responses pointing into it are what keeps
+// it alive, and the garbage collector frees it after the last of them.
 func (s *Session) readLoop(t *transport) {
+	// Asked when a frame's header is in: a reply cannot overtake its request,
+	// so the count already covers every call the frame may answer.
+	own := func(n int) bool { return n >= ownedFrameMin && s.frameReads.Load() > 0 }
 	for {
-		kind, payload, err := t.fr.Next()
+		kind, payload, owned, err := t.fr.NextOwned(own)
 		if err != nil {
 			s.transportFailed(t, err)
 			return
@@ -486,7 +509,14 @@ func (s *Session) readLoop(t *transport) {
 				if pc != nil {
 					dst = pc.dst
 				}
-				resp, rest, err := wire.DecodeResponseInto(payload, dst)
+				var resp wire.Response
+				var rest []byte
+				var err error
+				if owned && dst == nil {
+					resp, rest, err = wire.DecodeResponseAlias(payload)
+				} else {
+					resp, rest, err = wire.DecodeResponseInto(payload, dst)
+				}
 				if err != nil {
 					if pc != nil {
 						s.mu.Lock()
@@ -524,6 +554,11 @@ func (s *Session) readLoop(t *transport) {
 // interface for benchmarks; the fsapi methods use it one request at a time
 // and rely on writer coalescing instead. Submit does not retry overloads —
 // callers driving explicit batches see CodeOverload responses directly.
+//
+// The responses are the caller's for good. The Data of one call's read and
+// pread responses may be views of one shared backing array — the reply frame
+// they arrived in — so keeping a single Data alive keeps up to a whole frame
+// (at most wire.MaxFrame) reachable; copy it out to hold on to less.
 func (s *Session) Submit(reqs []wire.Request) ([]wire.Response, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -557,11 +592,15 @@ func (s *Session) start(sub *submission, reqs []wire.Request, out []wire.Respons
 	// server's decoder would reject them as a protocol error and tear down
 	// the whole connection (and paths beyond uint16 would not even encode).
 	est := 0
+	reads := int32(0)
 	for i := range reqs {
 		if len(reqs[i].Path) > wire.MaxPath || len(reqs[i].Path2) > wire.MaxPath {
 			return fsapi.ErrNameTooLong
 		}
 		est += 48 + len(reqs[i].Path) + len(reqs[i].Path2) + len(reqs[i].Data)
+		if op := reqs[i].Op; dst == nil && (op == wire.OpPread || op == wire.OpRead) {
+			reads++
+		}
 	}
 	if err := s.err(); err != nil {
 		return err
@@ -587,6 +626,11 @@ func (s *Session) start(sub *submission, reqs []wire.Request, out []wire.Respons
 	rb := s.getRefBuf(est)
 	sub.rb = rb
 	rb.refs.Store(2) // the submission's and the writer's
+	if sub.reads = reads; reads > 0 {
+		// Before anything is registered or sent: by the time a reply to this
+		// group can arrive, the reader sees the count.
+		s.frameReads.Add(reads)
+	}
 	sub.left.Store(int32(len(reqs)))
 	payload := rb.buf.B
 	s.mu.Lock()
@@ -687,8 +731,13 @@ func (s *Session) withdraw(sub *submission) (unanswered bool) {
 }
 
 // retire makes a submission whose count has reached zero idle: it drops the
-// group's buffer reference and everything the calls point at.
+// group's buffer reference, its share of the session's frame-read count, and
+// everything the calls point at.
 func (sub *submission) retire() {
+	if sub.reads > 0 {
+		sub.s.frameReads.Add(-sub.reads)
+		sub.reads = 0
+	}
 	sub.rb.release(sub.s)
 	sub.rb = nil
 	clear(sub.calls)

@@ -1,6 +1,10 @@
 package wire
 
-import "simurgh/internal/fsapi"
+import (
+	"encoding/binary"
+
+	"simurgh/internal/fsapi"
+)
 
 // Execute runs one decoded request against a client and builds its
 // response. It is the single interpretation of the wire vocabulary in
@@ -18,10 +22,11 @@ func Execute(c fsapi.Client, req *Request) Response {
 // ExecuteInto is Execute with a caller-owned read scratch buffer: read and
 // pread responses land in scratch (grown as needed) and resp.Data aliases
 // it. It returns the (possibly grown) scratch for reuse. The caller must
-// not retain resp.Data past the scratch's next use — server workers encode
-// the response into the reply frame before reusing it. Passing nil scratch
-// is exactly Execute: the read goes through a pooled buffer and the bytes
-// read are copied out.
+// not retain resp.Data past the scratch's next use. Followed by
+// AppendResponse it is the definition of a read's reply bytes, which the
+// server produces without the scratch (AppendRead). Passing nil scratch is
+// exactly Execute: the read goes through a pooled buffer and the bytes read
+// are copied out.
 func ExecuteInto(c fsapi.Client, req *Request, scratch []byte) (Response, []byte) {
 	resp := Response{ID: req.ID, Op: req.Op}
 	var err error
@@ -135,4 +140,38 @@ func (d readDst) data(n int) []byte {
 	out := append([]byte(nil), d.p[:n]...)
 	PutBuf(d.pooled)
 	return out[:n:n]
+}
+
+// readRespHeader is what precedes the data of a successful read or pread
+// response: ID, op, code, data length.
+const readRespHeader = 4 + 1 + 1 + 4
+
+// ReadResponseMax returns the most bytes the response to the read or pread
+// req occupies when it succeeds — the room AppendRead needs.
+func ReadResponseMax(req *Request) int { return readRespHeader + int(req.Size) }
+
+// AppendRead executes the read or pread req and appends its response to dst
+// with the file system reading straight into dst's spare capacity: the bytes
+// are exactly those of ExecuteInto followed by AppendResponse, without the
+// scratch buffer and the copy between the two. dst must have
+// ReadResponseMax(req) bytes to spare — making that room is the caller's
+// business, so that it decides whether to grow or to flush. When the read
+// fails nothing is appended and the file system's error is returned for the
+// caller to encode as any other error response.
+func AppendRead(dst []byte, c fsapi.Client, req *Request) ([]byte, error) {
+	resp := dst[len(dst) : len(dst)+ReadResponseMax(req)]
+	var n int
+	var err error
+	if req.Op == OpRead {
+		n, err = c.Read(req.FD, resp[readRespHeader:])
+	} else {
+		n, err = c.Pread(req.FD, resp[readRespHeader:], req.Off)
+	}
+	if err != nil {
+		return dst, err
+	}
+	binary.LittleEndian.PutUint32(resp, req.ID)
+	resp[4], resp[5] = byte(req.Op), byte(CodeOK)
+	binary.LittleEndian.PutUint32(resp[6:], uint32(n))
+	return dst[:len(dst)+readRespHeader+n], nil
 }

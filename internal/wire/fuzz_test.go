@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"simurgh/internal/fsapi"
@@ -51,12 +52,12 @@ func FuzzWireDecode(f *testing.F) {
 			_ = rest
 		}
 		// Responses.
-		if resp, _, err := DecodeResponse(data); err == nil {
+		if resp, _, err := DecodeResponseInto(data, nil); err == nil {
 			if len(resp.Data) > len(data) || len(resp.Dir) > len(data) {
 				t.Fatalf("decoded response larger than input: %+v", resp)
 			}
 			re := AppendResponse(nil, &resp)
-			again, rest2, err := DecodeResponse(re)
+			again, rest2, err := DecodeResponseInto(re, nil)
 			if err != nil {
 				t.Fatalf("re-decode of re-encoded response failed: %v", err)
 			}
@@ -69,12 +70,9 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("response round trip diverged:\n in %+v\nout %+v", resp, again)
 			}
 		}
-		// Batches of each direction (bounded by MaxBatch internally).
-		if reqs, err := DecodeBatch(data); err == nil && len(reqs) > len(data) {
+		// Batches (bounded by MaxBatch internally).
+		if reqs, err := DecodeBatchInto(nil, data); err == nil && len(reqs) > len(data) {
 			t.Fatalf("batch decoded %d requests from %d bytes", len(reqs), len(data))
-		}
-		if resps, err := DecodeReply(data); err == nil && len(resps) > len(data) {
-			t.Fatalf("reply decoded %d responses from %d bytes", len(resps), len(data))
 		}
 		// Handshake and error frames.
 		if cred, id, err := ParseAttach(data); err == nil {
@@ -84,5 +82,78 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 		_ = ParseErrFrame(data)
+	})
+}
+
+// FuzzResponseDecodeModes decodes arbitrary bytes as a reply payload —
+// response after response, as the client's reader does — in each of the
+// decoder's placements for read data: a fresh copy, a copy into a
+// caller-provided destination, and a view of the input. Whatever the input,
+// the three agree on every Response value, on the remainder and on the
+// error; a view is capacity-clipped and lies inside the input while a copy
+// never does; and every truncation of a response that decoded is an error in
+// every mode, never a panic.
+func FuzzResponseDecodeModes(f *testing.F) {
+	var all []byte
+	for _, r := range sampleResponses() {
+		r := r
+		f.Add(AppendResponse(nil, &r))
+		all = AppendResponse(all, &r)
+	}
+	f.Add(all)
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inside := func(p []byte) bool {
+			if len(p) == 0 || len(data) == 0 {
+				return false
+			}
+			for i := range data {
+				if &data[i] == &p[0] {
+					return true
+				}
+			}
+			return false
+		}
+		errText := func(err error) string {
+			if err == nil {
+				return ""
+			}
+			return err.Error()
+		}
+		dst := make([]byte, 0, 8) // small: some payloads fit it, most do not
+		for rest := data; len(rest) > 0; {
+			fresh, restF, errF := DecodeResponseInto(rest, nil)
+			into, restI, errI := DecodeResponseInto(rest, dst)
+			view, restV, errV := DecodeResponseAlias(rest)
+			if errText(errF) != errText(errI) || errText(errF) != errText(errV) {
+				t.Fatalf("errors differ: fresh %v, into %v, view %v", errF, errI, errV)
+			}
+			if !reflect.DeepEqual(fresh, into) || !reflect.DeepEqual(fresh, view) {
+				t.Fatalf("responses differ:\nfresh %+v\n into %+v\n view %+v", fresh, into, view)
+			}
+			if !bytes.Equal(restF, restI) || !bytes.Equal(restF, restV) || (restF == nil) != (restV == nil) {
+				t.Fatalf("remainders differ: %d / %d / %d bytes", len(restF), len(restI), len(restV))
+			}
+			if errF != nil {
+				return
+			}
+			if inside(fresh.Data) || inside(into.Data) {
+				t.Fatal("copied Data aliases the input")
+			}
+			if len(view.Data) > 0 && (!inside(view.Data) || cap(view.Data) != len(view.Data)) {
+				t.Fatalf("view Data: inside=%v len=%d cap=%d", inside(view.Data), len(view.Data), cap(view.Data))
+			}
+			used := len(rest) - len(restF)
+			for cut := 0; cut < used; cut += 1 + used/64 {
+				_, _, errF := DecodeResponseInto(rest[:cut], nil)
+				_, _, errV := DecodeResponseAlias(rest[:cut])
+				if errF == nil || errText(errF) != errText(errV) {
+					t.Fatalf("truncated to %d of %d bytes: fresh %v, view %v", cut, used, errF, errV)
+				}
+			}
+			rest = restF
+		}
 	})
 }

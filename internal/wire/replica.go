@@ -146,26 +146,9 @@ func decodeEntry(rd *reader) (Entry, error) {
 	}
 }
 
-// DecodeEntries decodes a KindReplicate payload (at most MaxBatch entries).
-func DecodeEntries(payload []byte) ([]Entry, error) {
-	var ents []Entry
-	for len(payload) > 0 {
-		if len(ents) >= MaxBatch {
-			return nil, fmt.Errorf("%w: replicate frame exceeds %d entries", ErrBadMessage, MaxBatch)
-		}
-		e, rest, err := DecodeEntry(payload)
-		if err != nil {
-			return nil, err
-		}
-		ents = append(ents, e)
-		payload = rest
-	}
-	return ents, nil
-}
-
-// DecodeEntriesInto is the zero-allocation variant of DecodeEntries: it
-// appends to dst (reusing capacity) and decoded request paths and write
-// data ALIAS payload. The backup applies every entry before reading the
+// DecodeEntriesInto decodes a KindReplicate payload (at most MaxBatch
+// entries) without allocating: it appends to dst (reusing capacity) and
+// decoded request paths and write data ALIAS payload. The backup applies every entry before reading the
 // next frame, so the aliased buffer is stable for exactly that window. dst
 // is returned even on error so its capacity is never lost.
 func DecodeEntriesInto(dst []Entry, payload []byte) ([]Entry, error) {

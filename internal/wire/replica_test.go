@@ -46,7 +46,7 @@ func TestEntryRoundTrip(t *testing.T) {
 	for i := range entries {
 		buf = AppendEntry(buf, &entries[i])
 	}
-	got, err := DecodeEntries(buf)
+	got, err := DecodeEntriesInto(nil, buf)
 	if err != nil {
 		t.Fatal(err)
 	}

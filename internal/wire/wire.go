@@ -352,10 +352,16 @@ func (r *reader) str(max int) string {
 	return s
 }
 
-// bytes reads a u32-length-prefixed payload of at most max bytes. Outside
-// alias mode it copies out of the frame buffer (frames are reused; decoded
-// messages must not alias them); in alias mode it returns a subslice.
-func (r *reader) bytes(max int) []byte {
+// bytes reads a u32-length-prefixed payload of at most max bytes: a view of
+// the input in alias mode, a fresh copy otherwise (frames are reused; decoded
+// messages must not alias them).
+func (r *reader) bytes(max int) []byte { return r.payload(max, nil, r.alias) }
+
+// payload is bytes with the placement chosen per call: with alias set the
+// result is a capacity-clipped sub-slice of the input; otherwise the bytes
+// are copied, into dst when it has the capacity (a client landing a read in
+// the caller's buffer) and into a fresh slice when it has not.
+func (r *reader) payload(max int, dst []byte, alias bool) []byte {
 	n := int(r.u32())
 	if r.err != nil {
 		return nil
@@ -372,42 +378,16 @@ func (r *reader) bytes(max int) []byte {
 		return nil
 	}
 	var out []byte
-	if r.alias {
+	switch {
+	case alias:
 		out = r.b[:n:n]
-	} else {
+	case cap(dst) >= n:
+		out = dst[:n]
+		copy(out, r.b)
+	default:
 		out = make([]byte, n)
 		copy(out, r.b)
 	}
-	r.b = r.b[n:]
-	return out
-}
-
-// bytesInto is bytes with a caller-provided destination: the payload is
-// copied into dst when it fits, so a client receiving a read can land the
-// data directly in the caller's buffer instead of a fresh allocation.
-func (r *reader) bytesInto(max int, dst []byte) []byte {
-	n := int(r.u32())
-	if r.err != nil {
-		return nil
-	}
-	if n > max {
-		r.fail(fmt.Errorf("%w: payload length %d > %d", ErrBadMessage, n, max))
-		return nil
-	}
-	if n > len(r.b) {
-		r.fail(ErrTruncated)
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	var out []byte
-	if cap(dst) >= n {
-		out = dst[:n]
-	} else {
-		out = make([]byte, n)
-	}
-	copy(out, r.b)
 	r.b = r.b[n:]
 	return out
 }
@@ -541,27 +521,9 @@ func decodeRequest(rd *reader) (Request, error) {
 	return r, nil
 }
 
-// DecodeBatch decodes a KindBatch payload into its requests (at most
-// MaxBatch). Decoded requests are copies, safe to retain.
-func DecodeBatch(payload []byte) ([]Request, error) {
-	var reqs []Request
-	for len(payload) > 0 {
-		if len(reqs) >= MaxBatch {
-			return nil, fmt.Errorf("%w: batch exceeds %d ops", ErrBadMessage, MaxBatch)
-		}
-		r, rest, err := DecodeRequest(payload)
-		if err != nil {
-			return nil, err
-		}
-		reqs = append(reqs, r)
-		payload = rest
-	}
-	return reqs, nil
-}
-
-// DecodeBatchInto is the zero-allocation variant of DecodeBatch: it appends
-// decoded requests to dst (reusing its capacity) and every Path, Path2, and
-// Data field ALIASES payload. The caller owns payload and must keep it
+// DecodeBatchInto decodes a KindBatch payload (at most MaxBatch requests)
+// without allocating: it appends the decoded requests to dst (reusing its
+// capacity) and every Path, Path2, and Data field ALIASES payload. The caller owns payload and must keep it
 // untouched until the last decoded request is retired — the server does
 // this by transferring frame-buffer ownership into the batch job and
 // returning it to the pool only after the reply is written. dst (possibly
@@ -671,31 +633,34 @@ func ResponseSize(r *Response) int {
 	return n
 }
 
-// DecodeResponse decodes one response from b, returning the remaining
-// bytes. Variable-length fields are copies, safe to retain.
-func DecodeResponse(b []byte) (Response, []byte, error) {
-	rd := reader{b: b}
-	r, err := decodeResponse(&rd, nil)
-	if err != nil {
-		return Response{}, nil, err
-	}
-	return r, rd.b, nil
-}
-
-// DecodeResponseInto decodes one response from b, landing read data in
-// dataDst when it fits (the client passes the caller's read buffer, so the
-// payload is copied exactly once: frame → destination). All other
-// variable-length fields are still copied; only Data may alias dataDst.
+// DecodeResponseInto decodes one response from b, returning the remaining
+// bytes, and lands read data in dataDst when it fits (the client passes the
+// caller's read buffer, so the payload is copied exactly once: frame →
+// destination). Every variable-length field is a copy, safe to retain after
+// b is reused; only Data may alias dataDst.
 func DecodeResponseInto(b, dataDst []byte) (Response, []byte, error) {
+	return decodeOneResponse(b, dataDst, false)
+}
+
+// DecodeResponseAlias is DecodeResponseInto for a buffer the response may
+// keep: Data is a capacity-clipped sub-slice of b, not a copy, so b must
+// never be reused while the response is reachable (the client hands it a
+// reply frame it has taken out of the pool for good). Msg, Str and
+// directory names are still copied — Data is the only field that pins b.
+func DecodeResponseAlias(b []byte) (Response, []byte, error) {
+	return decodeOneResponse(b, nil, true)
+}
+
+func decodeOneResponse(b, dataDst []byte, aliasData bool) (Response, []byte, error) {
 	rd := reader{b: b}
-	r, err := decodeResponse(&rd, dataDst)
+	r, err := decodeResponse(&rd, dataDst, aliasData)
 	if err != nil {
 		return Response{}, nil, err
 	}
 	return r, rd.b, nil
 }
 
-func decodeResponse(rd *reader, dataDst []byte) (Response, error) {
+func decodeResponse(rd *reader, dataDst []byte, aliasData bool) (Response, error) {
 	var r Response
 	r.ID = rd.u32()
 	r.Op = Op(rd.u8())
@@ -714,7 +679,7 @@ func decodeResponse(rd *reader, dataDst []byte) (Response, error) {
 	case OpCreate, OpOpen:
 		r.FD = fsapi.FD(rd.u32())
 	case OpRead, OpPread:
-		r.Data = rd.bytesInto(MaxIO, dataDst)
+		r.Data = rd.payload(MaxIO, dataDst, aliasData)
 	case OpWrite, OpPwrite:
 		r.N = rd.u32()
 	case OpSeek:
@@ -741,24 +706,6 @@ func decodeResponse(rd *reader, dataDst []byte) (Response, error) {
 		return Response{}, rd.err
 	}
 	return r, nil
-}
-
-// DecodeReply decodes a KindReply payload into its responses (at most
-// MaxBatch).
-func DecodeReply(payload []byte) ([]Response, error) {
-	var resps []Response
-	for len(payload) > 0 {
-		if len(resps) >= MaxBatch {
-			return nil, fmt.Errorf("%w: reply exceeds %d responses", ErrBadMessage, MaxBatch)
-		}
-		r, rest, err := DecodeResponse(payload)
-		if err != nil {
-			return nil, err
-		}
-		resps = append(resps, r)
-		payload = rest
-	}
-	return resps, nil
 }
 
 // --- handshake and connection-level errors ------------------------------
@@ -856,25 +803,42 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // aliases a pooled buffer that the next call overwrites; either decode with
 // copies before calling Next again, or take ownership with Detach.
 func (fr *FrameReader) Next() (Kind, []byte, error) {
+	kind, payload, _, err := fr.NextOwned(nil)
+	return kind, payload, err
+}
+
+// NextOwned is Next for a caller that may keep payloads. Once a frame's
+// length is known, own (nil: never) is asked whether its n-byte payload
+// should land in a buffer of its own — exactly sized, never pooled, never
+// reused. Such a payload is reported as owned: it is the caller's for good
+// and the garbage collector frees it. (Detach is not the way to keep a
+// frame: the pooled class above a 64 KiB frame is over a megabyte.) Every
+// other frame is read as Next reads it.
+func (fr *FrameReader) NextOwned(own func(n int) bool) (kind Kind, payload []byte, owned bool, err error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		return 0, nil, err
+		return 0, nil, false, err
 	}
 	n := binary.LittleEndian.Uint32(fr.hdr[:])
 	if n == 0 {
-		return 0, nil, fmt.Errorf("%w: empty frame", ErrBadMessage)
+		return 0, nil, false, fmt.Errorf("%w: empty frame", ErrBadMessage)
 	}
 	if n > MaxFrame {
-		return 0, nil, ErrFrameTooLarge
+		return 0, nil, false, ErrFrameTooLarge
 	}
-	if fr.buf == nil || uint32(cap(fr.buf.B)) < n {
-		PutBuf(fr.buf)
-		fr.buf = GetBuf(int(n))
+	var buf []byte
+	if owned = own != nil && own(int(n)-1); owned {
+		buf = make([]byte, n)
+	} else {
+		if fr.buf == nil || uint32(cap(fr.buf.B)) < n {
+			PutBuf(fr.buf)
+			fr.buf = GetBuf(int(n))
+		}
+		buf = fr.buf.B[:n]
 	}
-	buf := fr.buf.B[:n]
 	if _, err := io.ReadFull(fr.r, buf); err != nil {
-		return 0, nil, err
+		return 0, nil, false, err
 	}
-	return Kind(buf[0]), buf[1:], nil
+	return Kind(buf[0]), buf[1:], owned, nil
 }
 
 // Detach transfers ownership of the buffer backing the last Next payload to

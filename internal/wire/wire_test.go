@@ -96,7 +96,7 @@ func TestRequestRoundTrip(t *testing.T) {
 func TestResponseRoundTrip(t *testing.T) {
 	for _, want := range sampleResponses() {
 		buf := AppendResponse(nil, &want)
-		got, rest, err := DecodeResponse(buf)
+		got, rest, err := DecodeResponseInto(buf, nil)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", want.Op, err)
 		}
@@ -128,7 +128,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	for i := range reqs {
 		payload = AppendRequest(payload, &reqs[i])
 	}
-	got, err := DecodeBatch(payload)
+	got, err := DecodeBatchInto(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +146,14 @@ func TestBatchRoundTrip(t *testing.T) {
 	for i := range resps {
 		payload = AppendResponse(payload, &resps[i])
 	}
-	gotR, err := DecodeReply(payload)
-	if err != nil {
-		t.Fatal(err)
+	var gotR []Response
+	for rest := payload; len(rest) > 0; {
+		var r Response
+		var err error
+		if r, rest, err = DecodeResponseInto(rest, nil); err != nil {
+			t.Fatal(err)
+		}
+		gotR = append(gotR, r)
 	}
 	if len(gotR) != len(resps) {
 		t.Fatalf("decoded %d responses, want %d", len(gotR), len(resps))
@@ -281,14 +286,14 @@ func TestDecodeRejectsOversize(t *testing.T) {
 	// Batch with too many ops.
 	one := AppendRequest(nil, &Request{ID: 1, Op: OpDetach})
 	big := bytes.Repeat(one, MaxBatch+1)
-	if _, err := DecodeBatch(big); !errors.Is(err, ErrBadMessage) {
+	if _, err := DecodeBatchInto(nil, big); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("oversize batch err = %v", err)
 	}
 	// ReadDir entry count beyond payload.
 	r := appendU32(nil, 22)
 	r = append(r, byte(OpReadDir), byte(CodeOK))
 	r = appendU32(r, 1<<30) // claimed entry count
-	if _, _, err := DecodeResponse(r); !errors.Is(err, ErrBadMessage) {
+	if _, _, err := DecodeResponseInto(r, nil); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("over-claiming readdir err = %v", err)
 	}
 }

@@ -13,6 +13,11 @@
 # with and without prefix shards: both must stay at 0. BenchmarkRoutedSubmitStat
 # is a 32-stat batch fanned out over two in-process groups, end to end.
 #
+# BenchmarkSubmitRead4K is the read path end to end — 32 block preads per
+# Submit, on a plain session and through the router — held to the returned
+# slice and the one reply frame the responses keep; BenchmarkSessionPread4K is
+# a single Pread into the caller's buffer, which must stay at 0.
+#
 # The BenchmarkServer* pattern also covers the traced-but-unsampled path
 # (BenchmarkServerPwriteTracedUnsampled): a node running with -trace must
 # stay at 0 allocs/op for the ~1023/1024 of requests that carry no trace
@@ -23,7 +28,7 @@ cd "$(dirname "$0")/.."
 allow="scripts/alloc_allowlist.txt"
 
 out=$(go test -run '^$' \
-	-bench 'BenchmarkResolve|BenchmarkRoute|BenchmarkMovedPath|BenchmarkBatchCodec|BenchmarkResponseCodec|BenchmarkEntryCodec|BenchmarkServer|BenchmarkShip' \
+	-bench 'BenchmarkResolve|BenchmarkRoute|BenchmarkMovedPath|BenchmarkBatchCodec|BenchmarkResponseCodec|BenchmarkEntryCodec|BenchmarkServer|BenchmarkShip|BenchmarkSubmitRead4K|BenchmarkSessionPread4K' \
 	-benchmem -benchtime 2000x -count=1 \
 	./internal/core/ ./internal/shard/ ./internal/wire/ ./internal/wire/client/ ./internal/server/ ./internal/replica/)
 echo "$out"
