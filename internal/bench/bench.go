@@ -29,6 +29,14 @@ var FSNames = []string{"simurgh", "nova", "pmfs", "ext4-dax", "splitfs"}
 // emulated NVMM device of the given size, with the paper's cost accounting
 // (jmpp delta for Simurgh, syscall cost for the kernel systems).
 func MakeFS(name string, devSize uint64) (fsapi.FileSystem, error) {
+	fs, _, err := MakeFSModel(name, devSize)
+	return fs, err
+}
+
+// MakeFSModel is MakeFS that also hands back the cost model the system's
+// calls are charged through, for experiments that read its tally (set
+// Disabled on it before the first call to count without spinning).
+func MakeFSModel(name string, devSize uint64) (fsapi.FileSystem, *cost.Model, error) {
 	dev := pmem.New(devSize)
 	// Benchmarks run with the Optane persistence-latency model so flushes,
 	// fences and non-temporal stores cost realistic time; unit tests use
@@ -36,38 +44,48 @@ func MakeFS(name string, devSize uint64) (fsapi.FileSystem, error) {
 	// measured windows.
 	dev.Prefault()
 	dev.SetLatency(pmem.OptaneLatency(), cost.SpinNs)
+	m := cost.KernelModel()
 	mkKernel := func(kind kfs.Kind) fsapi.FileSystem {
 		inner := kfs.New(kind, dev)
 		inner.EnableSoftwareCosts(cost.Spin)
-		return vfs.New(inner, cost.KernelModel())
+		return vfs.New(inner, m)
 	}
 	// A generous busy-wait threshold: on an oversubscribed benchmark host a
 	// live lock holder can be descheduled long enough to look dead, and a
 	// waiter must not "recover" its lock out from under it.
-	const benchLineTimeout = 10 * time.Second
+	opts := core.Options{LineLockTimeout: 10 * time.Second}
+	var fs fsapi.FileSystem
+	var err error
 	switch name {
-	case "simurgh":
-		return core.Format(dev, fsapi.Root, core.Options{Cost: cost.SimurghModel(), LineLockTimeout: benchLineTimeout})
-	case "simurgh-relaxed":
-		return core.Format(dev, fsapi.Root, core.Options{Cost: cost.SimurghModel(), RelaxedWrites: true, LineLockTimeout: benchLineTimeout})
+	case "simurgh", "simurgh-relaxed":
+		m = cost.SimurghModel()
+		opts.Cost, opts.RelaxedWrites = m, name == "simurgh-relaxed"
+		fs, err = core.Format(dev, fsapi.Root, opts)
 	case "simurgh-syscall":
 		// Ablation: Simurgh's design but with a full syscall charged per
 		// operation instead of the jmpp delta — isolates how much of the
 		// win comes from protected functions vs. the file-system design.
-		return core.Format(dev, fsapi.Root, core.Options{Cost: cost.KernelModel(), LineLockTimeout: benchLineTimeout})
+		// Simurgh enters through ProtectedCall whatever the crossing costs,
+		// so the syscall's cycles are this model's protected entry (a
+		// KernelModel, which charges SyscallEntry, charged this variant
+		// nothing and made it the faster of the two).
+		m = &cost.Model{ProtectedEntry: cost.SyscallCycles}
+		opts.Cost = m
+		fs, err = core.Format(dev, fsapi.Root, opts)
 	case "nova":
-		return mkKernel(kfs.KindNova), nil
+		fs = mkKernel(kfs.KindNova)
 	case "pmfs":
-		return mkKernel(kfs.KindPMFS), nil
+		fs = mkKernel(kfs.KindPMFS)
 	case "ext4-dax":
-		return mkKernel(kfs.KindExtDax), nil
+		fs = mkKernel(kfs.KindExtDax)
 	case "splitfs":
-		sfs := splitfs.New(dev, cost.KernelModel())
+		sfs := splitfs.New(dev, m)
 		sfs.Inner().EnableSoftwareCosts(cost.Spin)
-		return sfs, nil
+		fs = sfs
 	default:
-		return nil, fmt.Errorf("bench: unknown file system %q", name)
+		return nil, nil, fmt.Errorf("bench: unknown file system %q", name)
 	}
+	return fs, m, err
 }
 
 // Result is one measured point: a file system at a thread count.

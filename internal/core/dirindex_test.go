@@ -27,6 +27,16 @@ func TestDirLineLayout(t *testing.T) {
 	}
 }
 
+// TestShardLayout pins what keeps two volatile-map shards off one cache
+// line: a shard is exactly one line, whatever it maps to.
+func TestShardLayout(t *testing.T) {
+	var a shardOf[*dirLine]
+	var b shardOf[uint64]
+	if sa, sb := unsafe.Sizeof(a), unsafe.Sizeof(b); sa != pmem.CachelineSize || sb != pmem.CachelineSize {
+		t.Fatalf("shardOf is %d and %d bytes, want %d", sa, sb, pmem.CachelineSize)
+	}
+}
+
 // TestLineTableAgainstMap drives one line's table with a random add/remove
 // sequence (few distinct hashes, so cells collide and are reused) and checks
 // candidates against a plain map after every step.

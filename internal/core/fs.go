@@ -67,15 +67,16 @@ type sharded[V any] struct {
 // shardOf is one mutex-protected slice of a sharded map. The contention
 // counters are plain words mutated only while holding mu, so counting
 // costs no extra atomics on the hot path; stats() takes each shard's lock
-// to read them. The trailing pad keeps adjacent shards off one cache line
-// (they would otherwise false-share under exactly the load the counters
-// are meant to measure).
+// to read them. The trailing pad makes a shard one cache line, so adjacent
+// shards never share one (they would otherwise false-share under exactly
+// the load the counters are meant to measure: inodes are 128 bytes apart,
+// so files created back to back land in adjacent shards).
 type shardOf[V any] struct {
 	mu        sync.Mutex
 	m         map[pmem.Ptr]V
 	gets      uint64
 	contended uint64
-	_         [24]byte
+	_         [32]byte
 }
 
 func newSharded[V any](name string, n int, newV func() V) sharded[V] {

@@ -426,9 +426,7 @@ func (n *Node) applyEntry(e *wire.Entry) {
 			n.m.replayErrors.Add(1)
 			n.cfg.Logf("replica: replay of seq %d (%v) failed: %s", e.Seq, req.Op, resp.Msg)
 		}
-		sess.dmu.Lock()
-		sess.cacheResp(req.ID, resp, e.Seq)
-		sess.dmu.Unlock()
+		sess.cacheResp(&resp, e.Seq)
 	}
 }
 
@@ -436,8 +434,8 @@ func (n *Node) applyEntry(e *wire.Entry) {
 // so needs translation on replay).
 func opUsesFD(op wire.Op) bool {
 	switch op {
-	case wire.OpClose, wire.OpRead, wire.OpPread, wire.OpWrite, wire.OpPwrite,
-		wire.OpSeek, wire.OpFsync, wire.OpFtruncate, wire.OpFallocate, wire.OpFstat:
+	case wire.OpClose, wire.OpPread, wire.OpWrite, wire.OpPwrite,
+		wire.OpFtruncate, wire.OpFallocate, wire.OpFstat:
 		return true
 	}
 	return false

@@ -1,7 +1,9 @@
 package replica
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"simurgh/internal/core"
 	"simurgh/internal/fsapi"
@@ -54,70 +56,90 @@ func newCacheRig(t *testing.T, role Role) *cacheRig {
 		}
 	}
 	ship(wire.Entry{Kind: wire.EntryAttach, Cred: fsapi.Root})
+	resFD := fsapi.FD(2)
 	return &cacheRig{n: n, sess: sess, do: func(req wire.Request) wire.Response {
 		nextID++
 		req.ID = nextID
 		e := wire.Entry{Kind: wire.EntryOp, Req: req}
 		if req.Op == wire.OpOpen {
-			e.ResFD = 3 // the virtual descriptor the primary handed out
+			resFD++
+			e.ResFD = resFD // the virtual descriptor the primary handed out
 		}
 		ship(e)
 		return wire.Response{FD: e.ResFD}
 	}}
 }
 
-// retained sums what the session's replay cache keeps alive and checks the
-// cache's own account of it.
-func (r *cacheRig) retained(t *testing.T) int {
-	t.Helper()
+// session returns the rig's one session.
+func (r *cacheRig) session() *session {
 	r.n.mu.Lock()
-	sess := r.n.sessions[r.sess]
-	r.n.mu.Unlock()
-	sess.dmu.Lock()
-	defer sess.dmu.Unlock()
-	sum := 0
-	for _, c := range sess.dedup {
-		sum += cap(c.resp.Data)
-	}
-	if sum != sess.dedupBytes {
-		t.Fatalf("cache retains %d bytes but accounts %d", sum, sess.dedupBytes)
-	}
-	return sum
+	defer r.n.mu.Unlock()
+	return r.n.sessions[r.sess]
 }
 
-// TestReplayCacheRetainsWhatItAccounts pins the replay cache's byte bound to
-// the memory it actually keeps alive. A replicated read's response used to be
-// a slice of a buffer as large as the client asked for: 4096 reads of MaxIO
-// at end of file pinned 4 GiB per session while the cache accounted zero
-// bytes, and varmail's 16 KiB reads into 64 KiB buffers quadrupled the bound.
+// TestReplayCacheRetainsWhatItAccounts pins the replay cache's bound to what
+// it keeps alive: dedupSlots slots of 48 bytes and nothing behind them. It
+// used to be bounded in bytes as well, because a replicated read's response
+// held the data read; reads no longer travel the log, and a slot has no room
+// for data. What it has room for is all a replicated response carries: the
+// cached answers are the originals. The slots are direct-mapped by request
+// ID: the session's latest dedupSlots requests are answerable, the one before
+// them is not.
 func TestReplayCacheRetainsWhatItAccounts(t *testing.T) {
 	for _, role := range []Role{RolePrimary, RoleBackup} {
 		t.Run(role.String(), func(t *testing.T) {
+			if size := unsafe.Sizeof(cachedResp{}); size != 48 {
+				t.Fatalf("a replay-cache slot is %d bytes, want 48", size)
+			}
 			r := newCacheRig(t, role)
 			fd := r.do(wire.Request{Op: wire.OpOpen, Path: "/f",
-				Flags: uint32(fsapi.ORdwr | fsapi.OCreate), Perm: 0o644}).FD
+				Flags: uint32(fsapi.ORdwr | fsapi.OCreate | fsapi.OAppend), Perm: 0o644}).FD
+			const last = 1 + dedupSlots + 64 // request IDs count from 1
+			for id := 2; id <= last-2; id++ {
+				r.do(wire.Request{Op: wire.OpPwrite, FD: fd, Off: uint64(id), Data: []byte{byte(id)}})
+			}
 			r.do(wire.Request{Op: wire.OpWrite, FD: fd, Data: make([]byte, 16<<10)})
-
-			// The position is at end of file: every read returns nothing.
-			for i := 0; i < maxDedupEntries+64; i++ {
-				r.do(wire.Request{Op: wire.OpRead, FD: fd, Size: wire.MaxIO})
-			}
-			if got := r.retained(t); got != 0 {
-				t.Fatalf("%d empty reads retain %d bytes", maxDedupEntries+64, got)
-			}
-
-			// Short reads into large buffers, enough of them to cross the
-			// byte bound twice over.
-			for i := 0; i < 2*maxDedupBytes/(16<<10); i++ {
-				r.do(wire.Request{Op: wire.OpSeek, FD: fd})
-				r.do(wire.Request{Op: wire.OpRead, FD: fd, Size: 64 << 10})
-				if got := r.retained(t); got > maxDedupBytes {
-					t.Fatalf("after %d short reads the cache retains %d bytes, bound %d", i+1, got, maxDedupBytes)
+			r.do(wire.Request{Op: wire.OpOpen, Path: "/f", Flags: uint32(fsapi.ORdonly)})
+			sess := r.session()
+			for id := uint32(1); id <= last; id++ {
+				resp, seq, ok := sess.replayed(id)
+				if want := id > last-dedupSlots; ok != want {
+					t.Fatalf("request %d of %d: cached=%v, want %v", id, last, ok, want)
+				}
+				if !ok {
+					continue
+				}
+				want := wire.Response{ID: id, Op: wire.OpPwrite, N: 1}
+				switch id {
+				case last - 1: // the append: where the file ended, after last-2 one-byte pwrites
+					want = wire.Response{ID: id, Op: wire.OpWrite, N: 16 << 10, Off: last - 2 + 1 + 16<<10}
+				case last:
+					want = wire.Response{ID: id, Op: wire.OpOpen, FD: resp.FD}
+					if resp.FD == fd || resp.FD <= 0 {
+						t.Fatalf("cached open answers descriptor %d (the first open got %d)", resp.FD, fd)
+					}
+				}
+				if !reflect.DeepEqual(resp, want) || seq == 0 {
+					t.Fatalf("request %d: cached %+v at seq %d, want %+v", id, resp, seq, want)
 				}
 			}
-			if got := r.retained(t); got < maxDedupBytes/2 {
-				t.Fatalf("cache retains %d bytes; the reads were not cached", got)
-			}
 		})
+	}
+}
+
+// BenchmarkReplayCache is the cache's share of every replicated operation on
+// both nodes: the lookup that misses, then the insert.
+func BenchmarkReplayCache(b *testing.B) {
+	s := newSession(1, fsapi.Root, nil)
+	resp := wire.Response{ID: 1, Op: wire.OpPwrite, N: 4096}
+	s.cacheResp(&resp, 1) // the slots are made on first use
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp.ID = uint32(i) + 2
+		if _, _, hit := s.replayed(resp.ID); hit {
+			b.Fatalf("request %d answered before it was made", resp.ID)
+		}
+		s.cacheResp(&resp, uint64(resp.ID))
 	}
 }

@@ -2,7 +2,6 @@ package replica
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"simurgh/internal/wire"
@@ -16,8 +15,8 @@ import (
 //  1. Takes the op gate exclusively, quiescing every executor. With the
 //     fence already answering Moved — and re-checked under this same gate —
 //     no further entry can enter the log: the tip read below is final.
-//  2. Re-exports every session's open descriptors as synthetic open+seek
-//     log entries. Backups replay opens they have never seen and skip ones
+//  2. Re-exports every session's open descriptors as synthetic open log
+//     entries. Backups replay opens they have never seen and skip ones
 //     they have (the apply path is idempotent on live descriptors), so a
 //     target that joined mid-load — after the original opens shipped in
 //     the snapshot manifest's blind spot — rebuilds the full descriptor
@@ -47,25 +46,19 @@ func (n *Node) MigrationDrain(addrs []string, timeout time.Duration) error {
 
 // reexportLocked ships one session's open-descriptor table as synthetic
 // log entries: an open (origin path, sanitized flags) that re-binds each
-// virtual descriptor, and a seek restoring its live file offset when
-// nonzero. The entries carry request ID zero — they answer no client.
+// virtual descriptor. Positions need no entry: they never left the client.
+// The entries carry request ID zero — they answer no client.
 // Descriptors whose origin file was unlinked while open cannot reopen and
 // are skipped on the target (replay_errors counts them; DESIGN.md §9
 // documents the limitation). Caller holds opGate and n.mu.
 func (n *Node) reexportLocked(sess *session) {
 	for vfd, oi := range sess.opens {
-		lfd, ok := sess.fdMap[vfd]
-		if !ok {
+		if _, ok := sess.fdMap[vfd]; !ok {
 			continue
 		}
 		n.seq++
 		n.shipLocked(&wire.Entry{Seq: n.seq, Sess: sess.id, Kind: wire.EntryOp, ResFD: vfd,
 			Req: wire.Request{Op: wire.OpOpen, Path: oi.path, Flags: uint32(oi.flags), Perm: oi.perm}}, 0)
-		if off, err := sess.client.Seek(lfd, 0, io.SeekCurrent); err == nil && off > 0 {
-			n.seq++
-			n.shipLocked(&wire.Entry{Seq: n.seq, Sess: sess.id, Kind: wire.EntryOp,
-				Req: wire.Request{Op: wire.OpSeek, FD: vfd, Off: uint64(off), Flags: io.SeekStart}}, 0)
-		}
 		n.m.fdReexports.Add(1)
 	}
 }

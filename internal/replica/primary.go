@@ -99,15 +99,10 @@ func (n *Node) Apply(sessID uint64, req *wire.Request, trace uint64, exec func()
 		return wire.Response{ID: req.ID, Op: req.Op, Code: code,
 			Msg: wire.MsgFor(code, fsapi.ErrBadFD)}, 0
 	}
-	sess.dmu.Lock()
-	if c, ok := sess.dedup[req.ID]; ok {
-		sess.dmu.Unlock()
+	if resp, seq, ok := sess.replayed(req.ID); ok {
 		n.m.dedupHits.Add(1)
-		resp := c.resp
-		resp.ID = req.ID
-		return resp, c.seq
+		return resp, seq
 	}
-	sess.dmu.Unlock()
 
 	var resp wire.Response
 	var seq uint64
@@ -145,14 +140,15 @@ func (n *Node) Apply(sessID uint64, req *wire.Request, trace uint64, exec func()
 			n.shipLocked(&e, trace)
 			if req.Op == wire.OpDetach {
 				delete(n.sessions, sessID)
+				sess = nil // nothing left to cache against
 			}
 			n.mu.Unlock()
 		}
 		n.opGate.Unlock()
 	}
-	sess.dmu.Lock()
-	sess.cacheResp(req.ID, resp, seq)
-	sess.dmu.Unlock()
+	if sess != nil {
+		sess.cacheResp(&resp, seq)
+	}
 	return resp, seq
 }
 
@@ -570,7 +566,8 @@ func (l *link) runReader(n *Node, fr *wire.FrameReader) error {
 // mappedClient is the fsapi.Client handed to the server for a replicated
 // session: it translates the client's virtual descriptors to this node's
 // local ones and assigns virtual descriptors to fresh opens, so descriptor
-// identity survives failover.
+// identity survives failover. Identity is all there is to survive: where a
+// descriptor stands in its file is kept by the client process.
 type mappedClient struct {
 	inner fsapi.Client
 	s     *session
@@ -606,13 +603,10 @@ func (m *mappedClient) Close(fd fsapi.FD) error {
 	return nil
 }
 
-func (m *mappedClient) Read(fd fsapi.FD, p []byte) (int, error) {
-	lfd, ok := m.s.lookupVFD(fd)
-	if !ok {
-		return 0, fsapi.ErrBadFD
-	}
-	return m.inner.Read(lfd, p)
-}
+// Read and Fsync are retired on the wire (wire.Op.Retired): the server
+// answers them itself, so nothing translates a descriptor for them.
+func (m *mappedClient) Read(fsapi.FD, []byte) (int, error) { return 0, fsapi.ErrInval }
+func (m *mappedClient) Fsync(fsapi.FD) error               { return fsapi.ErrInval }
 
 func (m *mappedClient) Pread(fd fsapi.FD, p []byte, off uint64) (int, error) {
 	lfd, ok := m.s.lookupVFD(fd)
@@ -638,20 +632,13 @@ func (m *mappedClient) Pwrite(fd fsapi.FD, p []byte, off uint64) (int, error) {
 	return m.inner.Pwrite(lfd, p, off)
 }
 
+// Seek is how wire.Execute learns where a write left the descriptor.
 func (m *mappedClient) Seek(fd fsapi.FD, off int64, whence int) (int64, error) {
 	lfd, ok := m.s.lookupVFD(fd)
 	if !ok {
 		return 0, fsapi.ErrBadFD
 	}
 	return m.inner.Seek(lfd, off, whence)
-}
-
-func (m *mappedClient) Fsync(fd fsapi.FD) error {
-	lfd, ok := m.s.lookupVFD(fd)
-	if !ok {
-		return fsapi.ErrBadFD
-	}
-	return m.inner.Fsync(lfd)
 }
 
 func (m *mappedClient) Ftruncate(fd fsapi.FD, size uint64) error {

@@ -51,16 +51,14 @@ func (r Role) String() string {
 	return "backup"
 }
 
-// Replay-cache bounds, per session. The cache must cover every request a
-// client could still replay after a failover: clients replay only requests
-// they have no response for, and their in-flight window is far below
-// maxDedupEntries. Oversized cached responses (large reads) are bounded by
-// bytes, with an entry floor so small-op windows never collapse.
-const (
-	maxDedupEntries = 4096
-	maxDedupBytes   = 8 << 20
-	minDedupEntries = 128
-)
+// dedupSlots sizes a session's replay cache: direct-mapped by the low bits
+// of the request ID, which is a per-session counter, so the cache holds the
+// responses to the replicated requests among the session's latest dedupSlots
+// IDs. It must cover every request a client could still replay after a
+// failover: clients replay only requests they have no response for, and
+// their in-flight window is far below this (a full batch, wire.MaxBatch
+// requests, still fits).
+const dedupSlots = 4096
 
 // inoStripes sizes the per-inode lock table that pipelined data operations
 // serialize on. A collision only over-serializes two files; it never
@@ -77,18 +75,27 @@ func (n *Node) stripe(ino uint64) *sync.Mutex {
 // pipelined primary executes concurrently under per-inode stripes.
 func dataOp(op wire.Op) bool {
 	switch op {
-	case wire.OpRead, wire.OpWrite, wire.OpPwrite, wire.OpSeek,
-		wire.OpFtruncate, wire.OpFallocate:
+	case wire.OpWrite, wire.OpPwrite, wire.OpFtruncate, wire.OpFallocate:
 		return true
 	}
 	return false
 }
 
-// cachedResp is one replay-cache slot: the response as the client saw it,
-// plus the log sequence that must be quorum-covered before it is released.
+// cachedResp is one replay-cache slot: everything the response to a
+// replicated request can carry — a descriptor, a byte count and the offset a
+// write ended at, or an error — plus the log sequence that must be quorum-
+// covered before it is released. Stat, string, data and directory results
+// belong to operations that never replicate, so a slot is 48 bytes and
+// nothing hangs off it but an error's message.
 type cachedResp struct {
-	resp wire.Response
 	seq  uint64
+	off  int64
+	msg  string
+	id   uint32
+	n    uint32
+	fd   fsapi.FD
+	op   wire.Op
+	code wire.ErrCode
 }
 
 // openInfo remembers how a live descriptor was opened, so a migration can
@@ -108,9 +115,9 @@ func sanitizeOpenFlags(flags fsapi.OpenFlag) fsapi.OpenFlag {
 }
 
 // session is one client's server-side state, replicated across the group:
-// credentials, the virtual-descriptor table, and the replay cache. On the
-// node where the client is attached, client is the live fsapi session; on
-// backups it is the shadow built by log replay.
+// credentials, which descriptors exist (positions are the client's), and the
+// replay cache. On the node where the client is attached, client is the live
+// fsapi session; on backups it is the shadow built by log replay.
 type session struct {
 	id   uint64
 	cred fsapi.Cred
@@ -134,13 +141,12 @@ type session struct {
 	opens map[fsapi.FD]openInfo
 	nextV fsapi.FD
 
-	// dedup answers replayed requests without re-executing them. Guarded by
-	// dmu: the pipelined paths mutate the cache from concurrent executors
-	// and parallel apply workers, so it cannot ride the node's log lock.
-	dmu        sync.Mutex
-	dedup      map[uint32]cachedResp
-	dedupFIFO  []uint32
-	dedupBytes int
+	// dedup answers replayed requests without re-executing them; nil until
+	// the session's first replicated request. Guarded by dmu: the pipelined
+	// paths mutate the cache from concurrent executors and parallel apply
+	// workers, so it cannot ride the node's log lock.
+	dmu   sync.Mutex
+	dedup *[dedupSlots]cachedResp
 
 	attached bool      // a live connection owns this session
 	released time.Time // when the owning connection went away
@@ -154,7 +160,6 @@ func newSession(id uint64, cred fsapi.Cred, client fsapi.Client) *session {
 		fdMap:  make(map[fsapi.FD]fsapi.FD),
 		inos:   make(map[fsapi.FD]uint64),
 		opens:  make(map[fsapi.FD]openInfo),
-		dedup:  make(map[uint32]cachedResp),
 	}
 }
 
@@ -236,27 +241,31 @@ func inoOf(c fsapi.Client, lfd fsapi.FD) uint64 {
 	return st.Ino
 }
 
-// cacheResp remembers a request's response for idempotent replay. The byte
-// bound counts what the cache keeps alive — the capacity of the data, not
-// its length; wire.Execute makes the two equal. Caller holds s.dmu.
-func (s *session) cacheResp(id uint32, resp wire.Response, seq uint64) {
-	if old, ok := s.dedup[id]; ok {
-		// An ID reused this fast means the 4G-wide counter wrapped within
-		// the window; keep the newer answer.
-		s.dedupBytes -= cap(old.resp.Data)
+// cacheResp remembers a request's response for idempotent replay, in place
+// of whatever the slot held: an answer dedupSlots requests old, which no
+// client is still waiting for.
+func (s *session) cacheResp(r *wire.Response, seq uint64) {
+	s.dmu.Lock()
+	if s.dedup == nil {
+		s.dedup = new([dedupSlots]cachedResp)
 	}
-	s.dedup[id] = cachedResp{resp: resp, seq: seq}
-	s.dedupFIFO = append(s.dedupFIFO, id)
-	s.dedupBytes += cap(resp.Data)
-	for len(s.dedupFIFO) > maxDedupEntries ||
-		(s.dedupBytes > maxDedupBytes && len(s.dedupFIFO) > minDedupEntries) {
-		victim := s.dedupFIFO[0]
-		s.dedupFIFO = s.dedupFIFO[1:]
-		if old, ok := s.dedup[victim]; ok {
-			s.dedupBytes -= cap(old.resp.Data)
-			delete(s.dedup, victim)
-		}
+	s.dedup[r.ID%dedupSlots] = cachedResp{seq: seq, off: r.Off, msg: r.Msg, id: r.ID, n: r.N, fd: r.FD, op: r.Op, code: r.Code}
+	s.dmu.Unlock()
+}
+
+// replayed returns the cached answer to request id and its log sequence, if
+// the cache still holds it. An empty slot has the invalid op; no response does.
+func (s *session) replayed(id uint32) (wire.Response, uint64, bool) {
+	s.dmu.Lock()
+	defer s.dmu.Unlock()
+	if s.dedup == nil {
+		return wire.Response{}, 0, false
 	}
+	c := &s.dedup[id%dedupSlots]
+	if c.id != id || c.op == wire.OpInvalid {
+		return wire.Response{}, 0, false
+	}
+	return wire.Response{ID: c.id, Op: c.op, Code: c.code, Msg: c.msg, FD: c.fd, N: c.n, Off: c.off}, c.seq, true
 }
 
 // Config parameterizes a Node.
@@ -350,7 +359,7 @@ type Node struct {
 
 	// opGate orders pipelined execution against everything that must see a
 	// quiescent volume. Data operations on open descriptors (pwrite, write,
-	// read, seek, ftruncate, fallocate) execute under the read side plus a
+	// ftruncate, fallocate) execute under the read side plus a
 	// per-inode stripe — concurrent across files, serialized per file —
 	// while namespace/descriptor operations, snapshot cuts, and lockstep
 	// mode take the write side and exclude them all. Lock order is

@@ -78,13 +78,8 @@ func startBackup(t *testing.T, cfg replica.Config, primaryAddr string) *member {
 	}
 	cfg.Advertise = ln.Addr().String()
 	cfg.PrimaryAddr = primaryAddr
-	cfg.Restore = func(img []byte) (fsapi.FileSystem, error) {
-		d, err := pmem.ReadImage(bytes.NewReader(img))
-		if err != nil {
-			return nil, err
-		}
-		fs, _, err := core.Mount(d, core.Options{})
-		return fs, err
+	if cfg.Restore == nil {
+		cfg.Restore = func(img []byte) (fsapi.FileSystem, error) { return mountImage(img) }
 	}
 	n := replica.NewBackup(cfg)
 	srv, err := server.New(server.Config{Replica: n})
@@ -95,6 +90,16 @@ func startBackup(t *testing.T, cfg replica.Config, primaryAddr string) *member {
 	m := &member{n: n, srv: srv, addr: ln.Addr().String()}
 	t.Cleanup(func() { m.srv.Abort(); m.n.Close() })
 	return m
+}
+
+// mountImage is a backup's Restore: the snapshot, mounted.
+func mountImage(img []byte) (*core.FS, error) {
+	d, err := pmem.ReadImage(bytes.NewReader(img))
+	if err != nil {
+		return nil, err
+	}
+	fs, _, err := core.Mount(d, core.Options{})
+	return fs, err
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {

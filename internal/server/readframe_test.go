@@ -21,7 +21,6 @@ import (
 type fileClient struct {
 	nullClient
 	data []byte
-	pos  int // descriptor 3's position, moved by Read
 }
 
 func newFileClient(size int) *fileClient {
@@ -40,12 +39,6 @@ func (c *fileClient) Pread(fd fsapi.FD, p []byte, off uint64) (int, error) {
 		return 0, nil
 	}
 	return copy(p, c.data[off:]), nil
-}
-
-func (c *fileClient) Read(fd fsapi.FD, p []byte) (int, error) {
-	n, err := c.Pread(fd, p, uint64(c.pos))
-	c.pos += n
-	return n, err
 }
 
 // fenceNth is a Sharding whose descriptor fence answers Moved on chosen
@@ -99,6 +92,8 @@ func splitFrames(t *testing.T, stream []byte) [][]byte {
 // TestReadIntoFrameMatchesOracle executes batches twice — through execBatch,
 // and request by request through ExecuteInto + AppendResponse over a client
 // in the same state and the same fence — and requires the same reply bytes.
+// The retired operations are the server's to refuse: the oracle answers them
+// ErrInval where ExecuteInto would still run a read in-process.
 // Frames may only be compared as a stream: a read is held to the frame
 // budget by the most it may return, not by what it did, so a short read can
 // open a new frame where the oracle's framing would not have. Where no
@@ -125,10 +120,9 @@ func TestReadIntoFrameMatchesOracle(t *testing.T) {
 			{Op: wire.OpStat, Path: "/f"},
 			pread(9, 4096, 0), // bad descriptor between good ones
 			pread(3, 1, 4095),
-			read(4096),
-			read(0),
-			read(wire.MaxIO), // the rest of the file, and short
-			read(4096),       // at the end
+			read(4096), // retired: refused between reads that land in the frame
+			{Op: wire.OpSeek, FD: 3, Off: 8},
+			{Op: wire.OpFsync, FD: 3},
 			{Op: wire.OpRead, FD: 9, Size: 16},
 			pread(3, 4096, 4096),
 		}},
@@ -137,7 +131,7 @@ func TestReadIntoFrameMatchesOracle(t *testing.T) {
 			pread(3, 4096, 4096), // fenced
 			{Op: wire.OpStat, Path: "/f"},
 			pread(3, 4096, 8192),
-			read(512), // fenced: the position must not move
+			read(512), // fenced: Moved comes before the refusal
 			read(512),
 		}},
 		{name: "reservation crosses the frame budget", frames: 2, reqs: []wire.Request{
@@ -181,6 +175,8 @@ func TestReadIntoFrameMatchesOracle(t *testing.T) {
 				}
 				if mv != nil {
 					resp = movedResponse(sess, req, mv)
+				} else if req.Op.Retired() {
+					resp = errResponse(req, fsapi.ErrInval)
 				} else {
 					resp, scratch = wire.ExecuteInto(oracle, req, scratch[:0:cap(scratch)])
 				}

@@ -264,7 +264,8 @@ type connState struct {
 
 // fastOps marks the operations a batch may contain and still execute
 // inline on the connection goroutine: reads that never replicate and touch
-// no per-session mutable state (no FD table changes, no offset movement).
+// no per-session mutable state (the descriptor table; positions live in the
+// client). A whole-file read of a session is one of these.
 var fastOps = [wire.NumOps]bool{
 	wire.OpPread: true, wire.OpStat: true, wire.OpLstat: true,
 	wire.OpFstat: true, wire.OpReadlink: true, wire.OpReadDir: true,
@@ -675,12 +676,15 @@ func (s *Server) worker() {
 // frames flush in one vectored write. With a Replica configured,
 // state-changing operations detour through the replication log, and each
 // flush waits for the quorum to cover the highest sequence it carries —
-// acks pipeline across a batch instead of stalling per op. Replicated ops
-// keep allocation semantics (wire.Execute) because the replica's dedup
-// cache retains their responses. Every other read lands in the reply frame:
-// room for the most it may return is reserved at the payload's tail, the
-// file system reads into it, and the reservation is trimmed to what came
-// back — one copy, device to frame.
+// acks pipeline across a batch instead of stalling per op. A close is the one
+// replicated operation whose sequence the flush does not wait for: it is in
+// the log, and the reply goes out once the primary has executed it. All a
+// failover can lose that way is the entry itself — a descriptor left open in
+// the promoted backup's shadow session until the session detaches — and the
+// client never names a descriptor again after closing it. Every read lands
+// in the reply frame: room for the most it may return is reserved at the
+// payload's tail, the file system reads into it, and the reservation is
+// trimmed to what came back — one copy, device to frame.
 func (s *Server) execBatch(sess *session, reqs []wire.Request, rs *replyScratch, enq time.Time, trace uint64, fast bool) {
 	rep := s.cfg.Replica
 	var pendingSeq uint64
@@ -701,7 +705,7 @@ func (s *Server) execBatch(sess *session, reqs []wire.Request, rs *replyScratch,
 	// alive until the flush.
 	reads := 0
 	for i := range reqs {
-		if readsIntoFrame(reqs[i].Op, rep != nil) {
+		if reqs[i].Op == wire.OpPread {
 			reads += wire.ReadResponseMax(&reqs[i])
 		}
 	}
@@ -751,7 +755,9 @@ func (s *Server) execBatch(sess *session, reqs []wire.Request, rs *replyScratch,
 		switch {
 		case mv != nil:
 			resp = movedResponse(sess, req, mv)
-		case readsIntoFrame(req.Op, rep != nil):
+		case req.Op.Retired():
+			resp = errResponse(req, fsapi.ErrInval)
+		case req.Op == wire.OpPread:
 			// The reservation, not the bytes read, is the bound the frame
 			// and the staging budget are held to: what a read returns is
 			// known only once it is in place.
@@ -791,11 +797,12 @@ func (s *Server) execBatch(sess *session, reqs []wire.Request, rs *replyScratch,
 				}
 				return wire.Execute(sess.client, req)
 			})
-			if seq > pendingSeq {
+			if seq > pendingSeq && req.Op != wire.OpClose {
 				pendingSeq = seq
 			}
 		default:
 			resp, _ = wire.ExecuteInto(sess.client, req, nil)
+			wire.FillWriteOff(sess.client, req, &resp)
 		}
 		s.m.requestNs.observe(uint64(time.Since(enq)))
 		s.m.requests.Add(1)
@@ -829,13 +836,6 @@ func (s *Server) execBatch(sess *session, reqs []wire.Request, rs *replyScratch,
 		}
 		s.cfg.Obs.SpanCtx(kind, batchOp(reqs), trace, execStart, uint64(time.Since(execStart)), false)
 	}
-}
-
-// readsIntoFrame reports the operations whose data goes from the file system
-// straight into the reply frame: reads that never enter the replication log,
-// whose replay cache would have to keep the data.
-func readsIntoFrame(op wire.Op, replicated bool) bool {
-	return op == wire.OpPread || (op == wire.OpRead && !replicated)
 }
 
 // errResponse answers req with err's wire code and message.

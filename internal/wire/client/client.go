@@ -436,8 +436,9 @@ func (r *Remote) attachConn(cred fsapi.Cred, clientID uint64) (net.Conn, *wire.F
 }
 
 // Attach opens a session for cred: one connection, one server-side
-// fsapi.Client with its own open-file table — the remote equivalent of a
-// process preloading the library.
+// fsapi.Client holding its descriptors, and the open-file table (flags,
+// positions) here in the process — the remote equivalent of a process
+// preloading the library.
 func (r *Remote) Attach(cred fsapi.Cred) (fsapi.Client, error) {
 	clientID := newClientID()
 	conn, fr, err := r.attachConn(cred, clientID)
@@ -449,6 +450,7 @@ func (r *Remote) Attach(cred fsapi.Cred) (fsapi.Client, error) {
 		cred:     cred,
 		clientID: clientID,
 		pend:     make(map[uint32]*pendingCall),
+		files:    make(map[fsapi.FD]openFile),
 		sendq:    make(chan sendItem, 256),
 		dead:     make(chan struct{}),
 	}

@@ -20,7 +20,17 @@ import (
 // connected Remote; everything is torn down at test cleanup.
 func serve(t testing.TB) *client.Remote {
 	t.Helper()
-	dev := pmem.New(128 << 20)
+	remote, _ := serveSized(t, 128<<20)
+	return remote
+}
+
+// serveSized is serve over a volume of the given size that also hands back
+// the server, for its metrics. A test that needs no room asks for little: an
+// arena is zeroed when it is made, and under -race that is most of this
+// package's time.
+func serveSized(t testing.TB, size uint64) (*client.Remote, *server.Server) {
+	t.Helper()
+	dev := pmem.New(size)
 	fs, err := core.Format(dev, fsapi.Root, core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +52,7 @@ func serve(t testing.TB) *client.Remote {
 		remote.Close()
 		srv.Shutdown()
 	})
-	return remote
+	return remote, srv
 }
 
 // TestRemoteConformance runs the full file-system conformance suite through

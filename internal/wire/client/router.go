@@ -309,8 +309,10 @@ type routedFD struct {
 }
 
 // RoutedSession is one attached process's view of the sharded volume: a lazy
-// per-shard wire session plus a virtual open-file table spanning them. It
-// implements fsapi.Client and is safe for concurrent use.
+// per-shard wire session plus a table naming, for each descriptor it handed
+// out, the shard session that holds the real one. That is all it keeps: how a
+// descriptor was opened and where it stands are in that session's open-file
+// table. It implements fsapi.Client and is safe for concurrent use.
 type RoutedSession struct {
 	rt   *Router
 	cred fsapi.Cred
@@ -619,7 +621,8 @@ func (ss *RoutedSession) Close(fd fsapi.FD) error {
 	return err
 }
 
-// Read reads at the descriptor's current position.
+// Read reads at the descriptor's current position, which the shard session
+// keeps.
 func (ss *RoutedSession) Read(fd fsapi.FD, p []byte) (int, error) {
 	var n int
 	err := ss.doFD(fd, func(s *Session, rfd fsapi.FD) error {
@@ -663,7 +666,7 @@ func (ss *RoutedSession) Pwrite(fd fsapi.FD, p []byte, off uint64) (int, error) 
 	return n, err
 }
 
-// Seek repositions the descriptor.
+// Seek repositions the descriptor in the shard session's table.
 func (ss *RoutedSession) Seek(fd fsapi.FD, off int64, whence int) (int64, error) {
 	var pos int64
 	err := ss.doFD(fd, func(s *Session, rfd fsapi.FD) error {
@@ -674,7 +677,7 @@ func (ss *RoutedSession) Seek(fd fsapi.FD, off int64, whence int) (int64, error)
 	return pos, err
 }
 
-// Fsync persists the file's outstanding updates.
+// Fsync checks the descriptor; see Session.Fsync.
 func (ss *RoutedSession) Fsync(fd fsapi.FD) error {
 	return ss.doFD(fd, func(s *Session, rfd fsapi.FD) error { return s.Fsync(rfd) })
 }
@@ -1031,7 +1034,7 @@ func (sc *scatter) part(ss *RoutedSession, shard uint32) *part {
 // benchmark reruns; the fsapi methods are the transparent path).
 //
 // The responses are the caller's for good. As with Session.Submit, the Data
-// of the read and pread responses one shard answered may be views of one
+// of the pread responses one shard answered may be views of one
 // shared backing array — the reply frame they arrived in — so keeping a
 // single Data alive keeps up to a whole frame (at most wire.MaxFrame)
 // reachable; copy it out to hold on to less.
@@ -1072,9 +1075,18 @@ func (ss *RoutedSession) Submit(reqs []wire.Request) ([]wire.Response, error) {
 		err = joinShardErr(err, p.shard, perr)
 	}
 	for _, p := range sc.parts[:sc.n] {
-		if p.sent {
-			err = joinShardErr(err, p.shard, p.sub.wait())
+		if !p.sent {
+			continue
 		}
+		perr := p.sub.wait()
+		if perr == nil {
+			// The shard session's open-file table follows the part's creates,
+			// opens and closes, by their shard-local descriptors.
+			for j, i := range p.idx {
+				p.sub.s.track(&p.reqs[j], &out[i])
+			}
+		}
+		err = joinShardErr(err, p.shard, perr)
 	}
 	if err == nil {
 		for _, p := range sc.parts[:sc.n] {

@@ -405,7 +405,10 @@ func startMigrCluster(t testing.TB) *migrCluster {
 	go srvB.Serve(lnB)
 	t.Cleanup(srvB.Shutdown)
 
-	for deadline := time.Now().Add(30 * time.Second); ; {
+	// Generous, like the replica package's waitFor: the join moves a 64 MiB
+	// snapshot, and on a host whose page faults are slow this hour that alone
+	// has taken more than half a minute under -race.
+	for deadline := time.Now().Add(90 * time.Second); ; {
 		if nodeA.Backups() >= 1 && nodeB.Epoch() == nodeA.Epoch() {
 			break
 		}

@@ -154,6 +154,13 @@ type Session struct {
 	pend    map[uint32]*pendingCall
 	t       *transport
 
+	// files is the process's open-file table: which descriptors the session
+	// holds, how each was opened, and where it stands in its file. The server
+	// and the replication log know only that a descriptor exists, so a
+	// position survives failover and migration by never having left here.
+	fmu   sync.Mutex
+	files map[fsapi.FD]openFile
+
 	// frameReads counts the read calls in flight that brought no destination
 	// buffer (a Submit's; Read and Pread bring theirs). While it is non-zero
 	// the reader takes large reply frames out of the pool and hands them to
@@ -176,6 +183,60 @@ type Session struct {
 	failOnce sync.Once
 	dead     chan struct{}
 	deadErr  error
+}
+
+// openFile is one entry of a session's open-file table.
+type openFile struct {
+	flags fsapi.OpenFlag
+	pos   uint64
+}
+
+// file returns fd's entry of the open-file table.
+func (s *Session) file(fd fsapi.FD) (openFile, error) {
+	s.fmu.Lock()
+	of, ok := s.files[fd]
+	s.fmu.Unlock()
+	if !ok {
+		return openFile{}, fsapi.ErrBadFD
+	}
+	return of, nil
+}
+
+// setPos moves fd's position, unless fd was closed meanwhile.
+func (s *Session) setPos(fd fsapi.FD, pos uint64) {
+	s.fmu.Lock()
+	if of, ok := s.files[fd]; ok {
+		of.pos = pos
+		s.files[fd] = of
+	}
+	s.fmu.Unlock()
+}
+
+// track keeps the open-file table in step with one answered request, whether
+// an fsapi method or a Submit made it: a create or open adds the descriptor
+// at position zero, a close removes it — also one the server no longer knew.
+func (s *Session) track(req *wire.Request, resp *wire.Response) {
+	var flags fsapi.OpenFlag
+	switch req.Op {
+	case wire.OpCreate:
+		flags = fsapi.OCreate | fsapi.OWronly | fsapi.OTrunc
+	case wire.OpOpen:
+		flags = fsapi.OpenFlag(req.Flags)
+	case wire.OpClose:
+		if resp.Code == wire.CodeOK || resp.Code == wire.CodeBadFD {
+			s.fmu.Lock()
+			delete(s.files, req.FD)
+			s.fmu.Unlock()
+		}
+		return
+	default:
+		return
+	}
+	if resp.Code == wire.CodeOK {
+		s.fmu.Lock()
+		s.files[resp.FD] = openFile{flags: flags}
+		s.fmu.Unlock()
+	}
 }
 
 // resetTransport installs conn/fr as the session's live transport and
@@ -555,8 +616,14 @@ func (s *Session) readLoop(t *transport) {
 // and rely on writer coalescing instead. Submit does not retry overloads —
 // callers driving explicit batches see CodeOverload responses directly.
 //
-// The responses are the caller's for good. The Data of one call's read and
-// pread responses may be views of one shared backing array — the reply frame
+// Descriptors a batch creates, opens or closes enter and leave the session's
+// open-file table as the fsapi methods' do. Positions are that table's: a
+// batch addresses file data with OpPread and OpPwrite (OpWrite on a
+// descriptor opened O_APPEND), and a server answers the retired OpRead,
+// OpSeek and OpFsync with ErrInval.
+//
+// The responses are the caller's for good. The Data of one call's pread
+// responses may be views of one shared backing array — the reply frame
 // they arrived in — so keeping a single Data alive keeps up to a whole frame
 // (at most wire.MaxFrame) reachable; copy it out to hold on to less.
 func (s *Session) Submit(reqs []wire.Request) ([]wire.Response, error) {
@@ -572,6 +639,9 @@ func (s *Session) Submit(reqs []wire.Request) ([]wire.Response, error) {
 	putSub(sub)
 	if err != nil {
 		return nil, err
+	}
+	for i := range reqs {
+		s.track(&reqs[i], &out[i])
 	}
 	return out, nil
 }
@@ -598,7 +668,7 @@ func (s *Session) start(sub *submission, reqs []wire.Request, out []wire.Respons
 			return fsapi.ErrNameTooLong
 		}
 		est += 48 + len(reqs[i].Path) + len(reqs[i].Path2) + len(reqs[i].Data)
-		if op := reqs[i].Op; dst == nil && (op == wire.OpPread || op == wire.OpRead) {
+		if dst == nil && reqs[i].Op == wire.OpPread {
 			reads++
 		}
 	}
@@ -770,6 +840,7 @@ func (s *Session) callDst(req wire.Request, dst []byte) (wire.Response, error) {
 		}
 		resp := sub.one.resp[0]
 		if resp.Code != wire.CodeOverload || attempt >= o.OverloadRetries || total >= o.OverloadBudget {
+			s.track(&req, &resp)
 			return resp, nil
 		}
 		if backoff == 0 {
@@ -815,8 +886,13 @@ func (s *Session) Open(path string, flags fsapi.OpenFlag, perm uint32) (fsapi.FD
 	return resp.FD, nil
 }
 
-// Close releases the descriptor.
+// Close releases the descriptor. The reply does not wait for the quorum (see
+// server.execBatch): nothing the session can observe depends on the close
+// having been replicated.
 func (s *Session) Close(fd fsapi.FD) error {
+	if _, err := s.file(fd); err != nil {
+		return err
+	}
 	resp, err := s.call(wire.Request{Op: wire.OpClose, FD: fd})
 	if err != nil {
 		return err
@@ -824,38 +900,23 @@ func (s *Session) Close(fd fsapi.FD) error {
 	return resp.Err()
 }
 
-// Read reads from the descriptor's current position, chunking requests
-// larger than wire.MaxIO into sequential wire reads. Each chunk's
-// destination slice rides the request down to the reply decoder, so the
-// data is copied exactly once: frame buffer → p.
+// Read reads at the descriptor's position and advances it: a pread at the
+// open-file table's offset, which the server answers without the replication
+// log.
 func (s *Session) Read(fd fsapi.FD, p []byte) (int, error) {
-	total := 0
-	for {
-		ask := len(p) - total
-		if ask > wire.MaxIO {
-			ask = wire.MaxIO
-		}
-		dst := p[total : total+ask : total+ask]
-		resp, err := s.callDst(wire.Request{Op: wire.OpRead, FD: fd, Size: uint32(ask)}, dst)
-		if err == nil {
-			err = resp.Err()
-		}
-		if err != nil {
-			if total > 0 {
-				return total, nil
-			}
-			return 0, err
-		}
-		n := readInto(dst, resp.Data, p[total:])
-		total += n
-		if n < ask || total == len(p) {
-			return total, nil
-		}
+	of, err := s.file(fd)
+	if err != nil {
+		return 0, err
 	}
+	n, err := s.Pread(fd, p, of.pos)
+	s.setPos(fd, of.pos+uint64(n))
+	return n, err
 }
 
-// Pread reads at an explicit offset without moving the position, with the
-// same single-copy destination plumbing as Read.
+// Pread reads at an explicit offset without moving the position, chunking
+// requests larger than wire.MaxIO into sequential wire reads. Each chunk's
+// destination slice rides the request down to the reply decoder, so the
+// data is copied exactly once: frame buffer → p.
 func (s *Session) Pread(fd fsapi.FD, p []byte, off uint64) (int, error) {
 	total := 0
 	for {
@@ -895,9 +956,21 @@ func readInto(dst, data, rest []byte) int {
 	return copy(rest, data)
 }
 
-// Write writes at the descriptor's current position, chunking payloads
-// larger than wire.MaxIO.
+// Write writes at the descriptor's position and advances it: a pwrite at the
+// open-file table's offset. On a descriptor opened O_APPEND the position is
+// the end of the file, which only the server can name under the file's lock:
+// those writes go as OpWrite, chunked like Pwrite's, and each reply says
+// where it left the descriptor.
 func (s *Session) Write(fd fsapi.FD, p []byte) (int, error) {
+	of, err := s.file(fd)
+	if err != nil {
+		return 0, err
+	}
+	if of.flags&fsapi.OAppend == 0 {
+		n, err := s.Pwrite(fd, p, of.pos)
+		s.setPos(fd, of.pos+uint64(n))
+		return n, err
+	}
 	total := 0
 	for {
 		chunk := p[total:]
@@ -914,6 +987,7 @@ func (s *Session) Write(fd fsapi.FD, p []byte) (int, error) {
 			}
 			return 0, err
 		}
+		s.setPos(fd, uint64(resp.Off))
 		total += int(resp.N)
 		if int(resp.N) < len(chunk) || total == len(p) {
 			return total, nil
@@ -946,25 +1020,40 @@ func (s *Session) Pwrite(fd fsapi.FD, p []byte, off uint64) (int, error) {
 	}
 }
 
-// Seek repositions the descriptor.
+// Seek repositions the descriptor: arithmetic on the open-file table, with
+// the file's size fetched from the server for SeekEnd and no frame otherwise.
 func (s *Session) Seek(fd fsapi.FD, off int64, whence int) (int64, error) {
-	resp, err := s.call(wire.Request{Op: wire.OpSeek, FD: fd, Off: uint64(off), Flags: uint32(whence)})
+	of, err := s.file(fd)
 	if err != nil {
 		return 0, err
 	}
-	if err := resp.Err(); err != nil {
-		return 0, err
+	var base int64
+	switch whence {
+	case fsapi.SeekSet:
+	case fsapi.SeekCur:
+		base = int64(of.pos)
+	case fsapi.SeekEnd:
+		st, err := s.Fstat(fd)
+		if err != nil {
+			return 0, err
+		}
+		base = int64(st.Size)
+	default:
+		return 0, fsapi.ErrInval
 	}
-	return resp.Off, nil
+	if base+off < 0 {
+		return 0, fsapi.ErrInval
+	}
+	s.setPos(fd, uint64(base+off))
+	return base + off, nil
 }
 
-// Fsync persists outstanding updates of the file.
+// Fsync has nothing to wait for: a write is persistent (NT stores and a
+// fence) and covered by the quorum before it is acknowledged. It only checks
+// the descriptor.
 func (s *Session) Fsync(fd fsapi.FD) error {
-	resp, err := s.call(wire.Request{Op: wire.OpFsync, FD: fd})
-	if err != nil {
-		return err
-	}
-	return resp.Err()
+	_, err := s.file(fd)
+	return err
 }
 
 // Ftruncate sets the file size.
@@ -1124,6 +1213,9 @@ func (s *Session) Detach() error {
 	s.closing.Store(true)
 	resp, callErr := s.call(wire.Request{Op: wire.OpDetach})
 	s.fail(ErrClosed)
+	s.fmu.Lock()
+	clear(s.files)
+	s.fmu.Unlock()
 	if callErr != nil {
 		return callErr
 	}

@@ -10,23 +10,37 @@ import (
 // response. It is the single interpretation of the wire vocabulary in
 // terms of fsapi, shared by the network server's batch workers and the
 // replication layer's shadow replay (both must agree exactly, or replicas
-// diverge). Unknown sizes were already bounded by the decoder. Read data is
-// freshly allocated and exactly as large as what was read (cap == len,
-// whatever size the request asked for), so the response is safe and cheap
-// to retain (the replication replay cache depends on both).
+// diverge). Unknown sizes were already bounded by the decoder.
 func Execute(c fsapi.Client, req *Request) Response {
 	resp, _ := ExecuteInto(c, req, nil)
+	FillWriteOff(c, req, &resp)
 	return resp
 }
 
-// ExecuteInto is Execute with a caller-owned read scratch buffer: read and
-// pread responses land in scratch (grown as needed) and resp.Data aliases
-// it. It returns the (possibly grown) scratch for reuse. The caller must
-// not retain resp.Data past the scratch's next use. Followed by
-// AppendResponse it is the definition of a read's reply bytes, which the
-// server produces without the scratch (AppendRead). Passing nil scratch is
-// exactly Execute: the read goes through a pooled buffer and the bytes read
-// are copied out.
+// FillWriteOff completes the response to a write with where the write left
+// the descriptor: an O_APPEND write lands at an end of file only the server
+// can name, and the client's open-file table follows it from here. It is the
+// part of Execute that ExecuteInto leaves out, for a server path that calls
+// ExecuteInto itself to spare the hot path Execute's copy of the response.
+func FillWriteOff(c fsapi.Client, req *Request, resp *Response) {
+	if req.Op == OpWrite && resp.Code == CodeOK {
+		resp.Off, _ = c.Seek(req.FD, 0, fsapi.SeekCur) // the descriptor just took a write
+	}
+}
+
+// ExecuteInto is Execute with a caller-owned read scratch buffer, for
+// callers that run the codec in-process: read and pread responses land in
+// scratch (grown as needed) and resp.Data aliases it. It returns the
+// (possibly grown) scratch for reuse. The caller must not retain resp.Data
+// past the scratch's next use. Followed by AppendResponse it is the
+// definition of a read's reply bytes, which the server produces without the
+// scratch (AppendRead).
+//
+// It calls the request's own fsapi method and no other, so a client that
+// implements only what a workload uses can stand behind it (the ladder's
+// no-op sink): a write's Off stays zero here (FillWriteOff sets it), and of
+// the retired operations OpRead and OpFsync still run — a server never lets
+// them get this far — while OpSeek is gone.
 func ExecuteInto(c fsapi.Client, req *Request, scratch []byte) (Response, []byte) {
 	resp := Response{ID: req.ID, Op: req.Op}
 	var err error
@@ -38,17 +52,15 @@ func ExecuteInto(c fsapi.Client, req *Request, scratch []byte) (Response, []byte
 	case OpClose:
 		err = c.Close(req.FD)
 	case OpRead:
-		var d readDst
-		d, scratch = readBuf(req.Size, scratch)
+		scratch = readBuf(req.Size, scratch)
 		var n int
-		n, err = c.Read(req.FD, d.p)
-		resp.Data = d.data(n)
+		n, err = c.Read(req.FD, scratch)
+		resp.Data = scratch[:n]
 	case OpPread:
-		var d readDst
-		d, scratch = readBuf(req.Size, scratch)
+		scratch = readBuf(req.Size, scratch)
 		var n int
-		n, err = c.Pread(req.FD, d.p, req.Off)
-		resp.Data = d.data(n)
+		n, err = c.Pread(req.FD, scratch, req.Off)
+		resp.Data = scratch[:n]
 	case OpWrite:
 		var n int
 		n, err = c.Write(req.FD, req.Data)
@@ -57,8 +69,6 @@ func ExecuteInto(c fsapi.Client, req *Request, scratch []byte) (Response, []byte
 		var n int
 		n, err = c.Pwrite(req.FD, req.Data, req.Off)
 		resp.N = uint32(n)
-	case OpSeek:
-		resp.Off, err = c.Seek(req.FD, int64(req.Off), int(req.Flags))
 	case OpFsync:
 		err = c.Fsync(req.FD)
 	case OpFtruncate:
@@ -105,54 +115,25 @@ func ExecuteInto(c fsapi.Client, req *Request, scratch []byte) (Response, []byte
 	return resp, scratch
 }
 
-// readDst is where one read lands: p, carved out of the caller's scratch or
-// (pooled != nil) borrowed from the buffer pool.
-type readDst struct {
-	p      []byte
-	pooled *Buf
+// readBuf returns scratch with room for a size-byte read, grown if needed.
+func readBuf(size uint32, scratch []byte) []byte {
+	if cap(scratch) < int(size) {
+		scratch = make([]byte, size)
+	}
+	return scratch[:size]
 }
 
-// readBuf returns a size-byte read destination, carved out of scratch
-// (grown if needed) when the caller lends one. Nil scratch stays nil and the
-// destination is pooled: size is the client's wish, up to MaxIO, and a read
-// at end of file fills none of it — allocating (and zeroing) that much per
-// read to keep the few bytes read would let a client pin a megabyte of
-// server memory per cached response.
-func readBuf(size uint32, scratch []byte) (readDst, []byte) {
-	n := int(size)
-	if scratch == nil {
-		b := GetBuf(n)
-		return readDst{p: b.B, pooled: b}, nil
-	}
-	if cap(scratch) < n {
-		scratch = make([]byte, n)
-	}
-	return readDst{p: scratch[:n]}, scratch
-}
-
-// data returns the n bytes a read left in d. Out of a pooled destination
-// they are copied into a slice of their own — cap == len, nothing beyond
-// them retained or zeroed — and the destination goes back to the pool.
-func (d readDst) data(n int) []byte {
-	if d.pooled == nil {
-		return d.p[:n]
-	}
-	out := append([]byte(nil), d.p[:n]...)
-	PutBuf(d.pooled)
-	return out[:n:n]
-}
-
-// readRespHeader is what precedes the data of a successful read or pread
-// response: ID, op, code, data length.
+// readRespHeader is what precedes the data of a successful pread response:
+// ID, op, code, data length.
 const readRespHeader = 4 + 1 + 1 + 4
 
-// ReadResponseMax returns the most bytes the response to the read or pread
-// req occupies when it succeeds — the room AppendRead needs.
+// ReadResponseMax returns the most bytes the response to the pread req
+// occupies when it succeeds — the room AppendRead needs.
 func ReadResponseMax(req *Request) int { return readRespHeader + int(req.Size) }
 
-// AppendRead executes the read or pread req and appends its response to dst
-// with the file system reading straight into dst's spare capacity: the bytes
-// are exactly those of ExecuteInto followed by AppendResponse, without the
+// AppendRead executes the pread req and appends its response to dst with the
+// file system reading straight into dst's spare capacity: the bytes are
+// exactly those of ExecuteInto followed by AppendResponse, without the
 // scratch buffer and the copy between the two. dst must have
 // ReadResponseMax(req) bytes to spare — making that room is the caller's
 // business, so that it decides whether to grow or to flush. When the read
@@ -160,13 +141,7 @@ func ReadResponseMax(req *Request) int { return readRespHeader + int(req.Size) }
 // caller to encode as any other error response.
 func AppendRead(dst []byte, c fsapi.Client, req *Request) ([]byte, error) {
 	resp := dst[len(dst) : len(dst)+ReadResponseMax(req)]
-	var n int
-	var err error
-	if req.Op == OpRead {
-		n, err = c.Read(req.FD, resp[readRespHeader:])
-	} else {
-		n, err = c.Pread(req.FD, resp[readRespHeader:], req.Off)
-	}
+	n, err := c.Pread(req.FD, resp[readRespHeader:], req.Off)
 	if err != nil {
 		return dst, err
 	}

@@ -103,6 +103,15 @@ func FuzzResponseDecodeModes(f *testing.F) {
 	f.Add(all)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	// A write's reply carries the offset it left the descriptor at, eight
+	// bytes more than a pwrite's: seed it at both extremes of the offset and
+	// in the shorter form an older server would have sent.
+	for _, off := range []int64{0, -1, 1<<62 + 4096} {
+		w := AppendResponse(nil, &Response{ID: 6, Op: OpWrite, N: 4096, Off: off})
+		f.Add(w)
+		f.Add(w[:len(w)-8])
+		f.Add(append(w, all...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inside := func(p []byte) bool {

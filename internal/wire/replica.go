@@ -23,16 +23,15 @@ import (
 )
 
 // Replicated reports whether an operation must travel the replication log.
-// Everything that mutates the volume or a session's state (open-file table,
-// file offsets) replicates; pure reads (Pread, Stat, Lstat, Fstat,
-// Readlink, ReadDir) and Fsync (its durability effect is subsumed by the
-// per-op quorum ack) execute on the primary alone. OpRead replicates even
-// though it returns data, because it moves the descriptor's offset.
+// Everything that mutates the volume or the existence of a descriptor
+// replicates; pure reads (Pread, Stat, Lstat, Fstat, Readlink, ReadDir)
+// execute on the primary alone. File positions are not server state — the
+// client process owns them — so nothing travels the log on their account.
 func (o Op) Replicated() bool {
 	switch o {
-	case OpCreate, OpOpen, OpClose, OpRead, OpWrite, OpPwrite, OpSeek,
-		OpFtruncate, OpFallocate, OpMkdir, OpRmdir, OpUnlink, OpRename,
-		OpSymlink, OpLink, OpChmod, OpUtimes, OpDetach:
+	case OpCreate, OpOpen, OpClose, OpWrite, OpPwrite, OpFtruncate,
+		OpFallocate, OpMkdir, OpRmdir, OpUnlink, OpRename, OpSymlink,
+		OpLink, OpChmod, OpUtimes, OpDetach:
 		return true
 	}
 	return false

@@ -13,19 +13,27 @@ import (
 func TestReplicatedClassification(t *testing.T) {
 	replicated := map[Op]bool{
 		OpCreate: true, OpOpen: true, OpClose: true,
-		OpRead:  true, // moves the descriptor offset
-		OpWrite: true, OpPwrite: true, OpSeek: true,
+		OpWrite: true, OpPwrite: true,
 		OpFtruncate: true, OpFallocate: true,
 		OpMkdir: true, OpRmdir: true, OpUnlink: true, OpRename: true,
 		OpSymlink: true, OpLink: true, OpChmod: true, OpUtimes: true,
 		OpDetach: true,
 		// Read-only: answered locally, never shipped.
 		OpPread: false, OpFstat: false, OpStat: false, OpLstat: false,
-		OpReadlink: false, OpReadDir: false, OpFsync: false,
+		OpReadlink: false, OpReadDir: false,
+		// Retired: positions and fsync are the client's; a server refuses them.
+		OpRead: false, OpSeek: false, OpFsync: false,
 	}
-	for op, want := range replicated {
+	for op := OpInvalid + 1; op < NumOps; op++ {
+		want, listed := replicated[op]
+		if !listed {
+			t.Errorf("%v is not classified", op)
+		}
 		if got := op.Replicated(); got != want {
 			t.Errorf("%v.Replicated() = %v, want %v", op, got, want)
+		}
+		if op.Retired() && op.Replicated() {
+			t.Errorf("%v is retired and replicated", op)
 		}
 	}
 }

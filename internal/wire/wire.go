@@ -134,7 +134,9 @@ func SplitTraceCtx(payload []byte) (uint64, []byte, error) {
 }
 
 // Op identifies one fsapi.Client operation on the wire. Zero is invalid so
-// that an all-zero buffer never decodes as a request.
+// that an all-zero buffer never decodes as a request. OpRead, OpSeek and
+// OpFsync are retired (see Retired): their numbers stay reserved so the
+// enum keeps its one-to-one alignment with obs.Op.
 type Op uint8
 
 const (
@@ -186,6 +188,14 @@ func (o Op) String() string {
 	}
 	return "unknown"
 }
+
+// Retired reports the operations that stopped crossing the wire when the
+// open-file table moved into the client process: a position is the client's
+// own bookkeeping (a read is a pread at it, a seek is arithmetic on it) and
+// fsync has nothing to wait for, every write being persistent and quorum
+// covered before it is acknowledged. The requests still decode; a server
+// answers them ErrInval.
+func (o Op) Retired() bool { return o == OpRead || o == OpSeek || o == OpFsync }
 
 // Codec-level errors (distinct from the file-system errors carried inside
 // responses).
@@ -584,10 +594,13 @@ func AppendResponse(dst []byte, r *Response) []byte {
 		dst = appendU32(dst, uint32(r.FD))
 	case OpRead, OpPread:
 		dst = appendBytes(dst, r.Data)
-	case OpWrite, OpPwrite:
+	case OpWrite:
+		// Where the write left the descriptor: an O_APPEND write lands at an
+		// end of file only the server knows, and the client's table follows.
 		dst = appendU32(dst, r.N)
-	case OpSeek:
 		dst = appendU64(dst, uint64(r.Off))
+	case OpPwrite:
+		dst = appendU32(dst, r.N)
 	case OpFstat, OpStat, OpLstat:
 		dst = appendStat(dst, &r.Stat)
 	case OpReadlink:
@@ -616,10 +629,10 @@ func ResponseSize(r *Response) int {
 		n += 4
 	case OpRead, OpPread:
 		n += 4 + len(r.Data)
-	case OpWrite, OpPwrite:
+	case OpWrite:
+		n += 4 + 8
+	case OpPwrite:
 		n += 4
-	case OpSeek:
-		n += 8
 	case OpFstat, OpStat, OpLstat:
 		n += 8 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + 8
 	case OpReadlink:
@@ -680,10 +693,11 @@ func decodeResponse(rd *reader, dataDst []byte, aliasData bool) (Response, error
 		r.FD = fsapi.FD(rd.u32())
 	case OpRead, OpPread:
 		r.Data = rd.payload(MaxIO, dataDst, aliasData)
-	case OpWrite, OpPwrite:
+	case OpWrite:
 		r.N = rd.u32()
-	case OpSeek:
 		r.Off = int64(rd.u64())
+	case OpPwrite:
+		r.N = rd.u32()
 	case OpFstat, OpStat, OpLstat:
 		r.Stat = rd.stat()
 	case OpReadlink:

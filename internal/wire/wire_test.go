@@ -54,9 +54,9 @@ func sampleResponses() []Response {
 		{ID: 3, Op: OpClose},
 		{ID: 4, Op: OpRead, Data: []byte("read me")},
 		{ID: 5, Op: OpPread, Data: nil},
-		{ID: 6, Op: OpWrite, N: 7},
+		{ID: 6, Op: OpWrite, N: 7, Off: 1<<40 + 7}, // where an append left the descriptor
 		{ID: 7, Op: OpPwrite, N: 1000},
-		{ID: 8, Op: OpSeek, Off: -1},
+		{ID: 8, Op: OpSeek, Code: CodeInval}, // retired: all a server answers it
 		{ID: 12, Op: OpFstat, Stat: st},
 		{ID: 13, Op: OpStat, Stat: st},
 		{ID: 14, Op: OpLstat, Stat: st},

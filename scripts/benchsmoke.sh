@@ -18,6 +18,11 @@
 # slice and the one reply frame the responses keep; BenchmarkSessionPread4K is
 # a single Pread into the caller's buffer, which must stay at 0.
 #
+# BenchmarkShipEntry and BenchmarkReplayCache are the replication layer's
+# per-operation bookkeeping on the primary — encoding an entry into a link's
+# buffer; a replay-cache lookup that misses, then the insert — and must stay
+# at 0.
+#
 # The BenchmarkServer* pattern also covers the traced-but-unsampled path
 # (BenchmarkServerPwriteTracedUnsampled): a node running with -trace must
 # stay at 0 allocs/op for the ~1023/1024 of requests that carry no trace
@@ -28,7 +33,7 @@ cd "$(dirname "$0")/.."
 allow="scripts/alloc_allowlist.txt"
 
 out=$(go test -run '^$' \
-	-bench 'BenchmarkResolve|BenchmarkRoute|BenchmarkMovedPath|BenchmarkBatchCodec|BenchmarkResponseCodec|BenchmarkEntryCodec|BenchmarkServer|BenchmarkShip|BenchmarkSubmitRead4K|BenchmarkSessionPread4K' \
+	-bench 'BenchmarkResolve|BenchmarkRoute|BenchmarkMovedPath|BenchmarkBatchCodec|BenchmarkResponseCodec|BenchmarkEntryCodec|BenchmarkServer|BenchmarkShip|BenchmarkReplayCache|BenchmarkSubmitRead4K|BenchmarkSessionPread4K' \
 	-benchmem -benchtime 2000x -count=1 \
 	./internal/core/ ./internal/shard/ ./internal/wire/ ./internal/wire/client/ ./internal/server/ ./internal/replica/)
 echo "$out"
