@@ -27,6 +27,7 @@
 package pmem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -573,26 +574,92 @@ func (d *Device) crash(rng *rand.Rand) {
 	clear(d.staged)
 }
 
-// WriteTo serializes the device's current contents (header + raw arena),
-// so a volume can be saved to a host file and reopened later.
-func (d *Device) WriteTo(w io.Writer) (int64, error) {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], imageMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], d.size)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
+// A device image is a 16-byte header — magic, arena size — followed by runs
+// of the arena's written pages. Each run is its offset and length (u64
+// each, little-endian) and that many arena bytes; runs ascend and do not
+// overlap, and a zero-length run ends the image. A page holding only zero
+// bytes belongs to no run: New's arena is zero already, so a page that was
+// never written is neither shipped nor, on the reading side, touched.
+const (
+	imageMagic      = 0x53494d5552474852 // "SIMURGHR": run image
+	denseImageMagic = 0x53494d5552474844 // "SIMURGHD": header + raw arena, written by earlier builds
+	imagePage       = 4096
+	imageHdrSize    = 16
+)
+
+var zeroPage [imagePage]byte
+
+// imageRun is one run of written pages, [off, off+n).
+type imageRun struct{ off, n uint64 }
+
+// writtenRuns returns the arena's maximal runs of pages that hold a
+// non-zero byte. The last page may be partial (New rounds only to a cache
+// line).
+func (d *Device) writtenRuns() []imageRun {
+	var runs []imageRun
+	for off := uint64(0); off < d.size; off += imagePage {
+		end := min(off+imagePage, d.size)
+		if bytes.Equal(d.buf[off:end], zeroPage[:end-off]) {
+			continue
+		}
+		if k := len(runs) - 1; k >= 0 && runs[k].off+runs[k].n == off {
+			runs[k].n += end - off
+		} else {
+			runs = append(runs, imageRun{off, end - off})
+		}
 	}
-	n, err := w.Write(d.buf)
-	return int64(n) + 16, err
+	return runs
 }
 
-// ReadImage deserializes a device previously written with WriteTo.
+// WriteTo serializes the device's current contents as a run image (see
+// imageMagic), so a volume can be saved to a host file or shipped to a
+// joining backup and reopened later with ReadImage. A writer with a Grow
+// method (a bytes.Buffer) is grown once to the image's exact size.
+func (d *Device) WriteTo(w io.Writer) (int64, error) {
+	runs := d.writtenRuns()
+	total := imageHdrSize * (len(runs) + 2)
+	for _, r := range runs {
+		total += int(r.n)
+	}
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(total)
+	}
+	var written int64
+	put := func(a, b uint64, body []byte) error {
+		var hdr [imageHdrSize]byte
+		binary.LittleEndian.PutUint64(hdr[0:], a)
+		binary.LittleEndian.PutUint64(hdr[8:], b)
+		n, err := w.Write(hdr[:])
+		written += int64(n)
+		if err != nil || len(body) == 0 {
+			return err
+		}
+		n, err = w.Write(body)
+		written += int64(n)
+		return err
+	}
+	if err := put(imageMagic, d.size, nil); err != nil {
+		return written, err
+	}
+	for _, r := range runs {
+		if err := put(r.off, r.n, d.buf[r.off:r.off+r.n]); err != nil {
+			return written, err
+		}
+	}
+	return written, put(0, 0, nil)
+}
+
+// ReadImage deserializes a device previously written with WriteTo. Only
+// the image's runs are copied into the fresh arena. Images in the dense
+// format of earlier builds (header + raw arena) still load. Runs that
+// overlap, descend, or reach past the arena are refused.
 func ReadImage(r io.Reader) (*Device, error) {
-	var hdr [16]byte
+	var hdr [imageHdrSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	if binary.LittleEndian.Uint64(hdr[0:]) != imageMagic {
+	magic := binary.LittleEndian.Uint64(hdr[0:])
+	if magic != imageMagic && magic != denseImageMagic {
 		return nil, fmt.Errorf("pmem: not a device image")
 	}
 	size := binary.LittleEndian.Uint64(hdr[8:])
@@ -600,13 +667,54 @@ func ReadImage(r io.Reader) (*Device, error) {
 		return nil, fmt.Errorf("pmem: implausible image size %d", size)
 	}
 	d := New(size)
-	if _, err := io.ReadFull(r, d.buf); err != nil {
-		return nil, err
+	if magic == denseImageMagic {
+		if _, err := io.ReadFull(r, d.buf); err != nil {
+			return nil, err
+		}
+		return d, nil
 	}
-	return d, nil
+	var end uint64 // end of the previous run
+	for {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return nil, noEOF(err)
+		}
+		off := binary.LittleEndian.Uint64(hdr[0:])
+		n := binary.LittleEndian.Uint64(hdr[8:])
+		switch {
+		case n == 0:
+			return d, nil
+		case off < end:
+			return nil, fmt.Errorf("pmem: image run at %#x overlaps or precedes the run ending at %#x", off, end)
+		case off > d.size || n > d.size-off:
+			return nil, fmt.Errorf("pmem: image run [%#x,+%#x) past device size %#x", off, n, d.size)
+		}
+		if _, err := io.ReadFull(r, d.buf[off:off+n]); err != nil {
+			return nil, noEOF(err)
+		}
+		end = off + n
+	}
 }
 
-const imageMagic = 0x53494d5552474844 // "SIMURGHD"
+// noEOF reports a clean end of input inside a run image as the truncation
+// it is: only the zero-length run ends an image.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// ImageSize returns the arena size recorded in a device image's header, or
+// 0 if img does not start with one.
+func ImageSize(img []byte) uint64 {
+	if len(img) < imageHdrSize {
+		return 0
+	}
+	if m := binary.LittleEndian.Uint64(img); m != imageMagic && m != denseImageMagic {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(img[8:])
+}
 
 // DirtyLines returns the number of cache lines that are not yet durable
 // (pending + staged). Useful in tests asserting that an operation persisted

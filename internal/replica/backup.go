@@ -8,8 +8,13 @@ import (
 
 	"simurgh/internal/fsapi"
 	"simurgh/internal/obs"
+	"simurgh/internal/pmem"
 	"simurgh/internal/wire"
 )
+
+// maxSnapPrealloc bounds the snapshot buffer a backup sizes from JoinOK's
+// SnapSize before the first chunk arrives.
+const maxSnapPrealloc = 256 << 20
 
 // runBackup is the backup's life: join the primary, restore its snapshot,
 // apply its log, and watch its heartbeats. When the link dies it retries;
@@ -95,7 +100,10 @@ func (n *Node) followPrimary(lastContact *time.Time) error {
 	if err != nil {
 		return err
 	}
-	img := make([]byte, 0, jo.SnapSize)
+	// SnapSize comes off the wire: it sizes the buffer only up to a bound,
+	// past which append grows it as chunks arrive, and no chunk may carry
+	// the image past it.
+	img := make([]byte, 0, min(jo.SnapSize, maxSnapPrealloc))
 	for uint64(len(img)) < jo.SnapSize {
 		kind, payload, err := fr.Next()
 		if err != nil {
@@ -110,6 +118,10 @@ func (n *Node) followPrimary(lastContact *time.Time) error {
 		}
 		if c.Off != uint64(len(img)) {
 			return fmt.Errorf("%w: snapshot chunk at %d, want %d", wire.ErrBadMessage, c.Off, len(img))
+		}
+		if uint64(len(c.Data)) > jo.SnapSize-uint64(len(img)) {
+			return fmt.Errorf("%w: snapshot chunk [%d,+%d) past the %d-byte snapshot",
+				wire.ErrBadMessage, c.Off, len(c.Data), jo.SnapSize)
 		}
 		img = append(img, c.Data...)
 	}
@@ -143,8 +155,8 @@ func (n *Node) followPrimary(lastContact *time.Time) error {
 	}
 	n.mu.Unlock()
 	*lastContact = time.Now()
-	n.cfg.Logf("replica: joined %s at epoch %d, seq %d (%d MiB snapshot, %d sessions)",
-		addr, jo.Epoch, jo.SnapSeq, len(img)>>20, len(jo.Sessions))
+	n.cfg.Logf("replica: joined %s at epoch %d, seq %d (%d B snapshot of a %d MiB arena, %d sessions)",
+		addr, jo.Epoch, jo.SnapSeq, len(img), pmem.ImageSize(img)>>20, len(jo.Sessions))
 
 	// ents is reused across frames: the entries alias each frame's buffer
 	// and every entry is applied before the next fr.Next() invalidates it,

@@ -11,6 +11,7 @@ import (
 
 	"simurgh/internal/fsapi"
 	"simurgh/internal/obs"
+	"simurgh/internal/pmem"
 	"simurgh/internal/wire"
 )
 
@@ -357,25 +358,29 @@ func (n *Node) HandleJoin(conn net.Conn, fr *wire.FrameReader, payload []byte) e
 		n.mu.Unlock()
 		n.cond.Broadcast()
 	}
-	if err := wire.WriteFrame(conn, wire.KindJoinOK, wire.AppendJoinOK(nil, &jo)); err != nil {
+	// The JoinOK and every SnapChunk go out in one vectored write. A chunk
+	// is its prefix staged ahead of a slice of the cut, so no chunk is built
+	// or copied; at MaxIO bytes it always fits a frame.
+	data := img.Bytes()
+	var vw wire.VecWriter
+	if err := vw.Stage(wire.KindJoinOK, wire.AppendJoinOK(nil, &jo)); err != nil {
 		detach()
 		return err
 	}
-	data := img.Bytes()
+	prefixes := make([]byte, 0, wire.SnapChunkPrefixSize*((len(data)+wire.MaxIO-1)/wire.MaxIO))
 	for off := 0; off < len(data); off += wire.MaxIO {
-		end := off + wire.MaxIO
-		if end > len(data) {
-			end = len(data)
-		}
-		c := wire.SnapChunk{Off: uint64(off), Data: data[off:end]}
-		if err := wire.WriteFrame(conn, wire.KindSnapChunk, wire.AppendSnapChunk(nil, &c)); err != nil {
-			detach()
-			return err
-		}
+		end := min(off+wire.MaxIO, len(data))
+		pre := len(prefixes)
+		prefixes = wire.AppendSnapChunkPrefix(prefixes, uint64(off), end-off)
+		vw.StagePrefixed(wire.KindSnapChunk, prefixes[pre:], data[off:end])
+	}
+	if _, err := vw.Flush(conn); err != nil {
+		detach()
+		return err
 	}
 	n.m.snapshotBytes.Add(uint64(len(data)))
-	n.cfg.Logf("replica: backup %s joined at seq %d (%d MiB snapshot, %d sessions)",
-		j.Addr, jo.SnapSeq, len(data)>>20, len(jo.Sessions))
+	n.cfg.Logf("replica: backup %s joined at seq %d (%d B snapshot of a %d MiB arena, %d sessions)",
+		j.Addr, jo.SnapSeq, len(data), pmem.ImageSize(data)>>20, len(jo.Sessions))
 
 	writerDone := make(chan struct{})
 	go func() {

@@ -28,6 +28,7 @@ type member struct {
 	n    *replica.Node
 	srv  *server.Server
 	addr string
+	vol  *core.FS // a primary's volume; nil on a backup
 }
 
 func repConfig() replica.Config {
@@ -44,7 +45,13 @@ func repConfig() replica.Config {
 // long enough to flap every established link.
 func startPrimary(t *testing.T, cfg replica.Config) *member {
 	t.Helper()
-	dev := pmem.New(16 << 20)
+	return startPrimarySized(t, cfg, 16<<20)
+}
+
+// startPrimarySized is startPrimary on a device of the given size.
+func startPrimarySized(t *testing.T, cfg replica.Config, size uint64) *member {
+	t.Helper()
+	dev := pmem.New(size)
 	vol, err := core.Format(dev, fsapi.Root, core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +71,7 @@ func startPrimary(t *testing.T, cfg replica.Config) *member {
 		t.Fatal(err)
 	}
 	go srv.Serve(ln)
-	m := &member{n: n, srv: srv, addr: ln.Addr().String()}
+	m := &member{n: n, srv: srv, addr: ln.Addr().String(), vol: vol}
 	t.Cleanup(func() { m.srv.Abort(); m.n.Close() })
 	return m
 }

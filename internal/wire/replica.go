@@ -273,13 +273,23 @@ type SnapChunk struct {
 
 // AppendSnapChunk encodes the KindSnapChunk payload.
 func AppendSnapChunk(dst []byte, c *SnapChunk) []byte {
-	dst = appendU64(dst, c.Off)
-	return appendBytes(dst, c.Data)
+	return append(AppendSnapChunkPrefix(dst, c.Off, len(c.Data)), c.Data...)
 }
 
-// ParseSnapChunk decodes a KindSnapChunk payload.
+// SnapChunkPrefixSize is the encoded size of a SnapChunk ahead of its data.
+const SnapChunkPrefixSize = 8 + 4
+
+// AppendSnapChunkPrefix encodes the head of a KindSnapChunk payload for n
+// data bytes at off. Staged with VecWriter.StagePrefixed ahead of the data
+// itself, it forms AppendSnapChunk's payload without copying the data.
+func AppendSnapChunkPrefix(dst []byte, off uint64, n int) []byte {
+	dst = appendU64(dst, off)
+	return appendU32(dst, uint32(n))
+}
+
+// ParseSnapChunk decodes a KindSnapChunk payload. Data aliases payload.
 func ParseSnapChunk(payload []byte) (SnapChunk, error) {
-	rd := reader{b: payload}
+	rd := reader{b: payload, alias: true}
 	c := SnapChunk{Off: rd.u64(), Data: rd.bytes(MaxIO)}
 	if rd.err != nil {
 		return SnapChunk{}, rd.err

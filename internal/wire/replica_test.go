@@ -162,6 +162,25 @@ func TestSnapChunkRoundTrip(t *testing.T) {
 	if got.Off != c.Off || !bytes.Equal(got.Data, c.Data) {
 		t.Fatal("snap chunk mangled")
 	}
+
+	// The staged form — prefix ahead of the borrowed data — is the same frame.
+	pre := AppendSnapChunkPrefix(nil, c.Off, len(c.Data))
+	if len(pre) != SnapChunkPrefixSize {
+		t.Fatalf("prefix is %d bytes, want %d", len(pre), SnapChunkPrefixSize)
+	}
+	var vw VecWriter
+	var wireBuf bytes.Buffer
+	vw.StagePrefixed(KindSnapChunk, pre, c.Data)
+	if _, err := vw.Flush(&wireBuf); err != nil {
+		t.Fatal(err)
+	}
+	kind, payload, err := NewFrameReader(&wireBuf).Next()
+	if err != nil || kind != KindSnapChunk {
+		t.Fatalf("staged chunk read back as kind %d, %v", kind, err)
+	}
+	if !bytes.Equal(payload, AppendSnapChunk(nil, &c)) {
+		t.Fatal("staged chunk differs from the encoded one")
+	}
 }
 
 func TestHeartbeatAckRedirectRoundTrip(t *testing.T) {
