@@ -24,8 +24,8 @@ import (
 
 // runRep measures and exercises primary–backup replication. Without -addr
 // it runs the overhead grid: the same in-process workload against a
-// standalone server and against every (lockstep|pipelined) × (quorum 1|2)
-// combination with quorum backups attached, reporting the replication tax
+// standalone server and against quorum 1 and 2 with that many backups
+// attached, reporting the replication tax
 // on a read-mostly point (stat, which never leaves the primary) and a
 // pure-mutation point (pwrite, which pays a quorum ack per reply flush),
 // plus the shipped wire bytes per entry. With -addr it drives acknowledged writes
@@ -73,10 +73,9 @@ func repServe(cfg server.Config) (*server.Server, string, error) {
 	return srv, ln.Addr().String(), nil
 }
 
-// repPointJSON is one cell of the overhead grid: a shipping mode × quorum
-// combination measured against the shared standalone baseline.
+// repPointJSON is one cell of the overhead grid: a quorum measured against
+// the shared standalone baseline.
 type repPointJSON struct {
-	Mode              string       `json:"mode"` // "lockstep" | "pipelined"
 	Quorum            int          `json:"quorum"`
 	Backups           int          `json:"backups"`
 	Stat              netPointJSON `json:"stat"`
@@ -87,7 +86,7 @@ type repPointJSON struct {
 }
 
 func repOverhead(conns, batch int, dur time.Duration, files int, jsonOut string) error {
-	fmt.Printf("## Replication overhead grid (mode x quorum vs standalone)\n")
+	fmt.Printf("## Replication overhead grid (quorum vs standalone)\n")
 	quiet := func(string, ...any) {}
 	restore := func(img []byte) (fsapi.FileSystem, error) {
 		d, err := pmem.ReadImage(bytes.NewReader(img))
@@ -135,21 +134,20 @@ func repOverhead(conns, batch int, dur time.Duration, files int, jsonOut string)
 		return (1 - rep/base) * 100
 	}
 
-	// cell measures one mode × quorum combination: a fresh primary shipping
+	// cell measures one quorum: a fresh primary shipping
 	// to quorum in-process backups, so every acked pwrite pays a real
 	// round trip. Ship bytes/op comes from the primary's shipped-bytes
 	// counter delta across the pwrite point (per entry, so the unrecorded
 	// warmup writes don't skew it).
-	cell := func(mode string, quorum int) (repPointJSON, error) {
-		pt := repPointJSON{Mode: mode, Quorum: quorum, Backups: quorum}
+	cell := func(quorum int) (repPointJSON, error) {
+		pt := repPointJSON{Quorum: quorum, Backups: quorum}
 		pdev, pvol, err := repVolume()
 		if err != nil {
 			return pt, err
 		}
 		pnode := replica.NewPrimary(pvol, replica.Config{
-			Quorum:   quorum,
-			Lockstep: mode == "lockstep",
-			Logf:     quiet,
+			Quorum: quorum,
+			Logf:   quiet,
 			Snapshot: func(w io.Writer) error {
 				_, err := pdev.WriteTo(w)
 				return err
@@ -166,7 +164,6 @@ func repOverhead(conns, batch int, dur time.Duration, files int, jsonOut string)
 		for i := range backups {
 			backups[i] = replica.NewBackup(replica.Config{
 				PrimaryAddr: ptarget,
-				Lockstep:    mode == "lockstep",
 				Logf:        quiet,
 				Restore:     restore,
 			})
@@ -221,21 +218,19 @@ func repOverhead(conns, batch int, dur time.Duration, files int, jsonOut string)
 	}
 
 	fmt.Printf("%-10s %6s %12s %12s %10s %10s %9s\n",
-		"mode", "quorum", "stat op/s", "pwrite op/s", "stat ovh", "pwrite ovh", "bytes/op")
+		"server", "quorum", "stat op/s", "pwrite op/s", "stat ovh", "pwrite ovh", "bytes/op")
 	fmt.Printf("%-10s %6s %12.0f %12.0f %10s %10s %9s\n",
 		"standalone", "-", baseStat.OpsPerSec, baseWrite.OpsPerSec, "-", "-", "-")
 	var points []repPointJSON
-	for _, mode := range []string{"lockstep", "pipelined"} {
-		for _, quorum := range []int{1, 2} {
-			pt, err := cell(mode, quorum)
-			if err != nil {
-				return err
-			}
-			points = append(points, pt)
-			fmt.Printf("%-10s %6d %12.0f %12.0f %9.1f%% %9.1f%% %9.1f\n",
-				pt.Mode, pt.Quorum, pt.Stat.OpsPerSec, pt.Pwrite.OpsPerSec,
-				pt.StatOverheadPct, pt.PwriteOverheadPct, pt.ShipBytesPerOp)
+	for _, quorum := range []int{1, 2} {
+		pt, err := cell(quorum)
+		if err != nil {
+			return err
 		}
+		points = append(points, pt)
+		fmt.Printf("%-10s %6d %12.0f %12.0f %9.1f%% %9.1f%% %9.1f\n",
+			"replicated", pt.Quorum, pt.Stat.OpsPerSec, pt.Pwrite.OpsPerSec,
+			pt.StatOverheadPct, pt.PwriteOverheadPct, pt.ShipBytesPerOp)
 	}
 
 	if jsonOut != "" {

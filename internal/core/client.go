@@ -342,6 +342,17 @@ func (c *Client) openPinned(ino pmem.Ptr, flags fsapi.OpenFlag) (fsapi.FD, error
 	return fd, nil
 }
 
+// ReserveFDs makes every descriptor the client hands out from now on greater
+// than last. Numbers only ever rise, so a replica that reserves up to one
+// below the number its primary handed out gets exactly that number.
+func (c *Client) ReserveFDs(last fsapi.FD) {
+	for cur := c.nextFD.Load(); cur < int32(last); cur = c.nextFD.Load() {
+		if c.nextFD.CompareAndSwap(cur, int32(last)) {
+			return
+		}
+	}
+}
+
 // admit checks that the client may open ino with flags, and truncates it
 // if they say so.
 func (c *Client) admit(ino pmem.Ptr, flags fsapi.OpenFlag) error {

@@ -189,6 +189,27 @@ func TestManyClientsIndependentFDTables(t *testing.T) {
 	}
 }
 
+// TestReserveFDsOnlyRaises: after ReserveFDs(n) the next open gets n+1, and
+// a reservation below what was already handed out changes nothing.
+func TestReserveFDsOnlyRaises(t *testing.T) {
+	_, fs := newFSForTest(t, 32<<20)
+	c := rootClient(t, fs)
+	c.(*Client).ReserveFDs(9)
+	if fd, err := c.Create("/a", 0o644); err != nil || fd != 10 {
+		t.Fatalf("create after ReserveFDs(9) = %d, %v; want 10", fd, err)
+	}
+	c.(*Client).ReserveFDs(4)
+	if fd, err := c.Open("/a", fsapi.ORdonly, 0); err != nil || fd != 11 {
+		t.Fatalf("open after ReserveFDs(4) = %d, %v; want 11", fd, err)
+	}
+	if _, err := c.Open("/missing", fsapi.ORdonly, 0); err == nil {
+		t.Fatal("open of a missing file succeeded")
+	}
+	if fd, err := c.Open("/a", fsapi.ORdonly, 0); err != nil || fd != 12 {
+		t.Fatalf("open after a failed open = %d, %v; want 12", fd, err)
+	}
+}
+
 func TestSymlinkTargetTooLong(t *testing.T) {
 	_, fs := newFSForTest(t, 32<<20)
 	c := rootClient(t, fs)

@@ -1,8 +1,10 @@
 package replica
 
 import (
+	"cmp"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -130,12 +132,20 @@ func (n *Node) followPrimary(lastContact *time.Time) error {
 		return fmt.Errorf("restore: %w", err)
 	}
 
+	// Shadows must open at the primary's descriptor numbers.
+	probe, err := fs.Attach(fsapi.Cred{})
+	if err != nil {
+		return fmt.Errorf("restore: %w", err)
+	}
+	_, ok := probe.(fdReserver)
+	probe.Detach()
+	if !ok {
+		return fmt.Errorf("restore: %T cannot open at a given descriptor number (no ReserveFDs)", probe)
+	}
+
 	// Install the restored volume and rebuild the session table from the
-	// manifest. Sessions that existed before the snapshot get shadows with
-	// the right credentials but empty descriptor tables: descriptors they
-	// opened before this backup joined cannot be transferred, and their
-	// replayed operations are skipped (counted, and documented — join
-	// backups at daemon start for full coverage).
+	// manifest: each session's shadow reopens its descriptors at their
+	// numbers, lowest first, then skips the numbers handed out and closed.
 	n.mu.Lock()
 	if n.closed || Role(n.role.Load()) == RolePrimary {
 		n.mu.Unlock()
@@ -151,7 +161,18 @@ func (n *Node) followPrimary(lastContact *time.Time) error {
 			n.mu.Unlock()
 			return fmt.Errorf("manifest attach: %w", err)
 		}
-		n.sessions[si.Sess] = newSession(si.Sess, si.Cred, client)
+		sess := newSession(si.Sess, si.Cred, client)
+		slices.SortFunc(si.Open, func(a, b wire.OpenFD) int { return cmp.Compare(a.FD, b.FD) })
+		for _, o := range si.Open {
+			req := wire.Request{Op: wire.OpOpen, Path: o.Path, Flags: o.Flags, Perm: o.Perm}
+			if resp := sess.openAt(&req, o.FD); resp.Code != wire.CodeOK {
+				n.m.replayErrors.Add(1)
+				n.cfg.Logf("replica: session %x descriptor %d (%s) not reopened: %s", si.Sess, o.FD, o.Path, resp.Msg)
+			}
+		}
+		client.(fdReserver).ReserveFDs(si.NextFD - 1)
+		sess.next = max(sess.next, si.NextFD)
+		n.sessions[si.Sess] = sess
 	}
 	n.mu.Unlock()
 	*lastContact = time.Now()
@@ -161,26 +182,20 @@ func (n *Node) followPrimary(lastContact *time.Time) error {
 	// ents is reused across frames: the entries alias each frame's buffer
 	// and every entry is applied before the next fr.Next() invalidates it,
 	// so the steady-state apply loop allocates nothing. Acks are cumulative
-	// (highest applied seq); in the pipelined default a dedicated acker
-	// goroutine sends them, coalescing every frame applied while a previous
-	// ack write was in flight into one RepAck — the apply loop never blocks
-	// on the socket. wmu serializes its writes with heartbeat echoes.
+	// (highest applied seq); a dedicated acker goroutine sends them,
+	// coalescing every frame applied while a previous ack write was in
+	// flight into one RepAck — the apply loop never blocks on the socket.
+	// wmu serializes its writes with heartbeat echoes.
 	var ents []wire.Entry
-	var ackBuf []byte
 	var wmu sync.Mutex
-	var ackKick chan struct{}
+	ackKick := make(chan struct{}, 1)
 	ackerDone := make(chan struct{})
-	if n.cfg.Lockstep {
-		close(ackerDone)
-	} else {
-		ackKick = make(chan struct{}, 1)
-		go n.runAcker(conn, &wmu, ackKick, ackerDone)
-		defer func() {
-			conn.Close() // unblock an in-flight ack write
-			close(ackKick)
-			<-ackerDone
-		}()
-	}
+	go n.runAcker(conn, &wmu, ackKick, ackerDone)
+	defer func() {
+		conn.Close() // unblock an in-flight ack write
+		close(ackKick)
+		<-ackerDone
+	}()
 	// Liveness is enforced on reads alone: the per-frame grace deadline
 	// below must not bound writes, or the async acker (which writes at
 	// arbitrary points, unlike the old inline ack that always followed a
@@ -219,15 +234,6 @@ func (n *Node) followPrimary(lastContact *time.Time) error {
 				n.cfg.Obs.SpanCtx(obs.SpanRepApply, 0, trace, applyStart,
 					uint64(time.Since(applyStart)), false)
 				n.noteTracedApply(trace, n.Seq())
-			}
-			if n.cfg.Lockstep {
-				a := wire.RepAck{Epoch: n.Epoch(), Seq: n.Seq()}
-				ackBuf = wire.AppendRepAck(ackBuf[:0], &a)
-				if err := wire.WriteFrame(conn, wire.KindRepAck, ackBuf); err != nil {
-					return err
-				}
-				n.emitAckSpan(a.Seq)
-				continue
 			}
 			select {
 			case ackKick <- struct{}{}:
@@ -305,7 +311,7 @@ func (n *Node) applyEntries(ents []wire.Entry) error {
 				ents[i].Seq, n.seq+uint64(i))
 		}
 	}
-	parallel := !n.cfg.Lockstep && n.cfg.ApplyWorkers > 1
+	parallel := n.cfg.ApplyWorkers > 1
 	i := 0
 	for i < len(ents) {
 		if parallel && ents[i].Kind == wire.EntryPwrite {
@@ -348,7 +354,7 @@ func (n *Node) applyRunLocked(run []wire.Entry) {
 		e := &run[i]
 		var key uint64
 		if sess := n.sessions[e.Sess]; sess != nil {
-			_, key, _ = sess.lookupVFDIno(e.Req.FD)
+			key = sess.inos[e.Req.FD]
 		}
 		b := (key * 0x9e3779b97f4a7c15) >> 32 % uint64(w)
 		parts[b] = append(parts[b], e)
@@ -394,61 +400,49 @@ func (n *Node) applyEntry(e *wire.Entry) {
 			n.m.replaySkipped.Add(1)
 			return
 		}
-		req := e.Req
-		vfd := req.FD
-		if req.Op == wire.OpCreate || req.Op == wire.OpOpen {
-			if _, ok := sess.lookupVFD(e.ResFD); ok {
-				// The descriptor is already live here: this is a migration-time
-				// re-export of an open this backup replayed normally (the
-				// primary never reuses live virtual descriptors, so a genuine
-				// new open cannot collide). Nothing to do.
-				return
-			}
+		req := &e.Req
+		var resp wire.Response
+		switch req.Op {
+		case wire.OpCreate, wire.OpOpen:
+			resp = sess.openAt(req, e.ResFD)
+		default:
+			resp = wire.Execute(sess.client, req)
 		}
-		if opUsesFD(req.Op) {
-			lfd, ok := sess.lookupVFD(vfd)
-			if !ok {
-				// A descriptor opened before this backup joined: its state
-				// never transferred, so the operation cannot replay here.
-				// (Migrations close this gap by re-exporting the descriptor
-				// table into the log before the handoff drain.)
-				n.m.replaySkipped.Add(1)
-				return
-			}
-			req.FD = lfd
-		}
-		resp := wire.Execute(sess.client, &req)
 		switch {
-		case (req.Op == wire.OpCreate || req.Op == wire.OpOpen) && resp.Code == wire.CodeOK:
-			oi := openInfo{path: req.Path, flags: fsapi.ORdwr, perm: req.Perm}
-			if req.Op == wire.OpOpen {
-				oi.flags = sanitizeOpenFlags(fsapi.OpenFlag(req.Flags))
-			}
-			sess.mapVFD(e.ResFD, resp.FD, inoOf(sess.client, resp.FD), oi)
-			resp.FD = e.ResFD // cache the client-visible (virtual) descriptor
-		case req.Op == wire.OpClose && resp.Code == wire.CodeOK:
-			sess.unmapVFD(vfd)
-		case req.Op == wire.OpDetach && resp.Code == wire.CodeOK:
-			delete(n.sessions, e.Sess)
-			return // nothing left to cache against
-		}
-		if resp.Code != wire.CodeOK {
+		case resp.Code != wire.CodeOK:
 			// The primary only ships successes; a failure here means the
-			// replicas diverged (or the descriptor was skipped above).
+			// replicas diverged, or the descriptor could not be reopened
+			// when this backup joined.
 			n.m.replayErrors.Add(1)
 			n.cfg.Logf("replica: replay of seq %d (%v) failed: %s", e.Seq, req.Op, resp.Msg)
+		case req.Op == wire.OpClose:
+			sess.noteClose(req.FD)
+		case req.Op == wire.OpDetach:
+			delete(n.sessions, e.Sess)
+			return // nothing left to cache against
 		}
 		sess.cacheResp(&resp, e.Seq)
 	}
 }
 
-// opUsesFD reports whether the request's FD field names a descriptor (and
-// so needs translation on replay).
-func opUsesFD(op wire.Op) bool {
-	switch op {
-	case wire.OpClose, wire.OpPread, wire.OpWrite, wire.OpPwrite,
-		wire.OpFtruncate, wire.OpFallocate, wire.OpFstat:
-		return true
+// fdReserver is what a backup needs of its shadow clients beyond fsapi:
+// opening at the descriptor number the primary handed out
+// (core.Client.ReserveFDs).
+type fdReserver interface{ ReserveFDs(last fsapi.FD) }
+
+// openAt replays a create or open so that it hands out descriptor fd, the
+// number the primary handed out, and records it. Any other number is
+// divergence, answered as a failure.
+func (s *session) openAt(req *wire.Request, fd fsapi.FD) wire.Response {
+	s.client.(fdReserver).ReserveFDs(fd - 1)
+	resp := wire.Execute(s.client, req)
+	if resp.Code != wire.CodeOK {
+		return resp
 	}
-	return false
+	s.noteOpen(req, resp.FD)
+	if resp.FD != fd {
+		resp.Code = wire.CodeOther
+		resp.Msg = fmt.Sprintf("opened descriptor %d, the primary's is %d", resp.FD, fd)
+	}
+	return resp
 }

@@ -2,6 +2,8 @@ package replica_test
 
 import (
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -200,5 +202,92 @@ func TestFDSurvivesFailover(t *testing.T) {
 	}
 	if remote.Stats().Replays == 0 {
 		t.Log("note: failover completed without replaying any request")
+	}
+}
+
+// TestJoinCarriesDescriptors joins a backup while a session holds open
+// descriptors, then fails over to it. The join manifest carries the
+// session's open table, so the promoted backup serves every descriptor at
+// its number, and a new open gets a number the session was never handed.
+func TestJoinCarriesDescriptors(t *testing.T) {
+	cfg := repConfig()
+	cfg.AutoPromote = true
+	p := startPrimary(t, cfg)
+	bln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := client.Dial(p.addr+","+bln.Addr().String(), client.Options{FailoverTimeout: 20 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	c, err := remote.Attach(fsapi.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Detach()
+
+	contents := map[fsapi.FD]string{}
+	var highest fsapi.FD
+	for i := range 4 {
+		fd, err := c.Open(fmt.Sprintf("/f%d", i), fsapi.ORdwr|fsapi.OCreate, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		contents[fd] = fmt.Sprintf("file %d, before the join", i)
+		if _, err := c.Pwrite(fd, []byte(contents[fd]), 0); err != nil {
+			t.Fatal(err)
+		}
+		highest = max(highest, fd)
+	}
+	// The last one closes: its number is spent, not open.
+	if err := c.Close(highest); err != nil {
+		t.Fatal(err)
+	}
+	delete(contents, highest)
+
+	b := startBackupOn(t, cfg, p.addr, bln)
+	waitFor(t, "backup to join", func() bool {
+		return p.n.Backups() == 1 && b.n.Epoch() == p.n.Epoch()
+	})
+	// A write after the join reaches the backup through the log, on a
+	// descriptor it only knows from the manifest.
+	for fd := range contents {
+		contents[fd] += ", after"
+		if _, err := c.Pwrite(fd, []byte(contents[fd]), 0); err != nil {
+			t.Fatal(err)
+		}
+		break
+	}
+
+	p.srv.Abort()
+	p.n.Close()
+	waitFor(t, "auto promotion", func() bool { return b.n.Role() == replica.RolePrimary })
+
+	for fd, want := range contents {
+		buf := make([]byte, 64)
+		n, err := c.Pread(fd, buf, 0)
+		if err != nil && err != io.EOF {
+			t.Fatalf("pread descriptor %d on the promoted backup: %v", fd, err)
+		}
+		if string(buf[:n]) != want {
+			t.Fatalf("descriptor %d reads %q, want %q", fd, buf[:n], want)
+		}
+	}
+	fd, err := c.Create("/after", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fd <= highest {
+		t.Fatalf("a new create got descriptor %d; the session was handed up to %d", fd, highest)
+	}
+	if remote.Stats().Failovers == 0 {
+		t.Error("client never failed over")
+	}
+	for _, m := range []string{"simurgh_replica_replay_skipped_total", "simurgh_replica_replay_errors_total"} {
+		if v := metricValue(t, b.n, m); v != 0 {
+			t.Errorf("%s = %d on the promoted backup", m, v)
+		}
 	}
 }

@@ -22,7 +22,6 @@ type counters struct {
 	snapshotBytes  atomic.Uint64
 	joins          atomic.Uint64
 	promotions     atomic.Uint64
-	fdReexports    atomic.Uint64
 	heartbeatRTT   atomic.Uint64 // last measured, ns
 	primarySeq     atomic.Uint64 // last heartbeat's seq (backup role)
 }
@@ -171,12 +170,11 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	c("simurgh_replica_frames_shipped_total", "Replicate frames written to backups (entries_shipped/frames_shipped is the achieved group-commit size).", n.m.framesShipped.Load())
 	c("simurgh_replica_entries_applied_total", "Log entries applied by this backup.", n.m.entriesApplied.Load())
 	c("simurgh_replica_apply_parallel_total", "Log entries applied through the parallel (inode-partitioned) apply path.", n.m.applyParallel.Load())
-	c("simurgh_replica_replay_skipped_total", "Replayed operations skipped (pre-join descriptors or sessions).", n.m.replaySkipped.Load())
+	c("simurgh_replica_replay_skipped_total", "Replayed operations skipped (unknown sessions).", n.m.replaySkipped.Load())
 	c("simurgh_replica_replay_errors_total", "Replayed operations that failed (replica divergence).", n.m.replayErrors.Load())
 	c("simurgh_replica_dedup_hits_total", "Client retransmissions answered from the replay cache.", n.m.dedupHits.Load())
 	c("simurgh_replica_session_resumes_total", "Sessions resumed by failed-over clients.", n.m.resumes.Load())
 	c("simurgh_replica_snapshot_bytes_total", "Snapshot bytes streamed to joining backups.", n.m.snapshotBytes.Load())
 	c("simurgh_replica_joins_total", "Backups that completed a join.", n.m.joins.Load())
 	c("simurgh_replica_promotions_total", "Times this node promoted itself to primary.", n.m.promotions.Load())
-	c("simurgh_replica_fd_reexports_total", "Open descriptors re-exported into the log for a migration handoff.", n.m.fdReexports.Load())
 }

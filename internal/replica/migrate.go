@@ -3,64 +3,31 @@ package replica
 import (
 	"fmt"
 	"time"
-
-	"simurgh/internal/wire"
 )
 
 // MigrationDrain hands this node's log off to a shard's new owner group
 // (the shard authority's retire hook calls it after the routing fence is
 // in place; see internal/shard). On a backup it is a no-op — only the
-// primary owns the log. On the primary it:
-//
-//  1. Takes the op gate exclusively, quiescing every executor. With the
-//     fence already answering Moved — and re-checked under this same gate —
-//     no further entry can enter the log: the tip read below is final.
-//  2. Re-exports every session's open descriptors as synthetic open log
-//     entries. Backups replay opens they have never seen and skip ones
-//     they have (the apply path is idempotent on live descriptors), so a
-//     target that joined mid-load — after the original opens shipped in
-//     the snapshot manifest's blind spot — rebuilds the full descriptor
-//     table before the handoff completes.
-//  3. Releases the gate and waits until every link whose advertised
-//     address is in addrs has acknowledged the tip.
+// primary owns the log. On the primary it takes the op gate exclusively,
+// quiescing every executor: with the fence already answering Moved — and
+// re-checked under this same gate — no further entry can enter the log, so
+// the tip read there is final. It then waits until every link whose
+// advertised address is in addrs has acknowledged the tip.
 //
 // When it returns nil, every operation ever acknowledged to a client is
-// applied on the new owners, descriptors included — the migration's
-// zero-loss barrier.
+// applied on the new owners — the migration's zero-loss barrier. Open
+// descriptors need nothing extra: a new owner that joined mid-load got them
+// in its join manifest and every later one from the log.
 func (n *Node) MigrationDrain(addrs []string, timeout time.Duration) error {
 	if n.Role() != RolePrimary {
 		return nil
 	}
 	n.opGate.Lock()
 	n.mu.Lock()
-	if !n.closed {
-		for _, sess := range n.sessions {
-			n.reexportLocked(sess)
-		}
-	}
 	tip := n.seq
 	n.mu.Unlock()
 	n.opGate.Unlock()
 	return n.WaitCaughtUp(addrs, tip, timeout)
-}
-
-// reexportLocked ships one session's open-descriptor table as synthetic
-// log entries: an open (origin path, sanitized flags) that re-binds each
-// virtual descriptor. Positions need no entry: they never left the client.
-// The entries carry request ID zero — they answer no client.
-// Descriptors whose origin file was unlinked while open cannot reopen and
-// are skipped on the target (replay_errors counts them; DESIGN.md §9
-// documents the limitation). Caller holds opGate and n.mu.
-func (n *Node) reexportLocked(sess *session) {
-	for vfd, oi := range sess.opens {
-		if _, ok := sess.fdMap[vfd]; !ok {
-			continue
-		}
-		n.seq++
-		n.shipLocked(&wire.Entry{Seq: n.seq, Sess: sess.id, Kind: wire.EntryOp, ResFD: vfd,
-			Req: wire.Request{Op: wire.OpOpen, Path: oi.path, Flags: uint32(oi.flags), Perm: oi.perm}}, 0)
-		n.m.fdReexports.Add(1)
-	}
 }
 
 // WaitCaughtUp blocks until every live link advertised at one of addrs has

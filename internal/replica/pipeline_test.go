@@ -34,50 +34,45 @@ func metricValue(t *testing.T, n *replica.Node, name string) uint64 {
 	return 0
 }
 
-// TestPipelinedQuorum2 drives writes through a quorum=2 group in the
-// pipelined default and reads them back: both backups' cumulative acks
-// must cover each write before its reply, across both shipping modes.
+// TestPipelinedQuorum2 drives writes through a quorum=2 group and reads
+// them back: both backups' cumulative acks must cover each write before its
+// reply.
 func TestPipelinedQuorum2(t *testing.T) {
-	for _, mode := range []struct {
-		name     string
-		lockstep bool
-	}{{"pipelined", false}, {"lockstep", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			cfg := repConfig()
-			cfg.Quorum = 2
-			cfg.Lockstep = mode.lockstep
-			// Two backups mean a second snapshot cut can stall heartbeats
-			// to the first link; more grace keeps the links from flapping
-			// on slow (-race) runs.
-			cfg.FailoverGrace = 2 * time.Second
-			p := startPrimary(t, cfg)
-			b1 := startBackup(t, cfg, p.addr)
-			b2 := startBackup(t, cfg, p.addr)
-			// Completed joins, not just registered links: a backup's epoch
-			// leaves zero once its snapshot is restored.
-			waitFor(t, "both backups", func() bool {
-				return p.n.Backups() == 2 &&
-					b1.n.Epoch() == p.n.Epoch() && b2.n.Epoch() == p.n.Epoch()
-			})
-
-			// The attach handshake waits for both backups' acks; give it
-			// room on starved runs.
-			remote, err := client.Dial(p.addr, client.Options{DialTimeout: 30 * time.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer remote.Close()
-			c, err := remote.Attach(fsapi.Root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Detach()
-			writeFile(t, c, "/q2", "covered by two acks")
-			if got := readFile(t, c, "/q2"); got != "covered by two acks" {
-				t.Fatalf("got %q", got)
-			}
+	// Pipelined shipping is the only mode; the subtest keeps its name.
+	t.Run("pipelined", func(t *testing.T) {
+		cfg := repConfig()
+		cfg.Quorum = 2
+		// Two backups mean a second snapshot cut can stall heartbeats
+		// to the first link; more grace keeps the links from flapping
+		// on slow (-race) runs.
+		cfg.FailoverGrace = 2 * time.Second
+		p := startPrimary(t, cfg)
+		b1 := startBackup(t, cfg, p.addr)
+		b2 := startBackup(t, cfg, p.addr)
+		// Completed joins, not just registered links: a backup's epoch
+		// leaves zero once its snapshot is restored.
+		waitFor(t, "both backups", func() bool {
+			return p.n.Backups() == 2 &&
+				b1.n.Epoch() == p.n.Epoch() && b2.n.Epoch() == p.n.Epoch()
 		})
-	}
+
+		// The attach handshake waits for both backups' acks; give it
+		// room on starved runs.
+		remote, err := client.Dial(p.addr, client.Options{DialTimeout: 30 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer remote.Close()
+		c, err := remote.Attach(fsapi.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Detach()
+		writeFile(t, c, "/q2", "covered by two acks")
+		if got := readFile(t, c, "/q2"); got != "covered by two acks" {
+			t.Fatalf("got %q", got)
+		}
+	})
 }
 
 // TestSlowBackupDoesNotStall pins the sliding window's point: with

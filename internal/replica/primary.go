@@ -45,7 +45,7 @@ func (n *Node) AttachClient(cred fsapi.Cred, clientID uint64) (fsapi.Client, uin
 		sess.attached = true
 		n.m.resumes.Add(1)
 		n.mu.Unlock()
-		return &mappedClient{inner: sess.client, s: sess}, sess.id, "", nil
+		return sess.client, sess.id, "", nil
 	}
 	client, err := n.fs.Attach(cred)
 	if err != nil {
@@ -74,7 +74,7 @@ func (n *Node) AttachClient(cred fsapi.Cred, clientID uint64) (fsapi.Client, uin
 	// otherwise a failover between AttachOK and the first op would strand
 	// the client on a node that never heard of it.
 	n.WaitQuorum(seq)
-	return &mappedClient{inner: client, s: sess}, id, "", nil
+	return client, id, "", nil
 }
 
 // Apply executes one replicated operation, ships its entry, and returns
@@ -83,14 +83,13 @@ func (n *Node) AttachClient(cred fsapi.Cred, clientID uint64) (fsapi.Client, uin
 // replay cache — a client retransmission after failover — is answered
 // from the cache without re-executing.
 //
-// Pipelined execution (the default): data operations on open descriptors
-// run under opGate's read side plus a per-inode stripe, so independent
-// files execute concurrently; the log lock is held only for the sequence
-// assignment and the entry append, and log order equals execution order
-// per inode (the stripe spans exec and seq) and against every exclusive
-// operation (opGate spans both). Namespace and descriptor operations take
-// opGate exclusively. With Config.Lockstep every operation takes the
-// exclusive path, restoring the serialized pre-pipelining behavior.
+// Data operations on open descriptors run under opGate's read side plus a
+// per-inode stripe, so independent files execute concurrently; the log lock
+// is held only for the sequence assignment and the entry append, and log
+// order equals execution order per inode (the stripe spans exec and seq)
+// and against every exclusive operation (opGate spans both). Namespace and
+// descriptor operations take opGate exclusively, which is also what guards
+// the session's descriptor table.
 func (n *Node) Apply(sessID uint64, req *wire.Request, trace uint64, exec func() wire.Response) (wire.Response, uint64) {
 	n.mu.Lock()
 	sess := n.sessions[sessID]
@@ -107,10 +106,9 @@ func (n *Node) Apply(sessID uint64, req *wire.Request, trace uint64, exec func()
 
 	var resp wire.Response
 	var seq uint64
-	if !n.cfg.Lockstep && dataOp(req.Op) {
-		_, ino, _ := sess.lookupVFDIno(req.FD)
-		st := n.stripe(ino)
+	if dataOp(req.Op) {
 		n.opGate.RLock()
+		st := n.stripe(sess.inos[req.FD])
 		st.Lock()
 		resp = exec()
 		if resp.Code == wire.CodeOK {
@@ -131,13 +129,18 @@ func (n *Node) Apply(sessID uint64, req *wire.Request, trace uint64, exec func()
 		n.opGate.Lock()
 		resp = exec()
 		if resp.Code == wire.CodeOK {
+			e := wire.Entry{Sess: sessID, Kind: wire.EntryOp, Req: *req}
+			switch req.Op {
+			case wire.OpCreate, wire.OpOpen:
+				sess.noteOpen(req, resp.FD)
+				e.ResFD = resp.FD
+			case wire.OpClose:
+				sess.noteClose(req.FD)
+			}
 			n.mu.Lock()
 			n.seq++
 			seq = n.seq
-			e := wire.Entry{Seq: seq, Sess: sessID, Kind: wire.EntryOp, Req: *req}
-			if req.Op == wire.OpCreate || req.Op == wire.OpOpen {
-				e.ResFD = resp.FD // virtual: mappedClient already translated
-			}
+			e.Seq = seq
 			n.shipLocked(&e, trace)
 			if req.Op == wire.OpDetach {
 				delete(n.sessions, sessID)
@@ -311,8 +314,9 @@ func (n *Node) HandleJoin(conn net.Conn, fr *wire.FrameReader, payload []byte) e
 	}
 
 	// Capture a consistent cut: opGate held exclusively quiesces the
-	// pipelined data executors (they run outside the log lock), and the
-	// log lock freezes the log position and session manifest. The link
+	// pipelined data executors (they run outside the log lock) and freezes
+	// every session's descriptor table, and the log lock freezes the log
+	// position and the session manifest. The link
 	// registers inside the same critical section, so every entry after
 	// snapSeq reaches the backup through the link and none is
 	// double-applied.
@@ -336,7 +340,11 @@ func (n *Node) HandleJoin(conn net.Conn, fr *wire.FrameReader, payload []byte) e
 		SnapSize: uint64(img.Len()),
 	}
 	for _, sess := range n.sessions {
-		jo.Sessions = append(jo.Sessions, wire.SessionInfo{Sess: sess.id, Cred: sess.cred})
+		si := wire.SessionInfo{Sess: sess.id, Cred: sess.cred, NextFD: sess.next}
+		for _, o := range sess.opens {
+			si.Open = append(si.Open, o)
+		}
+		jo.Sessions = append(jo.Sessions, si)
 	}
 	l := newLink(conn, j.Addr)
 	// The snapshot already carries everything through snapSeq: the link's
@@ -567,123 +575,3 @@ func (l *link) runReader(n *Node, fr *wire.FrameReader) error {
 		}
 	}
 }
-
-// mappedClient is the fsapi.Client handed to the server for a replicated
-// session: it translates the client's virtual descriptors to this node's
-// local ones and assigns virtual descriptors to fresh opens, so descriptor
-// identity survives failover. Identity is all there is to survive: where a
-// descriptor stands in its file is kept by the client process.
-type mappedClient struct {
-	inner fsapi.Client
-	s     *session
-}
-
-func (m *mappedClient) Create(path string, perm uint32) (fsapi.FD, error) {
-	lfd, err := m.inner.Create(path, perm)
-	if err != nil {
-		return -1, err
-	}
-	return m.s.allocVFD(lfd, inoOf(m.inner, lfd),
-		openInfo{path: path, flags: fsapi.ORdwr, perm: perm}), nil
-}
-
-func (m *mappedClient) Open(path string, flags fsapi.OpenFlag, perm uint32) (fsapi.FD, error) {
-	lfd, err := m.inner.Open(path, flags, perm)
-	if err != nil {
-		return -1, err
-	}
-	return m.s.allocVFD(lfd, inoOf(m.inner, lfd),
-		openInfo{path: path, flags: sanitizeOpenFlags(flags), perm: perm}), nil
-}
-
-func (m *mappedClient) Close(fd fsapi.FD) error {
-	lfd, ok := m.s.lookupVFD(fd)
-	if !ok {
-		return fsapi.ErrBadFD
-	}
-	if err := m.inner.Close(lfd); err != nil {
-		return err
-	}
-	m.s.unmapVFD(fd)
-	return nil
-}
-
-// Read and Fsync are retired on the wire (wire.Op.Retired): the server
-// answers them itself, so nothing translates a descriptor for them.
-func (m *mappedClient) Read(fsapi.FD, []byte) (int, error) { return 0, fsapi.ErrInval }
-func (m *mappedClient) Fsync(fsapi.FD) error               { return fsapi.ErrInval }
-
-func (m *mappedClient) Pread(fd fsapi.FD, p []byte, off uint64) (int, error) {
-	lfd, ok := m.s.lookupVFD(fd)
-	if !ok {
-		return 0, fsapi.ErrBadFD
-	}
-	return m.inner.Pread(lfd, p, off)
-}
-
-func (m *mappedClient) Write(fd fsapi.FD, p []byte) (int, error) {
-	lfd, ok := m.s.lookupVFD(fd)
-	if !ok {
-		return 0, fsapi.ErrBadFD
-	}
-	return m.inner.Write(lfd, p)
-}
-
-func (m *mappedClient) Pwrite(fd fsapi.FD, p []byte, off uint64) (int, error) {
-	lfd, ok := m.s.lookupVFD(fd)
-	if !ok {
-		return 0, fsapi.ErrBadFD
-	}
-	return m.inner.Pwrite(lfd, p, off)
-}
-
-// Seek is how wire.Execute learns where a write left the descriptor.
-func (m *mappedClient) Seek(fd fsapi.FD, off int64, whence int) (int64, error) {
-	lfd, ok := m.s.lookupVFD(fd)
-	if !ok {
-		return 0, fsapi.ErrBadFD
-	}
-	return m.inner.Seek(lfd, off, whence)
-}
-
-func (m *mappedClient) Ftruncate(fd fsapi.FD, size uint64) error {
-	lfd, ok := m.s.lookupVFD(fd)
-	if !ok {
-		return fsapi.ErrBadFD
-	}
-	return m.inner.Ftruncate(lfd, size)
-}
-
-func (m *mappedClient) Fallocate(fd fsapi.FD, size uint64) error {
-	lfd, ok := m.s.lookupVFD(fd)
-	if !ok {
-		return fsapi.ErrBadFD
-	}
-	return m.inner.Fallocate(lfd, size)
-}
-
-func (m *mappedClient) Fstat(fd fsapi.FD) (fsapi.Stat, error) {
-	lfd, ok := m.s.lookupVFD(fd)
-	if !ok {
-		return fsapi.Stat{}, fsapi.ErrBadFD
-	}
-	return m.inner.Fstat(lfd)
-}
-
-func (m *mappedClient) Stat(path string) (fsapi.Stat, error)  { return m.inner.Stat(path) }
-func (m *mappedClient) Lstat(path string) (fsapi.Stat, error) { return m.inner.Lstat(path) }
-func (m *mappedClient) Mkdir(path string, perm uint32) error  { return m.inner.Mkdir(path, perm) }
-func (m *mappedClient) Rmdir(path string) error               { return m.inner.Rmdir(path) }
-func (m *mappedClient) Unlink(path string) error              { return m.inner.Unlink(path) }
-func (m *mappedClient) Rename(o, p string) error              { return m.inner.Rename(o, p) }
-func (m *mappedClient) Symlink(t, l string) error             { return m.inner.Symlink(t, l) }
-func (m *mappedClient) Link(o, p string) error                { return m.inner.Link(o, p) }
-func (m *mappedClient) Readlink(path string) (string, error)  { return m.inner.Readlink(path) }
-func (m *mappedClient) ReadDir(path string) ([]fsapi.DirEntry, error) {
-	return m.inner.ReadDir(path)
-}
-func (m *mappedClient) Chmod(path string, perm uint32) error { return m.inner.Chmod(path, perm) }
-func (m *mappedClient) Utimes(path string, a, mt int64) error {
-	return m.inner.Utimes(path, a, mt)
-}
-func (m *mappedClient) Detach() error { return m.inner.Detach() }

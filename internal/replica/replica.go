@@ -98,48 +98,25 @@ type cachedResp struct {
 	code wire.ErrCode
 }
 
-// openInfo remembers how a live descriptor was opened, so a migration can
-// re-export it into the log for backups that joined too late to replay the
-// original open (see Node.MigrationDrain). Flags are sanitized at record
-// time: OCreate/OExcl/OTrunc are one-shot open semantics that must not
-// re-run on a reopen.
-type openInfo struct {
-	path  string
-	flags fsapi.OpenFlag
-	perm  uint32
-}
-
-// sanitizeOpenFlags strips the one-shot open semantics from recorded flags.
-func sanitizeOpenFlags(flags fsapi.OpenFlag) fsapi.OpenFlag {
-	return flags &^ (fsapi.OCreate | fsapi.OExcl | fsapi.OTrunc)
-}
-
 // session is one client's server-side state, replicated across the group:
 // credentials, which descriptors exist (positions are the client's), and the
 // replay cache. On the node where the client is attached, client is the live
-// fsapi session; on backups it is the shadow built by log replay.
+// fsapi session; on backups it is the shadow built by log replay. Either way
+// it hands out the same descriptor numbers, so nothing translates them.
 type session struct {
 	id   uint64
 	cred fsapi.Cred
 
 	client fsapi.Client
 
-	// fdmu guards the descriptor table. Virtual descriptors are the FDs
-	// clients hold; they survive failover because log entries carry them
-	// explicitly, while the local descriptor they map to is whatever this
-	// node's mount handed out. On the first primary the mapping is the
-	// identity; after a failover it usually is not.
-	fdmu  sync.RWMutex
-	fdMap map[fsapi.FD]fsapi.FD
-	// inos caches each open virtual descriptor's inode number (recorded at
-	// open/create time) — the dependency key the pipelined paths use to run
-	// data operations on independent files concurrently.
-	inos map[fsapi.FD]uint64
-	// opens remembers each open virtual descriptor's origin (path, flags,
-	// perm) so MigrationDrain can re-export the descriptor table to backups
-	// that joined after the opens replicated. Guarded by fdmu.
-	opens map[fsapi.FD]openInfo
-	nextV fsapi.FD
+	// The descriptor table, guarded by opGate on a primary (written under
+	// its exclusive side) and by the log lock on a backup. inos holds each
+	// open descriptor's inode, the key pipelined data operations stripe on;
+	// opens holds how it was opened, for the join manifest; next is one past
+	// the highest descriptor the session was ever handed.
+	inos  map[fsapi.FD]uint64
+	opens map[fsapi.FD]wire.OpenFD
+	next  fsapi.FD
 
 	// dedup answers replayed requests without re-executing them; nil until
 	// the session's first replicated request. Guarded by dmu: the pipelined
@@ -157,88 +134,32 @@ func newSession(id uint64, cred fsapi.Cred, client fsapi.Client) *session {
 		id:     id,
 		cred:   cred,
 		client: client,
-		fdMap:  make(map[fsapi.FD]fsapi.FD),
 		inos:   make(map[fsapi.FD]uint64),
-		opens:  make(map[fsapi.FD]openInfo),
+		opens:  make(map[fsapi.FD]wire.OpenFD),
 	}
 }
 
-// allocVFD assigns a virtual descriptor for a freshly opened local one,
-// preferring the identity so a never-failed-over group behaves exactly
-// like a standalone server. ino is the opened file's inode (zero when
-// unknown), kept as the dependency key for pipelined data ops; oi records
-// the open's origin for migration-time re-export.
-func (s *session) allocVFD(lfd fsapi.FD, ino uint64, oi openInfo) fsapi.FD {
-	oi.path = strings.Clone(oi.path) // the request's path points into a pooled frame
-	s.fdmu.Lock()
-	defer s.fdmu.Unlock()
-	v := lfd
-	if _, taken := s.fdMap[v]; taken || v < 0 {
-		v = s.nextV
-		for {
-			if _, taken := s.fdMap[v]; !taken {
-				break
-			}
-			v++
-		}
+// noteOpen records the descriptor a create or open just handed out. The
+// flags kept are the ones a reopen needs: a create's write-only access,
+// and an open's flags less the one-shot create, exclusive and truncate.
+func (s *session) noteOpen(req *wire.Request, fd fsapi.FD) {
+	o := wire.OpenFD{FD: fd, Path: strings.Clone(req.Path), Flags: uint32(fsapi.OWronly), Perm: req.Perm}
+	if req.Op == wire.OpOpen {
+		o.Flags = req.Flags &^ uint32(fsapi.OCreate|fsapi.OExcl|fsapi.OTrunc)
 	}
-	s.fdMap[v] = lfd
-	s.inos[v] = ino
-	s.opens[v] = oi
-	if v >= s.nextV {
-		s.nextV = v + 1
+	var ino uint64 // zero collapses onto one stripe, which only costs parallelism
+	if st, err := s.client.Fstat(fd); err == nil {
+		ino = st.Ino
 	}
-	return v
+	s.inos[fd] = ino
+	s.opens[fd] = o
+	s.next = max(s.next, fd+1)
 }
 
-// mapVFD installs an explicit virtual→local mapping (backup replay, where
-// the log dictates the virtual descriptor).
-func (s *session) mapVFD(vfd, lfd fsapi.FD, ino uint64, oi openInfo) {
-	oi.path = strings.Clone(oi.path) // the entry's path points into a pooled frame
-	s.fdmu.Lock()
-	s.fdMap[vfd] = lfd
-	s.inos[vfd] = ino
-	s.opens[vfd] = oi
-	if vfd >= s.nextV {
-		s.nextV = vfd + 1
-	}
-	s.fdmu.Unlock()
-}
-
-// lookupVFD translates a client-held descriptor to this node's local one.
-func (s *session) lookupVFD(vfd fsapi.FD) (fsapi.FD, bool) {
-	s.fdmu.RLock()
-	lfd, ok := s.fdMap[vfd]
-	s.fdmu.RUnlock()
-	return lfd, ok
-}
-
-// lookupVFDIno translates a descriptor and reports its cached inode.
-func (s *session) lookupVFDIno(vfd fsapi.FD) (fsapi.FD, uint64, bool) {
-	s.fdmu.RLock()
-	lfd, ok := s.fdMap[vfd]
-	ino := s.inos[vfd]
-	s.fdmu.RUnlock()
-	return lfd, ino, ok
-}
-
-// unmapVFD drops a closed descriptor's mapping.
-func (s *session) unmapVFD(vfd fsapi.FD) {
-	s.fdmu.Lock()
-	delete(s.fdMap, vfd)
-	delete(s.inos, vfd)
-	delete(s.opens, vfd)
-	s.fdmu.Unlock()
-}
-
-// inoOf fetches a file's inode for the dependency key, tolerating failure
-// (zero collapses onto one stripe, which only costs parallelism).
-func inoOf(c fsapi.Client, lfd fsapi.FD) uint64 {
-	st, err := c.Fstat(lfd)
-	if err != nil {
-		return 0
-	}
-	return st.Ino
+// noteClose forgets a closed descriptor.
+func (s *session) noteClose(fd fsapi.FD) {
+	delete(s.inos, fd)
+	delete(s.opens, fd)
 }
 
 // cacheResp remembers a request's response for idempotent replay, in place
@@ -300,12 +221,6 @@ type Config struct {
 	Restore func(img []byte) (fsapi.FileSystem, error)
 	// Logf receives replication diagnostics. Default: discard.
 	Logf func(format string, args ...any)
-	// Lockstep disables the pipelined paths — per-op exclusive execution on
-	// the primary, full-request entry encoding, single-threaded apply and a
-	// synchronous per-frame ack on backups — restoring the pre-pipelining
-	// behavior. It exists for A/B measurement (simurghbench rep reports
-	// both modes); production groups leave it off.
-	Lockstep bool
 	// ApplyWorkers bounds the backup's parallel apply pool. Zero picks
 	// min(GOMAXPROCS, 4); one disables parallel apply.
 	ApplyWorkers int
@@ -361,8 +276,8 @@ type Node struct {
 	// quiescent volume. Data operations on open descriptors (pwrite, write,
 	// ftruncate, fallocate) execute under the read side plus a
 	// per-inode stripe — concurrent across files, serialized per file —
-	// while namespace/descriptor operations, snapshot cuts, and lockstep
-	// mode take the write side and exclude them all. Lock order is
+	// while namespace/descriptor operations and snapshot cuts take the
+	// write side and exclude them all. Lock order is
 	// opGate → stripe → mu.
 	opGate  sync.RWMutex
 	stripes [inoStripes]sync.Mutex

@@ -83,6 +83,13 @@ func startBackup(t *testing.T, cfg replica.Config, primaryAddr string) *member {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return startBackupOn(t, cfg, primaryAddr, ln)
+}
+
+// startBackupOn is startBackup on a listener the caller made, so a client can
+// be given the backup's address before the backup exists.
+func startBackupOn(t *testing.T, cfg replica.Config, primaryAddr string, ln net.Listener) *member {
+	t.Helper()
 	cfg.Advertise = ln.Addr().String()
 	cfg.PrimaryAddr = primaryAddr
 	if cfg.Restore == nil {

@@ -30,8 +30,8 @@ type Authority struct {
 	self string
 	// onRetire is called after an install that removes shards this node was
 	// serving, with the lost IDs and the newly installed map. The daemon
-	// wires it to the replication drain: re-export descriptors, then wait
-	// until the new owners' links have acknowledged the whole log. An error
+	// wires it to the replication drain: wait until the new owners' links
+	// have acknowledged the whole log. An error
 	// fails the install RPC (the fence stays in place) so the migration
 	// coordinator knows the handoff is incomplete.
 	onRetire func(lost []uint32, next *Map) error

@@ -28,15 +28,16 @@ type MigrateOptions struct {
 //  2. Epoch+2, with the target as owner, goes to the OLD group first. The
 //     moment each old node installs it, its authority fences the shard —
 //     every new operation answers Moved and is never logged — and the old
-//     primary then re-exports open descriptors into the log and waits until
-//     the target links have acknowledged the whole log (the retire drain).
+//     primary then waits until the target links have acknowledged the whole
+//     log (the retire drain).
 //     Its MapOK reply is therefore the barrier: every write ever
 //     acknowledged to a client is on the target when it arrives.
 //  3. The same map goes to the target group, so its nodes start claiming
 //     the shard, and the target's first node is promoted to primary (epoch
 //     bump; its link to the old primary drops). Clients that hit the fence
 //     retry with jittered backoff and rehome to the target by client-ID
-//     session resume — descriptor tables included, thanks to the re-export.
+//     session resume — descriptor tables included: the target's join
+//     manifest carried them, and the log every open since.
 //  4. Remaining nodes get the map best-effort (they would learn it from
 //     Moved answers anyway).
 //

@@ -17,8 +17,8 @@
 //
 // Live migration moves one shard to another group without downtime: the
 // target joins the owner group as a replication backup (snapshot stream +
-// log replay, the PR 5 machinery, plus a descriptor re-export so even
-// long-lived sessions transfer), the map's epoch flips with the old owner
+// log replay, with the sessions' open descriptors in the join manifest so
+// even long-lived sessions transfer), the map's epoch flips with the old owner
 // fencing and draining first, and the old group answers Moved while clients
 // rehome. See Migrate.
 package shard

@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -48,6 +49,17 @@ const maxCoalesce = wire.MaxFrame - 1024
 
 // maxRedirectHops bounds how many KindRedirect frames one attach follows.
 const maxRedirectHops = 4
+
+// backoff is a jittered, doubling retry delay: each wait is drawn from
+// [d/2, d], and d then doubles, up to max.
+type backoff struct{ d, max time.Duration }
+
+// next returns the wait before the next retry.
+func (b *backoff) next() time.Duration {
+	w := b.d/2 + time.Duration(rand.Int63n(int64(b.d/2)+1))
+	b.d = min(2*b.d, b.max)
+	return w
+}
 
 // Options tunes a Remote.
 type Options struct {

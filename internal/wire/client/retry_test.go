@@ -40,13 +40,12 @@ func overloadServer(t *testing.T, refuse int) string {
 					if err != nil || k != wire.KindBatch {
 						return
 					}
+					reqs, err := wire.DecodeBatchInto(nil, payload)
+					if err != nil {
+						return
+					}
 					var out []byte
-					for len(payload) > 0 {
-						req, rest, err := wire.DecodeRequest(payload)
-						if err != nil {
-							return
-						}
-						payload = rest
+					for _, req := range reqs {
 						resp := wire.Response{ID: req.ID, Op: req.Op}
 						if batches < refuse {
 							resp.Code = wire.CodeOverload

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	pathpkg "path"
 	"sort"
 	"strings"
@@ -374,7 +373,7 @@ func (ss *RoutedSession) session(id uint32) (*Session, error) {
 // immediately so doShard can refetch the map and re-route.
 func (ss *RoutedSession) attach(r *Remote) (*Session, error) {
 	deadline := time.Now().Add(ss.rt.opts.FailoverTimeout)
-	backoff := 10 * time.Millisecond
+	b := backoff{d: 10 * time.Millisecond, max: 250 * time.Millisecond}
 	for {
 		c, err := r.Attach(ss.cred)
 		if err == nil {
@@ -392,11 +391,7 @@ func (ss *RoutedSession) attach(r *Remote) (*Session, error) {
 		if closed {
 			return nil, ErrClosed
 		}
-		d := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-		time.Sleep(d)
-		if backoff < 250*time.Millisecond {
-			backoff *= 2
-		}
+		time.Sleep(b.next())
 	}
 }
 
@@ -489,7 +484,8 @@ func (ss *RoutedSession) moved(id uint32, cause error) {
 // budget the recovery loop itself runs under.
 func (ss *RoutedSession) awaitEpoch(mv wire.Moved) bool {
 	deadline := time.Now().Add(ss.rt.opts.FailoverTimeout)
-	for hop := 1; ; hop++ {
+	b := ss.movedBackoff()
+	for {
 		if ss.rt.Map().Epoch >= mv.Epoch {
 			return true
 		}
@@ -499,18 +495,13 @@ func (ss *RoutedSession) awaitEpoch(mv wire.Moved) bool {
 		if !time.Now().Before(deadline) {
 			return false
 		}
-		ss.backoff(hop)
+		time.Sleep(b.next())
 	}
 }
 
-// backoff sleeps the jittered, doubling Moved-retry delay for a hop.
-func (ss *RoutedSession) backoff(hop int) {
-	d := ss.rt.opts.MovedBackoff << uint(hop-1)
-	if d > 250*time.Millisecond {
-		d = 250 * time.Millisecond
-	}
-	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-	time.Sleep(d)
+// movedBackoff is the delay between retries after a Moved answer.
+func (ss *RoutedSession) movedBackoff() backoff {
+	return backoff{d: ss.rt.opts.MovedBackoff, max: 250 * time.Millisecond}
 }
 
 // doShard runs f against the shard pick() currently names, following Moved
@@ -519,10 +510,11 @@ func (ss *RoutedSession) backoff(hop int) {
 // up. Errors other than Moved pass through untouched.
 func (ss *RoutedSession) doShard(pick func() uint32, f func(s *Session) error) error {
 	hops := ss.rt.opts.MaxMovedHops
+	b := ss.movedBackoff()
 	var err error
 	for hop := 0; hop <= hops; hop++ {
 		if hop > 0 {
-			ss.backoff(hop)
+			time.Sleep(b.next())
 		}
 		id := pick()
 		var s *Session
@@ -746,10 +738,11 @@ func (ss *RoutedSession) Unlink(path string) error {
 // names live in different groups' NVMM.
 func (ss *RoutedSession) Rename(oldPath, newPath string) error {
 	hops := ss.rt.opts.MaxMovedHops
+	b := ss.movedBackoff()
 	var err error
 	for hop := 0; hop <= hops; hop++ {
 		if hop > 0 {
-			ss.backoff(hop)
+			time.Sleep(b.next())
 		}
 		a, b := ss.rt.route(oldPath), ss.rt.route(newPath)
 		if a != b {

@@ -3,7 +3,6 @@ package client
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"net"
 	"sort"
 	"sync"
@@ -309,7 +308,7 @@ func (s *Session) transportFailed(t *transport, err error) {
 // precedes any write, so nothing can be dropped without being replayed.
 func (s *Session) recover(cause error) {
 	deadline := time.Now().Add(s.r.opts.FailoverTimeout)
-	backoff := 10 * time.Millisecond
+	b := backoff{d: 10 * time.Millisecond, max: 250 * time.Millisecond}
 	for {
 		if s.err() != nil {
 			return
@@ -324,14 +323,10 @@ func (s *Session) recover(cause error) {
 			s.fail(fmt.Errorf("%w (after %v)", ErrNoPrimary, cause))
 			return
 		}
-		d := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
 		select {
-		case <-time.After(d):
+		case <-time.After(b.next()):
 		case <-s.dead:
 			return
-		}
-		if backoff < 250*time.Millisecond {
-			backoff *= 2
 		}
 	}
 }
@@ -828,7 +823,8 @@ func (s *Session) callDst(req wire.Request, dst []byte) (wire.Response, error) {
 	o := &s.r.opts
 	sub := getSub()
 	defer putSub(sub)
-	var backoff, total time.Duration
+	b := backoff{d: o.OverloadBackoff, max: 128 * time.Millisecond}
+	var total time.Duration
 	for attempt := 0; ; attempt++ {
 		sub.one.req[0] = req
 		err := s.start(sub, sub.one.req[:], sub.one.resp[:], nil, dst)
@@ -843,19 +839,13 @@ func (s *Session) callDst(req wire.Request, dst []byte) (wire.Response, error) {
 			s.track(&req, &resp)
 			return resp, nil
 		}
-		if backoff == 0 {
-			backoff = o.OverloadBackoff
-		}
-		d := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
+		d := b.next()
 		select {
 		case <-time.After(d):
 		case <-s.dead:
 			return wire.Response{}, s.err()
 		}
 		total += d
-		if backoff < 128*time.Millisecond {
-			backoff *= 2
-		}
 		s.r.st.overloadRetries.Add(1)
 	}
 }

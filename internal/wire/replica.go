@@ -9,11 +9,11 @@
 // A backup enlists by sending KindJoin on a fresh connection (instead of
 // KindAttach). The primary answers KindJoinOK with the current epoch, the
 // snapshot's log position and size, and a manifest of the sessions that
-// already exist; it then streams the volume image in KindSnapChunk frames
-// and follows with the live log. Entries carry the originating session and
-// — for descriptor-creating ops — the primary's resulting FD, so the
-// backup replays each session against a shadow client and maps primary
-// descriptors to its own.
+// already exist with their open descriptors; it then streams the volume
+// image in KindSnapChunk frames and follows with the live log. Entries carry
+// the originating session and — for descriptor-creating ops — the
+// descriptor the primary handed out, which the backup's shadow client hands
+// out too: a descriptor has one number on every node of the group.
 package wire
 
 import (
@@ -65,9 +65,8 @@ type Entry struct {
 	Cred fsapi.Cred
 	// Req is the replayed request (EntryOp only).
 	Req Request
-	// ResFD is the primary's resulting descriptor for OpCreate/OpOpen, so
-	// the backup can map primary FDs to its shadow's FDs without relying on
-	// identical allocation order.
+	// ResFD is the descriptor OpCreate/OpOpen handed out on the primary;
+	// the backup's shadow opens at the same number.
 	ResFD fsapi.FD
 }
 
@@ -90,17 +89,6 @@ func AppendEntry(dst []byte, e *Entry) []byte {
 		dst = appendBytes(dst, e.Req.Data)
 	}
 	return dst
-}
-
-// DecodeEntry decodes one entry from b, returning the remaining bytes.
-// Variable-length request fields are copied, safe to retain.
-func DecodeEntry(b []byte) (Entry, []byte, error) {
-	rd := reader{b: b}
-	e, err := decodeEntry(&rd)
-	if err != nil {
-		return Entry{}, nil, err
-	}
-	return e, rd.b, nil
 }
 
 func decodeEntry(rd *reader) (Entry, error) {
@@ -202,13 +190,28 @@ func ParseJoin(payload []byte) (Join, error) {
 	return j, nil
 }
 
-// SessionInfo describes one pre-existing session in the join manifest. The
-// backup creates its shadow with the right credentials, but descriptors
-// those sessions opened before the snapshot cannot be transferred; their
-// operations are skipped on this backup (see the replica package docs).
+// SessionInfo describes one session alive at the snapshot: its credentials
+// and its descriptor table. Descriptor numbers are the same on every node
+// of the group, so the backup reopens each descriptor at its own number and
+// then reserves up to NextFD; later opens in the log land where they did on
+// the primary.
 type SessionInfo struct {
 	Sess uint64
 	Cred fsapi.Cred
+	// NextFD is one past the highest descriptor the session was ever handed.
+	NextFD fsapi.FD
+	// Open is the session's open descriptors, in no particular order.
+	Open []OpenFD
+}
+
+// OpenFD is one open descriptor in the join manifest: its number and how to
+// reopen it. Flags carry no one-shot semantics (create, exclusive,
+// truncate); the file exists, and reopening must not change it.
+type OpenFD struct {
+	FD    fsapi.FD
+	Path  string
+	Flags uint32
+	Perm  uint32
 }
 
 // JoinOK is the primary's answer to a join.
@@ -232,31 +235,46 @@ func AppendJoinOK(dst []byte, j *JoinOK) []byte {
 	dst = appendU64(dst, j.SnapSize)
 	dst = appendU32(dst, uint32(len(j.Sessions)))
 	for i := range j.Sessions {
-		dst = appendU64(dst, j.Sessions[i].Sess)
-		dst = appendU32(dst, j.Sessions[i].Cred.UID)
-		dst = appendU32(dst, j.Sessions[i].Cred.GID)
+		si := &j.Sessions[i]
+		dst = appendU64(dst, si.Sess)
+		dst = appendU32(dst, si.Cred.UID)
+		dst = appendU32(dst, si.Cred.GID)
+		dst = appendU32(dst, uint32(si.NextFD))
+		dst = appendU32(dst, uint32(len(si.Open)))
+		for _, o := range si.Open {
+			dst = appendU32(dst, uint32(o.FD))
+			dst = appendU32(dst, o.Flags)
+			dst = appendU32(dst, o.Perm)
+			dst = appendStr(dst, o.Path)
+		}
 	}
 	return dst
 }
 
-// sessionInfoSize is the encoded size of one manifest entry.
-const sessionInfoSize = 8 + 4 + 4
+// The encoded sizes of a manifest session and of an open descriptor with an
+// empty path: the least bytes each count must leave for its entries.
+const (
+	sessionInfoSize = 8 + 4 + 4 + 4 + 4
+	openFDSize      = 4 + 4 + 4 + 2
+)
 
-// ParseJoinOK decodes a KindJoinOK payload.
+// ParseJoinOK decodes a KindJoinOK payload. Paths are copies: the backup
+// keeps them after the frame is gone.
 func ParseJoinOK(payload []byte) (JoinOK, error) {
 	rd := reader{b: payload}
 	j := JoinOK{Epoch: rd.u64(), SnapSeq: rd.u64(), SnapSize: rd.u64()}
-	n := int(rd.u32())
-	if rd.err == nil && n > len(rd.b)/sessionInfoSize {
-		return JoinOK{}, fmt.Errorf("%w: session count %d beyond payload", ErrBadMessage, n)
+	if n := rd.count(sessionInfoSize); n > 0 {
+		j.Sessions = make([]SessionInfo, n)
 	}
-	if rd.err == nil && n > 0 {
-		j.Sessions = make([]SessionInfo, 0, n)
-		for i := 0; i < n; i++ {
-			j.Sessions = append(j.Sessions, SessionInfo{
-				Sess: rd.u64(),
-				Cred: fsapi.Cred{UID: rd.u32(), GID: rd.u32()},
-			})
+	for i := range j.Sessions {
+		si := &j.Sessions[i]
+		si.Sess, si.Cred = rd.u64(), fsapi.Cred{UID: rd.u32(), GID: rd.u32()}
+		si.NextFD = fsapi.FD(rd.u32())
+		if k := rd.count(openFDSize); k > 0 {
+			si.Open = make([]OpenFD, k)
+		}
+		for k := range si.Open {
+			si.Open[k] = OpenFD{FD: fsapi.FD(rd.u32()), Flags: rd.u32(), Perm: rd.u32(), Path: rd.str(MaxPath)}
 		}
 	}
 	if rd.err != nil {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"simurgh/internal/fsapi"
@@ -109,7 +110,7 @@ func TestEntryBadKind(t *testing.T) {
 	e := Entry{Seq: 1, Sess: 1, Kind: EntryAttach}
 	buf := AppendEntry(nil, &e)
 	buf[16] = 99 // corrupt the kind byte
-	if _, _, err := DecodeEntry(buf); !errors.Is(err, ErrBadMessage) {
+	if _, err := DecodeEntriesInto(nil, buf); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("bad kind decoded: err = %v", err)
 	}
 }
@@ -133,14 +134,16 @@ func TestJoinRoundTrip(t *testing.T) {
 func TestJoinOKRoundTrip(t *testing.T) {
 	j := JoinOK{Epoch: 3, SnapSeq: 900, SnapSize: 1 << 28, Sessions: []SessionInfo{
 		{Sess: 1, Cred: fsapi.Cred{UID: 0, GID: 0}},
-		{Sess: 99, Cred: fsapi.Cred{UID: 1000, GID: 1000}},
+		{Sess: 99, Cred: fsapi.Cred{UID: 1000, GID: 1000}, NextFD: 9, Open: []OpenFD{
+			{FD: 5, Path: "/a/b", Flags: uint32(fsapi.ORdwr | fsapi.OAppend), Perm: 0o640},
+			{FD: 3, Path: "/c"},
+		}},
 	}}
 	got, err := ParseJoinOK(AppendJoinOK(nil, &j))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Epoch != j.Epoch || got.SnapSeq != j.SnapSeq || got.SnapSize != j.SnapSize ||
-		len(got.Sessions) != 2 || got.Sessions[1] != j.Sessions[1] {
+	if !reflect.DeepEqual(got, j) {
 		t.Fatalf("got %+v, want %+v", got, j)
 	}
 
@@ -151,6 +154,49 @@ func TestJoinOKRoundTrip(t *testing.T) {
 	if _, err := ParseJoinOK(forged); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("forged session count accepted: %v", err)
 	}
+	// Nor a forged open-table count: the session's count sits after its
+	// id, credentials and next descriptor.
+	forged = AppendJoinOK(nil, &JoinOK{Sessions: []SessionInfo{{Sess: 1}}})
+	forged[28+20] = 0xff
+	if _, err := ParseJoinOK(forged); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("forged open-table count accepted: %v", err)
+	}
+}
+
+// FuzzJoinOK feeds arbitrary bytes to the join manifest's decoder. Whatever
+// the input: no panic, no table larger than the input (every count is
+// bounded by the bytes left, every path by MaxPath), and anything that
+// decodes re-encodes to the same bytes.
+func FuzzJoinOK(f *testing.F) {
+	f.Add(AppendJoinOK(nil, &JoinOK{Epoch: 1, SnapSeq: 2, SnapSize: 3}))
+	f.Add(AppendJoinOK(nil, &JoinOK{Epoch: 2, Sessions: []SessionInfo{
+		{Sess: 7, Cred: fsapi.Root, NextFD: 6, Open: []OpenFD{{FD: 3, Path: "/f"}, {FD: 5, Path: "/g", Flags: 2, Perm: 0o644}}},
+		{Sess: 8},
+	}}))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		j, err := ParseJoinOK(data)
+		if err != nil {
+			return
+		}
+		entries := len(j.Sessions)
+		for _, si := range j.Sessions {
+			entries += len(si.Open)
+			for _, o := range si.Open {
+				if len(o.Path) > MaxPath {
+					t.Fatalf("path of %d bytes decoded", len(o.Path))
+				}
+			}
+		}
+		if entries > len(data) {
+			t.Fatalf("%d manifest entries decoded from %d bytes", entries, len(data))
+		}
+		re := AppendJoinOK(nil, &j)
+		if !bytes.Equal(re, data[:len(re)]) {
+			t.Fatal("re-encoded manifest differs from its input")
+		}
+	})
 }
 
 func TestSnapChunkRoundTrip(t *testing.T) {

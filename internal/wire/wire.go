@@ -333,6 +333,19 @@ func (r *reader) u64() uint64 {
 	return v
 }
 
+// count reads a u32 element count and checks it against the bytes left at
+// minSize bytes an element, so a hostile count cannot size an allocation.
+func (r *reader) count(minSize int) int {
+	n := int(r.u32())
+	if r.err == nil && n > len(r.b)/minSize {
+		r.fail(fmt.Errorf("%w: count %d beyond payload", ErrBadMessage, n))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
 // str reads a u16-length-prefixed string of at most max bytes. Outside
 // alias mode the string conversion copies, so the result does not alias the
 // frame buffer; in alias mode it views the input directly.
@@ -456,18 +469,6 @@ func AppendRequest(dst []byte, r *Request) []byte {
 	case OpDetach:
 	}
 	return dst
-}
-
-// DecodeRequest decodes one request from b, returning the remaining bytes.
-// Variable-length fields are copied, so the result is safe to retain after
-// b is reused.
-func DecodeRequest(b []byte) (Request, []byte, error) {
-	rd := reader{b: b}
-	r, err := decodeRequest(&rd)
-	if err != nil {
-		return Request{}, nil, err
-	}
-	return r, rd.b, nil
 }
 
 func decodeRequest(rd *reader) (Request, error) {
@@ -703,11 +704,7 @@ func decodeResponse(rd *reader, dataDst []byte, aliasData bool) (Response, error
 	case OpReadlink:
 		r.Str = rd.str(MaxPath)
 	case OpReadDir:
-		n := int(rd.u32())
-		if rd.err == nil && n > len(rd.b)/dirEntryMinSize {
-			return Response{}, fmt.Errorf("%w: dir entry count %d beyond payload", ErrBadMessage, n)
-		}
-		if rd.err == nil && n > 0 {
+		if n := rd.count(dirEntryMinSize); n > 0 {
 			r.Dir = make([]fsapi.DirEntry, 0, n)
 			for i := 0; i < n; i++ {
 				r.Dir = append(r.Dir, fsapi.DirEntry{

@@ -74,15 +74,19 @@ func sampleResponses() []Response {
 }
 
 func TestRequestRoundTrip(t *testing.T) {
+	var buf []byte
 	for _, want := range sampleRequests() {
-		buf := AppendRequest(nil, &want)
-		got, rest, err := DecodeRequest(buf)
-		if err != nil {
-			t.Fatalf("%v: decode: %v", want.Op, err)
-		}
-		if len(rest) != 0 {
-			t.Fatalf("%v: %d trailing bytes", want.Op, len(rest))
-		}
+		buf = AppendRequest(buf, &want)
+	}
+	decoded, err := DecodeBatchInto(nil, buf)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if len(decoded) != len(sampleRequests()) {
+		t.Fatalf("decoded %d requests, want %d", len(decoded), len(sampleRequests()))
+	}
+	for i, want := range sampleRequests() {
+		got := decoded[i]
 		if got.ID != want.ID || got.Op != want.Op || got.FD != want.FD ||
 			got.Flags != want.Flags || got.Perm != want.Perm ||
 			got.Off != want.Off || got.Off2 != want.Off2 || got.Size != want.Size ||
@@ -271,7 +275,7 @@ func TestFrameIO(t *testing.T) {
 func TestDecodeRejectsOversize(t *testing.T) {
 	// Read size beyond MaxIO.
 	req := Request{ID: 1, Op: OpRead, FD: 1, Size: MaxIO + 1}
-	if _, _, err := DecodeRequest(AppendRequest(nil, &req)); !errors.Is(err, ErrBadMessage) {
+	if _, err := DecodeBatchInto(nil, AppendRequest(nil, &req)); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("oversize read size err = %v", err)
 	}
 	// Truncated write payload: claims more bytes than present.
@@ -280,7 +284,7 @@ func TestDecodeRejectsOversize(t *testing.T) {
 	b = appendU32(b, 1)          // fd
 	b = appendU32(b, 1<<30)      // claimed data length
 	b = append(b, 'x', 'y', 'z') // only 3 bytes present
-	if _, _, err := DecodeRequest(b); err == nil {
+	if _, err := DecodeBatchInto(nil, b); err == nil {
 		t.Fatal("decode of over-claiming write succeeded")
 	}
 	// Batch with too many ops.
@@ -298,17 +302,29 @@ func TestDecodeRejectsOversize(t *testing.T) {
 	}
 }
 
+// TestDecodedDataDoesNotAliasInput: outside the alias decoders, what a
+// decoder returns is a copy, safe to keep after the frame is reused — a
+// read's data, and the paths a backup keeps from its join manifest.
 func TestDecodedDataDoesNotAliasInput(t *testing.T) {
-	req := Request{ID: 1, Op: OpWrite, FD: 1, Data: []byte("aliased?")}
-	buf := AppendRequest(nil, &req)
-	got, _, err := DecodeRequest(buf)
+	buf := AppendResponse(nil, &Response{ID: 1, Op: OpPread, N: 8, Data: []byte("aliased?")})
+	got, _, err := DecodeResponseInto(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range buf {
-		buf[i] = 0xFF
+	jo := AppendJoinOK(nil, &JoinOK{Sessions: []SessionInfo{{Sess: 1, Open: []OpenFD{{FD: 3, Path: "/aliased?"}}}}})
+	manifest, err := ParseJoinOK(jo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{buf, jo} {
+		for i := range b {
+			b[i] = 0xFF
+		}
 	}
 	if string(got.Data) != "aliased?" {
 		t.Fatalf("decoded data aliases input buffer: %q", got.Data)
+	}
+	if p := manifest.Sessions[0].Open[0].Path; p != "/aliased?" {
+		t.Fatalf("manifest path aliases input buffer: %q", p)
 	}
 }
