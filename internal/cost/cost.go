@@ -17,18 +17,21 @@ package cost
 import (
 	"sync/atomic"
 	"time"
+
+	"simurgh/internal/isa"
 )
 
-// Paper-calibrated cycle costs (see §3.3 and §5.1).
+// Paper-calibrated cycle costs (see §3.3 and §5.1), taken from the micro-op
+// table in internal/isa so the §3.3 numbers have one copy.
 const (
 	// ClockGHz is the testbed clock (Xeon Gold 5215 @ 2.5 GHz).
 	ClockGHz = 2.5
 	// SyscallCycles is the measured round-trip of a trivial syscall on the
 	// testbed (geteuid ≈ 400 cycles).
-	SyscallCycles = 400
+	SyscallCycles = isa.CyclesSyscallModern
 	// JmppExtraCycles is the measured difference between a protected call
 	// (jmpp+pret) and a plain call+ret: 70 − 24 = 46 cycles.
-	JmppExtraCycles = 46
+	JmppExtraCycles = isa.CyclesJmppPret - isa.CyclesCallRet
 )
 
 // spinsPerNano is the calibrated number of spin-loop iterations per

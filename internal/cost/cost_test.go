@@ -5,6 +5,8 @@ import (
 	"time"
 )
 
+// TestPaperConstants pins the charges derived from internal/isa's micro-op
+// table at the paper's §3.3 numbers.
 func TestPaperConstants(t *testing.T) {
 	if SyscallCycles != 400 {
 		t.Fatalf("SyscallCycles = %d", SyscallCycles)

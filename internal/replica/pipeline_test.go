@@ -56,9 +56,7 @@ func TestPipelinedQuorum2(t *testing.T) {
 				b1.n.Epoch() == p.n.Epoch() && b2.n.Epoch() == p.n.Epoch()
 		})
 
-		// The attach handshake waits for both backups' acks; give it
-		// room on starved runs.
-		remote, err := client.Dial(p.addr, client.Options{DialTimeout: 30 * time.Second})
+		remote, err := client.Dial(p.addr, client.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,6 +50,19 @@ const maxCoalesce = wire.MaxFrame - 1024
 // maxRedirectHops bounds how many KindRedirect frames one attach follows.
 const maxRedirectHops = 4
 
+// dialTimeout bounds each TCP connect and each attach handshake.
+const dialTimeout = 5 * time.Second
+
+// Transparent retries of a call answered with CodeOverload (the server means
+// "try again"): at most overloadRetries of them, the first after
+// overloadBackoff (jittered, doubling), adding at most overloadBudget to one
+// call.
+const (
+	overloadRetries = 4
+	overloadBackoff = 2 * time.Millisecond
+	overloadBudget  = time.Second
+)
+
 // backoff is a jittered, doubling retry delay: each wait is drawn from
 // [d/2, d], and d then doubles, up to max.
 type backoff struct{ d, max time.Duration }
@@ -63,29 +76,11 @@ func (b *backoff) next() time.Duration {
 
 // Options tunes a Remote.
 type Options struct {
-	// DialTimeout bounds each TCP connect. Default 5s.
-	DialTimeout time.Duration
-	// Warm pre-dials this many idle connections at Dial time so the first
-	// attaches skip connect latency. Default 0.
-	Warm int
-	// IdleTimeout reaps pooled connections that have sat idle this long,
-	// so a burst of traffic does not pin sockets forever. Default 60s.
-	IdleTimeout time.Duration
 	// FailoverTimeout is the total budget a disconnected session spends
 	// re-resolving the primary before it fails permanently. Zero disables
 	// reconnection unless the dial list has more than one address, in
 	// which case the default is 10s.
 	FailoverTimeout time.Duration
-	// OverloadRetries bounds transparent retries of a call answered with
-	// CodeOverload (the server means "try again"). Default 4; negative
-	// disables retrying.
-	OverloadRetries int
-	// OverloadBackoff is the first retry's backoff (jittered, doubling).
-	// Default 2ms.
-	OverloadBackoff time.Duration
-	// OverloadBudget caps the total delay overload retries may add to one
-	// call. Default 1s.
-	OverloadBudget time.Duration
 	// Obs, when set, makes sessions participants in distributed tracing:
 	// 1-in-TraceSample submissions are tagged with a trace ID, sent in
 	// KindBatchTraced frames, and produce client-side spans (enqueue wait,
@@ -99,23 +94,8 @@ type Options struct {
 }
 
 func (o *Options) fillDefaults(multiAddr bool) {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.IdleTimeout <= 0 {
-		o.IdleTimeout = 60 * time.Second
-	}
 	if o.FailoverTimeout <= 0 && multiAddr {
 		o.FailoverTimeout = 10 * time.Second
-	}
-	if o.OverloadRetries == 0 {
-		o.OverloadRetries = 4
-	}
-	if o.OverloadBackoff <= 0 {
-		o.OverloadBackoff = 2 * time.Millisecond
-	}
-	if o.OverloadBudget <= 0 {
-		o.OverloadBudget = time.Second
 	}
 	if o.TraceSample <= 0 {
 		o.TraceSample = 1024
@@ -136,8 +116,6 @@ type Stats struct {
 	Failovers uint64
 	// Replays counts requests re-sent during failovers.
 	Replays uint64
-	// IdleReaped counts pooled connections closed by the idle reaper.
-	IdleReaped uint64
 }
 
 // stats is the live (atomic) form of Stats, shared by Remote and Sessions.
@@ -147,7 +125,6 @@ type stats struct {
 	redirects       atomic.Uint64
 	failovers       atomic.Uint64
 	replays         atomic.Uint64
-	idleReaped      atomic.Uint64
 }
 
 func (s *stats) snapshot() Stats {
@@ -157,96 +134,58 @@ func (s *stats) snapshot() Stats {
 		Redirects:       s.redirects.Load(),
 		Failovers:       s.failovers.Load(),
 		Replays:         s.replays.Load(),
-		IdleReaped:      s.idleReaped.Load(),
 	}
 }
 
-// idleConn is one pooled, not-yet-handshaken connection.
-type idleConn struct {
-	c     net.Conn
-	since time.Time
-}
-
 // Remote is a served volume reached over the network. It implements
-// fsapi.FileSystem: Attach opens (or reuses) a connection and performs the
-// wire handshake.
+// fsapi.FileSystem: each Attach dials a connection and performs the wire
+// handshake.
 type Remote struct {
 	addrs []string
 	opts  Options
 	st    stats
 
 	mu      sync.Mutex
-	idle    []idleConn
 	name    string // remote FS name, learned from the first AttachOK
 	primary string // last address that served an attach
-	closed  bool
-	reaper  chan struct{} // closes the reaper goroutine; nil before it starts
 
-	// claim, when claimed, is the shard claim attaches carry (set by the
+	// claim, when set, is the shard claim attaches carry (set by the
 	// router): the server refuses the attach with KindMoved when the shard
 	// is served elsewhere, instead of silently handing out a session that
 	// every subsequent operation would fence.
-	claimShard uint32
-	claimEpoch uint64
-	claimed    bool
+	claim *wire.AttachClaim
 }
 
-// SetClaim makes every subsequent attach claim a shard at a map epoch
+// setClaim makes every subsequent attach claim a shard at a map epoch
 // (router use; see internal/shard).
-func (r *Remote) SetClaim(shardID uint32, epoch uint64) {
+func (r *Remote) setClaim(shardID uint32, epoch uint64) {
 	r.mu.Lock()
-	r.claimShard, r.claimEpoch, r.claimed = shardID, epoch, true
+	r.claim = &wire.AttachClaim{Shard: shardID, Epoch: epoch}
 	r.mu.Unlock()
 }
 
-// SetAddrs replaces the dial list — the router points a shard's Remote at
-// the shard's new owner group after a migration. Pooled idle connections
-// to the old group are dropped.
-func (r *Remote) SetAddrs(addrs []string) {
+// setAddrs replaces the dial list — the router points a shard's Remote at
+// the shard's new owner group after a migration.
+func (r *Remote) setAddrs(addrs []string) {
 	if len(addrs) == 0 {
 		return
 	}
 	r.mu.Lock()
 	r.addrs = append(r.addrs[:0:0], addrs...)
 	r.primary = addrs[0]
-	idle := r.idle
-	r.idle = nil
 	r.mu.Unlock()
-	for _, ic := range idle {
-		ic.c.Close()
-	}
-}
-
-// Addrs snapshots the current dial list.
-func (r *Remote) Addrs() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.addrs...)
 }
 
 // Dial prepares a Remote for addr — a host:port, or a comma-separated list
 // of them (a replication group; the client finds the primary). The servers
-// are first contacted at Attach (or immediately, for Options.Warm
-// pre-dialed connections).
+// are first contacted at Attach.
 func Dial(addr string, opts Options) (*Remote, error) {
 	addrs := splitAddrs(addr)
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("wire client: empty address")
 	}
 	opts.fillDefaults(len(addrs) > 1)
-	r := &Remote{addrs: addrs, opts: opts, primary: addrs[0]}
-	for i := 0; i < opts.Warm; i++ {
-		conn, err := r.dial(addrs[0])
-		if err != nil {
-			r.Close()
-			return nil, err
-		}
-		r.mu.Lock()
-		r.idle = append(r.idle, idleConn{c: conn, since: time.Now()})
-		r.startReaperLocked()
-		r.mu.Unlock()
-	}
-	return r, nil
+	return &Remote{addrs: addrs, opts: opts, primary: addrs[0]}, nil
 }
 
 func splitAddrs(addr string) []string {
@@ -260,7 +199,7 @@ func splitAddrs(addr string) []string {
 }
 
 func (r *Remote) dial(addr string) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", addr, r.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err == nil {
 		r.st.dials.Add(1)
 	}
@@ -269,13 +208,6 @@ func (r *Remote) dial(addr string) (net.Conn, error) {
 
 // Stats snapshots the client-side counters.
 func (r *Remote) Stats() Stats { return r.st.snapshot() }
-
-// PoolSize reports how many pre-dialed idle connections are pooled.
-func (r *Remote) PoolSize() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.idle)
-}
 
 // Name identifies the remote file system once known ("wire(<addr>)" before
 // the first successful attach).
@@ -288,86 +220,9 @@ func (r *Remote) Name() string {
 	return "wire(" + strings.Join(r.addrs, ",") + ")"
 }
 
-// Close releases idle connections and stops the reaper. Live sessions are
-// unaffected; detach them individually.
-func (r *Remote) Close() error {
-	r.mu.Lock()
-	idle := r.idle
-	r.idle, r.closed = nil, true
-	if r.reaper != nil {
-		close(r.reaper)
-		r.reaper = nil
-	}
-	r.mu.Unlock()
-	for _, ic := range idle {
-		ic.c.Close()
-	}
-	return nil
-}
-
-// startReaperLocked launches the idle-pool reaper if it is not running.
-func (r *Remote) startReaperLocked() {
-	if r.reaper != nil || r.closed {
-		return
-	}
-	stop := make(chan struct{})
-	r.reaper = stop
-	interval := r.opts.IdleTimeout / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				r.reapIdle(time.Now())
-			}
-		}
-	}()
-}
-
-// reapIdle closes pooled connections idle beyond IdleTimeout.
-func (r *Remote) reapIdle(now time.Time) {
-	var dead []net.Conn
-	r.mu.Lock()
-	kept := r.idle[:0]
-	for _, ic := range r.idle {
-		if now.Sub(ic.since) >= r.opts.IdleTimeout {
-			dead = append(dead, ic.c)
-		} else {
-			kept = append(kept, ic)
-		}
-	}
-	r.idle = kept
-	// Counted before the lock drops: whoever sees the pool shrunk sees the
-	// reaping accounted.
-	r.st.idleReaped.Add(uint64(len(dead)))
-	r.mu.Unlock()
-	for _, c := range dead {
-		c.Close()
-	}
-}
-
-// conn returns a transport to addr: a pooled idle connection when one is
-// available (pooled connections all point at the first address), a fresh
-// dial otherwise.
-func (r *Remote) conn(addr string) (net.Conn, error) {
-	r.mu.Lock()
-	if addr == r.addrs[0] {
-		if n := len(r.idle); n > 0 {
-			ic := r.idle[n-1]
-			r.idle = r.idle[:n-1]
-			r.mu.Unlock()
-			return ic.c, nil
-		}
-	}
-	r.mu.Unlock()
-	return r.dial(addr)
-}
+// Close is a no-op: a Remote holds no connection of its own. Live sessions
+// are unaffected; detach them individually.
+func (r *Remote) Close() error { return nil }
 
 // redirectErr carries a KindRedirect answer out of the handshake.
 type redirectErr struct{ addr string }
@@ -393,7 +248,7 @@ func (r *Remote) attachConn(cred fsapi.Cred, clientID uint64) (net.Conn, *wire.F
 	r.mu.Lock()
 	first := r.primary
 	addrs := append([]string(nil), r.addrs...)
-	claimShard, claimEpoch, claimed := r.claimShard, r.claimEpoch, r.claimed
+	claim := r.claim
 	r.mu.Unlock()
 	candidates := make([]string, 0, len(addrs)+1)
 	candidates = append(candidates, first)
@@ -402,22 +257,17 @@ func (r *Remote) attachConn(cred fsapi.Cred, clientID uint64) (net.Conn, *wire.F
 			candidates = append(candidates, a)
 		}
 	}
-	var attach []byte
-	if claimed {
-		attach = wire.AppendAttachClaim(nil, cred, clientID, claimShard, claimEpoch)
-	} else {
-		attach = wire.AppendAttach(nil, cred, clientID)
-	}
+	attach := wire.AppendAttach(nil, cred, clientID, claim)
 	var lastErr error
 	for _, addr := range candidates {
 		for hop := 0; addr != "" && hop < maxRedirectHops; hop++ {
-			conn, err := r.conn(addr)
+			conn, err := r.dial(addr)
 			if err != nil {
 				lastErr = err
 				break
 			}
 			fr := wire.NewFrameReader(conn)
-			name, err := handshake(conn, fr, attach, r.opts.DialTimeout)
+			name, err := handshake(conn, fr, attach)
 			if err == nil {
 				r.mu.Lock()
 				r.name, r.primary = name, addr
@@ -490,8 +340,8 @@ func (r *Remote) Attach(cred fsapi.Cred) (fsapi.Client, error) {
 // server's file system name. fr must be the reader the session will keep
 // using, so no buffered bytes are lost across the handoff. A KindRedirect
 // answer surfaces as *redirectErr, a KindMoved as *movedErr.
-func handshake(conn net.Conn, fr *wire.FrameReader, attach []byte, timeout time.Duration) (string, error) {
-	conn.SetDeadline(time.Now().Add(timeout))
+func handshake(conn net.Conn, fr *wire.FrameReader, attach []byte) (string, error) {
+	conn.SetDeadline(time.Now().Add(dialTimeout))
 	defer conn.SetDeadline(time.Time{})
 	werr := wire.WriteFrame(conn, wire.KindAttach, attach)
 	// A write failure usually means the server refused us (conn limit,

@@ -2,6 +2,15 @@ package client
 
 // Test-only windows into the package's unexported state.
 
+// The retry bounds the tests pin.
+const (
+	OverloadRetries = overloadRetries
+	MaxMovedHops    = maxMovedHops
+)
+
+// Refresh is the router's map refresh from its seeds and cached map.
+func (rt *Router) Refresh() bool { return rt.refresh("") }
+
 // InFlight counts, over the routed session's shard sessions, the unanswered
 // calls still registered and the request buffers not yet back in the pool.
 func (ss *RoutedSession) InFlight() (calls, buffers int) {

@@ -67,9 +67,7 @@ func overloadServer(t *testing.T, refuse int) string {
 // backoff until the server accepts, invisibly to the caller.
 func TestOverloadRetry(t *testing.T) {
 	addr := overloadServer(t, 2)
-	remote, err := client.Dial(addr, client.Options{
-		OverloadBackoff: time.Millisecond,
-	})
+	remote, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +88,7 @@ func TestOverloadRetry(t *testing.T) {
 // server surfaces ErrOverload to the caller.
 func TestOverloadRetryGivesUp(t *testing.T) {
 	addr := overloadServer(t, 1<<30)
-	remote, err := client.Dial(addr, client.Options{
-		OverloadRetries: 2,
-		OverloadBackoff: time.Millisecond,
-	})
+	remote, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,42 +102,10 @@ func TestOverloadRetryGivesUp(t *testing.T) {
 	if err == nil {
 		t.Fatal("persistently overloaded call succeeded")
 	}
-	if got := remote.Stats().OverloadRetries; got != 2 {
-		t.Fatalf("OverloadRetries = %d, want 2", got)
+	if got := remote.Stats().OverloadRetries; got != client.OverloadRetries {
+		t.Fatalf("OverloadRetries = %d, want %d", got, client.OverloadRetries)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("bounded retry took %v", elapsed)
-	}
-}
-
-// serveWarm starts a real server and dials it with a warm pool and a
-// short idle timeout.
-func serveWarm(t *testing.T, warm int, idle time.Duration) *client.Remote {
-	t.Helper()
-	addr := overloadServer(t, 0)
-	remote, err := client.Dial(addr, client.Options{Warm: warm, IdleTimeout: idle})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { remote.Close() })
-	return remote
-}
-
-// TestIdlePoolReaped: pre-dialed connections that sit unused past
-// IdleTimeout are closed by the reaper and the pool shrinks.
-func TestIdlePoolReaped(t *testing.T) {
-	remote := serveWarm(t, 3, 40*time.Millisecond)
-	if got := remote.PoolSize(); got != 3 {
-		t.Fatalf("pool after warm dial = %d, want 3", got)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for remote.PoolSize() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pool never shrank (still %d)", remote.PoolSize())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := remote.Stats().IdleReaped; got != 3 {
-		t.Fatalf("IdleReaped = %d, want 3", got)
 	}
 }

@@ -16,35 +16,26 @@ import (
 	"simurgh/internal/wire"
 )
 
-// RouterOptions tunes a Router. The embedded Options apply to every
-// per-shard Remote the router dials.
-type RouterOptions struct {
-	Options
-
-	// MaxMovedHops bounds how many Moved answers one operation follows
+const (
+	// maxMovedHops bounds how many Moved answers one operation follows
 	// (refetch map, rehome, retry) before giving up. A bound matters: two
 	// nodes with conflicting stale maps could otherwise bounce a client
-	// between them forever. Default 8.
-	MaxMovedHops int
-	// MovedBackoff is the first retry's backoff after a Moved answer
+	// between them forever.
+	maxMovedHops = 8
+	// movedBackoffStart is the first retry's backoff after a Moved answer
 	// (jittered, doubling, capped at 250ms). During a migration cutover the
 	// new owner may be moments away from promotion; backing off beats
-	// hammering. Default 5ms.
-	MovedBackoff time.Duration
-	// FetchTimeout bounds one map fetch during a refresh. Default 5s.
-	FetchTimeout time.Duration
-}
+	// hammering.
+	movedBackoffStart = 5 * time.Millisecond
+	// fetchTimeout bounds one map fetch.
+	fetchTimeout = 5 * time.Second
+)
+
+// RouterOptions tunes a Router. The embedded Options apply to every
+// per-shard Remote the router dials.
+type RouterOptions struct{ Options }
 
 func (o *RouterOptions) fillDefaults() {
-	if o.MaxMovedHops <= 0 {
-		o.MaxMovedHops = 8
-	}
-	if o.MovedBackoff <= 0 {
-		o.MovedBackoff = 5 * time.Millisecond
-	}
-	if o.FetchTimeout <= 0 {
-		o.FetchTimeout = 5 * time.Second
-	}
 	// Router sessions must survive a Rehome miss (the new owner may not be
 	// promoted yet), so failover is always on, even for one-node groups.
 	if o.FailoverTimeout <= 0 {
@@ -75,7 +66,7 @@ type RouterStats struct {
 // Staleness is handled, not prevented: the router acts on its cached map
 // and treats a Moved answer as the signal to refetch (from the seeds and
 // every address the cached map names), re-point the shard's Remote, rehome
-// its session, and retry — bounded by MaxMovedHops with jittered backoff.
+// its session, and retry — bounded by maxMovedHops with jittered backoff.
 // The server-side fence guarantees a Moved operation was not executed, so
 // the retry is exactly-once safe.
 type Router struct {
@@ -107,7 +98,7 @@ func DialRouter(seeds string, opts RouterOptions) (*Router, error) {
 	if len(list) == 0 {
 		return nil, errors.New("wire client: no router seed addresses")
 	}
-	m, err := shard.FetchMapAny(list, opts.FetchTimeout)
+	m, err := shard.FetchMapAny(list, fetchTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("wire client: fetching shard map: %w", err)
 	}
@@ -174,21 +165,10 @@ func (rt *Router) Attach(cred fsapi.Cred) (fsapi.Client, error) {
 // operation.
 func (rt *Router) Close() error {
 	rt.mu.Lock()
-	if rt.closed {
-		rt.mu.Unlock()
-		return nil
-	}
 	rt.closed = true
-	remotes := rt.remotes
 	rt.remotes = nil
 	rt.mu.Unlock()
-	var errs []error
-	for _, r := range remotes {
-		if err := r.Close(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
+	return nil
 }
 
 // route resolves a path to its owning shard ID under the cached map.
@@ -218,31 +198,38 @@ func (rt *Router) remote(id uint32) (*Remote, string, error) {
 		}
 		rt.remotes[id] = r
 	}
-	r.SetClaim(id, m.Epoch)
+	r.setClaim(id, m.Epoch)
 	return r, sh.Prefix, nil
 }
 
-// Refresh fetches the shard map from the seeds and every address the cached
-// map names, installing the first strictly newer epoch found. It reports
-// whether the map advanced. Affected Remotes are re-pointed (SetAddrs) and
-// re-claimed; live sessions rehome on their own retry path.
-func (rt *Router) Refresh() bool {
+// refresh fetches the shard map from first (when non-empty), then the seeds,
+// then every address the cached map names, installing the first strictly
+// newer epoch found. It reports whether the map advanced. A Moved refusal
+// names the authoritative owner as first: asking it directly beats the
+// seeds, which mid-migration may still answer with the transitional epoch
+// that points at the fenced old group. Affected Remotes are re-pointed
+// (setAddrs) and re-claimed; live sessions rehome on their own retry path.
+func (rt *Router) refresh(first string) bool {
 	cur := rt.Map()
-	targets := append([]string(nil), rt.seeds...)
-	seen := make(map[string]bool, len(targets))
-	for _, a := range targets {
-		seen[a] = true
+	var targets []string
+	seen := make(map[string]bool)
+	add := func(a string) {
+		if a != "" && !seen[a] {
+			seen[a] = true
+			targets = append(targets, a)
+		}
+	}
+	add(first)
+	for _, a := range rt.seeds {
+		add(a)
 	}
 	for i := range cur.Shards {
 		for _, a := range cur.Shards[i].Addrs {
-			if !seen[a] {
-				seen[a] = true
-				targets = append(targets, a)
-			}
+			add(a)
 		}
 	}
 	for _, addr := range targets {
-		m, err := shard.FetchMap(addr, cur.Epoch, rt.opts.FetchTimeout)
+		m, err := shard.FetchMap(addr, cur.Epoch, fetchTimeout)
 		if err != nil || m == nil || m.Epoch <= cur.Epoch {
 			continue
 		}
@@ -250,24 +237,6 @@ func (rt *Router) Refresh() bool {
 		return true
 	}
 	return false
-}
-
-// RefreshFrom fetches the shard map from one specific address, installing
-// it when strictly newer. A Moved refusal names the authoritative owner;
-// asking that owner directly beats scanning the seeds, which mid-migration
-// may still answer with the transitional epoch that points at the fenced
-// old group.
-func (rt *Router) RefreshFrom(addr string) bool {
-	if addr == "" {
-		return false
-	}
-	cur := rt.Map()
-	m, err := shard.FetchMap(addr, cur.Epoch, rt.opts.FetchTimeout)
-	if err != nil || m == nil || m.Epoch <= cur.Epoch {
-		return false
-	}
-	rt.install(m)
-	return true
 }
 
 // install replaces the cached map when epoch advances and re-points every
@@ -294,8 +263,8 @@ func (rt *Router) install(m *shard.Map) {
 	rt.mu.Unlock()
 	rt.refreshes.Add(1)
 	for _, u := range ups {
-		u.r.SetAddrs(u.addrs)
-		u.r.SetClaim(u.id, m.Epoch)
+		u.r.setAddrs(u.addrs)
+		u.r.setClaim(u.id, m.Epoch)
 	}
 }
 
@@ -456,7 +425,7 @@ func (ss *RoutedSession) moved(id uint32, cause error) {
 		// cutover's map instead of settling for a transitional one.
 		ss.awaitEpoch(mv.mv)
 	} else {
-		ss.rt.Refresh()
+		ss.rt.refresh("")
 	}
 	ss.mu.Lock()
 	s := ss.sessions[id]
@@ -464,7 +433,7 @@ func (ss *RoutedSession) moved(id uint32, cause error) {
 	if s == nil {
 		return
 	}
-	if err := s.Rehome(); err != nil {
+	if err := s.rehome(); err != nil {
 		var mv *movedErr
 		if errors.As(err, &mv) && ss.awaitEpoch(mv.mv) {
 			return
@@ -489,7 +458,7 @@ func (ss *RoutedSession) awaitEpoch(mv wire.Moved) bool {
 		if ss.rt.Map().Epoch >= mv.Epoch {
 			return true
 		}
-		if ss.rt.RefreshFrom(mv.Addr) || ss.rt.Refresh() {
+		if ss.rt.refresh(mv.Addr) {
 			continue
 		}
 		if !time.Now().Before(deadline) {
@@ -501,18 +470,17 @@ func (ss *RoutedSession) awaitEpoch(mv wire.Moved) bool {
 
 // movedBackoff is the delay between retries after a Moved answer.
 func (ss *RoutedSession) movedBackoff() backoff {
-	return backoff{d: ss.rt.opts.MovedBackoff, max: 250 * time.Millisecond}
+	return backoff{d: movedBackoffStart, max: 250 * time.Millisecond}
 }
 
 // doShard runs f against the shard pick() currently names, following Moved
-// answers (refresh + rehome + backoff) up to MaxMovedHops. pick re-resolves
+// answers (refresh + rehome + backoff) up to maxMovedHops. pick re-resolves
 // each attempt, so a migration that re-routes the path mid-retry is picked
 // up. Errors other than Moved pass through untouched.
 func (ss *RoutedSession) doShard(pick func() uint32, f func(s *Session) error) error {
-	hops := ss.rt.opts.MaxMovedHops
 	b := ss.movedBackoff()
 	var err error
-	for hop := 0; hop <= hops; hop++ {
+	for hop := 0; hop <= maxMovedHops; hop++ {
 		if hop > 0 {
 			time.Sleep(b.next())
 		}
@@ -527,7 +495,7 @@ func (ss *RoutedSession) doShard(pick func() uint32, f func(s *Session) error) e
 		}
 		ss.moved(id, err)
 	}
-	return fmt.Errorf("wire client: shard routing did not converge after %d moved hops: %w", hops, err)
+	return fmt.Errorf("wire client: shard routing did not converge after %d moved hops: %w", maxMovedHops, err)
 }
 
 // doPath routes a path-addressed operation.
@@ -555,14 +523,18 @@ func (ss *RoutedSession) doFD(fd fsapi.FD, f func(s *Session, rfd fsapi.FD) erro
 	)
 }
 
-// registerFD allocates a virtual descriptor for a shard-local one.
-func (ss *RoutedSession) registerFD(id uint32, rfd fsapi.FD) fsapi.FD {
+// registerFD allocates a virtual descriptor for a shard-local one. A session
+// detached meanwhile has no table to register in: ErrClosed.
+func (ss *RoutedSession) registerFD(id uint32, rfd fsapi.FD) (fsapi.FD, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
+	if ss.closed {
+		return -1, ErrClosed
+	}
 	vfd := ss.nextFD
 	ss.nextFD++
 	ss.fds[vfd] = routedFD{shard: id, fd: rfd}
-	return vfd
+	return vfd, nil
 }
 
 // --- fsapi.Client ------------------------------------------------------
@@ -575,8 +547,8 @@ func (ss *RoutedSession) Create(path string, perm uint32) (fsapi.FD, error) {
 		if err != nil {
 			return err
 		}
-		out = ss.registerFD(id, fd)
-		return nil
+		out, err = ss.registerFD(id, fd)
+		return err
 	})
 	if err != nil {
 		return -1, err
@@ -592,8 +564,8 @@ func (ss *RoutedSession) Open(path string, flags fsapi.OpenFlag, perm uint32) (f
 		if err != nil {
 			return err
 		}
-		out = ss.registerFD(id, fd)
-		return nil
+		out, err = ss.registerFD(id, fd)
+		return err
 	})
 	if err != nil {
 		return -1, err
@@ -737,28 +709,26 @@ func (ss *RoutedSession) Unlink(path string) error {
 // recurse, symlinks re-link) — not atomic, but the only option when the two
 // names live in different groups' NVMM.
 func (ss *RoutedSession) Rename(oldPath, newPath string) error {
-	hops := ss.rt.opts.MaxMovedHops
-	b := ss.movedBackoff()
-	var err error
-	for hop := 0; hop <= hops; hop++ {
-		if hop > 0 {
-			time.Sleep(b.next())
-		}
-		a, b := ss.rt.route(oldPath), ss.rt.route(newPath)
-		if a != b {
-			return ss.crossRename(oldPath, newPath)
-		}
-		var s *Session
-		s, err = ss.session(a)
-		if err == nil {
-			err = s.Rename(oldPath, newPath)
-		}
-		if err == nil || !errors.Is(err, wire.ErrMoved) {
-			return err
-		}
-		ss.moved(a, err)
+	// Every hop re-checks that the two names still share a shard: a Moved
+	// answer may have brought a map that splits them.
+	var cross bool
+	err := ss.doShard(
+		func() uint32 {
+			id := ss.rt.route(oldPath)
+			cross = id != ss.rt.route(newPath)
+			return id
+		},
+		func(s *Session) error {
+			if cross {
+				return nil
+			}
+			return s.Rename(oldPath, newPath)
+		},
+	)
+	if err == nil && cross {
+		return ss.crossRename(oldPath, newPath)
 	}
-	return fmt.Errorf("wire client: shard routing did not converge after %d moved hops: %w", hops, err)
+	return err
 }
 
 // crossRename implements rename across shard boundaries: copy to the
@@ -1082,10 +1052,13 @@ func (ss *RoutedSession) Submit(reqs []wire.Request) ([]wire.Response, error) {
 		err = joinShardErr(err, p.shard, perr)
 	}
 	if err == nil {
+	register:
 		for _, p := range sc.parts[:sc.n] {
 			for _, i := range p.idx {
 				if r := &out[i]; r.Code == wire.CodeOK && (r.Op == wire.OpCreate || r.Op == wire.OpOpen) {
-					r.FD = ss.registerFD(p.shard, r.FD)
+					if r.FD, err = ss.registerFD(p.shard, r.FD); err != nil {
+						break register
+					}
 				}
 			}
 		}

@@ -263,7 +263,8 @@ func TestRouterReadDirMerge(t *testing.T) {
 
 // TestMovedPingPong pins the bounded-redirect guarantee: two nodes whose
 // same-epoch maps each name the other as the shard's owner would bounce a
-// client forever; the router must give up after MaxMovedHops.
+// client forever; the router must give up after MaxMovedHops, within the
+// hops' summed backoff.
 func TestMovedPingPong(t *testing.T) {
 	lnX, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -297,25 +298,32 @@ func TestMovedPingPong(t *testing.T) {
 	rt, err := client.NewRouter(
 		&shard.Map{Epoch: 1, Shards: []shard.Shard{{ID: 0, Prefix: "/", Addrs: []string{addrX}}}},
 		nil,
-		client.RouterOptions{MaxMovedHops: 3, MovedBackoff: time.Millisecond},
+		client.RouterOptions{},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
 
+	start := time.Now()
 	c, err := rt.Attach(fsapi.Root)
 	if err == nil {
 		_, err = c.Stat("/f")
 	}
+	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("ping-pong routing converged; want bounded-hops error")
 	}
 	if !strings.Contains(err.Error(), "did not converge") {
 		t.Fatalf("error = %v, want moved-hops bound", err)
 	}
-	if st := rt.Stats(); st.Moves < 3 {
-		t.Errorf("Moves = %d, want >= MaxMovedHops", st.Moves)
+	if st := rt.Stats(); st.Moves < client.MaxMovedHops {
+		t.Errorf("Moves = %d, want >= %d", st.Moves, client.MaxMovedHops)
+	}
+	// The backoffs between the hops sum to under a second (5 ms doubling,
+	// capped at 250 ms); the rest of the bound is room for a loaded host.
+	if elapsed > 10*time.Second {
+		t.Errorf("giving up took %v", elapsed)
 	}
 }
 
@@ -426,7 +434,7 @@ func startMigrCluster(t testing.TB) *migrCluster {
 // acceptance, in-process.
 func TestLiveMigrationZeroLoss(t *testing.T) {
 	cl := startMigrCluster(t)
-	rt, err := client.DialRouter(cl.addrA, client.RouterOptions{MovedBackoff: 2 * time.Millisecond})
+	rt, err := client.DialRouter(cl.addrA, client.RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +550,7 @@ func TestLiveMigrationZeroLoss(t *testing.T) {
 // cross-shard renames — must behave as before the move.
 func TestRouterConformanceAfterMigration(t *testing.T) {
 	cl := startMigrCluster(t)
-	rt, err := client.DialRouter(cl.addrA, client.RouterOptions{MovedBackoff: 2 * time.Millisecond})
+	rt, err := client.DialRouter(cl.addrA, client.RouterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -331,12 +331,12 @@ func (s *Session) recover(cause error) {
 	}
 }
 
-// Rehome tears the session's transport down and re-attaches against the
+// rehome tears the session's transport down and re-attaches against the
 // Remote's current dial list, resuming the server-side session by client
 // ID and replaying unanswered requests. The router calls it after pointing
-// a shard's Remote at the shard's new owner group (SetAddrs); ordinary
+// a shard's Remote at the shard's new owner group (setAddrs); ordinary
 // failover never needs it — transport loss recovers on its own.
-func (s *Session) Rehome() error {
+func (s *Session) rehome() error {
 	if err := s.err(); err != nil {
 		return err
 	}
@@ -820,10 +820,9 @@ func (s *Session) call(req wire.Request) (wire.Response, error) {
 // batch; its request and response slots live in the pooled submission — no
 // per-call heap allocation.
 func (s *Session) callDst(req wire.Request, dst []byte) (wire.Response, error) {
-	o := &s.r.opts
 	sub := getSub()
 	defer putSub(sub)
-	b := backoff{d: o.OverloadBackoff, max: 128 * time.Millisecond}
+	b := backoff{d: overloadBackoff, max: 128 * time.Millisecond}
 	var total time.Duration
 	for attempt := 0; ; attempt++ {
 		sub.one.req[0] = req
@@ -835,7 +834,7 @@ func (s *Session) callDst(req wire.Request, dst []byte) (wire.Response, error) {
 			return wire.Response{}, err
 		}
 		resp := sub.one.resp[0]
-		if resp.Code != wire.CodeOverload || attempt >= o.OverloadRetries || total >= o.OverloadBudget {
+		if resp.Code != wire.CodeOverload || attempt >= overloadRetries || total >= overloadBudget {
 			s.track(&req, &resp)
 			return resp, nil
 		}

@@ -22,7 +22,8 @@ func FuzzWireDecode(f *testing.F) {
 		r := r
 		f.Add(AppendResponse(nil, &r))
 	}
-	f.Add(AppendAttach(nil, fsapi.Cred{UID: 1000, GID: 1000}, 7))
+	f.Add(AppendAttach(nil, fsapi.Cred{UID: 1000, GID: 1000}, 7, nil))
+	f.Add(AppendAttach(nil, fsapi.Cred{UID: 1000, GID: 1000}, 7, &AttachClaim{Shard: 3, Epoch: 9}))
 	f.Add(AppendErrFrame(nil, ErrOverload))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0})
@@ -78,10 +79,15 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 		// Handshake and error frames.
-		if cred, id, err := ParseAttach(data); err == nil {
-			back := AppendAttach(nil, cred, id)
-			if got, gotID, err := ParseAttach(back); err != nil || got != cred || gotID != id {
-				t.Fatalf("attach round trip: (%+v, %d, %v)", got, gotID, err)
+		if cred, id, claim, claimed, err := ParseAttachClaim(data); err == nil {
+			var in *AttachClaim
+			if claimed {
+				in = &claim
+			}
+			back := AppendAttach(nil, cred, id, in)
+			got, gotID, gotClaim, gotClaimed, err := ParseAttachClaim(back)
+			if err != nil || got != cred || gotID != id || gotClaimed != claimed || gotClaim != claim {
+				t.Fatalf("attach round trip: (%+v, %d, %+v, %v, %v)", got, gotID, gotClaim, gotClaimed, err)
 			}
 		}
 		_ = ParseErrFrame(data)

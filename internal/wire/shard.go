@@ -1,14 +1,9 @@
 package wire
 
-import (
-	"fmt"
-
-	"simurgh/internal/fsapi"
-)
-
 // Sharding frame payloads. The shard map itself (internal/shard) has its own
-// codec; this file defines only the thin wire envelopes that move it around
-// and the per-connection shard claim that lets a server fence attaches.
+// codec; this file defines only the thin wire envelopes that move it around.
+// The shard claim that lets a server fence attaches is part of the attach
+// handshake (AttachClaim).
 
 // Moved is the payload of a KindMoved frame (and the structured detail
 // behind a CodeMoved response): the contacted node does not serve the shard
@@ -55,65 +50,4 @@ func ParseMapGet(payload []byte) (uint64, error) {
 		return 0, rd.err
 	}
 	return e, nil
-}
-
-// attachClaimSize is the byte length of the shard claim suffix on an attach
-// payload: u32 shard ID + u64 map epoch.
-const attachClaimSize = 4 + 8
-
-// AppendAttachClaim encodes an attach handshake that additionally claims a
-// shard: the client asserts "I am attaching to serve operations for shard
-// `shard`, routed under map epoch `epoch`". A shard-aware server verifies it
-// owns that shard and answers KindMoved instead of KindAttachOK when it does
-// not, so a stale-mapped client learns at attach time rather than per
-// operation. The client ID is always written (zero when absent) so the claim
-// suffix sits at a fixed offset.
-func AppendAttachClaim(dst []byte, cred fsapi.Cred, clientID uint64, shard uint32, epoch uint64) []byte {
-	dst = append(dst, magic[:]...)
-	dst = append(dst, Version)
-	dst = appendU32(dst, cred.UID)
-	dst = appendU32(dst, cred.GID)
-	dst = appendU64(dst, clientID)
-	dst = appendU32(dst, shard)
-	dst = appendU64(dst, epoch)
-	return dst
-}
-
-// AttachClaim is the decoded shard claim of an attach handshake, when
-// present.
-type AttachClaim struct {
-	Shard uint32
-	Epoch uint64
-}
-
-// ParseAttachClaim validates and decodes an attach payload including its
-// optional shard claim. It accepts every payload ParseAttach accepts
-// (claimed == false for those) plus the AppendAttachClaim form.
-func ParseAttachClaim(payload []byte) (fsapi.Cred, uint64, AttachClaim, bool, error) {
-	rd := reader{b: payload}
-	var m [4]byte
-	m[0], m[1], m[2], m[3] = rd.u8(), rd.u8(), rd.u8(), rd.u8()
-	v := rd.u8()
-	cred := fsapi.Cred{UID: rd.u32(), GID: rd.u32()}
-	var clientID uint64
-	var claim AttachClaim
-	claimed := false
-	if rd.err == nil && len(rd.b) >= 8 {
-		clientID = rd.u64()
-		if rd.err == nil && len(rd.b) >= attachClaimSize {
-			claim.Shard = rd.u32()
-			claim.Epoch = rd.u64()
-			claimed = true
-		}
-	}
-	if rd.err != nil {
-		return fsapi.Cred{}, 0, AttachClaim{}, false, rd.err
-	}
-	if m != magic {
-		return fsapi.Cred{}, 0, AttachClaim{}, false, fmt.Errorf("%w: bad magic", ErrBadMessage)
-	}
-	if v != Version {
-		return fsapi.Cred{}, 0, AttachClaim{}, false, fmt.Errorf("%w: got %d, want %d", ErrVersion, v, Version)
-	}
-	return cred, clientID, claim, claimed, nil
 }

@@ -721,44 +721,71 @@ func decodeResponse(rd *reader, dataDst []byte, aliasData bool) (Response, error
 
 // --- handshake and connection-level errors ------------------------------
 
+// AttachClaim is the shard claim an attach handshake may carry: the client
+// asserts "I am attaching to serve operations for shard Shard, routed under
+// map epoch Epoch". A shard-aware server verifies it owns that shard and
+// answers KindMoved instead of KindAttachOK when it does not, so a
+// stale-mapped client learns at attach time rather than per operation.
+type AttachClaim struct {
+	Shard uint32
+	Epoch uint64
+}
+
+// attachClaimSize is the byte length of the shard claim suffix on an attach
+// payload: u32 shard ID + u64 map epoch.
+const attachClaimSize = 4 + 8
+
 // AppendAttach encodes the attach handshake payload. clientID (zero = none)
 // is a client-chosen stable identity: a server running the replication
 // layer keys the session by it, so a client reconnecting after a failover
 // can resume its session — open-file table included — on the promoted
-// primary.
-func AppendAttach(dst []byte, cred fsapi.Cred, clientID uint64) []byte {
+// primary. An unclaimed payload omits a zero client ID; a claimed one
+// (claim non-nil) always writes it, so the claim sits at a fixed offset.
+func AppendAttach(dst []byte, cred fsapi.Cred, clientID uint64, claim *AttachClaim) []byte {
 	dst = append(dst, magic[:]...)
 	dst = append(dst, Version)
 	dst = appendU32(dst, cred.UID)
 	dst = appendU32(dst, cred.GID)
-	if clientID != 0 {
+	if clientID != 0 || claim != nil {
 		dst = appendU64(dst, clientID)
+	}
+	if claim != nil {
+		dst = appendU32(dst, claim.Shard)
+		dst = appendU64(dst, claim.Epoch)
 	}
 	return dst
 }
 
-// ParseAttach validates and decodes an attach payload. The trailing client
-// ID is optional (clients without a resume identity omit it).
-func ParseAttach(payload []byte) (fsapi.Cred, uint64, error) {
+// ParseAttachClaim validates and decodes an attach payload in any of the
+// forms AppendAttach writes: the client ID and the shard claim are both
+// optional (claimed == false without one).
+func ParseAttachClaim(payload []byte) (fsapi.Cred, uint64, AttachClaim, bool, error) {
 	rd := reader{b: payload}
 	var m [4]byte
 	m[0], m[1], m[2], m[3] = rd.u8(), rd.u8(), rd.u8(), rd.u8()
 	v := rd.u8()
 	cred := fsapi.Cred{UID: rd.u32(), GID: rd.u32()}
 	var clientID uint64
+	var claim AttachClaim
+	claimed := false
 	if rd.err == nil && len(rd.b) >= 8 {
 		clientID = rd.u64()
+		if rd.err == nil && len(rd.b) >= attachClaimSize {
+			claim.Shard = rd.u32()
+			claim.Epoch = rd.u64()
+			claimed = true
+		}
 	}
 	if rd.err != nil {
-		return fsapi.Cred{}, 0, rd.err
+		return fsapi.Cred{}, 0, AttachClaim{}, false, rd.err
 	}
 	if m != magic {
-		return fsapi.Cred{}, 0, fmt.Errorf("%w: bad magic", ErrBadMessage)
+		return fsapi.Cred{}, 0, AttachClaim{}, false, fmt.Errorf("%w: bad magic", ErrBadMessage)
 	}
 	if v != Version {
-		return fsapi.Cred{}, 0, fmt.Errorf("%w: got %d, want %d", ErrVersion, v, Version)
+		return fsapi.Cred{}, 0, AttachClaim{}, false, fmt.Errorf("%w: got %d, want %d", ErrVersion, v, Version)
 	}
-	return cred, clientID, nil
+	return cred, clientID, claim, claimed, nil
 }
 
 // AppendErrFrame encodes a KindErr payload.

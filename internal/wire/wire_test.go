@@ -208,32 +208,52 @@ func TestErrCodeRoundTrip(t *testing.T) {
 
 func TestAttachRoundTrip(t *testing.T) {
 	cred := fsapi.Cred{UID: 1000, GID: 2000}
-	payload := AppendAttach(nil, cred, 0)
-	got, id, err := ParseAttach(payload)
-	if err != nil {
-		t.Fatal(err)
+	claim := &AttachClaim{Shard: 7, Epoch: 42}
+	for _, tc := range []struct {
+		name     string
+		clientID uint64
+		claim    *AttachClaim
+		size     int
+	}{
+		{"bare", 0, nil, 13},
+		{"client ID", 0xfeedbeef, nil, 21},
+		{"claim without client ID", 0, claim, 21 + attachClaimSize},
+		{"claim", 0xfeedbeef, claim, 21 + attachClaimSize},
+	} {
+		payload := AppendAttach(nil, cred, tc.clientID, tc.claim)
+		if len(payload) != tc.size {
+			t.Errorf("%s: %d bytes, want %d", tc.name, len(payload), tc.size)
+		}
+		got, id, gotClaim, claimed, err := ParseAttachClaim(payload)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != cred || id != tc.clientID || claimed != (tc.claim != nil) {
+			t.Fatalf("%s: got (%+v, %#x, claimed=%v)", tc.name, got, id, claimed)
+		}
+		if tc.claim != nil && gotClaim != *tc.claim {
+			t.Fatalf("%s: claim %+v, want %+v", tc.name, gotClaim, *tc.claim)
+		}
+		bad := append([]byte(nil), payload...)
+		bad[0] = 'X'
+		if _, _, _, _, err := ParseAttachClaim(bad); !errors.Is(err, ErrBadMessage) {
+			t.Fatalf("%s: bad magic err = %v", tc.name, err)
+		}
+		bad = append([]byte(nil), payload...)
+		bad[4] = Version + 1
+		if _, _, _, _, err := ParseAttachClaim(bad); !errors.Is(err, ErrVersion) {
+			t.Fatalf("%s: bad version err = %v", tc.name, err)
+		}
 	}
-	if got != cred || id != 0 {
-		t.Fatalf("got (%+v, %d) want (%+v, 0)", got, id, cred)
+	// The unclaimed form is byte for byte the pre-claim handshake: magic,
+	// version, uid, gid and, when there is one, the client ID.
+	want := []byte{'S', 'M', 'G', 'H', Version, 0xe8, 0x03, 0, 0, 0xd0, 0x07, 0, 0}
+	if got := AppendAttach(nil, cred, 0, nil); !bytes.Equal(got, want) {
+		t.Fatalf("unclaimed attach = % x, want % x", got, want)
 	}
-	// With a client identity appended (the replication-era handshake).
-	payload2 := AppendAttach(nil, cred, 0xfeedbeef)
-	got, id, err = ParseAttach(payload2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != cred || id != 0xfeedbeef {
-		t.Fatalf("got (%+v, %#x) want (%+v, 0xfeedbeef)", got, id, cred)
-	}
-	bad := append([]byte(nil), payload...)
-	bad[0] = 'X'
-	if _, _, err := ParseAttach(bad); !errors.Is(err, ErrBadMessage) {
-		t.Fatalf("bad magic err = %v", err)
-	}
-	bad = append([]byte(nil), payload...)
-	bad[4] = Version + 1
-	if _, _, err := ParseAttach(bad); !errors.Is(err, ErrVersion) {
-		t.Fatalf("bad version err = %v", err)
+	want = append(want, 0xef, 0xbe, 0xed, 0xfe, 0, 0, 0, 0)
+	if got := AppendAttach(nil, cred, 0xfeedbeef, nil); !bytes.Equal(got, want) {
+		t.Fatalf("unclaimed attach with client ID = % x, want % x", got, want)
 	}
 }
 
