@@ -1,21 +1,7 @@
 // Command simurghbench regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md for the experiment index):
-//
-//	simurghbench isa                  gem5 cycle table (§3.3)
-//	simurghbench micro [flags]        FxMark microbenchmarks (Fig 7a-l)
-//	simurghbench fig6                 original vs adapted FxMark read (Fig 6)
-//	simurghbench filebench [flags]    varmail/webserver/webproxy/fileserver (Fig 8)
-//	simurghbench ycsb [flags]         YCSB A-F on LevelDB (Fig 9)
-//	simurghbench breakdown [flags]    execution-time breakdown (Table 1 / Fig 10)
-//	simurghbench tar [flags]          tar pack/unpack (Fig 11)
-//	simurghbench git [flags]          git add/commit/reset (Fig 12)
-//	simurghbench recovery [flags]     full-crash recovery time (§5.5)
-//	simurghbench serve [flags]        run a live workload and export metrics
-//	simurghbench net [flags]          wire-protocol throughput/latency grid
-//	simurghbench net -shards 1,2      sharded write scaling through the router
-//	simurghbench rep [flags]          replication overhead grid / live-group drive
-//	simurghbench rep -addr S -route   zero-loss write drive through the shard router
-//	simurghbench all                  everything at default scale
+// evaluation (see DESIGN.md for the experiment index) and drives zero-loss
+// writes against a live group (load). Run it with no arguments for the
+// list of subcommands; each takes -h for its flags.
 //
 // Results are throughput series/tables in the paper's shape; absolute
 // numbers reflect this host (emulated NVMM in DRAM), so compare trends, not
@@ -27,11 +13,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"simurgh/internal/apps/gitbench"
@@ -40,7 +24,6 @@ import (
 	"simurgh/internal/core"
 	"simurgh/internal/corpus"
 	"simurgh/internal/cost"
-	"simurgh/internal/export"
 	"simurgh/internal/filebench"
 	"simurgh/internal/fsapi"
 	"simurgh/internal/fxmark"
@@ -50,54 +33,47 @@ import (
 	"simurgh/internal/ycsb"
 )
 
+// commands is the one list of subcommands: main dispatches through it and
+// usage prints it.
+var commands = []struct {
+	name, help string
+	run        func([]string) error
+}{
+	{"isa", "gem5 cycle table (§3.3)", func([]string) error { return runISA() }},
+	{"micro", "FxMark microbenchmarks (Fig 7a-l)", runMicro},
+	{"fig6", "original vs adapted FxMark read (Fig 6)", runFig6},
+	{"filebench", "varmail/webserver/webproxy/fileserver (Fig 8)", runFilebench},
+	{"ycsb", "YCSB A-F on LevelDB (Fig 9)", runYCSB},
+	{"breakdown", "execution-time breakdown (Table 1 / Fig 10)", runBreakdown},
+	{"tar", "tar pack/unpack (Fig 11)", runTar},
+	{"git", "git add/commit/reset (Fig 12)", runGit},
+	{"recovery", "full-crash recovery time (§5.5)", runRecovery},
+	{"ablation", "jmpp vs syscall entry on the same design", runAblation},
+	{"load", "zero-loss write drive against a live group (-addr, -route)", runLoad},
+	{"all", "everything at default scale", runAll},
+}
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	if len(os.Args) >= 2 {
+		for _, c := range commands {
+			if c.name == os.Args[1] {
+				if err := c.run(os.Args[2:]); err != nil {
+					fmt.Fprintln(os.Stderr, "simurghbench:", err)
+					os.Exit(1)
+				}
+				return
+			}
+		}
 	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "isa":
-		err = runISA()
-	case "micro":
-		err = runMicro(args)
-	case "fig6":
-		err = runFig6(args)
-	case "filebench":
-		err = runFilebench(args)
-	case "ycsb":
-		err = runYCSB(args)
-	case "breakdown":
-		err = runBreakdown(args)
-	case "tar":
-		err = runTar(args)
-	case "git":
-		err = runGit(args)
-	case "recovery":
-		err = runRecovery(args)
-	case "serve":
-		err = runServe(args)
-	case "net":
-		err = runNet(args)
-	case "rep":
-		err = runRep(args)
-	case "ablation":
-		err = runAblation(args)
-	case "all":
-		err = runAll(args)
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simurghbench:", err)
-		os.Exit(1)
-	}
+	usage()
+	os.Exit(2)
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: simurghbench <isa|micro|fig6|filebench|ycsb|breakdown|tar|git|recovery|serve|net|rep|all> [flags]`)
+	fmt.Fprintln(os.Stderr, "usage: simurghbench <command> [flags]")
+	for _, c := range commands {
+		fmt.Fprintf(os.Stderr, "  %-10s %s\n", c.name, c.help)
+	}
 }
 
 func parseThreads(s string) []int {
@@ -749,96 +725,4 @@ func runAll(args []string) error {
 		return err
 	}
 	return runRecovery([]string{"-trees", "5", "-scale", "1"})
-}
-
-// runServe formats a fresh in-memory volume, drives a continuous mixed
-// metadata/data workload over it, and exports live metrics over HTTP —
-// the target for simurghtop, Prometheus scrapes, and the CI smoke test.
-func runServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:9180", "metrics listen address (host:port, port 0 picks one)")
-	size := fs.Uint64("size", 256<<20, "volume size in bytes")
-	threads := fs.Int("threads", 2, "workload threads")
-	dur := fs.Duration("duration", 0, "how long to serve (0 = until interrupted)")
-	traceCap := fs.Int("trace", 4096, "flight-recorder capacity in spans (0 = off)")
-	pprofOn := fs.Bool("pprof", false, "also serve net/http/pprof under /debug/pprof/")
-	fs.Parse(args)
-
-	reg := obs.NewRegistry()
-	reg.SetSamplePeriod(1) // serve is an observability target, not a speed run
-	if *traceCap > 0 {
-		reg.EnableTrace(*traceCap)
-	}
-	dev := pmem.New(*size)
-	vol, err := core.Format(dev, fsapi.Root, core.Options{Obs: reg})
-	if err != nil {
-		return err
-	}
-	srv, err := export.ServeOpts(*addr, vol.Stats, nil, reg, export.Options{Pprof: *pprofOn})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("serving metrics on %s  (/metrics /stats.json /trace.json /debug/vars)\n", srv.URL)
-	if *pprofOn {
-		fmt.Printf("pprof on %s/debug/pprof/\n", srv.URL)
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for t := 0; t < *threads; t++ {
-		c, aerr := vol.Attach(fsapi.Root)
-		if aerr != nil {
-			return aerr
-		}
-		wg.Add(1)
-		go func(t int, c fsapi.Client) {
-			defer wg.Done()
-			churn(c, t, stop)
-		}(t, c)
-	}
-	if *dur > 0 {
-		time.Sleep(*dur)
-	} else {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		<-sig
-		fmt.Println("\nshutting down")
-	}
-	close(stop)
-	wg.Wait()
-	srv.Close()
-	vol.Unmount()
-	return nil
-}
-
-// churn runs a steady mixed workload in a private directory: create,
-// write, stat, read back, and periodically unlink, so every instrumented
-// path (locks, allocator, directory probes) stays warm without filling
-// the volume.
-func churn(c fsapi.Client, t int, stop <-chan struct{}) {
-	dir := fmt.Sprintf("/serve%d", t)
-	c.Mkdir(dir, 0o755)
-	buf := make([]byte, 4096)
-	for i := 0; ; i++ {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		name := fmt.Sprintf("%s/f%d", dir, i%64)
-		fd, err := c.Open(name, fsapi.OCreate|fsapi.OWronly|fsapi.OTrunc, 0o644)
-		if err != nil {
-			continue
-		}
-		c.Write(fd, buf)
-		c.Close(fd)
-		c.Stat(name)
-		if fd, err := c.Open(name, fsapi.ORdonly, 0); err == nil {
-			c.Read(fd, buf)
-			c.Close(fd)
-		}
-		if i%8 == 7 {
-			c.Unlink(name)
-		}
-	}
 }

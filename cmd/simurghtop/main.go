@@ -1,5 +1,5 @@
 // Command simurghtop is a live top-style monitor for a Simurgh process
-// exporting metrics (simurghbench serve, simurghsh -metrics, or any embed
+// exporting metrics (simurghd -metrics, simurghsh -metrics, or any embed
 // of internal/export). It polls /stats.json and renders per-op rates and
 // latency percentiles, lock contention, recovery activity, and allocator
 // occupancy for each interval window.

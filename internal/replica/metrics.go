@@ -27,8 +27,8 @@ type counters struct {
 }
 
 // ShipStats reports the cumulative entries and encoded bytes shipped to
-// backups — the wire cost of replication (simurghbench rep derives its
-// bytes/op figure from the deltas).
+// backups — the wire cost of replication (the ladder derives
+// replica.ship_bytes_per_op from the deltas).
 func (n *Node) ShipStats() (entries, bytes uint64) {
 	return n.m.entriesShipped.Load(), n.m.bytesShipped.Load()
 }

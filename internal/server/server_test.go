@@ -3,6 +3,7 @@ package server_test
 import (
 	"errors"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -165,6 +166,44 @@ func TestMetricsOutput(t *testing.T) {
 		if _, err := c.Stat("/"); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	// Batching is one crossing per batch: a Submit of 16 stats is one
+	// batch frame and 16 executed requests, whatever the host's speed.
+	counter := func(name string) uint64 {
+		var sb strings.Builder
+		srv.WriteMetrics(&sb)
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.ParseUint(v, 10, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("metrics output missing %s", name)
+		return 0
+	}
+	batches0, requests0 := counter("simurgh_wire_batches_total"), counter("simurgh_server_requests_total")
+	reqs := make([]wire.Request, 16)
+	for i := range reqs {
+		reqs[i] = wire.Request{Op: wire.OpStat, Path: "/"}
+	}
+	resps, err := c.(*client.Session).Submit(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range resps {
+		if resps[i].Code != wire.CodeOK {
+			t.Fatalf("stat %d: %v", i, resps[i].Err())
+		}
+	}
+	if d := counter("simurgh_wire_batches_total") - batches0; d != 1 {
+		t.Errorf("a 16-stat Submit added %d batches, want 1", d)
+	}
+	if d := counter("simurgh_server_requests_total") - requests0; d != 16 {
+		t.Errorf("a 16-stat Submit added %d requests, want 16", d)
 	}
 	c.Detach()
 

@@ -15,8 +15,8 @@
 // exactly-once for replicated operations).
 //
 // The packages above this one do not know the network exists: fstest's
-// conformance suite, simurghbench, and simurghsh run unmodified against a
-// Remote.
+// conformance suite, simurghbench load, and simurghsh run unmodified against
+// a Remote.
 package client
 
 import (

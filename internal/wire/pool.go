@@ -6,7 +6,7 @@ import "sync"
 //
 // Frames, reply payloads, and request coalescing buffers churn at request
 // rate; allocating them per frame made the allocator — not the FS — the
-// throughput ceiling (see BENCH_pr4). Buffers are pooled in a few size
+// throughput ceiling. Buffers are pooled in a few size
 // classes and handed around inside a *Buf wrapper so that returning one to
 // the pool never boxes a slice header (sync.Pool.Put of a bare []byte
 // allocates the very header we are trying to avoid).
