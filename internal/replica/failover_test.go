@@ -229,7 +229,7 @@ func TestJoinCarriesDescriptors(t *testing.T) {
 	defer c.Detach()
 
 	contents := map[fsapi.FD]string{}
-	var highest fsapi.FD
+	var last fsapi.FD
 	for i := range 4 {
 		fd, err := c.Open(fmt.Sprintf("/f%d", i), fsapi.ORdwr|fsapi.OCreate, 0o644)
 		if err != nil {
@@ -239,13 +239,16 @@ func TestJoinCarriesDescriptors(t *testing.T) {
 		if _, err := c.Pwrite(fd, []byte(contents[fd]), 0); err != nil {
 			t.Fatal(err)
 		}
-		highest = max(highest, fd)
+		last = fd
 	}
 	// The last one closes: its number is spent, not open.
-	if err := c.Close(highest); err != nil {
+	if err := c.Close(last); err != nil {
 		t.Fatal(err)
 	}
-	delete(contents, highest)
+	delete(contents, last)
+	// The descriptor numbers are the server's to keep in step across the
+	// group (the session hands out numbers of its own), so the check is there.
+	primaryNext := p.n.NextFD()
 
 	b := startBackupOn(t, cfg, p.addr, bln)
 	waitFor(t, "backup to join", func() bool {
@@ -275,12 +278,15 @@ func TestJoinCarriesDescriptors(t *testing.T) {
 			t.Fatalf("descriptor %d reads %q, want %q", fd, buf[:n], want)
 		}
 	}
-	fd, err := c.Create("/after", 0o644)
-	if err != nil {
+	promotedNext := b.n.NextFD()
+	if promotedNext < primaryNext {
+		t.Fatalf("the promoted backup's next descriptor is %d, below the primary's %d before the join", promotedNext, primaryNext)
+	}
+	if _, err := c.Create("/after", 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if fd <= highest {
-		t.Fatalf("a new create got descriptor %d; the session was handed up to %d", fd, highest)
+	if next := b.n.NextFD(); next <= promotedNext {
+		t.Fatalf("a create on the promoted backup left its next descriptor at %d, was %d", next, promotedNext)
 	}
 	if remote.Stats().Failovers == 0 {
 		t.Error("client never failed over")

@@ -1,14 +1,18 @@
 // Package client is the remote side of the wire protocol: a Remote is an
-// fsapi.FileSystem backed by a simurghd server, and each Attach yields a
-// Session — an fsapi.Client whose calls travel the network. Sessions
-// pipeline: every call is enqueued to a writer goroutine that coalesces
-// whatever is waiting into one KindBatch frame (AnyCall-style aggregation),
-// so N goroutines issuing calls concurrently share round trips instead of
-// paying one each. Replies are matched by request ID, out of order.
+// fsapi.FileSystem backed by a simurghd server, a Router one backed by a
+// sharded cluster, and each Attach yields a Session — the one fsapi.Client
+// of this package, whose calls travel the network. A Session is built over a
+// route table (the Router's shard map, or a Remote's one shard, "/") and
+// holds the process's open-file table and a link per shard it has touched: a
+// connection and the server-side session behind it. Links pipeline: every
+// call is enqueued to a writer goroutine that coalesces whatever is waiting
+// into one KindBatch frame (AnyCall-style aggregation), so N goroutines
+// issuing calls concurrently share round trips instead of paying one each.
+// Replies are matched by request ID, out of order.
 //
 // A Remote may name several addresses (a replicated primary/backup group):
 // attaches probe the list, follow KindRedirect frames to the current
-// primary, and — when failover is enabled — a Session that loses its
+// primary, and — when failover is enabled — a link that loses its
 // connection re-attaches to whichever node now serves the volume, resumes
 // its server-side session by client ID, and replays its unacknowledged
 // requests (the server deduplicates by request ID, so replays are
@@ -16,7 +20,7 @@
 //
 // The packages above this one do not know the network exists: fstest's
 // conformance suite, simurghbench load, and simurghsh run unmodified against
-// a Remote.
+// a Remote or a Router.
 package client
 
 import (
@@ -33,6 +37,7 @@ import (
 
 	"simurgh/internal/fsapi"
 	"simurgh/internal/obs"
+	"simurgh/internal/shard"
 	"simurgh/internal/wire"
 )
 
@@ -154,6 +159,11 @@ type Remote struct {
 	// is served elsewhere, instead of silently handing out a session that
 	// every subsequent operation would fence.
 	claim *wire.AttachClaim
+
+	// rt routes this Remote's sessions: a one-shard table, "/" → this
+	// Remote, unclaimed. Built by the first Attach (see router); the
+	// Remotes a Router dials hand out no sessions and never build one.
+	rt *Router
 }
 
 // setClaim makes every subsequent attach claim a shard at a map epoch
@@ -186,6 +196,23 @@ func Dial(addr string, opts Options) (*Remote, error) {
 	}
 	opts.fillDefaults(len(addrs) > 1)
 	return &Remote{addrs: addrs, opts: opts, primary: addrs[0]}, nil
+}
+
+// router returns the Remote's own route table, building it on first use:
+// shard 0, "/", at epoch 0, served by r. The table is fixed (see
+// Router.fixed).
+func (r *Remote) router() *Router {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.rt == nil {
+		m := &shard.Map{Shards: []shard.Shard{{ID: 0, Prefix: "/", Addrs: append([]string(nil), r.addrs...)}}}
+		// Not NewRouter: its defaults would turn failover on for one address.
+		rt := newRouter(m, nil, RouterOptions{r.opts})
+		rt.remotes[0] = r
+		rt.fixed = true
+		r.rt = rt
+	}
+	return r.rt
 }
 
 func splitAddrs(addr string) []string {
@@ -300,39 +327,50 @@ func (r *Remote) attachConn(cred fsapi.Cred, clientID uint64) (net.Conn, *wire.F
 // Attach opens a session for cred: one connection, one server-side
 // fsapi.Client holding its descriptors, and the open-file table (flags,
 // positions) here in the process — the remote equivalent of a process
-// preloading the library.
+// preloading the library. The session is the one a Router hands out, over a
+// one-shard route table: every path routes to this Remote.
 func (r *Remote) Attach(cred fsapi.Cred) (fsapi.Client, error) {
+	l, err := r.attach(cred)
+	if err != nil {
+		return nil, err
+	}
+	s := r.router().newSession(cred)
+	s.links[0] = l
+	return s, nil
+}
+
+// attach opens one link: a connection and the server-side session behind it.
+func (r *Remote) attach(cred fsapi.Cred) (*link, error) {
 	clientID := newClientID()
 	conn, fr, err := r.attachConn(cred, clientID)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
+	l := &link{
 		r:        r,
 		cred:     cred,
 		clientID: clientID,
 		pend:     make(map[uint32]*pendingCall),
-		files:    make(map[fsapi.FD]openFile),
 		sendq:    make(chan sendItem, 256),
 		dead:     make(chan struct{}),
 	}
 	if r.opts.Obs != nil {
-		s.tr = r.opts.Obs
+		l.tr = r.opts.Obs
 		// Trace IDs are node-namespaced: the high 16 bits come from this
 		// session's random client identity, the low 48 from a submission
 		// counter, so concurrently-sampling clients stay distinguishable.
-		s.traceBase = clientID &^ (uint64(1)<<48 - 1)
-		if s.traceBase == 0 {
-			s.traceBase = 1 << 48
+		l.traceBase = clientID &^ (uint64(1)<<48 - 1)
+		if l.traceBase == 0 {
+			l.traceBase = 1 << 48
 		}
 		p := 1
 		for p < r.opts.TraceSample {
 			p <<= 1
 		}
-		s.traceMask = uint64(p) - 1
+		l.traceMask = uint64(p) - 1
 	}
-	s.resetTransport(conn, fr)
-	return s, nil
+	l.resetTransport(conn, fr)
+	return l, nil
 }
 
 // handshake sends KindAttach (with the pre-encoded attach payload, which

@@ -6,12 +6,13 @@ import (
 
 	"simurgh/internal/fsapi"
 	"simurgh/internal/shard"
+	"simurgh/internal/wire"
 )
 
 // TestRegisterFDAfterDetach: a create or open whose shard call returned just
-// before the routed session detached registers its descriptor after Detach
-// emptied the table. It gets ErrClosed, not a descriptor (nor a write to a
-// nil map).
+// before the session detached enters its descriptor in the open-file table
+// after Detach emptied it. It gets ErrClosed, not a descriptor (nor a write to
+// a nil map).
 func TestRegisterFDAfterDetach(t *testing.T) {
 	m := &shard.Map{Epoch: 1, Shards: []shard.Shard{{ID: 0, Prefix: "/", Addrs: []string{"127.0.0.1:1"}}}}
 	rt, err := NewRouter(m, nil, RouterOptions{})
@@ -23,11 +24,13 @@ func TestRegisterFDAfterDetach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := c.(*RoutedSession)
-	if err := ss.Detach(); err != nil {
+	s := c.(*Session)
+	if err := s.Detach(); err != nil {
 		t.Fatal(err)
 	}
-	if fd, err := ss.registerFD(0, 3); !errors.Is(err, ErrClosed) {
-		t.Fatalf("registerFD after Detach = (%d, %v), want ErrClosed", fd, err)
+	req := wire.Request{Op: wire.OpCreate, Path: "/f"}
+	resp := wire.Response{Op: wire.OpCreate, FD: 3}
+	if err := s.track(0, &req, &resp); !errors.Is(err, ErrClosed) {
+		t.Fatalf("an open answered after Detach: descriptor %d, %v; want ErrClosed", resp.FD, err)
 	}
 }

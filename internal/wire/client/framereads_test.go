@@ -19,11 +19,12 @@ import (
 	"simurgh/internal/wire/client"
 )
 
-// batchClient is what Session and RoutedSession have in common here.
+// batchClient is what the tests use of a session beyond fsapi.Client.
 type batchClient interface {
 	fsapi.Client
 	Submit([]wire.Request) ([]wire.Response, error)
 	FrameReads() int
+	OpenFiles() int
 }
 
 const (
@@ -108,7 +109,7 @@ func readTargets() map[string]func(t *testing.T) (batchClient, []fsapi.FD) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { c.Detach() })
-			return c.(*client.RoutedSession), []fsapi.FD{
+			return c.(*client.Session), []fsapi.FD{
 				writeReadFile(t, c, pathOnShard(t, m, "r", 0), 0),
 				writeReadFile(t, c, pathOnShard(t, m, "r", 1), 1),
 			}

@@ -182,7 +182,7 @@ func TestSubmitKeepsOpenFilesInStep(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { c.Detach() })
-			return c.(*client.RoutedSession), pathOnShard(t, m, "f", 1)
+			return c.(*client.Session), pathOnShard(t, m, "f", 1)
 		},
 	}
 	for name, mk := range kinds {
@@ -231,6 +231,165 @@ func TestSubmitKeepsOpenFilesInStep(t *testing.T) {
 				t.Fatalf("fsync on the descriptor left open: %v", err)
 			}
 		})
+	}
+}
+
+// TestSubmitClosesEmptyOpenFiles: descriptors one batch creates and another
+// closes leave the session's open-file table empty, and a call on one of
+// them then fails in the process, with no frame sent. The routed session's
+// batches span both shards.
+func TestSubmitClosesEmptyOpenFiles(t *testing.T) {
+	kinds := map[string]func(t *testing.T) (batchClient, []string, []*server.Server){
+		"session": func(t *testing.T) (batchClient, []string, []*server.Server) {
+			c, srv := smallSession(t)
+			paths := make([]string, 16)
+			for i := range paths {
+				paths[i] = "/c" + strconv.Itoa(i)
+			}
+			return c, paths, []*server.Server{srv}
+		},
+		"routed": func(t *testing.T) (batchClient, []string, []*server.Server) {
+			rt, m, _, srvs := serveClusterVols(t, make([]string, 2))
+			c, err := rt.Attach(fsapi.Root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Detach() })
+			paths := make([]string, 16)
+			for i := range paths {
+				paths[i] = pathOnShard(t, m, "c"+strconv.Itoa(i)+"-", uint32(i%2))
+			}
+			return c.(*client.Session), paths, srvs
+		},
+	}
+	for name, mk := range kinds {
+		t.Run(name, func(t *testing.T) {
+			c, paths, srvs := mk(t)
+			for round := 0; round < 4; round++ {
+				reqs := make([]wire.Request, len(paths))
+				for i, p := range paths {
+					reqs[i] = wire.Request{Op: wire.OpCreate, Path: p, Perm: 0o644}
+				}
+				resps, err := c.Submit(reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := c.OpenFiles(); n != len(paths) {
+					t.Fatalf("round %d: %d descriptors open after %d creates", round, n, len(paths))
+				}
+				for i := range reqs {
+					if resps[i].Code != wire.CodeOK {
+						t.Fatalf("create %s: %v", paths[i], resps[i].Err())
+					}
+					reqs[i] = wire.Request{Op: wire.OpClose, FD: resps[i].FD}
+				}
+				if resps, err = c.Submit(reqs); err != nil {
+					t.Fatal(err)
+				}
+				for i := range resps {
+					if resps[i].Code != wire.CodeOK {
+						t.Fatalf("close of descriptor %d: %v", reqs[i].FD, resps[i].Err())
+					}
+				}
+				if n := c.OpenFiles(); n != 0 {
+					t.Fatalf("round %d: %d descriptors left open after the batched closes", round, n)
+				}
+			}
+			frames := func() (n uint64) {
+				for _, srv := range srvs {
+					n += framesRead(t, srv)
+				}
+				return n
+			}
+			before := frames()
+			if _, err := c.Fstat(1); !errors.Is(err, fsapi.ErrBadFD) {
+				t.Fatalf("fstat on a descriptor a batch closed: %v", err)
+			}
+			if n := frames() - before; n != 0 {
+				t.Fatalf("fstat on a closed descriptor sent %d frames", n)
+			}
+		})
+	}
+}
+
+// TestPlainAttachIsUnclaimed: a plain session claims no shard, so it
+// attaches to a node of a sharded cluster whatever shard that node serves,
+// and its calls are served there.
+func TestPlainAttachIsUnclaimed(t *testing.T) {
+	_, m := serveHashCluster(t, 2)
+	remote, err := client.Dial(m.Shards[1].Addrs[0], client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := remote.Attach(fsapi.Root)
+	if err != nil {
+		t.Fatalf("plain attach to shard 1's node: %v", err)
+	}
+	defer c.Detach()
+	fd, err := c.Create(pathOnShard(t, m, "u", 1), 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Fstat(fd); err != nil {
+		t.Fatalf("fstat on the plain session's descriptor: %v", err)
+	}
+}
+
+// TestPlainSessionMovedKeepsDescriptors: a plain session's table is its
+// Remote's own, not a shard of the cluster's map, so a Moved answer goes
+// back to the caller. It must not install the map the node serves, re-point
+// the Remote or rehome the link: any of those would take the session's
+// descriptors to another group's volume.
+func TestPlainSessionMovedKeepsDescriptors(t *testing.T) {
+	rt, m := serveHashCluster(t, 2)
+	// A file on shard 0, held open, so that a descriptor number re-sent
+	// to shard 0's node would name it.
+	rc, err := rt.Attach(fsapi.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Detach()
+	theirs, err := rc.Create(pathOnShard(t, m, "theirs", 0), 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rc.Write(theirs, []byte("theirs")); err != nil {
+		t.Fatal(err)
+	}
+
+	remote, err := client.Dial(m.Shards[1].Addrs[0], client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := remote.Attach(fsapi.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Detach()
+	mine := pathOnShard(t, m, "mine", 1)
+	fd, err := c.Open(mine, fsapi.OCreate|fsapi.ORdwr, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(fd, []byte("mine")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Stat(pathOnShard(t, m, "other", 0)); !errors.Is(err, wire.ErrMoved) {
+		t.Fatalf("plain Stat of a path shard 1 does not serve = %v, want ErrMoved", err)
+	}
+	buf := make([]byte, 16)
+	n, err := c.Pread(fd, buf, 0)
+	if err != nil || string(buf[:n]) != "mine" {
+		t.Fatalf("Pread after the Moved = %q, %v; want the session's own file", buf[:n], err)
+	}
+	// The Remote still points at shard 1's node, unclaimed.
+	c2, err := remote.Attach(fsapi.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Detach()
+	if _, err := c2.Stat(mine); err != nil {
+		t.Fatalf("a second plain session on the same Remote: %v", err)
 	}
 }
 

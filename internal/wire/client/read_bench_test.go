@@ -17,7 +17,7 @@ func benchReadTargets(b *testing.B, run func(b *testing.B, c batchClient, fd fsa
 		shards int
 	}{{"session", 1}, {"routed", 2}} {
 		b.Run(tc.name, func(b *testing.B) {
-			rt, m, vols := serveClusterVols(b, make([]string, tc.shards))
+			rt, m, vols, _ := serveClusterVols(b, make([]string, tc.shards))
 			for _, vol := range vols {
 				// The volume's one-in-32 deep sample allocates its window;
 				// BenchmarkResolve* gates the volume (see BenchmarkRoutedSubmitStat).

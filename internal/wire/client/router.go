@@ -83,6 +83,12 @@ type Router struct {
 	remotes map[uint32]*Remote
 	closed  bool
 
+	// fixed marks a Remote's own one-shard table (see Remote.router). Its
+	// one shard is whatever the Remote's nodes serve, not a shard of any map
+	// a node could hand out, so the table is never refreshed and its Remote
+	// is never re-pointed or claimed: a Moved answer is the caller's.
+	fixed bool
+
 	moves        atomic.Uint64
 	refreshes    atomic.Uint64
 	crossRenames atomic.Uint64
@@ -143,8 +149,8 @@ func (rt *Router) Stats() RouterStats {
 	}
 }
 
-// Attach opens a routed session. Per-shard wire sessions attach lazily, the
-// first time an operation routes to the shard.
+// Attach opens a session over the shard map. Its links attach lazily, the
+// first time an operation routes to their shard.
 func (rt *Router) Attach(cred fsapi.Cred) (fsapi.Client, error) {
 	rt.mu.Lock()
 	closed := rt.closed
@@ -152,13 +158,7 @@ func (rt *Router) Attach(cred fsapi.Cred) (fsapi.Client, error) {
 	if closed {
 		return nil, ErrClosed
 	}
-	return &RoutedSession{
-		rt:       rt,
-		cred:     cred,
-		sessions: make(map[uint32]*Session),
-		fds:      make(map[fsapi.FD]routedFD),
-		nextFD:   1,
-	}, nil
+	return rt.newSession(cred), nil
 }
 
 // Close drops every per-shard Remote. Attached sessions fail on their next
@@ -171,13 +171,10 @@ func (rt *Router) Close() error {
 	return nil
 }
 
-// route resolves a path to its owning shard ID under the cached map.
-func (rt *Router) route(p string) uint32 {
-	return rt.tab.Load().Route(p).ID // Validate guarantees coverage
-}
-
 // remote returns (dialing if needed) the Remote for a shard, plus the
-// shard's prefix under the cached map.
+// shard's prefix under the cached map. A Remote the router dials claims its
+// shard at the map's epoch (install re-claims it when the epoch moves); a
+// Remote's own one-shard table holds that Remote, unclaimed.
 func (rt *Router) remote(id uint32) (*Remote, string, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -196,9 +193,9 @@ func (rt *Router) remote(id uint32) (*Remote, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
+		r.setClaim(id, m.Epoch)
 		rt.remotes[id] = r
 	}
-	r.setClaim(id, m.Epoch)
 	return r, sh.Prefix, nil
 }
 
@@ -268,85 +265,56 @@ func (rt *Router) install(m *shard.Map) {
 	}
 }
 
-// routedFD maps a router-level virtual descriptor to the shard session
-// holding the real one. Virtual descriptors are monotonic and never reused,
-// so a stale descriptor can never alias a new file.
-type routedFD struct {
-	shard uint32
-	fd    fsapi.FD
-}
-
-// RoutedSession is one attached process's view of the sharded volume: a lazy
-// per-shard wire session plus a table naming, for each descriptor it handed
-// out, the shard session that holds the real one. That is all it keeps: how a
-// descriptor was opened and where it stands are in that session's open-file
-// table. It implements fsapi.Client and is safe for concurrent use.
-type RoutedSession struct {
-	rt   *Router
-	cred fsapi.Cred
-
-	mu       sync.Mutex
-	sessions map[uint32]*Session
-	fds      map[fsapi.FD]routedFD
-	nextFD   fsapi.FD
-	closed   bool
-
-	// idle is Submit's working set between calls. A Submit takes it and puts
-	// it back; one that finds it taken makes its own.
-	idle atomic.Pointer[scatter]
-}
-
-// session returns (attaching if needed) the wire session for a shard.
-func (ss *RoutedSession) session(id uint32) (*Session, error) {
-	ss.mu.Lock()
-	if ss.closed {
-		ss.mu.Unlock()
+// shardLink returns (attaching if needed) the session's link to a shard.
+func (s *Session) shardLink(id uint32) (*link, error) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	s := ss.sessions[id]
-	ss.mu.Unlock()
-	if s != nil {
-		return s, nil
+	l := s.links[id]
+	s.mu.Unlock()
+	if l != nil {
+		return l, nil
 	}
-	r, prefix, err := ss.rt.remote(id)
+	r, prefix, err := s.rt.remote(id)
 	if err != nil {
 		return nil, err
 	}
-	sess, err := ss.attach(r)
-	if err != nil {
+	if l, err = s.attach(r); err != nil {
 		return nil, err
 	}
-	ss.mu.Lock()
-	if ss.closed {
-		ss.mu.Unlock()
-		sess.Detach()
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		l.Detach()
 		return nil, ErrClosed
 	}
-	if exist := ss.sessions[id]; exist != nil {
-		ss.mu.Unlock()
-		sess.Detach()
+	if exist := s.links[id]; exist != nil {
+		s.mu.Unlock()
+		l.Detach()
 		return exist, nil
 	}
-	ss.sessions[id] = sess
-	ss.mu.Unlock()
-	ss.ensureAncestors(sess, prefix)
-	return sess, nil
+	s.links[id] = l
+	s.mu.Unlock()
+	ensureAncestors(l, prefix)
+	return l, nil
 }
 
-// attach opens a wire session on r, giving the first attach the same
+// attach opens a link on r, giving the first attach the same
 // failover grace an established session gets from its recovery loop: a
 // transient refusal (a primary mid-promotion, an op gate held for a join
 // snapshot) is retried with jittered doubling backoff until
 // FailoverTimeout, instead of surfacing a raw dial or deadline error the
 // first time a worker touches the shard. A Moved answer returns
 // immediately so doShard can refetch the map and re-route.
-func (ss *RoutedSession) attach(r *Remote) (*Session, error) {
-	deadline := time.Now().Add(ss.rt.opts.FailoverTimeout)
+func (s *Session) attach(r *Remote) (*link, error) {
+	deadline := time.Now().Add(s.rt.opts.FailoverTimeout)
 	b := backoff{d: 10 * time.Millisecond, max: 250 * time.Millisecond}
 	for {
-		c, err := r.Attach(ss.cred)
+		l, err := r.attach(s.cred)
 		if err == nil {
-			return c.(*Session), nil
+			return l, nil
 		}
 		if errors.Is(err, wire.ErrMoved) {
 			return nil, err
@@ -354,9 +322,9 @@ func (ss *RoutedSession) attach(r *Remote) (*Session, error) {
 		if !time.Now().Before(deadline) {
 			return nil, fmt.Errorf("%w (after %v)", ErrNoPrimary, err)
 		}
-		ss.mu.Lock()
-		closed := ss.closed
-		ss.mu.Unlock()
+		s.mu.Lock()
+		closed := s.closed
+		s.mu.Unlock()
 		if closed {
 			return nil, ErrClosed
 		}
@@ -373,7 +341,7 @@ func (ss *RoutedSession) attach(r *Remote) (*Session, error) {
 // unmade directory on a single node. Best-effort: ErrExist is the steady
 // state, and a permission failure just surfaces later as the underlying
 // operation's own error.
-func (ss *RoutedSession) ensureAncestors(s *Session, prefix string) {
+func ensureAncestors(l *link, prefix string) {
 	if prefix == "" || prefix == "/" {
 		return
 	}
@@ -384,31 +352,33 @@ func (ss *RoutedSession) ensureAncestors(s *Session, prefix string) {
 	p := ""
 	for _, c := range comps[:len(comps)-1] {
 		p += "/" + c
-		s.Mkdir(p, 0o755)
+		l.callDst(wire.Request{Op: wire.OpMkdir, Path: p, Perm: 0o755}, nil)
 	}
 }
 
-// dropSession forgets a shard session that failed to rehome, but only while
-// it holds no descriptors: a fresh attach gets a fresh server-side session,
-// which would orphan them.
-func (ss *RoutedSession) dropSession(id uint32, s *Session) {
-	ss.mu.Lock()
-	for _, rf := range ss.fds {
-		if rf.shard == id {
-			ss.mu.Unlock()
+// dropLink forgets a link that failed to rehome, but only while the
+// open-file table holds no descriptor on its shard: a fresh attach gets a
+// fresh server-side session, which would orphan them.
+func (s *Session) dropLink(id uint32, l *link) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, of := range s.files {
+		if of.shard == id {
 			return
 		}
 	}
-	if ss.sessions[id] == s {
-		delete(ss.sessions, id)
+	if s.links[id] == l {
+		delete(s.links, id)
 	}
-	ss.mu.Unlock()
 }
 
 // moved reacts to a Moved answer for a shard: refresh the map, then rehome
-// the shard's session against its Remote's (possibly re-pointed) dial list.
+// the shard's link against its Remote's (possibly re-pointed) dial list.
 // The same server-side session resumes under the same client ID, so open
-// descriptors and the replay of unanswered calls survive the move.
+// descriptors and the replay of unanswered calls survive the move. It
+// reports whether a retry can be routed anew; a fixed table has no map to
+// refresh, so there the Moved goes back to the caller and the link, with
+// its descriptors, stays as it is.
 //
 // A migration announces its map in stages, so a refresh racing the cutover
 // can install the transitional epoch — one that still points this shard at
@@ -416,30 +386,34 @@ func (ss *RoutedSession) dropSession(id uint32, s *Session) {
 // that names the real owner; fetching the map from that owner re-points
 // the Remote, and the recovery loop the failed rehome left running picks
 // up the new dial list on its next tick. Only when even the named owner
-// yields no newer map is the session abandoned.
-func (ss *RoutedSession) moved(id uint32, cause error) {
-	ss.rt.moves.Add(1)
+// yields no newer map is the link abandoned.
+func (s *Session) moved(id uint32, cause error) bool {
+	if s.rt.fixed {
+		return false
+	}
+	s.rt.moves.Add(1)
 	var mv *movedErr
 	if errors.As(cause, &mv) {
 		// An attach-time refusal names the owner and epoch: wait for the
 		// cutover's map instead of settling for a transitional one.
-		ss.awaitEpoch(mv.mv)
+		s.awaitEpoch(mv.mv)
 	} else {
-		ss.rt.refresh("")
+		s.rt.refresh("")
 	}
-	ss.mu.Lock()
-	s := ss.sessions[id]
-	ss.mu.Unlock()
-	if s == nil {
-		return
+	s.mu.Lock()
+	l := s.links[id]
+	s.mu.Unlock()
+	if l == nil {
+		return true
 	}
-	if err := s.rehome(); err != nil {
+	if err := l.rehome(); err != nil {
 		var mv *movedErr
-		if errors.As(err, &mv) && ss.awaitEpoch(mv.mv) {
-			return
+		if errors.As(err, &mv) && s.awaitEpoch(mv.mv) {
+			return true
 		}
-		ss.dropSession(id, s)
+		s.dropLink(id, l)
 	}
+	return true
 }
 
 // awaitEpoch waits for the shard map to reach the epoch a refused attach
@@ -451,14 +425,14 @@ func (ss *RoutedSession) moved(id uint32, cause error) {
 // running; installing the newer map re-points the Remote, and that loop
 // attaches to the new owner on its next tick. Polling shares the failover
 // budget the recovery loop itself runs under.
-func (ss *RoutedSession) awaitEpoch(mv wire.Moved) bool {
-	deadline := time.Now().Add(ss.rt.opts.FailoverTimeout)
-	b := ss.movedBackoff()
+func (s *Session) awaitEpoch(mv wire.Moved) bool {
+	deadline := time.Now().Add(s.rt.opts.FailoverTimeout)
+	b := s.movedBackoff()
 	for {
-		if ss.rt.Map().Epoch >= mv.Epoch {
+		if s.rt.Map().Epoch >= mv.Epoch {
 			return true
 		}
-		if ss.rt.refresh(mv.Addr) {
+		if s.rt.refresh(mv.Addr) {
 			continue
 		}
 		if !time.Now().Before(deadline) {
@@ -469,264 +443,18 @@ func (ss *RoutedSession) awaitEpoch(mv wire.Moved) bool {
 }
 
 // movedBackoff is the delay between retries after a Moved answer.
-func (ss *RoutedSession) movedBackoff() backoff {
+func (s *Session) movedBackoff() backoff {
 	return backoff{d: movedBackoffStart, max: 250 * time.Millisecond}
-}
-
-// doShard runs f against the shard pick() currently names, following Moved
-// answers (refresh + rehome + backoff) up to maxMovedHops. pick re-resolves
-// each attempt, so a migration that re-routes the path mid-retry is picked
-// up. Errors other than Moved pass through untouched.
-func (ss *RoutedSession) doShard(pick func() uint32, f func(s *Session) error) error {
-	b := ss.movedBackoff()
-	var err error
-	for hop := 0; hop <= maxMovedHops; hop++ {
-		if hop > 0 {
-			time.Sleep(b.next())
-		}
-		id := pick()
-		var s *Session
-		s, err = ss.session(id)
-		if err == nil {
-			err = f(s)
-		}
-		if err == nil || !errors.Is(err, wire.ErrMoved) {
-			return err
-		}
-		ss.moved(id, err)
-	}
-	return fmt.Errorf("wire client: shard routing did not converge after %d moved hops: %w", maxMovedHops, err)
-}
-
-// doPath routes a path-addressed operation.
-func (ss *RoutedSession) doPath(p string, f func(s *Session, id uint32) error) error {
-	var id uint32
-	return ss.doShard(
-		func() uint32 { id = ss.rt.route(p); return id },
-		func(s *Session) error { return f(s, id) },
-	)
-}
-
-// doFD routes a descriptor operation to the session holding the real
-// descriptor. The shard is pinned at open time — migration moves the whole
-// session (rehome), never the descriptor to a different shard.
-func (ss *RoutedSession) doFD(fd fsapi.FD, f func(s *Session, rfd fsapi.FD) error) error {
-	ss.mu.Lock()
-	rf, ok := ss.fds[fd]
-	ss.mu.Unlock()
-	if !ok {
-		return fsapi.ErrBadFD
-	}
-	return ss.doShard(
-		func() uint32 { return rf.shard },
-		func(s *Session) error { return f(s, rf.fd) },
-	)
-}
-
-// registerFD allocates a virtual descriptor for a shard-local one. A session
-// detached meanwhile has no table to register in: ErrClosed.
-func (ss *RoutedSession) registerFD(id uint32, rfd fsapi.FD) (fsapi.FD, error) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.closed {
-		return -1, ErrClosed
-	}
-	vfd := ss.nextFD
-	ss.nextFD++
-	ss.fds[vfd] = routedFD{shard: id, fd: rfd}
-	return vfd, nil
-}
-
-// --- fsapi.Client ------------------------------------------------------
-
-// Create creates a regular file on the path's owner shard.
-func (ss *RoutedSession) Create(path string, perm uint32) (fsapi.FD, error) {
-	var out fsapi.FD
-	err := ss.doPath(path, func(s *Session, id uint32) error {
-		fd, err := s.Create(path, perm)
-		if err != nil {
-			return err
-		}
-		out, err = ss.registerFD(id, fd)
-		return err
-	})
-	if err != nil {
-		return -1, err
-	}
-	return out, nil
-}
-
-// Open opens a file on the path's owner shard.
-func (ss *RoutedSession) Open(path string, flags fsapi.OpenFlag, perm uint32) (fsapi.FD, error) {
-	var out fsapi.FD
-	err := ss.doPath(path, func(s *Session, id uint32) error {
-		fd, err := s.Open(path, flags, perm)
-		if err != nil {
-			return err
-		}
-		out, err = ss.registerFD(id, fd)
-		return err
-	})
-	if err != nil {
-		return -1, err
-	}
-	return out, nil
-}
-
-// Close releases the descriptor. The virtual slot is freed either way —
-// like close(2), the descriptor is gone even when the call errors.
-func (ss *RoutedSession) Close(fd fsapi.FD) error {
-	err := ss.doFD(fd, func(s *Session, rfd fsapi.FD) error { return s.Close(rfd) })
-	if !errors.Is(err, fsapi.ErrBadFD) {
-		ss.mu.Lock()
-		delete(ss.fds, fd)
-		ss.mu.Unlock()
-	}
-	return err
-}
-
-// Read reads at the descriptor's current position, which the shard session
-// keeps.
-func (ss *RoutedSession) Read(fd fsapi.FD, p []byte) (int, error) {
-	var n int
-	err := ss.doFD(fd, func(s *Session, rfd fsapi.FD) error {
-		var err error
-		n, err = s.Read(rfd, p)
-		return err
-	})
-	return n, err
-}
-
-// Pread reads at an explicit offset.
-func (ss *RoutedSession) Pread(fd fsapi.FD, p []byte, off uint64) (int, error) {
-	var n int
-	err := ss.doFD(fd, func(s *Session, rfd fsapi.FD) error {
-		var err error
-		n, err = s.Pread(rfd, p, off)
-		return err
-	})
-	return n, err
-}
-
-// Write writes at the descriptor's current position.
-func (ss *RoutedSession) Write(fd fsapi.FD, p []byte) (int, error) {
-	var n int
-	err := ss.doFD(fd, func(s *Session, rfd fsapi.FD) error {
-		var err error
-		n, err = s.Write(rfd, p)
-		return err
-	})
-	return n, err
-}
-
-// Pwrite writes at an explicit offset.
-func (ss *RoutedSession) Pwrite(fd fsapi.FD, p []byte, off uint64) (int, error) {
-	var n int
-	err := ss.doFD(fd, func(s *Session, rfd fsapi.FD) error {
-		var err error
-		n, err = s.Pwrite(rfd, p, off)
-		return err
-	})
-	return n, err
-}
-
-// Seek repositions the descriptor in the shard session's table.
-func (ss *RoutedSession) Seek(fd fsapi.FD, off int64, whence int) (int64, error) {
-	var pos int64
-	err := ss.doFD(fd, func(s *Session, rfd fsapi.FD) error {
-		var err error
-		pos, err = s.Seek(rfd, off, whence)
-		return err
-	})
-	return pos, err
-}
-
-// Fsync checks the descriptor; see Session.Fsync.
-func (ss *RoutedSession) Fsync(fd fsapi.FD) error {
-	return ss.doFD(fd, func(s *Session, rfd fsapi.FD) error { return s.Fsync(rfd) })
-}
-
-// Ftruncate sets the file size.
-func (ss *RoutedSession) Ftruncate(fd fsapi.FD, size uint64) error {
-	return ss.doFD(fd, func(s *Session, rfd fsapi.FD) error { return s.Ftruncate(rfd, size) })
-}
-
-// Fallocate preallocates space.
-func (ss *RoutedSession) Fallocate(fd fsapi.FD, size uint64) error {
-	return ss.doFD(fd, func(s *Session, rfd fsapi.FD) error { return s.Fallocate(rfd, size) })
-}
-
-// Fstat stats an open descriptor.
-func (ss *RoutedSession) Fstat(fd fsapi.FD) (fsapi.Stat, error) {
-	var st fsapi.Stat
-	err := ss.doFD(fd, func(s *Session, rfd fsapi.FD) error {
-		var err error
-		st, err = s.Fstat(rfd)
-		return err
-	})
-	return st, err
-}
-
-// Stat resolves a path on its owner shard.
-func (ss *RoutedSession) Stat(path string) (fsapi.Stat, error) {
-	var st fsapi.Stat
-	err := ss.doPath(path, func(s *Session, _ uint32) error {
-		var err error
-		st, err = s.Stat(path)
-		return err
-	})
-	return st, err
-}
-
-// Lstat is Stat without following a final symlink.
-func (ss *RoutedSession) Lstat(path string) (fsapi.Stat, error) {
-	var st fsapi.Stat
-	err := ss.doPath(path, func(s *Session, _ uint32) error {
-		var err error
-		st, err = s.Lstat(path)
-		return err
-	})
-	return st, err
-}
-
-// Mkdir creates a directory on the path's owner shard.
-func (ss *RoutedSession) Mkdir(path string, perm uint32) error {
-	return ss.doPath(path, func(s *Session, _ uint32) error { return s.Mkdir(path, perm) })
-}
-
-// Rmdir removes an empty directory.
-func (ss *RoutedSession) Rmdir(path string) error {
-	return ss.doPath(path, func(s *Session, _ uint32) error { return s.Rmdir(path) })
-}
-
-// Unlink removes a file or symlink.
-func (ss *RoutedSession) Unlink(path string) error {
-	return ss.doPath(path, func(s *Session, _ uint32) error { return s.Unlink(path) })
 }
 
 // Rename moves old to new. Within one shard it is the server's atomic
 // rename; across shards it degrades to a two-phase copy+unlink (directories
 // recurse, symlinks re-link) — not atomic, but the only option when the two
 // names live in different groups' NVMM.
-func (ss *RoutedSession) Rename(oldPath, newPath string) error {
-	// Every hop re-checks that the two names still share a shard: a Moved
-	// answer may have brought a map that splits them.
-	var cross bool
-	err := ss.doShard(
-		func() uint32 {
-			id := ss.rt.route(oldPath)
-			cross = id != ss.rt.route(newPath)
-			return id
-		},
-		func(s *Session) error {
-			if cross {
-				return nil
-			}
-			return s.Rename(oldPath, newPath)
-		},
-	)
-	if err == nil && cross {
-		return ss.crossRename(oldPath, newPath)
+func (s *Session) Rename(oldPath, newPath string) error {
+	_, err := s.do(wire.Request{Op: wire.OpRename, Path: oldPath, Path2: newPath})
+	if err == errCrossShard {
+		return s.crossRename(oldPath, newPath)
 	}
 	return err
 }
@@ -734,81 +462,81 @@ func (ss *RoutedSession) Rename(oldPath, newPath string) error {
 // crossRename implements rename across shard boundaries: copy to the
 // destination shard, then unlink the source. Each sub-operation is itself
 // routed (and Moved-retried) through the session.
-func (ss *RoutedSession) crossRename(oldPath, newPath string) error {
-	ss.rt.crossRenames.Add(1)
-	st, err := ss.Lstat(oldPath)
+func (s *Session) crossRename(oldPath, newPath string) error {
+	s.rt.crossRenames.Add(1)
+	st, err := s.Lstat(oldPath)
 	if err != nil {
 		return err
 	}
 	switch st.Mode & fsapi.ModeTypeMask {
 	case fsapi.ModeDir:
-		if tst, terr := ss.Lstat(newPath); terr == nil {
+		if tst, terr := s.Lstat(newPath); terr == nil {
 			if !fsapi.IsDir(tst.Mode) {
 				return fsapi.ErrNotDir
 			}
 		} else if !errors.Is(terr, fsapi.ErrNotExist) {
 			return terr
 		}
-		if err := ss.Mkdir(newPath, st.Mode&fsapi.ModePermMask); err != nil && !errors.Is(err, fsapi.ErrExist) {
+		if err := s.Mkdir(newPath, st.Mode&fsapi.ModePermMask); err != nil && !errors.Is(err, fsapi.ErrExist) {
 			return err
 		}
-		ents, err := ss.ReadDir(oldPath)
+		ents, err := s.ReadDir(oldPath)
 		if err != nil {
 			return err
 		}
 		for _, e := range ents {
-			if err := ss.Rename(oldPath+"/"+e.Name, newPath+"/"+e.Name); err != nil {
+			if err := s.Rename(oldPath+"/"+e.Name, newPath+"/"+e.Name); err != nil {
 				return err
 			}
 		}
-		return ss.Rmdir(oldPath)
+		return s.Rmdir(oldPath)
 	case fsapi.ModeSymlink:
-		target, err := ss.Readlink(oldPath)
+		target, err := s.Readlink(oldPath)
 		if err != nil {
 			return err
 		}
-		if err := ss.Unlink(newPath); err != nil && !errors.Is(err, fsapi.ErrNotExist) {
+		if err := s.Unlink(newPath); err != nil && !errors.Is(err, fsapi.ErrNotExist) {
 			return err
 		}
-		if err := ss.Symlink(target, newPath); err != nil {
+		if err := s.Symlink(target, newPath); err != nil {
 			return err
 		}
-		return ss.Unlink(oldPath)
+		return s.Unlink(oldPath)
 	default:
-		return ss.crossCopyFile(oldPath, newPath, st)
+		return s.crossCopyFile(oldPath, newPath, st)
 	}
 }
 
 // crossCopyFile moves one regular file across shards: replace the target
 // name (rename(2) replaces the name, never writes through a symlink), copy
 // the bytes in bounded chunks, carry times over, then unlink the source.
-func (ss *RoutedSession) crossCopyFile(oldPath, newPath string, st fsapi.Stat) error {
-	src, err := ss.Open(oldPath, fsapi.ORdonly, 0)
+func (s *Session) crossCopyFile(oldPath, newPath string, st fsapi.Stat) error {
+	src, err := s.Open(oldPath, fsapi.ORdonly, 0)
 	if err != nil {
 		return err
 	}
-	defer ss.Close(src)
-	if tst, terr := ss.Lstat(newPath); terr == nil {
+	defer s.Close(src)
+	if tst, terr := s.Lstat(newPath); terr == nil {
 		if fsapi.IsDir(tst.Mode) {
 			return fsapi.ErrIsDir
 		}
-		if err := ss.Unlink(newPath); err != nil {
+		if err := s.Unlink(newPath); err != nil {
 			return err
 		}
 	} else if !errors.Is(terr, fsapi.ErrNotExist) {
 		return terr
 	}
-	dst, err := ss.Create(newPath, st.Mode&fsapi.ModePermMask)
+	dst, err := s.Create(newPath, st.Mode&fsapi.ModePermMask)
 	if err != nil {
 		return err
 	}
 	buf := make([]byte, 256<<10)
 	var off uint64
 	for {
-		n, rerr := ss.Pread(src, buf, off)
+		n, rerr := s.Pread(src, buf, off)
 		if n > 0 {
-			if _, werr := ss.Pwrite(dst, buf[:n], off); werr != nil {
-				ss.Close(dst)
+			if _, werr := s.Pwrite(dst, buf[:n], off); werr != nil {
+				s.Close(dst)
 				return werr
 			}
 			off += uint64(n)
@@ -817,46 +545,30 @@ func (ss *RoutedSession) crossCopyFile(oldPath, newPath string, st fsapi.Stat) e
 			if errors.Is(rerr, io.EOF) {
 				break
 			}
-			ss.Close(dst)
+			s.Close(dst)
 			return rerr
 		}
 		if n == 0 {
 			break
 		}
 	}
-	if err := ss.Close(dst); err != nil {
+	if err := s.Close(dst); err != nil {
 		return err
 	}
-	ss.Utimes(newPath, st.Atime, st.Mtime) // best-effort, like cp -p
-	return ss.Unlink(oldPath)
-}
-
-// Symlink creates a symbolic link, routed by the link's own path (the
-// target is an uninterpreted string and may point anywhere).
-func (ss *RoutedSession) Symlink(target, linkPath string) error {
-	return ss.doPath(linkPath, func(s *Session, _ uint32) error { return s.Symlink(target, linkPath) })
+	s.Utimes(newPath, st.Atime, st.Mtime) // best-effort, like cp -p
+	return s.Unlink(oldPath)
 }
 
 // Link creates a hard link. Hard links cannot span shards — the two names
 // would live in different groups' NVMM with no shared inode — so a
 // cross-shard link answers ErrCrossDir, like link(2) across mounts answers
-// EXDEV.
-func (ss *RoutedSession) Link(oldPath, newPath string) error {
-	if ss.rt.route(oldPath) != ss.rt.route(newPath) {
+// EXDEV. Like Rename's, the check is made on every hop.
+func (s *Session) Link(oldPath, newPath string) error {
+	_, err := s.do(wire.Request{Op: wire.OpLink, Path: oldPath, Path2: newPath})
+	if err == errCrossShard {
 		return fsapi.ErrCrossDir
 	}
-	return ss.doPath(oldPath, func(s *Session, _ uint32) error { return s.Link(oldPath, newPath) })
-}
-
-// Readlink returns a symlink's target.
-func (ss *RoutedSession) Readlink(path string) (string, error) {
-	var out string
-	err := ss.doPath(path, func(s *Session, _ uint32) error {
-		var err error
-		out, err = s.Readlink(path)
-		return err
-	})
-	return out, err
+	return err
 }
 
 // ReadDir lists a directory, merging what other shards contribute to it: at
@@ -864,19 +576,13 @@ func (ss *RoutedSession) Readlink(path string) (string, error) {
 // any directory, the subtree roots of prefix shards mounted directly under
 // it (included only once they exist on their owner). Entries are
 // deduplicated by name; merged listings are sorted.
-func (ss *RoutedSession) ReadDir(path string) ([]fsapi.DirEntry, error) {
-	var ents []fsapi.DirEntry
-	var ownerID uint32
-	err := ss.doPath(path, func(s *Session, id uint32) error {
-		var err error
-		ents, err = s.ReadDir(path)
-		ownerID = id
-		return err
-	})
+func (s *Session) ReadDir(path string) ([]fsapi.DirEntry, error) {
+	resp, ownerID, err := s.doShard(wire.Request{Op: wire.OpReadDir, Path: path}, anyShard, nil)
 	if err != nil {
 		return nil, err
 	}
-	m := ss.rt.Map()
+	ents := resp.Dir
+	m := s.rt.Map()
 	if len(m.Shards) == 1 {
 		return ents, nil
 	}
@@ -892,20 +598,11 @@ func (ss *RoutedSession) ReadDir(path string) ([]fsapi.DirEntry, error) {
 			if sh.ID == ownerID || (sh.Prefix != "" && sh.Prefix != "/") {
 				continue
 			}
-			var more []fsapi.DirEntry
-			id := sh.ID
-			err := ss.doShard(
-				func() uint32 { return id },
-				func(s *Session) error {
-					var err error
-					more, err = s.ReadDir("/")
-					return err
-				},
-			)
+			more, _, err := s.doShard(wire.Request{Op: wire.OpReadDir, Path: "/"}, int64(sh.ID), nil)
 			if err != nil {
 				return nil, err
 			}
-			for _, e := range more {
+			for _, e := range more.Dir {
 				if !seen[e.Name] {
 					seen[e.Name] = true
 					ents = append(ents, e)
@@ -923,7 +620,7 @@ func (ss *RoutedSession) ReadDir(path string) ([]fsapi.DirEntry, error) {
 		if seen[name] {
 			continue
 		}
-		st, err := ss.Stat(sh.Prefix)
+		st, err := s.Stat(sh.Prefix)
 		if errors.Is(err, fsapi.ErrNotExist) {
 			continue
 		}
@@ -940,24 +637,15 @@ func (ss *RoutedSession) ReadDir(path string) ([]fsapi.DirEntry, error) {
 	return ents, nil
 }
 
-// Chmod updates permission bits.
-func (ss *RoutedSession) Chmod(path string, perm uint32) error {
-	return ss.doPath(path, func(s *Session, _ uint32) error { return s.Chmod(path, perm) })
-}
-
-// Utimes sets access/modification times.
-func (ss *RoutedSession) Utimes(path string, atime, mtime int64) error {
-	return ss.doPath(path, func(s *Session, _ uint32) error { return s.Utimes(path, atime, mtime) })
-}
-
-// part is one shard's share of a routed batch.
+// part is one shard's share of a batch.
 type part struct {
 	shard uint32
-	sess  *Session // the shard's session when it was already attached
-	idx   []int32  // positions in the caller's batch
+	link  *link   // the shard's link when it was already attached
+	idx   []int32 // positions in the caller's batch
 	reqs  []wire.Request
 	sub   submission
-	sent  bool
+	// answered is whether every response of the part has landed.
+	answered bool
 }
 
 // scatter is the reusable working set of one Submit: a part per shard the
@@ -968,8 +656,8 @@ type scatter struct {
 }
 
 // part returns the in-use part for a shard, adding one when the batch has
-// not touched the shard yet. Caller holds ss.mu.
-func (sc *scatter) part(ss *RoutedSession, shard uint32) *part {
+// not touched the shard yet. Caller holds s.mu.
+func (sc *scatter) part(s *Session, shard uint32) *part {
 	for _, p := range sc.parts[:sc.n] {
 		if p.shard == shard {
 			return p
@@ -980,110 +668,97 @@ func (sc *scatter) part(ss *RoutedSession, shard uint32) *part {
 	}
 	p := sc.parts[sc.n]
 	sc.n++
-	p.shard, p.sess, p.sent = shard, ss.sessions[shard], false
+	p.shard, p.link, p.answered = shard, s.links[shard], false
 	p.idx, p.reqs = p.idx[:0], p.reqs[:0]
 	return p
 }
 
-// Submit splits an explicit batch by shard, starts every part, then waits
-// for them, and lands the responses in request order. The parts overlap on
-// the wire without a goroutine each: a session's submission is started
-// (registered and queued for its writer) and waited for in two steps, and
-// every part is started before any is waited for. A batch that touches one
-// shard is the same code with one part. Create/open responses allocate
-// virtual descriptors; descriptor requests are translated to their
-// shard-local descriptors. Unlike the single-call path, Moved answers are
-// not retried — they come back as CodeMoved responses for the caller (the
-// benchmark reruns; the fsapi methods are the transparent path).
+// Submit sends reqs as one explicit batch per shard and returns the
+// responses in request order. It is the deterministic-batch interface for
+// benchmarks; the fsapi methods go one request at a time and rely on the
+// links' writer coalescing instead. The batch is split by shard, every part
+// is started, then every part is waited for: the parts overlap on the wire
+// without a goroutine each, because a link's submission is started
+// (registered and queued for its writer) and waited for in two steps. A
+// batch that touches one shard is the same code with one part.
 //
-// The responses are the caller's for good. As with Session.Submit, the Data
-// of the pread responses one shard answered may be views of one
-// shared backing array — the reply frame they arrived in — so keeping a
-// single Data alive keeps up to a whole frame (at most wire.MaxFrame)
-// reachable; copy it out to hold on to less.
-func (ss *RoutedSession) Submit(reqs []wire.Request) ([]wire.Response, error) {
+// Requests are routed as doShard routes them, and descriptors are the
+// session's: a request on a descriptor the open-file table does not hold is
+// answered CodeBadFD here, and the creates, opens and closes a batch makes
+// enter and leave the table as the fsapi methods' do. Positions are that
+// table's: a batch addresses file data with OpPread and OpPwrite (OpWrite
+// on a descriptor opened O_APPEND), and a server answers the retired
+// OpRead, OpSeek and OpFsync with ErrInval. Unlike the single-call path,
+// Submit retries neither overloads nor Moved answers: they come back as
+// CodeOverload and CodeMoved responses for the caller.
+//
+// The responses are the caller's for good. The Data of the pread responses
+// one shard answered may be views of one shared backing array — the reply
+// frame they arrived in — so keeping a single Data alive keeps up to a whole
+// frame (at most wire.MaxFrame) reachable; copy it out to hold on to less.
+func (s *Session) Submit(reqs []wire.Request) ([]wire.Response, error) {
 	out := make([]wire.Response, len(reqs))
-	tab := ss.rt.tab.Load() // one epoch routes the whole batch
-	sc := ss.idle.Swap(nil)
+	tab := s.rt.tab.Load() // one epoch routes the whole batch
+	sc := s.idle.Swap(nil)
 	if sc == nil {
 		sc = new(scatter)
 	}
 	sc.n = 0
-	ss.mu.Lock() // one hold for the whole translation loop, not per request
+	s.mu.Lock() // one hold for the whole translation loop, not per request
 	for i := range reqs {
 		req := reqs[i] // copy: the FD field may be rewritten
-		var id uint32
-		switch {
-		case req.Op == wire.OpSymlink:
-			id = tab.Route(req.Path2).ID
-		case req.Path != "":
-			id = tab.Route(req.Path).ID
-		default:
-			rf, ok := ss.fds[req.FD]
-			if !ok {
-				out[i] = wire.Response{ID: req.ID, Op: req.Op, Code: wire.CodeOf(fsapi.ErrBadFD)}
-				continue
-			}
-			id, req.FD = rf.shard, rf.fd
+		id, ok := s.route(tab, &req)
+		if !ok {
+			out[i] = wire.Response{ID: req.ID, Op: req.Op, Code: wire.CodeOf(fsapi.ErrBadFD)}
+			continue
 		}
-		p := sc.part(ss, id)
+		p := sc.part(s, id)
 		p.idx = append(p.idx, int32(i))
 		p.reqs = append(p.reqs, req)
 	}
-	ss.mu.Unlock()
+	s.mu.Unlock()
 	var err error
 	for _, p := range sc.parts[:sc.n] {
-		perr := ss.startPart(p, out)
-		p.sent = perr == nil
+		perr := s.startPart(p, out)
+		p.answered = perr == nil
 		err = joinShardErr(err, p.shard, perr)
 	}
 	for _, p := range sc.parts[:sc.n] {
-		if !p.sent {
-			continue
-		}
-		perr := p.sub.wait()
-		if perr == nil {
-			// The shard session's open-file table follows the part's creates,
-			// opens and closes, by their shard-local descriptors.
-			for j, i := range p.idx {
-				p.sub.s.track(&p.reqs[j], &out[i])
-			}
-		}
-		err = joinShardErr(err, p.shard, perr)
-	}
-	if err == nil {
-	register:
-		for _, p := range sc.parts[:sc.n] {
-			for _, i := range p.idx {
-				if r := &out[i]; r.Code == wire.CodeOK && (r.Op == wire.OpCreate || r.Op == wire.OpOpen) {
-					if r.FD, err = ss.registerFD(p.shard, r.FD); err != nil {
-						break register
-					}
-				}
-			}
+		if p.answered {
+			perr := p.sub.wait()
+			p.answered = perr == nil
+			err = joinShardErr(err, p.shard, perr)
 		}
 	}
+	// Every part answered in full enters the table, even when another
+	// part's shard failed: its creates and closes happened.
+	var terr error
 	for _, p := range sc.parts[:sc.n] {
+		for _, i := range p.idx {
+			if p.answered && terr == nil {
+				terr = s.track(p.shard, &reqs[i], &out[i])
+			}
+		}
 		clear(p.reqs) // the requests point at the caller's paths and data
 	}
-	ss.idle.Store(sc)
-	if err != nil {
+	s.idle.Store(sc)
+	if err = errors.Join(err, terr); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// startPart attaches the part's shard session if need be and starts the
-// part's submission on it.
-func (ss *RoutedSession) startPart(p *part, out []wire.Response) error {
-	s := p.sess
-	if s == nil {
+// startPart attaches the part's link if need be and starts the part's
+// submission on it.
+func (s *Session) startPart(p *part, out []wire.Response) error {
+	l := p.link
+	if l == nil {
 		var err error
-		if s, err = ss.session(p.shard); err != nil {
+		if l, err = s.shardLink(p.shard); err != nil {
 			return err
 		}
 	}
-	return s.start(&p.sub, p.reqs, out, p.idx, nil)
+	return l.start(&p.sub, p.reqs, out, p.idx, nil)
 }
 
 // joinShardErr adds a shard's failure to a batch's error.
@@ -1094,21 +769,21 @@ func joinShardErr(err error, shard uint32, perr error) error {
 	return errors.Join(err, fmt.Errorf("shard %d: %w", shard, perr))
 }
 
-// Detach releases every shard session.
-func (ss *RoutedSession) Detach() error {
-	ss.mu.Lock()
-	if ss.closed {
-		ss.mu.Unlock()
+// Detach releases every link (each server closes its session's
+// descriptors) and empties the open-file table.
+func (s *Session) Detach() error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		return nil
 	}
-	ss.closed = true
-	sessions := ss.sessions
-	ss.sessions = nil
-	ss.fds = nil
-	ss.mu.Unlock()
+	s.closed = true
+	links := s.links
+	s.links, s.files = nil, nil
+	s.mu.Unlock()
 	var errs []error
-	for id, s := range sessions {
-		if err := s.Detach(); err != nil {
+	for id, l := range links {
+		if err := l.Detach(); err != nil {
 			errs = append(errs, fmt.Errorf("shard %d: %w", id, err))
 		}
 	}

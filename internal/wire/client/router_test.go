@@ -41,15 +41,17 @@ func newVolume(t testing.TB) (*pmem.Device, *core.FS) {
 // routing/conformance tests.
 func serveCluster(t testing.TB, prefixes []string) (*client.Router, *shard.Map) {
 	t.Helper()
-	rt, m, _ := serveClusterVols(t, prefixes)
+	rt, m, _, _ := serveClusterVols(t, prefixes)
 	return rt, m
 }
 
-// serveClusterVols is serveCluster that also hands back the nodes' volumes.
-func serveClusterVols(t testing.TB, prefixes []string) (*client.Router, *shard.Map, []*core.FS) {
+// serveClusterVols is serveCluster that also hands back the nodes' volumes
+// and servers.
+func serveClusterVols(t testing.TB, prefixes []string) (*client.Router, *shard.Map, []*core.FS, []*server.Server) {
 	t.Helper()
 	n := len(prefixes)
 	vols := make([]*core.FS, n)
+	srvs := make([]*server.Server, n)
 	lns := make([]net.Listener, n)
 	m := &shard.Map{Epoch: 1}
 	for i := 0; i < n; i++ {
@@ -73,6 +75,7 @@ func serveClusterVols(t testing.TB, prefixes []string) (*client.Router, *shard.M
 		if err != nil {
 			t.Fatal(err)
 		}
+		srvs[i] = srv
 		go srv.Serve(lns[i])
 		t.Cleanup(srv.Shutdown)
 	}
@@ -81,7 +84,7 @@ func serveClusterVols(t testing.TB, prefixes []string) (*client.Router, *shard.M
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rt.Close() })
-	return rt, m, vols
+	return rt, m, vols, srvs
 }
 
 // serveHashCluster is serveCluster with n pure hash shards.
@@ -223,6 +226,45 @@ func TestCrossShardRename(t *testing.T) {
 
 	if st := rt.Stats(); st.CrossRenames < 3 {
 		t.Errorf("CrossRenames = %d, want >= 3", st.CrossRenames)
+	}
+}
+
+// TestLinkSplitByMovedMap: a router whose stale map puts both names of a
+// link on one shard sends the link there and is answered Moved, because the
+// server fences the second path too. The map the Moved brings splits the
+// names, and the next hop sees it: the link answers ErrCrossDir instead of
+// bouncing off the fence until the hop bound runs out.
+func TestLinkSplitByMovedMap(t *testing.T) {
+	good, m := serveHashCluster(t, 2)
+	src := pathOnShard(t, m, "lsrc", 0)
+	dst := pathOnShard(t, m, "ldst", 1)
+	gc, err := good.Attach(fsapi.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gc.Detach()
+	fd, err := gc.Create(src, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc.Close(fd)
+
+	stale := &shard.Map{Shards: []shard.Shard{{ID: 0, Prefix: "/", Addrs: m.Shards[0].Addrs}}}
+	rt, err := client.NewRouter(stale, nil, client.RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	c, err := rt.Attach(fsapi.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Detach()
+	if err := c.Link(src, dst); err != fsapi.ErrCrossDir {
+		t.Fatalf("Link across the shards the refreshed map names = %v, want ErrCrossDir", err)
+	}
+	if st := rt.Stats(); st.Epoch != m.Epoch || st.Moves == 0 {
+		t.Errorf("router at epoch %d after %d moves, want epoch %d after at least one", st.Epoch, st.Moves, m.Epoch)
 	}
 }
 
@@ -674,7 +716,8 @@ func startBlackhole(t *testing.T, backend string) *blackhole {
 // kills one shard's session while the router is gathering: the other part
 // has been answered, this one is registered, written and waiting. Submit must
 // return the error, leave nothing registered on either session, and give
-// every pooled request buffer back.
+// every pooled request buffer back. The closes the healthy shard answered
+// still leave the open-file table.
 func TestRoutedSubmitShardDiesMidGather(t *testing.T) {
 	lns := make([]net.Listener, 2)
 	for i := range lns {
@@ -714,7 +757,7 @@ func TestRoutedSubmitShardDiesMidGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Detach()
-	rs := c.(*client.RoutedSession)
+	rs := c.(*client.Session)
 
 	reqs := make([]wire.Request, 32)
 	for i := range reqs {
@@ -725,10 +768,19 @@ func TestRoutedSubmitShardDiesMidGather(t *testing.T) {
 		t.Fatalf("healthy submit: %v", err)
 	}
 
+	faulty := append([]wire.Request(nil), reqs...)
+	for i := 0; i < 4; i++ {
+		fd, err := rs.Create(pathOnShard(t, m, fmt.Sprintf("c%d-", i), 0), 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faulty = append(faulty, wire.Request{Op: wire.OpClose, FD: fd})
+	}
+
 	hole.swallow.Store(true)
 	done := make(chan error, 1)
 	go func() {
-		_, err := rs.Submit(reqs)
+		_, err := rs.Submit(faulty)
 		done <- err
 	}()
 	// Mid-gather: shard 0 has answered, shard 1's 16 calls are all that is
@@ -755,6 +807,9 @@ func TestRoutedSubmitShardDiesMidGather(t *testing.T) {
 	if calls, buffers := rs.InFlight(); calls != 0 || buffers != 0 {
 		t.Errorf("after the failed submit: %d calls still registered, %d request buffers not released", calls, buffers)
 	}
+	if n := rs.OpenFiles(); n != 0 {
+		t.Errorf("after the failed submit: %d descriptors the healthy shard closed are still open", n)
+	}
 }
 
 // TestMapInstallRacesSubmits swaps the map under four submitting sessions,
@@ -777,7 +832,7 @@ func TestMapInstallRacesSubmits(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Detach()
-		rs := c.(*client.RoutedSession)
+		rs := c.(*client.Session)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -831,7 +886,7 @@ func TestMapInstallRacesSubmits(t *testing.T) {
 // per call, split over two in-process groups. bench-smoke gates it at the one
 // allocation a call cannot avoid — the []wire.Response it returns.
 func BenchmarkRoutedSubmitStat(b *testing.B) {
-	rt, m, vols := serveClusterVols(b, make([]string, 2))
+	rt, m, vols, _ := serveClusterVols(b, make([]string, 2))
 	for _, vol := range vols {
 		// A volume deep-samples one operation in 32 and allocates that
 		// sample's window; 32 stats a call would make it one a call. It is the
@@ -843,7 +898,7 @@ func BenchmarkRoutedSubmitStat(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Detach()
-	rs := c.(*client.RoutedSession)
+	rs := c.(*client.Session)
 	reqs := make([]wire.Request, 32)
 	for i := range reqs {
 		p := pathOnShard(b, m, fmt.Sprintf("f%d-", i), uint32(i%2))

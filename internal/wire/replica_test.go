@@ -39,8 +39,10 @@ func TestReplicatedClassification(t *testing.T) {
 	}
 }
 
-func TestEntryRoundTrip(t *testing.T) {
-	entries := []Entry{
+// sampleEntries is one log entry of every kind, with a request of each
+// shape an EntryOp carries.
+func sampleEntries() []Entry {
+	return []Entry{
 		{Seq: 1, Sess: 42, Kind: EntryAttach, Cred: fsapi.Cred{UID: 1000, GID: 7}},
 		{Seq: 2, Sess: 42, Kind: EntryOp, ResFD: 5,
 			Req: Request{ID: 9, Op: OpCreate, Path: "/f", Perm: 0o644}},
@@ -51,6 +53,10 @@ func TestEntryRoundTrip(t *testing.T) {
 		{Seq: 5, Sess: 42, Kind: EntryPwrite,
 			Req: Request{ID: 11, Op: OpPwrite, FD: 5, Off: 1 << 40, Data: []byte("compact")}},
 	}
+}
+
+func TestEntryRoundTrip(t *testing.T) {
+	entries := sampleEntries()
 	var buf []byte
 	for i := range entries {
 		buf = AppendEntry(buf, &entries[i])
@@ -195,6 +201,78 @@ func FuzzJoinOK(f *testing.F) {
 		re := AppendJoinOK(nil, &j)
 		if !bytes.Equal(re, data[:len(re)]) {
 			t.Fatal("re-encoded manifest differs from its input")
+		}
+	})
+}
+
+// FuzzReplicationDecode feeds arbitrary bytes to the decoders of every
+// replication frame: the log (KindReplicate), snapshot chunks, heartbeats,
+// acks, joins and redirects. Whatever the input: no panic, no decoded slice
+// or string longer than the input, and whatever a decoder accepts
+// re-encodes to bytes that decode to the same value.
+func FuzzReplicationDecode(f *testing.F) {
+	var log []byte
+	for _, e := range sampleEntries() {
+		one := AppendEntry(nil, &e)
+		f.Add(one)
+		log = append(log, one...)
+	}
+	f.Add(log)
+	f.Add(AppendSnapChunk(nil, &SnapChunk{Off: 1 << 30, Data: []byte("snapshot bytes")}))
+	f.Add(AppendHeartbeat(nil, &Heartbeat{Epoch: 3, Seq: 99, SentNs: 1 << 50}))
+	f.Add(AppendRepAck(nil, &RepAck{Epoch: 3, Seq: 98}))
+	f.Add(AppendJoin(nil, &Join{Epoch: 2, Addr: "127.0.0.1:9191"}))
+	f.Add(AppendRedirect(nil, &Redirect{Epoch: 2, Addr: "127.0.0.1:9190"}))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// roundTrip re-encodes v and decodes the result, which must equal v.
+		roundTrip := func(name string, v any, re []byte, decode func([]byte) (any, error)) {
+			again, err := decode(re)
+			if err != nil {
+				t.Fatalf("%s: re-encoded value does not decode: %v", name, err)
+			}
+			if !reflect.DeepEqual(again, v) {
+				t.Fatalf("%s round trip diverged:\n in %+v\nout %+v", name, v, again)
+			}
+		}
+		if ents, err := DecodeEntriesInto(nil, data); err == nil {
+			if len(ents) > len(data) {
+				t.Fatalf("%d entries decoded from %d bytes", len(ents), len(data))
+			}
+			var re []byte
+			for i := range ents {
+				r := &ents[i].Req
+				if len(r.Data) > len(data) || len(r.Path)+len(r.Path2) > len(data) {
+					t.Fatalf("decoded entry larger than input: %+v", ents[i])
+				}
+				re = AppendEntry(re, &ents[i])
+			}
+			roundTrip("entries", ents, re, func(b []byte) (any, error) { return DecodeEntriesInto(nil, b) })
+		}
+		if c, err := ParseSnapChunk(data); err == nil {
+			if len(c.Data) > len(data) {
+				t.Fatalf("%d chunk bytes decoded from %d", len(c.Data), len(data))
+			}
+			roundTrip("snap chunk", c, AppendSnapChunk(nil, &c), func(b []byte) (any, error) { return ParseSnapChunk(b) })
+		}
+		if h, err := ParseHeartbeat(data); err == nil {
+			roundTrip("heartbeat", h, AppendHeartbeat(nil, &h), func(b []byte) (any, error) { return ParseHeartbeat(b) })
+		}
+		if a, err := ParseRepAck(data); err == nil {
+			roundTrip("ack", a, AppendRepAck(nil, &a), func(b []byte) (any, error) { return ParseRepAck(b) })
+		}
+		if j, err := ParseJoin(data); err == nil {
+			if len(j.Addr) > len(data) {
+				t.Fatalf("join address of %d bytes decoded from %d", len(j.Addr), len(data))
+			}
+			roundTrip("join", j, AppendJoin(nil, &j), func(b []byte) (any, error) { return ParseJoin(b) })
+		}
+		if r, err := ParseRedirect(data); err == nil {
+			if len(r.Addr) > len(data) {
+				t.Fatalf("redirect address of %d bytes decoded from %d", len(r.Addr), len(data))
+			}
+			roundTrip("redirect", r, AppendRedirect(nil, &r), func(b []byte) (any, error) { return ParseRedirect(b) })
 		}
 	})
 }
