@@ -240,9 +240,6 @@ func main() {
 		}
 		auth = a
 		scfg.Sharding = auth
-		if node != nil {
-			node.SetClusterExtra(auth.WriteClusterRows)
-		}
 		log.Printf("sharded: %d shards at epoch %d (self %s)", len(smap.Shards), smap.Epoch, *advertise)
 	}
 
@@ -274,13 +271,19 @@ func main() {
 		eopts := export.Options{Pprof: *pprofOn}
 		if node != nil {
 			extras = append(extras, node.WriteMetrics)
-			eopts.Cluster = node.WriteClusterJSON
+			eopts.Cluster = func() any {
+				h := node.ClusterHealth()
+				if auth != nil {
+					h.ShardEpoch, h.Shards = auth.Rows()
+				}
+				return h
+			}
 			eopts.HealthDetail = func(w io.Writer) {
-				fmt.Fprintf(w, "epoch %d\n", node.Epoch())
-				fmt.Fprintf(w, "commit_floor %d\n", node.CommitFloor())
+				h := node.ClusterHealth()
+				fmt.Fprintf(w, "epoch %d\ncommit_floor %d\n", h.Epoch, h.CommitFloor)
 			}
 		}
-		msrv, err := export.ServeOpts(*metrics, src, health, reg, eopts, extras...)
+		msrv, err := export.Serve(*metrics, src, health, reg, eopts, extras...)
 		if err != nil {
 			fatal(err)
 		}

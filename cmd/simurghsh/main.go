@@ -164,12 +164,12 @@ func main() {
 	}
 
 	if *metrics != "" {
-		srv, err := export.Serve(*metrics, fs.Stats, nil, reg)
+		srv, err := export.Serve(*metrics, fs.Stats, nil, reg, export.Options{})
 		if err != nil {
 			fatal(err)
 		}
 		defer srv.Close()
-		fmt.Printf("metrics on %s  (/metrics /stats.json /trace.json /debug/vars)\n", srv.URL)
+		fmt.Printf("metrics on %s  (/metrics /stats.json /trace.json /slow.json)\n", srv.URL)
 	}
 
 	cred := fsapi.Root

@@ -27,6 +27,8 @@ import (
 	"simurgh/internal/fsapi"
 	"simurgh/internal/obs"
 	"simurgh/internal/pmem"
+	"simurgh/internal/replica"
+	"simurgh/internal/shard"
 )
 
 func main() {
@@ -82,69 +84,31 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// fetch pulls one JSON snapshot from the exporter.
-func fetch(url string) (export.JSONSnapshot, error) {
-	var js export.JSONSnapshot
-	resp, err := http.Get(url + "/stats.json")
+// fetch pulls one snapshot from the exporter's /stats.json.
+func fetch(url string) (obs.Snapshot, error) {
+	var s obs.Snapshot
+	err := getJSON(url+"/stats.json", &s)
+	return s, err
+}
+
+// getJSON decodes the JSON document at url into v.
+func getJSON(url string, v any) error {
+	resp, err := http.Get(url)
 	if err != nil {
-		return js, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return js, fmt.Errorf("%s/stats.json: %s", url, resp.Status)
+		return fmt.Errorf("%s: %s", url, resp.Status)
 	}
-	err = json.NewDecoder(resp.Body).Decode(&js)
-	return js, err
-}
-
-// clusterDoc mirrors /cluster.json (replica.Node.WriteClusterJSON).
-type clusterDoc struct {
-	Role           string      `json:"role"`
-	Epoch          uint64      `json:"epoch"`
-	Seq            uint64      `json:"seq"`
-	CommitFloor    uint64      `json:"commit_floor"`
-	Quorum         int         `json:"quorum"`
-	AckWindow      uint64      `json:"ack_window"`
-	Sessions       int         `json:"sessions"`
-	HeartbeatRTTNs uint64      `json:"heartbeat_rtt_ns"`
-	PrimarySeq     uint64      `json:"primary_seq"`
-	Backups        []backupRow `json:"backups"`
-	ShardEpoch     uint64      `json:"shard_epoch"`
-	Shards         []shardRow  `json:"shards"`
-}
-
-type backupRow struct {
-	Addr     string `json:"addr"`
-	AckedSeq uint64 `json:"acked_seq"`
-	LagOps   uint64 `json:"lag_ops"`
-	LagBytes uint64 `json:"lag_bytes"`
-	ShipLag  uint64 `json:"ship_lag"`
-}
-
-// shardRow mirrors one entry of the shard table a sharded node injects into
-// /cluster.json (shard.Authority.WriteClusterRows).
-type shardRow struct {
-	ID     uint32   `json:"id"`
-	Prefix string   `json:"prefix"`
-	State  string   `json:"state"`
-	Served bool     `json:"served"`
-	Ops    uint64   `json:"ops"`
-	Addrs  []string `json:"addrs"`
+	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // fetchCluster pulls the replication health document; nil when the
 // exporter has no cluster plane (404) or the fetch fails.
-func fetchCluster(url string) *clusterDoc {
-	resp, err := http.Get(url + "/cluster.json")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var c clusterDoc
-	if err := json.NewDecoder(resp.Body).Decode(&c); err != nil {
+func fetchCluster(url string) *replica.ClusterHealth {
+	var c replica.ClusterHealth
+	if getJSON(url+"/cluster.json", &c) != nil {
 		return nil
 	}
 	return &c
@@ -152,7 +116,7 @@ func fetchCluster(url string) *clusterDoc {
 
 // renderCluster writes the replication panel: the node's role and log
 // position, then one line per backup link with its ack and ship lag.
-func renderCluster(w io.Writer, c *clusterDoc) {
+func renderCluster(w io.Writer, c *replica.ClusterHealth) {
 	fmt.Fprintf(w, "\nreplication: %s epoch %d  seq %d  floor %d  window %d  quorum %d  sessions %d",
 		c.Role, c.Epoch, c.Seq, c.CommitFloor, c.AckWindow, c.Quorum, c.Sessions)
 	if c.HeartbeatRTTNs > 0 {
@@ -184,68 +148,58 @@ func renderCluster(w io.Writer, c *clusterDoc) {
 }
 
 // render writes one monitor frame for the window delta d over the given
-// interval: ops by rate, then contention, events, and allocator gauges.
-func render(w io.Writer, d export.JSONSnapshot, interval time.Duration) {
+// interval: ops by rate with latency from their histograms, then
+// contention, events, and allocator gauges.
+func render(w io.Writer, d obs.Snapshot, interval time.Duration) {
 	secs := interval.Seconds()
 	if secs <= 0 {
 		secs = 1
 	}
 	fmt.Fprintf(w, "simurgh — %s window, sample period %d\n\n", interval, d.SamplePeriod)
 
-	names := make([]string, 0, len(d.Ops))
-	for name, o := range d.Ops {
-		if o.Calls > 0 {
-			names = append(names, name)
+	var ops []obs.Op
+	for op := obs.Op(0); op < obs.NumOps; op++ {
+		if d.Ops[op].Calls > 0 {
+			ops = append(ops, op)
 		}
 	}
-	sort.Slice(names, func(i, j int) bool {
-		if a, b := d.Ops[names[i]].Calls, d.Ops[names[j]].Calls; a != b {
-			return a > b
-		}
-		return names[i] < names[j]
-	})
+	sort.SliceStable(ops, func(i, j int) bool { return d.Ops[ops[i]].Calls > d.Ops[ops[j]].Calls })
 	fmt.Fprintf(w, "%-10s %12s %8s %10s %10s %10s %10s\n",
 		"op", "rate/s", "errs", "mean", "p50", "p95", "p99")
-	if len(names) == 0 {
+	if len(ops) == 0 {
 		fmt.Fprintf(w, "%-10s %12s\n", "(idle)", "0")
 	}
-	for _, name := range names {
-		o := d.Ops[name]
+	for _, op := range ops {
+		o := d.Ops[op]
 		fmt.Fprintf(w, "%-10s %12.0f %8d %10s %10s %10s %10s\n",
-			name, float64(o.Calls)/secs, o.Errors,
-			fmtNs(o.MeanNs), fmtNs(o.P50Ns), fmtNs(o.P95Ns), fmtNs(o.P99Ns))
+			op, float64(o.Calls)/secs, o.Errors, fmtNs(o.MeanNs()),
+			fmtNs(o.Hist.Percentile(0.50)), fmtNs(o.Hist.Percentile(0.95)), fmtNs(o.Hist.Percentile(0.99)))
 	}
 
-	if len(d.LockWaits) > 0 {
-		fmt.Fprintf(w, "\n%-10s %12s %10s %10s\n", "lock", "waits/s", "mean", "p99")
-		for _, class := range sortedKeys(d.LockWaits) {
-			lw := d.LockWaits[class]
-			fmt.Fprintf(w, "%-10s %12.0f %10s %10s\n",
-				class, float64(lw.Waits)/secs, fmtNs(lw.MeanNs), fmtNs(lw.P99Ns))
+	var locks, events strings.Builder
+	for c := obs.LockClass(0); c < obs.NumLockClasses; c++ {
+		if lw := d.LockWaits[c]; lw.Waits > 0 {
+			fmt.Fprintf(&locks, "%-10s %12.0f %10s %10s\n",
+				c, float64(lw.Waits)/secs, fmtNs(lw.MeanNs()), fmtNs(lw.Hist.Percentile(0.99)))
 		}
 	}
-	if len(d.Events) > 0 {
-		fmt.Fprintf(w, "\nevents:")
-		for _, name := range sortedKeys(d.Events) {
-			fmt.Fprintf(w, "  %s=%d", name, d.Events[name])
+	if locks.Len() > 0 {
+		fmt.Fprintf(w, "\n%-10s %12s %10s %10s\n%s", "lock", "waits/s", "mean", "p99", locks.String())
+	}
+	for e := obs.Event(0); e < obs.NumEvents; e++ {
+		if d.Events[e] > 0 {
+			fmt.Fprintf(&events, "  %s=%d", e, d.Events[e])
 		}
-		fmt.Fprintln(w)
+	}
+	if events.Len() > 0 {
+		fmt.Fprintf(w, "\nevents:%s\n", events.String())
 	}
 	if len(d.Gauges) > 0 {
 		fmt.Fprintf(w, "\ngauges:\n")
-		for _, name := range sortedKeys(d.Gauges) {
-			fmt.Fprintf(w, "  %-28s %12d\n", name, d.Gauges[name])
+		for _, g := range d.Gauges {
+			fmt.Fprintf(w, "  %-28s %12d\n", g.Name, g.Value)
 		}
 	}
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // fmtNs renders a nanosecond latency compactly (ns, µs, or ms).
@@ -274,27 +228,20 @@ func startDemo() (*export.Server, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// The demo has no real replication group; a synthetic /cluster.json
-	// exercises the replication panel end to end (CI smokes it).
-	demoCluster := func(w io.Writer) error {
-		_, err := fmt.Fprintf(w, `{
- "role": "primary", "epoch": 1, "seq": 4096, "commit_floor": 4094,
- "quorum": 1, "ack_window": 2, "sessions": 2,
- "heartbeat_rtt_ns": 184000, "primary_seq": 0,
- "backups": [
-  {"addr": "127.0.0.1:9191", "acked_seq": 4094, "lag_ops": 2, "lag_bytes": 8192, "ship_lag": 1}
- ],
- "shard_epoch": 3,
- "shards": [
-  {"id": 0, "prefix": "/", "state": "serving", "served": true, "ops": 18231, "addrs": ["127.0.0.1:9190", "127.0.0.1:9191"]},
-  {"id": 1, "prefix": "/warm", "state": "migrating", "served": false, "ops": 0, "addrs": ["127.0.0.1:9192"]}
- ]
-}
-`)
-		return err
+	// The demo has no real replication group; a synthetic health document
+	// exercises the replication and shard panels end to end (CI smokes it).
+	demoCluster := replica.ClusterHealth{
+		Role: "primary", Epoch: 1, Seq: 4096, CommitFloor: 4094, Quorum: 1, AckWindow: 2, Sessions: 2,
+		HeartbeatRTTNs: 184000,
+		Backups:        []replica.BackupLink{{Addr: "127.0.0.1:9191", AckedSeq: 4094, LagOps: 2, LagBytes: 8192, ShipLag: 1}},
+		ShardEpoch:     3,
+		Shards: []shard.Row{
+			{ID: 0, Prefix: "/", State: "serving", Served: true, Ops: 18231, Addrs: []string{"127.0.0.1:9190", "127.0.0.1:9191"}},
+			{ID: 1, Prefix: "/warm", State: "migrating", Addrs: []string{"127.0.0.1:9192"}},
+		},
 	}
-	srv, err := export.ServeOpts("127.0.0.1:0", vol.Stats, nil, reg,
-		export.Options{Cluster: demoCluster})
+	srv, err := export.Serve("127.0.0.1:0", vol.Stats, nil, reg,
+		export.Options{Cluster: func() any { return demoCluster }})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -38,11 +38,6 @@ type Options struct {
 	LineLockTimeout time.Duration
 	// Cost is the per-call CPU cost model; nil charges nothing.
 	Cost *cost.Model
-	// Shards overrides the sharding of the volatile lock and open-reference
-	// maps (defaults to 64).
-	Shards int
-	// Now overrides the clock (tests); defaults to time.Now().UnixNano.
-	Now func() int64
 	// Obs is the per-operation observability sink; nil creates a fresh
 	// registry at the default sample period (see obs.DefaultSamplePeriod).
 	Obs *obs.Registry
@@ -61,8 +56,12 @@ type sharded[V any] struct {
 	name   string
 	newV   func() V
 	shards []shardOf[V]
-	mask   uint64 // len(shards)-1; the count is rounded up to a power of two
+	mask   uint64 // len(shards)-1
 }
+
+// mapShards is the shard count of every volatile sharded map (a power of
+// two).
+const mapShards = 64
 
 // shardOf is one mutex-protected slice of a sharded map. The contention
 // counters are plain words mutated only while holding mu, so counting
@@ -79,12 +78,8 @@ type shardOf[V any] struct {
 	_         [32]byte
 }
 
-func newSharded[V any](name string, n int, newV func() V) sharded[V] {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	s := sharded[V]{name: name, newV: newV, shards: make([]shardOf[V], p), mask: uint64(p - 1)}
+func newSharded[V any](name string, newV func() V) sharded[V] {
+	s := sharded[V]{name: name, newV: newV, shards: make([]shardOf[V], mapShards), mask: mapShards - 1}
 	for i := range s.shards {
 		s.shards[i].m = make(map[pmem.Ptr]V)
 	}
@@ -174,7 +169,6 @@ type FS struct {
 
 	relaxedWrites bool
 	lineTimeout   time.Duration
-	now           func() int64
 
 	// obsR is the per-op observability sink every public operation reports
 	// into (never nil on a mounted FS).
@@ -217,12 +211,6 @@ func (o *Options) fill() {
 	if o.LineLockTimeout == 0 {
 		o.LineLockTimeout = defaultLineLockTimeout
 	}
-	if o.Shards == 0 {
-		o.Shards = 64
-	}
-	if o.Now == nil {
-		o.Now = func() int64 { return time.Now().UnixNano() }
-	}
 }
 
 func newFS(dev *pmem.Device, opts Options) (*FS, error) {
@@ -249,11 +237,10 @@ func newFS(dev *pmem.Device, opts Options) (*FS, error) {
 		costM:         opts.Cost,
 		relaxedWrites: opts.RelaxedWrites,
 		lineTimeout:   opts.LineLockTimeout,
-		now:           opts.Now,
 		obsR:          obsR,
-		locks:         newSharded("locks", opts.Shards, func() *sync.RWMutex { return new(sync.RWMutex) }),
+		locks:         newSharded("locks", func() *sync.RWMutex { return new(sync.RWMutex) }),
 		dirs:          newDirTable(dev.Size()),
-		open:          newSharded("refs", opts.Shards, func() refEntry { return refEntry{} }),
+		open:          newSharded("refs", func() refEntry { return refEntry{} }),
 	}
 	return fs, nil
 }
@@ -521,7 +508,7 @@ func (fs *FS) newInode(cred fsapi.Cred, mode uint32, hint uint64) (pmem.Ptr, err
 		return 0, err
 	}
 	d := fs.dev
-	now := fs.now()
+	now := time.Now().UnixNano()
 	// Size, data and block count start at zero, as every free object's body
 	// does. The stores are atomic because a walk that resolved the inode's
 	// previous incarnation may still be reading it.
@@ -553,7 +540,7 @@ func (fs *FS) setNlink(ino pmem.Ptr, n uint32) {
 }
 
 func (fs *FS) touchMtime(ino pmem.Ptr) {
-	now := uint64(fs.now())
+	now := uint64(time.Now().UnixNano())
 	fs.dev.AtomicStore64(uint64(ino)+inoMtimeOff, now)
 	fs.dev.AtomicStore64(uint64(ino)+inoCtimeOff, now)
 	fs.dev.Persist(uint64(ino)+inoMtimeOff, 16)
@@ -562,7 +549,7 @@ func (fs *FS) touchMtime(ino pmem.Ptr) {
 // touchMtimeLazy flushes the time update without a fence; the caller's next
 // fence commits it (timestamps need no ordering guarantee).
 func (fs *FS) touchMtimeLazy(ino pmem.Ptr) {
-	now := uint64(fs.now())
+	now := uint64(time.Now().UnixNano())
 	fs.dev.AtomicStore64(uint64(ino)+inoMtimeOff, now)
 	fs.dev.AtomicStore64(uint64(ino)+inoCtimeOff, now)
 	fs.dev.Flush(uint64(ino)+inoMtimeOff, 16)

@@ -1,23 +1,22 @@
 // Package export serves live observability data over HTTP: Prometheus
-// text-exposition on /metrics, a named JSON snapshot on /stats.json, the
-// flight recorder's Chrome trace JSON on /trace.json, and expvar on
-// /debug/vars. It is driven entirely by the obs Snapshot API — a Source
-// callback produces a fresh snapshot per scrape — so any stats-capable
-// file system (core.FS, the public Volume) can be exported without new
-// coupling.
+// text-exposition on /metrics, the obs snapshot under named keys on
+// /stats.json, the flight recorder's Chrome trace JSON on /trace.json and
+// the slow log on /slow.json. It is driven entirely by the obs Snapshot
+// API — a Source callback produces a fresh snapshot per scrape — so any
+// stats-capable file system (core.FS, the public Volume) can be exported
+// without new coupling. The Write* helpers are the one Prometheus writer
+// every other series (server, replica, shard) goes through.
 package export
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"sync"
-	"sync/atomic"
+	"strconv"
 
 	"simurgh/internal/obs"
 )
@@ -26,207 +25,58 @@ import (
 // (typically FS.Stats or Volume.Stats).
 type Source func() obs.Snapshot
 
-// OpJSON is the per-op entry of the JSON snapshot: raw counters plus
-// precomputed mean and interpolated percentiles so consumers need no
-// histogram math for the common read.
-type OpJSON struct {
-	Calls   uint64                 `json:"calls"`
-	Errors  uint64                 `json:"errors"`
-	Sampled uint64                 `json:"sampled"`
-	LatNs   uint64                 `json:"lat_ns"`
-	MeanNs  uint64                 `json:"mean_ns"`
-	P50Ns   uint64                 `json:"p50_ns"`
-	P95Ns   uint64                 `json:"p95_ns"`
-	P99Ns   uint64                 `json:"p99_ns"`
-	Hist    [obs.NumBuckets]uint64 `json:"hist"`
-	Pmem    obs.Delta              `json:"pmem"`
-}
-
-// LockWaitJSON is the per-lock-class entry of the JSON snapshot.
-type LockWaitJSON struct {
-	Waits   uint64                 `json:"waits"`
-	TotalNs uint64                 `json:"total_ns"`
-	MeanNs  uint64                 `json:"mean_ns"`
-	P99Ns   uint64                 `json:"p99_ns"`
-	Hist    [obs.NumBuckets]uint64 `json:"hist"`
-}
-
-// JSONSnapshot is the wire form of an obs.Snapshot with names instead of
-// enum indices, served on /stats.json and consumed by simurghtop.
-type JSONSnapshot struct {
-	SamplePeriod uint64                  `json:"sample_period"`
-	Ops          map[string]OpJSON       `json:"ops"`
-	Shards       []obs.ShardStat         `json:"shards"`
-	Device       obs.Delta               `json:"device"`
-	Events       map[string]uint64       `json:"events"`
-	LockWaits    map[string]LockWaitJSON `json:"lock_waits"`
-	Gauges       map[string]uint64       `json:"gauges"`
-}
-
-// ToJSON converts a snapshot to its wire form. Ops with zero calls are
-// omitted; absent keys read as zero.
-func ToJSON(s obs.Snapshot) JSONSnapshot {
-	out := JSONSnapshot{
-		SamplePeriod: s.SamplePeriod,
-		Ops:          map[string]OpJSON{},
-		Shards:       s.Shards,
-		Device:       s.Device,
-		Events:       map[string]uint64{},
-		LockWaits:    map[string]LockWaitJSON{},
-		Gauges:       map[string]uint64{},
-	}
-	for op := obs.Op(0); op < obs.NumOps; op++ {
-		o := s.Ops[op]
-		if o.Calls == 0 {
-			continue
-		}
-		out.Ops[op.String()] = OpJSON{
-			Calls: o.Calls, Errors: o.Errors, Sampled: o.Sampled, LatNs: o.LatNs,
-			MeanNs: o.MeanNs(),
-			P50Ns:  o.Hist.Percentile(0.50),
-			P95Ns:  o.Hist.Percentile(0.95),
-			P99Ns:  o.Hist.Percentile(0.99),
-			Hist:   o.Hist, Pmem: o.Pmem,
-		}
-	}
-	for e := obs.Event(0); e < obs.NumEvents; e++ {
-		if s.Events[e] != 0 {
-			out.Events[e.String()] = s.Events[e]
-		}
-	}
-	for c := obs.LockClass(0); c < obs.NumLockClasses; c++ {
-		lw := s.LockWaits[c]
-		if lw.Waits == 0 {
-			continue
-		}
-		out.LockWaits[c.String()] = LockWaitJSON{
-			Waits: lw.Waits, TotalNs: lw.TotalNs, MeanNs: lw.MeanNs(),
-			P99Ns: lw.Hist.Percentile(0.99), Hist: lw.Hist,
-		}
-	}
-	for _, g := range s.Gauges {
-		out.Gauges[g.Name] = g.Value
-	}
-	return out
-}
-
-// Sub returns the window diff s-base in wire form: counters and histograms
-// are differenced (absent keys count as zero), gauges and shard totals
-// keep the later snapshot's values as levels.
-func (s JSONSnapshot) Sub(base JSONSnapshot) JSONSnapshot {
-	out := JSONSnapshot{
-		SamplePeriod: s.SamplePeriod,
-		Ops:          map[string]OpJSON{},
-		Shards:       s.Shards,
-		Device:       s.Device.Sub(base.Device),
-		Events:       map[string]uint64{},
-		LockWaits:    map[string]LockWaitJSON{},
-		Gauges:       s.Gauges,
-	}
-	for name, o := range s.Ops {
-		b := base.Ops[name]
-		d := OpJSON{
-			Calls: o.Calls - b.Calls, Errors: o.Errors - b.Errors,
-			Sampled: o.Sampled - b.Sampled, LatNs: o.LatNs - b.LatNs,
-			Pmem: o.Pmem.Sub(b.Pmem),
-		}
-		var h obs.Histogram
-		for i := range d.Hist {
-			d.Hist[i] = o.Hist[i] - b.Hist[i]
-			h[i] = d.Hist[i]
-		}
-		if d.Sampled > 0 {
-			d.MeanNs = d.LatNs / d.Sampled
-		}
-		d.P50Ns = h.Percentile(0.50)
-		d.P95Ns = h.Percentile(0.95)
-		d.P99Ns = h.Percentile(0.99)
-		out.Ops[name] = d
-	}
-	for name, v := range s.Events {
-		if d := v - base.Events[name]; d != 0 {
-			out.Events[name] = d
-		}
-	}
-	for name, lw := range s.LockWaits {
-		b := base.LockWaits[name]
-		d := LockWaitJSON{Waits: lw.Waits - b.Waits, TotalNs: lw.TotalNs - b.TotalNs}
-		var h obs.Histogram
-		for i := range d.Hist {
-			d.Hist[i] = lw.Hist[i] - b.Hist[i]
-			h[i] = d.Hist[i]
-		}
-		if d.Waits > 0 {
-			d.MeanNs = d.TotalNs / d.Waits
-		}
-		d.P99Ns = h.Percentile(0.99)
-		out.LockWaits[name] = d
-	}
-	return out
-}
-
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format (version 0.0.4): per-op call/error counters and latency
 // histograms, lock-wait histograms, event counters, shard and device
 // totals, and subsystem gauges.
 func WritePrometheus(w io.Writer, s obs.Snapshot) {
-	fmt.Fprintf(w, "# HELP simurgh_sample_period Deep-sampling period (1 = every call sampled).\n")
-	fmt.Fprintf(w, "# TYPE simurgh_sample_period gauge\n")
-	fmt.Fprintf(w, "simurgh_sample_period %d\n", s.SamplePeriod)
+	WriteScalar(w, "simurgh_sample_period", "gauge", "Deep-sampling period (1 = every call sampled).", s.SamplePeriod)
 
-	fmt.Fprintf(w, "# HELP simurgh_op_calls_total Operations started, by class.\n")
-	fmt.Fprintf(w, "# TYPE simurgh_op_calls_total counter\n")
+	WriteHeader(w, "simurgh_op_calls_total", "counter", "Operations started, by class.")
 	for op := obs.Op(0); op < obs.NumOps; op++ {
 		if s.Ops[op].Calls != 0 {
 			fmt.Fprintf(w, "simurgh_op_calls_total{op=%q} %d\n", op.String(), s.Ops[op].Calls)
 		}
 	}
-	fmt.Fprintf(w, "# HELP simurgh_op_errors_total Operations failed, by class.\n")
-	fmt.Fprintf(w, "# TYPE simurgh_op_errors_total counter\n")
+	WriteHeader(w, "simurgh_op_errors_total", "counter", "Operations failed, by class.")
 	for op := obs.Op(0); op < obs.NumOps; op++ {
 		if s.Ops[op].Errors != 0 {
 			fmt.Fprintf(w, "simurgh_op_errors_total{op=%q} %d\n", op.String(), s.Ops[op].Errors)
 		}
 	}
-	fmt.Fprintf(w, "# HELP simurgh_op_latency_ns Sampled operation latency, by class.\n")
-	fmt.Fprintf(w, "# TYPE simurgh_op_latency_ns histogram\n")
+	WriteHeader(w, "simurgh_op_latency_ns", "histogram", "Sampled operation latency, by class.")
 	for op := obs.Op(0); op < obs.NumOps; op++ {
 		o := s.Ops[op]
 		if o.Sampled == 0 {
 			continue
 		}
-		writeHist(w, "simurgh_op_latency_ns", fmt.Sprintf("op=%q", op.String()), o.Hist, o.LatNs)
+		WriteHistogram(w, "simurgh_op_latency_ns", fmt.Sprintf("op=%q", op.String()), o.Hist[:], obs.BucketUpperNs, o.LatNs)
 	}
-	fmt.Fprintf(w, "# HELP simurgh_lock_wait_ns Contended lock wait time, by lock class.\n")
-	fmt.Fprintf(w, "# TYPE simurgh_lock_wait_ns histogram\n")
+	WriteHeader(w, "simurgh_lock_wait_ns", "histogram", "Contended lock wait time, by lock class.")
 	for c := obs.LockClass(0); c < obs.NumLockClasses; c++ {
 		lw := s.LockWaits[c]
 		if lw.Waits == 0 {
 			continue
 		}
-		writeHist(w, "simurgh_lock_wait_ns", fmt.Sprintf("lock=%q", c.String()), lw.Hist, lw.TotalNs)
+		WriteHistogram(w, "simurgh_lock_wait_ns", fmt.Sprintf("lock=%q", c.String()), lw.Hist[:], obs.BucketUpperNs, lw.TotalNs)
 	}
-	fmt.Fprintf(w, "# HELP simurgh_events_total Rare events (timeouts, recovery, steals).\n")
-	fmt.Fprintf(w, "# TYPE simurgh_events_total counter\n")
+	WriteHeader(w, "simurgh_events_total", "counter", "Rare events (timeouts, recovery, steals).")
 	for e := obs.Event(0); e < obs.NumEvents; e++ {
 		if s.Events[e] != 0 {
 			fmt.Fprintf(w, "simurgh_events_total{event=%q} %d\n", e.String(), s.Events[e])
 		}
 	}
 	if len(s.Shards) > 0 {
-		fmt.Fprintf(w, "# HELP simurgh_shard_gets_total Sharded-map lock acquisitions.\n")
-		fmt.Fprintf(w, "# TYPE simurgh_shard_gets_total counter\n")
+		WriteHeader(w, "simurgh_shard_gets_total", "counter", "Sharded-map lock acquisitions.")
 		for _, sh := range s.Shards {
 			fmt.Fprintf(w, "simurgh_shard_gets_total{shard=%q} %d\n", sh.Name, sh.Gets)
 		}
-		fmt.Fprintf(w, "# HELP simurgh_shard_contended_total Sharded-map acquisitions that found the lock held.\n")
-		fmt.Fprintf(w, "# TYPE simurgh_shard_contended_total counter\n")
+		WriteHeader(w, "simurgh_shard_contended_total", "counter", "Sharded-map acquisitions that found the lock held.")
 		for _, sh := range s.Shards {
 			fmt.Fprintf(w, "simurgh_shard_contended_total{shard=%q} %d\n", sh.Name, sh.Contended)
 		}
 	}
-	fmt.Fprintf(w, "# HELP simurgh_device_total Device-global NVMM traffic counters.\n")
-	fmt.Fprintf(w, "# TYPE simurgh_device_total counter\n")
+	WriteHeader(w, "simurgh_device_total", "counter", "Device-global NVMM traffic counters.")
 	for _, kv := range []struct {
 		k string
 		v uint64
@@ -237,8 +87,7 @@ func WritePrometheus(w io.Writer, s obs.Snapshot) {
 		fmt.Fprintf(w, "simurgh_device_total{kind=%q} %d\n", kv.k, kv.v)
 	}
 	if len(s.Gauges) > 0 {
-		fmt.Fprintf(w, "# HELP simurgh_gauge Point-in-time subsystem levels (allocator occupancy, slab flags, device).\n")
-		fmt.Fprintf(w, "# TYPE simurgh_gauge gauge\n")
+		WriteHeader(w, "simurgh_gauge", "gauge", "Point-in-time subsystem levels (allocator occupancy, slab flags, device).")
 		gauges := append([]obs.Gauge(nil), s.Gauges...)
 		sort.Slice(gauges, func(i, j int) bool { return gauges[i].Name < gauges[j].Name })
 		for _, g := range gauges {
@@ -247,43 +96,42 @@ func WritePrometheus(w io.Writer, s obs.Snapshot) {
 	}
 }
 
-// writeHist emits one labeled Prometheus histogram series with cumulative
-// buckets; the unbounded tail bucket maps to le="+Inf".
-func writeHist(w io.Writer, name, label string, h obs.Histogram, sum uint64) {
-	var cum uint64
-	for i := 0; i < obs.NumBuckets-1; i++ {
-		cum += h[i]
-		fmt.Fprintf(w, "%s_bucket{%s,le=\"%d\"} %d\n", name, label, obs.BucketUpperNs(i), cum)
-	}
-	cum += h[obs.NumBuckets-1]
-	fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, label, cum)
-	fmt.Fprintf(w, "%s_sum{%s} %d\n", name, label, sum)
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, label, cum)
+// WriteHeader writes the # HELP and # TYPE lines that open a series.
+func WriteHeader(w io.Writer, name, typ, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// expvarSrc is the Source behind the process-global expvar variable: the
-// most recently installed handler wins (expvar allows one publish per name
-// per process).
-var (
-	expvarOnce sync.Once
-	expvarSrc  atomic.Value // Source
-)
+// WriteScalar writes one unlabelled series of type typ (counter or
+// gauge): its header and its value.
+func WriteScalar(w io.Writer, name, typ, help string, v uint64) {
+	WriteHeader(w, name, typ, help)
+	fmt.Fprintf(w, "%s %d\n", name, v)
+}
 
-func publishExpvar(src Source) {
-	expvarSrc.Store(src)
-	expvarOnce.Do(func() {
-		expvar.Publish("simurgh", expvar.Func(func() any {
-			if f, ok := expvarSrc.Load().(Source); ok && f != nil {
-				return ToJSON(f())
-			}
-			return nil
-		}))
-	})
+// WriteHistogram writes the cumulative buckets, _sum and _count of one
+// histogram series; label ("" for none) is the series' label list without
+// braces. Bucket i's bound is le(i); the last bucket is unbounded and
+// becomes le="+Inf".
+func WriteHistogram(w io.Writer, name, label string, buckets []uint64, le func(int) uint64, sum uint64) {
+	sel, sep := "", ""
+	if label != "" {
+		sel, sep = "{"+label+"}", label+","
+	}
+	var cum uint64
+	for i, n := range buckets {
+		cum += n
+		bound := "+Inf"
+		if i < len(buckets)-1 {
+			bound = strconv.FormatUint(le(i), 10)
+		}
+		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, sep, bound, cum)
+	}
+	fmt.Fprintf(w, "%s_sum%s %d\n%s_count%s %d\n", name, sel, sum, name, sel, cum)
 }
 
 // Extra appends additional Prometheus series to each /metrics scrape, for
 // subsystems whose counters live outside the obs snapshot (the network
-// server's simurgh_server_*/simurgh_wire_* series).
+// server's, the replication node's and the shard authority's series).
 type Extra func(w io.Writer)
 
 // HealthFunc reports the node's serving state for /healthz: "serving",
@@ -298,10 +146,11 @@ type Options struct {
 	// Off by default: the endpoints can pause the process for seconds at a
 	// time, so they are opt-in even on an already-trusted metrics port.
 	Pprof bool
-	// Cluster, when set, serves the replication group's health document on
-	// /cluster.json (typically replica.Node.WriteClusterJSON). nil answers
-	// 404 — standalone daemons have no cluster plane.
-	Cluster func(w io.Writer) error
+	// Cluster, when set, produces the replication group's health document,
+	// served JSON-encoded on /cluster.json (simurghd hands it
+	// replica.Node.ClusterHealth with the shard table filled in). nil
+	// answers 404 — standalone daemons have no cluster plane.
+	Cluster func() any
 	// HealthDetail, when set, appends machine-readable "key value" lines
 	// after the state line on /healthz (epoch, commit_floor), so probes and
 	// smoke tests assert promotion state without parsing logs. The first
@@ -309,17 +158,19 @@ type Options struct {
 	HealthDetail func(w io.Writer)
 }
 
-// NewHandler builds the exporter's HTTP mux. health (optional; nil reports
-// "serving") drives /healthz; reg (optional) enables /trace.json from the
-// registry's flight recorder; extra appenders are invoked after the
-// snapshot on every /metrics scrape.
-func NewHandler(src Source, health HealthFunc, reg *obs.Registry, extra ...Extra) http.Handler {
-	return NewHandlerOpts(src, health, reg, Options{}, extra...)
+// writeJSON serves v as indented JSON.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	enc.Encode(v)
 }
 
-// NewHandlerOpts is NewHandler with explicit Options.
-func NewHandlerOpts(src Source, health HealthFunc, reg *obs.Registry, opts Options, extra ...Extra) http.Handler {
-	publishExpvar(src)
+// NewHandler builds the exporter's HTTP mux. health (optional; nil reports
+// "serving") drives /healthz; reg (optional) serves the flight recorder on
+// /trace.json and the slow log on /slow.json; extra appenders are invoked
+// after the snapshot on every /metrics scrape.
+func NewHandler(src Source, health HealthFunc, reg *obs.Registry, opts Options, extra ...Extra) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		state := "serving"
@@ -343,10 +194,7 @@ func NewHandlerOpts(src Source, health HealthFunc, reg *obs.Registry, opts Optio
 		}
 	})
 	mux.HandleFunc("/stats.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		enc.Encode(ToJSON(src()))
+		writeJSON(w, src())
 	})
 	mux.HandleFunc("/trace.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -361,10 +209,8 @@ func NewHandlerOpts(src Source, health HealthFunc, reg *obs.Registry, opts Optio
 			http.NotFound(w, r)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		opts.Cluster(w)
+		writeJSON(w, opts.Cluster())
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	pprofLine := ""
 	if opts.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -381,12 +227,11 @@ func NewHandlerOpts(src Source, health HealthFunc, reg *obs.Registry, opts Optio
 		}
 		io.WriteString(w, "simurgh metrics exporter\n\n"+
 			"/metrics      Prometheus text exposition\n"+
-			"/stats.json   JSON snapshot (ops, events, lock waits, gauges)\n"+
+			"/stats.json   obs snapshot (ops, events, lock waits, shards, device, gauges by name)\n"+
 			"/trace.json   Chrome trace-event JSON (load in ui.perfetto.dev)\n"+
 			"/slow.json    slow-operation log (threshold-gated ring)\n"+
-			"/cluster.json replication group health (primary only)\n"+
-			"/healthz      serving state (200 serving, 503 draining/backup)\n"+
-			"/debug/vars   expvar\n"+pprofLine)
+			"/cluster.json replication group health (replicated nodes only)\n"+
+			"/healthz      serving state (200 serving, 503 draining/backup)\n"+pprofLine)
 	})
 	return mux
 }
@@ -396,26 +241,19 @@ type Server struct {
 	// URL is the base address, e.g. "http://127.0.0.1:9180".
 	URL string
 
-	ln  net.Listener
 	srv *http.Server
 }
 
-// Serve starts the exporter on addr (host:port; port 0 picks a free one)
-// and returns once the listener is accepting.
-func Serve(addr string, src Source, health HealthFunc, reg *obs.Registry, extra ...Extra) (*Server, error) {
-	return ServeOpts(addr, src, health, reg, Options{}, extra...)
-}
-
-// ServeOpts is Serve with explicit Options.
-func ServeOpts(addr string, src Source, health HealthFunc, reg *obs.Registry, opts Options, extra ...Extra) (*Server, error) {
+// Serve starts the exporter built by NewHandler on addr (host:port; port
+// 0 picks a free one) and returns once the listener is accepting.
+func Serve(addr string, src Source, health HealthFunc, reg *obs.Registry, opts Options, extra ...Extra) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		URL: "http://" + ln.Addr().String(),
-		ln:  ln,
-		srv: &http.Server{Handler: NewHandlerOpts(src, health, reg, opts, extra...)},
+		srv: &http.Server{Handler: NewHandler(src, health, reg, opts, extra...)},
 	}
 	go s.srv.Serve(ln)
 	return s, nil

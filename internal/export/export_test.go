@@ -22,12 +22,12 @@ func loadedRegistry(t *testing.T) *obs.Registry {
 	r.EnableTrace(64)
 	start := time.Now()
 	for i := 0; i < 40; i++ {
-		r.Enter(obs.OpStat)
-		r.Sample(obs.OpStat, start, 1500, obs.Delta{Flushes: 1, StoreBytes: 64}, false)
+		r.EnterAt(0, obs.OpStat)
+		r.SampleAt(0, obs.OpStat, start, 1500, obs.Delta{Flushes: 1, StoreBytes: 64}, false)
 	}
-	r.Enter(obs.OpCreate)
-	r.Error(obs.OpCreate)
-	r.Sample(obs.OpCreate, start, 9000, obs.Delta{Fences: 2}, true)
+	r.EnterAt(0, obs.OpCreate)
+	r.ErrorAt(0, obs.OpCreate)
+	r.SampleAt(0, obs.OpCreate, start, 9000, obs.Delta{Fences: 2}, true)
 	r.Event(obs.EvWaiterRecovery)
 	r.Event(obs.EvLineLockTimeout)
 	r.LockWait(obs.LockLine, 2500)
@@ -57,7 +57,7 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? (?:[0-
 // every line against the Prometheus text format (acceptance criterion).
 func TestMetricsEndpointServesValidExposition(t *testing.T) {
 	r := loadedRegistry(t)
-	ts := httptest.NewServer(NewHandler(testSource(r), nil, r))
+	ts := httptest.NewServer(NewHandler(testSource(r), nil, r, Options{}))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -123,50 +123,73 @@ func TestMetricsEndpointServesValidExposition(t *testing.T) {
 	}
 }
 
+// fetchStats decodes one /stats.json document back into a snapshot.
+func fetchStats(t *testing.T, url string) obs.Snapshot {
+	t.Helper()
+	resp, err := http.Get(url + "/stats.json")
+	if err != nil {
+		t.Fatalf("get: %v", err)
+	}
+	defer resp.Body.Close()
+	var s obs.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
+		t.Fatalf("decode /stats.json: %v", err)
+	}
+	return s
+}
+
 // TestStatsJSONEndpointParses decodes /stats.json and checks the named
-// snapshot content (acceptance criterion: parse both endpoints).
+// snapshot content (acceptance criterion: parse both endpoints): the
+// document decodes back into the snapshot it was rendered from.
 func TestStatsJSONEndpointParses(t *testing.T) {
 	r := loadedRegistry(t)
-	ts := httptest.NewServer(NewHandler(testSource(r), nil, r))
+	ts := httptest.NewServer(NewHandler(testSource(r), nil, r, Options{}))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/stats.json")
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}
-	defer resp.Body.Close()
-	var js JSONSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&js); err != nil {
+	var named struct {
+		Ops       map[string]struct{ Calls uint64 } `json:"ops"`
+		Events    map[string]uint64                 `json:"events"`
+		LockWaits map[string]struct{ Waits uint64 } `json:"lock_waits"`
+		Gauges    map[string]uint64                 `json:"gauges"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&named)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatalf("decode /stats.json: %v", err)
 	}
-	lo := js.Ops["stat"]
-	if lo.Calls != 40 || lo.Sampled != 40 {
-		t.Errorf("lookup = %+v, want 40 calls/sampled", lo)
+	if named.Ops["stat"].Calls != 40 || named.Events["line_lock_timeout"] != 1 ||
+		named.LockWaits["line"].Waits != 1 || named.Gauges["alloc.blocks_free"] != 123 {
+		t.Errorf("named keys = %+v", named)
 	}
-	if lo.P50Ns == 0 || lo.P99Ns < lo.P50Ns {
-		t.Errorf("percentiles not populated: p50=%d p99=%d", lo.P50Ns, lo.P99Ns)
+
+	js := fetchStats(t, ts.URL)
+	want := testSource(r)()
+	if js.Ops != want.Ops || js.Events != want.Events || js.LockWaits != want.LockWaits || js.Device != want.Device {
+		t.Errorf("decoded snapshot differs from the source:\n got %+v\nwant %+v", js, want)
 	}
-	if js.Ops["create"].Errors != 1 {
-		t.Errorf("create errors = %d, want 1", js.Ops["create"].Errors)
+	lo := js.Ops[obs.OpStat]
+	if lo.Calls != 40 || lo.Sampled != 40 || lo.MeanNs() != 1500 {
+		t.Errorf("stat = %+v, want 40 calls/sampled at 1500 ns", lo)
 	}
-	if js.Events["line_lock_timeout"] != 1 {
-		t.Errorf("events = %v, want line_lock_timeout=1", js.Events)
+	if js.Ops[obs.OpCreate].Errors != 1 {
+		t.Errorf("create errors = %d, want 1", js.Ops[obs.OpCreate].Errors)
 	}
-	if js.LockWaits["line"].Waits != 1 || js.LockWaits["line"].MeanNs != 2500 {
-		t.Errorf("lock_waits = %+v", js.LockWaits)
-	}
-	if js.Gauges["alloc.blocks_free"] != 123 {
+	if len(js.Gauges) != 2 || js.Gauges[0] != (obs.Gauge{Name: "alloc.blocks_free", Value: 123}) {
 		t.Errorf("gauges = %v", js.Gauges)
 	}
-	if js.Device.Flushes != 40 {
-		t.Errorf("device flushes = %d, want 40", js.Device.Flushes)
+	if len(js.Shards) != 1 || js.Shards[0].Contended != 3 {
+		t.Errorf("shards = %v", js.Shards)
 	}
 }
 
 // TestTraceJSONEndpoint checks /trace.json serves Chrome trace-event JSON.
 func TestTraceJSONEndpoint(t *testing.T) {
 	r := loadedRegistry(t)
-	ts := httptest.NewServer(NewHandler(testSource(r), nil, r))
+	ts := httptest.NewServer(NewHandler(testSource(r), nil, r, Options{}))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/trace.json")
@@ -195,40 +218,51 @@ func TestTraceJSONEndpoint(t *testing.T) {
 	}
 }
 
-// TestJSONSnapshotSub checks windowed diffing for simurghtop: counters
-// difference, gauges stay levels, percentiles recompute on the window.
+// TestJSONSnapshotSub checks windowed diffing for simurghtop: two
+// /stats.json documents decode into snapshots that obs.Snapshot.Sub
+// diffs — counters difference, gauges stay levels, and percentiles
+// computed from the window's histogram reflect only the window.
 func TestJSONSnapshotSub(t *testing.T) {
 	r := obs.NewRegistry()
 	start := time.Now()
-	r.Enter(obs.OpRead)
-	r.Sample(obs.OpRead, start, 1000, obs.Delta{}, false)
-	base := ToJSON(r.Snapshot())
+	gauge := uint64(7)
+	src := func() obs.Snapshot {
+		s := r.Snapshot()
+		s.Gauges = []obs.Gauge{{Name: "alloc.blocks_free", Value: gauge}}
+		return s
+	}
+	ts := httptest.NewServer(NewHandler(src, nil, r, Options{}))
+	defer ts.Close()
+
+	r.EnterAt(0, obs.OpRead)
+	r.SampleAt(0, obs.OpRead, start, 1000, obs.Delta{}, false)
+	base := fetchStats(t, ts.URL)
 	for i := 0; i < 9; i++ {
-		r.Enter(obs.OpRead)
-		r.Sample(obs.OpRead, start, 100000, obs.Delta{}, false)
+		r.EnterAt(0, obs.OpRead)
+		r.SampleAt(0, obs.OpRead, start, 100000, obs.Delta{}, false)
 	}
 	r.Event(obs.EvSegLockSteal)
 	r.LockWait(obs.LockFile, 5000)
-	cur := ToJSON(r.Snapshot())
-	cur.Gauges = map[string]uint64{"alloc.blocks_free": 99}
+	gauge = 99
+	d := fetchStats(t, ts.URL).Sub(base)
 
-	d := cur.Sub(base)
-	if got := d.Ops["read"].Calls; got != 9 {
-		t.Errorf("window read calls = %d, want 9", got)
+	rd := d.Ops[obs.OpRead]
+	if rd.Calls != 9 {
+		t.Errorf("window read calls = %d, want 9", rd.Calls)
 	}
-	if d.Ops["read"].MeanNs != 100000 {
-		t.Errorf("window mean = %d, want 100000", d.Ops["read"].MeanNs)
+	if rd.MeanNs() != 100000 {
+		t.Errorf("window mean = %d, want 100000", rd.MeanNs())
 	}
-	if p50 := d.Ops["read"].P50Ns; p50 <= 1000 {
+	if p50 := rd.Hist.Percentile(0.50); p50 <= 1000 {
 		t.Errorf("window p50 = %d, should reflect only the slow window samples", p50)
 	}
-	if d.Events["seg_lock_steal"] != 1 {
+	if d.Events[obs.EvSegLockSteal] != 1 {
 		t.Errorf("window events = %v", d.Events)
 	}
-	if d.LockWaits["file"].Waits != 1 {
+	if d.LockWaits[obs.LockFile].Waits != 1 {
 		t.Errorf("window lock waits = %v", d.LockWaits)
 	}
-	if d.Gauges["alloc.blocks_free"] != 99 {
+	if len(d.Gauges) != 1 || d.Gauges[0].Value != 99 {
 		t.Errorf("gauges should pass through as levels: %v", d.Gauges)
 	}
 }
@@ -236,7 +270,7 @@ func TestJSONSnapshotSub(t *testing.T) {
 // TestServeListensAndCloses exercises the Serve helper end to end.
 func TestServeListensAndCloses(t *testing.T) {
 	r := loadedRegistry(t)
-	s, err := Serve("127.0.0.1:0", testSource(r), nil, r)
+	s, err := Serve("127.0.0.1:0", testSource(r), nil, r, Options{})
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
@@ -260,7 +294,7 @@ func TestServeListensAndCloses(t *testing.T) {
 func TestHealthz(t *testing.T) {
 	r := loadedRegistry(t)
 	state := "serving"
-	ts := httptest.NewServer(NewHandler(testSource(r), func() string { return state }, r))
+	ts := httptest.NewServer(NewHandler(testSource(r), func() string { return state }, r, Options{}))
 	defer ts.Close()
 
 	get := func() (int, string) {
@@ -287,7 +321,7 @@ func TestHealthz(t *testing.T) {
 	}
 
 	// No health source: always healthy.
-	ts2 := httptest.NewServer(NewHandler(testSource(r), nil, r))
+	ts2 := httptest.NewServer(NewHandler(testSource(r), nil, r, Options{}))
 	defer ts2.Close()
 	resp, err := http.Get(ts2.URL + "/healthz")
 	if err != nil {

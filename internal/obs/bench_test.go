@@ -8,8 +8,8 @@ import (
 func BenchmarkEnter(b *testing.B) {
 	r := NewRegistry()
 	for i := 0; i < b.N; i++ {
-		if r.Enter(OpStat) {
-			r.Sample(OpStat, time.Time{}, 100, Delta{}, false)
+		if r.EnterAt(0, OpStat) {
+			r.SampleAt(0, OpStat, time.Time{}, 100, Delta{}, false)
 		}
 	}
 }

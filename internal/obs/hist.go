@@ -6,7 +6,7 @@ import (
 )
 
 // NumBuckets is the fixed size of the per-op latency histogram. Buckets are
-// power-of-two nanosecond ranges: bucket 0 holds latencies below 128 ns,
+// power-of-two nanosecond ranges: bucket 0 holds latencies below 64 ns,
 // bucket i (i>0) holds [64<<(i-1), 64<<i) ns, and the last bucket absorbs
 // everything from ~16.8 ms up. Fixed buckets keep recording a single atomic
 // add and make histograms diffable field-by-field.

@@ -9,16 +9,15 @@
 // cycles, flush/fence counts dominate the YCSB breakdowns (Table 1, Fig 10)
 // — so the reproduction must be able to attribute device traffic and
 // latency to an operation class from live counters instead of ad-hoc
-// timing. A Registry is that sink: the core dispatch path calls Enter once
+// timing. A Registry is that sink: the core dispatch path calls EnterAt once
 // per public operation (one sharded atomic increment), and for sampled
 // operations additionally records latency and the device-stats delta of the
 // operation window.
 //
 // Recording is lock-free: counters are split across power-of-two shards so
-// concurrent clients do not serialize on a shared cache line. Long-lived
-// callers pin themselves to a shard with ShardHint (round-robin at attach
-// time) so their hot counters stay cache-resident; anonymous callers fall
-// back to a per-call random shard.
+// concurrent clients do not serialize on a shared cache line. Each caller
+// pins itself to a shard with ShardHint (round-robin at attach time) so
+// its hot counters stay cache-resident.
 // Attribution windows are exact when operations do not overlap on the
 // device (unit tests, the shell, the breakdown tool); overlapping windows
 // each observe the union of concurrent traffic, so heavily parallel sweeps
@@ -26,7 +25,6 @@
 package obs
 
 import (
-	"math/rand/v2"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -90,11 +88,11 @@ func (o Op) String() string {
 // Snapshot's Device field, the device-global totals). It mirrors the pmem
 // device counters without importing them, so obs stays dependency-free.
 type Delta struct {
-	LoadBytes  uint64
-	StoreBytes uint64
-	NTBytes    uint64
-	Flushes    uint64
-	Fences     uint64
+	LoadBytes  uint64 `json:"load_bytes"`
+	StoreBytes uint64 `json:"store_bytes"`
+	NTBytes    uint64 `json:"nt_bytes"`
+	Flushes    uint64 `json:"flushes"`
+	Fences     uint64 `json:"fences"`
 }
 
 // Add returns the field-wise sum a+b.
@@ -164,8 +162,8 @@ type Registry struct {
 	shardMask  uint32
 	hintCtr    atomic.Uint32
 	sampleMask atomic.Uint64
-	trace      traceRing
-	slow       slowLog
+	trace      spanRing     // the flight recorder
+	slow       spanRing     // the slow-op log
 	node       atomic.Value // string; set by SetNode
 	events     [NumEvents]atomic.Uint64
 	lockWait   [NumLockClasses]lockWaitCounters
@@ -212,10 +210,6 @@ func (r *Registry) SamplePeriod() uint64 {
 	return r.sampleMask.Load() + 1
 }
 
-func (r *Registry) shard() *regShard {
-	return &r.shards[rand.Uint32()&r.shardMask]
-}
-
 // ShardHint returns a stable shard index for a long-lived caller (one per
 // attached client). Pinning a caller's counters to one shard keeps its hot
 // calls counter in cache — a per-call random shard touches a fresh line
@@ -228,18 +222,10 @@ func (r *Registry) ShardHint() uint32 {
 	return r.hintCtr.Add(1) & r.shardMask
 }
 
-// Enter counts one call of op and reports whether the caller should open a
-// full latency/attribution window for it (deep sampling). This is the only
+// EnterAt counts one call of op in the shard selected by hint (from
+// ShardHint) and reports whether the caller should open a full
+// latency/attribution window for it (deep sampling). This is the only
 // per-call cost of a non-sampled operation: one sharded atomic increment.
-func (r *Registry) Enter(op Op) bool {
-	if r == nil {
-		return false
-	}
-	return r.EnterAt(rand.Uint32(), op)
-}
-
-// EnterAt is Enter recording into the shard selected by hint (from
-// ShardHint).
 func (r *Registry) EnterAt(hint uint32, op Op) bool {
 	if r == nil {
 		return false
@@ -248,15 +234,7 @@ func (r *Registry) EnterAt(hint uint32, op Op) bool {
 	return n&r.sampleMask.Load() == 0
 }
 
-// Error counts one failed call of op.
-func (r *Registry) Error(op Op) {
-	if r == nil {
-		return
-	}
-	r.shard().ops[op].errors.Add(1)
-}
-
-// ErrorAt is Error recording into the shard selected by hint.
+// ErrorAt counts one failed call of op in the shard selected by hint.
 func (r *Registry) ErrorAt(hint uint32, op Op) {
 	if r == nil {
 		return
@@ -264,18 +242,10 @@ func (r *Registry) ErrorAt(hint uint32, op Op) {
 	r.shards[hint&r.shardMask].ops[op].errors.Add(1)
 }
 
-// Sample closes a deep-sampled operation window: it records the measured
-// latency into the op's histogram and charges the NVMM traffic delta of the
-// window to the op class. start is the window's begin time (used only by
-// the trace ring).
-func (r *Registry) Sample(op Op, start time.Time, latNs uint64, d Delta, failed bool) {
-	if r == nil {
-		return
-	}
-	r.SampleAt(rand.Uint32(), op, start, latNs, d, failed)
-}
-
-// SampleAt is Sample recording into the shard selected by hint.
+// SampleAt closes a deep-sampled operation window in the shard selected
+// by hint: it records the measured latency into the op's histogram and
+// charges the NVMM traffic delta of the window to the op class. start is
+// the window's begin time (used only by the span rings).
 func (r *Registry) SampleAt(hint uint32, op Op, start time.Time, latNs uint64, d Delta, failed bool) {
 	if r == nil {
 		return
@@ -300,9 +270,7 @@ func (r *Registry) SampleAt(hint uint32, op Op, start time.Time, latNs uint64, d
 		c.fences.Add(d.Fences)
 	}
 	r.trace.record(SpanOp, op, 0, start, latNs, failed)
-	if t := r.slow.thresholdNs.Load(); t != 0 && latNs >= t {
-		r.slow.record(SpanOp, op, 0, start, latNs, failed)
-	}
+	r.slow.record(SpanOp, op, 0, start, latNs, failed)
 }
 
 // ObserveFence implements the pmem-device fence observer: it records one

@@ -56,13 +56,13 @@ func TestRegistryRecordAndSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.SetSamplePeriod(1)
 	for i := 0; i < 10; i++ {
-		if !r.Enter(OpCreate) {
+		if !r.EnterAt(0, OpCreate) {
 			t.Fatal("period 1 must deep-sample every call")
 		}
-		r.Sample(OpCreate, time.Now(), 1000, Delta{Fences: 2, Flushes: 3, NTBytes: 64}, false)
+		r.SampleAt(0, OpCreate, time.Now(), 1000, Delta{Fences: 2, Flushes: 3, NTBytes: 64}, false)
 	}
-	r.Enter(OpUnlink)
-	r.Error(OpUnlink)
+	r.EnterAt(0, OpUnlink)
+	r.ErrorAt(0, OpUnlink)
 	s := r.Snapshot()
 	c := s.Ops[OpCreate]
 	if c.Calls != 10 || c.Sampled != 10 || c.Errors != 0 {
@@ -86,14 +86,14 @@ func TestRegistryRecordAndSnapshot(t *testing.T) {
 func TestSnapshotDiff(t *testing.T) {
 	r := NewRegistry()
 	r.SetSamplePeriod(1)
-	r.Enter(OpWrite)
-	r.Sample(OpWrite, time.Now(), 500, Delta{Fences: 1}, false)
+	r.EnterAt(0, OpWrite)
+	r.SampleAt(0, OpWrite, time.Now(), 500, Delta{Fences: 1}, false)
 	base := r.Snapshot()
 	base.Shards = []ShardStat{{Name: "locks", Gets: 5, Contended: 1}}
 	base.Device = Delta{Fences: 7}
 
-	r.Enter(OpWrite)
-	r.Sample(OpWrite, time.Now(), 700, Delta{Fences: 3}, false)
+	r.EnterAt(0, OpWrite)
+	r.SampleAt(0, OpWrite, time.Now(), 700, Delta{Fences: 3}, false)
 	cur := r.Snapshot()
 	cur.Shards = []ShardStat{{Name: "locks", Gets: 9, Contended: 2}}
 	cur.Device = Delta{Fences: 11}
@@ -120,9 +120,9 @@ func TestSamplePeriodCountsStayExact(t *testing.T) {
 	const calls = 1000
 	sampled := 0
 	for i := 0; i < calls; i++ {
-		if r.Enter(OpStat) {
+		if r.EnterAt(0, OpStat) {
 			sampled++
-			r.Sample(OpStat, time.Now(), 100, Delta{}, false)
+			r.SampleAt(0, OpStat, time.Now(), 100, Delta{}, false)
 		}
 	}
 	s := r.Snapshot()
@@ -151,13 +151,14 @@ func TestConcurrentRecording(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			h := r.ShardHint()
 			for i := 0; i < per; i++ {
 				op := Op(i % int(NumOps))
-				if r.Enter(op) {
-					r.Sample(op, time.Now(), uint64(i), Delta{Fences: 1}, i%7 == 0)
+				if r.EnterAt(h, op) {
+					r.SampleAt(h, op, time.Now(), uint64(i), Delta{Fences: 1}, i%7 == 0)
 				}
 				if i%13 == 0 {
-					r.Error(op)
+					r.ErrorAt(h, op)
 				}
 			}
 		}()
@@ -182,7 +183,7 @@ func TestTraceRingWraps(t *testing.T) {
 	r.SetSamplePeriod(1)
 	r.EnableTrace(4)
 	for i := 0; i < 10; i++ {
-		r.Sample(OpRead, time.Now(), uint64(i), Delta{}, false)
+		r.SampleAt(0, OpRead, time.Now(), uint64(i), Delta{}, false)
 	}
 	ev := r.Trace()
 	if len(ev) != 4 {
@@ -194,7 +195,7 @@ func TestTraceRingWraps(t *testing.T) {
 		}
 	}
 	r.EnableTrace(0)
-	r.Sample(OpRead, time.Now(), 1, Delta{}, false)
+	r.SampleAt(0, OpRead, time.Now(), 1, Delta{}, false)
 	if r.Trace() != nil {
 		t.Fatal("disabled trace must drop events")
 	}
@@ -202,11 +203,11 @@ func TestTraceRingWraps(t *testing.T) {
 
 func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
-	if r.Enter(OpOpen) {
+	if r.EnterAt(0, OpOpen) {
 		t.Fatal("nil registry must not sample")
 	}
-	r.Error(OpOpen)
-	r.Sample(OpOpen, time.Now(), 1, Delta{}, false)
+	r.ErrorAt(0, OpOpen)
+	r.SampleAt(0, OpOpen, time.Now(), 1, Delta{}, false)
 	r.SetSamplePeriod(1)
 	r.EnableTrace(4)
 	if s := r.Snapshot(); s.TotalCalls() != 0 {
@@ -217,8 +218,8 @@ func TestNilRegistryIsSafe(t *testing.T) {
 func TestWriteTableAndPhases(t *testing.T) {
 	r := NewRegistry()
 	r.SetSamplePeriod(1)
-	r.Enter(OpMkdir)
-	r.Sample(OpMkdir, time.Now(), 1500, Delta{Fences: 4, Flushes: 6, NTBytes: 4096}, false)
+	r.EnterAt(0, OpMkdir)
+	r.SampleAt(0, OpMkdir, time.Now(), 1500, Delta{Fences: 4, Flushes: 6, NTBytes: 4096}, false)
 	s := r.Snapshot()
 	s.Shards = []ShardStat{{Name: "locks", Gets: 10, Contended: 3}}
 	s.Device = Delta{Fences: 4}

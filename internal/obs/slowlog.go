@@ -1,22 +1,13 @@
 package obs
 
-// Structured slow-op log: a threshold-gated ring of the most recent
-// operations and spans whose latency crossed an armed threshold. Unlike the
-// flight recorder — which captures everything sampled and wraps fast under
-// load — the slow log keeps only outliers, so a burst of tail latency from
-// minutes ago is still inspectable when an operator gets to the node. It is
+// Structured slow-op log: the flight recorder's ring type, gated by a
+// latency threshold, so it keeps only outliers (see spanRing). It is
 // dumped as JSON via /slow.json and the simurghsh `slow` command.
-//
-// Cost when disarmed is one atomic load on each sampled-window close and
-// each SpanCtx; recording takes a short mutex (outliers are rare by
-// definition).
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -24,65 +15,20 @@ import (
 // when none has been set explicitly.
 const DefaultSlowLogCapacity = 256
 
-// SlowOp is one logged slow operation or span.
-type SlowOp struct {
-	Kind  SpanKind
-	Op    Op // meaningful for SpanOp spans
-	Start time.Time
-	LatNs uint64
-	Trace uint64 // distributed trace ID; 0 when the op was untraced
-	Err   bool
-}
-
-// Name returns the display name of the slow entry, mirroring
-// TraceEvent.Name.
-func (s SlowOp) Name() string {
-	if s.Kind == SpanOp {
-		return s.Op.String()
-	}
-	return s.Kind.String()
-}
-
-type slowLog struct {
-	thresholdNs atomic.Uint64 // 0 = disarmed
-	mu          sync.Mutex
-	buf         []SlowOp
-	next        uint64 // total entries recorded; next%len(buf) is the write slot
-}
-
-func (l *slowLog) record(kind SpanKind, op Op, trace uint64, start time.Time, latNs uint64, failed bool) {
-	l.mu.Lock()
-	if len(l.buf) > 0 {
-		l.buf[l.next%uint64(len(l.buf))] = SlowOp{Kind: kind, Op: op, Start: start, LatNs: latNs, Trace: trace, Err: failed}
-		l.next++
-	}
-	l.mu.Unlock()
-}
-
-// SetSlowThreshold arms the slow-op log: operations and spans at or above d
-// are retained in a ring of capacity entries (DefaultSlowLogCapacity if
-// capacity <= 0). d <= 0 disarms the log and drops captured entries.
+// SetSlowThreshold arms the slow-op log with an empty ring of capacity
+// entries (DefaultSlowLogCapacity if capacity <= 0) that keeps operations
+// and spans at or above d. d <= 0 disarms the log and drops captured
+// entries.
 func (r *Registry) SetSlowThreshold(d time.Duration, capacity int) {
 	if r == nil {
 		return
 	}
-	l := &r.slow
-	l.mu.Lock()
 	if d <= 0 {
-		l.buf = nil
-		l.next = 0
-		l.thresholdNs.Store(0)
-	} else {
-		if capacity <= 0 {
-			capacity = DefaultSlowLogCapacity
-		}
-		if len(l.buf) != capacity {
-			l.buf = make([]SlowOp, capacity)
-			l.next = 0
-		}
-		l.thresholdNs.Store(uint64(d.Nanoseconds()))
+		capacity = 0
+	} else if capacity <= 0 {
+		capacity = DefaultSlowLogCapacity
 	}
-	l.mu.Unlock()
+	r.slow.arm(uint64(d.Nanoseconds()), capacity)
 }
 
 // SlowThreshold returns the armed threshold (0 when the log is disarmed).
@@ -90,30 +36,18 @@ func (r *Registry) SlowThreshold() time.Duration {
 	if r == nil {
 		return 0
 	}
-	return time.Duration(r.slow.thresholdNs.Load())
+	if g := r.slow.gate.Load(); g != 0 {
+		return time.Duration(g - 1)
+	}
+	return 0
 }
 
 // SlowOps returns the captured slow entries, oldest first.
-func (r *Registry) SlowOps() []SlowOp {
+func (r *Registry) SlowOps() []TraceEvent {
 	if r == nil {
 		return nil
 	}
-	l := &r.slow
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.buf) == 0 || l.next == 0 {
-		return nil
-	}
-	capU := uint64(len(l.buf))
-	count := l.next
-	if count > capU {
-		count = capU
-	}
-	out := make([]SlowOp, 0, count)
-	for i := l.next - count; i < l.next; i++ {
-		out = append(out, l.buf[i%capU])
-	}
-	return out
+	return r.slow.events()
 }
 
 // WriteSlowJSON dumps the slow-op log as a JSON object:

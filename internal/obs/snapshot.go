@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"time"
 )
 
@@ -11,12 +13,12 @@ import (
 // latency total and the NVMM traffic cover only deep-sampled calls (all
 // calls when the registry runs at sample period 1).
 type OpStats struct {
-	Calls   uint64
-	Errors  uint64
-	Sampled uint64
-	LatNs   uint64
-	Hist    Histogram
-	Pmem    Delta
+	Calls   uint64    `json:"calls"`
+	Errors  uint64    `json:"errors"`
+	Sampled uint64    `json:"sampled"`
+	LatNs   uint64    `json:"lat_ns"`
+	Hist    Histogram `json:"hist"`
+	Pmem    Delta     `json:"pmem"`
 }
 
 // MeanNs returns the mean latency of sampled calls in nanoseconds.
@@ -72,18 +74,18 @@ func (s OpStats) Sub(b OpStats) OpStats {
 // how many times a shard was locked and how many of those acquisitions
 // found the lock already held.
 type ShardStat struct {
-	Name      string
-	Gets      uint64
-	Contended uint64
+	Name      string `json:"name"`
+	Gets      uint64 `json:"gets"`
+	Contended uint64 `json:"contended"`
 }
 
 // LockWaitStat is the accumulated contended-wait state of one lock class:
 // how many acquisitions blocked, for how long in total, and the wait-time
 // distribution. Uncontended acquisitions are not counted.
 type LockWaitStat struct {
-	Waits   uint64
-	TotalNs uint64
-	Hist    Histogram
+	Waits   uint64    `json:"waits"`
+	TotalNs uint64    `json:"total_ns"`
+	Hist    Histogram `json:"hist"`
 }
 
 // MeanNs returns the mean contended wait in nanoseconds.
@@ -132,6 +134,71 @@ type Snapshot struct {
 	// Gauges holds point-in-time subsystem levels (optional; set by
 	// FS.Stats). Levels, not counters: Sub passes them through.
 	Gauges []Gauge
+}
+
+// snapshotJSON is a Snapshot's JSON form, served on /stats.json: the same
+// fields, with operation, event, lock-class and gauge names as keys
+// instead of enum indices. Zero entries are omitted; absent keys decode as
+// zero and unknown names are ignored.
+type snapshotJSON struct {
+	SamplePeriod uint64                  `json:"sample_period"`
+	Ops          map[string]OpStats      `json:"ops"`
+	Events       map[string]uint64       `json:"events"`
+	LockWaits    map[string]LockWaitStat `json:"lock_waits"`
+	Shards       []ShardStat             `json:"shards"`
+	Device       Delta                   `json:"device"`
+	Gauges       map[string]uint64       `json:"gauges"`
+}
+
+// MarshalJSON encodes the snapshot in its named form.
+func (s Snapshot) MarshalJSON() ([]byte, error) {
+	j := snapshotJSON{
+		SamplePeriod: s.SamplePeriod, Ops: map[string]OpStats{}, Events: map[string]uint64{},
+		LockWaits: map[string]LockWaitStat{}, Shards: s.Shards, Device: s.Device, Gauges: map[string]uint64{},
+	}
+	for op, o := range s.Ops {
+		if o != (OpStats{}) {
+			j.Ops[Op(op).String()] = o
+		}
+	}
+	for e, n := range s.Events {
+		if n != 0 {
+			j.Events[Event(e).String()] = n
+		}
+	}
+	for c, lw := range s.LockWaits {
+		if lw != (LockWaitStat{}) {
+			j.LockWaits[LockClass(c).String()] = lw
+		}
+	}
+	for _, g := range s.Gauges {
+		j.Gauges[g.Name] = g.Value
+	}
+	return json.Marshal(j)
+}
+
+// UnmarshalJSON decodes the named form back into a Snapshot; gauges come
+// back sorted by name.
+func (s *Snapshot) UnmarshalJSON(b []byte) error {
+	var j snapshotJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	*s = Snapshot{SamplePeriod: j.SamplePeriod, Shards: j.Shards, Device: j.Device}
+	for op := Op(0); op < NumOps; op++ {
+		s.Ops[op] = j.Ops[op.String()]
+	}
+	for e := Event(0); e < NumEvents; e++ {
+		s.Events[e] = j.Events[e.String()]
+	}
+	for c := LockClass(0); c < NumLockClasses; c++ {
+		s.LockWaits[c] = j.LockWaits[c.String()]
+	}
+	for name, v := range j.Gauges {
+		s.Gauges = append(s.Gauges, Gauge{Name: name, Value: v})
+	}
+	sort.Slice(s.Gauges, func(a, b int) bool { return s.Gauges[a].Name < s.Gauges[b].Name })
+	return nil
 }
 
 // Snapshot sums the registry's shards into a consistent-enough point-in-time

@@ -99,21 +99,24 @@ func (e TraceEvent) Name() string {
 	return e.Kind.String()
 }
 
-// traceRing is a bounded ring buffer of recent spans — the flight recorder.
-// Disabled (zero capacity) by default; when enabled, appends take a short
-// mutex — tracing is a debugging aid, not a hot-path feature, and op spans
-// are already rate-limited by the sample period. The `on` flag mirrors
-// "capacity > 0" so the disabled fast path is a single atomic load with no
-// lock traffic.
-type traceRing struct {
-	on   atomic.Bool
+// spanRing is a bounded ring of recent spans. One type serves both the
+// flight recorder, which keeps every span while enabled and wraps fast
+// under load, and the slow log, which keeps only spans at or above its
+// threshold so an outlier from minutes ago is still there when an operator
+// looks. Disabled (zero capacity) by default; appends take a short mutex —
+// tracing is a debugging aid, op spans are already rate-limited by the
+// sample period, and outliers are rare by definition. gate is the only
+// word a record reads while the ring is off, so a disarmed ring costs one
+// atomic load.
+type spanRing struct {
+	gate atomic.Uint64 // 0 = off; otherwise 1 + the minimum latency kept
 	mu   sync.Mutex
 	buf  []TraceEvent
 	next uint64 // total events recorded; next%len(buf) is the write slot
 }
 
-func (t *traceRing) record(kind SpanKind, op Op, trace uint64, start time.Time, latNs uint64, failed bool) {
-	if !t.on.Load() {
+func (t *spanRing) record(kind SpanKind, op Op, trace uint64, start time.Time, latNs uint64, failed bool) {
+	if g := t.gate.Load(); g == 0 || latNs < g-1 {
 		return
 	}
 	t.mu.Lock()
@@ -124,21 +127,42 @@ func (t *traceRing) record(kind SpanKind, op Op, trace uint64, start time.Time, 
 	t.mu.Unlock()
 }
 
+// arm replaces the ring with an empty one of the given capacity keeping
+// spans of at least minNs; capacity <= 0 turns it off and drops its spans.
+func (t *spanRing) arm(minNs uint64, capacity int) {
+	t.mu.Lock()
+	t.buf, t.next = nil, 0
+	t.gate.Store(0)
+	if capacity > 0 {
+		t.buf = make([]TraceEvent, capacity)
+		t.gate.Store(minNs + 1)
+	}
+	t.mu.Unlock()
+}
+
+// events returns the retained spans, oldest first.
+func (t *spanRing) events() []TraceEvent {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.buf) == 0 || t.next == 0 {
+		return nil
+	}
+	capU := uint64(len(t.buf))
+	count := min(t.next, capU)
+	out := make([]TraceEvent, 0, count)
+	for i := t.next - count; i < t.next; i++ {
+		out = append(out, t.buf[i%capU])
+	}
+	return out
+}
+
 // EnableTrace turns the flight recorder on with the given capacity (0
 // disables and drops any captured events).
 func (r *Registry) EnableTrace(capacity int) {
 	if r == nil {
 		return
 	}
-	r.trace.mu.Lock()
-	if capacity <= 0 {
-		r.trace.buf = nil
-	} else {
-		r.trace.buf = make([]TraceEvent, capacity)
-	}
-	r.trace.next = 0
-	r.trace.on.Store(capacity > 0)
-	r.trace.mu.Unlock()
+	r.trace.arm(0, capacity)
 }
 
 // TraceEnabled reports whether the flight recorder is currently capturing.
@@ -148,7 +172,7 @@ func (r *Registry) TraceEnabled() bool {
 	if r == nil {
 		return false
 	}
-	return r.trace.on.Load()
+	return r.trace.gate.Load() != 0
 }
 
 // Span records a phase-tagged span into the flight recorder. op is ignored
@@ -163,17 +187,14 @@ func (r *Registry) Span(kind SpanKind, op Op, start time.Time, latNs uint64, fai
 
 // SpanCtx is Span carrying a distributed trace ID: spans recorded with the
 // same nonzero trace across processes merge into one causal chain in a
-// combined Chrome dump. It also feeds the slow-op log when a threshold is
-// armed. Nil-safe and one atomic load when both tracing and the slow log
-// are off.
+// combined Chrome dump. It also feeds the slow log. Nil-safe and two
+// atomic loads when both rings are off.
 func (r *Registry) SpanCtx(kind SpanKind, op Op, trace uint64, start time.Time, latNs uint64, failed bool) {
 	if r == nil {
 		return
 	}
 	r.trace.record(kind, op, trace, start, latNs, failed)
-	if t := r.slow.thresholdNs.Load(); t != 0 && latNs >= t {
-		r.slow.record(kind, op, trace, start, latNs, failed)
-	}
+	r.slow.record(kind, op, trace, start, latNs, failed)
 }
 
 // SetNode names this registry's process for multi-node trace merging. The
@@ -219,23 +240,7 @@ func (r *Registry) Trace() []TraceEvent {
 	if r == nil {
 		return nil
 	}
-	t := &r.trace
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.buf) == 0 || t.next == 0 {
-		return nil
-	}
-	n := t.next
-	capU := uint64(len(t.buf))
-	count := n
-	if count > capU {
-		count = capU
-	}
-	out := make([]TraceEvent, 0, count)
-	for i := n - count; i < n; i++ {
-		out = append(out, t.buf[i%capU])
-	}
-	return out
+	return r.trace.events()
 }
 
 // WriteChromeTrace writes the captured spans as a Chrome trace-event JSON

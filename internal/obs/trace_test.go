@@ -22,7 +22,7 @@ func TestSpanKindsRecorded(t *testing.T) {
 	r.Span(SpanRecovery, 0, start.Add(time.Microsecond), 2000, false)
 	r.Span(SpanPmemFlush, 0, start.Add(2*time.Microsecond), 50, false)
 	r.SetSamplePeriod(1)
-	r.Sample(OpMkdir, start.Add(3*time.Microsecond), 700, Delta{}, true)
+	r.SampleAt(0, OpMkdir, start.Add(3*time.Microsecond), 700, Delta{}, true)
 	ev := r.Trace()
 	if len(ev) != 4 {
 		t.Fatalf("got %d events, want 4", len(ev))

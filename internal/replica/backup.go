@@ -63,6 +63,9 @@ func (n *Node) runBackup() {
 	}
 }
 
+// joinDialTimeout bounds each join dial and the join handshake's write.
+const joinDialTimeout = time.Second
+
 // followPrimary performs one join: handshake, snapshot restore, then the
 // apply loop until the connection dies or the node is promoted/closed.
 // lastContact is advanced on every frame from the primary.
@@ -71,7 +74,7 @@ func (n *Node) followPrimary(lastContact *time.Time) error {
 	if addr == "" {
 		addr = n.cfg.PrimaryAddr
 	}
-	conn, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, joinDialTimeout)
 	if err != nil {
 		return err
 	}
@@ -79,7 +82,7 @@ func (n *Node) followPrimary(lastContact *time.Time) error {
 	defer conn.Close()
 
 	j := wire.Join{Epoch: n.Epoch(), Addr: n.cfg.Advertise}
-	conn.SetDeadline(time.Now().Add(n.cfg.DialTimeout))
+	conn.SetDeadline(time.Now().Add(joinDialTimeout))
 	if err := wire.WriteFrame(conn, wire.KindJoin, wire.AppendJoin(nil, &j)); err != nil {
 		return err
 	}
@@ -384,7 +387,6 @@ func (n *Node) applyEntry(e *wire.Entry) {
 	if hook := n.cfg.ApplyHook; hook != nil {
 		hook(e)
 	}
-	defer n.m.entriesApplied.Add(1)
 	switch e.Kind {
 	case wire.EntryAttach:
 		client, err := n.fs.Attach(e.Cred)

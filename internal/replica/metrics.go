@@ -1,21 +1,20 @@
 package replica
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sync/atomic"
+
+	"simurgh/internal/export"
+	"simurgh/internal/shard"
 )
 
 // counters are the node's replication metrics, exported as Prometheus
 // series through WriteMetrics (an export.Extra).
 type counters struct {
-	resumes        atomic.Uint64
-	dedupHits      atomic.Uint64
 	entriesShipped atomic.Uint64
 	bytesShipped   atomic.Uint64
 	framesShipped  atomic.Uint64
-	entriesApplied atomic.Uint64
 	applyParallel  atomic.Uint64
 	replaySkipped  atomic.Uint64
 	replayErrors   atomic.Uint64
@@ -33,147 +32,100 @@ func (n *Node) ShipStats() (entries, bytes uint64) {
 	return n.m.entriesShipped.Load(), n.m.bytesShipped.Load()
 }
 
-// WriteClusterJSON writes the cluster health document served at
-// /cluster.json: the node's role, epoch, log position, durability floor,
-// and — on a primary — one row per live backup link with its ack distance,
-// buffered bytes, and ship lag. One lock hold, one consistent snapshot.
-func (n *Node) WriteClusterJSON(w io.Writer) error {
-	role := n.Role()
-	n.mu.Lock()
-	seq := n.seq
-	quorumSeq := n.quorumSeq
-	sessions := len(n.sessions)
-	type row struct {
-		addr     string
-		acked    uint64
-		lagBytes uint64
-		shipLag  uint64
-	}
-	rows := make([]row, 0, len(n.links))
-	if role == RolePrimary {
-		for l := range n.links {
-			rows = append(rows, row{
-				addr:     l.addr,
-				acked:    l.ackedSeq,
-				lagBytes: uint64(len(l.out)),
-				shipLag:  uint64(len(l.ends) + l.inflight),
-			})
-		}
-	}
-	n.mu.Unlock()
-
-	floor := quorumSeq
-	var ackWindow uint64
-	if role == RolePrimary {
-		if len(rows) > 0 && seq > quorumSeq {
-			ackWindow = seq - quorumSeq
-		}
-	} else {
-		floor = seq
-	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "{\n  \"role\": %q,\n  \"epoch\": %d,\n  \"seq\": %d,\n  \"commit_floor\": %d,\n  \"quorum\": %d,\n  \"ack_window\": %d,\n  \"sessions\": %d,\n  \"heartbeat_rtt_ns\": %d,\n  \"primary_seq\": %d,\n  \"backups\": [",
-		role.String(), n.Epoch(), seq, floor, n.cfg.Quorum, ackWindow,
-		sessions, n.m.heartbeatRTT.Load(), n.m.primarySeq.Load())
-	for i, r := range rows {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		lagOps := uint64(0)
-		if seq > r.acked {
-			lagOps = seq - r.acked
-		}
-		fmt.Fprintf(&buf, "\n    {\"addr\": %q, \"acked_seq\": %d, \"lag_ops\": %d, \"lag_bytes\": %d, \"ship_lag\": %d}",
-			r.addr, r.acked, lagOps, r.lagBytes, r.shipLag)
-	}
-	if len(rows) > 0 {
-		buf.WriteString("\n  ")
-	}
-	buf.WriteString("]")
-	if f, ok := n.clusterX.Load().(func(io.Writer)); ok && f != nil {
-		f(&buf)
-	}
-	buf.WriteString("\n}\n")
-	_, err := w.Write(buf.Bytes())
-	return err
+// ClusterHealth is the replication group's health as one node sees it:
+// its role, epoch, log position, durability floor, and — on a primary —
+// one row per live backup link. Node.ClusterHealth builds it under one
+// log-lock hold; /cluster.json is its JSON encoding, and the
+// simurgh_replica_* gauges and /healthz's detail lines read the same value.
+type ClusterHealth struct {
+	Role           string       `json:"role"`
+	Epoch          uint64       `json:"epoch"`
+	Seq            uint64       `json:"seq"`
+	CommitFloor    uint64       `json:"commit_floor"`
+	Quorum         int          `json:"quorum"`
+	AckWindow      uint64       `json:"ack_window"` // assigned but not yet quorum-covered
+	Sessions       int          `json:"sessions"`
+	HeartbeatRTTNs uint64       `json:"heartbeat_rtt_ns"`
+	PrimarySeq     uint64       `json:"primary_seq"` // last advertised primary head (backup role)
+	Backups        []BackupLink `json:"backups"`
+	// ShardEpoch and Shards are the shard table of a sharded node, filled
+	// by whoever wires the node to its shard.Authority (simurghd).
+	ShardEpoch uint64      `json:"shard_epoch,omitempty"`
+	Shards     []shard.Row `json:"shards,omitempty"`
 }
 
-// SetClusterExtra registers a hook that appends extra members to the
-// /cluster.json document (the shard authority injects its shard table
-// here). The hook is called after the document's last regular member and
-// must write a leading comma.
-func (n *Node) SetClusterExtra(f func(io.Writer)) {
-	n.clusterX.Store(f)
+// BackupLink is one live backup link of a primary.
+type BackupLink struct {
+	Addr     string `json:"addr"`
+	AckedSeq uint64 `json:"acked_seq"`
+	LagOps   uint64 `json:"lag_ops"`   // log entries not yet acknowledged
+	LagBytes uint64 `json:"lag_bytes"` // encoded entry bytes buffered for it
+	ShipLag  uint64 `json:"ship_lag"`  // entries buffered or in flight toward its socket
+}
+
+// ClusterHealth builds the node's health document under one log-lock hold.
+func (n *Node) ClusterHealth() ClusterHealth {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	role := n.Role()
+	h := ClusterHealth{
+		Role: role.String(), Epoch: n.Epoch(), Seq: n.seq, CommitFloor: n.seq, Quorum: n.cfg.Quorum,
+		Sessions: len(n.sessions), HeartbeatRTTNs: n.m.heartbeatRTT.Load(), PrimarySeq: n.m.primarySeq.Load(),
+		Backups: make([]BackupLink, 0, len(n.links)),
+	}
+	if role == RolePrimary {
+		h.CommitFloor = n.quorumSeq
+		if len(n.links) > 0 && n.seq > n.quorumSeq {
+			h.AckWindow = n.seq - n.quorumSeq
+		}
+	}
+	for l := range n.links {
+		h.Backups = append(h.Backups, BackupLink{
+			Addr: l.addr, AckedSeq: l.ackedSeq, LagOps: n.seq - l.ackedSeq,
+			LagBytes: uint64(len(l.out)), ShipLag: uint64(len(l.ends) + l.inflight),
+		})
+	}
+	return h
 }
 
 // WriteMetrics appends the simurgh_replica_* series to a /metrics scrape.
+// The gauges read one ClusterHealth: lag is the slowest backup's on a
+// primary, and the distance behind the primary's advertised head on a
+// backup.
 func (n *Node) WriteMetrics(w io.Writer) {
-	role := n.Role()
-	n.mu.Lock()
-	seq := n.seq
-	backups := len(n.links)
-	sessions := len(n.sessions)
-	// Replication lag: on the primary, distance between the log head and
-	// the slowest live backup's ack (plus unshipped buffer bytes); on a
-	// backup, distance behind the primary's last advertised head.
-	var lagOps, lagBytes uint64
-	// Ack window: entries assigned but not yet quorum-covered (the span of
-	// the sliding window). Ship lag: entries buffered or in flight toward
-	// the slowest link's socket, before it has even received them.
-	var ackWindow, shipLag uint64
-	if role == RolePrimary {
-		for l := range n.links {
-			if d := seq - l.ackedSeq; d > lagOps {
-				lagOps = d
-			}
-			if uint64(len(l.out)) > lagBytes {
-				lagBytes = uint64(len(l.out))
-			}
-			if p := uint64(len(l.ends) + l.inflight); p > shipLag {
-				shipLag = p
-			}
-		}
-		if len(n.links) > 0 && seq > n.quorumSeq {
-			ackWindow = seq - n.quorumSeq
-		}
-	} else if ps := n.m.primarySeq.Load(); ps > seq {
-		lagOps = ps - seq
+	h := n.ClusterHealth()
+	var lagOps, lagBytes, shipLag uint64
+	for _, b := range h.Backups {
+		lagOps, lagBytes, shipLag = max(lagOps, b.LagOps), max(lagBytes, b.LagBytes), max(shipLag, b.ShipLag)
 	}
-	n.mu.Unlock()
-
-	g := func(name string, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+	if h.Role != RolePrimary.String() && h.PrimarySeq > h.Seq {
+		lagOps = h.PrimarySeq - h.Seq
 	}
-	c := func(name string, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	fmt.Fprintf(w, "# HELP simurgh_replica_role Node role (1 when active in that role).\n")
-	fmt.Fprintf(w, "# TYPE simurgh_replica_role gauge\n")
+	export.WriteHeader(w, "simurgh_replica_role", "gauge", "Node role (1 when active in that role).")
 	for _, r := range []Role{RolePrimary, RoleBackup} {
 		v := 0
-		if role == r {
+		if h.Role == r.String() {
 			v = 1
 		}
 		fmt.Fprintf(w, "simurgh_replica_role{role=%q} %d\n", r.String(), v)
 	}
-	g("simurgh_replica_epoch", "Replication epoch (bumped on every promotion).", n.Epoch())
-	g("simurgh_replica_seq", "Last log sequence assigned (primary) or applied (backup).", seq)
+	g := func(name, help string, v uint64) { export.WriteScalar(w, name, "gauge", help, v) }
+	c := func(name, help string, v uint64) { export.WriteScalar(w, name, "counter", help, v) }
+	g("simurgh_replica_epoch", "Replication epoch (bumped on every promotion).", h.Epoch)
+	g("simurgh_replica_seq", "Last log sequence assigned (primary) or applied (backup).", h.Seq)
 	g("simurgh_replica_lag_ops", "Log entries the slowest live backup is behind (or this backup is behind its primary).", lagOps)
 	g("simurgh_replica_lag_bytes", "Encoded entry bytes buffered for the slowest live backup.", lagBytes)
-	g("simurgh_replica_ack_window", "Entries inside the sliding ack window (assigned but not yet quorum-covered).", ackWindow)
+	g("simurgh_replica_ack_window", "Entries inside the sliding ack window (assigned but not yet quorum-covered).", h.AckWindow)
 	g("simurgh_replica_ship_lag_entries", "Entries buffered or in flight toward the slowest link's socket.", shipLag)
-	g("simurgh_replica_backups", "Live backup links.", uint64(backups))
-	g("simurgh_replica_sessions", "Replicated sessions carried by this node.", uint64(sessions))
-	g("simurgh_replica_heartbeat_rtt_ns", "Last heartbeat round trip to a backup.", n.m.heartbeatRTT.Load())
+	g("simurgh_replica_backups", "Live backup links.", uint64(len(h.Backups)))
+	g("simurgh_replica_sessions", "Replicated sessions carried by this node.", uint64(h.Sessions))
+	g("simurgh_replica_heartbeat_rtt_ns", "Last heartbeat round trip to a backup.", h.HeartbeatRTTNs)
 	c("simurgh_replica_entries_shipped_total", "Log entries shipped to backups.", n.m.entriesShipped.Load())
 	c("simurgh_replica_bytes_shipped_total", "Encoded log bytes shipped to backups.", n.m.bytesShipped.Load())
 	c("simurgh_replica_frames_shipped_total", "Replicate frames written to backups (entries_shipped/frames_shipped is the achieved group-commit size).", n.m.framesShipped.Load())
-	c("simurgh_replica_entries_applied_total", "Log entries applied by this backup.", n.m.entriesApplied.Load())
 	c("simurgh_replica_apply_parallel_total", "Log entries applied through the parallel (inode-partitioned) apply path.", n.m.applyParallel.Load())
 	c("simurgh_replica_replay_skipped_total", "Replayed operations skipped (unknown sessions).", n.m.replaySkipped.Load())
 	c("simurgh_replica_replay_errors_total", "Replayed operations that failed (replica divergence).", n.m.replayErrors.Load())
-	c("simurgh_replica_dedup_hits_total", "Client retransmissions answered from the replay cache.", n.m.dedupHits.Load())
-	c("simurgh_replica_session_resumes_total", "Sessions resumed by failed-over clients.", n.m.resumes.Load())
 	c("simurgh_replica_snapshot_bytes_total", "Snapshot bytes streamed to joining backups.", n.m.snapshotBytes.Load())
 	c("simurgh_replica_joins_total", "Backups that completed a join.", n.m.joins.Load())
 	c("simurgh_replica_promotions_total", "Times this node promoted itself to primary.", n.m.promotions.Load())

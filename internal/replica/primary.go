@@ -43,7 +43,6 @@ func (n *Node) AttachClient(cred fsapi.Cred, clientID uint64) (fsapi.Client, uin
 			return nil, 0, "", fsapi.ErrPerm
 		}
 		sess.attached = true
-		n.m.resumes.Add(1)
 		n.mu.Unlock()
 		return sess.client, sess.id, "", nil
 	}
@@ -100,7 +99,6 @@ func (n *Node) Apply(sessID uint64, req *wire.Request, trace uint64, exec func()
 			Msg: wire.MsgFor(code, fsapi.ErrBadFD)}, 0
 	}
 	if resp, seq, ok := sess.replayed(req.ID); ok {
-		n.m.dedupHits.Add(1)
 		return resp, seq
 	}
 

@@ -211,8 +211,6 @@ type Config struct {
 	// AutoPromote lets a backup promote itself after FailoverGrace without
 	// primary contact.
 	AutoPromote bool
-	// DialTimeout bounds each join dial. Default 1s.
-	DialTimeout time.Duration
 	// Snapshot serializes the volume image for a joining backup. Called
 	// under the log lock — mutations are paused while it runs.
 	Snapshot func(w io.Writer) error
@@ -242,9 +240,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.FailoverGrace <= 0 {
 		c.FailoverGrace = 2 * time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -309,10 +304,6 @@ type Node struct {
 	// joinConn is the backup's live replication connection, closed by
 	// Promote/Close to unblock the join loop.
 	joinConn atomic.Value // net.Conn
-
-	// clusterX is an optional /cluster.json extension hook (func(io.Writer));
-	// see SetClusterExtra.
-	clusterX atomic.Value
 
 	// traceAck* carry a backup's pending rep-ack span: a traced frame's
 	// apply records the trace here, and the acker emits SpanRepAck once a

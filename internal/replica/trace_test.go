@@ -232,31 +232,21 @@ func TestDistributedTraceLinksAcrossNodes(t *testing.T) {
 	}
 }
 
-// TestClusterJSON pins the /cluster.json document: a primary with one
-// backup reports its role, epoch, durability floor, and a per-backup row.
+// TestClusterJSON pins the cluster health document behind /cluster.json:
+// a primary with one backup reports its role, epoch, durability floor, and
+// a per-backup row, and the value survives its JSON encoding.
 func TestClusterJSON(t *testing.T) {
 	g := startTracedGroup(t)
 	writeFile(t, g.c, "/f", "content")
 	waitFor(t, "backup to catch up", func() bool { return g.b.n.Seq() == g.p.n.Seq() })
 
-	var buf bytes.Buffer
-	if err := g.p.n.WriteClusterJSON(&buf); err != nil {
+	b, err := json.Marshal(g.p.n.ClusterHealth())
+	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Role        string `json:"role"`
-		Epoch       uint64 `json:"epoch"`
-		Seq         uint64 `json:"seq"`
-		CommitFloor uint64 `json:"commit_floor"`
-		Quorum      int    `json:"quorum"`
-		Backups     []struct {
-			Addr     string `json:"addr"`
-			AckedSeq uint64 `json:"acked_seq"`
-			LagOps   uint64 `json:"lag_ops"`
-		} `json:"backups"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("cluster.json invalid: %v\n%s", err, buf.String())
+	var doc replica.ClusterHealth
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("cluster.json invalid: %v\n%s", err, b)
 	}
 	if doc.Role != "primary" || doc.Epoch != 1 || doc.Quorum != 1 {
 		t.Fatalf("role/epoch/quorum = %s/%d/%d", doc.Role, doc.Epoch, doc.Quorum)
@@ -270,26 +260,18 @@ func TestClusterJSON(t *testing.T) {
 	if doc.Backups[0].Addr == "" {
 		t.Fatal("backup row missing address")
 	}
+	if strings.Contains(string(b), "shard") {
+		t.Fatalf("an unsharded node's document carries a shard table: %s", b)
+	}
 	// Quorum 1 with one live backup: acknowledged writes are quorum-covered,
 	// so the floor tracks the backup's cumulative ack.
 	waitFor(t, "commit floor to reach seq", func() bool {
-		return g.p.n.CommitFloor() == g.p.n.Seq()
+		h := g.p.n.ClusterHealth()
+		return h.CommitFloor == h.Seq
 	})
 
 	// The backup's document reports its own applied position as the floor.
-	buf.Reset()
-	if err := g.b.n.WriteClusterJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var bdoc struct {
-		Role        string `json:"role"`
-		CommitFloor uint64 `json:"commit_floor"`
-		Seq         uint64 `json:"seq"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &bdoc); err != nil {
-		t.Fatalf("backup cluster.json invalid: %v\n%s", err, buf.String())
-	}
-	if bdoc.Role != "backup" || bdoc.CommitFloor != bdoc.Seq {
-		t.Fatalf("backup role/floor/seq = %s/%d/%d", bdoc.Role, bdoc.CommitFloor, bdoc.Seq)
+	if h := g.b.n.ClusterHealth(); h.Role != "backup" || h.CommitFloor != h.Seq || len(h.Backups) != 0 {
+		t.Fatalf("backup role/floor/seq/rows = %s/%d/%d/%d", h.Role, h.CommitFloor, h.Seq, len(h.Backups))
 	}
 }

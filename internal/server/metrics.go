@@ -1,11 +1,11 @@
 package server
 
 import (
-	"fmt"
 	"io"
 	"math/bits"
 	"sync/atomic"
 
+	"simurgh/internal/export"
 	"simurgh/internal/obs"
 )
 
@@ -20,47 +20,33 @@ const batchBuckets = 13
 type latHist struct {
 	buckets [obs.NumBuckets]atomic.Uint64
 	sumNs   atomic.Uint64
-	count   atomic.Uint64
 }
 
 func (h *latHist) observe(ns uint64) {
 	h.buckets[obs.BucketOf(ns)].Add(1)
 	h.sumNs.Add(ns)
-	h.count.Add(1)
 }
 
 // metrics is the server's own counter set, one instance per Server. The
 // per-op file-system counters live in the volume's obs.Registry (the
 // server's execution path runs through the instrumented fsapi client); these
-// counters cover what only the network layer can see: connections,
-// sessions, frames, batching, queueing, and wire traffic.
+// counters cover what only the network layer can see: sessions, frames,
+// batching, queueing, and wire traffic. Each one has a reader (see the
+// inventory in internal/export's tests).
 type metrics struct {
-	connsAccepted atomic.Uint64
-	connsActive   atomic.Int64
-	connsRejected atomic.Uint64
-	sessions      atomic.Uint64
-	attachErrors  atomic.Uint64
-	protoErrors   atomic.Uint64
-
-	requests      atomic.Uint64
-	requestErrors atomic.Uint64
-	overloads     atomic.Uint64
-	shardMoved    atomic.Uint64
-	requestNs     latHist
-	quorumWaitNs  latHist
-
-	batches     atomic.Uint64
-	fastBatches atomic.Uint64
-	batchSize   [batchBuckets]atomic.Uint64
-
-	framesRead    atomic.Uint64
-	framesWritten atomic.Uint64
-	bytesRead     atomic.Uint64
-	bytesWritten  atomic.Uint64
+	sessions     atomic.Uint64
+	requests     atomic.Uint64
+	requestNs    latHist
+	quorumWaitNs latHist
+	batchSize    [batchBuckets]atomic.Uint64
+	batchOps     atomic.Uint64 // operations received in batch frames
+	framesRead   atomic.Uint64
+	bytesRead    atomic.Uint64
 }
 
+// observeBatch records one received batch of n operations, whether or not
+// it is then admitted and answered.
 func (m *metrics) observeBatch(n int) {
-	m.batches.Add(1)
 	b := bits.Len(uint(n) - 1) // 1→0, 2→1, 3..4→2, ...
 	if n <= 0 {
 		b = 0
@@ -69,104 +55,55 @@ func (m *metrics) observeBatch(n int) {
 		b = batchBuckets - 1
 	}
 	m.batchSize[b].Add(1)
+	m.batchOps.Add(uint64(n))
+}
+
+// loadAll reads a bucket array into plain counts.
+func loadAll(buckets []atomic.Uint64) []uint64 {
+	out := make([]uint64, len(buckets))
+	for i := range buckets {
+		out[i] = buckets[i].Load()
+	}
+	return out
 }
 
 // WriteMetrics renders the server's counters in the Prometheus text
 // exposition format as simurgh_server_* and simurgh_wire_* series. It is an
-// export.Extra: hand it to export.NewHandler/Serve to append these series
-// to the volume's /metrics endpoint.
+// export.Extra: hand it to export.Serve to append these series to the
+// volume's /metrics endpoint.
 func (s *Server) WriteMetrics(w io.Writer) {
 	m := &s.m
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("simurgh_server_conns_accepted_total", "Connections accepted.", m.connsAccepted.Load())
-	gauge("simurgh_server_conns_active", "Connections currently open.", m.connsActive.Load())
-	counter("simurgh_server_conns_rejected_total", "Connections rejected at the limit.", m.connsRejected.Load())
-	counter("simurgh_server_sessions_total", "Successful attach handshakes.", m.sessions.Load())
-	counter("simurgh_server_attach_errors_total", "Failed attach handshakes.", m.attachErrors.Load())
-	counter("simurgh_server_proto_errors_total", "Connections dropped on protocol errors.", m.protoErrors.Load())
-	counter("simurgh_server_requests_total", "Operations executed.", m.requests.Load())
-	counter("simurgh_server_request_errors_total", "Operations that returned an error.", m.requestErrors.Load())
-	counter("simurgh_server_overload_total", "Operations rejected by queue backpressure or drain.", m.overloads.Load())
-	counter("simurgh_server_shard_moved_total", "Operations answered CodeMoved (shard served elsewhere).", m.shardMoved.Load())
-	drain := int64(0)
-	if s.draining.Load() {
-		drain = 1
-	}
-	gauge("simurgh_server_draining", "1 while the server is draining.", drain)
-	gauge("simurgh_server_workers", "Worker pool size.", int64(s.cfg.Workers))
-	gauge("simurgh_server_queue_len", "Batches waiting for a worker.", int64(len(s.work)))
+	export.WriteScalar(w, "simurgh_server_sessions_total", "counter", "Successful attach handshakes.", m.sessions.Load())
+	export.WriteScalar(w, "simurgh_server_requests_total", "counter",
+		"Requests of admitted batches answered, including Moved and retired-op answers that execute nothing.", m.requests.Load())
+	export.WriteHeader(w, "simurgh_server_request_ns", "histogram", "Per-request server-side latency (queue wait + execution).")
+	export.WriteHistogram(w, "simurgh_server_request_ns", "", loadAll(m.requestNs.buckets[:]), obs.BucketUpperNs, m.requestNs.sumNs.Load())
+	export.WriteHeader(w, "simurgh_server_quorum_wait_ns", "histogram", "Time batches spent blocked in WaitQuorum before their replies flushed.")
+	export.WriteHistogram(w, "simurgh_server_quorum_wait_ns", "", loadAll(m.quorumWaitNs.buckets[:]), obs.BucketUpperNs, m.quorumWaitNs.sumNs.Load())
 
-	fmt.Fprintf(w, "# HELP simurgh_server_request_ns Per-request server-side latency (queue wait + execution).\n")
-	fmt.Fprintf(w, "# TYPE simurgh_server_request_ns histogram\n")
-	var cum uint64
-	for i := 0; i < obs.NumBuckets-1; i++ {
-		cum += m.requestNs.buckets[i].Load()
-		fmt.Fprintf(w, "simurgh_server_request_ns_bucket{le=\"%d\"} %d\n", obs.BucketUpperNs(i), cum)
+	sizes := loadAll(m.batchSize[:])
+	var batches uint64
+	for _, n := range sizes {
+		batches += n
 	}
-	cum += m.requestNs.buckets[obs.NumBuckets-1].Load()
-	fmt.Fprintf(w, "simurgh_server_request_ns_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "simurgh_server_request_ns_sum %d\n", m.requestNs.sumNs.Load())
-	fmt.Fprintf(w, "simurgh_server_request_ns_count %d\n", m.requestNs.count.Load())
-
-	fmt.Fprintf(w, "# HELP simurgh_server_quorum_wait_ns Time batches spent blocked in WaitQuorum before their replies flushed.\n")
-	fmt.Fprintf(w, "# TYPE simurgh_server_quorum_wait_ns histogram\n")
-	cum = 0
-	for i := 0; i < obs.NumBuckets-1; i++ {
-		cum += m.quorumWaitNs.buckets[i].Load()
-		fmt.Fprintf(w, "simurgh_server_quorum_wait_ns_bucket{le=\"%d\"} %d\n", obs.BucketUpperNs(i), cum)
-	}
-	cum += m.quorumWaitNs.buckets[obs.NumBuckets-1].Load()
-	fmt.Fprintf(w, "simurgh_server_quorum_wait_ns_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "simurgh_server_quorum_wait_ns_sum %d\n", m.quorumWaitNs.sumNs.Load())
-	fmt.Fprintf(w, "simurgh_server_quorum_wait_ns_count %d\n", m.quorumWaitNs.count.Load())
-
-	counter("simurgh_wire_batches_total", "Batch frames received.", m.batches.Load())
-	counter("simurgh_server_fast_batches_total", "Read-only batches executed inline on the connection goroutine.", m.fastBatches.Load())
-	fmt.Fprintf(w, "# HELP simurgh_wire_batch_size Operations per received batch frame.\n")
-	fmt.Fprintf(w, "# TYPE simurgh_wire_batch_size histogram\n")
-	cum = 0
-	for i := 0; i < batchBuckets-1; i++ {
-		cum += m.batchSize[i].Load()
-		fmt.Fprintf(w, "simurgh_wire_batch_size_bucket{le=\"%d\"} %d\n", 1<<i, cum)
-	}
-	cum += m.batchSize[batchBuckets-1].Load()
-	fmt.Fprintf(w, "simurgh_wire_batch_size_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "simurgh_wire_batch_size_sum %d\n", m.requests.Load())
-	fmt.Fprintf(w, "simurgh_wire_batch_size_count %d\n", m.batches.Load())
-
-	counter("simurgh_wire_frames_read_total", "Frames read from clients.", m.framesRead.Load())
-	counter("simurgh_wire_frames_written_total", "Frames written to clients.", m.framesWritten.Load())
-	counter("simurgh_wire_bytes_read_total", "Bytes read from clients.", m.bytesRead.Load())
-	counter("simurgh_wire_bytes_written_total", "Bytes written to clients.", m.bytesWritten.Load())
+	export.WriteScalar(w, "simurgh_wire_batches_total", "counter", "Batch frames received.", batches)
+	export.WriteHeader(w, "simurgh_wire_batch_size", "histogram", "Operations per received batch frame.")
+	export.WriteHistogram(w, "simurgh_wire_batch_size", "", sizes, func(i int) uint64 { return 1 << i }, m.batchOps.Load())
+	export.WriteScalar(w, "simurgh_wire_frames_read_total", "counter", "Frames read from clients.", m.framesRead.Load())
+	export.WriteScalar(w, "simurgh_wire_bytes_read_total", "counter", "Bytes read from clients.", m.bytesRead.Load())
 }
 
-// countingConn wraps a connection, attributing raw byte traffic to the
-// server metrics.
-type countingConn struct {
-	inner interface {
-		Read([]byte) (int, error)
-		Write([]byte) (int, error)
-	}
-	m *metrics
+// countingReader wraps a connection's read side, attributing raw byte
+// traffic to the server metrics.
+type countingReader struct {
+	inner io.Reader
+	m     *metrics
 }
 
-func (c countingConn) Read(p []byte) (int, error) {
+func (c countingReader) Read(p []byte) (int, error) {
 	n, err := c.inner.Read(p)
 	if n > 0 {
 		c.m.bytesRead.Add(uint64(n))
-	}
-	return n, err
-}
-
-func (c countingConn) Write(p []byte) (int, error) {
-	n, err := c.inner.Write(p)
-	if n > 0 {
-		c.m.bytesWritten.Add(uint64(n))
 	}
 	return n, err
 }

@@ -358,7 +358,6 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		s.m.connsAccepted.Add(1)
 		s.mu.Lock()
 		draining := s.draining.Load()
 		over := len(s.conns) >= s.cfg.MaxConns || draining
@@ -367,7 +366,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		s.mu.Unlock()
 		if over {
-			s.m.connsRejected.Add(1)
 			// Over-limit connections may retry; a draining server is going
 			// away, so tell those clients not to.
 			reason := error(wire.ErrOverload)
@@ -377,7 +375,6 @@ func (s *Server) Serve(ln net.Listener) error {
 			s.refuse(conn, reason)
 			continue
 		}
-		s.m.connsActive.Add(1)
 		s.connWG.Add(1)
 		go s.handleConn(conn)
 	}
@@ -398,21 +395,18 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
-		s.m.connsActive.Add(-1)
 		conn.Close()
 	}()
 
-	cc := countingConn{inner: conn, m: &s.m}
-	fr := wire.NewFrameReader(cc)
+	fr := wire.NewFrameReader(countingReader{inner: conn, m: &s.m})
 	defer fr.Release()
-	sess := &session{srv: s, conn: conn, bufw: newBufWriter(cc)}
+	sess := &session{srv: s, conn: conn, bufw: newBufWriter(conn)}
 
 	// The handshake must arrive promptly; afterwards the connection may
 	// idle indefinitely between batches.
 	conn.SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout))
 	done, err := s.handshake(fr, sess)
 	if err != nil {
-		s.m.attachErrors.Add(1)
 		s.cfg.Logf("server: attach from %s failed: %v", conn.RemoteAddr(), err)
 		s.writeErrFrame(sess, err)
 		return
@@ -437,7 +431,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		sess.client.Detach()
 	}
 	if err != nil && !errors.Is(err, io.EOF) && !s.draining.Load() {
-		s.m.protoErrors.Add(1)
 		s.cfg.Logf("server: conn %s: %v", conn.RemoteAddr(), err)
 		s.writeErrFrame(sess, err)
 	}
@@ -479,7 +472,6 @@ func (s *Server) handshake(fr *wire.FrameReader, sess *session) (done bool, err 
 		if err := wire.WriteFrame(sess.bufw, wire.KindPromoteOK, pl[:]); err != nil {
 			return false, err
 		}
-		s.m.framesWritten.Add(1)
 		return true, sess.bufw.Flush()
 	case wire.KindMapGet:
 		if s.cfg.Sharding == nil {
@@ -532,7 +524,6 @@ func (s *Server) handshake(fr *wire.FrameReader, sess *session) (done bool, err 
 			if err := wire.WriteFrame(sess.bufw, wire.KindRedirect, wire.AppendRedirect(nil, &rdr)); err != nil {
 				return false, err
 			}
-			s.m.framesWritten.Add(1)
 			return true, sess.bufw.Flush()
 		}
 		if err != nil {
@@ -556,7 +547,6 @@ func (s *Server) handshake(fr *wire.FrameReader, sess *session) (done bool, err 
 	if err := wire.WriteFrame(sess.bufw, wire.KindAttachOK, []byte(name)); err != nil {
 		return false, err
 	}
-	s.m.framesWritten.Add(1)
 	return false, sess.bufw.Flush()
 }
 
@@ -592,7 +582,6 @@ func (s *Server) readLoop(fr *wire.FrameReader, sess *session) error {
 		}
 		s.m.observeBatch(len(cs.reqs))
 		if fastBatch(cs.reqs) {
-			s.m.fastBatches.Add(1)
 			s.execBatch(sess, cs.reqs, &cs.rs, time.Now(), trace, true)
 			cs.rs.shrink()
 			continue
@@ -647,7 +636,6 @@ func (s *Server) rejectJob(j *job, reason error) error {
 // rejection error.
 func (s *Server) rejectBatch(sess *session, reqs []wire.Request, reason error) error {
 	code := wire.CodeOf(reason)
-	s.m.overloads.Add(uint64(len(reqs)))
 	var payload []byte
 	for i := range reqs {
 		resp := wire.Response{ID: reqs[i].ID, Op: reqs[i].Op, Code: code}
@@ -806,9 +794,6 @@ func (s *Server) execBatch(sess *session, reqs []wire.Request, rs *replyScratch,
 		}
 		s.m.requestNs.observe(uint64(time.Since(enq)))
 		s.m.requests.Add(1)
-		if resp.Code != wire.CodeOK {
-			s.m.requestErrors.Add(1)
-		}
 		if landed {
 			continue
 		}
@@ -871,9 +856,7 @@ func (s *Server) waitQuorum(rep Replica, seq uint64, trace uint64, op obs.Op) {
 var errAborted = errors.New("server: aborted")
 
 // flushReplies writes every staged reply frame in one vectored write under
-// the session's write lock and resets the scratch. Bytes are attributed to
-// the wire metrics directly (the vectored path bypasses countingConn so the
-// kernel sees a single writev).
+// the session's write lock and resets the scratch.
 func (s *Server) flushReplies(sess *session, rs *replyScratch) error {
 	if s.aborted.Load() {
 		// A killed daemon acknowledges nothing. Abort cuts connections one
@@ -883,14 +866,9 @@ func (s *Server) flushReplies(sess *session, rs *replyScratch) error {
 		rs.payload, rs.frameStart = rs.payload[:0], 0
 		return errAborted
 	}
-	nf := rs.vw.Count()
 	sess.wmu.Lock()
-	n, err := rs.vw.Flush(sess.conn)
+	_, err := rs.vw.Flush(sess.conn)
 	sess.wmu.Unlock()
-	if n > 0 {
-		s.m.bytesWritten.Add(uint64(n))
-	}
-	s.m.framesWritten.Add(uint64(nf))
 	rs.payload = rs.payload[:0]
 	rs.frameStart = 0
 	return err
@@ -927,7 +905,6 @@ func (s *Server) shardMoved(sess *session, req *wire.Request) *wire.Moved {
 // names the shard's current owner for humans; routers ignore it and
 // refetch the map.
 func movedResponse(sess *session, req *wire.Request, mv *wire.Moved) wire.Response {
-	sess.srv.m.shardMoved.Add(1)
 	msg := fmt.Sprintf("wire: shard moved (epoch %d)", mv.Epoch)
 	if mv.Addr != "" {
 		msg = fmt.Sprintf("wire: shard moved to %s (epoch %d)", mv.Addr, mv.Epoch)
@@ -943,7 +920,6 @@ func (s *Server) writeFrame(sess *session, kind wire.Kind, payload []byte) error
 	if err := wire.WriteFrame(sess.bufw, kind, payload); err != nil {
 		return err
 	}
-	s.m.framesWritten.Add(1)
 	return sess.bufw.Flush()
 }
 
@@ -955,7 +931,6 @@ func (s *Server) writeReply(sess *session, payload []byte) error {
 	if err := wire.WriteFrame(sess.bufw, wire.KindReply, payload); err != nil {
 		return err
 	}
-	s.m.framesWritten.Add(1)
 	return sess.bufw.Flush()
 }
 
@@ -965,7 +940,6 @@ func (s *Server) writeErrFrame(sess *session, err error) {
 	sess.wmu.Lock()
 	defer sess.wmu.Unlock()
 	if wire.WriteFrame(sess.bufw, wire.KindErr, wire.AppendErrFrame(nil, err)) == nil {
-		s.m.framesWritten.Add(1)
 		sess.bufw.Flush()
 	}
 }

@@ -149,8 +149,9 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestMetricsOutput drives traffic and checks the exported series names and
-// monotone counters.
+// TestMetricsOutput drives traffic and checks that batching is counted as
+// one batch frame carrying many requests. Which series are exported, and
+// who reads each, is pinned by internal/export's inventory test.
 func TestMetricsOutput(t *testing.T) {
 	srv, addr := startServer(t, server.Config{})
 	remote, err := client.Dial(addr, client.Options{})
@@ -206,24 +207,6 @@ func TestMetricsOutput(t *testing.T) {
 		t.Errorf("a 16-stat Submit added %d requests, want 16", d)
 	}
 	c.Detach()
-
-	var sb strings.Builder
-	srv.WriteMetrics(&sb)
-	out := sb.String()
-	for _, want := range []string{
-		"simurgh_server_conns_accepted_total 1",
-		"simurgh_server_sessions_total 1",
-		"simurgh_server_requests_total",
-		"simurgh_server_request_ns_bucket",
-		"simurgh_wire_batches_total",
-		"simurgh_wire_batch_size_bucket",
-		"simurgh_wire_bytes_read_total",
-		"simurgh_wire_bytes_written_total",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics output missing %q", want)
-		}
-	}
 }
 
 // TestLargeBatchReplySplits verifies a batch whose responses exceed one

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"simurgh/internal/export"
 	"simurgh/internal/wire"
 )
 
@@ -38,10 +39,6 @@ type Authority struct {
 
 	mu    sync.Mutex // serializes installs
 	state atomic.Pointer[authState]
-
-	moved         atomic.Uint64
-	installs      atomic.Uint64
-	staleAttaches atomic.Uint64
 }
 
 // authState is one immutable generation of the authority's view: the map
@@ -163,7 +160,6 @@ func (a *Authority) Install(payload []byte) ([]byte, error) {
 	}
 	next := a.buildState(m, append([]byte(nil), payload...))
 	a.state.Store(next)
-	a.installs.Add(1)
 	var lost []uint32
 	for i, sl := range cur.slots {
 		if id := cur.tab.Map().Shards[i].ID; sl.serves && !next.servesID(id) {
@@ -185,7 +181,6 @@ func (a *Authority) CheckAttach(claim wire.AttachClaim) *wire.Moved {
 	if st.servesID(claim.Shard) {
 		return nil
 	}
-	a.staleAttaches.Add(1)
 	return st.movedTo(claim.Shard)
 }
 
@@ -216,7 +211,6 @@ func (a *Authority) MovedPath(p string) *wire.Moved {
 		sl.ops.Add(1)
 		return nil
 	}
-	a.moved.Add(1)
 	sh := &m.Shards[slot]
 	return &wire.Moved{Shard: sh.ID, Epoch: m.Epoch, Addr: sh.Addrs[0]}
 }
@@ -232,14 +226,12 @@ func (a *Authority) MovedShard(shard uint32, claimed bool) *wire.Moved {
 		if st.servesAny {
 			return nil
 		}
-		a.moved.Add(1)
 		return &wire.Moved{Shard: NoShard, Epoch: st.tab.Map().Epoch}
 	}
 	if slot, ok := st.byID[shard]; ok && st.slots[slot].serves {
 		st.slots[slot].ops.Add(1)
 		return nil
 	}
-	a.moved.Add(1)
 	return st.movedTo(shard)
 }
 
@@ -255,51 +247,43 @@ func (st *authState) movedTo(id uint32) *wire.Moved {
 
 // WriteMetrics appends the simurgh_shard_* series to a /metrics scrape.
 func (a *Authority) WriteMetrics(w io.Writer) {
-	st := a.state.Load()
-	m := st.tab.Map()
+	epoch, rows := a.Rows()
 	serving := 0
-	for _, sl := range st.slots {
-		if sl.serves {
+	for _, r := range rows {
+		if r.Served {
 			serving++
 		}
 	}
-	fmt.Fprintf(w, "# HELP simurgh_shard_epoch Installed shard map epoch.\n# TYPE simurgh_shard_epoch gauge\nsimurgh_shard_epoch %d\n", m.Epoch)
-	fmt.Fprintf(w, "# HELP simurgh_shard_serving Shards this node serves.\n# TYPE simurgh_shard_serving gauge\nsimurgh_shard_serving %d\n", serving)
-	fmt.Fprintf(w, "# HELP simurgh_shard_moved_total Operations answered with Moved (stale-routed clients).\n# TYPE simurgh_shard_moved_total counter\nsimurgh_shard_moved_total %d\n", a.moved.Load())
-	fmt.Fprintf(w, "# HELP simurgh_shard_map_installs_total Shard map installs accepted.\n# TYPE simurgh_shard_map_installs_total counter\nsimurgh_shard_map_installs_total %d\n", a.installs.Load())
-	fmt.Fprintf(w, "# HELP simurgh_shard_stale_attaches_total Attach claims refused for shards not served here.\n# TYPE simurgh_shard_stale_attaches_total counter\nsimurgh_shard_stale_attaches_total %d\n", a.staleAttaches.Load())
-	fmt.Fprintf(w, "# HELP simurgh_shard_ops_total Operations served, by shard.\n# TYPE simurgh_shard_ops_total counter\n")
-	for i, sl := range st.slots {
-		if sl.serves {
-			fmt.Fprintf(w, "simurgh_shard_ops_total{shard=\"%d\"} %d\n", m.Shards[i].ID, sl.ops.Load())
+	export.WriteScalar(w, "simurgh_shard_epoch", "gauge", "Installed shard map epoch.", epoch)
+	export.WriteScalar(w, "simurgh_shard_serving", "gauge", "Shards this node serves.", uint64(serving))
+	export.WriteHeader(w, "simurgh_shard_ops_total", "counter", "Operations served, by shard.")
+	for _, r := range rows {
+		if r.Served {
+			fmt.Fprintf(w, "simurgh_shard_ops_total{shard=\"%d\"} %d\n", r.ID, r.Ops)
 		}
 	}
 }
 
-// WriteClusterRows injects the shard table into a /cluster.json document:
-// it writes a leading comma and the "shard_epoch"/"shards" members, for a
-// caller positioned just after the document's last regular member.
-func (a *Authority) WriteClusterRows(w io.Writer) {
+// Row is one shard of the installed map as this node sees it: a row of
+// the shard table in the cluster health document (/cluster.json).
+type Row struct {
+	ID     uint32   `json:"id"`
+	Prefix string   `json:"prefix"`
+	State  string   `json:"state"`
+	Served bool     `json:"served"`
+	Ops    uint64   `json:"ops"` // operations served here
+	Addrs  []string `json:"addrs"`
+}
+
+// Rows returns the installed map's epoch and one Row per shard, read
+// from one generation.
+func (a *Authority) Rows() (epoch uint64, rows []Row) {
 	st := a.state.Load()
 	m := st.tab.Map()
-	fmt.Fprintf(w, ",\n  \"shard_epoch\": %d,\n  \"shards\": [", m.Epoch)
 	for i := range m.Shards {
 		sh := &m.Shards[i]
-		if i > 0 {
-			io.WriteString(w, ",")
-		}
-		fmt.Fprintf(w, "\n    {\"id\": %d, \"prefix\": %q, \"state\": %q, \"served\": %v, \"ops\": %d, \"addrs\": [",
-			sh.ID, sh.Prefix, sh.State.String(), st.slots[i].serves, st.slots[i].ops.Load())
-		for j, addr := range sh.Addrs {
-			if j > 0 {
-				io.WriteString(w, ", ")
-			}
-			fmt.Fprintf(w, "%q", addr)
-		}
-		io.WriteString(w, "]}")
+		rows = append(rows, Row{ID: sh.ID, Prefix: sh.Prefix, State: sh.State.String(),
+			Served: st.slots[i].serves, Ops: st.slots[i].ops.Load(), Addrs: append([]string(nil), sh.Addrs...)})
 	}
-	if len(m.Shards) > 0 {
-		io.WriteString(w, "\n  ")
-	}
-	io.WriteString(w, "]")
+	return m.Epoch, rows
 }
