@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"path"
 	"sync"
 	"time"
@@ -31,7 +32,7 @@ type loadFS interface {
 // the client router, so the same zero-loss ledger also covers live shard
 // migration (the files spread across shards by hash, and Moved answers
 // retry transparently).
-func runLoad(args []string) error {
+func runLoad(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("load", flag.ExitOnError)
 	addr := fs.String("addr", "", "comma-separated address list of the group to drive")
 	route := fs.Bool("route", false, "treat -addr as shard-map seeds and drive writes through the client router (sharded groups, live migration under load)")
@@ -89,7 +90,7 @@ func runLoad(args []string) error {
 	for _, n := range acked {
 		total += n
 	}
-	fmt.Printf("acked=%d lost=%d %s\n", total, lost, tail())
+	fmt.Fprintf(w, "acked=%d lost=%d %s\n", total, lost, tail())
 	return err
 }
 

@@ -9,9 +9,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -28,27 +28,24 @@ import (
 	"simurgh/internal/fsapi"
 	"simurgh/internal/fxmark"
 	"simurgh/internal/isa"
-	"simurgh/internal/obs"
 	"simurgh/internal/pmem"
 	"simurgh/internal/ycsb"
 )
 
 // commands is the one list of subcommands: main dispatches through it and
-// usage prints it.
+// usage prints it. Each writes its tables to w.
 var commands = []struct {
 	name, help string
-	run        func([]string) error
+	run        func(w io.Writer, args []string) error
 }{
-	{"isa", "gem5 cycle table (§3.3)", func([]string) error { return runISA() }},
-	{"micro", "FxMark microbenchmarks (Fig 7a-l)", runMicro},
-	{"fig6", "original vs adapted FxMark read (Fig 6)", runFig6},
+	{"isa", "gem5 cycle table (§3.3)", runISA},
+	{"micro", "FxMark microbenchmarks (Fig 6, Fig 7a-l, the jmpp ablation)", runMicro},
 	{"filebench", "varmail/webserver/webproxy/fileserver (Fig 8)", runFilebench},
 	{"ycsb", "YCSB A-F on LevelDB (Fig 9)", runYCSB},
 	{"breakdown", "execution-time breakdown (Table 1 / Fig 10)", runBreakdown},
 	{"tar", "tar pack/unpack (Fig 11)", runTar},
 	{"git", "git add/commit/reset (Fig 12)", runGit},
 	{"recovery", "full-crash recovery time (§5.5)", runRecovery},
-	{"ablation", "jmpp vs syscall entry on the same design", runAblation},
 	{"load", "zero-loss write drive against a live group (-addr, -route)", runLoad},
 	{"all", "everything at default scale", runAll},
 }
@@ -57,7 +54,7 @@ func main() {
 	if len(os.Args) >= 2 {
 		for _, c := range commands {
 			if c.name == os.Args[1] {
-				if err := c.run(os.Args[2:]); err != nil {
+				if err := c.run(os.Stdout, os.Args[2:]); err != nil {
 					fmt.Fprintln(os.Stderr, "simurghbench:", err)
 					os.Exit(1)
 				}
@@ -101,27 +98,42 @@ func parseFS(s string) []string {
 }
 
 // runISA regenerates the §3.3 cycle comparison.
-func runISA() error {
-	fmt.Println("## Protected-function cycle model (gem5, §3.3)")
-	fmt.Printf("%-32s %8s  %s\n", "mechanism", "cycles", "detail")
+func runISA(w io.Writer, _ []string) error {
+	fmt.Fprintln(w, "## Protected-function cycle model (gem5, §3.3)")
+	fmt.Fprintf(w, "%-32s %8s  %s\n", "mechanism", "cycles", "detail")
 	for _, row := range isa.CycleTable() {
-		fmt.Printf("%-32s %8d  %s\n", row.Mechanism, row.Cycles, row.Detail)
+		fmt.Fprintf(w, "%-32s %8d  %s\n", row.Mechanism, row.Cycles, row.Detail)
 	}
-	fmt.Printf("\nprotected call vs geteuid syscall: %.1fx cheaper\n",
+	fmt.Fprintf(w, "\nprotected call vs geteuid syscall: %.1fx cheaper\n",
 		float64(isa.CyclesSyscallModern)/float64(isa.CyclesJmppPret))
-	fmt.Printf("per-operation delta charged to Simurgh in all benchmarks: %d cycles (%.0f ns @ %.1f GHz)\n",
+	fmt.Fprintf(w, "per-operation delta charged to Simurgh in all benchmarks: %d cycles (%.0f ns @ %.1f GHz)\n",
 		cost.JmppExtraCycles, float64(cost.JmppExtraCycles)/cost.ClockGHz, cost.ClockGHz)
 	return nil
 }
 
-func runMicro(args []string) error {
+// microFigs labels each FxMark workload with the paper figure it draws.
+var microFigs = map[string]string{
+	"create-private": "Fig 7a createfile, private dirs", "create-shared": "Fig 7b createfile, shared dir",
+	"unlink-private": "Fig 7c deletefile, private dirs", "rename-shared": "Fig 7d renamefile, shared dir",
+	"resolve-private": "Fig 7e resolvepath, private", "resolve-shared": "Fig 7f resolvepath, shared paths",
+	"append-private": "Fig 7g appendfile 4KB", "fallocate": "Fig 7h fallocate 4MB",
+	"read-shared": "Fig 7i random read, shared file", "read-private": "Fig 7j random read, private files",
+	"overwrite-shared": "Fig 7k overwrite, shared file", "write-private": "Fig 7l write, private files",
+	"read-shared-cachehot": "Fig 6 original FxMark read (cache-hot), shared file",
+}
+
+// runMicro runs FxMark workloads over file systems and thread counts. Fig 7
+// is the default list; Fig 6 is the cache-hot and random shared reads on
+// simurgh and nova (read-shared carries the raw-bandwidth line), and the
+// ablation is three metadata workloads on simurgh against simurgh-syscall
+// (see runAll for both inputs).
+func runMicro(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("micro", flag.ExitOnError)
-	benchName := fs.String("bench", "all", "workload name or 'all' (see DESIGN.md Fig 7 index)")
+	benchList := fs.String("bench", "all", "comma-separated workload names, or 'all' for Fig 7 (see DESIGN.md §4)")
 	threads := fs.String("threads", "", "comma-separated thread counts (default 1..min(10,cores))")
 	dur := fs.Duration("duration", 500*time.Millisecond, "measurement time per point")
-	reps := fs.Int("reps", 1, "repetitions per point (best kept; raises noise immunity)")
+	reps := fs.Int("reps", 1, "repetitions per point (the best by ops/s is kept)")
 	fsList := fs.String("fs", "all", "file systems (comma separated)")
-	jsonOut := fs.String("json", "", "also write results as JSON to this file")
 	fs.Parse(args)
 
 	ws := fxmark.All()
@@ -130,24 +142,16 @@ func runMicro(args []string) error {
 		"resolve-private", "resolve-shared", "append-private", "fallocate",
 		"read-shared", "read-private", "overwrite-shared", "write-private",
 	}
-	if *benchName != "all" {
-		if _, ok := ws[*benchName]; !ok {
-			return fmt.Errorf("unknown bench %q", *benchName)
+	if *benchList != "all" {
+		names = strings.Split(*benchList, ",")
+		for _, name := range names {
+			if _, ok := ws[name]; !ok {
+				return fmt.Errorf("unknown bench %q", name)
+			}
 		}
-		names = []string{*benchName}
-	}
-	figs := map[string]string{
-		"create-private": "Fig 7a createfile, private dirs", "create-shared": "Fig 7b createfile, shared dir",
-		"unlink-private": "Fig 7c deletefile, private dirs", "rename-shared": "Fig 7d renamefile, shared dir",
-		"resolve-private": "Fig 7e resolvepath, private", "resolve-shared": "Fig 7f resolvepath, shared paths",
-		"append-private": "Fig 7g appendfile 4KB", "fallocate": "Fig 7h fallocate 4MB",
-		"read-shared": "Fig 7i random read, shared file", "read-private": "Fig 7j random read, private files",
-		"overwrite-shared": "Fig 7k overwrite, shared file", "write-private": "Fig 7l write, private files",
 	}
 	ths := parseThreads(*threads)
-	var doc []microJSON
 	for _, name := range names {
-		w := ws[name]
 		fsNames := parseFS(*fsList)
 		if name == "overwrite-shared" {
 			fsNames = append(append([]string{}, fsNames...), "simurgh-relaxed")
@@ -157,11 +161,11 @@ func runMicro(args []string) error {
 			for _, th := range ths {
 				var best bench.Result
 				for r := 0; r < *reps; r++ {
-					res, err := bench.RunPoint(w, fsName, 512<<20, th, *dur)
+					res, err := bench.RunPoint(ws[name], fsName, 512<<20, th, *dur)
 					if err != nil {
 						return err
 					}
-					if res.Ops > best.Ops || best.Elapsed == 0 {
+					if res.OpsPerSec() > best.OpsPerSec() || best.Elapsed == 0 {
 						best = res
 					}
 				}
@@ -175,100 +179,12 @@ func runMicro(args []string) error {
 		}
 		inMB := strings.HasPrefix(name, "read") || strings.HasPrefix(name, "write") ||
 			strings.HasPrefix(name, "overwrite") || strings.HasPrefix(name, "append")
-		bench.PrintSeries(os.Stdout, figs[name], results, inMB)
-		doc = append(doc, microJSON{Bench: name, Fig: figs[name], Results: toPoints(results)})
-	}
-	if *jsonOut != "" {
-		if err := writeMicroJSON(*jsonOut, *dur, *reps, doc); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", *jsonOut)
+		bench.PrintSeries(w, microFigs[name], results, inMB)
 	}
 	return nil
 }
 
-// microJSON is the machine-readable form of one workload's result series,
-// for regression baselines (BENCH_*.json).
-type microJSON struct {
-	Bench   string      `json:"bench"`
-	Fig     string      `json:"fig"`
-	Results []pointJSON `json:"results"`
-}
-
-type pointJSON struct {
-	FS        string  `json:"fs"`
-	Threads   int     `json:"threads"`
-	Ops       uint64  `json:"ops"`
-	Bytes     uint64  `json:"bytes,omitempty"`
-	ElapsedNs int64   `json:"elapsed_ns"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	MBPerSec  float64 `json:"mb_per_sec,omitempty"`
-}
-
-func toPoints(results []bench.Result) []pointJSON {
-	out := make([]pointJSON, 0, len(results))
-	for _, r := range results {
-		out = append(out, pointJSON{
-			FS: r.FS, Threads: r.Threads, Ops: r.Ops, Bytes: r.Bytes,
-			ElapsedNs: r.Elapsed.Nanoseconds(),
-			OpsPerSec: r.OpsPerSec(), MBPerSec: r.MBPerSec(),
-		})
-	}
-	return out
-}
-
-func writeMicroJSON(path string, dur time.Duration, reps int, doc []microJSON) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(struct {
-		Suite      string      `json:"suite"`
-		DurationMs int64       `json:"duration_ms"`
-		Reps       int         `json:"reps"`
-		Benches    []microJSON `json:"benches"`
-	}{Suite: "micro", DurationMs: dur.Milliseconds(), Reps: reps, Benches: doc})
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// runFig6 compares the original (cache-hot) FxMark read with the adapted
-// (random-offset) variant and the raw device bandwidth.
-func runFig6(args []string) error {
-	fs := flag.NewFlagSet("fig6", flag.ExitOnError)
-	threads := fs.String("threads", "", "thread counts")
-	dur := fs.Duration("duration", 500*time.Millisecond, "per point")
-	fs.Parse(args)
-	ths := parseThreads(*threads)
-	ws := fxmark.All()
-	var results []bench.Result
-	for _, variant := range []struct{ wl, label string }{
-		{"read-shared-cachehot", "original-fxmark"},
-		{"read-shared", "adapted-fxmark"},
-	} {
-		for _, fsName := range []string{"simurgh", "nova"} {
-			for _, t := range ths {
-				r, err := bench.RunPoint(ws[variant.wl], fsName, 512<<20, t, *dur)
-				if err != nil {
-					return err
-				}
-				r.FS = fsName + "/" + variant.label
-				results = append(results, r)
-			}
-		}
-	}
-	for _, t := range ths {
-		results = append(results, bench.RawReadBandwidth(1<<30, t, *dur))
-	}
-	bench.PrintSeries(os.Stdout, "Fig 6: FxMark DRBL original vs adapted (MiB/s)", results, true)
-	return nil
-}
-
-func runFilebench(args []string) error {
+func runFilebench(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("filebench", flag.ExitOnError)
 	files := fs.Int("files", 300, "fileset size (paper: 1k/10k)")
 	threads := fs.Int("threads", 8, "worker threads (paper: 16-100)")
@@ -276,15 +192,15 @@ func runFilebench(args []string) error {
 	fsList := fs.String("fs", "all", "file systems")
 	fs.Parse(args)
 
-	fmt.Println("## Fig 8: Filebench throughput (flowops/s)")
-	fmt.Printf("%-12s", "workload")
+	fmt.Fprintln(w, "## Fig 8: Filebench throughput (flowops/s)")
+	fmt.Fprintf(w, "%-12s", "workload")
 	names := parseFS(*fsList)
 	for _, n := range names {
-		fmt.Printf("%12s", n)
+		fmt.Fprintf(w, "%12s", n)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, p := range filebench.Personalities() {
-		fmt.Printf("%-12s", p.Name)
+		fmt.Fprintf(w, "%-12s", p.Name)
 		for _, fsName := range names {
 			fsi, err := bench.MakeFS(fsName, 1<<30)
 			if err != nil {
@@ -296,14 +212,14 @@ func runFilebench(args []string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%12.0f", res.Throughput())
+			fmt.Fprintf(w, "%12.0f", res.Throughput())
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-func runYCSB(args []string) error {
+func runYCSB(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("ycsb", flag.ExitOnError)
 	records := fs.Int("records", 5000, "rows loaded")
 	ops := fs.Int("ops", 10000, "run-phase operations")
@@ -312,15 +228,15 @@ func runYCSB(args []string) error {
 	fs.Parse(args)
 
 	names := parseFS(*fsList)
-	fmt.Println("## Fig 9: YCSB throughput on LevelDB (ops/s; last row normalizes to SplitFS)")
-	fmt.Printf("%-10s", "workload")
+	fmt.Fprintln(w, "## Fig 9: YCSB throughput on LevelDB (ops/s; last row normalizes to SplitFS)")
+	fmt.Fprintf(w, "%-10s", "workload")
 	for _, n := range names {
-		fmt.Printf("%12s", n)
+		fmt.Fprintf(w, "%12s", n)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	results := map[string]map[string]ycsb.Result{}
 	for _, spec := range ycsb.Workloads {
-		fmt.Printf("Run%-7s", spec.Name)
+		fmt.Fprintf(w, "Run%-7s", spec.Name)
 		results[spec.Name] = map[string]ycsb.Result{}
 		for _, fsName := range names {
 			fsi, err := bench.MakeFS(fsName, 1<<30)
@@ -332,202 +248,112 @@ func runYCSB(args []string) error {
 				return err
 			}
 			results[spec.Name][fsName] = res
-			fmt.Printf("%12.0f", res.RunThroughput())
+			fmt.Fprintf(w, "%12.0f", res.RunThroughput())
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if base, ok := results["A"]["splitfs"]; ok && base.RunThroughput() > 0 {
-		fmt.Println("\nnormalized to splitfs:")
+		fmt.Fprintln(w, "\nnormalized to splitfs:")
 		for _, spec := range ycsb.Workloads {
-			fmt.Printf("Run%-7s", spec.Name)
+			fmt.Fprintf(w, "Run%-7s", spec.Name)
 			sf := results[spec.Name]["splitfs"].RunThroughput()
 			for _, fsName := range names {
 				if sf > 0 {
-					fmt.Printf("%12.2f", results[spec.Name][fsName].RunThroughput()/sf)
+					fmt.Fprintf(w, "%12.2f", results[spec.Name][fsName].RunThroughput()/sf)
 				} else {
-					fmt.Printf("%12s", "-")
+					fmt.Fprintf(w, "%12s", "-")
 				}
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 	return nil
 }
 
-// statsFS is the surface breakdown needs from an observable file system:
-// snapshotting the per-op counters and forcing full sampling.
-type statsFS interface {
-	fsapi.StatsProvider
-	fsapi.ObsProvider
-}
-
-// observe prepares fsi for an attributed phase, returning a closure that
-// yields the phase's counter delta — or nil for file systems without
-// per-op counters (the kernel baselines).
-func observe(fsi fsapi.FileSystem) func() obs.Snapshot {
-	sp, ok := fsi.(statsFS)
-	if !ok {
-		return nil
-	}
-	sp.Obs().SetSamplePeriod(1) // exact attribution; this is not a speed run
-	base := sp.Stats()
-	return func() obs.Snapshot { return sp.Stats().Sub(base) }
-}
-
-// obsSplit converts a phase's counter delta plus its wall time into the
-// paper's application / data copy / file-system split. In-FS time is the
-// ops' recorded latency total; copy time is the file-content traffic of
-// the read/write classes (metadata traffic stays in the file-system
-// share) at the calibrated memcpy bandwidth, capped at the FS total like
-// TimedClient.Breakdown.
-func obsSplit(d obs.Snapshot, wall time.Duration) (app, copyT, fst time.Duration) {
-	fsTotal := time.Duration(d.TotalLatNs())
-	var bytes float64
-	for _, op := range []obs.Op{obs.OpRead, obs.OpPread} {
-		o := d.Ops[op]
-		bytes += o.PerCall(o.Pmem.LoadBytes) * float64(o.Calls)
-	}
-	for _, op := range []obs.Op{obs.OpWrite, obs.OpPwrite} {
-		o := d.Ops[op]
-		bytes += o.PerCall(o.Pmem.StoreBytes+o.Pmem.NTBytes) * float64(o.Calls)
-	}
-	copyT = time.Duration(bytes / bench.MemcpyBandwidth() * float64(time.Second))
-	if copyT > fsTotal {
-		copyT = fsTotal
-	}
-	fst = fsTotal - copyT
-	app = wall - fsTotal
-	if app < 0 {
-		app = 0
-	}
-	return app, copyT, fst
-}
-
-func runBreakdown(args []string) error {
+// runBreakdown splits three workloads' wall time into application, data
+// copy and file system (Table 1 for nova, Fig 10 for simurgh). Every file
+// system is measured one way: its client is wrapped in bench.TimedClient,
+// whose stopwatch around each call gives the in-FS time and whose byte
+// count, at the host's memcpy bandwidth, gives the copy share.
+func runBreakdown(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("breakdown", flag.ExitOnError)
 	fsName := fs.String("fs", "nova", "file system to break down (Table 1: nova; Fig 10: simurgh)")
 	records := fs.Int("records", 5000, "YCSB rows")
 	scale := fs.Int("scale", 1, "corpus scale for tar/git rows")
 	fs.Parse(args)
 
-	fmt.Printf("## Execution-time breakdown for %s (Table 1 / Fig 10)\n", *fsName)
-	fmt.Printf("%-12s %14s %14s %14s\n", "workload", "application", "data copy", "file system")
-	row := func(name string, app, cp, fst time.Duration) {
-		total := app + cp + fst
-		if total <= 0 {
-			total = 1
-		}
-		fmt.Printf("%-12s %13.2f%% %13.2f%% %13.2f%%\n", name,
-			100*float64(app)/float64(total), 100*float64(cp)/float64(total),
-			100*float64(fst)/float64(total))
-	}
-	// Observable file systems (simurgh and its variants) get their split
-	// from the FS's own per-op counters; kernel baselines keep the
-	// stopwatch client. Per-phase deltas accumulate into one op table.
-	var opsTotal obs.Snapshot
-	haveObs := false
-
-	// YCSB LoadA.
-	fsi, err := bench.MakeFS(*fsName, 1<<30)
-	if err != nil {
-		return err
-	}
-	done := observe(fsi)
-	res, err := ycsb.RunLoadOnly(fsi, ycsb.Config{Records: *records})
-	if err != nil {
-		return err
-	}
-	if done != nil {
-		d := done()
-		app, cp, fst := obsSplit(d, res.LoadTime)
-		row("YCSB LoadA", app, cp, fst)
-		opsTotal = opsTotal.Add(d)
-		haveObs = true
-	} else {
-		row("YCSB LoadA", res.App, res.Copy, res.FSTime)
-	}
-
-	// Tar pack.
-	fsi, err = bench.MakeFS(*fsName, 1<<30)
-	if err != nil {
-		return err
-	}
-	if _, err := tarbench.Prepare(fsi, corpus.LinuxLike(*scale)); err != nil {
-		return err
-	}
-	c, _ := fsi.Attach(fsapi.Root)
-	done = observe(fsi)
-	packStart := time.Now()
-	if done != nil {
-		if _, err := tarbench.PackWithClient(c); err != nil {
-			return err
-		}
-		d := done()
-		app, cp, fst := obsSplit(d, time.Since(packStart))
-		row("Tar Pack", app, cp, fst)
-		opsTotal = opsTotal.Add(d)
-	} else {
-		tc := bench.NewTimedClient(c)
-		if _, err := tarbench.PackWithClient(tc); err != nil {
-			return err
-		}
-		app, cp, fst := tc.Breakdown(time.Since(packStart))
-		row("Tar Pack", app, cp, fst)
+	rows := []struct {
+		name string
+		run  func(fsi fsapi.FileSystem) (app, cp, fst time.Duration, err error)
+	}{
+		{"YCSB LoadA", func(fsi fsapi.FileSystem) (app, cp, fst time.Duration, err error) {
+			res, err := ycsb.RunLoadOnly(fsi, ycsb.Config{Records: *records})
+			return res.App, res.Copy, res.FSTime, err
+		}},
+		{"Tar Pack", func(fsi fsapi.FileSystem) (app, cp, fst time.Duration, err error) {
+			if _, err := tarbench.Prepare(fsi, corpus.LinuxLike(*scale)); err != nil {
+				return 0, 0, 0, err
+			}
+			c, _ := fsi.Attach(fsapi.Root)
+			tc := bench.NewTimedClient(c)
+			start := time.Now()
+			if _, err := tarbench.PackWithClient(tc); err != nil {
+				return 0, 0, 0, err
+			}
+			app, cp, fst = tc.Breakdown(time.Since(start))
+			return app, cp, fst, nil
+		}},
+		{"Git Commit", func(fsi fsapi.FileSystem) (app, cp, fst time.Duration, err error) {
+			c, _ := fsi.Attach(fsapi.Root)
+			if err := c.Mkdir("/src", 0o755); err != nil {
+				return 0, 0, 0, err
+			}
+			if _, err := corpus.Generate(c, "/src", corpus.LinuxLike(*scale)); err != nil {
+				return 0, 0, 0, err
+			}
+			repo, err := gitbench.Init(fsi, "/repo", "/src")
+			if err != nil {
+				return 0, 0, 0, err
+			}
+			if _, err := repo.Add(); err != nil {
+				return 0, 0, 0, err
+			}
+			tc := bench.NewTimedClient(c)
+			start := time.Now()
+			if _, err := repo.WithClient(tc).Commit("bench"); err != nil {
+				return 0, 0, 0, err
+			}
+			app, cp, fst = tc.Breakdown(time.Since(start))
+			return app, cp, fst, nil
+		}},
 	}
 
-	// Git commit.
-	fsi, err = bench.MakeFS(*fsName, 1<<30)
-	if err != nil {
-		return err
-	}
-	c2, _ := fsi.Attach(fsapi.Root)
-	if err := c2.Mkdir("/src", 0o755); err != nil {
-		return err
-	}
-	if _, err := corpus.Generate(c2, "/src", corpus.LinuxLike(*scale)); err != nil {
-		return err
-	}
-	repo, err := gitbench.Init(fsi, "/repo", "/src")
-	if err != nil {
-		return err
-	}
-	if _, err := repo.Add(); err != nil {
-		return err
-	}
-	done = observe(fsi)
-	commitStart := time.Now()
-	if done != nil {
-		if _, err := repo.WithClient(c2).Commit("bench"); err != nil {
+	fmt.Fprintf(w, "## Execution-time breakdown for %s (Table 1 / Fig 10)\n", *fsName)
+	fmt.Fprintf(w, "%-12s %14s %14s %14s\n", "workload", "application", "data copy", "file system")
+	for _, r := range rows {
+		fsi, err := bench.MakeFS(*fsName, 1<<30)
+		if err != nil {
 			return err
 		}
-		d := done()
-		app, cp, fst := obsSplit(d, time.Since(commitStart))
-		row("Git Commit", app, cp, fst)
-		opsTotal = opsTotal.Add(d)
-	} else {
-		tc2 := bench.NewTimedClient(c2)
-		if _, err := repo.WithClient(tc2).Commit("bench"); err != nil {
+		app, cp, fst, err := r.run(fsi)
+		if err != nil {
 			return err
 		}
-		app, cp, fst := tc2.Breakdown(time.Since(commitStart))
-		row("Git Commit", app, cp, fst)
-	}
-
-	if haveObs {
-		fmt.Println("\nper-op attribution across the three workloads (live counters):")
-		opsTotal.WriteTable(os.Stdout)
+		total := float64(max(app+cp+fst, 1))
+		fmt.Fprintf(w, "%-12s %13.2f%% %13.2f%% %13.2f%%\n", r.name,
+			100*float64(app)/total, 100*float64(cp)/total, 100*float64(fst)/total)
 	}
 	return nil
 }
 
-func runTar(args []string) error {
+func runTar(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("tar", flag.ExitOnError)
 	scale := fs.Int("scale", 2, "corpus scale factor")
 	reps := fs.Int("reps", 1, "repetitions (best kept)")
 	fsList := fs.String("fs", "all", "file systems")
 	fs.Parse(args)
-	fmt.Println("## Fig 11: tar throughput (MiB/s)")
-	fmt.Printf("%-12s %12s %12s\n", "fs", "pack", "unpack")
+	fmt.Fprintln(w, "## Fig 11: tar throughput (MiB/s)")
+	fmt.Fprintf(w, "%-12s %12s %12s\n", "fs", "pack", "unpack")
 	for _, fsName := range parseFS(*fsList) {
 		var bestPack, bestUnpack float64
 		for r := 0; r < *reps; r++ {
@@ -555,19 +381,19 @@ func runTar(args []string) error {
 				bestUnpack = unpack.MBPerSec()
 			}
 		}
-		fmt.Printf("%-12s %12.1f %12.1f\n", fsName, bestPack, bestUnpack)
+		fmt.Fprintf(w, "%-12s %12.1f %12.1f\n", fsName, bestPack, bestUnpack)
 	}
 	return nil
 }
 
-func runGit(args []string) error {
+func runGit(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("git", flag.ExitOnError)
 	scale := fs.Int("scale", 2, "corpus scale factor")
 	reps := fs.Int("reps", 1, "repetitions (best kept)")
 	fsList := fs.String("fs", "all", "file systems")
 	fs.Parse(args)
-	fmt.Println("## Fig 12: git throughput (files/s)")
-	fmt.Printf("%-12s %12s %12s %12s\n", "fs", "add", "commit", "reset")
+	fmt.Fprintln(w, "## Fig 12: git throughput (files/s)")
+	fmt.Fprintf(w, "%-12s %12s %12s %12s\n", "fs", "add", "commit", "reset")
 	for _, fsName := range parseFS(*fsList) {
 		var bestAdd, bestCommit, bestReset float64
 		for r := 0; r < *reps; r++ {
@@ -614,12 +440,12 @@ func runGit(args []string) error {
 				bestReset = v
 			}
 		}
-		fmt.Printf("%-12s %12.0f %12.0f %12.0f\n", fsName, bestAdd, bestCommit, bestReset)
+		fmt.Fprintf(w, "%-12s %12.0f %12.0f %12.0f\n", fsName, bestAdd, bestCommit, bestReset)
 	}
 	return nil
 }
 
-func runRecovery(args []string) error {
+func runRecovery(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("recovery", flag.ExitOnError)
 	trees := fs.Int("trees", 10, "number of source trees (paper: 10)")
 	scale := fs.Int("scale", 2, "corpus scale per tree")
@@ -650,79 +476,43 @@ func runRecovery(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("## §5.5 recovery test")
-	fmt.Printf("populated: %d files, %d dirs, %.1f MiB\n", total.Files, total.Dirs,
+	fmt.Fprintln(w, "## §5.5 recovery test")
+	fmt.Fprintf(w, "populated: %d files, %d dirs, %.1f MiB\n", total.Files, total.Dirs,
 		float64(total.Bytes)/(1<<20))
-	fmt.Printf("recovery:  %v (files=%d dirs=%d reclaimed=%d fixed-slots=%d)\n",
+	fmt.Fprintf(w, "recovery:  %v (files=%d dirs=%d reclaimed=%d fixed-slots=%d)\n",
 		stats.Elapsed, stats.Files, stats.Dirs, stats.Reclaimed, stats.FixedSlots)
-	fmt.Printf("rate:      %.0f objects/s\n",
+	fmt.Fprintf(w, "rate:      %.0f objects/s\n",
 		float64(stats.Files+stats.Dirs)/stats.Elapsed.Seconds())
 	return nil
 }
 
-// runAblation isolates the protected-function contribution: the same
-// Simurgh design charged with the jmpp delta (46 cycles) versus a full
-// syscall (400 cycles) per operation. The paper argues the ~330 saved
-// cycles halve the latency of very fast operations like resolvepath while
-// slower operations gain mostly from the library design itself.
-func runAblation(args []string) error {
-	fs := flag.NewFlagSet("ablation", flag.ExitOnError)
-	threads := fs.String("threads", "1", "thread counts")
-	dur := fs.Duration("duration", 2*time.Second, "per point")
-	reps := fs.Int("reps", 3, "repetitions per point (best is kept)")
-	fs.Parse(args)
-	ths := parseThreads(*threads)
-	ws := fxmark.All()
-	fmt.Println("## Ablation: jmpp vs syscall entry on the same file system design")
-	for _, wl := range []string{"resolve-private", "create-shared", "unlink-private"} {
-		var results []bench.Result
-		for _, fsName := range []string{"simurgh", "simurgh-syscall"} {
-			for _, t := range ths {
-				var best bench.Result
-				for r := 0; r < *reps; r++ {
-					res, err := bench.RunPoint(ws[wl], fsName, 512<<20, t, *dur)
-					if err != nil {
-						return err
-					}
-					if res.OpsPerSec() > best.OpsPerSec() {
-						best = res
-					}
-				}
-				results = append(results, best)
-			}
+func runAll(w io.Writer, _ []string) error {
+	steps := []struct {
+		run  func(io.Writer, []string) error
+		args []string
+	}{
+		{runISA, nil},
+		{runMicro, []string{"-duration", "300ms"}},
+		// Fig 6.
+		{runMicro, []string{"-bench", "read-shared-cachehot,read-shared", "-fs", "simurgh,nova", "-duration", "300ms"}},
+		// The ablation: the same design entered through jmpp (46 cycles)
+		// and through a syscall (400 cycles). The paper argues the ~330
+		// saved cycles halve a resolvepath; slower operations gain mostly
+		// from the library design itself.
+		{runMicro, []string{"-bench", "resolve-private,create-shared,unlink-private", "-fs", "simurgh,simurgh-syscall",
+			"-threads", "1", "-reps", "3", "-duration", "2s"}},
+		{runFilebench, []string{"-duration", "500ms", "-files", "200", "-threads", "4"}},
+		{runYCSB, []string{"-records", "3000", "-ops", "6000"}},
+		{runBreakdown, []string{"-fs", "nova"}},
+		{runBreakdown, []string{"-fs", "simurgh"}},
+		{runTar, []string{"-scale", "1"}},
+		{runGit, []string{"-scale", "1"}},
+		{runRecovery, []string{"-trees", "5", "-scale", "1"}},
+	}
+	for _, st := range steps {
+		if err := st.run(w, st.args); err != nil {
+			return err
 		}
-		bench.PrintSeries(os.Stdout, wl, results, false)
 	}
 	return nil
-}
-
-func runAll(args []string) error {
-	if err := runISA(); err != nil {
-		return err
-	}
-	if err := runMicro([]string{"-duration", "300ms"}); err != nil {
-		return err
-	}
-	if err := runFig6([]string{"-duration", "300ms"}); err != nil {
-		return err
-	}
-	if err := runFilebench([]string{"-duration", "500ms", "-files", "200", "-threads", "4"}); err != nil {
-		return err
-	}
-	if err := runYCSB([]string{"-records", "3000", "-ops", "6000"}); err != nil {
-		return err
-	}
-	if err := runBreakdown([]string{"-fs", "nova"}); err != nil {
-		return err
-	}
-	if err := runBreakdown([]string{"-fs", "simurgh"}); err != nil {
-		return err
-	}
-	if err := runTar([]string{"-scale", "1"}); err != nil {
-		return err
-	}
-	if err := runGit([]string{"-scale", "1"}); err != nil {
-		return err
-	}
-	return runRecovery([]string{"-trees", "5", "-scale", "1"})
 }

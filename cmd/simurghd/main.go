@@ -41,7 +41,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -62,10 +61,6 @@ func main() {
 	image := flag.String("image", "", "volume image to open and save on exit")
 	metrics := flag.String("metrics", "", "serve /metrics and /healthz on this host:port")
 	pprofOn := flag.Bool("pprof", false, "also serve net/http/pprof under /debug/pprof/ on the -metrics port")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "batch-execution worker pool size")
-	maxConns := flag.Int("max-conns", 256, "maximum concurrent client connections")
-	deadline := flag.Duration("deadline", 5*time.Second, "queue-admission deadline before a batch is refused as overloaded")
-	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown wait before stragglers are cut")
 	duration := flag.Duration("duration", 0, "serve for this long then drain and exit (0 = until signalled)")
 	join := flag.String("join", "", "run as a backup of this primary (host:port)")
 	advertise := flag.String("advertise", "", "address clients and backups reach this node at (default -addr)")
@@ -73,7 +68,6 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", 500*time.Millisecond, "primary heartbeat interval")
 	failover := flag.Duration("failover", 2*time.Second, "backup promotes itself after this long without primary contact")
 	noAutoPromote := flag.Bool("no-auto-promote", false, "backups wait for an explicit promote instead of self-promoting")
-	noReplication := flag.Bool("no-replication", false, "serve standalone: no replication layer, no joins accepted")
 	shards := flag.Int("shards", 0, `serve a single-node shard map with this many hash shards (1 = one "/" shard)`)
 	shardMap := flag.String("shard-map", "", "serve this shard map file (JSON, see internal/shard; overrides -shards)")
 	traceCap := flag.Int("trace", 0, "enable the flight recorder with this many span slots (0 = off); dump at /trace.json")
@@ -85,9 +79,6 @@ func main() {
 	}
 	if *join != "" && *image != "" {
 		fatal(errors.New("-image cannot be combined with -join: a backup's volume arrives with the snapshot"))
-	}
-	if *join != "" && *noReplication {
-		fatal(errors.New("-join requires the replication layer"))
 	}
 
 	reg := obs.NewRegistry()
@@ -177,28 +168,18 @@ func main() {
 		},
 	}
 
+	// Every daemon is a replica-group member: a primary with no backups
+	// acknowledges alone.
 	var node *replica.Node
-	scfg := server.Config{
-		Workers:        *workers,
-		MaxConns:       *maxConns,
-		RequestTimeout: *deadline,
-		DrainTimeout:   *drain,
-		Logf:           log.Printf,
-		Obs:            reg,
-	}
-	switch {
-	case *noReplication:
-		openVolume()
-		scfg.FS = curFS.Load()
-	case *join != "":
+	scfg := server.Config{Logf: log.Printf, Obs: reg}
+	if *join != "" {
 		node = replica.NewBackup(repCfg)
-		scfg.Replica = node
-	default:
+	} else {
 		openVolume()
 		node = replica.NewPrimary(curFS.Load(), repCfg)
 		scfg.FS = curFS.Load()
-		scfg.Replica = node
 	}
+	scfg.Replica = node
 
 	var auth *shard.Authority
 	if *shardMap != "" || *shards > 0 {
@@ -214,25 +195,21 @@ func main() {
 		} else {
 			smap = shard.SingleNode(*advertise, *shards)
 		}
-		var onRetire func([]uint32, *shard.Map) error
-		if node != nil {
-			n := node
-			onRetire = func(lost []uint32, next *shard.Map) error {
-				seen := make(map[string]bool)
-				var addrs []string
-				for _, id := range lost {
-					if sh := next.ByID(id); sh != nil {
-						for _, a := range sh.Addrs {
-							if !seen[a] {
-								seen[a] = true
-								addrs = append(addrs, a)
-							}
+		onRetire := func(lost []uint32, next *shard.Map) error {
+			seen := make(map[string]bool)
+			var addrs []string
+			for _, id := range lost {
+				if sh := next.ByID(id); sh != nil {
+					for _, a := range sh.Addrs {
+						if !seen[a] {
+							seen[a] = true
+							addrs = append(addrs, a)
 						}
 					}
 				}
-				log.Printf("shard map: retiring shards %v, draining log to %v", lost, addrs)
-				return n.MigrationDrain(addrs, 30*time.Second)
 			}
+			log.Printf("shard map: retiring shards %v, draining log to %v", lost, addrs)
+			return node.MigrationDrain(addrs, 30*time.Second)
 		}
 		a, err := shard.NewAuthority(smap, *advertise, onRetire)
 		if err != nil {
@@ -259,29 +236,26 @@ func main() {
 			if srv.Draining() {
 				return "draining"
 			}
-			if node != nil {
-				return node.Health()
-			}
-			return "serving"
+			return node.Health()
 		}
 		extras := []export.Extra{srv.WriteMetrics}
 		if auth != nil {
 			extras = append(extras, auth.WriteMetrics)
 		}
-		eopts := export.Options{Pprof: *pprofOn}
-		if node != nil {
-			extras = append(extras, node.WriteMetrics)
-			eopts.Cluster = func() any {
+		extras = append(extras, node.WriteMetrics)
+		eopts := export.Options{
+			Pprof: *pprofOn,
+			Cluster: func() any {
 				h := node.ClusterHealth()
 				if auth != nil {
 					h.ShardEpoch, h.Shards = auth.Rows()
 				}
 				return h
-			}
-			eopts.HealthDetail = func(w io.Writer) {
+			},
+			HealthDetail: func(w io.Writer) {
 				h := node.ClusterHealth()
 				fmt.Fprintf(w, "epoch %d\ncommit_floor %d\n", h.Epoch, h.CommitFloor)
-			}
+			},
 		}
 		msrv, err := export.Serve(*metrics, src, health, reg, eopts, extras...)
 		if err != nil {
@@ -298,15 +272,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	switch {
-	case *join != "":
+	if *join != "" {
 		log.Printf("backup of %s on %s (promotes after %v silence)", *join, ln.Addr(), *failover)
-	case node != nil:
-		log.Printf("serving %s on %s as primary (%d workers, quorum %d)",
-			curFS.Load().Name(), ln.Addr(), *workers, *quorum)
-	default:
-		log.Printf("serving %s on %s (%d workers, %d conns max)",
-			curFS.Load().Name(), ln.Addr(), *workers, *maxConns)
+	} else {
+		log.Printf("serving %s on %s as primary (quorum %d)", curFS.Load().Name(), ln.Addr(), *quorum)
 	}
 
 	sigc := make(chan os.Signal, 1)
@@ -319,9 +288,9 @@ func main() {
 	go func() {
 		select {
 		case sig := <-sigc:
-			log.Printf("%v: draining (%v grace)", sig, *drain)
+			log.Printf("%v: draining", sig)
 		case <-timerC:
-			log.Printf("duration elapsed: draining (%v grace)", *drain)
+			log.Printf("duration elapsed: draining")
 		}
 		srv.Shutdown()
 		close(drained)
@@ -331,9 +300,7 @@ func main() {
 		fatal(err)
 	}
 	<-drained
-	if node != nil {
-		node.Close()
-	}
+	node.Close()
 
 	if fs := curFS.Load(); fs != nil {
 		fs.Unmount()

@@ -72,7 +72,7 @@ func main() {
 	}
 
 	if *promote != "" {
-		epoch, err := client.Promote(*promote, 0)
+		epoch, err := shard.PromoteNode(*promote, 5*time.Second)
 		if err != nil {
 			fatal(err)
 		}

@@ -139,19 +139,6 @@ func (a *ObjAlloc) ClearDirtyLazy(ptr pmem.Ptr) {
 	a.dev.Flush(uint64(ptr), 8)
 }
 
-// SetDirty marks an operation in progress on a live object.
-func (a *ObjAlloc) SetDirty(ptr pmem.Ptr) {
-	a.dev.AtomicOr64(uint64(ptr), FlagDirty)
-	a.dev.Persist(uint64(ptr), 8)
-}
-
-// ClearValid begins deallocation (paper order: unset valid, then zero, then
-// unset dirty).
-func (a *ObjAlloc) ClearValid(ptr pmem.Ptr) {
-	a.dev.AtomicAnd64(uint64(ptr), ^FlagValid)
-	a.dev.Persist(uint64(ptr), 8)
-}
-
 // Flags returns the object's current flag word.
 func (a *ObjAlloc) Flags(ptr pmem.Ptr) uint64 { return a.dev.AtomicLoad64(uint64(ptr)) }
 

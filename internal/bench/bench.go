@@ -1,7 +1,8 @@
 // Package bench provides the shared harness for the paper's evaluation:
-// file-system factories for all five systems, fixed-duration worker sweeps
-// measuring throughput at 1..N threads, and table/series formatting that
-// mirrors the paper's figures.
+// file-system factories for all five systems, fixed-duration points
+// measuring throughput at a thread count, the stopwatch client behind the
+// time breakdown, and the series formatting that mirrors the paper's
+// figures.
 package bench
 
 import (
@@ -37,6 +38,9 @@ func MakeFS(name string, devSize uint64) (fsapi.FileSystem, error) {
 // calls are charged through, for experiments that read its tally (set
 // Disabled on it before the first call to count without spinning).
 func MakeFSModel(name string, devSize uint64) (fsapi.FileSystem, *cost.Model, error) {
+	// Free the arenas of earlier instances first, so that this one reuses
+	// their memory instead of adding to it.
+	runtime.GC()
 	dev := pmem.New(devSize)
 	// Benchmarks run with the Optane persistence-latency model so flushes,
 	// fences and non-temporal stores cost realistic time; unit tests use
@@ -143,9 +147,8 @@ func RunPoint(w Workload, fsName string, devSize uint64, threads int, d time.Dur
 			return Result{}, fmt.Errorf("%s setup on %s: %w", w.Name, fsName, err)
 		}
 	}
-	// Collect garbage from previous points (old device arenas) outside the
-	// measured window — on small hosts a background GC of a released 512 MiB
-	// arena otherwise lands inside someone else's measurement.
+	// Collect the setup's garbage outside the measured window (MakeFS has
+	// already freed earlier points' arenas).
 	runtime.GC()
 	var ops, bytes atomic.Uint64
 	stop := make(chan struct{})
@@ -175,21 +178,6 @@ func RunPoint(w Workload, fsName string, devSize uint64, threads int, d time.Dur
 	default:
 	}
 	return Result{FS: fsName, Threads: threads, Ops: ops.Load(), Bytes: bytes.Load(), Elapsed: elapsed}, nil
-}
-
-// Sweep runs the workload for every fs in fsNames at every thread count.
-func Sweep(w Workload, fsNames []string, threads []int, devSize uint64, d time.Duration) ([]Result, error) {
-	var out []Result
-	for _, fsName := range fsNames {
-		for _, th := range threads {
-			r, err := RunPoint(w, fsName, devSize, th, d)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }
 
 // DefaultThreads returns the paper's 1..10 sweep clamped to the host.
@@ -307,29 +295,4 @@ func RawReadBandwidth(devSize uint64, threads int, d time.Duration) Result {
 	}
 	return Result{FS: "max-bandwidth", Threads: threads, Ops: ops,
 		Bytes: ops * 4096, Elapsed: elapsed}
-}
-
-// PrintBars renders single-point results as labeled rows (like Fig 8/9).
-func PrintBars(w io.Writer, title, unit string, rows []struct {
-	Label string
-	Value float64
-}) {
-	fmt.Fprintf(w, "\n## %s\n", title)
-	var max float64
-	for _, r := range rows {
-		if r.Value > max {
-			max = r.Value
-		}
-	}
-	for _, r := range rows {
-		n := 0
-		if max > 0 {
-			n = int(r.Value / max * 40)
-		}
-		bar := ""
-		for i := 0; i < n; i++ {
-			bar += "#"
-		}
-		fmt.Fprintf(w, "%-24s %12.1f %s  %s\n", r.Label, r.Value, unit, bar)
-	}
 }

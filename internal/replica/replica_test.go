@@ -13,6 +13,7 @@ import (
 	"simurgh/internal/pmem"
 	"simurgh/internal/replica"
 	"simurgh/internal/server"
+	"simurgh/internal/shard"
 	"simurgh/internal/wire"
 	"simurgh/internal/wire/client"
 )
@@ -182,7 +183,7 @@ func TestJoinReplayPromote(t *testing.T) {
 	waitFor(t, "backup to catch up", func() bool { return b.n.Seq() == p.n.Seq() })
 	c.Detach()
 
-	epoch, err := client.Promote(b.addr, 0)
+	epoch, err := shard.PromoteNode(b.addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"simurgh/internal/core"
 	"simurgh/internal/fsapi"
+	"simurgh/internal/shard"
 	"simurgh/internal/wire/client"
 )
 
@@ -81,7 +83,7 @@ func TestJoinShipsWrittenPagesOnly(t *testing.T) {
 		t.Fatalf("join shipped %d B, not under 1/8 of the %d B arena", perJoin, uint64(arena))
 	}
 
-	if _, err := client.Promote(b.addr, 0); err != nil {
+	if _, err := shard.PromoteNode(b.addr, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	remote2, err := client.Dial(b.addr, client.Options{})

@@ -117,9 +117,6 @@ func NewAuthority(m *Map, self string, onRetire func(lost []uint32, next *Map) e
 	return a, nil
 }
 
-// Self reports the advertised address this authority identifies as.
-func (a *Authority) Self() string { return a.self }
-
 // Current returns the installed map. Callers must not mutate it.
 func (a *Authority) Current() *Map { return a.state.Load().tab.Map() }
 

@@ -98,9 +98,8 @@ func PushMap(addr string, payload []byte, timeout time.Duration) error {
 	}
 }
 
-// PromoteNode sends the admin promote frame to addr and returns the new
-// replication epoch. (A raw reimplementation of the wire client's Promote:
-// this package sits below the client, which imports it for routing.)
+// PromoteNode sends the admin promote frame to addr (the admin side of the
+// replication protocol) and returns the new replication epoch.
 func PromoteNode(addr string, timeout time.Duration) (uint64, error) {
 	kind, payload, err := roundTrip(addr, timeout, wire.KindPromote, nil)
 	if err != nil {

@@ -428,36 +428,3 @@ func newClientID() uint64 {
 		}
 	}
 }
-
-// Promote asks the node at addr to become the primary (the admin side of
-// the replication protocol) and returns the new epoch.
-func Promote(addr string, timeout time.Duration) (uint64, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return 0, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	if err := wire.WriteFrame(conn, wire.KindPromote, nil); err != nil {
-		return 0, err
-	}
-	fr := wire.NewFrameReader(conn)
-	kind, payload, err := fr.Next()
-	if err != nil {
-		return 0, err
-	}
-	switch kind {
-	case wire.KindPromoteOK:
-		if len(payload) < 8 {
-			return 0, wire.ErrTruncated
-		}
-		return binary.LittleEndian.Uint64(payload), nil
-	case wire.KindErr:
-		return 0, wire.ParseErrFrame(payload)
-	default:
-		return 0, fmt.Errorf("%w: unexpected kind %d", wire.ErrBadMessage, kind)
-	}
-}

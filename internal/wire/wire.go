@@ -119,11 +119,6 @@ const (
 // counter value; the sampled flag is implicit in the frame kind.
 const TraceCtxSize = 8
 
-// AppendTraceCtx encodes a trace context onto dst.
-func AppendTraceCtx(dst []byte, trace uint64) []byte {
-	return appendU64(dst, trace)
-}
-
 // SplitTraceCtx splits a traced frame's payload into its trace ID and the
 // regular payload that follows.
 func SplitTraceCtx(payload []byte) (uint64, []byte, error) {

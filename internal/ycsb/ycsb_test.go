@@ -78,6 +78,11 @@ func TestAllWorkloadsRunOnSimurgh(t *testing.T) {
 			if res.RunOps == 0 || res.RunThroughput() <= 0 {
 				t.Fatalf("no throughput: %+v", res)
 			}
+			// Run times nothing: a stopwatch would put a line shared by
+			// every worker inside the measured loop.
+			if res.App != 0 || res.Copy != 0 || res.FSTime != 0 {
+				t.Fatalf("Run filled the breakdown: %+v", res)
+			}
 		})
 	}
 }
