@@ -126,6 +126,10 @@ type Workload struct {
 	// Setup prepares the volume (shared across all workers); it may return
 	// a context value passed to every worker.
 	Setup func(fs fsapi.FileSystem) (any, error)
+	// Prepare, when set, does one thread's own setup (its private
+	// directory or file) on that thread's goroutine. The measured window
+	// opens once every thread's Prepare has returned.
+	Prepare func(fs fsapi.FileSystem, ctx any, tid int) error
 	// Worker runs one thread's loop until stop is closed; it reports how
 	// many operations and bytes it completed via the returned counters.
 	Worker func(fs fsapi.FileSystem, ctx any, tid int, stop <-chan struct{}) (ops, bytes uint64, err error)
@@ -151,15 +155,24 @@ func RunPoint(w Workload, fsName string, devSize uint64, threads int, d time.Dur
 	// already freed earlier points' arenas).
 	runtime.GC()
 	var ops, bytes atomic.Uint64
-	stop := make(chan struct{})
+	stop, begin := make(chan struct{}), make(chan struct{})
 	errs := make(chan error, threads)
-	var wg sync.WaitGroup
-	start := time.Now()
+	var prepared, wg sync.WaitGroup
+	prepared.Add(threads)
 	for t := 0; t < threads; t++ {
 		t := t
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if w.Prepare != nil {
+				if err := w.Prepare(fs, ctx, t); err != nil {
+					errs <- err
+					prepared.Done()
+					return
+				}
+			}
+			prepared.Done()
+			<-begin
 			o, b, err := w.Worker(fs, ctx, t, stop)
 			ops.Add(o)
 			bytes.Add(b)
@@ -168,7 +181,12 @@ func RunPoint(w Workload, fsName string, devSize uint64, threads int, d time.Dur
 			}
 		}()
 	}
-	time.Sleep(d)
+	prepared.Wait()
+	start := time.Now()
+	close(begin)
+	if len(errs) == 0 { // a failed Prepare ends the run at once
+		time.Sleep(d)
+	}
 	close(stop)
 	wg.Wait()
 	elapsed := time.Since(start)

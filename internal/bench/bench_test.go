@@ -77,6 +77,48 @@ func TestRunPointAndSweep(t *testing.T) {
 	}
 }
 
+// TestRunPointWindowExcludesPrepare: a per-thread Prepare three windows long
+// runs before the measured window opens, so the point still counts
+// operations and its Elapsed is the window, not the window plus the setup.
+func TestRunPointWindowExcludesPrepare(t *testing.T) {
+	const window = 50 * time.Millisecond
+	w := Workload{
+		Name: "slow-prepare",
+		Prepare: func(fsapi.FileSystem, any, int) error {
+			time.Sleep(3 * window)
+			return nil
+		},
+		Worker: func(fs fsapi.FileSystem, _ any, _ int, stop <-chan struct{}) (uint64, uint64, error) {
+			c, err := fs.Attach(fsapi.Root)
+			if err != nil {
+				return 0, 0, err
+			}
+			var ops uint64
+			for {
+				select {
+				case <-stop:
+					return ops, 0, nil
+				default:
+				}
+				if _, err := c.Stat("/"); err != nil {
+					return ops, 0, err
+				}
+				ops++
+			}
+		},
+	}
+	res, err := RunPoint(w, "simurgh", 32<<20, 2, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops == 0 {
+		t.Fatal("no operations counted: the window closed during Prepare")
+	}
+	if res.Elapsed >= 2*window {
+		t.Fatalf("Elapsed = %v for a %v window: Prepare was timed", res.Elapsed, window)
+	}
+}
+
 func TestDefaultThreads(t *testing.T) {
 	ths := DefaultThreads()
 	if len(ths) == 0 || ths[0] != 1 {

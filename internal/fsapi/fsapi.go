@@ -11,8 +11,6 @@ package fsapi
 import (
 	"errors"
 	"fmt"
-
-	"simurgh/internal/obs"
 )
 
 // Cred is the effective identity of an attached process.
@@ -175,24 +173,6 @@ type FileSystem interface {
 	Name() string
 	// Attach registers a process with the given credentials.
 	Attach(cred Cred) (Client, error)
-}
-
-// StatsProvider is implemented by file systems that keep per-operation
-// observability counters (call/error counts, latency histograms, NVMM
-// flush/fence attribution — see package obs). Tools type-assert a
-// FileSystem to it; kernel-FS baselines do not implement it.
-type StatsProvider interface {
-	// Stats returns a point-in-time snapshot of the counters. Diff two
-	// snapshots with Sub to scope them to a phase.
-	Stats() obs.Snapshot
-}
-
-// ObsProvider is implemented by file systems that expose their live obs
-// registry, for tools that need more than snapshots: adjusting the sample
-// period, enabling the flight recorder, exporting Chrome traces.
-type ObsProvider interface {
-	// Obs returns the live observability registry.
-	Obs() *obs.Registry
 }
 
 // NextComponent returns the first component of path at or after byte offset

@@ -26,6 +26,17 @@ const (
 	ioSize          = 4096
 )
 
+// attached runs one thread's setup (a bench.Workload's Prepare) on a client
+// of its own.
+func attached(fs fsapi.FileSystem, setup func(c fsapi.Client) error) error {
+	c, err := fs.Attach(fsapi.Root)
+	if err != nil {
+		return err
+	}
+	defer c.Detach()
+	return setup(c)
+}
+
 // loop runs fn until stop closes, returning the completed count.
 func loop(stop <-chan struct{}, fn func(i int) error) (uint64, error) {
 	var ops uint64
@@ -47,15 +58,17 @@ func CreatePrivate() bench.Workload {
 	return bench.Workload{
 		Name:    "create-private",
 		DevSize: metaDev,
+		Prepare: func(fs fsapi.FileSystem, _ any, tid int) error {
+			return attached(fs, func(c fsapi.Client) error {
+				return c.Mkdir(fmt.Sprintf("/t%d", tid), 0o755)
+			})
+		},
 		Worker: func(fs fsapi.FileSystem, _ any, tid int, stop <-chan struct{}) (uint64, uint64, error) {
 			c, err := fs.Attach(fsapi.Root)
 			if err != nil {
 				return 0, 0, err
 			}
 			dir := fmt.Sprintf("/t%d", tid)
-			if err := c.Mkdir(dir, 0o755); err != nil {
-				return 0, 0, err
-			}
 			ops, err := loop(stop, func(i int) error {
 				fd, err := c.Create(fmt.Sprintf("%s/f%d", dir, i), 0o644)
 				if err != nil {
@@ -98,35 +111,44 @@ func CreateShared() bench.Workload {
 }
 
 // UnlinkPrivate is Fig 7c: deleting empty files from private directories.
-// Workers restock (uncounted) when their pool runs dry.
+// Each thread's first pool is stocked before the window opens; workers
+// restock (uncounted, but inside the window) when a pool runs dry.
 func UnlinkPrivate() bench.Workload {
 	const stock = 512
+	restock := func(c fsapi.Client, dir string, gen int) error {
+		for i := 0; i < stock; i++ {
+			fd, err := c.Create(fmt.Sprintf("%s/g%d-f%d", dir, gen, i), 0o644)
+			if err != nil {
+				return err
+			}
+			c.Close(fd)
+		}
+		return nil
+	}
 	return bench.Workload{
 		Name:    "unlink-private",
 		DevSize: metaDev,
+		Prepare: func(fs fsapi.FileSystem, _ any, tid int) error {
+			return attached(fs, func(c fsapi.Client) error {
+				dir := fmt.Sprintf("/t%d", tid)
+				if err := c.Mkdir(dir, 0o755); err != nil {
+					return err
+				}
+				return restock(c, dir, 0)
+			})
+		},
 		Worker: func(fs fsapi.FileSystem, _ any, tid int, stop <-chan struct{}) (uint64, uint64, error) {
 			c, err := fs.Attach(fsapi.Root)
 			if err != nil {
 				return 0, 0, err
 			}
 			dir := fmt.Sprintf("/t%d", tid)
-			if err := c.Mkdir(dir, 0o755); err != nil {
-				return 0, 0, err
-			}
-			restock := func(gen int) error {
-				for i := 0; i < stock; i++ {
-					fd, err := c.Create(fmt.Sprintf("%s/g%d-f%d", dir, gen, i), 0o644)
-					if err != nil {
-						return err
-					}
-					c.Close(fd)
-				}
-				return nil
-			}
 			var ops uint64
 			for gen := 0; ; gen++ {
-				if err := restock(gen); err != nil {
-					return ops, 0, err
+				if gen > 0 {
+					if err := restock(c, dir, gen); err != nil {
+						return ops, 0, err
+					}
 				}
 				for i := 0; i < stock; i++ {
 					select {
@@ -182,30 +204,35 @@ func RenameShared() bench.Workload {
 
 // ResolvePrivate is Fig 7e: opening files in private directories of depth 5.
 func ResolvePrivate() bench.Workload {
+	target := func(tid int) string { return fmt.Sprintf("/p%d/d/d/d/d/target", tid) }
 	return bench.Workload{
 		Name:    "resolve-private",
 		DevSize: metaDev,
+		Prepare: func(fs fsapi.FileSystem, _ any, tid int) error {
+			return attached(fs, func(c fsapi.Client) error {
+				path := fmt.Sprintf("/p%d", tid)
+				if err := c.Mkdir(path, 0o755); err != nil {
+					return err
+				}
+				for d := 0; d < 4; d++ {
+					path += "/d"
+					if err := c.Mkdir(path, 0o755); err != nil {
+						return err
+					}
+				}
+				fd, err := c.Create(target(tid), 0o644)
+				if err != nil {
+					return err
+				}
+				return c.Close(fd)
+			})
+		},
 		Worker: func(fs fsapi.FileSystem, _ any, tid int, stop <-chan struct{}) (uint64, uint64, error) {
 			c, err := fs.Attach(fsapi.Root)
 			if err != nil {
 				return 0, 0, err
 			}
-			path := fmt.Sprintf("/p%d", tid)
-			if err := c.Mkdir(path, 0o755); err != nil {
-				return 0, 0, err
-			}
-			for d := 0; d < 4; d++ {
-				path += "/d"
-				if err := c.Mkdir(path, 0o755); err != nil {
-					return 0, 0, err
-				}
-			}
-			file := path + "/target"
-			fd, err := c.Create(file, 0o644)
-			if err != nil {
-				return 0, 0, err
-			}
-			c.Close(fd)
+			file := target(tid)
 			ops, err := loop(stop, func(int) error {
 				fd, err := c.Open(file, fsapi.ORdonly, 0)
 				if err != nil {
@@ -271,12 +298,21 @@ func AppendPrivate() bench.Workload {
 	return bench.Workload{
 		Name:    "append-private",
 		DevSize: dataDev,
+		Prepare: func(fs fsapi.FileSystem, _ any, tid int) error {
+			return attached(fs, func(c fsapi.Client) error {
+				fd, err := c.Create(fmt.Sprintf("/app%d", tid), 0o644)
+				if err != nil {
+					return err
+				}
+				return c.Close(fd)
+			})
+		},
 		Worker: func(fs fsapi.FileSystem, _ any, tid int, stop <-chan struct{}) (uint64, uint64, error) {
 			c, err := fs.Attach(fsapi.Root)
 			if err != nil {
 				return 0, 0, err
 			}
-			fd, err := c.Open(fmt.Sprintf("/app%d", tid), fsapi.OCreate|fsapi.OWronly|fsapi.OAppend, 0o644)
+			fd, err := c.Open(fmt.Sprintf("/app%d", tid), fsapi.OWronly|fsapi.OAppend, 0)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -388,16 +424,17 @@ func ReadPrivate() bench.Workload {
 	return bench.Workload{
 		Name:    "read-private",
 		DevSize: dataDev,
+		Prepare: func(fs fsapi.FileSystem, _ any, tid int) error {
+			return attached(fs, func(c fsapi.Client) error {
+				return prepFile(c, fmt.Sprintf("/priv%d", tid), privateFileSize)
+			})
+		},
 		Worker: func(fs fsapi.FileSystem, _ any, tid int, stop <-chan struct{}) (uint64, uint64, error) {
 			c, err := fs.Attach(fsapi.Root)
 			if err != nil {
 				return 0, 0, err
 			}
-			name := fmt.Sprintf("/priv%d", tid)
-			if err := prepFile(c, name, privateFileSize); err != nil {
-				return 0, 0, err
-			}
-			fd, err := c.Open(name, fsapi.ORdonly, 0)
+			fd, err := c.Open(fmt.Sprintf("/priv%d", tid), fsapi.ORdonly, 0)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -483,17 +520,25 @@ func WritePrivate() bench.Workload {
 	return bench.Workload{
 		Name:    "write-private",
 		DevSize: dataDev,
+		Prepare: func(fs fsapi.FileSystem, _ any, tid int) error {
+			return attached(fs, func(c fsapi.Client) error {
+				fd, err := c.Create(fmt.Sprintf("/wpriv%d", tid), 0o644)
+				if err != nil {
+					return err
+				}
+				if err := c.Fallocate(fd, privateFileSize); err != nil {
+					return err
+				}
+				return c.Close(fd)
+			})
+		},
 		Worker: func(fs fsapi.FileSystem, _ any, tid int, stop <-chan struct{}) (uint64, uint64, error) {
 			c, err := fs.Attach(fsapi.Root)
 			if err != nil {
 				return 0, 0, err
 			}
-			name := fmt.Sprintf("/wpriv%d", tid)
-			fd, err := c.Open(name, fsapi.OCreate|fsapi.ORdwr, 0o644)
+			fd, err := c.Open(fmt.Sprintf("/wpriv%d", tid), fsapi.ORdwr, 0)
 			if err != nil {
-				return 0, 0, err
-			}
-			if err := c.Fallocate(fd, privateFileSize); err != nil {
 				return 0, 0, err
 			}
 			rng := rand.New(rand.NewSource(int64(tid) + 29))

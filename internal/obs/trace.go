@@ -35,13 +35,8 @@ const (
 	// SpanClientAwait is the client-side round trip of a traced request
 	// (submit → reply delivery).
 	SpanClientAwait
-	// SpanSrvQueue is a traced batch waiting in the server job queue.
-	SpanSrvQueue
-	// SpanSrvExec is a traced batch executing on a server worker.
+	// SpanSrvExec is a traced batch executing on its server connection.
 	SpanSrvExec
-	// SpanSrvExecFast is a traced all-read batch executing inline on the
-	// server read fast path.
-	SpanSrvExecFast
 	// SpanSrvQuorum is the server blocking until replication reaches quorum
 	// for a traced batch's writes.
 	SpanSrvQuorum
@@ -63,8 +58,7 @@ var spanKindNames = [NumSpanKinds]string{
 	SpanOp: "op", SpanLockWait: "lock-wait", SpanDirProbe: "dir-probe",
 	SpanRecovery: "recovery", SpanPmemFlush: "pmem-flush",
 	SpanClientEnqueue: "cli-enqueue", SpanClientSend: "cli-send",
-	SpanClientAwait: "cli-await", SpanSrvQueue: "srv-queue",
-	SpanSrvExec: "srv-exec", SpanSrvExecFast: "srv-exec-fast",
+	SpanClientAwait: "cli-await", SpanSrvExec: "srv-exec",
 	SpanSrvQuorum: "srv-quorum", SpanRepCommit: "rep-commit",
 	SpanRepShip: "rep-ship", SpanRepApply: "rep-apply", SpanRepAck: "rep-ack",
 }

@@ -289,19 +289,9 @@ func (n *Node) runAcker(conn net.Conn, wmu *sync.Mutex, kick <-chan struct{}, do
 	}
 }
 
-// minParallelRun is the smallest run of compact pwrite entries worth
-// fanning out to the apply workers; below it the dispatch overhead beats
-// the parallelism.
-const minParallelRun = 16
-
-// applyEntries replays a shipped batch under the log lock. Runs of
-// compact pwrite entries — the hot shape of a write-heavy log — apply in
-// parallel, partitioned by target inode so same-file writes keep log
-// order while independent files proceed concurrently; everything
-// ordering-sensitive (attach, open/create/close, namespace mutations,
-// detach) applies single-threaded in sequence, acting as a barrier
-// between runs. The log lock is held across the whole frame, so
-// promotion and metrics never observe a half-applied batch.
+// applyEntries replays a shipped batch under the log lock, entry by entry in
+// log order. The log lock is held across the whole frame, so promotion and
+// metrics never observe a half-applied batch.
 func (n *Node) applyEntries(ents []wire.Entry) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -314,75 +304,15 @@ func (n *Node) applyEntries(ents []wire.Entry) error {
 				ents[i].Seq, n.seq+uint64(i))
 		}
 	}
-	parallel := n.cfg.ApplyWorkers > 1
-	i := 0
-	for i < len(ents) {
-		if parallel && ents[i].Kind == wire.EntryPwrite {
-			j := i + 1
-			for j < len(ents) && ents[j].Kind == wire.EntryPwrite {
-				j++
-			}
-			n.applyRunLocked(ents[i:j])
-			n.seq = ents[j-1].Seq
-			i = j
-			continue
-		}
+	for i := range ents {
 		n.applyEntry(&ents[i])
 		n.seq = ents[i].Seq
-		i++
 	}
 	return nil
 }
 
-// applyRunLocked applies one run of compact pwrite entries, fanning out
-// to short-lived workers keyed by inode. Caller holds the log lock; the
-// workers touch only inode-disjoint file data, per-session descriptor
-// tables (RWMutex), and dedup caches (dmu), none of which need it.
-func (n *Node) applyRunLocked(run []wire.Entry) {
-	w := n.cfg.ApplyWorkers
-	if len(run) < minParallelRun || w <= 1 {
-		for i := range run {
-			n.applyEntry(&run[i])
-		}
-		return
-	}
-	if n.applyParts == nil {
-		n.applyParts = make([][]*wire.Entry, w)
-	}
-	parts := n.applyParts
-	for i := range parts {
-		parts[i] = parts[i][:0]
-	}
-	for i := range run {
-		e := &run[i]
-		var key uint64
-		if sess := n.sessions[e.Sess]; sess != nil {
-			key = sess.inos[e.Req.FD]
-		}
-		b := (key * 0x9e3779b97f4a7c15) >> 32 % uint64(w)
-		parts[b] = append(parts[b], e)
-	}
-	var wg sync.WaitGroup
-	for _, p := range parts {
-		if len(p) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(p []*wire.Entry) {
-			defer wg.Done()
-			for _, e := range p {
-				n.applyEntry(e)
-			}
-		}(p)
-	}
-	wg.Wait()
-	n.m.applyParallel.Add(uint64(len(run)))
-}
-
 // applyEntry replays one entry against its session's shadow. The caller
-// holds the log lock, either directly or as the dispatcher of a parallel
-// run (whose workers only ever receive EntryPwrite — the branches that
-// mutate n.sessions or the descriptor table are unreachable for them).
+// holds the log lock.
 func (n *Node) applyEntry(e *wire.Entry) {
 	if hook := n.cfg.ApplyHook; hook != nil {
 		hook(e)

@@ -15,7 +15,6 @@ type counters struct {
 	entriesShipped atomic.Uint64
 	bytesShipped   atomic.Uint64
 	framesShipped  atomic.Uint64
-	applyParallel  atomic.Uint64
 	replaySkipped  atomic.Uint64
 	replayErrors   atomic.Uint64
 	snapshotBytes  atomic.Uint64
@@ -123,7 +122,6 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	c("simurgh_replica_entries_shipped_total", "Log entries shipped to backups.", n.m.entriesShipped.Load())
 	c("simurgh_replica_bytes_shipped_total", "Encoded log bytes shipped to backups.", n.m.bytesShipped.Load())
 	c("simurgh_replica_frames_shipped_total", "Replicate frames written to backups (entries_shipped/frames_shipped is the achieved group-commit size).", n.m.framesShipped.Load())
-	c("simurgh_replica_apply_parallel_total", "Log entries applied through the parallel (inode-partitioned) apply path.", n.m.applyParallel.Load())
 	c("simurgh_replica_replay_skipped_total", "Replayed operations skipped (unknown sessions).", n.m.replaySkipped.Load())
 	c("simurgh_replica_replay_errors_total", "Replayed operations that failed (replica divergence).", n.m.replayErrors.Load())
 	c("simurgh_replica_snapshot_bytes_total", "Snapshot bytes streamed to joining backups.", n.m.snapshotBytes.Load())

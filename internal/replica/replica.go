@@ -23,7 +23,6 @@ package replica
 
 import (
 	"io"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -120,8 +119,8 @@ type session struct {
 
 	// dedup answers replayed requests without re-executing them; nil until
 	// the session's first replicated request. Guarded by dmu: the pipelined
-	// paths mutate the cache from concurrent executors and parallel apply
-	// workers, so it cannot ride the node's log lock.
+	// paths mutate the cache from concurrent executors, so it cannot ride
+	// the node's log lock.
 	dmu   sync.Mutex
 	dedup *[dedupSlots]cachedResp
 
@@ -219,9 +218,6 @@ type Config struct {
 	Restore func(img []byte) (fsapi.FileSystem, error)
 	// Logf receives replication diagnostics. Default: discard.
 	Logf func(format string, args ...any)
-	// ApplyWorkers bounds the backup's parallel apply pool. Zero picks
-	// min(GOMAXPROCS, 4); one disables parallel apply.
-	ApplyWorkers int
 	// ApplyHook, when set, is called by a backup before applying each log
 	// entry. Test instrumentation (simulating slow or lagging backups).
 	ApplyHook func(e *wire.Entry)
@@ -243,12 +239,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
-	}
-	if c.ApplyWorkers <= 0 {
-		c.ApplyWorkers = runtime.GOMAXPROCS(0)
-		if c.ApplyWorkers > 4 {
-			c.ApplyWorkers = 4
-		}
 	}
 }
 
@@ -293,10 +283,6 @@ type Node struct {
 	// shipBuf is the entry-encoding scratch reused by shipLocked; guarded
 	// by mu like everything else on the ship path.
 	shipBuf []byte
-
-	// applyParts is the backup's reused per-worker partition scratch for
-	// parallel apply; guarded by mu (only the apply dispatcher touches it).
-	applyParts [][]*wire.Entry
 
 	// primaryAddr is the last known primary (for redirects from backups).
 	primaryAddr atomic.Value // string

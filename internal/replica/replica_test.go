@@ -390,7 +390,7 @@ func TestMetricsOutput(t *testing.T) {
 		"simurgh_replica_role", "simurgh_replica_epoch", "simurgh_replica_seq",
 		"simurgh_replica_lag_ops", "simurgh_replica_lag_bytes", "simurgh_replica_backups 1",
 		"simurgh_replica_ack_window", "simurgh_replica_ship_lag_entries",
-		"simurgh_replica_frames_shipped_total", "simurgh_replica_apply_parallel_total",
+		"simurgh_replica_frames_shipped_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("primary metrics missing %q", want)

@@ -18,11 +18,11 @@ func patternAt(off int) byte { return byte(off*131 ^ off>>11) }
 // TestPoolLifetimeSplitReplies hammers the pooled-buffer ownership contract
 // end to end: concurrent sessions interleave large-pread batches — whose
 // replies split across several frames and force mid-batch vectored flushes
-// — with read-only stat batches riding the inline fast path, and every
-// returned byte is verified against the file's position-dependent pattern.
-// Its real teeth come from `go test -race`: a frame buffer released while
-// still referenced, a reply staged from a recycled payload, or a scratch
-// buffer shared across workers shows up as a data race or a corrupt read.
+// — with read-only stat batches, and every returned byte is verified against
+// the file's position-dependent pattern. Its real teeth come from
+// `go test -race`: a frame buffer released while still referenced, a reply
+// staged from a recycled payload, or a scratch buffer shared across
+// connections shows up as a data race or a corrupt read.
 func TestPoolLifetimeSplitReplies(t *testing.T) {
 	_, addr := startServer(t, server.Config{})
 	remote, err := client.Dial(addr, client.Options{})
@@ -81,7 +81,7 @@ func TestPoolLifetimeSplitReplies(t *testing.T) {
 			stats := make([]wire.Request, 8)
 			dst := make([]byte, 256<<10)
 			for it := 0; it < iters; it++ {
-				// A queued batch: MaxIO preads with split multi-frame replies.
+				// MaxIO preads with split multi-frame replies.
 				for j := range reqs {
 					off := ((g*31 + it*17 + j*13) * 4096) % (fileSize - wire.MaxIO + 1)
 					reqs[j] = wire.Request{Op: wire.OpPread, FD: fd,
@@ -110,8 +110,7 @@ func TestPoolLifetimeSplitReplies(t *testing.T) {
 						}
 					}
 				}
-				// A fast-path batch: read-only stats answered inline on the
-				// connection goroutine.
+				// A batch of read-only stats.
 				for j := range stats {
 					stats[j] = wire.Request{Op: wire.OpStat, Path: "/big"}
 				}

@@ -31,7 +31,7 @@ func (h *latHist) observe(ns uint64) {
 // per-op file-system counters live in the volume's obs.Registry (the
 // server's execution path runs through the instrumented fsapi client); these
 // counters cover what only the network layer can see: sessions, frames,
-// batching, queueing, and wire traffic. Each one has a reader (see the
+// batching, and wire traffic. Each one has a reader (see the
 // inventory in internal/export's tests).
 type metrics struct {
 	sessions     atomic.Uint64
@@ -44,8 +44,7 @@ type metrics struct {
 	bytesRead    atomic.Uint64
 }
 
-// observeBatch records one received batch of n operations, whether or not
-// it is then admitted and answered.
+// observeBatch records one received batch of n operations.
 func (m *metrics) observeBatch(n int) {
 	b := bits.Len(uint(n) - 1) // 1→0, 2→1, 3..4→2, ...
 	if n <= 0 {
@@ -75,8 +74,8 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	m := &s.m
 	export.WriteScalar(w, "simurgh_server_sessions_total", "counter", "Successful attach handshakes.", m.sessions.Load())
 	export.WriteScalar(w, "simurgh_server_requests_total", "counter",
-		"Requests of admitted batches answered, including Moved and retired-op answers that execute nothing.", m.requests.Load())
-	export.WriteHeader(w, "simurgh_server_request_ns", "histogram", "Per-request server-side latency (queue wait + execution).")
+		"Requests of every batch answered, including Moved and retired-op answers that execute nothing.", m.requests.Load())
+	export.WriteHeader(w, "simurgh_server_request_ns", "histogram", "Per-request server-side execution latency, measured from the start of its batch.")
 	export.WriteHistogram(w, "simurgh_server_request_ns", "", loadAll(m.requestNs.buckets[:]), obs.BucketUpperNs, m.requestNs.sumNs.Load())
 	export.WriteHeader(w, "simurgh_server_quorum_wait_ns", "histogram", "Time batches spent blocked in WaitQuorum before their replies flushed.")
 	export.WriteHistogram(w, "simurgh_server_quorum_wait_ns", "", loadAll(m.quorumWaitNs.buckets[:]), obs.BucketUpperNs, m.quorumWaitNs.sumNs.Load())

@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"testing"
-	"time"
 
 	"simurgh/internal/fsapi"
 	"simurgh/internal/wire"
@@ -159,7 +158,7 @@ func TestReadIntoFrameMatchesOracle(t *testing.T) {
 			sess.client = newFileClient(fileSize)
 			s.cfg.Sharding = &fenceNth{moved: tc.moved}
 			var cs connState
-			if err := runSteady(s, sess, &cs, payload, time.Now()); err != nil {
+			if err := runSteady(s, sess, &cs, payload); err != nil {
 				t.Fatal(err)
 			}
 			frames := splitFrames(t, conn.buf.Bytes())
@@ -226,7 +225,7 @@ func TestReadReservationsStayWithinStagingBudget(t *testing.T) {
 	if cs.reqs, err = wire.DecodeBatchInto(cs.reqs[:0], payload); err != nil {
 		t.Fatal(err)
 	}
-	s.execBatch(sess, cs.reqs, &cs.rs, time.Now(), 0, true)
+	s.execBatch(sess, cs.reqs, &cs.rs, 0)
 	if c := cap(cs.rs.payload); c > maxStagedReply {
 		t.Errorf("payload grew to %d bytes, past the staging budget of %d", c, maxStagedReply)
 	}

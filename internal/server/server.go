@@ -4,39 +4,28 @@
 // connection's open-file table, exactly like a preloaded process in the
 // paper — executes every operation the connection sends.
 //
-// Batches are the unit of scheduling: a KindBatch frame is decoded by the
-// connection's reader goroutine and handed to a bounded worker pool; the
-// worker executes the batch's operations sequentially in order (so a client
-// may batch dependent calls like create→write→close) and writes the reply
-// in one or more KindReply frames (several, when the responses — say many
-// coalesced MaxIO reads — would overflow a single frame). Concurrency comes
-// from connections and from pipelining:
-// a client may send further batches before earlier replies arrive, and
-// independent batches of one connection may execute on different workers.
-//
-// Read-only batches skip the pool entirely: a batch made solely of
-// never-replicated reads (pread, stat, lstat, fstat, readlink, readdir)
-// executes inline on the connection goroutine with connection-local scratch
-// — no queue hop, no handoff, no allocation. This is safe because batch
-// execution order across batches is already unguaranteed (independent
-// batches run on different workers), and those ops touch no session state
-// that replication would have to sequence.
+// A connection executes its own batches, on its own goroutine, in the order
+// they arrive: it decodes a KindBatch frame, executes the batch's operations
+// sequentially (so a client may batch dependent calls like
+// create→write→close), writes the reply in one or more KindReply frames
+// (several, when the responses — say many coalesced MaxIO reads — would
+// overflow a single frame), and only then reads the next frame. No
+// dispatcher sits between a connection and the file system. Concurrency
+// comes from connections; the calls a client makes while one of its batches
+// runs coalesce into its next frame. Backpressure is TCP's: a connection
+// whose batch is running is not read.
 //
 // The steady-state request path is allocation-free: frames land in pooled
-// buffers, requests decode aliasing the frame (wire.DecodeBatchInto),
-// responses encode straight into a reused reply payload sized by
-// wire.ResponseSize — read data lands there directly from the file system
-// (wire.AppendRead) — and reply frames go out in one vectored write
-// (wire.VecWriter). A batch that does queue transfers frame-buffer
-// ownership into a pooled job, released only after its reply is written.
+// buffers, requests decode aliasing the frame (wire.DecodeBatchInto), which
+// stays untouched until the reply is written, responses encode straight
+// into the connection's reused reply payload sized by wire.ResponseSize —
+// read data lands there directly from the file system (wire.AppendRead) —
+// and reply frames go out in one vectored write (wire.VecWriter).
 //
-// Backpressure is explicit: when the worker queue stays full past
-// Config.RequestTimeout the batch is answered with CodeOverload instead of
-// stalling the connection forever, and connections beyond Config.MaxConns
-// are refused with a KindErr frame at accept. Shutdown drains: the listener
-// closes, idle readers are nudged off their blocking reads, in-flight
-// batches finish and flush their replies, and only stragglers past
-// Config.DrainTimeout are cut.
+// Connections beyond Config.MaxConns are refused with a KindErr frame at
+// accept. Shutdown drains: the listener closes, idle readers are nudged off
+// their blocking reads, a batch already read executes and replies, and only
+// connections still busy after drainTimeout are cut.
 package server
 
 import (
@@ -45,7 +34,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,21 +118,9 @@ type Config struct {
 	// MaxConns bounds concurrently open connections; further accepts are
 	// refused with a KindErr frame. Default 256.
 	MaxConns int
-	// Workers is the batch-execution pool size. Default GOMAXPROCS.
-	Workers int
-	// QueueDepth bounds batches waiting for a worker across all
-	// connections. Default 1024.
-	QueueDepth int
-	// RequestTimeout bounds how long a decoded batch may wait for a free
-	// queue slot before it is refused with CodeOverload, and how long the
-	// attach handshake may take. Default 5s.
-	RequestTimeout time.Duration
-	// DrainTimeout bounds Shutdown's wait for in-flight connections before
-	// force-closing them. Default 5s.
-	DrainTimeout time.Duration
-	// Obs, when set, receives server-side spans (queue wait, execute,
-	// quorum wait) for traced batches — frames of kind KindBatchTraced.
-	// Untraced batches never touch it. Optional; nil records nothing.
+	// Obs, when set, receives server-side spans (execute, quorum wait) for
+	// traced batches — frames of kind KindBatchTraced. Untraced batches
+	// never touch it. Optional; nil records nothing.
 	Obs *obs.Registry
 	// Logf receives connection-level diagnostics. Default: discard.
 	Logf func(format string, args ...any)
@@ -154,66 +130,33 @@ func (c *Config) fillDefaults() {
 	if c.MaxConns <= 0 {
 		c.MaxConns = 256
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 5 * time.Second
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Second
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
 }
+
+// handshakeTimeout bounds how long a new connection may take to send its
+// opening frame.
+const handshakeTimeout = 5 * time.Second
+
+// drainTimeout bounds Shutdown's wait for connections to finish the batch
+// they are executing before it closes them.
+const drainTimeout = 5 * time.Second
 
 // Server accepts wire-protocol connections and executes their batches
 // against one fsapi.FileSystem.
 type Server struct {
 	cfg      Config
 	m        metrics
-	work     chan *job
 	draining atomic.Bool
-	drainCh  chan struct{} // closed when Shutdown starts
-	aborted  atomic.Bool   // set by Abort before it touches any connection
+	aborted  atomic.Bool // set by Abort before it touches any connection
 
 	mu    sync.Mutex
 	ln    net.Listener
 	conns map[net.Conn]struct{}
 
 	connWG       sync.WaitGroup
-	workerWG     sync.WaitGroup
 	shutdownOnce sync.Once
-}
-
-// job is one decoded batch queued for execution. It owns the frame buffer
-// its requests alias (taken from the FrameReader with Detach); putJob
-// returns both the job and the buffer to their pools once the reply is
-// written.
-type job struct {
-	sess  *session
-	reqs  []wire.Request
-	owner *wire.Buf
-	enq   time.Time
-	trace uint64 // distributed trace ID of the batch; 0 = untraced
-}
-
-var jobPool = sync.Pool{New: func() any { return new(job) }}
-
-func getJob() *job { return jobPool.Get().(*job) }
-
-func putJob(j *job) {
-	wire.PutBuf(j.owner)
-	j.owner = nil
-	j.sess = nil
-	j.trace = 0
-	clear(j.reqs) // drop aliases into the released buffer
-	j.reqs = j.reqs[:0]
-	jobPool.Put(j)
 }
 
 // replyBudget bounds one KindReply payload so the frame (kind byte plus
@@ -227,10 +170,10 @@ const replyBudget = wire.MaxFrame - 1
 // preads) never holds its entire reply in memory at once.
 const maxStagedReply = 2 * wire.MaxFrame
 
-// replyScratch is the reusable buffer set each reply-producing goroutine (a
-// worker, or a connection's fast path) threads through batch execution:
-// responses encode into payload — reads land there straight from the file
-// system (wire.AppendRead) — and whole frames are staged as views into it.
+// replyScratch is the reusable buffer set each connection threads through
+// the execution of its batches: responses encode into payload — reads land
+// there straight from the file system (wire.AppendRead) — and whole frames
+// are staged as views into it.
 type replyScratch struct {
 	payload    []byte
 	frameStart int // start of the currently open frame within payload
@@ -238,7 +181,7 @@ type replyScratch struct {
 }
 
 // shrink drops an outsized payload after a batch so a single giant reply
-// doesn't pin memory in a long-lived worker.
+// doesn't pin memory in a long-lived connection.
 func (rs *replyScratch) shrink() {
 	if cap(rs.payload) > maxStagedReply {
 		rs.payload = nil
@@ -255,33 +198,14 @@ func (rs *replyScratch) grow(want int) {
 }
 
 // connState is the per-connection scratch the read loop reuses: the decoded
-// request slice (aliasing the current frame buffer) and the fast path's
-// reply scratch.
+// request slice (aliasing the current frame buffer) and the reply scratch.
 type connState struct {
 	reqs []wire.Request
 	rs   replyScratch
 }
 
-// fastOps marks the operations a batch may contain and still execute
-// inline on the connection goroutine: reads that never replicate and touch
-// no per-session mutable state (the descriptor table; positions live in the
-// client). A whole-file read of a session is one of these.
-var fastOps = [wire.NumOps]bool{
-	wire.OpPread: true, wire.OpStat: true, wire.OpLstat: true,
-	wire.OpFstat: true, wire.OpReadlink: true, wire.OpReadDir: true,
-}
-
-// fastBatch reports whether every request qualifies for the inline path.
-func fastBatch(reqs []wire.Request) bool {
-	for i := range reqs {
-		if !fastOps[reqs[i].Op] {
-			return false
-		}
-	}
-	return true
-}
-
-// session is the server half of one attached connection.
+// session is the server half of one attached connection. Everything written
+// to the connection is written by the connection's own goroutine.
 type session struct {
 	srv    *Server
 	conn   net.Conn
@@ -294,10 +218,7 @@ type session struct {
 	claimShard uint32
 	claimed    bool
 
-	wmu  sync.Mutex
 	bufw *bufWriter
-
-	inflight sync.WaitGroup // batches queued or executing
 }
 
 // bufWriter is the minimal buffered-writer surface session needs; split out
@@ -331,17 +252,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("server: Config.FS is required")
 	}
 	cfg.fillDefaults()
-	s := &Server{
-		cfg:     cfg,
-		work:    make(chan *job, cfg.QueueDepth),
-		drainCh: make(chan struct{}),
-		conns:   make(map[net.Conn]struct{}),
-	}
-	s.workerWG.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
-	}
-	return s, nil
+	return &Server{cfg: cfg, conns: make(map[net.Conn]struct{})}, nil
 }
 
 // Serve accepts connections on ln until Shutdown closes it. It returns nil
@@ -404,7 +315,7 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	// The handshake must arrive promptly; afterwards the connection may
 	// idle indefinitely between batches.
-	conn.SetReadDeadline(time.Now().Add(s.cfg.RequestTimeout))
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	done, err := s.handshake(fr, sess)
 	if err != nil {
 		s.cfg.Logf("server: attach from %s failed: %v", conn.RemoteAddr(), err)
@@ -420,9 +331,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.m.sessions.Add(1)
 
 	err = s.readLoop(fr, sess)
-	// Let queued and executing batches flush their replies before the
-	// deferred close; their responses are the last frames of the session.
-	sess.inflight.Wait()
 	if s.cfg.Replica != nil {
 		// Keep the session resumable: the client may be failing over, not
 		// leaving. An explicit OpDetach already tore it down via Apply.
@@ -465,8 +373,6 @@ func (s *Server) handshake(fr *wire.FrameReader, sess *session) (done bool, err 
 		if err != nil {
 			return false, err
 		}
-		sess.wmu.Lock()
-		defer sess.wmu.Unlock()
 		var pl [8]byte
 		binary.LittleEndian.PutUint64(pl[:], epoch)
 		if err := wire.WriteFrame(sess.bufw, wire.KindPromoteOK, pl[:]); err != nil {
@@ -518,8 +424,6 @@ func (s *Server) handshake(fr *wire.FrameReader, sess *session) (done bool, err 
 		var redirect string
 		client, sessID, redirect, err = s.cfg.Replica.AttachClient(cred, clientID)
 		if errors.Is(err, wire.ErrNotPrimary) {
-			sess.wmu.Lock()
-			defer sess.wmu.Unlock()
 			rdr := wire.Redirect{Addr: redirect}
 			if err := wire.WriteFrame(sess.bufw, wire.KindRedirect, wire.AppendRedirect(nil, &rdr)); err != nil {
 				return false, err
@@ -542,18 +446,14 @@ func (s *Server) handshake(fr *wire.FrameReader, sess *session) (done bool, err 
 		name = s.cfg.FS.Name()
 	}
 	sess.client = client
-	sess.wmu.Lock()
-	defer sess.wmu.Unlock()
 	if err := wire.WriteFrame(sess.bufw, wire.KindAttachOK, []byte(name)); err != nil {
 		return false, err
 	}
 	return false, sess.bufw.Flush()
 }
 
-// readLoop decodes batch frames and dispatches them until the connection
-// errors, the client disconnects, or drain nudges the read. Read-only
-// batches run inline right here; everything else transfers the frame buffer
-// into a pooled job and queues for a worker.
+// readLoop reads, executes and answers batch frames one at a time until the
+// connection errors, the client disconnects, or drain nudges the read.
 func (s *Server) readLoop(fr *wire.FrameReader, sess *session) error {
 	var cs connState
 	for {
@@ -581,79 +481,8 @@ func (s *Server) readLoop(fr *wire.FrameReader, sess *session) error {
 			continue
 		}
 		s.m.observeBatch(len(cs.reqs))
-		if fastBatch(cs.reqs) {
-			s.execBatch(sess, cs.reqs, &cs.rs, time.Now(), trace, true)
-			cs.rs.shrink()
-			continue
-		}
-		if err := s.submit(sess, fr, cs.reqs, trace); err != nil {
-			return err
-		}
-	}
-}
-
-// submit hands one batch to the worker pool, answering with CodeOverload
-// (or CodeShutdown while draining) if no queue slot frees up within
-// RequestTimeout. The frame buffer's ownership moves into the job; the
-// requests in reqs alias it, so they are shallow-copied and stay valid.
-func (s *Server) submit(sess *session, fr *wire.FrameReader, reqs []wire.Request, trace uint64) error {
-	j := getJob()
-	j.sess = sess
-	j.enq = time.Now()
-	j.trace = trace
-	j.reqs = append(j.reqs[:0], reqs...)
-	j.owner = fr.Detach()
-	sess.inflight.Add(1)
-	select {
-	case s.work <- j:
-		return nil
-	default:
-		// Queue full: fall through to the timed wait. Only this slow path
-		// pays for a timer.
-	}
-	timer := time.NewTimer(s.cfg.RequestTimeout)
-	defer timer.Stop()
-	select {
-	case s.work <- j:
-		return nil
-	case <-s.drainCh:
-		return s.rejectJob(j, wire.ErrShutdown)
-	case <-timer.C:
-		return s.rejectJob(j, wire.ErrOverload)
-	}
-}
-
-// rejectJob answers an unadmitted job's batch with the rejection error and
-// releases the job.
-func (s *Server) rejectJob(j *job, reason error) error {
-	j.sess.inflight.Done()
-	err := s.rejectBatch(j.sess, j.reqs, reason)
-	putJob(j)
-	return err
-}
-
-// rejectBatch replies to every request of an unadmitted batch with the
-// rejection error.
-func (s *Server) rejectBatch(sess *session, reqs []wire.Request, reason error) error {
-	code := wire.CodeOf(reason)
-	var payload []byte
-	for i := range reqs {
-		resp := wire.Response{ID: reqs[i].ID, Op: reqs[i].Op, Code: code}
-		payload = wire.AppendResponse(payload, &resp)
-	}
-	return s.writeReply(sess, payload)
-}
-
-// worker executes queued batches until the work channel closes, reusing one
-// replyScratch across every batch it runs.
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	var rs replyScratch
-	for j := range s.work {
-		s.execBatch(j.sess, j.reqs, &rs, j.enq, j.trace, false)
-		j.sess.inflight.Done()
-		putJob(j)
-		rs.shrink()
+		s.execBatch(sess, cs.reqs, &cs.rs, trace)
+		cs.rs.shrink()
 	}
 }
 
@@ -673,19 +502,10 @@ func (s *Server) worker() {
 // in the reply frame: room for the most it may return is reserved at the
 // payload's tail, the file system reads into it, and the reservation is
 // trimmed to what came back — one copy, device to frame.
-func (s *Server) execBatch(sess *session, reqs []wire.Request, rs *replyScratch, enq time.Time, trace uint64, fast bool) {
+func (s *Server) execBatch(sess *session, reqs []wire.Request, rs *replyScratch, trace uint64) {
 	rep := s.cfg.Replica
 	var pendingSeq uint64
-	var execStart time.Time
-	if trace != 0 {
-		// The batch arrived in a traced frame: time the execute window and
-		// attribute the queue wait (worker path only — the fast path never
-		// queued). The untraced path takes none of these clock reads.
-		execStart = time.Now()
-		if !fast {
-			s.cfg.Obs.SpanCtx(obs.SpanSrvQueue, batchOp(reqs), trace, enq, uint64(execStart.Sub(enq)), false)
-		}
-	}
+	start := time.Now()
 	rs.payload = rs.payload[:0]
 	rs.frameStart = 0
 	// Size the payload once, from what the batch's reads may return, rather
@@ -707,7 +527,7 @@ func (s *Server) execBatch(sess *session, reqs []wire.Request, rs *replyScratch,
 		}
 		if err := s.flushReplies(sess, rs); err != nil {
 			s.cfg.Logf("server: reply to %s failed: %v", sess.conn.RemoteAddr(), err)
-			sess.conn.Close() // unwedge the reader; the session is dead
+			sess.conn.Close() // the session is dead: its next read fails
 			return false
 		}
 		return true
@@ -792,7 +612,7 @@ func (s *Server) execBatch(sess *session, reqs []wire.Request, rs *replyScratch,
 			resp, _ = wire.ExecuteInto(sess.client, req, nil)
 			wire.FillWriteOff(sess.client, req, &resp)
 		}
-		s.m.requestNs.observe(uint64(time.Since(enq)))
+		s.m.requestNs.observe(uint64(time.Since(start)))
 		s.m.requests.Add(1)
 		if landed {
 			continue
@@ -815,11 +635,7 @@ func (s *Server) execBatch(sess *session, reqs []wire.Request, rs *replyScratch,
 		return
 	}
 	if trace != 0 {
-		kind := obs.SpanSrvExec
-		if fast {
-			kind = obs.SpanSrvExecFast
-		}
-		s.cfg.Obs.SpanCtx(kind, batchOp(reqs), trace, execStart, uint64(time.Since(execStart)), false)
+		s.cfg.Obs.SpanCtx(obs.SpanSrvExec, batchOp(reqs), trace, start, uint64(time.Since(start)), false)
 	}
 }
 
@@ -855,20 +671,18 @@ func (s *Server) waitQuorum(rep Replica, seq uint64, trace uint64, op obs.Op) {
 // errAborted is what a reply flush reports once Abort has begun.
 var errAborted = errors.New("server: aborted")
 
-// flushReplies writes every staged reply frame in one vectored write under
-// the session's write lock and resets the scratch.
+// flushReplies writes every staged reply frame in one vectored write and
+// resets the scratch.
 func (s *Server) flushReplies(sess *session, rs *replyScratch) error {
 	if s.aborted.Load() {
 		// A killed daemon acknowledges nothing. Abort cuts connections one
 		// by one; when the replication link goes first, the quorum wait ends
-		// and releases this worker while its client's connection is still up.
+		// and releases this batch while its client's connection is still up.
 		rs.vw.Flush(io.Discard)
 		rs.payload, rs.frameStart = rs.payload[:0], 0
 		return errAborted
 	}
-	sess.wmu.Lock()
 	_, err := rs.vw.Flush(sess.conn)
-	sess.wmu.Unlock()
 	rs.payload = rs.payload[:0]
 	rs.frameStart = 0
 	return err
@@ -912,23 +726,9 @@ func movedResponse(sess *session, req *wire.Request, mv *wire.Moved) wire.Respon
 	return wire.Response{ID: req.ID, Op: req.Op, Code: wire.CodeMoved, Msg: msg}
 }
 
-// writeFrame frames and flushes one handshake/control reply under the
-// session's write lock.
+// writeFrame frames and flushes one handshake/control reply.
 func (s *Server) writeFrame(sess *session, kind wire.Kind, payload []byte) error {
-	sess.wmu.Lock()
-	defer sess.wmu.Unlock()
 	if err := wire.WriteFrame(sess.bufw, kind, payload); err != nil {
-		return err
-	}
-	return sess.bufw.Flush()
-}
-
-// writeReply frames and flushes one KindReply payload under the session's
-// write lock.
-func (s *Server) writeReply(sess *session, payload []byte) error {
-	sess.wmu.Lock()
-	defer sess.wmu.Unlock()
-	if err := wire.WriteFrame(sess.bufw, wire.KindReply, payload); err != nil {
 		return err
 	}
 	return sess.bufw.Flush()
@@ -937,8 +737,6 @@ func (s *Server) writeReply(sess *session, payload []byte) error {
 // writeErrFrame best-effort reports a connection-level error to the peer.
 func (s *Server) writeErrFrame(sess *session, err error) {
 	sess.conn.SetWriteDeadline(time.Now().Add(time.Second))
-	sess.wmu.Lock()
-	defer sess.wmu.Unlock()
 	if wire.WriteFrame(sess.bufw, wire.KindErr, wire.AppendErrFrame(nil, err)) == nil {
 		sess.bufw.Flush()
 	}
@@ -954,7 +752,6 @@ func (s *Server) Abort() {
 	s.shutdownOnce.Do(func() {
 		s.aborted.Store(true)
 		s.draining.Store(true)
-		close(s.drainCh)
 		s.mu.Lock()
 		if s.ln != nil {
 			s.ln.Close()
@@ -964,29 +761,26 @@ func (s *Server) Abort() {
 		}
 		s.mu.Unlock()
 		s.connWG.Wait()
-		close(s.work)
-		s.workerWG.Wait()
 	})
 }
 
 // Shutdown gracefully drains the server: stop accepting, nudge idle
-// readers, let in-flight batches reply, force-close stragglers after
-// DrainTimeout, then stop the worker pool. Idempotent; later calls return
-// once the first drain completes.
+// readers, let batches already read execute and reply, and force-close
+// stragglers after drainTimeout. Idempotent; later calls return once the
+// first drain completes.
 func (s *Server) Shutdown() {
 	s.shutdownOnce.Do(s.shutdown)
 }
 
 func (s *Server) shutdown() {
 	s.draining.Store(true)
-	close(s.drainCh)
 	s.mu.Lock()
 	if s.ln != nil {
 		s.ln.Close()
 	}
 	for c := range s.conns {
-		// Knock blocked readers off their reads; their handlers then wait
-		// for in-flight batches and exit.
+		// Knock blocked readers off their reads; a connection executing a
+		// batch replies first and exits at its next read.
 		c.SetReadDeadline(time.Now())
 	}
 	s.mu.Unlock()
@@ -998,7 +792,7 @@ func (s *Server) shutdown() {
 	}()
 	select {
 	case <-done:
-	case <-time.After(s.cfg.DrainTimeout):
+	case <-time.After(drainTimeout):
 		s.mu.Lock()
 		for c := range s.conns {
 			c.Close()
@@ -1006,8 +800,4 @@ func (s *Server) shutdown() {
 		s.mu.Unlock()
 		<-done
 	}
-	// All connection handlers have returned, so nothing can submit; the
-	// queue can close and the workers run it dry.
-	close(s.work)
-	s.workerWG.Wait()
 }

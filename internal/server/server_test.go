@@ -170,7 +170,8 @@ func TestMetricsOutput(t *testing.T) {
 	}
 
 	// Batching is one crossing per batch: a Submit of 16 stats is one
-	// batch frame and 16 executed requests, whatever the host's speed.
+	// batch frame of 16 operations and 16 executed requests, whatever the
+	// host's speed.
 	counter := func(name string) uint64 {
 		var sb strings.Builder
 		srv.WriteMetrics(&sb)
@@ -187,6 +188,7 @@ func TestMetricsOutput(t *testing.T) {
 		return 0
 	}
 	batches0, requests0 := counter("simurgh_wire_batches_total"), counter("simurgh_server_requests_total")
+	sizeCount0, sizeSum0 := counter("simurgh_wire_batch_size_count"), counter("simurgh_wire_batch_size_sum")
 	reqs := make([]wire.Request, 16)
 	for i := range reqs {
 		reqs[i] = wire.Request{Op: wire.OpStat, Path: "/"}
@@ -205,6 +207,12 @@ func TestMetricsOutput(t *testing.T) {
 	}
 	if d := counter("simurgh_server_requests_total") - requests0; d != 16 {
 		t.Errorf("a 16-stat Submit added %d requests, want 16", d)
+	}
+	if d := counter("simurgh_wire_batch_size_count") - sizeCount0; d != 1 {
+		t.Errorf("a 16-stat Submit added %d to simurgh_wire_batch_size_count, want 1", d)
+	}
+	if d := counter("simurgh_wire_batch_size_sum") - sizeSum0; d != 16 {
+		t.Errorf("a 16-stat Submit added %d to simurgh_wire_batch_size_sum, want 16", d)
 	}
 	c.Detach()
 }

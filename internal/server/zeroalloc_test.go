@@ -4,7 +4,7 @@ package server
 // path (decode → execute → encode → vectored flush) directly on the calling
 // goroutine against a constant-answer client and a discarding connection,
 // isolating the server's own allocation behavior from the file system and
-// the kernel. This is the path both workers and the read fast path run.
+// the kernel. This is the path every connection runs.
 
 import (
 	"io"
@@ -71,9 +71,9 @@ func (discardConn) SetDeadline(time.Time) error      { return nil }
 func (discardConn) SetReadDeadline(time.Time) error  { return nil }
 func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 
-// steadyState builds the harness: a server shell (no listener, no workers —
-// execBatch runs on this goroutine exactly as the fast path does), a
-// session over a discarding connection, and the pre-encoded batch frame.
+// steadyState builds the harness: a server shell (no listener — execBatch
+// runs on this goroutine exactly as it does on a connection's), a session
+// over a discarding connection, and the pre-encoded batch frame.
 func steadyState(tb testing.TB, reqs []wire.Request) (*Server, *session, []byte) {
 	tb.Helper()
 	cfg := Config{}
@@ -107,13 +107,13 @@ func preadBatch(n, size int) []wire.Request {
 
 // runSteady performs one full server round: decode the batch frame into the
 // connection scratch, execute it, flush the staged reply.
-func runSteady(s *Server, sess *session, cs *connState, payload []byte, enq time.Time) error {
+func runSteady(s *Server, sess *session, cs *connState, payload []byte) error {
 	var err error
 	cs.reqs, err = wire.DecodeBatchInto(cs.reqs[:0], payload)
 	if err != nil {
 		return err
 	}
-	s.execBatch(sess, cs.reqs, &cs.rs, enq, 0, true)
+	s.execBatch(sess, cs.reqs, &cs.rs, 0)
 	cs.rs.shrink()
 	return nil
 }
@@ -121,11 +121,10 @@ func runSteady(s *Server, sess *session, cs *connState, payload []byte, enq time
 func benchSteady(b *testing.B, reqs []wire.Request) {
 	s, sess, payload := steadyState(b, reqs)
 	var cs connState
-	enq := time.Now()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := runSteady(s, sess, &cs, payload, enq); err != nil {
+		if err := runSteady(s, sess, &cs, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -164,12 +163,11 @@ func BenchmarkServerPwriteTracedUnsampled(b *testing.B) {
 	s, sess, payload := steadyState(b, reqs)
 	s.cfg.Obs = tracedRegistry()
 	var cs connState
-	enq := time.Now()
 	b.SetBytes(int64(8 * 4096))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := runSteady(s, sess, &cs, payload, enq); err != nil {
+		if err := runSteady(s, sess, &cs, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -184,12 +182,11 @@ func BenchmarkServerPreadLarge(b *testing.B) {
 	reqs := preadBatch(8, wire.MaxIO)
 	s, sess, payload := steadyState(b, reqs)
 	var cs connState
-	enq := time.Now()
 	b.SetBytes(int64(8 * wire.MaxIO))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := runSteady(s, sess, &cs, payload, enq); err != nil {
+		if err := runSteady(s, sess, &cs, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -215,9 +212,8 @@ func TestServerSteadyStateZeroAlloc(t *testing.T) {
 			s, sess, payload := steadyState(t, tc.reqs)
 			s.cfg.Obs = tc.obs
 			var cs connState
-			enq := time.Now()
 			round := func() {
-				if err := runSteady(s, sess, &cs, payload, enq); err != nil {
+				if err := runSteady(s, sess, &cs, payload); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -58,16 +58,6 @@ const maxRedirectHops = 4
 // dialTimeout bounds each TCP connect and each attach handshake.
 const dialTimeout = 5 * time.Second
 
-// Transparent retries of a call answered with CodeOverload (the server means
-// "try again"): at most overloadRetries of them, the first after
-// overloadBackoff (jittered, doubling), adding at most overloadBudget to one
-// call.
-const (
-	overloadRetries = 4
-	overloadBackoff = 2 * time.Millisecond
-	overloadBudget  = time.Second
-)
-
 // backoff is a jittered, doubling retry delay: each wait is drawn from
 // [d/2, d], and d then doubles, up to max.
 type backoff struct{ d, max time.Duration }
@@ -111,8 +101,9 @@ func (o *Options) fillDefaults(multiAddr bool) {
 type Stats struct {
 	// Dials counts TCP connections established.
 	Dials uint64
-	// OverloadRetries counts calls transparently retried after a
-	// CodeOverload answer.
+	// OverloadRetries is always zero: no server answers a call with
+	// CodeOverload, so no call is retried. It stays until the benchmark's
+	// ledger, which reads it, stops doing so (like RoutedSession).
 	OverloadRetries uint64
 	// Redirects counts KindRedirect frames followed to another node.
 	Redirects uint64
@@ -125,20 +116,18 @@ type Stats struct {
 
 // stats is the live (atomic) form of Stats, shared by Remote and Sessions.
 type stats struct {
-	dials           atomic.Uint64
-	overloadRetries atomic.Uint64
-	redirects       atomic.Uint64
-	failovers       atomic.Uint64
-	replays         atomic.Uint64
+	dials     atomic.Uint64
+	redirects atomic.Uint64
+	failovers atomic.Uint64
+	replays   atomic.Uint64
 }
 
 func (s *stats) snapshot() Stats {
 	return Stats{
-		Dials:           s.dials.Load(),
-		OverloadRetries: s.overloadRetries.Load(),
-		Redirects:       s.redirects.Load(),
-		Failovers:       s.failovers.Load(),
-		Replays:         s.replays.Load(),
+		Dials:     s.dials.Load(),
+		Redirects: s.redirects.Load(),
+		Failovers: s.failovers.Load(),
+		Replays:   s.replays.Load(),
 	}
 }
 

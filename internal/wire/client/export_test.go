@@ -2,11 +2,8 @@ package client
 
 // Test-only windows into the package's unexported state.
 
-// The retry bounds the tests pin.
-const (
-	OverloadRetries = overloadRetries
-	MaxMovedHops    = maxMovedHops
-)
+// The retry bound the tests pin.
+const MaxMovedHops = maxMovedHops
 
 // Refresh is the router's map refresh from its seeds and cached map.
 func (rt *Router) Refresh() bool { return rt.refresh("") }

@@ -714,38 +714,21 @@ func (sub *submission) retire() {
 }
 
 // callDst performs one request/response round trip, landing read data in dst
-// when it is non-nil (see start). Overloaded answers (the server shed the
-// request under pressure) are retried transparently with jittered, doubling
-// backoff, bounded in both attempts and total delay. A single call is a
-// submission of one, through the same two halves as a batch; its request and
-// response slots live in the pooled submission — no per-call heap allocation.
+// when it is non-nil (see start). A single call is a submission of one,
+// through the same two halves as a batch; its request and response slots
+// live in the pooled submission — no per-call heap allocation.
 func (l *link) callDst(req wire.Request, dst []byte) (wire.Response, error) {
 	sub := getSub()
 	defer putSub(sub)
-	b := backoff{d: overloadBackoff, max: 128 * time.Millisecond}
-	var total time.Duration
-	for attempt := 0; ; attempt++ {
-		sub.one.req[0] = req
-		err := l.start(sub, sub.one.req[:], sub.one.resp[:], nil, dst)
-		if err == nil {
-			err = sub.wait()
-		}
-		if err != nil {
-			return wire.Response{}, err
-		}
-		resp := sub.one.resp[0]
-		if resp.Code != wire.CodeOverload || attempt >= overloadRetries || total >= overloadBudget {
-			return resp, nil
-		}
-		d := b.next()
-		select {
-		case <-time.After(d):
-		case <-l.dead:
-			return wire.Response{}, l.err()
-		}
-		total += d
-		l.r.st.overloadRetries.Add(1)
+	sub.one.req[0] = req
+	err := l.start(sub, sub.one.req[:], sub.one.resp[:], nil, dst)
+	if err == nil {
+		err = sub.wait()
 	}
+	if err != nil {
+		return wire.Response{}, err
+	}
+	return sub.one.resp[0], nil
 }
 
 // Detach releases the remote client (the server closes its open

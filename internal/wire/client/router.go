@@ -689,8 +689,8 @@ func (sc *scatter) part(s *Session, shard uint32) *part {
 // table's: a batch addresses file data with OpPread and OpPwrite (OpWrite
 // on a descriptor opened O_APPEND), and a server answers the retired
 // OpRead, OpSeek and OpFsync with ErrInval. Unlike the single-call path,
-// Submit retries neither overloads nor Moved answers: they come back as
-// CodeOverload and CodeMoved responses for the caller.
+// Submit does not retry Moved answers: they come back as CodeMoved
+// responses for the caller.
 //
 // The responses are the caller's for good. The Data of the pread responses
 // one shard answered may be views of one shared backing array — the reply

@@ -10,11 +10,11 @@ import (
 // Server-side conditions that have no fsapi equivalent but must round-trip
 // the wire like the file-system sentinels.
 var (
-	// ErrOverload reports that the server's worker queue or connection
-	// limit rejected the request; the client may retry.
+	// ErrOverload reports that the server's connection limit refused a new
+	// connection; the client may retry.
 	ErrOverload = errors.New("wire: server overloaded")
 	// ErrShutdown reports that the server is draining and no longer
-	// accepts new work.
+	// accepts new connections.
 	ErrShutdown = errors.New("wire: server shutting down")
 	// ErrNotPrimary reports that the contacted server is a replication
 	// backup (or candidate) and cannot serve the request; the redirect

@@ -13,9 +13,8 @@ import "sync"
 //
 // Ownership contract: exactly one owner at a time. GetBuf transfers
 // ownership to the caller; PutBuf transfers it back and the caller must not
-// touch B afterwards. FrameReader owns its current buffer until Detach
-// hands it to the caller; the server's job release and the client's
-// refcounted payload release are the other two release points (see
+// touch B afterwards. FrameReader owns its current buffer until Release;
+// the client's refcounted payload release is the other release point (see
 // DESIGN.md §6). Double-put is a correctness bug the -race lifetime tests
 // exist to catch.
 

@@ -275,7 +275,8 @@ func appendBytes(b, p []byte) []byte {
 // call sites can check err once at the end. In alias mode, strings and
 // payloads reference the input buffer instead of copying — the zero-alloc
 // decode used by the server's request path, where the frame buffer outlives
-// every decoded request by construction (job ownership, see server docs).
+// every decoded request by construction (a connection reads its next frame
+// only after the batch has replied, see server docs).
 type reader struct {
 	b     []byte
 	err   error
@@ -529,11 +530,11 @@ func decodeRequest(rd *reader) (Request, error) {
 
 // DecodeBatchInto decodes a KindBatch payload (at most MaxBatch requests)
 // without allocating: it appends the decoded requests to dst (reusing its
-// capacity) and every Path, Path2, and Data field ALIASES payload. The caller owns payload and must keep it
-// untouched until the last decoded request is retired — the server does
-// this by transferring frame-buffer ownership into the batch job and
-// returning it to the pool only after the reply is written. dst (possibly
-// extended) is returned even on error so its capacity is never lost.
+// capacity) and every Path, Path2, and Data field ALIASES payload. The
+// caller owns payload and must keep it untouched until the last decoded
+// request is retired — the server does this by reading a connection's next
+// frame only after the batch's reply is written. dst (possibly extended) is
+// returned even on error so its capacity is never lost.
 func DecodeBatchInto(dst []Request, payload []byte) ([]Request, error) {
 	rd := reader{b: payload, alias: true}
 	for len(rd.b) > 0 {
@@ -833,8 +834,8 @@ func NewFrameReader(r io.Reader) *FrameReader {
 }
 
 // Next reads one frame and returns its kind and payload. The payload
-// aliases a pooled buffer that the next call overwrites; either decode with
-// copies before calling Next again, or take ownership with Detach.
+// aliases a pooled buffer that the next call overwrites: finish with it, or
+// decode with copies, before calling Next again.
 func (fr *FrameReader) Next() (Kind, []byte, error) {
 	kind, payload, _, err := fr.NextOwned(nil)
 	return kind, payload, err
@@ -844,9 +845,8 @@ func (fr *FrameReader) Next() (Kind, []byte, error) {
 // length is known, own (nil: never) is asked whether its n-byte payload
 // should land in a buffer of its own — exactly sized, never pooled, never
 // reused. Such a payload is reported as owned: it is the caller's for good
-// and the garbage collector frees it. (Detach is not the way to keep a
-// frame: the pooled class above a 64 KiB frame is over a megabyte.) Every
-// other frame is read as Next reads it.
+// and the garbage collector frees it. Every other frame is read as Next
+// reads it.
 func (fr *FrameReader) NextOwned(own func(n int) bool) (kind Kind, payload []byte, owned bool, err error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, nil, false, err
@@ -872,16 +872,6 @@ func (fr *FrameReader) NextOwned(own func(n int) bool) (kind Kind, payload []byt
 		return 0, nil, false, err
 	}
 	return Kind(buf[0]), buf[1:], owned, nil
-}
-
-// Detach transfers ownership of the buffer backing the last Next payload to
-// the caller, which must PutBuf it when the payload is no longer referenced.
-// The next Next draws a fresh pooled buffer. Returns nil before the first
-// Next (PutBuf(nil) is a no-op, so blind release is safe).
-func (fr *FrameReader) Detach() *Buf {
-	b := fr.buf
-	fr.buf = nil
-	return b
 }
 
 // Release returns the FrameReader's current buffer to the pool. Call it
