@@ -38,7 +38,7 @@ func toDelta(s pmem.StatsSnapshot) obs.Delta {
 func main() {
 	image := flag.String("image", "", "volume image to check and repair")
 	dump := flag.Bool("dump", false, "list the directory tree after repair")
-	demo := flag.String("demo", "", "write a demo image with an injected crash to this path")
+	demo := flag.String("demo", "", "write a demo image of a volume that lost power mid-unlink to this path")
 	size := flag.Uint64("size", 256<<20, "demo volume size in bytes")
 	flag.Parse()
 
@@ -72,14 +72,17 @@ func makeDemo(path string, size uint64) error {
 	if _, err := corpus.Generate(c, "/project", corpus.LinuxLike(1)); err != nil {
 		return err
 	}
-	// Abandon an unlink halfway: the entry is invalidated but the slot and
-	// inode survive, exactly the state §4.3 recovers from.
-	fs.SetHooks(core.Hooks{CrashPoint: func(p string) bool {
-		return p == "delete.after-invalidate"
-	}})
-	if err := c.Unlink("/project/file_0_0.c"); err != core.ErrCrashed {
-		return fmt.Errorf("expected injected crash, got %v", err)
+	// Cut the power in the middle of an unlink: at its second fence, after
+	// the first has made the entry's invalidation durable. The slot still
+	// points at the entry and the inode survives, exactly the state §4.3
+	// recovers from.
+	dev.SetMode(pmem.ModeTracked)
+	dev.StopAt(dev.Stats.Fences.Load() + 2)
+	if !pmem.Run(func() { c.Unlink("/project/file_0_0.c") }) {
+		return fmt.Errorf("the unlink ran to completion")
 	}
+	dev.StopAt(0)
+	dev.Crash()
 	// No Unmount: the image is dirty on purpose.
 	f, err := os.Create(path)
 	if err != nil {
@@ -138,6 +141,7 @@ func check(path string, dump bool) error {
 				{Name: "fixed-creates", Value: stats.FixedCreates},
 				{Name: "fixed-renames", Value: stats.FixedRenames},
 				{Name: "fixed-logs", Value: stats.FixedLogs},
+				{Name: "fixed-links", Value: stats.FixedLinks},
 				{Name: "reclaimed", Value: stats.Reclaimed},
 			},
 			Pmem: toDelta(recoverPmem),

@@ -394,17 +394,7 @@ func (s *shell) exec(line string) {
 			err = errRemote(cmd)
 			break
 		}
-		// Abandon a create mid-flight, then show recovery-on-access.
-		s.fs.SetHooks(core.Hooks{CrashPoint: func(p string) bool { return p == "create.after-slot" }})
-		_, cerr := s.c.Create("/crashdemo-file", 0o644)
-		s.fs.SetHooks(core.Hooks{})
-		fmt.Printf("create aborted mid-operation: %v\n", cerr)
-		fmt.Println("the next access completes it (recovery-on-access):")
-		if st, serr := s.c.Stat("/crashdemo-file"); serr == nil {
-			fmt.Printf("  /crashdemo-file exists, inode %#x\n", st.Ino)
-		} else {
-			fmt.Printf("  stat: %v\n", serr)
-		}
+		err = s.crashDemo()
 	case "su":
 		if len(rest) < 2 {
 			err = errUsage("su <uid> <gid>")
@@ -424,6 +414,44 @@ func (s *shell) exec(line string) {
 	if err != nil {
 		fmt.Println("error:", err)
 	}
+}
+
+// crashDemo kills a create mid-flight and shows the next access completing
+// it (recovery-on-access, §4.3). The device stops the create at its last
+// fence, the one that commits the entry its slot already links: a process
+// death, so the line's busy bit stays held too. A probe create of the same
+// shape counts the fences first.
+func (s *shell) crashDemo() error {
+	const name = "/crashdemo-file"
+	flags := fsapi.OCreate | fsapi.OWronly
+	base := s.dev.Stats.Fences.Load()
+	fd, err := s.c.Open("/crashdemo-probe", flags, 0o644)
+	if err != nil {
+		return err
+	}
+	n := s.dev.Stats.Fences.Load() - base
+	if err := s.c.Close(fd); err != nil {
+		return err
+	}
+	if err := s.c.Unlink("/crashdemo-probe"); err != nil {
+		return err
+	}
+	s.dev.SetMode(pmem.ModeTracked)
+	s.dev.StopAt(s.dev.Stats.Fences.Load() + n)
+	stopped := pmem.Run(func() { s.c.Open(name, flags, 0o644) })
+	s.dev.StopAt(0)
+	s.dev.SetMode(pmem.ModeFast)
+	if !stopped {
+		return fmt.Errorf("the create of %s ran to completion (does it exist already?)", name)
+	}
+	fmt.Printf("create of %s stopped at its fence %d of %d (process death)\n", name, n, n)
+	fmt.Println("the next access completes it (recovery-on-access):")
+	st, err := s.c.Stat(name)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("  %s exists, inode %#x\n", name, st.Ino)
+	return nil
 }
 
 // trace drives the flight recorder: `trace on [spans]` arms it,

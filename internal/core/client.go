@@ -390,17 +390,12 @@ func (c *Client) createFile(parent pmem.Ptr, name string, perm uint32) (pmem.Ptr
 	if err != nil {
 		return 0, err
 	}
-	if fs.crash("create.after-inode") {
-		return 0, ErrCrashed
-	}
 	if err := fs.incRef(ino); err != nil {
 		return 0, err
 	}
 	if err := fs.createEntry(fs.inoData(parent), name, ino, false); err != nil {
-		if err != ErrCrashed {
-			fs.decRef(ino)
-			fs.oa.Free(ClassInode, ino)
-		}
+		fs.decRef(ino)
+		fs.oa.Free(ClassInode, ino)
 		return 0, err
 	}
 	return ino, nil
@@ -658,9 +653,7 @@ func (c *Client) Mkdir(path string, perm uint32) (err error) {
 	fs.dev.AtomicStore32(uint64(ino)+inoNlinkOff, 2)
 	fs.dev.Persist(uint64(ino), InodeSize)
 	if err := fs.createEntry(fs.inoData(parent), name, ino, false); err != nil {
-		if err != ErrCrashed {
-			fs.freeInode(ino)
-		}
+		fs.freeInode(ino)
 		return err
 	}
 	return nil
@@ -706,9 +699,6 @@ func (c *Client) Unlink(path string) (err error) {
 	if err != nil {
 		return err
 	}
-	if fs.crash("unlink.after-remove") {
-		return ErrCrashed
-	}
 	fs.unlinkInode(ino)
 	return nil
 }
@@ -747,9 +737,7 @@ func (c *Client) Symlink(target, linkPath string) (err error) {
 		return err
 	}
 	if err := fs.createEntry(fs.inoData(parent), name, ino, true); err != nil {
-		if err != ErrCrashed {
-			fs.freeInode(ino)
-		}
+		fs.freeInode(ino)
 		return err
 	}
 	return nil
@@ -773,9 +761,7 @@ func (c *Client) Link(oldPath, newPath string) (err error) {
 	}
 	fs.setNlink(ino, fs.inoNlink(ino)+1)
 	if err := fs.createEntry(fs.inoData(parent), name, ino, false); err != nil {
-		if err != ErrCrashed {
-			fs.setNlink(ino, fs.inoNlink(ino)-1)
-		}
+		fs.setNlink(ino, fs.inoNlink(ino)-1)
 		return err
 	}
 	return nil

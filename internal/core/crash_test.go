@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -26,20 +25,6 @@ func crashWorld(t *testing.T) (*pmem.Device, *FS, fsapi.Client) {
 	return dev, fs, c
 }
 
-// crashAt arms the hook to fire once at the named point.
-func crashAt(fs *FS, point string) {
-	fired := false
-	fs.SetHooks(Hooks{CrashPoint: func(p string) bool {
-		if p == point && !fired {
-			fired = true
-			return true
-		}
-		return false
-	}})
-}
-
-func disarm(fs *FS) { fs.SetHooks(Hooks{}) }
-
 // remount simulates a full power failure + recovery mount.
 func remount(t *testing.T, dev *pmem.Device) (*FS, *RecoveryStats, fsapi.Client) {
 	t.Helper()
@@ -50,313 +35,6 @@ func remount(t *testing.T, dev *pmem.Device) (*FS, *RecoveryStats, fsapi.Client)
 	}
 	c, _ := fs.Attach(fsapi.Root)
 	return fs, stats, c
-}
-
-func TestCrashDuringCreateBeforeSlot(t *testing.T) {
-	// Crash after the inode and entry are allocated but before the slot
-	// store: the file must not exist, and the leaked objects must be
-	// reclaimed by recovery (Fig 5a: "the file is not created and no crash
-	// recovery is needed; the allocated objects can be reclaimed").
-	dev, fs, c := crashWorld(t)
-	crashAt(fs, "create.before-slot")
-	if _, err := c.Create("/victim", 0o644); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("err = %v, want ErrCrashed", err)
-	}
-	_, stats, c2 := remount(t, dev)
-	if _, err := c2.Stat("/victim"); !errors.Is(err, fsapi.ErrNotExist) {
-		t.Fatalf("half-created file visible after recovery: %v", err)
-	}
-	if stats.Reclaimed == 0 {
-		t.Fatal("leaked create objects not reclaimed")
-	}
-	// The name must be creatable afterwards.
-	if _, err := c2.Create("/victim", 0o644); err != nil {
-		t.Fatalf("create after recovery: %v", err)
-	}
-}
-
-func TestCrashDuringCreateAfterSlot(t *testing.T) {
-	// Crash after the slot store but before the dirty bits clear: the file
-	// exists; recovery completes the creation.
-	dev, fs, c := crashWorld(t)
-	crashAt(fs, "create.after-slot")
-	if _, err := c.Create("/kept", 0o644); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("err = %v", err)
-	}
-	// NOTE: the slot store was persisted before the crash point, so the
-	// entry survives a power failure.
-	_, stats, c2 := remount(t, dev)
-	if _, err := c2.Stat("/kept"); err != nil {
-		t.Fatalf("completed create lost: %v", err)
-	}
-	if stats.FixedCreates == 0 {
-		t.Fatal("recovery did not report completing the create")
-	}
-	fd, err := c2.Open("/kept", fsapi.OWronly, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.Write(fd, []byte("works")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCrashDuringCreateRecoveredByNextAccessor(t *testing.T) {
-	// Same as above but without a remount: the next process that touches
-	// the line completes the create lazily (recovery-on-access), after the
-	// waiter clears the stuck busy bit.
-	_, fs, c := crashWorld(t)
-	crashAt(fs, "create.after-slot")
-	if _, err := c.Create("/lazy", 0o644); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("err = %v", err)
-	}
-	disarm(fs)
-	c2, _ := fs.Attach(fsapi.Root)
-	// The line lock is still held by the "dead" process; a create on the
-	// same line must steal it after the timeout and proceed.
-	done := make(chan error, 1)
-	go func() { _, err := c2.Stat("/lazy"); done <- err }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("stat after lazy recovery: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("line never recovered")
-	}
-	// The lookup above repaired the entry lock-free; the dead holder's busy
-	// bit is still set. A mutation on the same line must time out, perform
-	// the waiter-side recovery, and all of it must be visible in the
-	// instrumentation.
-	line := lineOf(fnv32("lazy"))
-	sibling := ""
-	for i := 0; sibling == ""; i++ {
-		if cand := fmt.Sprintf("lazy-sibling-%d", i); lineOf(fnv32(cand)) == line {
-			sibling = "/" + cand
-		}
-	}
-	done2 := make(chan error, 1)
-	go func() { _, err := c2.Create(sibling, 0o644); done2 <- err }()
-	select {
-	case err := <-done2:
-		if err != nil {
-			t.Fatalf("create on jammed line: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("jammed line never recovered for the mutation")
-	}
-	s := fs.Stats()
-	if s.Events[obs.EvLineLockTimeout] == 0 {
-		t.Error("line-lock timeout not counted")
-	}
-	if s.Events[obs.EvWaiterRecovery] == 0 {
-		t.Error("waiter-performs-recovery not counted")
-	}
-	if s.LockWaits[obs.LockLine].Waits == 0 {
-		t.Error("contended line wait not counted")
-	}
-}
-
-func TestCrashDuringDeleteCompletedOnAccess(t *testing.T) {
-	// Crash mid-delete, after the entry was invalidated: the next process
-	// touching the line sees the invalid entry and finishes the deletion.
-	dev, fs, c := crashWorld(t)
-	if _, err := c.Create("/doomed", 0o644); err != nil {
-		t.Fatal(err)
-	}
-	crashAt(fs, "delete.after-invalidate")
-	if err := c.Unlink("/doomed"); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("err = %v", err)
-	}
-	_, _, c2 := remount(t, dev)
-	if _, err := c2.Stat("/doomed"); !errors.Is(err, fsapi.ErrNotExist) {
-		t.Fatalf("half-deleted file visible: %v", err)
-	}
-	if _, err := c2.Create("/doomed", 0o644); err != nil {
-		t.Fatalf("recreate after recovered delete: %v", err)
-	}
-}
-
-func TestCrashDuringDeleteAfterEntryZero(t *testing.T) {
-	dev, fs, c := crashWorld(t)
-	c.Create("/gone", 0o644)
-	crashAt(fs, "delete.after-entry-zero")
-	if err := c.Unlink("/gone"); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("err = %v", err)
-	}
-	_, _, c2 := remount(t, dev)
-	if _, err := c2.Stat("/gone"); !errors.Is(err, fsapi.ErrNotExist) {
-		t.Fatalf("file visible after crashed delete: %v", err)
-	}
-}
-
-func TestCrashDuringRenameAfterShadow(t *testing.T) {
-	// Crash after the shadow entry exists but before the old slot is swung:
-	// the rename never happened.
-	dev, fs, c := crashWorld(t)
-	c.Create("/orig", 0o644)
-	crashAt(fs, "rename.after-shadow")
-	if err := c.Rename("/orig", "/moved"); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("err = %v", err)
-	}
-	_, _, c2 := remount(t, dev)
-	if _, err := c2.Stat("/orig"); err != nil {
-		t.Fatalf("original lost in unfinished rename: %v", err)
-	}
-	if _, err := c2.Stat("/moved"); !errors.Is(err, fsapi.ErrNotExist) {
-		t.Fatalf("phantom destination exists: %v", err)
-	}
-}
-
-func TestCrashDuringRenameAfterSwap(t *testing.T) {
-	// Crash after the old slot was swung to the shadow (the deliberate
-	// hash-mismatch state): recovery must complete the rename.
-	dev, fs, c := crashWorld(t)
-	fd, _ := c.Create("/swap-src", 0o644)
-	c.Write(fd, []byte("payload"))
-	c.Close(fd)
-	crashAt(fs, "rename.after-swap")
-	if err := c.Rename("/swap-src", "/swap-dst"); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("err = %v", err)
-	}
-	_, stats, c2 := remount(t, dev)
-	if _, err := c2.Stat("/swap-dst"); err != nil {
-		t.Fatalf("renamed file lost after mid-rename crash: %v", err)
-	}
-	if _, err := c2.Stat("/swap-src"); !errors.Is(err, fsapi.ErrNotExist) {
-		t.Fatalf("old name visible after recovered rename: %v", err)
-	}
-	if stats.FixedRenames == 0 {
-		t.Fatal("recovery did not report completing a rename")
-	}
-	fd, err := c2.Open("/swap-dst", fsapi.ORdonly, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 16)
-	n, _ := c2.Read(fd, buf)
-	if string(buf[:n]) != "payload" {
-		t.Fatalf("content after recovered rename = %q", buf[:n])
-	}
-}
-
-func TestCrashDuringRenameAfterPlace(t *testing.T) {
-	// Crash after the shadow is placed in the new line but before the old
-	// slot is cleared: both slots point at the entry; recovery removes the
-	// stale one.
-	dev, fs, c := crashWorld(t)
-	c.Create("/place-a", 0o644)
-	crashAt(fs, "rename.after-place")
-	if err := c.Rename("/place-a", "/place-b"); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("err = %v", err)
-	}
-	_, _, c2 := remount(t, dev)
-	if _, err := c2.Stat("/place-b"); err != nil {
-		t.Fatalf("renamed file lost: %v", err)
-	}
-	if _, err := c2.Stat("/place-a"); !errors.Is(err, fsapi.ErrNotExist) {
-		t.Fatalf("old name visible: %v", err)
-	}
-	ents, _ := c2.ReadDir("/")
-	if len(ents) != 1 {
-		t.Fatalf("directory has %d entries after recovery, want 1: %+v", len(ents), ents)
-	}
-}
-
-func TestCrashDuringCrossDirRenameAfterLog(t *testing.T) {
-	// Crash right after the log entry is written: nothing moved yet, so
-	// recovery rolls the rename back.
-	dev, fs, c := crashWorld(t)
-	c.Mkdir("/s", 0o755)
-	c.Mkdir("/d", 0o755)
-	c.Create("/s/file", 0o644)
-	crashAt(fs, "xrename.after-log")
-	if err := c.Rename("/s/file", "/d/file"); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("err = %v", err)
-	}
-	_, stats, c2 := remount(t, dev)
-	if _, err := c2.Stat("/s/file"); err != nil {
-		t.Fatalf("source lost in rolled-back cross-dir rename: %v", err)
-	}
-	if _, err := c2.Stat("/d/file"); !errors.Is(err, fsapi.ErrNotExist) {
-		t.Fatalf("destination exists after rollback: %v", err)
-	}
-	if stats.FixedLogs == 0 {
-		t.Fatal("recovery did not process the rename log")
-	}
-}
-
-func TestCrashDuringCrossDirRenameAfterInsert(t *testing.T) {
-	// Crash after the shadow reached the destination: recovery rolls
-	// forward; the file lives only at the destination.
-	dev, fs, c := crashWorld(t)
-	c.Mkdir("/s2", 0o755)
-	c.Mkdir("/d2", 0o755)
-	fd, _ := c.Create("/s2/file", 0o644)
-	c.Write(fd, []byte("xd"))
-	c.Close(fd)
-	crashAt(fs, "xrename.after-insert")
-	if err := c.Rename("/s2/file", "/d2/file"); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("err = %v", err)
-	}
-	fs2, stats, c2 := remount(t, dev)
-	if _, err := c2.Stat("/d2/file"); err != nil {
-		t.Fatalf("destination lost in rolled-forward rename: %v", err)
-	}
-	if _, err := c2.Stat("/s2/file"); !errors.Is(err, fsapi.ErrNotExist) {
-		t.Fatalf("source still visible after roll-forward: %v", err)
-	}
-	if stats.FixedLogs == 0 {
-		t.Fatal("rename log not processed")
-	}
-	// Mount-time recovery must show up in the remounted registry too.
-	s := fs2.Stats()
-	if s.Events[obs.EvRenameLogRecovered] == 0 {
-		t.Error("rename-log recovery not counted")
-	}
-	if s.Events[obs.EvMountRecovery] == 0 {
-		t.Error("mount recovery not counted")
-	}
-}
-
-func TestCrashDuringCrossDirRenameBeforeLogClear(t *testing.T) {
-	dev, fs, c := crashWorld(t)
-	c.Mkdir("/s3", 0o755)
-	c.Mkdir("/d3", 0o755)
-	c.Create("/s3/file", 0o644)
-	crashAt(fs, "xrename.before-log-clear")
-	if err := c.Rename("/s3/file", "/d3/file"); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("err = %v", err)
-	}
-	_, _, c2 := remount(t, dev)
-	if _, err := c2.Stat("/d3/file"); err != nil {
-		t.Fatalf("destination lost: %v", err)
-	}
-	if _, err := c2.Stat("/s3/file"); !errors.Is(err, fsapi.ErrNotExist) {
-		t.Fatalf("source duplicated: %v", err)
-	}
-}
-
-func TestCrashDuringUnlinkLeaksNoBlocks(t *testing.T) {
-	// Crash between directory-entry removal and inode free: the blocks are
-	// unreachable and must be returned by the recovery sweep.
-	dev, fs, c := crashWorld(t)
-	fd, _ := c.Create("/fat", 0o644)
-	c.Write(fd, make([]byte, 64*BlockSize))
-	c.Close(fd)
-	crashAt(fs, "unlink.after-remove")
-	if err := c.Unlink("/fat"); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("err = %v", err)
-	}
-	fs2, stats, _ := remount(t, dev)
-	if stats.Reclaimed == 0 {
-		t.Fatal("orphaned inode not reclaimed")
-	}
-	// All 64 data blocks must be free again: allocate them.
-	total := fs2.FreeBlocks()
-	if total < 64 {
-		t.Fatalf("only %d free blocks after recovery", total)
-	}
 }
 
 func TestWaiterRecoversStuckLineDirectly(t *testing.T) {
@@ -456,18 +134,10 @@ func TestFullCrashRecoveryPreservesTree(t *testing.T) {
 }
 
 func TestRandomizedCrashRecoveryNeverCorrupts(t *testing.T) {
-	// Property-style fuzz: run random metadata operations with a crash
-	// injected at a random point, power-cycle, recover, and verify global
+	// Property-style fuzz: run random metadata operations with the device
+	// stopped at a random fence, power-cycle, recover, and verify global
 	// invariants (every surviving file statable, readable, directory
 	// listable, recreate/unlink works).
-	points := []string{
-		"create.after-inode", "create.after-entry", "create.before-slot",
-		"create.after-slot", "delete.after-invalidate",
-		"delete.after-entry-zero", "unlink.after-remove",
-		"rename.after-shadow", "rename.after-swap", "rename.after-place",
-		"xrename.after-log", "xrename.after-insert",
-		"xrename.before-log-clear", "dir.extend",
-	}
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 25; trial++ {
 		dev := pmem.New(32 << 20)
@@ -486,94 +156,81 @@ func TestRandomizedCrashRecoveryNeverCorrupts(t *testing.T) {
 		}
 		dev.SetMode(pmem.ModeTracked)
 
-		// Arm a random crash point, then run random ops until it fires.
-		point := points[rng.Intn(len(points))]
-		crashAt(fs, point)
+		// Stop at a random fence, then run random ops until one stops.
+		fence := 1 + rng.Intn(200)
+		dev.StopAt(dev.Stats.Fences.Load() + uint64(fence))
 		crashed := false
+		stops := func(f func() error) (err error) {
+			crashed = pmem.Run(func() { err = f() })
+			return err
+		}
 		for i := 0; i < 60 && !crashed; i++ {
-			switch rng.Intn(4) {
+			switch op := rng.Intn(4); op {
 			case 0:
 				p := fmt.Sprintf("/d1/n%d", i)
-				if _, err := c.Create(p, 0o644); errors.Is(err, ErrCrashed) {
-					crashed = true
-				} else if err == nil {
+				if err := stops(func() error { _, err := c.Create(p, 0o644); return err }); err == nil && !crashed {
 					live[p] = true
 				}
 			case 1:
 				for p := range live {
-					err := c.Unlink(p)
-					if errors.Is(err, ErrCrashed) {
-						crashed = true
-						delete(live, p) // outcome unknown; drop from model
-					} else if err == nil {
-						delete(live, p)
+					if err := stops(func() error { return c.Unlink(p) }); err == nil {
+						delete(live, p) // stopped: outcome unknown, dropped from the model
 					}
 					break
 				}
-			case 2:
-				for p := range live {
-					np := fmt.Sprintf("/d1/r%d", i)
-					err := c.Rename(p, np)
-					if errors.Is(err, ErrCrashed) {
-						crashed = true
-						delete(live, p) // either name may survive
-					} else if err == nil {
-						delete(live, p)
-						live[np] = true
-					}
-					break
+			case 2, 3:
+				dir := "/d1/r"
+				if op == 3 {
+					dir = "/d2/x"
 				}
-			case 3:
 				for p := range live {
-					np := fmt.Sprintf("/d2/x%d", i)
-					err := c.Rename(p, np)
-					if errors.Is(err, ErrCrashed) {
-						crashed = true
-						delete(live, p)
-					} else if err == nil {
-						delete(live, p)
-						live[np] = true
+					np := fmt.Sprintf("%s%d", dir, i)
+					if err := stops(func() error { return c.Rename(p, np) }); err == nil {
+						delete(live, p) // stopped: either name may survive
+						if !crashed {
+							live[np] = true
+						}
 					}
 					break
 				}
 			}
 		}
 
+		dev.StopAt(0)
 		dev.Crash()
 		fs2, _, err := Mount(dev, Options{LineLockTimeout: 20 * time.Millisecond})
 		if err != nil {
-			t.Fatalf("trial %d (%s): mount after crash: %v", trial, point, err)
+			t.Fatalf("trial %d (fence %d): mount after crash: %v", trial, fence, err)
 		}
 		c2, _ := fs2.Attach(fsapi.Root)
 		// Invariant 1: all files the model knows survived must be intact.
 		for p := range live {
 			if _, err := c2.Stat(p); err != nil {
-				t.Fatalf("trial %d (%s): %s lost: %v", trial, point, p, err)
+				t.Fatalf("trial %d (fence %d): %s lost: %v", trial, fence, p, err)
 			}
 		}
 		// Invariant 2: directories are listable and consistent with stat.
 		for _, dir := range []string{"/", "/d1", "/d2"} {
 			ents, err := c2.ReadDir(dir)
 			if err != nil {
-				t.Fatalf("trial %d (%s): readdir %s: %v", trial, point, dir, err)
+				t.Fatalf("trial %d (fence %d): readdir %s: %v", trial, fence, dir, err)
 			}
 			for _, e := range ents {
 				if _, err := c2.Stat(dir + "/" + e.Name); err != nil {
-					t.Fatalf("trial %d (%s): listed entry %s/%s not statable: %v",
-						trial, point, dir, e.Name, err)
+					t.Fatalf("trial %d (fence %d): listed entry %s/%s not statable: %v",
+						trial, fence, dir, e.Name, err)
 				}
 			}
 		}
 		// Invariant 3: the FS still works.
 		if _, err := c2.Create("/d1/post-crash", 0o644); err != nil {
-			t.Fatalf("trial %d (%s): create after recovery: %v", trial, point, err)
+			t.Fatalf("trial %d (fence %d): create after recovery: %v", trial, fence, err)
 		}
 		if err := c2.Unlink("/d1/post-crash"); err != nil {
-			t.Fatalf("trial %d (%s): unlink after recovery: %v", trial, point, err)
+			t.Fatalf("trial %d (fence %d): unlink after recovery: %v", trial, fence, err)
 		}
 	}
 }
-
 func TestRecoveryStatsElapsed(t *testing.T) {
 	dev, _, c := crashWorld(t)
 	for i := 0; i < 50; i++ {

@@ -49,13 +49,25 @@ func (fs *FS) lockLine(first pmem.Ptr, line int) *dirState {
 	off := uint64(first) + dirBusyOff
 	old := fs.dev.AtomicLoad64(off)
 	if old&bit != 0 || !fs.dev.CompareAndSwap64(off, old, old|bit) {
-		fs.lockLineSlow(first, line, bit, off)
+		fs.lockLineSlow(first, line, bit, off, false)
 	}
 	ds.lines[line].seq.Add(1)
 	return ds
 }
 
-func (fs *FS) lockLineSlow(first pmem.Ptr, line int, bit, off uint64) {
+// lockLineInRecovery is lockLine for a recovery that holds recoveryMu (or
+// runs alone, at mount): a dead same-directory rename holds both of its
+// lines, so the second one is recovered under the mutex already held.
+func (fs *FS) lockLineInRecovery(first pmem.Ptr, line int) {
+	ds := fs.ensureIndex(first)
+	bit, off := uint64(1)<<uint(line), uint64(first)+dirBusyOff
+	if old := fs.dev.AtomicLoad64(off); old&bit != 0 || !fs.dev.CompareAndSwap64(off, old, old|bit) {
+		fs.lockLineSlow(first, line, bit, off, true)
+	}
+	ds.lines[line].seq.Add(1)
+}
+
+func (fs *FS) lockLineSlow(first pmem.Ptr, line int, bit, off uint64, inRecovery bool) {
 	start := time.Now()
 	deadline := start.Add(fs.lineTimeout)
 	for spins := 0; ; spins++ {
@@ -73,7 +85,11 @@ func (fs *FS) lockLineSlow(first pmem.Ptr, line int, bit, off uint64) {
 			runtime.Gosched()
 			if time.Now().After(deadline) {
 				fs.obsR.Event(obs.EvLineLockTimeout)
-				fs.recoverStuckLine(first, line)
+				if inRecovery {
+					fs.recoverLineLocked(first, line)
+				} else {
+					fs.recoverStuckLine(first, line)
+				}
 				deadline = time.Now().Add(fs.lineTimeout)
 			}
 		}
@@ -354,9 +370,6 @@ func (fs *FS) createEntry(dirFirst pmem.Ptr, name string, ino pmem.Ptr, symlink 
 	if err != nil {
 		return err
 	}
-	if fs.crash("create.after-entry") {
-		return ErrCrashed
-	}
 	ds := fs.lockLine(dirFirst, line)
 	if fs.nameExists(&ds.lines[line], hash, key, name) {
 		fs.unlockLine(dirFirst, line)
@@ -364,22 +377,13 @@ func (fs *FS) createEntry(dirFirst pmem.Ptr, name string, ino pmem.Ptr, symlink 
 		return fsapi.ErrExist
 	}
 	slot, err := fs.takeSlot(dirFirst, ds, line)
-	if err == ErrCrashed {
-		return err // the "process" died: no cleanup, lock stays held
-	}
 	if err != nil {
 		fs.unlockLine(dirFirst, line)
 		fs.freeEntry(entry)
 		return err
 	}
-	if fs.crash("create.before-slot") {
-		return ErrCrashed // dies holding the line lock
-	}
 	fs.dev.AtomicStore64(slot, uint64(entry))
 	fs.dev.Persist(slot, 8)
-	if fs.crash("create.after-slot") {
-		return ErrCrashed
-	}
 	// One fence commits both dirty-bit clears (Fig 5a step 6).
 	fs.oa.ClearDirtyLazy(ino)
 	fs.oa.ClearDirtyLazy(entry)
@@ -414,14 +418,8 @@ func (fs *FS) removeEntry(dirFirst pmem.Ptr, name string, wantDir *bool) (pmem.P
 	// Step 2: mark the entry's operation in progress (valid off, dirty on).
 	fs.dev.AtomicStore64(uint64(ref.entry), alloc.FlagDirty)
 	fs.dev.Persist(uint64(ref.entry), 8)
-	if fs.crash("delete.after-invalidate") {
-		return 0, ErrCrashed
-	}
 	// Steps 4-5: zero the entry, then the slot pointer.
 	fs.zeroEntry(ref.entry)
-	if fs.crash("delete.after-entry-zero") {
-		return 0, ErrCrashed
-	}
 	fs.dev.AtomicStore64(ref.slot, 0)
 	fs.dev.Persist(ref.slot, 8)
 	fs.oa.Recycle(ClassFileEntry, ref.entry)
@@ -492,18 +490,12 @@ func (fs *FS) renameSameDir(dirFirst pmem.Ptr, oldName, newName string) error {
 		unlock()
 		return err
 	}
-	if fs.crash("rename.after-shadow") {
-		return ErrCrashed
-	}
 	// Step 5: swing the old slot to the shadow entry. The hash of the
 	// shadow does not match the old line — that deliberate inconsistency is
 	// what recovery keys on.
 	fs.dev.AtomicStore64(ref.slot, uint64(shadow))
 	fs.dev.Persist(ref.slot, 8)
 	ds.lines[oldLine].remove(fnv64(oldName), ref.slot)
-	if fs.crash("rename.after-swap") {
-		return ErrCrashed
-	}
 	// Step 6: the old entry is no longer needed.
 	fs.dev.AtomicStore64(uint64(ref.entry), alloc.FlagDirty)
 	fs.dev.Persist(uint64(ref.entry), 8)
@@ -522,18 +514,12 @@ func (fs *FS) renameSameDir(dirFirst pmem.Ptr, oldName, newName string) error {
 
 	// Step 7: place the shadow into its proper line.
 	slot, err := fs.takeSlot(dirFirst, ds, newLine)
-	if err == ErrCrashed {
-		return err
-	}
 	if err != nil {
 		unlock()
 		return err
 	}
 	fs.dev.AtomicStore64(slot, uint64(shadow))
 	fs.dev.Persist(slot, 8)
-	if fs.crash("rename.after-place") {
-		return ErrCrashed
-	}
 	// Step 8: remove the mismatched pointer from the old line.
 	fs.dev.AtomicStore64(ref.slot, 0)
 	fs.dev.Persist(ref.slot, 8)
@@ -594,16 +580,10 @@ func (fs *FS) renameCrossDir(srcFirst, dstFirst pmem.Ptr, oldName, newName strin
 	d.Persist(uint64(srcFirst)+dirLogOldOff, 24)
 	d.AtomicOr64(uint64(srcFirst)+dirMetaOff, dirLogDirtyBit)
 	d.Persist(uint64(srcFirst)+dirMetaOff, 8)
-	if fs.crash("xrename.after-log") {
-		return ErrCrashed
-	}
 
 	// Step 4: perform the operation — insert into destination, remove from
 	// source.
 	slot, err := fs.takeSlot(dstFirst, dds, newLine)
-	if err == ErrCrashed {
-		return err
-	}
 	if err != nil {
 		fs.clearRenameLog(srcFirst)
 		unlockBoth()
@@ -612,19 +592,17 @@ func (fs *FS) renameCrossDir(srcFirst, dstFirst pmem.Ptr, oldName, newName strin
 	}
 	d.AtomicStore64(slot, uint64(shadow))
 	d.Persist(slot, 8)
-	if fs.crash("xrename.after-insert") {
-		return ErrCrashed
-	}
 	d.AtomicStore64(ref.slot, 0)
 	d.Persist(ref.slot, 8)
 	fs.dev.AtomicStore64(uint64(ref.entry), alloc.FlagDirty)
 	fs.dev.Persist(uint64(ref.entry), 8)
-	fs.freeEntryBody(ref.entry)
+	fs.zeroEntry(ref.entry)
 	fs.oa.ClearDirty(shadow)
-	if fs.crash("xrename.before-log-clear") {
-		return ErrCrashed
-	}
 	fs.clearRenameLog(srcFirst)
+	// The log names the old entry until it is cleared: recycled before, the
+	// entry could be a live process's new entry by the time a waiter
+	// recovering this rename invalidates it.
+	fs.oa.Recycle(ClassFileEntry, ref.entry)
 	dds.lines[newLine].add(fnv64(newName), slot)
 	sds.lines[oldLine].remove(fnv64(oldName), ref.slot)
 	sds.lines[oldLine].pushFree(ref.slot)

@@ -381,9 +381,6 @@ func (fs *FS) extendChain(first pmem.Ptr, ds *dirState, line int) (uint64, error
 	}
 	fs.obsR.Event(obs.EvDirChainExtend)
 	fs.oa.ClearDirty(nb)
-	if fs.crash("dir.extend") {
-		return 0, ErrCrashed
-	}
 	last := first
 	if n := len(ds.blocks); n > 0 {
 		last = ds.blocks[n-1]

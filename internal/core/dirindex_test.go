@@ -258,7 +258,7 @@ func TestRmdirDropsDirState(t *testing.T) {
 //   - O_CREAT without O_EXCL never fails, ErrNotExist least of all.
 //
 // And once they stop — because they are done, or because every one of them
-// "died" at its next crash point and the device lost what was not fenced —
+// "died" at its next fence and the device lost what was not fenced —
 // each directory's volatile index equals one rebuilt from its persistent
 // chain, the tree walks, and every ball is under exactly one of its names.
 type indexModel struct {
@@ -271,7 +271,7 @@ type indexModel struct {
 	churn  []string     // in /a: created and unlinked
 	same   [2]string    // in /a: one file renamed back and forth
 	cross  string       // one file renamed between /a and /b
-	dead   atomic.Bool  // crash phase: every crash point fires
+	dead   atomic.Bool  // crash phase: the device stops every fence from now on
 	ops    atomic.Int64 // mutations done
 	wg     sync.WaitGroup
 	fail   atomic.Bool
@@ -295,8 +295,9 @@ func (m *indexModel) done() bool {
 	if m.ops.Load() < m.target {
 		return false
 	}
-	if m.crash {
-		m.dead.Store(true)
+	if m.crash && m.dead.CompareAndSwap(false, true) {
+		dev := m.fs.dev
+		dev.StopAt(dev.Stats.Fences.Load() + 1)
 	}
 	return true
 }
@@ -355,9 +356,11 @@ func (m *indexModel) worker(f func(c fsapi.Client, i int) error) {
 		defer m.wg.Done()
 		c, _ := m.fs.Attach(fsapi.Root)
 		for i := 0; !m.done(); i++ {
-			if err := f(c, i); errors.Is(err, ErrCrashed) {
-				return
-			} else if err != nil {
+			var err error
+			if pmem.Run(func() { err = f(c, i) }) {
+				return // died at a fence
+			}
+			if err != nil {
 				m.errorf("%v", err)
 				return
 			}
@@ -503,7 +506,6 @@ func TestIndexConcurrentModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := newIndexModel(t, fs)
-	fs.SetHooks(Hooks{CrashPoint: func(string) bool { return m.dead.Load() }})
 
 	m.target = 6000
 	if testing.Short() {
@@ -515,9 +517,9 @@ func TestIndexConcurrentModel(t *testing.T) {
 	}
 	m.verify(fs)
 
-	// Again, but this time every process dies mid-operation — wherever its
-	// next crash point is, holding whatever line it holds — and the device
-	// loses everything not yet fenced.
+	// Again, but this time every process dies mid-operation — at its next
+	// fence, holding whatever line it holds — and the device loses
+	// everything not yet fenced.
 	dev.SetMode(pmem.ModeTracked)
 	fs.lineTimeout = 200 * time.Millisecond // now holders do die
 	m.crash, m.target = true, m.ops.Load()+m.target/4
@@ -525,6 +527,7 @@ func TestIndexConcurrentModel(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	dev.StopAt(0)
 	dev.Crash()
 	fs2, stats, err := Mount(dev, opts)
 	if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -13,19 +12,6 @@ import (
 	"simurgh/internal/obs"
 	"simurgh/internal/pmem"
 )
-
-// ErrCrashed is returned by an operation aborted at an injected crash point,
-// emulating the death of the calling process mid-operation.
-var ErrCrashed = errors.New("simurgh: simulated process crash")
-
-// Hooks allows tests to inject process crashes at named points inside
-// metadata operations. CrashPoint returns true to "kill" the process there:
-// the operation stops immediately, leaving NVMM (and any held busy-wait
-// locks) exactly as they were — recovery by other processes is then
-// exercised for real.
-type Hooks struct {
-	CrashPoint func(point string) bool
-}
 
 // Options configures Format and Mount.
 type Options struct {
@@ -165,7 +151,6 @@ type FS struct {
 	ba    *alloc.BlockAlloc
 	oa    *alloc.ObjAlloc
 	costM *cost.Model
-	hooks Hooks
 
 	relaxedWrites bool
 	lineTimeout   time.Duration
@@ -378,14 +363,6 @@ func (fs *FS) Unmount() {
 
 // Device returns the underlying NVMM device.
 func (fs *FS) Device() *pmem.Device { return fs.dev }
-
-// SetHooks installs crash-injection hooks (tests only).
-func (fs *FS) SetHooks(h Hooks) { fs.hooks = h }
-
-// crash reports whether an injected crash fires at the named point.
-func (fs *FS) crash(point string) bool {
-	return fs.hooks.CrashPoint != nil && fs.hooks.CrashPoint(point)
-}
 
 // FreeBlocks reports the allocator's free data blocks.
 func (fs *FS) FreeBlocks() uint64 { return fs.ba.FreeBlocks() }

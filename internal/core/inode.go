@@ -168,9 +168,6 @@ func (fs *FS) writeAt(ino pmem.Ptr, p []byte, off uint64) (int, error) {
 		fs.dev.NTStore(phys*BlockSize+within, p[written:written+int(chunk)])
 		written += int(chunk)
 	}
-	if fs.crash("write.before-fence") {
-		return 0, ErrCrashed
-	}
 	// sfence: data durable before the metadata that references it.
 	fs.dev.Fence()
 	for {

@@ -32,6 +32,7 @@ type RecoveryStats struct {
 	FixedCreates  uint64 // dirty create pairs committed
 	FixedRenames  uint64 // same-dir renames completed via hash mismatch
 	FixedLogs     uint64 // cross-directory rename logs rolled forward/back
+	FixedLinks    uint64 // link counts set to the number of entries naming the inode
 	Reclaimed     uint64 // leaked objects returned to the allocator
 	Elapsed       time.Duration
 	WasClean      bool
@@ -43,6 +44,12 @@ type RecoveryStats struct {
 func (fs *FS) recoverStuckLine(first pmem.Ptr, line int) {
 	fs.recoveryMu.Lock()
 	defer fs.recoveryMu.Unlock()
+	fs.recoverLineLocked(first, line)
+}
+
+// recoverLineLocked is recoverStuckLine for a caller that holds recoveryMu
+// already: a recovery that finds the dead holder also held a second line.
+func (fs *FS) recoverLineLocked(first pmem.Ptr, line int) {
 	bit := uint64(1) << uint(line)
 	if fs.dev.AtomicLoad64(uint64(first)+dirBusyOff)&bit == 0 {
 		fs.obsR.Event(obs.EvWaiterRecoveryNoop)
@@ -95,21 +102,26 @@ func (fs *FS) repairLine(first pmem.Ptr, line int, st *RecoveryStats) {
 					fs.completeRenameMove(first, ds, line, so, e, st)
 					continue
 				}
-				if flags&alloc.FlagDirty != 0 {
-					// Create reached the slot store but not the dirty
-					// clears: commit it.
-					ino := pmem.Ptr(d.AtomicLoad64(uint64(e) + feInodeOff))
-					if !ino.IsNull() && fs.oa.Flags(ino)&alloc.FlagValid != 0 {
+				// Create reached the slot store but not the dirty clears:
+				// commit it. The two clears share one fence, so a torn
+				// crash can keep the entry's and lose the inode's.
+				ino := pmem.Ptr(d.AtomicLoad64(uint64(e) + feInodeOff))
+				inoDirty := fs.plausible(ino, InodeSize) && fs.oa.Flags(ino) == alloc.FlagValid|alloc.FlagDirty
+				if flags&alloc.FlagDirty != 0 || inoDirty {
+					if inoDirty {
 						fs.oa.ClearDirty(ino)
 					}
-					fs.oa.ClearDirty(e)
-					h := fnv64(fs.entryName(e))
-					if !ds.lines[line].containsSlot(h, so) {
-						ds.lines[line].add(h, so)
+					if flags&alloc.FlagDirty != 0 {
+						fs.oa.ClearDirty(e)
 					}
 					if st != nil {
 						st.FixedCreates++
 					}
+				}
+				// Index every live entry: a lookup may already have
+				// committed the dead holder's create without indexing it.
+				if h := fnv64(fs.entryName(e)); !ds.lines[line].containsSlot(h, so) {
+					ds.lines[line].add(h, so)
 				}
 			}
 		}
@@ -125,7 +137,7 @@ func (fs *FS) completeRenameMove(first pmem.Ptr, ds *dirState, srcLine int, srcS
 	name := fs.entryName(e)
 	h64 := fnv64(name)
 	if target != srcLine {
-		fs.lockLine(first, target)
+		fs.lockLineInRecovery(first, target)
 		defer fs.unlockLine(first, target)
 	}
 	// Check the entry is not already placed in its proper line (crash
@@ -243,7 +255,8 @@ type markState struct {
 	dirBlocks map[pmem.Ptr]bool
 	extents   map[pmem.Ptr]bool
 	blobs     map[pmem.Ptr]bool
-	dataUsed  map[uint64]uint64 // start block -> run length
+	links     map[pmem.Ptr]uint32 // inode -> valid entries naming it
+	dataUsed  map[uint64]uint64   // start block -> run length
 }
 
 // recoverAll is the mount-time scan: mark from the root, fix half-done
@@ -267,11 +280,22 @@ func (fs *FS) recoverAll(fix bool) (*RecoveryStats, error) {
 		dirBlocks: map[pmem.Ptr]bool{},
 		extents:   map[pmem.Ptr]bool{},
 		blobs:     map[pmem.Ptr]bool{},
+		links:     map[pmem.Ptr]uint32{},
 		dataUsed:  map[uint64]uint64{},
 	}
 	fs.markInode(fs.rootInode, ms, st, fix)
 
 	if fix {
+		// A link count is the number of names. Link raises it before the
+		// new entry exists and unlink lowers it after the old one is gone,
+		// so a crash in between leaves it one high: the inode would never
+		// be freed.
+		for ino, n := range ms.links {
+			if ms.inodes[ino] && !fsapi.IsDir(fs.inoMode(ino)) && fs.inoNlink(ino) != n {
+				fs.setNlink(ino, n)
+				st.FixedLinks++
+			}
+		}
 		// Reclaim unreachable subtrees before the generic sweep so their
 		// data blocks and nested objects do not leak. (The sweep itself
 		// only frees single objects.)
@@ -364,6 +388,7 @@ func (fs *FS) markInode(ino pmem.Ptr, ms *markState, st *RecoveryStats, fix bool
 				}
 				child := pmem.Ptr(d.AtomicLoad64(uint64(e) + feInodeOff))
 				if !child.IsNull() {
+					ms.links[child]++
 					fs.markInode(child, ms, st, fix)
 				}
 			}

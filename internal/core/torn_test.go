@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -17,14 +16,6 @@ import (
 // EVERY such subset, not just the strict all-or-nothing crash.
 
 func TestTornCrashRecoveryInvariants(t *testing.T) {
-	points := []string{
-		"create.after-inode", "create.after-entry", "create.before-slot",
-		"create.after-slot", "delete.after-invalidate",
-		"delete.after-entry-zero", "unlink.after-remove",
-		"rename.after-shadow", "rename.after-swap", "rename.after-place",
-		"xrename.after-log", "xrename.after-insert",
-		"xrename.before-log-clear", "dir.extend",
-	}
 	rng := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 30; trial++ {
 		dev := pmem.New(32 << 20)
@@ -47,63 +38,52 @@ func TestTornCrashRecoveryInvariants(t *testing.T) {
 		}
 		dev.SetMode(pmem.ModeTracked)
 
-		point := points[rng.Intn(len(points))]
-		fired := false
-		fs.SetHooks(Hooks{CrashPoint: func(p string) bool {
-			if p == point && !fired {
-				fired = true
-				return true
-			}
-			return false
-		}})
-		for i := 0; i < 40 && !fired; i++ {
-			switch rng.Intn(4) {
+		// Stop at a random fence, then run random ops until one stops.
+		fence := 1 + rng.Intn(150)
+		dev.StopAt(dev.Stats.Fences.Load() + uint64(fence))
+		stopped := false
+		stops := func(f func() error) (err error) {
+			stopped = pmem.Run(func() { err = f() })
+			return err
+		}
+		for i := 0; i < 40 && !stopped; i++ {
+			switch op := rng.Intn(4); op {
 			case 0:
 				p := fmt.Sprintf("/d1/n%d", i)
-				if _, err := c.Create(p, 0o644); err == nil {
+				if err := stops(func() error { _, err := c.Create(p, 0o644); return err }); err == nil && !stopped {
 					live[p] = nil
 				}
 			case 1:
 				for p := range live {
-					if err := c.Unlink(p); err == nil || errors.Is(err, ErrCrashed) {
+					if err := stops(func() error { return c.Unlink(p) }); err == nil {
 						delete(live, p)
 					}
 					break
 				}
-			case 2:
-				for p := range live {
-					np := fmt.Sprintf("/d1/r%d", i)
-					err := c.Rename(p, np)
-					data := live[p]
-					if errors.Is(err, ErrCrashed) {
-						delete(live, p) // either name may survive
-					} else if err == nil {
-						delete(live, p)
-						live[np] = data
-					}
-					break
+			case 2, 3:
+				dir := "/d1/r"
+				if op == 3 {
+					dir = "/d2/x"
 				}
-			case 3:
 				for p := range live {
-					np := fmt.Sprintf("/d2/x%d", i)
-					err := c.Rename(p, np)
+					np := fmt.Sprintf("%s%d", dir, i)
 					data := live[p]
-					if errors.Is(err, ErrCrashed) {
-						delete(live, p)
-					} else if err == nil {
-						delete(live, p)
-						live[np] = data
+					if err := stops(func() error { return c.Rename(p, np) }); err == nil {
+						delete(live, p) // stopped: either name may survive
+						if !stopped {
+							live[np] = data
+						}
 					}
 					break
 				}
 			}
 		}
-
+		dev.StopAt(0)
 		// Torn power failure: unfenced lines persist with probability 1/2.
 		dev.CrashPartial(rng)
 		fs2, _, err := Mount(dev, Options{LineLockTimeout: 20 * time.Millisecond})
 		if err != nil {
-			t.Fatalf("trial %d (%s): mount after torn crash: %v", trial, point, err)
+			t.Fatalf("trial %d (fence %d): mount after torn crash: %v", trial, fence, err)
 		}
 		c2, _ := fs2.Attach(fsapi.Root)
 		// Invariant 1: every file known to be durable is intact, content
@@ -111,11 +91,11 @@ func TestTornCrashRecoveryInvariants(t *testing.T) {
 		for p, data := range live {
 			st, err := c2.Stat(p)
 			if err != nil {
-				t.Fatalf("trial %d (%s): %s lost after torn crash: %v", trial, point, p, err)
+				t.Fatalf("trial %d (fence %d): %s lost after torn crash: %v", trial, fence, p, err)
 			}
 			if data != nil {
 				if st.Size != uint64(len(data)) {
-					t.Fatalf("trial %d (%s): %s size %d, want %d", trial, point, p, st.Size, len(data))
+					t.Fatalf("trial %d (fence %d): %s size %d, want %d", trial, fence, p, st.Size, len(data))
 				}
 				fd, err := c2.Open(p, fsapi.ORdonly, 0)
 				if err != nil {
@@ -125,7 +105,7 @@ func TestTornCrashRecoveryInvariants(t *testing.T) {
 				c2.Pread(fd, buf, 0)
 				for i := range data {
 					if buf[i] != data[i] {
-						t.Fatalf("trial %d (%s): %s byte %d corrupted", trial, point, p, i)
+						t.Fatalf("trial %d (fence %d): %s byte %d corrupted", trial, fence, p, i)
 					}
 				}
 				c2.Close(fd)
@@ -135,18 +115,18 @@ func TestTornCrashRecoveryInvariants(t *testing.T) {
 		for _, dir := range []string{"/", "/d1", "/d2"} {
 			ents, err := c2.ReadDir(dir)
 			if err != nil {
-				t.Fatalf("trial %d (%s): readdir %s: %v", trial, point, dir, err)
+				t.Fatalf("trial %d (fence %d): readdir %s: %v", trial, fence, dir, err)
 			}
 			for _, e := range ents {
 				if _, err := c2.Stat(dir + "/" + e.Name); err != nil {
-					t.Fatalf("trial %d (%s): listed %s/%s not statable: %v",
-						trial, point, dir, e.Name, err)
+					t.Fatalf("trial %d (fence %d): listed %s/%s not statable: %v",
+						trial, fence, dir, e.Name, err)
 				}
 			}
 		}
 		// Invariant 3: the volume still works after recovery.
 		if _, err := c2.Create("/d2/post", 0o644); err != nil {
-			t.Fatalf("trial %d (%s): create after torn recovery: %v", trial, point, err)
+			t.Fatalf("trial %d (fence %d): create after torn recovery: %v", trial, fence, err)
 		}
 	}
 }
@@ -165,14 +145,15 @@ func TestTornCrashDuringWritesNeverTearsFencedData(t *testing.T) {
 		rng.Read(committed)
 		c.Pwrite(fd, committed, 0) // fenced by the write path
 		dev.SetMode(pmem.ModeTracked)
-		// Overwrite region [8k,16k) but die before the sfence: the data
-		// reached the write queue but was never ordered.
-		crashAt(fs, "write.before-fence")
+		// Overwrite region [8k,16k) but die at one of its two fences: before
+		// the data is ordered, or before the size and times are.
+		dev.StopAt(dev.Stats.Fences.Load() + 1 + uint64(rng.Intn(2)))
 		newData := make([]byte, 8192)
 		rng.Read(newData)
-		if _, err := c.Pwrite(fd, newData, 8192); !errors.Is(err, ErrCrashed) {
-			t.Fatalf("trial %d: pwrite = %v", trial, err)
+		if !pmem.Run(func() { c.Pwrite(fd, newData, 8192) }) {
+			t.Fatalf("trial %d: the pwrite did not stop", trial)
 		}
+		dev.StopAt(0)
 		dev.CrashPartial(rng)
 		fs2, _, err := Mount(dev, Options{})
 		if err != nil {

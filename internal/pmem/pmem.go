@@ -31,7 +31,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,6 +143,7 @@ type Device struct {
 	staged  map[uint64]struct{} // line offsets flushed, awaiting fence
 
 	fenceObs FenceObserver
+	stopAt   atomic.Uint64 // see StopAt
 
 	Stats Stats
 }
@@ -512,10 +515,13 @@ func (d *Device) Fence() {
 }
 
 func (d *Device) fence() {
-	d.Stats.Fences.Add(1)
+	n := d.Stats.Fences.Add(1)
 	d.charge(d.lat.FenceNs)
 	if !d.tracked() {
 		return
+	}
+	if s := d.stopAt.Load(); s != 0 && n >= s {
+		panic(stopped{})
 	}
 	d.mu.Lock()
 	for l := range d.staged {
@@ -527,6 +533,34 @@ func (d *Device) fence() {
 	}
 	clear(d.staged)
 	d.mu.Unlock()
+}
+
+// StopAt makes the device's n-th fence (counted by Stats.Fences) and every
+// later one panic before it takes effect, in tracked mode only; 0 disarms
+// it. It is the crash-testing seam: every fence is a crash point. A stop
+// followed by Crash or CrashPartial is a power failure that leaves exactly
+// the state after fence n-1 (plus, torn, some of the lines written since).
+// A stop alone is a process death: the caller unwinds through its deferred
+// calls and leaves everything else — NVMM and the busy bits in it — as it
+// was. Run catches the stop.
+func (d *Device) StopAt(n uint64) { d.stopAt.Store(n) }
+
+// stopped is the panic value of a fence StopAt armed.
+type stopped struct{}
+
+// Run calls f and reports whether a fence StopAt armed stopped it. Any
+// other panic goes on unwinding.
+func Run(f func()) (stop bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(stopped); !ok {
+				panic(r)
+			}
+			stop = true
+		}
+	}()
+	f()
+	return false
 }
 
 // Persist is the common flush+fence sequence used to make a small update durable.
@@ -545,8 +579,9 @@ func (d *Device) Crash() {
 // CrashPartial simulates a power failure where an arbitrary subset of
 // unfenced lines happens to have reached the media anyway (cache eviction,
 // in-flight writebacks). Each pending or staged line independently survives
-// with probability 1/2 under rng. Both outcomes are legal persistent states
-// on real hardware, so recovery code must handle either.
+// with probability 1/2 under rng, drawn in address order, so one seed names
+// one outcome. Both outcomes are legal persistent states on real hardware,
+// so recovery code must handle either.
 func (d *Device) CrashPartial(rng *rand.Rand) {
 	d.crash(rng)
 }
@@ -558,12 +593,9 @@ func (d *Device) crash(rng *rand.Rand) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if rng != nil {
-		for l := range d.pending {
-			if rng.Intn(2) == 0 {
-				copy(d.shadow[l:l+CachelineSize], d.buf[l:l+CachelineSize])
-			}
-		}
-		for l := range d.staged {
+		lines := slices.Sorted(maps.Keys(d.pending))
+		lines = append(lines, slices.Sorted(maps.Keys(d.staged))...)
+		for _, l := range lines {
 			if rng.Intn(2) == 0 {
 				copy(d.shadow[l:l+CachelineSize], d.buf[l:l+CachelineSize])
 			}

@@ -437,3 +437,51 @@ func TestAtomicBulkOps(t *testing.T) {
 		t.Fatal("AtomicStore32/AtomicLoad32 disagree")
 	}
 }
+
+func TestStopAtFence(t *testing.T) {
+	d := New(4096)
+	d.SetMode(ModeTracked)
+	base := d.Stats.Fences.Load()
+	d.StopAt(base + 3)
+	step := 0
+	stop := Run(func() {
+		for step = 1; step <= 4; step++ {
+			d.Store64(uint64(step)*64, uint64(step))
+			d.Persist(uint64(step)*64, 8)
+		}
+	})
+	if !stop || step != 3 {
+		t.Fatalf("Run = %v at step %d, want a stop at step 3", stop, step)
+	}
+	// The stopped fence never took effect, nor does any later one.
+	if !Run(d.Fence) {
+		t.Fatal("a fence after the stop went through")
+	}
+	d.StopAt(0)
+	d.Crash()
+	for i, want := range []uint64{1, 2, 0, 0} {
+		if got := d.Load64(uint64(i+1) * 64); got != want {
+			t.Fatalf("word %d after the crash = %d, want %d", i+1, got, want)
+		}
+	}
+	if Run(d.Fence) {
+		t.Fatal("StopAt(0) did not disarm the stop")
+	}
+}
+
+func TestStopAtIgnoredInFastMode(t *testing.T) {
+	d := New(4096)
+	d.StopAt(1)
+	if Run(d.Fence) {
+		t.Fatal("a fast-mode fence stopped")
+	}
+}
+
+func TestRunRepanicsOtherPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "other" {
+			t.Fatalf("recovered %v, want the original panic", r)
+		}
+	}()
+	Run(func() { panic("other") })
+}
