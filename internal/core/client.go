@@ -562,7 +562,8 @@ func (c *Client) Ftruncate(fd fsapi.FD, size uint64) (err error) {
 }
 
 // Fallocate implements fsapi.Client: preallocates blocks for [0, size)
-// without zeroing them (the configuration the paper benchmarks).
+// without storing to them (the configuration the paper benchmarks); what
+// it adds to the size reads zero through the zero mark.
 func (c *Client) Fallocate(fd fsapi.FD, size uint64) (err error) {
 	defer c.begin(obs.OpFallocate).end(&err)
 	of, err := c.file(fd)
@@ -578,6 +579,9 @@ func (c *Client) Fallocate(fd fsapi.FD, size uint64) (err error) {
 		return err
 	}
 	// fallocate extends the visible size (FALLOC_FL_KEEP_SIZE unset).
+	if old := c.fs.inoSize(of.ino); size > old {
+		c.fs.markZeroFrom(of.ino, old)
+	}
 	for {
 		old := c.fs.inoSize(of.ino)
 		if size <= old {
@@ -635,6 +639,9 @@ func (c *Client) Mkdir(path string, perm uint32) (err error) {
 	parent, name, err := c.resolveParent(path, true)
 	if err != nil {
 		return err
+	}
+	if fs.nameTaken(parent, name) {
+		return fsapi.ErrExist
 	}
 	ino, err := fs.newInode(c.cred, fsapi.ModeDir|perm&fsapi.ModePermMask, uint64(parent))
 	if err != nil {
@@ -732,6 +739,9 @@ func (c *Client) Symlink(target, linkPath string) (err error) {
 	if err != nil {
 		return err
 	}
+	if fs.nameTaken(parent, name) {
+		return fsapi.ErrExist
+	}
 	ino, err := fs.newSymlinkInode(c.cred, target, uint64(parent))
 	if err != nil {
 		return err
@@ -758,6 +768,9 @@ func (c *Client) Link(oldPath, newPath string) (err error) {
 	parent, name, err := c.resolveParent(newPath, true)
 	if err != nil {
 		return err
+	}
+	if fs.nameTaken(parent, name) {
+		return fsapi.ErrExist
 	}
 	fs.setNlink(ino, fs.inoNlink(ino)+1)
 	if err := fs.createEntry(fs.inoData(parent), name, ino, false); err != nil {

@@ -842,3 +842,124 @@ func TestDetachFreesOrphans(t *testing.T) {
 		t.Fatal("detach did not release the orphan")
 	}
 }
+
+// TestGrownRegionReadsZero grows a file created right after another file
+// full of 0xAB was freed, so that the new file reuses its inode and, by the
+// placement hint, its blocks: whatever way a file grows, the bytes it gains
+// and no write covers read zero, not the freed file's.
+func TestGrownRegionReadsZero(t *testing.T) {
+	const freed = 256 << 10
+	for _, tc := range []struct {
+		name string
+		// spill is whose file is freed before /pub/g is created; nil frees
+		// none.
+		spill *fsapi.Cred
+		// grow grows /pub/g, which must then read zero in [from, to).
+		grow func(t *testing.T, c fsapi.Client, fd fsapi.FD) (from, to uint64)
+	}{
+		{"hole write", &fsapi.Root, func(t *testing.T, c fsapi.Client, fd fsapi.FD) (uint64, uint64) {
+			if _, err := c.Pwrite(fd, []byte{1}, 200<<10); err != nil {
+				t.Fatal(err)
+			}
+			return 0, 200 << 10
+		}},
+		{"ftruncate grow after another owner's file is freed", &fsapi.Cred{UID: 1000, GID: 1000}, func(t *testing.T, c fsapi.Client, fd fsapi.FD) (uint64, uint64) {
+			if err := c.Ftruncate(fd, freed); err != nil {
+				t.Fatal(err)
+			}
+			return 0, freed
+		}},
+		{"shrink then grow", nil, func(t *testing.T, c fsapi.Client, fd fsapi.FD) (uint64, uint64) {
+			if _, err := c.Pwrite(fd, bytes.Repeat([]byte{0xAB}, 8<<10), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Ftruncate(fd, 100); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Ftruncate(fd, 8<<10); err != nil {
+				t.Fatal(err)
+			}
+			return 100, 8 << 10
+		}},
+		{"fallocate then a write with a hole", &fsapi.Root, func(t *testing.T, c fsapi.Client, fd fsapi.FD) (uint64, uint64) {
+			if err := c.Fallocate(fd, 64<<10); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Pwrite(fd, []byte{1}, 128<<10); err != nil {
+				t.Fatal(err)
+			}
+			return 0, 128 << 10
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, fs := newFSForTest(t, 16<<20)
+			c := rootClient(t, fs)
+			if err := c.Mkdir("/pub", 0o777); err != nil {
+				t.Fatal(err)
+			}
+			if tc.spill != nil {
+				o, err := fs.Attach(*tc.spill)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := writeFile(o, "/pub/spill", bytes.Repeat([]byte{0xAB}, freed)); err != nil {
+					t.Fatal(err)
+				}
+				if err := o.Unlink("/pub/spill"); err != nil {
+					t.Fatal(err)
+				}
+				o.Detach()
+			}
+			fd, err := c.Open("/pub/g", fsapi.OCreate|fsapi.ORdwr, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			from, to := tc.grow(t, c, fd)
+			got := make([]byte, to-from)
+			if n, err := c.Pread(fd, got, from); err != nil || uint64(n) != to-from {
+				t.Fatalf("pread [%d, %d) = %d, %v", from, to, n, err)
+			}
+			if nonzero := len(got) - bytes.Count(got, []byte{0}); nonzero != 0 {
+				t.Fatalf("%d of the %d grown bytes in [%d, %d) are not zero", nonzero, len(got), from, to)
+			}
+		})
+	}
+}
+
+// TestFailedCreateStoresNothing pins what a create of a name that exists
+// costs the device: nothing. It finds the name before it allocates.
+func TestFailedCreateStoresNothing(t *testing.T) {
+	dev, fs := newFSForTest(t, 16<<20)
+	c := rootClient(t, fs)
+	if err := writeFile(c, "/f", []byte("taken")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		op   func() error
+		want error
+	}{
+		{"mkdir over a directory", func() error { return c.Mkdir("/d", 0o755) }, fsapi.ErrExist},
+		{"mkdir over a file", func() error { return c.Mkdir("/f", 0o755) }, fsapi.ErrExist},
+		{"symlink", func() error { return c.Symlink("/target", "/f") }, fsapi.ErrExist},
+		{"create over a directory", func() error { _, err := c.Create("/d", 0o644); return err }, fsapi.ErrIsDir},
+		{"exclusive create", func() error {
+			_, err := c.Open("/f", fsapi.OCreate|fsapi.OExcl|fsapi.OWronly, 0o644)
+			return err
+		}, fsapi.ErrExist},
+		{"link", func() error { return c.Link("/f", "/d") }, fsapi.ErrExist},
+	} {
+		before := dev.Stats.Snapshot()
+		if err := tc.op(); !errors.Is(err, tc.want) {
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
+			continue
+		}
+		if d := dev.Stats.Snapshot().Sub(before); d.StoreBytes != 0 || d.NTBytes != 0 || d.Flushes != 0 || d.Fences != 0 {
+			t.Errorf("%s: %d stored bytes, %d non-temporal, %d flushes, %d fences; want none",
+				tc.name, d.StoreBytes, d.NTBytes, d.Flushes, d.Fences)
+		}
+	}
+}

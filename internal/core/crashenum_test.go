@@ -686,6 +686,38 @@ var crashOps = []crashOp{
 			return err
 		}, err
 	}},
+	{name: "pwrite past EOF with a hole", data: "/f", prep: func(c fsapi.Client) (func(fsapi.Client) error, error) {
+		// The hole lands on blocks a freed file left full of its bytes.
+		if err := writeFile(c, "/old", pattern(8*BlockSize, 3)); err != nil {
+			return nil, err
+		}
+		if err := c.Unlink("/old"); err != nil {
+			return nil, err
+		}
+		fd, err := openWith(c, "/f", pattern(100, 1), fsapi.ORdwr)
+		return func(c fsapi.Client) error {
+			_, err := c.Pwrite(fd, pattern(100, 2), 5*BlockSize+10)
+			return err
+		}, err
+	}},
+	{name: "pwrite past the zero mark", data: "/f", prep: func(c fsapi.Client) (func(fsapi.Client) error, error) {
+		// A grown file over a freed file's blocks: the write stores the
+		// zeroes below it and drops the mark before the size grows.
+		if err := writeFile(c, "/old", pattern(8*BlockSize, 3)); err != nil {
+			return nil, err
+		}
+		if err := c.Unlink("/old"); err != nil {
+			return nil, err
+		}
+		fd, err := openWith(c, "/f", pattern(100, 1), fsapi.ORdwr)
+		if err != nil {
+			return nil, err
+		}
+		return func(c fsapi.Client) error {
+			_, err := c.Pwrite(fd, pattern(2*BlockSize, 2), 2*BlockSize+10)
+			return err
+		}, c.Ftruncate(fd, 3*BlockSize)
+	}},
 	{name: "append", data: "/f", prep: func(c fsapi.Client) (func(fsapi.Client) error, error) {
 		fd, err := openWith(c, "/f", pattern(5000, 1), fsapi.OWronly|fsapi.OAppend)
 		return func(c fsapi.Client) error { _, err := c.Write(fd, pattern(6000, 2)); return err }, err
@@ -699,6 +731,25 @@ var crashOps = []crashOp{
 		return func(c fsapi.Client) error { return c.Ftruncate(fd, 3*BlockSize+100) }, err
 	}},
 	{name: "fallocate", data: "/f", prep: func(c fsapi.Client) (func(fsapi.Client) error, error) {
+		fd, err := openWith(c, "/f", pattern(100, 1), fsapi.ORdwr)
+		return func(c fsapi.Client) error { return c.Fallocate(fd, 5*BlockSize) }, err
+	}},
+	// The two growths again, over bytes the file must not show: the tail a
+	// shrink left in its last block, and a freed file's blocks.
+	{name: "ftruncate-grow over a shrunk block", data: "/f", prep: func(c fsapi.Client) (func(fsapi.Client) error, error) {
+		fd, err := openWith(c, "/f", pattern(2*BlockSize, 1), fsapi.ORdwr)
+		if err != nil {
+			return nil, err
+		}
+		return func(c fsapi.Client) error { return c.Ftruncate(fd, 3*BlockSize) }, c.Ftruncate(fd, BlockSize+50)
+	}},
+	{name: "fallocate over freed blocks", data: "/f", prep: func(c fsapi.Client) (func(fsapi.Client) error, error) {
+		if err := writeFile(c, "/old", pattern(8*BlockSize, 3)); err != nil {
+			return nil, err
+		}
+		if err := c.Unlink("/old"); err != nil {
+			return nil, err
+		}
 		fd, err := openWith(c, "/f", pattern(100, 1), fsapi.ORdwr)
 		return func(c fsapi.Client) error { return c.Fallocate(fd, 5*BlockSize) }, err
 	}},

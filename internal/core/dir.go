@@ -359,6 +359,15 @@ func (fs *FS) takeSlot(first pmem.Ptr, ds *dirState, line int) (uint64, error) {
 	return fs.extendChain(first, ds, line)
 }
 
+// nameTaken reports whether the directory already holds name, by a
+// lock-free lookup: a create that finds its name fails before it allocates
+// or stores anything. createEntry checks again under the line lock, since a
+// concurrent create can still take the name in between.
+func (fs *FS) nameTaken(dir pmem.Ptr, name string) bool {
+	_, err := fs.lookupEntry(fs.inoData(dir), name)
+	return err == nil
+}
+
 // createEntry inserts a new entry into the directory (Fig 5a). The inode
 // must already be persisted (valid|dirty). On success both objects are
 // committed (dirty cleared).

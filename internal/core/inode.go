@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"simurgh/internal/fsapi"
 	"simurgh/internal/pmem"
 )
@@ -143,14 +145,72 @@ func (fs *FS) ensureCapacity(ino pmem.Ptr, size uint64) error {
 	return nil
 }
 
+// A file grows in two ways, and neither may show bytes it never stored:
+// blocks come back from the allocator holding a freed file's bytes, and a
+// shrink leaves the tail of its last kept block in place.
+//
+//   - A write past the end clears the hole it leaves with non-temporal
+//     stores, under the fence that makes its data durable (zeroRange).
+//   - Truncate and fallocate store nothing: they lower the file's zero
+//     mark to the old size, fenced before the new size is stored, and
+//     everything from the mark to the size reads zero (markZeroFrom). A
+//     write that reaches past the mark stores what lies between (zeroRange
+//     again) and moves the mark past its end.
+//
+// Appends and overwrites below the mark pay nothing.
+
+// zeroRange clears the mapped bytes of [from, to) with non-temporal stores;
+// the caller fences before anything makes them readable.
+func (fs *FS) zeroRange(ino pmem.Ptr, from, to uint64) {
+	for from < to {
+		phys, run, ok := fs.extentFor(ino, from/BlockSize)
+		if !ok {
+			return // unmapped, so nothing there to read
+		}
+		within := from % BlockSize
+		n := min(run*BlockSize-within, to-from)
+		fs.dev.NTZero(phys*BlockSize+within, n)
+		from += n
+	}
+}
+
+// inoZeroFrom returns the file's zero mark: from it up to the size, the
+// file reads zero whatever its blocks hold. The inode stores the mark plus
+// one, so the zero of a fresh inode (or one formatted before the mark
+// existed) reads as MaxUint64: no such region.
+func (fs *FS) inoZeroFrom(ino pmem.Ptr) uint64 {
+	return fs.dev.AtomicLoad64(uint64(ino)+inoZeroFromOff) - 1
+}
+
+func (fs *FS) setZeroFrom(ino pmem.Ptr, off uint64) {
+	fs.dev.AtomicStore64(uint64(ino)+inoZeroFromOff, off+1)
+	fs.dev.Flush(uint64(ino)+inoZeroFromOff, 8)
+}
+
+// markZeroFrom makes a size increase from cur read zero without storing
+// it: the mark drops to cur, durable before the caller stores the size.
+func (fs *FS) markZeroFrom(ino pmem.Ptr, cur uint64) {
+	if fs.inoZeroFrom(ino) > cur {
+		fs.setZeroFrom(ino, cur)
+		fs.dev.Fence()
+	}
+}
+
 // writeAt copies p into the file at off using the NVMM data path:
 // non-temporal stores, one fence, then the size/mtime metadata update.
+// (Relaxed writes take no file lock, so there a concurrent write into a
+// hole or past the zero mark can be zeroed over.)
 func (fs *FS) writeAt(ino pmem.Ptr, p []byte, off uint64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	if err := fs.ensureCapacity(ino, off+uint64(len(p))); err != nil {
+	end := off + uint64(len(p))
+	old, zeroFrom := fs.inoSize(ino), fs.inoZeroFrom(ino)
+	if err := fs.ensureCapacity(ino, end); err != nil {
 		return 0, err
+	}
+	if stored := min(old, zeroFrom); off > stored {
+		fs.zeroRange(ino, stored, off)
 	}
 	written := 0
 	for written < len(p) {
@@ -170,9 +230,22 @@ func (fs *FS) writeAt(ino pmem.Ptr, p []byte, off uint64) (int, error) {
 	}
 	// sfence: data durable before the metadata that references it.
 	fs.dev.Fence()
+	if zeroFrom < end {
+		// Everything from the mark to end is stored now. The mark moves
+		// past end, or goes when end is the new size; when the size grows
+		// the mark is durable first, so no crash shows the new size over
+		// the old mark.
+		if end < old {
+			fs.setZeroFrom(ino, end)
+		} else {
+			fs.setZeroFrom(ino, math.MaxUint64)
+		}
+		if end > old {
+			fs.dev.Fence()
+		}
+	}
 	for {
 		old := fs.inoSize(ino)
-		end := off + uint64(len(p))
 		if end <= old {
 			break
 		}
@@ -187,7 +260,7 @@ func (fs *FS) writeAt(ino pmem.Ptr, p []byte, off uint64) (int, error) {
 }
 
 // readAt copies file bytes [off, off+len(p)) into p, returning the count
-// (short at EOF).
+// (short at EOF). Bytes past the zero mark, or in no block, read zero.
 func (fs *FS) readAt(ino pmem.Ptr, p []byte, off uint64) int {
 	size := fs.inoSize(ino)
 	if off >= size {
@@ -196,37 +269,41 @@ func (fs *FS) readAt(ino pmem.Ptr, p []byte, off uint64) int {
 	if off+uint64(len(p)) > size {
 		p = p[:size-off]
 	}
+	stored := 0
+	if zf := fs.inoZeroFrom(ino); off < zf {
+		stored = int(min(uint64(len(p)), zf-off))
+	}
 	read := 0
-	for read < len(p) {
+	for read < stored {
 		pos := off + uint64(read)
 		phys, run, ok := fs.extentFor(ino, pos/BlockSize)
 		if !ok {
-			// Hole (fallocate'd but never written region reads zero).
-			for i := read; i < len(p); i++ {
-				p[i] = 0
-			}
-			read = len(p)
 			break
 		}
 		within := pos % BlockSize
 		avail := run*BlockSize - within
-		chunk := uint64(len(p) - read)
+		chunk := uint64(stored - read)
 		if chunk > avail {
 			chunk = avail
 		}
 		fs.dev.ReadAt(phys*BlockSize+within, p[read:read+int(chunk)])
 		read += int(chunk)
 	}
-	return read
+	clear(p[read:])
+	return len(p)
 }
 
 // truncate adjusts the file size; shrinking frees whole blocks past the new
-// end (whole extents only — partial extent runs are trimmed).
+// end (whole extents only — partial extent runs are trimmed), growing
+// lowers the zero mark to the old size.
 func (fs *FS) truncate(ino pmem.Ptr, size uint64) error {
 	cur := fs.inoSize(ino)
 	if size >= cur {
 		if err := fs.ensureCapacity(ino, size); err != nil {
 			return err
+		}
+		if size > cur {
+			fs.markZeroFrom(ino, cur)
 		}
 		fs.dev.AtomicStore64(uint64(ino)+inoSizeOff, size)
 		fs.dev.Persist(uint64(ino)+inoSizeOff, 8)

@@ -61,6 +61,9 @@ const (
 	inoCtimeOff  = 48
 	inoDataOff   = 56 // dir: first DirBlock; symlink: Blob; file: first Extent
 	inoBlocksOff = 64 // allocated data blocks
+	// file: one more than the offset from which it reads zero up to its
+	// size (0: none; see inoZeroFrom)
+	inoZeroFromOff = 72
 )
 
 // Directory hash-block layout (§4.3, Figure 4). Each block is a fixed array

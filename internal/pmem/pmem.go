@@ -396,6 +396,18 @@ func (d *Device) NTStore(off uint64, p []byte) {
 	}
 }
 
+// NTZero clears [off, off+n) with non-temporal stores: durable at the next
+// Fence, like NTStore.
+func (d *Device) NTZero(off, n uint64) {
+	d.check(off, n)
+	clear(d.buf[off : off+n])
+	d.Stats.NTBytes.Add(n)
+	d.charge(d.lat.NTStoreNsPerLine * ((n + CachelineSize - 1) / CachelineSize))
+	if d.tracked() {
+		d.markStaged(off, n)
+	}
+}
+
 // Bytes returns the live arena slice [off, off+n). The caller must treat it
 // as volatile memory: reads are fine, writes bypass persistence tracking.
 // It exists for zero-copy read paths.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"sync"
 	"time"
 
 	"simurgh/internal/fsapi"
@@ -183,27 +182,21 @@ func (n *Node) followPrimary(lastContact *time.Time) error {
 		addr, jo.Epoch, jo.SnapSeq, len(img), pmem.ImageSize(img)>>20, len(jo.Sessions))
 
 	// ents is reused across frames: the entries alias each frame's buffer
-	// and every entry is applied before the next fr.Next() invalidates it,
-	// so the steady-state apply loop allocates nothing. Acks are cumulative
-	// (highest applied seq); a dedicated acker goroutine sends them,
-	// coalescing every frame applied while a previous ack write was in
-	// flight into one RepAck — the apply loop never blocks on the socket.
-	// wmu serializes its writes with heartbeat echoes.
+	// and every entry is applied before the next fr.Next() invalidates it.
+	// Every frame this loop sends — a cumulative RepAck after each applied
+	// Replicate frame, a heartbeat echo — is assembled in the reused frame
+	// buffer and written in one Write, so the steady-state apply loop
+	// allocates nothing and the primary's link reader wakes once per ack.
+	// The write deadline is set just before each write: a primary that
+	// stops reading cannot wedge the loop, and a long apply cannot trip it.
 	var ents []wire.Entry
-	var wmu sync.Mutex
-	ackKick := make(chan struct{}, 1)
-	ackerDone := make(chan struct{})
-	go n.runAcker(conn, &wmu, ackKick, ackerDone)
-	defer func() {
-		conn.Close() // unblock an in-flight ack write
-		close(ackKick)
-		<-ackerDone
-	}()
-	// Liveness is enforced on reads alone: the per-frame grace deadline
-	// below must not bound writes, or the async acker (which writes at
-	// arbitrary points, unlike the old inline ack that always followed a
-	// fresh deadline) trips a stale write deadline and tears the link down.
-	conn.SetWriteDeadline(time.Time{})
+	var ackBuf, frame []byte
+	send := func(kind wire.Kind, payload []byte) error {
+		frame = wire.AppendFrame(frame[:0], kind, payload)
+		conn.SetWriteDeadline(time.Now().Add(n.cfg.FailoverGrace))
+		_, err := conn.Write(frame)
+		return err
+	}
 	for {
 		conn.SetReadDeadline(time.Now().Add(n.cfg.FailoverGrace))
 		kind, payload, err := fr.Next()
@@ -214,7 +207,7 @@ func (n *Node) followPrimary(lastContact *time.Time) error {
 		switch kind {
 		case wire.KindReplicate, wire.KindReplicateTraced:
 			// A traced frame carries the sampled operation's trace ID as a
-			// prefix; the apply and the covering ack become spans in it.
+			// prefix; the apply and the ack become spans in it.
 			var trace uint64
 			if kind == wire.KindReplicateTraced {
 				trace, payload, err = wire.SplitTraceCtx(payload)
@@ -226,21 +219,30 @@ func (n *Node) followPrimary(lastContact *time.Time) error {
 			if err != nil {
 				return err
 			}
-			var applyStart time.Time
+			var spanStart time.Time
 			if trace != 0 {
-				applyStart = time.Now()
+				spanStart = time.Now()
 			}
-			if err := n.applyEntries(ents); err != nil {
+			seq, err := n.applyEntries(ents)
+			if err != nil {
 				return err
 			}
 			if trace != 0 {
-				n.cfg.Obs.SpanCtx(obs.SpanRepApply, 0, trace, applyStart,
-					uint64(time.Since(applyStart)), false)
-				n.noteTracedApply(trace, n.Seq())
+				n.cfg.Obs.SpanCtx(obs.SpanRepApply, 0, trace, spanStart,
+					uint64(time.Since(spanStart)), false)
+				spanStart = time.Now()
 			}
-			select {
-			case ackKick <- struct{}{}:
-			default: // the acker is already due to run; it reads the latest seq
+			if seq == 0 {
+				continue // closed or promoted meanwhile: nothing applied
+			}
+			a := wire.RepAck{Epoch: n.Epoch(), Seq: seq}
+			ackBuf = wire.AppendRepAck(ackBuf[:0], &a)
+			if err := send(wire.KindRepAck, ackBuf); err != nil {
+				return err
+			}
+			if trace != 0 {
+				n.cfg.Obs.SpanCtx(obs.SpanRepAck, 0, trace, spanStart,
+					uint64(time.Since(spanStart)), false)
 			}
 		case wire.KindHeartbeat:
 			h, err := wire.ParseHeartbeat(payload)
@@ -249,10 +251,7 @@ func (n *Node) followPrimary(lastContact *time.Time) error {
 			}
 			n.m.primarySeq.Store(h.Seq)
 			// Echo verbatim so the primary can measure the round trip.
-			wmu.Lock()
-			err = wire.WriteFrame(conn, wire.KindHeartbeat, payload)
-			wmu.Unlock()
-			if err != nil {
+			if err := send(wire.KindHeartbeat, payload); err != nil {
 				return err
 			}
 		case wire.KindErr:
@@ -263,44 +262,20 @@ func (n *Node) followPrimary(lastContact *time.Time) error {
 	}
 }
 
-// runAcker streams cumulative applied-seq acknowledgments to the primary.
-// Each kick means "the applied seq advanced"; the acker reads the latest
-// value, so any number of frames applied during one ack write collapse
-// into the next ack. Exits when the kick channel closes or a write fails.
-func (n *Node) runAcker(conn net.Conn, wmu *sync.Mutex, kick <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	var buf []byte
-	var lastSent uint64
-	for range kick {
-		seq := n.Seq()
-		if seq <= lastSent {
-			continue
-		}
-		a := wire.RepAck{Epoch: n.Epoch(), Seq: seq}
-		buf = wire.AppendRepAck(buf[:0], &a)
-		wmu.Lock()
-		err := wire.WriteFrame(conn, wire.KindRepAck, buf)
-		wmu.Unlock()
-		if err != nil {
-			return
-		}
-		n.emitAckSpan(seq)
-		lastSent = seq
-	}
-}
-
 // applyEntries replays a shipped batch under the log lock, entry by entry in
-// log order. The log lock is held across the whole frame, so promotion and
-// metrics never observe a half-applied batch.
-func (n *Node) applyEntries(ents []wire.Entry) error {
+// log order, and returns the sequence applied through: 0 once the node has
+// stopped following (closed or promoted), so nothing is acknowledged for a
+// frame it did not apply. The log lock is held across the whole frame, so
+// promotion and metrics never observe a half-applied batch.
+func (n *Node) applyEntries(ents []wire.Entry) (uint64, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed || Role(n.role.Load()) == RolePrimary {
-		return nil
+		return 0, nil
 	}
 	for i := range ents {
 		if ents[i].Seq != n.seq+uint64(i)+1 {
-			return fmt.Errorf("%w: log gap: entry %d after %d", wire.ErrBadMessage,
+			return 0, fmt.Errorf("%w: log gap: entry %d after %d", wire.ErrBadMessage,
 				ents[i].Seq, n.seq+uint64(i))
 		}
 	}
@@ -308,7 +283,7 @@ func (n *Node) applyEntries(ents []wire.Entry) error {
 		n.applyEntry(&ents[i])
 		n.seq = ents[i].Seq
 	}
-	return nil
+	return n.seq, nil
 }
 
 // applyEntry replays one entry against its session's shadow. The caller

@@ -51,7 +51,7 @@ func newCacheRig(t *testing.T, role Role) *cacheRig {
 	ship := func(e wire.Entry) {
 		seq++
 		e.Seq, e.Sess = seq, sess
-		if err := n.applyEntries([]wire.Entry{e}); err != nil {
+		if _, err := n.applyEntries([]wire.Entry{e}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -47,6 +47,13 @@ func (n *Node) WaitCaughtUp(addrs []string, tip uint64, timeout time.Duration) e
 	for _, a := range addrs {
 		want[a] = true
 	}
+	// A close buffers its entry without kicking the writer: kick every
+	// link, or a close at the log's tip waits for the next heartbeat.
+	n.mu.Lock()
+	for l := range n.links {
+		l.wake()
+	}
+	n.mu.Unlock()
 	deadline := time.Now().Add(timeout)
 	for {
 		n.mu.Lock()

@@ -132,15 +132,39 @@ func quorumWaits(t *testing.T, m *member) uint64 {
 	return n
 }
 
+// settledFrames is how many Replicate frames m has shipped once its link
+// writer has counted its last flush: the writer counts a frame after the
+// write, so the ack can reach the client first. It is done when at most
+// one entry, a close waiting for a frame to ride, is buffered or in flight.
+func settledFrames(t *testing.T, m *member) uint64 {
+	t.Helper()
+	waitFor(t, "the link writer to settle", func() bool {
+		h := m.n.ClusterHealth()
+		return len(h.Backups) == 1 && h.Backups[0].ShipLag <= 1
+	})
+	return metricValue(t, m.n, "simurgh_replica_frames_shipped_total")
+}
+
+// quietConfig is repConfig with no heartbeat inside a test's lifetime, so
+// nothing but the operations themselves ships a frame.
+func quietConfig() replica.Config {
+	cfg := repConfig()
+	cfg.HeartbeatInterval = time.Minute
+	cfg.FailoverGrace = 2 * time.Minute
+	return cfg
+}
+
 // TestVarmailCycleLogAndQuorumCounts runs the thirteen calls of one varmail
 // cycle against a replicated pair and counts what they cost the group. Nine
 // make a log entry — everything that changes the volume or which descriptors
 // exist — and six of those make the client wait for the quorum: the three
 // closes are acknowledged ahead of it, and the two whole-file reads and the
 // two fsyncs are no business of the log. (Eleven and eleven, while positions
-// lived on the server.)
+// lived on the server.) The six waits are six Replicate frames: each close's
+// entry rides the frame of the next entry instead of a frame of its own
+// (nine frames, while every close kicked the link writer).
 func TestVarmailCycleLogAndQuorumCounts(t *testing.T) {
-	cfg := repConfig()
+	cfg := quietConfig()
 	p := startPrimary(t, cfg)
 	b := startBackup(t, cfg, p.addr)
 	waitFor(t, "backup to join", func() bool { return p.n.Backups() == 1 })
@@ -164,7 +188,7 @@ func TestVarmailCycleLogAndQuorumCounts(t *testing.T) {
 		}
 	}
 	for cycle := 0; cycle < 3; cycle++ {
-		seq0, waits0 := p.n.Seq(), quorumWaits(t, p)
+		seq0, waits0, frames0 := p.n.Seq(), quorumWaits(t, p), settledFrames(t, p)
 		must("unlink", c.Unlink("/mail"))
 		fd, err := c.Create("/mail", 0o644)
 		must("create", err)
@@ -190,6 +214,73 @@ func TestVarmailCycleLogAndQuorumCounts(t *testing.T) {
 		if entries, waits := p.n.Seq()-seq0, quorumWaits(t, p)-waits0; entries != 9 || waits != 6 {
 			t.Errorf("cycle %d: %d log entries and %d quorum waits for 13 calls, want 9 and 6", cycle, entries, waits)
 		}
+		if frames := settledFrames(t, p) - frames0; frames != 6 {
+			t.Errorf("cycle %d: %d Replicate frames shipped, want 6", cycle, frames)
+		}
+	}
+}
+
+// TestTrailingCloseReachesBackup makes a close the last operation, with
+// nothing after it to ride: the heartbeat's drain ships its entry, so the
+// backup's log reaches the primary's within a few heartbeat intervals.
+func TestTrailingCloseReachesBackup(t *testing.T) {
+	cfg := repConfig()
+	cfg.HeartbeatInterval = 100 * time.Millisecond
+	cfg.FailoverGrace = 2 * time.Second
+	p := startPrimary(t, cfg)
+	b := startBackup(t, cfg, p.addr)
+	waitFor(t, "backup to join", func() bool { return p.n.Backups() == 1 })
+	remote, err := client.Dial(p.addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	c, err := remote.Attach(fsapi.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Detach()
+
+	writeFile(t, c, "/last", "closed, and then nothing")
+	closed := time.Now()
+	tip := p.n.Seq()
+	for b.n.Seq() < tip {
+		if since := time.Since(closed); since > 3*cfg.HeartbeatInterval {
+			t.Fatalf("backup at seq %d, primary at %d, %v after the close", b.n.Seq(), tip, since)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestMigrationDrainShipsTrailingClose drains a primary whose log ends in a
+// close while no heartbeat is due for a minute: the drain kicks the link
+// writer itself instead of waiting for the heartbeat to ship the entry.
+func TestMigrationDrainShipsTrailingClose(t *testing.T) {
+	cfg := quietConfig()
+	p := startPrimary(t, cfg)
+	b := startBackup(t, cfg, p.addr)
+	waitFor(t, "backup to join", func() bool { return p.n.Backups() == 1 })
+	remote, err := client.Dial(p.addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	c, err := remote.Attach(fsapi.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Detach()
+
+	writeFile(t, c, "/moving", "the close is the log's tip")
+	start := time.Now()
+	if err := p.n.MigrationDrain([]string{b.addr}, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("MigrationDrain took %v with a close at the log's tip", took)
+	}
+	if got, want := b.n.Seq(), p.n.Seq(); got != want {
+		t.Fatalf("after the drain the backup is at seq %d, the primary at %d", got, want)
 	}
 }
 

@@ -162,44 +162,38 @@ func (n *Node) Apply(sessID uint64, req *wire.Request, trace uint64, exec func()
 // marks the link's pending drain as traced: the writer tags the frames it
 // ships with the trace ID and emits the group-commit span. Caller holds
 // n.mu.
+//
+// A close kicks nobody: its reply does not wait for the quorum (DESIGN §7),
+// so its entry rides the next kicked entry or the heartbeat's drain instead
+// of costing a replication round of its own.
 func (n *Node) shipLocked(e *wire.Entry, trace uint64) {
 	if len(n.links) == 0 {
 		return
 	}
-	if len(n.links) == 1 {
-		for l := range n.links {
-			start := len(l.out)
-			l.out = wire.AppendEntry(l.out, e)
-			l.ends = append(l.ends, len(l.out))
-			if trace != 0 {
-				l.pendTrace = trace
-				l.pendTraceTime = time.Now()
-			}
-			n.m.bytesShipped.Add(uint64(len(l.out) - start))
-			select {
-			case l.kick <- struct{}{}:
-			default:
-			}
-		}
-		n.m.entriesShipped.Add(1)
-		return
+	kick := e.Req.Op != wire.OpClose
+	var enc []byte
+	if len(n.links) > 1 {
+		n.shipBuf = wire.AppendEntry(n.shipBuf[:0], e)
+		enc = n.shipBuf
 	}
-	n.shipBuf = wire.AppendEntry(n.shipBuf[:0], e)
-	enc := n.shipBuf
 	for l := range n.links {
-		l.out = append(l.out, enc...)
+		start := len(l.out)
+		if enc == nil {
+			l.out = wire.AppendEntry(l.out, e)
+		} else {
+			l.out = append(l.out, enc...)
+		}
 		l.ends = append(l.ends, len(l.out))
 		if trace != 0 {
 			l.pendTrace = trace
 			l.pendTraceTime = time.Now()
 		}
-		select {
-		case l.kick <- struct{}{}:
-		default:
+		n.m.bytesShipped.Add(uint64(len(l.out) - start))
+		if kick {
+			l.wake()
 		}
 	}
 	n.m.entriesShipped.Add(uint64(len(n.links)))
-	n.m.bytesShipped.Add(uint64(len(enc) * len(n.links)))
 }
 
 // WaitQuorum blocks until the sliding ack window — the cumulative
@@ -396,6 +390,7 @@ func (n *Node) HandleJoin(conn net.Conn, fr *wire.FrameReader, payload []byte) e
 	err = l.runReader(n, fr)
 	conn.Close()
 	detach()
+	l.wake() // a writer waiting for the next heartbeat sees it left and exits
 	<-writerDone
 	n.cfg.Logf("replica: backup %s link down: %v", j.Addr, err)
 	return err
@@ -439,6 +434,14 @@ type link struct {
 
 func newLink(conn net.Conn, addr string) *link {
 	return &link{conn: conn, addr: addr, kick: make(chan struct{}, 1)}
+}
+
+// wake kicks the link's writer to drain what is buffered.
+func (l *link) wake() {
+	select {
+	case l.kick <- struct{}{}:
+	default: // already due to run; it drains everything buffered
+	}
 }
 
 // runWriter ships buffered entries as KindReplicate frames — whatever has

@@ -291,15 +291,6 @@ type Node struct {
 	// Promote/Close to unblock the join loop.
 	joinConn atomic.Value // net.Conn
 
-	// traceAck* carry a backup's pending rep-ack span: a traced frame's
-	// apply records the trace here, and the acker emits SpanRepAck once a
-	// cumulative ack covering that sequence hits the socket. One slot is
-	// enough — sampled frames are rare, and a collision only drops a span.
-	traceAckMu  sync.Mutex
-	traceAckID  uint64
-	traceAckSeq uint64
-	traceAckAt  time.Time
-
 	stop chan struct{}
 	wg   sync.WaitGroup
 
@@ -365,32 +356,6 @@ func (n *Node) CommitFloor() uint64 {
 		return n.quorumSeq
 	}
 	return n.seq
-}
-
-// noteTracedApply records that a traced frame's entries were applied
-// through seq; the acker turns this into a SpanRepAck when a cumulative
-// ack covering seq is written.
-func (n *Node) noteTracedApply(trace, seq uint64) {
-	n.traceAckMu.Lock()
-	n.traceAckID = trace
-	n.traceAckSeq = seq
-	n.traceAckAt = time.Now()
-	n.traceAckMu.Unlock()
-}
-
-// emitAckSpan closes a pending rep-ack span if ackedSeq covers it.
-func (n *Node) emitAckSpan(ackedSeq uint64) {
-	n.traceAckMu.Lock()
-	trace, seq, at := n.traceAckID, n.traceAckSeq, n.traceAckAt
-	if trace != 0 && ackedSeq >= seq {
-		n.traceAckID = 0
-	} else {
-		trace = 0
-	}
-	n.traceAckMu.Unlock()
-	if trace != 0 {
-		n.cfg.Obs.SpanCtx(obs.SpanRepAck, 0, trace, at, uint64(time.Since(at)), false)
-	}
 }
 
 // Backups reports the number of live backup links (primary role).

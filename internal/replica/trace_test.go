@@ -145,9 +145,9 @@ func TestDistributedTraceLinksAcrossNodes(t *testing.T) {
 	}
 	waitFor(t, "backup to catch up", func() bool { return g.b.n.Seq() == g.p.n.Seq() })
 
-	// The rep-ack span is emitted by the backup's async acker after the
-	// ack hits the socket; quorum acknowledgment (which the client waits
-	// on) implies the ack was sent, but the span write can trail it.
+	// The rep-ack span is emitted by the backup's apply loop after the ack
+	// hits the socket; quorum acknowledgment (which the client waits on)
+	// implies the ack was sent, but the span write can trail it.
 	waitFor(t, "backup rep-ack span", func() bool {
 		return len(traceSets(g.backupReg)[obs.SpanRepAck]) > 0
 	})

@@ -804,20 +804,26 @@ func ParseErrFrame(payload []byte) error {
 
 // --- framing ------------------------------------------------------------
 
-// WriteFrame writes one frame (header, kind, payload) to w. Callers
-// batching many frames should hand WriteFrame a *bufio.Writer and flush
-// once per frame group.
+// AppendFrame appends one whole frame (header, kind, payload) to dst. The
+// caller keeps the payload within MaxFrame, as WriteFrame checks.
+func AppendFrame(dst []byte, kind Kind, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)+1))
+	dst = append(dst, byte(kind))
+	return append(dst, payload...)
+}
+
+// WriteFrame writes one frame (header, kind, payload) to w in a single
+// Write, assembled in a pooled buffer: on a socket that is one syscall and
+// one wakeup of the reader. Callers batching many frames should hand
+// WriteFrame a *bufio.Writer and flush once per frame group.
 func WriteFrame(w io.Writer, kind Kind, payload []byte) error {
 	if len(payload)+1 > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = byte(kind)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	b := GetBuf(len(payload) + 5)
+	b.B = AppendFrame(b.B[:0], kind, payload)
+	_, err := w.Write(b.B)
+	PutBuf(b)
 	return err
 }
 

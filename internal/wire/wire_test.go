@@ -292,6 +292,35 @@ func TestFrameIO(t *testing.T) {
 	}
 }
 
+// countingWriter counts the Write calls made on it.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteFrameIsOneWrite pins a frame to one Write: on a socket each
+// Write is a syscall and a wakeup of the peer's reader.
+func TestWriteFrameIsOneWrite(t *testing.T) {
+	for _, payload := range [][]byte{nil, []byte("a replication ack's sixteen bytes")} {
+		var w countingWriter
+		if err := WriteFrame(&w, KindRepAck, payload); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != 1 {
+			t.Errorf("%d-byte payload: %d Write calls, want 1", len(payload), w.writes)
+		}
+		kind, got, err := NewFrameReader(&w.Buffer).Next()
+		if err != nil || kind != KindRepAck || !bytes.Equal(got, payload) {
+			t.Errorf("%d-byte payload read back as kind %d, % x, %v", len(payload), kind, got, err)
+		}
+	}
+}
+
 func TestDecodeRejectsOversize(t *testing.T) {
 	// Read size beyond MaxIO.
 	req := Request{ID: 1, Op: OpRead, FD: 1, Size: MaxIO + 1}
