@@ -497,11 +497,16 @@ func (c *Client) Pwrite(fd fsapi.FD, p []byte, off uint64) (n int, err error) {
 	return c.writeLocked(of.ino, p, off)
 }
 
-// writeLocked applies the file-granular exclusive write lock unless the
-// volume runs in relaxed mode (Fig 7k).
+// writeLocked applies the file-granular exclusive write lock, which relaxed
+// mode (Fig 7k) skips for an overwrite of stored bytes: one that ends at or
+// below both the size and the zero mark. Any other write may zero a hole,
+// move the mark or grow the mapping, and a concurrent write into the range
+// it zeroes would be lost, so it takes the lock in either mode. Neither the
+// size nor the mark falls short of a past overwrite's end except by a
+// shrink, so no locked write zeroes what a lock-free one stored.
 func (c *Client) writeLocked(ino pmem.Ptr, p []byte, off uint64) (int, error) {
 	fs := c.fs
-	if fs.relaxedWrites {
+	if fs.relaxedWrites && off+uint64(len(p)) <= min(fs.inoSize(ino), fs.inoZeroFrom(ino)) {
 		return fs.writeAt(ino, p, off)
 	}
 	l := fs.fileLock(ino)

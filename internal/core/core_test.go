@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"testing"
 
 	"simurgh/internal/fsapi"
@@ -923,6 +924,71 @@ func TestGrownRegionReadsZero(t *testing.T) {
 				t.Fatalf("%d of the %d grown bytes in [%d, %d) are not zero", nonzero, len(got), from, to)
 			}
 		})
+	}
+}
+
+// TestRelaxedDisjointWritesIntoGrownFile runs concurrent writes to
+// disjoint blocks of a fallocated file on a relaxed-write volume. Each
+// writer goes from the top of its share down, so most writes land past the
+// zero mark and zero a range below them: a write that zeroed over another
+// writer's returned write would lose it.
+func TestRelaxedDisjointWritesIntoGrownFile(t *testing.T) {
+	const writers, blocks = 4, 64
+	dev := pmem.New(16 << 20)
+	fs, err := Format(dev, fsapi.Root, Options{RelaxedWrites: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := range 20 {
+		name := fmt.Sprintf("/g%d", round)
+		c := rootClient(t, fs)
+		fd, err := c.Open(name, fsapi.OCreate|fsapi.ORdwr, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Fallocate(fd, blocks*BlockSize); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := range writers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c, err := fs.Attach(fsapi.Root)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer c.Detach()
+				fd, err := c.Open(name, fsapi.ORdwr, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for b := blocks - writers + w; b >= 0; b -= writers {
+					p := bytes.Repeat([]byte{byte(b + 1)}, BlockSize)
+					if _, err := c.Pwrite(fd, p, uint64(b)*BlockSize); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		got := make([]byte, BlockSize)
+		for b := range blocks {
+			if _, err := c.Pread(fd, got, uint64(b)*BlockSize); err != nil {
+				t.Fatal(err)
+			}
+			if n := bytes.Count(got, []byte{byte(b + 1)}); n != BlockSize {
+				t.Fatalf("round %d: block %d holds %d of its %d written bytes", round, b, n, BlockSize)
+			}
+		}
+		c.Close(fd)
+		if err := c.Unlink(name); err != nil {
+			t.Fatal(err)
+		}
+		c.Detach()
 	}
 }
 

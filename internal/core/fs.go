@@ -15,9 +15,10 @@ import (
 
 // Options configures Format and Mount.
 type Options struct {
-	// RelaxedWrites disables the per-file exclusive write lock, as in the
-	// "relaxed" Simurgh variant of Fig. 7k (the application coordinates
-	// writers itself).
+	// RelaxedWrites disables the per-file exclusive write lock for
+	// overwrites of stored bytes, as in the "relaxed" Simurgh variant of
+	// Fig. 7k (the application coordinates writers itself). A write that
+	// grows the file or fills a hole still takes it.
 	RelaxedWrites bool
 	// LineLockTimeout is how long a process busy-waits on a directory line
 	// lock before assuming the holder crashed and running recovery.

@@ -197,9 +197,9 @@ func (fs *FS) markZeroFrom(ino pmem.Ptr, cur uint64) {
 }
 
 // writeAt copies p into the file at off using the NVMM data path:
-// non-temporal stores, one fence, then the size/mtime metadata update.
-// (Relaxed writes take no file lock, so there a concurrent write into a
-// hole or past the zero mark can be zeroed over.)
+// non-temporal stores, one fence, then the size/mtime metadata update. A
+// write that zeroes, moves the zero mark or grows the file runs under the
+// exclusive file lock (writeLocked).
 func (fs *FS) writeAt(ino pmem.Ptr, p []byte, off uint64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil

@@ -184,19 +184,12 @@ func (n *Node) followPrimary(lastContact *time.Time) error {
 	// ents is reused across frames: the entries alias each frame's buffer
 	// and every entry is applied before the next fr.Next() invalidates it.
 	// Every frame this loop sends — a cumulative RepAck after each applied
-	// Replicate frame, a heartbeat echo — is assembled in the reused frame
-	// buffer and written in one Write, so the steady-state apply loop
-	// allocates nothing and the primary's link reader wakes once per ack.
-	// The write deadline is set just before each write: a primary that
-	// stops reading cannot wedge the loop, and a long apply cannot trip it.
+	// Replicate frame, a heartbeat echo — is one WriteFrame, one Write, so
+	// the primary's link reader wakes once per ack. The write deadline is
+	// set just before each write: a primary that stops reading cannot wedge
+	// the loop, and a long apply cannot trip it.
 	var ents []wire.Entry
-	var ackBuf, frame []byte
-	send := func(kind wire.Kind, payload []byte) error {
-		frame = wire.AppendFrame(frame[:0], kind, payload)
-		conn.SetWriteDeadline(time.Now().Add(n.cfg.FailoverGrace))
-		_, err := conn.Write(frame)
-		return err
-	}
+	var ackBuf []byte
 	for {
 		conn.SetReadDeadline(time.Now().Add(n.cfg.FailoverGrace))
 		kind, payload, err := fr.Next()
@@ -237,7 +230,8 @@ func (n *Node) followPrimary(lastContact *time.Time) error {
 			}
 			a := wire.RepAck{Epoch: n.Epoch(), Seq: seq}
 			ackBuf = wire.AppendRepAck(ackBuf[:0], &a)
-			if err := send(wire.KindRepAck, ackBuf); err != nil {
+			conn.SetWriteDeadline(time.Now().Add(n.cfg.FailoverGrace))
+			if err := wire.WriteFrame(conn, wire.KindRepAck, ackBuf); err != nil {
 				return err
 			}
 			if trace != 0 {
@@ -251,7 +245,8 @@ func (n *Node) followPrimary(lastContact *time.Time) error {
 			}
 			n.m.primarySeq.Store(h.Seq)
 			// Echo verbatim so the primary can measure the round trip.
-			if err := send(wire.KindHeartbeat, payload); err != nil {
+			conn.SetWriteDeadline(time.Now().Add(n.cfg.FailoverGrace))
+			if err := wire.WriteFrame(conn, wire.KindHeartbeat, payload); err != nil {
 				return err
 			}
 		case wire.KindErr:

@@ -804,14 +804,6 @@ func ParseErrFrame(payload []byte) error {
 
 // --- framing ------------------------------------------------------------
 
-// AppendFrame appends one whole frame (header, kind, payload) to dst. The
-// caller keeps the payload within MaxFrame, as WriteFrame checks.
-func AppendFrame(dst []byte, kind Kind, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)+1))
-	dst = append(dst, byte(kind))
-	return append(dst, payload...)
-}
-
 // WriteFrame writes one frame (header, kind, payload) to w in a single
 // Write, assembled in a pooled buffer: on a socket that is one syscall and
 // one wakeup of the reader. Callers batching many frames should hand
@@ -821,7 +813,9 @@ func WriteFrame(w io.Writer, kind Kind, payload []byte) error {
 		return ErrFrameTooLarge
 	}
 	b := GetBuf(len(payload) + 5)
-	b.B = AppendFrame(b.B[:0], kind, payload)
+	binary.LittleEndian.PutUint32(b.B, uint32(len(payload)+1))
+	b.B[4] = byte(kind)
+	copy(b.B[5:], payload)
 	_, err := w.Write(b.B)
 	PutBuf(b)
 	return err

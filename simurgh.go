@@ -72,9 +72,10 @@ var (
 
 // Options tunes a Volume.
 type Options struct {
-	// RelaxedWrites disables the per-file exclusive write lock (the
-	// "relaxed" variant of Fig 7k); the application must coordinate
-	// concurrent writers itself.
+	// RelaxedWrites disables the per-file exclusive write lock for
+	// overwrites of stored bytes (the "relaxed" variant of Fig 7k); the
+	// application must coordinate concurrent writers itself. A write that
+	// grows the file or fills a hole still takes the lock.
 	RelaxedWrites bool
 	// ChargeProtectedCalls adds the paper's measured jmpp/pret cycle delta
 	// (46 cycles @ 2.5 GHz) to every file-system call, as the evaluation
