@@ -249,17 +249,17 @@ func (c *Client) resolveParent(path string, forWrite bool) (pmem.Ptr, string, er
 // pin takes an open reference on the inode a lookup returned. Lookups are
 // optimistic: until the reference is held, the file can be unlinked and its
 // inode freed, even recycled, under the caller. So the reference comes
-// first and then the entry must still name the inode; if it does not, the
+// first and then the lookup must still hold (settled); if it does not, the
 // reference is dropped and pin reports false: resolve again.
 func (c *Client) pin(ref entryRef) (bool, error) {
 	fs := c.fs
 	if err := fs.incRef(ref.inode); err != nil {
-		if fs.stillNames(ref) {
+		if fs.settled(ref) {
 			return false, err // a live entry naming a dead inode: not a race
 		}
 		return false, nil
 	}
-	if !fs.stillNames(ref) {
+	if !fs.settled(ref) {
 		fs.decRef(ref.inode)
 		return false, nil
 	}
@@ -622,7 +622,7 @@ func (c *Client) Lstat(path string) (st fsapi.Stat, err error) {
 }
 
 // stat reads the attributes of what path names. It takes no reference, so
-// the attributes only count if the entry still names the inode afterwards:
+// the attributes only count if the lookup still holds afterwards (settled):
 // otherwise the file was unlinked meanwhile and what was read may belong to
 // whatever the inode has been recycled into.
 func (c *Client) stat(path string, followLast bool) (fsapi.Stat, error) {
@@ -631,7 +631,7 @@ func (c *Client) stat(path string, followLast bool) (fsapi.Stat, error) {
 		if err != nil {
 			return fsapi.Stat{}, err
 		}
-		if st := c.fs.statOf(ref.inode); c.fs.stillNames(ref) {
+		if st := c.fs.statOf(ref.inode); c.fs.settled(ref) {
 			return st, nil
 		}
 	}

@@ -32,6 +32,11 @@ type entryRef struct {
 	inode   pmem.Ptr
 	symlink bool
 	dirty   bool // the create that linked the entry has not committed it
+
+	// line is the directory line the lookup read and seq the value of its
+	// counter the lookup's hit was verified against (see settled).
+	line *dirLine
+	seq  uint64
 }
 
 // lockLine acquires the busy bit of a line, performing waiter-side crash
@@ -252,6 +257,7 @@ func (fs *FS) lookupEntry(first pmem.Ptr, name string) (entryRef, error) {
 		if !ok {
 			return entryRef{}, fsapi.ErrNotExist
 		}
+		ref.line, ref.seq = l, seq
 		if ref.dirty {
 			if fs.oa.Flags(ref.inode)&alloc.FlagValid != 0 {
 				fs.oa.ClearDirty(ref.inode)
@@ -315,6 +321,15 @@ func (fs *FS) stillNames(ref entryRef) bool {
 		pmem.Ptr(fs.dev.AtomicLoad64(ref.slot)) == ref.entry &&
 			fs.oa.Flags(ref.entry)&alloc.FlagValid != 0 &&
 			pmem.Ptr(fs.dev.AtomicLoad64(uint64(ref.entry)+feInodeOff)) == ref.inode
+}
+
+// settled is stillNames for a reader that goes on to use what it read after
+// the lookup: the line's counter must also still read what the lookup read,
+// so no critical section on the line began or ended in between. stillNames
+// alone passes when, meanwhile, the name was unlinked and its entry and inode
+// were recycled through another name and back into the same slot.
+func (fs *FS) settled(ref entryRef) bool {
+	return fs.stillNames(ref) && (ref.line == nil || ref.line.seq.Load() == ref.seq)
 }
 
 // dirProbeSpan records the elapsed time since start as a dir-probe span

@@ -68,7 +68,7 @@ var inventory = map[string]series{
 	"simurgh_replica_heartbeat_rtt_ns":      {"Last heartbeat round trip to a backup.", "simurghtop replication panel hb-rtt"},
 	"simurgh_replica_entries_shipped_total": {"Log entries shipped to backups.", "ladder: Node.ShipStats (benchmark/run.go)"},
 	"simurgh_replica_bytes_shipped_total":   {"Encoded log bytes shipped to backups.", "ladder replica.ship_bytes_per_op (Node.ShipStats)"},
-	"simurgh_replica_frames_shipped_total": {"Replicate frames written to backups (entries_shipped/frames_shipped is the achieved group-commit size).",
+	"simurgh_replica_frames_shipped_total": {"Replicate frames shipped to backups, counted before the write (entries_shipped/frames_shipped is the achieved group-commit size).",
 		"ci.yml replica-smoke"},
 	"simurgh_replica_replay_skipped_total": {"Replayed operations skipped (unknown sessions).", "replica TestJoinCarriesDescriptors"},
 	"simurgh_replica_replay_errors_total":  {"Replayed operations that failed (replica divergence).", "replica TestJoinCarriesDescriptors"},

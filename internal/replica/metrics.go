@@ -121,7 +121,7 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	g("simurgh_replica_heartbeat_rtt_ns", "Last heartbeat round trip to a backup.", h.HeartbeatRTTNs)
 	c("simurgh_replica_entries_shipped_total", "Log entries shipped to backups.", n.m.entriesShipped.Load())
 	c("simurgh_replica_bytes_shipped_total", "Encoded log bytes shipped to backups.", n.m.bytesShipped.Load())
-	c("simurgh_replica_frames_shipped_total", "Replicate frames written to backups (entries_shipped/frames_shipped is the achieved group-commit size).", n.m.framesShipped.Load())
+	c("simurgh_replica_frames_shipped_total", "Replicate frames shipped to backups, counted before the write (entries_shipped/frames_shipped is the achieved group-commit size).", n.m.framesShipped.Load())
 	c("simurgh_replica_replay_skipped_total", "Replayed operations skipped (unknown sessions).", n.m.replaySkipped.Load())
 	c("simurgh_replica_replay_errors_total", "Replayed operations that failed (replica divergence).", n.m.replayErrors.Load())
 	c("simurgh_replica_snapshot_bytes_total", "Snapshot bytes streamed to joining backups.", n.m.snapshotBytes.Load())

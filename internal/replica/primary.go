@@ -517,6 +517,9 @@ func (l *link) runWriter(n *Node) {
 		if vw.Count() == 0 {
 			continue
 		}
+		// Counted before the write: once the bytes are out, the backup's ack
+		// and the client's reply may land before this goroutine runs again.
+		n.m.framesShipped.Add(frames)
 		var shipStart time.Time
 		if trace != 0 {
 			shipStart = time.Now()
@@ -526,7 +529,6 @@ func (l *link) runWriter(n *Node) {
 		if trace != 0 {
 			n.cfg.Obs.SpanCtx(obs.SpanRepShip, 0, trace, shipStart, uint64(time.Since(shipStart)), err != nil)
 		}
-		n.m.framesShipped.Add(frames)
 		n.mu.Lock()
 		l.inflight = 0
 		n.mu.Unlock()

@@ -217,33 +217,6 @@ type session struct {
 	// descriptor operations are only fenced when the node serves nothing.
 	claimShard uint32
 	claimed    bool
-
-	bufw *bufWriter
-}
-
-// bufWriter is the minimal buffered-writer surface session needs; split out
-// so tests can substitute a failing writer.
-type bufWriter struct {
-	w   io.Writer
-	buf []byte
-}
-
-func newBufWriter(w io.Writer) *bufWriter {
-	return &bufWriter{w: w, buf: make([]byte, 0, 64<<10)}
-}
-
-func (b *bufWriter) Write(p []byte) (int, error) {
-	b.buf = append(b.buf, p...)
-	return len(p), nil
-}
-
-func (b *bufWriter) Flush() error {
-	if len(b.buf) == 0 {
-		return nil
-	}
-	_, err := b.w.Write(b.buf)
-	b.buf = b.buf[:0]
-	return err
 }
 
 // New builds a Server for cfg. Call Serve to start accepting.
@@ -311,7 +284,7 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	fr := wire.NewFrameReader(countingReader{inner: conn, m: &s.m})
 	defer fr.Release()
-	sess := &session{srv: s, conn: conn, bufw: newBufWriter(conn)}
+	sess := &session{srv: s, conn: conn}
 
 	// The handshake must arrive promptly; afterwards the connection may
 	// idle indefinitely between batches.
@@ -375,10 +348,7 @@ func (s *Server) handshake(fr *wire.FrameReader, sess *session) (done bool, err 
 		}
 		var pl [8]byte
 		binary.LittleEndian.PutUint64(pl[:], epoch)
-		if err := wire.WriteFrame(sess.bufw, wire.KindPromoteOK, pl[:]); err != nil {
-			return false, err
-		}
-		return true, sess.bufw.Flush()
+		return true, wire.WriteFrame(sess.conn, wire.KindPromoteOK, pl[:])
 	case wire.KindMapGet:
 		if s.cfg.Sharding == nil {
 			return false, fmt.Errorf("%w: map get without sharding", wire.ErrBadMessage)
@@ -387,7 +357,7 @@ func (s *Server) handshake(fr *wire.FrameReader, sess *session) (done bool, err 
 		if err != nil {
 			return false, err
 		}
-		return true, s.writeFrame(sess, wire.KindMapOK, s.cfg.Sharding.MapFor(have))
+		return true, wire.WriteFrame(sess.conn, wire.KindMapOK, s.cfg.Sharding.MapFor(have))
 	case wire.KindMapSet:
 		if s.cfg.Sharding == nil {
 			return false, fmt.Errorf("%w: map set without sharding", wire.ErrBadMessage)
@@ -400,7 +370,7 @@ func (s *Server) handshake(fr *wire.FrameReader, sess *session) (done bool, err 
 		if err != nil {
 			return false, err
 		}
-		return true, s.writeFrame(sess, wire.KindMapOK, installed)
+		return true, wire.WriteFrame(sess.conn, wire.KindMapOK, installed)
 	default:
 		return false, fmt.Errorf("%w: expected attach, got kind %d", wire.ErrBadMessage, kind)
 	}
@@ -413,7 +383,7 @@ func (s *Server) handshake(fr *wire.FrameReader, sess *session) (done bool, err 
 			// The claimed shard lives elsewhere: answer Moved instead of
 			// attaching, so a stale-mapped router refetches before it ever
 			// holds a session here.
-			return true, s.writeFrame(sess, wire.KindMoved, wire.AppendMoved(nil, mv))
+			return true, wire.WriteFrame(sess.conn, wire.KindMoved, wire.AppendMoved(nil, mv))
 		}
 		sess.claimShard, sess.claimed = claim.Shard, true
 	}
@@ -425,10 +395,7 @@ func (s *Server) handshake(fr *wire.FrameReader, sess *session) (done bool, err 
 		client, sessID, redirect, err = s.cfg.Replica.AttachClient(cred, clientID)
 		if errors.Is(err, wire.ErrNotPrimary) {
 			rdr := wire.Redirect{Addr: redirect}
-			if err := wire.WriteFrame(sess.bufw, wire.KindRedirect, wire.AppendRedirect(nil, &rdr)); err != nil {
-				return false, err
-			}
-			return true, sess.bufw.Flush()
+			return true, wire.WriteFrame(sess.conn, wire.KindRedirect, wire.AppendRedirect(nil, &rdr))
 		}
 		if err != nil {
 			return false, err
@@ -446,10 +413,7 @@ func (s *Server) handshake(fr *wire.FrameReader, sess *session) (done bool, err 
 		name = s.cfg.FS.Name()
 	}
 	sess.client = client
-	if err := wire.WriteFrame(sess.bufw, wire.KindAttachOK, []byte(name)); err != nil {
-		return false, err
-	}
-	return false, sess.bufw.Flush()
+	return false, wire.WriteFrame(sess.conn, wire.KindAttachOK, []byte(name))
 }
 
 // readLoop reads, executes and answers batch frames one at a time until the
@@ -726,20 +690,10 @@ func movedResponse(sess *session, req *wire.Request, mv *wire.Moved) wire.Respon
 	return wire.Response{ID: req.ID, Op: req.Op, Code: wire.CodeMoved, Msg: msg}
 }
 
-// writeFrame frames and flushes one handshake/control reply.
-func (s *Server) writeFrame(sess *session, kind wire.Kind, payload []byte) error {
-	if err := wire.WriteFrame(sess.bufw, kind, payload); err != nil {
-		return err
-	}
-	return sess.bufw.Flush()
-}
-
 // writeErrFrame best-effort reports a connection-level error to the peer.
 func (s *Server) writeErrFrame(sess *session, err error) {
 	sess.conn.SetWriteDeadline(time.Now().Add(time.Second))
-	if wire.WriteFrame(sess.bufw, wire.KindErr, wire.AppendErrFrame(nil, err)) == nil {
-		sess.bufw.Flush()
-	}
+	wire.WriteFrame(sess.conn, wire.KindErr, wire.AppendErrFrame(nil, err))
 }
 
 // Draining reports whether Shutdown has begun (for health endpoints).

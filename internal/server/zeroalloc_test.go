@@ -79,7 +79,7 @@ func steadyState(tb testing.TB, reqs []wire.Request) (*Server, *session, []byte)
 	cfg := Config{}
 	cfg.fillDefaults()
 	s := &Server{cfg: cfg}
-	sess := &session{srv: s, conn: discardConn{}, client: nullClient{}, bufw: newBufWriter(io.Discard)}
+	sess := &session{srv: s, conn: discardConn{}, client: nullClient{}}
 	var payload []byte
 	for i := range reqs {
 		payload = wire.AppendRequest(payload, &reqs[i])

@@ -11,12 +11,15 @@
 // Replies are matched by request ID, out of order.
 //
 // A Remote may name several addresses (a replicated primary/backup group):
-// attaches probe the list, follow KindRedirect frames to the current
-// primary, and — when failover is enabled — a link that loses its
-// connection re-attaches to whichever node now serves the volume, resumes
-// its server-side session by client ID, and replays its unacknowledged
-// requests (the server deduplicates by request ID, so replays are
-// exactly-once for replicated operations).
+// attaches probe the list and follow KindRedirect frames to the current
+// primary. A link connects one way, through one loop, for its first attach,
+// after losing its connection and after a Moved: each pass attaches to
+// whichever node now serves the volume, resumes the server-side session by
+// client ID and replays the unacknowledged requests (the server deduplicates
+// by request ID, so replays are exactly-once for replicated operations).
+// Passes back off within the failover budget, and between them the router
+// refetches its shard map when a pass reached no node or was refused by a
+// newer epoch, so a link follows its shard to the group that owns it now.
 //
 // The packages above this one do not know the network exists: fstest's
 // conformance suite, simurghbench load, and simurghsh run unmodified against
@@ -71,10 +74,12 @@ func (b *backoff) next() time.Duration {
 
 // Options tunes a Remote.
 type Options struct {
-	// FailoverTimeout is the total budget a disconnected session spends
-	// re-resolving the primary before it fails permanently. Zero disables
-	// reconnection unless the dial list has more than one address, in
-	// which case the default is 10s.
+	// FailoverTimeout is the total budget a link's connect loop spends
+	// re-resolving the primary before it gives up: after a lost connection,
+	// and also for a session's first attach, which retries a refused or
+	// unreachable group until the budget runs out. Zero disables
+	// reconnection, and makes an attach one pass, unless the dial list has
+	// more than one address, in which case the default is 10s.
 	FailoverTimeout time.Duration
 	// Obs, when set, makes sessions participants in distributed tracing:
 	// 1-in-TraceSample submissions are tagged with a trace ID, sent in
@@ -107,8 +112,8 @@ type Stats struct {
 	OverloadRetries uint64
 	// Redirects counts KindRedirect frames followed to another node.
 	Redirects uint64
-	// Failovers counts successful session re-attaches after a lost
-	// connection.
+	// Failovers counts successful reconnects of a link that held a
+	// session: after a lost connection, or after a Moved (rehome).
 	Failovers uint64
 	// Replays counts requests re-sent during failovers.
 	Replays uint64
@@ -149,9 +154,9 @@ type Remote struct {
 	// every subsequent operation would fence.
 	claim *wire.AttachClaim
 
-	// rt routes this Remote's sessions: a one-shard table, "/" → this
-	// Remote, unclaimed. Built by the first Attach (see router); the
-	// Remotes a Router dials hand out no sessions and never build one.
+	// rt is the route table this Remote serves: the Router that dialed it,
+	// whose map the connect loop refreshes, or the Remote's own one-shard
+	// table, "/" → this Remote, unclaimed, built on first use (see router).
 	rt *Router
 }
 
@@ -187,9 +192,9 @@ func Dial(addr string, opts Options) (*Remote, error) {
 	return &Remote{addrs: addrs, opts: opts, primary: addrs[0]}, nil
 }
 
-// router returns the Remote's own route table, building it on first use:
-// shard 0, "/", at epoch 0, served by r. The table is fixed (see
-// Router.fixed).
+// router returns the Remote's route table. A Remote the caller dialed
+// builds its own on first use: shard 0, "/", at epoch 0, served by r. That
+// table is fixed (see Router.fixed).
 func (r *Remote) router() *Router {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -245,6 +250,13 @@ type redirectErr struct{ addr string }
 
 func (e *redirectErr) Error() string { return "wire client: redirected to " + e.addr }
 
+// noNodeErr marks an attach pass that reached no node: every dial failed.
+type noNodeErr struct{ err error }
+
+func (e *noNodeErr) Error() string { return e.err.Error() }
+
+func (e *noNodeErr) Unwrap() error { return e.err }
+
 // movedErr carries a KindMoved answer out of the handshake: the claimed
 // shard is served elsewhere. It unwraps to wire.ErrMoved so routers can
 // match it and refetch the shard map.
@@ -259,7 +271,8 @@ func (e *movedErr) Unwrap() error { return wire.ErrMoved }
 // attachConn resolves the current primary and performs one attach
 // handshake there: it tries the last known-good address first, follows
 // redirects, and falls back to the rest of the dial list. On success the
-// session keeps conn and fr.
+// session keeps conn and fr. A pass whose every dial failed answers
+// *noNodeErr.
 func (r *Remote) attachConn(cred fsapi.Cred, clientID uint64) (net.Conn, *wire.FrameReader, error) {
 	r.mu.Lock()
 	first := r.primary
@@ -275,6 +288,7 @@ func (r *Remote) attachConn(cred fsapi.Cred, clientID uint64) (net.Conn, *wire.F
 	}
 	attach := wire.AppendAttach(nil, cred, clientID, claim)
 	var lastErr error
+	reached := false
 	for _, addr := range candidates {
 		for hop := 0; addr != "" && hop < maxRedirectHops; hop++ {
 			conn, err := r.dial(addr)
@@ -282,6 +296,7 @@ func (r *Remote) attachConn(cred fsapi.Cred, clientID uint64) (net.Conn, *wire.F
 				lastErr = err
 				break
 			}
+			reached = true
 			fr := wire.NewFrameReader(conn)
 			name, err := handshake(conn, fr, attach)
 			if err == nil {
@@ -310,6 +325,9 @@ func (r *Remote) attachConn(cred fsapi.Cred, clientID uint64) (net.Conn, *wire.F
 	if lastErr == nil {
 		lastErr = ErrNoPrimary
 	}
+	if !reached {
+		lastErr = &noNodeErr{lastErr}
+	}
 	return nil, nil, lastErr
 }
 
@@ -328,13 +346,10 @@ func (r *Remote) Attach(cred fsapi.Cred) (fsapi.Client, error) {
 	return s, nil
 }
 
-// attach opens one link: a connection and the server-side session behind it.
+// attach opens one link: a connection and the server-side session behind
+// it, within the failover budget (see link.connect).
 func (r *Remote) attach(cred fsapi.Cred) (*link, error) {
 	clientID := newClientID()
-	conn, fr, err := r.attachConn(cred, clientID)
-	if err != nil {
-		return nil, err
-	}
 	l := &link{
 		r:        r,
 		cred:     cred,
@@ -358,7 +373,11 @@ func (r *Remote) attach(cred fsapi.Cred) (*link, error) {
 		}
 		l.traceMask = uint64(p) - 1
 	}
-	l.resetTransport(conn, fr)
+	l.cmu.Lock()
+	defer l.cmu.Unlock()
+	if err := l.connect(true); err != nil {
+		return nil, err
+	}
 	return l, nil
 }
 

@@ -1,12 +1,14 @@
 package client
 
+import "time"
+
 // Test-only windows into the package's unexported state.
 
 // The retry bound the tests pin.
 const MaxMovedHops = maxMovedHops
 
 // Refresh is the router's map refresh from its seeds and cached map.
-func (rt *Router) Refresh() bool { return rt.refresh("") }
+func (rt *Router) Refresh() bool { return rt.refresh("", time.Time{}) }
 
 // InFlight counts, over the session's links, the unanswered calls still
 // registered and the request buffers not yet back in the pool.

@@ -2,6 +2,7 @@ package client
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -131,8 +132,8 @@ func putSub(sub *submission) {
 }
 
 // transport is one connection generation. A link survives its
-// transports: when one dies and failover is enabled, the link attaches
-// a successor and replays its unanswered calls over it.
+// transports: when one dies and failover is enabled, the link connects
+// again and replays its unanswered calls over the successor.
 type transport struct {
 	conn net.Conn
 	fr   *wire.FrameReader
@@ -154,6 +155,7 @@ type link struct {
 	subNo   uint64 // submission counter, orders failover replays
 	pend    map[uint32]*pendingCall
 	t       *transport
+	cmu     sync.Mutex // held by connect: one connect at a time
 
 	// frameReads counts the read calls in flight that brought no destination
 	// buffer (a Submit's; Read and Pread bring theirs). While it is non-zero
@@ -179,31 +181,13 @@ type link struct {
 	deadErr  error
 }
 
-// resetTransport installs conn/fr as the link's live transport and
-// starts its loops.
-func (l *link) resetTransport(conn net.Conn, fr *wire.FrameReader) {
-	t := &transport{conn: conn, fr: fr, down: make(chan struct{})}
-	l.mu.Lock()
-	l.t = t
-	l.mu.Unlock()
-	go l.readLoop(t)
-	go l.writeLoop(t)
-}
-
 // fail terminates the link once: records err, wakes every waiter, and
 // closes the transport.
 func (l *link) fail(err error) {
 	l.failOnce.Do(func() {
 		l.deadErr = err
 		close(l.dead)
-		l.mu.Lock()
-		t := l.t
-		l.t = nil
-		l.mu.Unlock()
-		if t != nil {
-			close(t.down)
-			t.conn.Close()
-		}
+		l.retire(nil)
 	})
 }
 
@@ -220,102 +204,136 @@ func (l *link) err() error {
 	}
 }
 
-// transportFailed retires t after an I/O error. The first loop to report
-// wins; with failover enabled the link re-resolves the primary and
-// replays, otherwise it dies with err (the pre-replication behavior).
-func (l *link) transportFailed(t *transport, err error) {
+// retire takes t out of service if it is still the live transport (nil:
+// whichever one is live), reporting whether it did. Its loops exit and its
+// connection closes; its unanswered calls stay in pend for the next resume.
+func (l *link) retire(t *transport) bool {
 	l.mu.Lock()
-	stale := l.t != t
-	if !stale {
-		l.t = nil
-		close(t.down)
+	cur := l.t
+	if cur == nil || (t != nil && cur != t) {
+		l.mu.Unlock()
+		return false
 	}
+	l.t = nil
+	close(cur.down)
 	l.mu.Unlock()
-	t.conn.Close()
-	if stale {
+	cur.conn.Close()
+	return true
+}
+
+// transportFailed retires t after an I/O error. The first loop to report
+// wins; with failover enabled the link connects again, otherwise it dies
+// with err.
+func (l *link) transportFailed(t *transport, err error) {
+	if !l.retire(t) {
+		t.conn.Close()
 		return
 	}
 	if l.closing.Load() || l.r.opts.FailoverTimeout <= 0 {
 		l.fail(err)
 		return
 	}
-	go l.recover(err)
+	go func() {
+		l.cmu.Lock()
+		defer l.cmu.Unlock()
+		l.mu.Lock()
+		live := l.t != nil // a rehome got there first
+		l.mu.Unlock()
+		if !live {
+			l.connect(false)
+		}
+	}()
 }
 
-// recover re-attaches the link after a transport loss: it re-resolves
-// the primary (following redirects), resumes the server-side session by
-// client ID, and replays every unanswered request in submission order.
-// Unanswered requests are the complete loss set — registration in pend
-// precedes any write, so nothing can be dropped without being replayed.
-func (l *link) recover(cause error) {
-	deadline := time.Now().Add(l.r.opts.FailoverTimeout)
+// rehome drops the link's transport and connects again, against the
+// Remote's current dial list: the router calls it after a Moved, once the
+// refreshed map has re-pointed the Remote at the shard's owner group. A
+// connect that gives up fails the link.
+func (l *link) rehome() {
+	l.cmu.Lock()
+	defer l.cmu.Unlock()
+	l.retire(nil)
+	l.connect(false)
+}
+
+// connect is the one way a link connects: for its first attach, after a
+// transport loss and after a Moved. Each pass attaches to the Remote's
+// current primary (attachConn) and resumes the server-side session by client
+// ID, replaying the unanswered calls (a first attach has none). Passes back
+// off until the failover budget runs out. Before the next pass, the router
+// refetches its shard map, which re-points the Remote, when the pass reached
+// no node, or was refused with a Moved naming an epoch newer than the map's.
+//
+// A Moved the map already covers goes back to a first attach's caller, whose
+// doShard follows it within its hop bound; a link that already holds a
+// session keeps retrying through it, because mid-migration the target answers
+// with the old epoch, or redirects to the fenced old primary, until it is
+// promoted. When the budget runs out, a link that held a session fails with
+// ErrNoPrimary. The caller holds cmu: a second connect racing this one would
+// replay the same request IDs on two transports.
+func (l *link) connect(first bool) error {
+	rt := l.r.router()
+	budget := l.r.opts.FailoverTimeout
+	deadline := time.Now().Add(budget)
 	b := backoff{d: 10 * time.Millisecond, max: 250 * time.Millisecond}
 	for {
-		if l.err() != nil {
-			return
+		if err := l.err(); err != nil {
+			return err
 		}
 		conn, fr, err := l.r.attachConn(l.cred, l.clientID)
 		if err == nil {
+			if !first {
+				l.r.st.failovers.Add(1)
+			}
 			l.resume(conn, fr)
-			l.r.st.failovers.Add(1)
-			return
+			return nil
+		}
+		refetch, from := false, ""
+		var mv *movedErr
+		var nn *noNodeErr
+		if errors.As(err, &mv) {
+			newer := mv.mv.Epoch > rt.Map().Epoch
+			if !newer && first {
+				return err
+			}
+			refetch, from = newer, mv.mv.Addr
+		} else {
+			refetch = errors.As(err, &nn)
 		}
 		if l.closing.Load() || !time.Now().Before(deadline) {
-			l.fail(fmt.Errorf("%w (after %v)", ErrNoPrimary, cause))
-			return
+			if budget > 0 {
+				err = fmt.Errorf("%w (after %w)", ErrNoPrimary, err)
+			}
+			if !first {
+				l.fail(err)
+			}
+			return err
+		}
+		if refetch && rt.refresh(from, deadline) {
+			continue
 		}
 		select {
 		case <-time.After(b.next()):
 		case <-l.dead:
-			return
 		}
 	}
 }
 
-// rehome tears the link's transport down and re-attaches against the
-// Remote's current dial list, resuming the server-side session by client
-// ID and replaying unanswered requests. The router calls it after pointing
-// a shard's Remote at the shard's new owner group (setAddrs); ordinary
-// failover never needs it — transport loss recovers on its own.
-func (l *link) rehome() error {
-	if err := l.err(); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	t := l.t
-	if t != nil {
-		l.t = nil
-		close(t.down)
-	}
-	l.mu.Unlock()
-	if t != nil {
-		t.conn.Close()
-	}
-	conn, fr, err := l.r.attachConn(l.cred, l.clientID)
-	if err != nil {
-		// The transport is already down; a link with no transport and no
-		// recovery in flight would strand its pending calls. Hand them to the
-		// ordinary failover loop (which keeps retrying the Remote's — possibly
-		// re-pointed — dial list) and report the miss to the router.
-		if !l.closing.Load() && l.r.opts.FailoverTimeout > 0 {
-			go l.recover(err)
-		} else {
-			l.fail(err)
-		}
-		return err
-	}
-	l.resume(conn, fr)
-	l.r.st.failovers.Add(1)
-	return nil
-}
-
-// resume replays the unanswered calls over a fresh connection and brings
-// the new transport live. The reader starts before the replay is written
-// (replies may start flowing immediately); the writer starts after, so
-// replay frames never interleave with coalesced batches.
+// resume replays the unanswered calls over a fresh connection, in
+// submission order, and brings the new transport live. Unanswered calls are
+// the complete loss set: registration in pend precedes any write, so nothing
+// can be dropped without being replayed. The reader starts before the replay
+// is written (replies may start flowing immediately); the writer starts
+// after, so replay frames never interleave with coalesced batches. A link
+// that died meanwhile closes the connection instead.
 func (l *link) resume(conn net.Conn, fr *wire.FrameReader) {
 	t := &transport{conn: conn, fr: fr, down: make(chan struct{})}
 	l.mu.Lock()
+	if l.err() != nil {
+		l.mu.Unlock()
+		conn.Close()
+		return
+	}
 	replay := make([]*pendingCall, 0, len(l.pend))
 	for _, pc := range l.pend {
 		replay = append(replay, pc)

@@ -129,7 +129,7 @@ func (p *chaosProxy) close() {
 
 // TestReplayReusedBuffersUnderReconnect aims -race at the retransmission
 // path: pooled request segments and pending-call records must stay valid
-// while the recovery goroutine replays them over a fresh connection. The
+// while the connect loop replays them over a fresh connection. The
 // chaos proxy repeatedly severs the client's transport mid-flight; every
 // read still has to return the right bytes, and by the end the session
 // must have actually exercised failover replays.

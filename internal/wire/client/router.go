@@ -22,11 +22,11 @@ const (
 	// nodes with conflicting stale maps could otherwise bounce a client
 	// between them forever.
 	maxMovedHops = 8
-	// movedBackoffStart is the first retry's backoff after a Moved answer
+	// hopBackoffStart is the first backoff between doShard's Moved hops
 	// (jittered, doubling, capped at 250ms). During a migration cutover the
 	// new owner may be moments away from promotion; backing off beats
 	// hammering.
-	movedBackoffStart = 5 * time.Millisecond
+	hopBackoffStart = 5 * time.Millisecond
 	// fetchTimeout bounds one map fetch.
 	fetchTimeout = 5 * time.Second
 )
@@ -64,11 +64,15 @@ type RouterStats struct {
 // deployment.
 //
 // Staleness is handled, not prevented: the router acts on its cached map
-// and treats a Moved answer as the signal to refetch (from the seeds and
-// every address the cached map names), re-point the shard's Remote, rehome
-// its session, and retry — bounded by maxMovedHops with jittered backoff.
-// The server-side fence guarantees a Moved operation was not executed, so
-// the retry is exactly-once safe.
+// and refetches it (from the seeds and every address the cached map names)
+// when a node says the map is stale or when no node of a shard's group
+// answers. An operation answered Moved refreshes, rehomes the shard's link
+// and retries, bounded by maxMovedHops with jittered backoff; a link's
+// connect loop refreshes on its own when an attach is refused by a newer
+// epoch or reaches no node. Installing a map re-points the shards' Remotes,
+// so the next pass dials the owner the map names. The server-side fence
+// guarantees a Moved operation was not executed, so the retry is
+// exactly-once safe.
 type Router struct {
 	seeds []string
 	opts  RouterOptions
@@ -193,6 +197,7 @@ func (rt *Router) remote(id uint32) (*Remote, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
+		r.rt = rt
 		r.setClaim(id, m.Epoch)
 		rt.remotes[id] = r
 	}
@@ -205,8 +210,13 @@ func (rt *Router) remote(id uint32) (*Remote, string, error) {
 // names the authoritative owner as first: asking it directly beats the
 // seeds, which mid-migration may still answer with the transitional epoch
 // that points at the fenced old group. Affected Remotes are re-pointed
-// (setAddrs) and re-claimed; live sessions rehome on their own retry path.
-func (rt *Router) refresh(first string) bool {
+// (setAddrs) and re-claimed; live links follow on their next connect. Each
+// fetch gets fetchTimeout, or less when a non-zero deadline leaves less; a
+// fixed table has no map to refresh.
+func (rt *Router) refresh(first string, deadline time.Time) bool {
+	if rt.fixed {
+		return false
+	}
 	cur := rt.Map()
 	var targets []string
 	seen := make(map[string]bool)
@@ -226,7 +236,13 @@ func (rt *Router) refresh(first string) bool {
 		}
 	}
 	for _, addr := range targets {
-		m, err := shard.FetchMap(addr, cur.Epoch, fetchTimeout)
+		timeout := fetchTimeout
+		if !deadline.IsZero() {
+			if timeout = min(timeout, time.Until(deadline)); timeout <= 0 {
+				break
+			}
+		}
+		m, err := shard.FetchMap(addr, cur.Epoch, timeout)
 		if err != nil || m == nil || m.Epoch <= cur.Epoch {
 			continue
 		}
@@ -265,7 +281,9 @@ func (rt *Router) install(m *shard.Map) {
 	}
 }
 
-// shardLink returns (attaching if needed) the session's link to a shard.
+// shardLink returns the session's link to a shard, attaching one if the
+// session has none, or has one whose connect gave up and no descriptor pins:
+// a fresh attach gets a fresh server-side session, which would orphan them.
 func (s *Session) shardLink(id uint32) (*link, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -273,15 +291,16 @@ func (s *Session) shardLink(id uint32) (*link, error) {
 		return nil, ErrClosed
 	}
 	l := s.links[id]
-	s.mu.Unlock()
-	if l != nil {
+	if l != nil && (l.err() == nil || s.pinned(id)) {
+		s.mu.Unlock()
 		return l, nil
 	}
+	s.mu.Unlock()
 	r, prefix, err := s.rt.remote(id)
 	if err != nil {
 		return nil, err
 	}
-	if l, err = s.attach(r); err != nil {
+	if l, err = r.attach(s.cred); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -290,7 +309,7 @@ func (s *Session) shardLink(id uint32) (*link, error) {
 		l.Detach()
 		return nil, ErrClosed
 	}
-	if exist := s.links[id]; exist != nil {
+	if exist := s.links[id]; exist != nil && (exist.err() == nil || s.pinned(id)) {
 		s.mu.Unlock()
 		l.Detach()
 		return exist, nil
@@ -301,35 +320,15 @@ func (s *Session) shardLink(id uint32) (*link, error) {
 	return l, nil
 }
 
-// attach opens a link on r, giving the first attach the same
-// failover grace an established session gets from its recovery loop: a
-// transient refusal (a primary mid-promotion, an op gate held for a join
-// snapshot) is retried with jittered doubling backoff until
-// FailoverTimeout, instead of surfacing a raw dial or deadline error the
-// first time a worker touches the shard. A Moved answer returns
-// immediately so doShard can refetch the map and re-route.
-func (s *Session) attach(r *Remote) (*link, error) {
-	deadline := time.Now().Add(s.rt.opts.FailoverTimeout)
-	b := backoff{d: 10 * time.Millisecond, max: 250 * time.Millisecond}
-	for {
-		l, err := r.attach(s.cred)
-		if err == nil {
-			return l, nil
+// pinned reports whether the open-file table holds a descriptor on a shard.
+// Caller holds s.mu.
+func (s *Session) pinned(id uint32) bool {
+	for _, of := range s.files {
+		if of.shard == id {
+			return true
 		}
-		if errors.Is(err, wire.ErrMoved) {
-			return nil, err
-		}
-		if !time.Now().Before(deadline) {
-			return nil, fmt.Errorf("%w (after %v)", ErrNoPrimary, err)
-		}
-		s.mu.Lock()
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return nil, ErrClosed
-		}
-		time.Sleep(b.next())
 	}
+	return false
 }
 
 // ensureAncestors provisions the scaffolding directories above a prefix
@@ -356,95 +355,27 @@ func ensureAncestors(l *link, prefix string) {
 	}
 }
 
-// dropLink forgets a link that failed to rehome, but only while the
-// open-file table holds no descriptor on its shard: a fresh attach gets a
-// fresh server-side session, which would orphan them.
-func (s *Session) dropLink(id uint32, l *link) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, of := range s.files {
-		if of.shard == id {
-			return
-		}
-	}
-	if s.links[id] == l {
-		delete(s.links, id)
-	}
-}
-
 // moved reacts to a Moved answer for a shard: refresh the map, then rehome
-// the shard's link against its Remote's (possibly re-pointed) dial list.
-// The same server-side session resumes under the same client ID, so open
-// descriptors and the replay of unanswered calls survive the move. It
-// reports whether a retry can be routed anew; a fixed table has no map to
-// refresh, so there the Moved goes back to the caller and the link, with
-// its descriptors, stays as it is.
-//
-// A migration announces its map in stages, so a refresh racing the cutover
-// can install the transitional epoch — one that still points this shard at
-// the old, now-fenced group. The rehome's attach then bounces with a Moved
-// that names the real owner; fetching the map from that owner re-points
-// the Remote, and the recovery loop the failed rehome left running picks
-// up the new dial list on its next tick. Only when even the named owner
-// yields no newer map is the link abandoned.
-func (s *Session) moved(id uint32, cause error) bool {
+// the shard's link against its Remote's (possibly re-pointed) dial list. The
+// same server-side session resumes under the same client ID, so open
+// descriptors and the replay of unanswered calls survive the move; a link
+// whose rehome gave up is replaced at its next use unless a descriptor pins
+// it (shardLink). It reports whether a retry can be routed anew; a fixed
+// table has no map to refresh, so there the Moved goes back to the caller
+// and the link, with its descriptors, stays as it is.
+func (s *Session) moved(id uint32) bool {
 	if s.rt.fixed {
 		return false
 	}
 	s.rt.moves.Add(1)
-	var mv *movedErr
-	if errors.As(cause, &mv) {
-		// An attach-time refusal names the owner and epoch: wait for the
-		// cutover's map instead of settling for a transitional one.
-		s.awaitEpoch(mv.mv)
-	} else {
-		s.rt.refresh("")
-	}
+	s.rt.refresh("", time.Time{})
 	s.mu.Lock()
 	l := s.links[id]
 	s.mu.Unlock()
-	if l == nil {
-		return true
-	}
-	if err := l.rehome(); err != nil {
-		var mv *movedErr
-		if errors.As(err, &mv) && s.awaitEpoch(mv.mv) {
-			return true
-		}
-		s.dropLink(id, l)
+	if l != nil {
+		l.rehome()
 	}
 	return true
-}
-
-// awaitEpoch waits for the shard map to reach the epoch a refused attach
-// named, polling the named owner first and the seeds as fallback. The
-// refusing node installs the cutover map before the new owner learns it
-// (the old group's install is the migration's drain barrier), so right at
-// the fence there may be nothing newer to fetch from anywhere — only
-// moments later. The failed rehome left the session's recovery loop
-// running; installing the newer map re-points the Remote, and that loop
-// attaches to the new owner on its next tick. Polling shares the failover
-// budget the recovery loop itself runs under.
-func (s *Session) awaitEpoch(mv wire.Moved) bool {
-	deadline := time.Now().Add(s.rt.opts.FailoverTimeout)
-	b := s.movedBackoff()
-	for {
-		if s.rt.Map().Epoch >= mv.Epoch {
-			return true
-		}
-		if s.rt.refresh(mv.Addr) {
-			continue
-		}
-		if !time.Now().Before(deadline) {
-			return false
-		}
-		time.Sleep(b.next())
-	}
-}
-
-// movedBackoff is the delay between retries after a Moved answer.
-func (s *Session) movedBackoff() backoff {
-	return backoff{d: movedBackoffStart, max: 250 * time.Millisecond}
 }
 
 // Rename moves old to new. Within one shard it is the server's atomic
@@ -748,11 +679,11 @@ func (s *Session) Submit(reqs []wire.Request) ([]wire.Response, error) {
 	return out, nil
 }
 
-// startPart attaches the part's link if need be and starts the part's
-// submission on it.
+// startPart attaches the part's link if need be (see shardLink) and starts
+// the part's submission on it.
 func (s *Session) startPart(p *part, out []wire.Response) error {
 	l := p.link
-	if l == nil {
+	if l == nil || l.err() != nil {
 		var err error
 		if l, err = s.shardLink(p.shard); err != nil {
 			return err

@@ -371,10 +371,13 @@ func TestMovedPingPong(t *testing.T) {
 
 // migrCluster is the live-migration topology: node A is the primary of a
 // 2-hash-shard map (owning both shards), node B joined it as a replication
-// backup. Migrating shard 1 to B exercises the full cutover.
+// backup. Migrating shard 1 to B exercises the full cutover. srvA is A's
+// server and cfgA its configuration, for tests that take A down.
 type migrCluster struct {
 	addrA, addrB string
 	m            *shard.Map
+	srvA         *server.Server
+	cfgA         server.Config
 }
 
 func startMigrCluster(t testing.TB) *migrCluster {
@@ -423,7 +426,8 @@ func startMigrCluster(t testing.TB) *migrCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvA, err := server.New(server.Config{FS: volA, Replica: nodeA, Sharding: authA})
+	cfgA := server.Config{FS: volA, Replica: nodeA, Sharding: authA}
+	srvA, err := server.New(cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +471,99 @@ func startMigrCluster(t testing.TB) *migrCluster {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return &migrCluster{addrA: addrA, addrB: addrB, m: m}
+	return &migrCluster{addrA: addrA, addrB: addrB, m: m, srvA: srvA, cfgA: cfgA}
+}
+
+// strandingSetup dials a router with a 2 s failover budget over seeds,
+// attaches a session that writes a file on shard 1, and migrates shard 1
+// from A to B. It returns the router, the session, the file and the map
+// the migration installed.
+func strandingSetup(t *testing.T, cl *migrCluster, seeds string) (*client.Router, fsapi.Client, string, *shard.Map) {
+	t.Helper()
+	opts := client.RouterOptions{}
+	opts.FailoverTimeout = 2 * time.Second
+	rt, err := client.DialRouter(seeds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rt.Close() })
+	c, err := rt.Attach(fsapi.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Detach() })
+	p := pathOnShard(t, cl.m, "strand", 1)
+	fd, err := c.Create(p, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close(fd)
+	m2, err := shard.Migrate([]string{cl.addrA}, 1, []string{cl.addrB}, shard.MigrateOptions{})
+	if err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	return rt, c, p, m2
+}
+
+// TestReconnectFollowsMigratedShard: a session touches shard 1, shard 1
+// migrates from A to B, and then A drops every connection while it keeps
+// serving shard 0. The session's link reconnects to A, which refuses the
+// shard with a Moved naming the new epoch; the connect loop refetches the
+// map and follows the shard to B instead of retrying A until its budget
+// runs out.
+func TestReconnectFollowsMigratedShard(t *testing.T) {
+	cl := startMigrCluster(t)
+	rt, c, p, m2 := strandingSetup(t, cl, cl.addrA)
+
+	// A drops its connections: a new server on the same address, over the
+	// same volume, replication node and shard authority.
+	cl.srvA.Abort()
+	ln, err := net.Listen("tcp", cl.addrA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(cl.cfgA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(srv.Shutdown)
+
+	if _, err := c.Stat(p); err != nil {
+		t.Fatalf("Stat on the migrated shard after A dropped its connections: %v", err)
+	}
+	if _, err := c.Stat(pathOnShard(t, cl.m, "zero", 0)); !errors.Is(err, fsapi.ErrNotExist) {
+		t.Errorf("Stat on shard 0, still A's = %v, want ErrNotExist", err)
+	}
+	if st := rt.Stats(); st.Epoch != m2.Epoch {
+		t.Errorf("router at epoch %d, want %d", st.Epoch, m2.Epoch)
+	}
+}
+
+// TestConnectFollowsSeedsPastDeadOwner: a session touches shard 1, shard 1
+// migrates from A to B, and then A is gone. The router's map still names A
+// for the shard, but its seeds name B too: a connect pass that reaches no
+// node refetches the map, so both that session and a fresh one reach shard 1
+// on B.
+func TestConnectFollowsSeedsPastDeadOwner(t *testing.T) {
+	cl := startMigrCluster(t)
+	rt, c, p, m2 := strandingSetup(t, cl, cl.addrA+","+cl.addrB)
+	cl.srvA.Abort()
+
+	fresh, err := rt.Attach(fsapi.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Detach()
+	if _, err := fresh.Stat(p); err != nil {
+		t.Fatalf("fresh session's Stat on the migrated shard with A gone: %v", err)
+	}
+	if _, err := c.Stat(p); err != nil {
+		t.Fatalf("Stat on the migrated shard with A gone: %v", err)
+	}
+	if st := rt.Stats(); st.Epoch != m2.Epoch {
+		t.Errorf("router at epoch %d, want %d", st.Epoch, m2.Epoch)
+	}
 }
 
 // TestLiveMigrationZeroLoss drives acknowledged writes through the router
@@ -717,7 +813,8 @@ func startBlackhole(t *testing.T, backend string) *blackhole {
 // has been answered, this one is registered, written and waiting. Submit must
 // return the error, leave nothing registered on either session, and give
 // every pooled request buffer back. The closes the healthy shard answered
-// still leave the open-file table.
+// still leave the open-file table. Once the shard is reachable again, the
+// next Submit replaces the link that gave up.
 func TestRoutedSubmitShardDiesMidGather(t *testing.T) {
 	lns := make([]net.Listener, 2)
 	for i := range lns {
@@ -809,6 +906,19 @@ func TestRoutedSubmitShardDiesMidGather(t *testing.T) {
 	}
 	if n := rs.OpenFiles(); n != 0 {
 		t.Errorf("after the failed submit: %d descriptors the healthy shard closed are still open", n)
+	}
+
+	// Shard 1's link gave up and no descriptor pins it, so once the group is
+	// reachable again the next call attaches a fresh one.
+	ln, err := net.Listen("tcp", hole.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := &chaosProxy{ln: ln, backend: lns[1].Addr().String(), conns: make(map[net.Conn]struct{})}
+	go back.acceptLoop()
+	t.Cleanup(back.close)
+	if _, err := rs.Submit(reqs); err != nil {
+		t.Errorf("submit once shard 1 is reachable again: %v", err)
 	}
 }
 

@@ -163,7 +163,7 @@ var errCrossShard = errors.New("wire client: names on different shards")
 // (rehome), never a descriptor. Errors other than Moved pass through
 // untouched.
 func (s *Session) doShard(req wire.Request, pin int64, dst []byte) (wire.Response, uint32, error) {
-	b := s.movedBackoff()
+	b := backoff{d: hopBackoffStart, max: 250 * time.Millisecond}
 	var err error
 	for hop := 0; hop <= maxMovedHops; hop++ {
 		if hop > 0 {
@@ -185,7 +185,7 @@ func (s *Session) doShard(req wire.Request, pin int64, dst []byte) (wire.Respons
 		}
 		var resp wire.Response
 		err = nil
-		if l == nil {
+		if l == nil || l.err() != nil {
 			l, err = s.shardLink(id)
 		}
 		if err == nil {
@@ -195,7 +195,7 @@ func (s *Session) doShard(req wire.Request, pin int64, dst []byte) (wire.Respons
 				}
 			}
 		}
-		if err == nil || !errors.Is(err, wire.ErrMoved) || !s.moved(id, err) {
+		if err == nil || !errors.Is(err, wire.ErrMoved) || !s.moved(id) {
 			return resp, id, err
 		}
 	}
