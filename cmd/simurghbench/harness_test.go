@@ -96,3 +96,29 @@ func TestFigureCommands(t *testing.T) {
 		}
 	})
 }
+
+// TestAppMedians pins the application harness's schedule: one discarded
+// warm-up point, the system order reversed on every repetition, and the
+// median of each column.
+func TestAppMedians(t *testing.T) {
+	var calls []string
+	vals := map[string][]float64{"a": {5, 1, 3}, "b": {20, 40, 10}}
+	med, err := appMedians([]string{"a", "b"}, 3, func(fs string) ([]float64, error) {
+		calls = append(calls, fs)
+		if len(calls) == 1 {
+			return []float64{1e9, 1e9}, nil // the warm-up, never reported
+		}
+		v := vals[fs][0]
+		vals[fs] = vals[fs][1:]
+		return []float64{v, -v}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(calls, ""); got != "aabbaab" {
+		t.Errorf("schedule %q, want the warm-up a, then ab, ba, ab", got)
+	}
+	if a, b := med["a"], med["b"]; len(a) != 2 || a[0] != 3 || a[1] != -3 || b[0] != 20 || b[1] != -20 {
+		t.Errorf("medians a %v b %v, want [3 -3] and [20 -20]", a, b)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -346,42 +347,74 @@ func runBreakdown(w io.Writer, args []string) error {
 	return nil
 }
 
+// appMedians runs an application point on every file system reps times and
+// returns each system's median per column. A discarded warm-up point runs
+// first, and the order of the systems reverses on every repetition, so
+// neither the process's first point nor a fixed position favours one.
+func appMedians(fsNames []string, reps int, point func(fsName string) ([]float64, error)) (map[string][]float64, error) {
+	if _, err := point(fsNames[0]); err != nil {
+		return nil, err
+	}
+	runs := map[string][][]float64{}
+	order := slices.Clone(fsNames)
+	for r := 0; r < reps; r++ {
+		for _, name := range order {
+			v, err := point(name)
+			if err != nil {
+				return nil, err
+			}
+			runs[name] = append(runs[name], v)
+		}
+		slices.Reverse(order)
+	}
+	med := map[string][]float64{}
+	for name, rs := range runs {
+		for col := range rs[0] {
+			vs := make([]float64, len(rs))
+			for i, v := range rs {
+				vs[i] = v[col]
+			}
+			slices.Sort(vs)
+			med[name] = append(med[name], (vs[(len(vs)-1)/2]+vs[len(vs)/2])/2)
+		}
+	}
+	return med, nil
+}
+
 func runTar(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("tar", flag.ExitOnError)
 	scale := fs.Int("scale", 2, "corpus scale factor")
-	reps := fs.Int("reps", 1, "repetitions (best kept)")
+	reps := fs.Int("reps", 3, "repetitions per system (the median is reported)")
 	fsList := fs.String("fs", "all", "file systems")
 	fs.Parse(args)
+	names := parseFS(*fsList)
+	med, err := appMedians(names, *reps, func(fsName string) ([]float64, error) {
+		fsi, err := bench.MakeFS(fsName, 2<<30)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := tarbench.Prepare(fsi, corpus.LinuxLike(*scale)); err != nil {
+			return nil, err
+		}
+		runtime.GC()
+		pack, err := tarbench.Pack(fsi)
+		if err != nil {
+			return nil, err
+		}
+		runtime.GC()
+		unpack, err := tarbench.Unpack(fsi)
+		if err != nil {
+			return nil, err
+		}
+		return []float64{pack.MBPerSec(), unpack.MBPerSec()}, nil
+	})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "## Fig 11: tar throughput (MiB/s)")
 	fmt.Fprintf(w, "%-12s %12s %12s\n", "fs", "pack", "unpack")
-	for _, fsName := range parseFS(*fsList) {
-		var bestPack, bestUnpack float64
-		for r := 0; r < *reps; r++ {
-			fsi, err := bench.MakeFS(fsName, 2<<30)
-			if err != nil {
-				return err
-			}
-			if _, err := tarbench.Prepare(fsi, corpus.LinuxLike(*scale)); err != nil {
-				return err
-			}
-			runtime.GC()
-			pack, err := tarbench.Pack(fsi)
-			if err != nil {
-				return err
-			}
-			runtime.GC()
-			unpack, err := tarbench.Unpack(fsi)
-			if err != nil {
-				return err
-			}
-			if pack.MBPerSec() > bestPack {
-				bestPack = pack.MBPerSec()
-			}
-			if unpack.MBPerSec() > bestUnpack {
-				bestUnpack = unpack.MBPerSec()
-			}
-		}
-		fmt.Fprintf(w, "%-12s %12.1f %12.1f\n", fsName, bestPack, bestUnpack)
+	for _, name := range names {
+		fmt.Fprintf(w, "%-12s %12.1f %12.1f\n", name, med[name][0], med[name][1])
 	}
 	return nil
 }
@@ -389,58 +422,53 @@ func runTar(w io.Writer, args []string) error {
 func runGit(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("git", flag.ExitOnError)
 	scale := fs.Int("scale", 2, "corpus scale factor")
-	reps := fs.Int("reps", 1, "repetitions (best kept)")
+	reps := fs.Int("reps", 3, "repetitions per system (the median is reported)")
 	fsList := fs.String("fs", "all", "file systems")
 	fs.Parse(args)
+	names := parseFS(*fsList)
+	med, err := appMedians(names, *reps, func(fsName string) ([]float64, error) {
+		fsi, err := bench.MakeFS(fsName, 2<<30)
+		if err != nil {
+			return nil, err
+		}
+		c, _ := fsi.Attach(fsapi.Root)
+		if err := c.Mkdir("/src", 0o755); err != nil {
+			return nil, err
+		}
+		if _, err := corpus.Generate(c, "/src", corpus.LinuxLike(*scale)); err != nil {
+			return nil, err
+		}
+		repo, err := gitbench.Init(fsi, "/repo", "/src")
+		if err != nil {
+			return nil, err
+		}
+		runtime.GC()
+		add, err := repo.Add()
+		if err != nil {
+			return nil, err
+		}
+		runtime.GC()
+		commit, err := repo.Commit("bench")
+		if err != nil {
+			return nil, err
+		}
+		if err := repo.DeleteWorkTree(); err != nil {
+			return nil, err
+		}
+		runtime.GC()
+		reset, err := repo.Reset()
+		if err != nil {
+			return nil, err
+		}
+		return []float64{add.FilesPerSec(), commit.FilesPerSec(), reset.FilesPerSec()}, nil
+	})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "## Fig 12: git throughput (files/s)")
 	fmt.Fprintf(w, "%-12s %12s %12s %12s\n", "fs", "add", "commit", "reset")
-	for _, fsName := range parseFS(*fsList) {
-		var bestAdd, bestCommit, bestReset float64
-		for r := 0; r < *reps; r++ {
-			fsi, err := bench.MakeFS(fsName, 2<<30)
-			if err != nil {
-				return err
-			}
-			c, _ := fsi.Attach(fsapi.Root)
-			if err := c.Mkdir("/src", 0o755); err != nil {
-				return err
-			}
-			if _, err := corpus.Generate(c, "/src", corpus.LinuxLike(*scale)); err != nil {
-				return err
-			}
-			repo, err := gitbench.Init(fsi, "/repo", "/src")
-			if err != nil {
-				return err
-			}
-			runtime.GC()
-			add, err := repo.Add()
-			if err != nil {
-				return err
-			}
-			runtime.GC()
-			commit, err := repo.Commit("bench")
-			if err != nil {
-				return err
-			}
-			if err := repo.DeleteWorkTree(); err != nil {
-				return err
-			}
-			runtime.GC()
-			reset, err := repo.Reset()
-			if err != nil {
-				return err
-			}
-			if v := add.FilesPerSec(); v > bestAdd {
-				bestAdd = v
-			}
-			if v := commit.FilesPerSec(); v > bestCommit {
-				bestCommit = v
-			}
-			if v := reset.FilesPerSec(); v > bestReset {
-				bestReset = v
-			}
-		}
-		fmt.Fprintf(w, "%-12s %12.0f %12.0f %12.0f\n", fsName, bestAdd, bestCommit, bestReset)
+	for _, name := range names {
+		fmt.Fprintf(w, "%-12s %12.0f %12.0f %12.0f\n", name, med[name][0], med[name][1], med[name][2])
 	}
 	return nil
 }

@@ -373,10 +373,10 @@ func (c *Client) admit(ino pmem.Ptr, flags fsapi.OpenFlag) error {
 		return err
 	}
 	if flags&fsapi.OTrunc != 0 && fsapi.IsRegular(mode) && writing {
-		l := fs.fileLock(ino)
-		fs.lockFileExcl(l)
-		defer l.Unlock()
-		return fs.truncate(ino, 0)
+		fs.lockFile(ino)
+		err := fs.truncate(ino, 0)
+		fs.unlockFile(ino)
+		return err
 	}
 	return nil
 }
@@ -449,10 +449,9 @@ func (c *Client) Pread(fd fsapi.FD, p []byte, off uint64) (n int, err error) {
 }
 
 func (c *Client) readLocked(ino pmem.Ptr, p []byte, off uint64) int {
-	l := c.fs.fileLock(ino)
-	c.fs.lockFileShared(l)
+	c.fs.rlockFile(ino)
 	n := c.fs.readAt(ino, p, off)
-	l.RUnlock()
+	c.fs.runlockFile(ino)
 	return n
 }
 
@@ -470,11 +469,10 @@ func (c *Client) Write(fd fsapi.FD, p []byte) (n int, err error) {
 	if of.append {
 		// Appends are exclusive regardless of the relaxed-write setting:
 		// the position is defined by the current size.
-		l := fs.fileLock(of.ino)
-		fs.lockFileExcl(l)
+		fs.lockFile(of.ino)
 		pos := fs.inoSize(of.ino)
 		n, err := fs.writeAt(of.ino, p, pos)
-		l.Unlock()
+		fs.unlockFile(of.ino)
 		of.pos.Store(pos + uint64(n))
 		return n, err
 	}
@@ -509,10 +507,9 @@ func (c *Client) writeLocked(ino pmem.Ptr, p []byte, off uint64) (int, error) {
 	if fs.relaxedWrites && off+uint64(len(p)) <= min(fs.inoSize(ino), fs.inoZeroFrom(ino)) {
 		return fs.writeAt(ino, p, off)
 	}
-	l := fs.fileLock(ino)
-	fs.lockFileExcl(l)
+	fs.lockFile(ino)
 	n, err := fs.writeAt(ino, p, off)
-	l.Unlock()
+	fs.unlockFile(ino)
 	return n, err
 }
 
@@ -560,10 +557,10 @@ func (c *Client) Ftruncate(fd fsapi.FD, size uint64) (err error) {
 	if err != nil {
 		return err
 	}
-	l := c.fs.fileLock(of.ino)
-	c.fs.lockFileExcl(l)
-	defer l.Unlock()
-	return c.fs.truncate(of.ino, size)
+	c.fs.lockFile(of.ino)
+	err = c.fs.truncate(of.ino, size)
+	c.fs.unlockFile(of.ino)
+	return err
 }
 
 // Fallocate implements fsapi.Client: preallocates blocks for [0, size)
@@ -576,27 +573,18 @@ func (c *Client) Fallocate(fd fsapi.FD, size uint64) (err error) {
 		return err
 	}
 	// Extent growth must be exclusive with writers (the write path also
-	// extends the mapping under this lock).
-	l := c.fs.fileLock(of.ino)
-	c.fs.lockFileExcl(l)
-	defer l.Unlock()
-	if err := c.fs.ensureCapacity(of.ino, size); err != nil {
-		return err
-	}
+	// extends the mapping under this lock), and so is every size store.
+	fs, ino := c.fs, of.ino
+	fs.lockFile(ino)
+	err = fs.ensureCapacity(ino, size)
 	// fallocate extends the visible size (FALLOC_FL_KEEP_SIZE unset).
-	if old := c.fs.inoSize(of.ino); size > old {
-		c.fs.markZeroFrom(of.ino, old)
+	if old := fs.inoSize(ino); err == nil && size > old {
+		fs.markZeroFrom(ino, old)
+		fs.dev.AtomicStore64(uint64(ino)+inoSizeOff, size)
+		fs.dev.Persist(uint64(ino)+inoSizeOff, 8)
 	}
-	for {
-		old := c.fs.inoSize(of.ino)
-		if size <= old {
-			return nil
-		}
-		if c.fs.dev.CompareAndSwap64(uint64(of.ino)+inoSizeOff, old, size) {
-			c.fs.dev.Persist(uint64(of.ino)+inoSizeOff, 8)
-			return nil
-		}
-	}
+	fs.unlockFile(ino)
+	return err
 }
 
 // Fstat implements fsapi.Client.

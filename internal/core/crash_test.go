@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -65,6 +66,125 @@ func TestWaiterRecoversStuckLineDirectly(t *testing.T) {
 	}
 	if s.Events[obs.EvWaiterRecovery] == 0 {
 		t.Error("waiter recovery not counted")
+	}
+}
+
+// TestDeadWriterReleasesFileLock: a process that dies inside a write leaves
+// the file's lock word held. The next reader and writer take it over once
+// the timeout passes, and a later mount finds the word free.
+func TestDeadWriterReleasesFileLock(t *testing.T) {
+	const timeout = time.Millisecond
+	oldData, newData := pattern(2*BlockSize, 1), pattern(BlockSize, 2)
+	// deadWriter leaves a Pwrite past the end of an 8 KiB file stopped at its
+	// first fence, and returns the file's inode.
+	deadWriter := func(t *testing.T, opts Options) (*pmem.Device, *FS, pmem.Ptr) {
+		t.Helper()
+		dev := pmem.New(32 << 20)
+		fs, err := Format(dev, fsapi.Root, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, _ := fs.Attach(fsapi.Root)
+		fd, err := openWith(c, "/f", oldData, fsapi.ORdwr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ino, err := c.(*Client).resolve("/f", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.SetMode(pmem.ModeTracked)
+		dev.StopAt(dev.Stats.Fences.Load() + 1)
+		if !pmem.Run(func() { c.Pwrite(fd, newData, uint64(len(oldData))) }) {
+			t.Fatal("the write ran to completion")
+		}
+		dev.StopAt(0)
+		return dev, fs, ino
+	}
+
+	t.Run("survivor", func(t *testing.T) {
+		_, fs, _ := deadWriter(t, Options{LineLockTimeout: timeout})
+		c, _ := fs.Attach(fsapi.Root)
+		fd, err := c.Open("/f", fsapi.ORdwr, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 4*BlockSize)
+		done := make(chan error, 2)
+		go func() {
+			n, err := c.Pread(fd, buf, 0)
+			if n != len(oldData) && n != len(oldData)+len(newData) {
+				err = fmt.Errorf("read %d bytes (%v), want a size of %d or %d", n, err, len(oldData), len(oldData)+len(newData))
+			} else if !bytes.Equal(buf[:len(oldData)], oldData) || !bytes.Equal(buf[len(oldData):n], newData[:n-len(oldData)]) {
+				err = fmt.Errorf("read bytes that are neither old nor new")
+			} else {
+				err = nil
+			}
+			done <- err
+			_, err = c.Pwrite(fd, newData, 0)
+			done <- err
+		}()
+		wait := time.After(100 * timeout)
+		for returned := 0; returned < 2; returned++ {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-wait:
+				t.Fatalf("survivor still blocked after %v (%d of 2 returned)", 100*timeout, returned)
+			}
+		}
+		s := fs.Stats()
+		if s.Events[obs.EvFileLockTimeout] == 0 || s.LockWaits[obs.LockFile].Waits == 0 {
+			t.Errorf("takeover not counted: %d file-lock timeouts, %d file-lock waits",
+				s.Events[obs.EvFileLockTimeout], s.LockWaits[obs.LockFile].Waits)
+		}
+	})
+
+	// A mount frees the word: after a power failure, and on a backup that
+	// mounts a snapshot cut while the word was held.
+	opts := Options{LineLockTimeout: 10 * time.Second}
+	for _, how := range []string{"crash", "snapshot"} {
+		t.Run(how, func(t *testing.T) {
+			dev, _, ino := deadWriter(t, opts)
+			// The held word reaches the media, as an evicted line would.
+			dev.Persist(uint64(ino)+inoLockOff, 8)
+			if how == "crash" {
+				dev.Crash()
+			} else {
+				var img bytes.Buffer
+				if _, err := dev.WriteTo(&img); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if dev, err = pmem.ReadImage(&img); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if dev.Load64(uint64(ino)+inoLockOff)&fileWriter == 0 {
+				t.Fatal("the image does not hold the dead writer's lock word")
+			}
+			fs, _, err := Mount(dev, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, _ := fs.Attach(fsapi.Root)
+			fd, err := c.Open("/f", fsapi.ORdwr, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			if _, err := c.Pwrite(fd, newData, 0); err != nil {
+				t.Fatal(err)
+			}
+			if el := time.Since(start); el > 100*time.Millisecond {
+				t.Errorf("pwrite took %v after the mount", el)
+			}
+			if n := fs.Stats().Events[obs.EvFileLockTimeout]; n != 0 {
+				t.Errorf("%d file-lock timeouts after the mount, want 0", n)
+			}
+		})
 	}
 }
 

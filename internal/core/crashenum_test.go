@@ -31,11 +31,12 @@ import (
 //     before or after the operation, a second crash and mount finds nothing
 //     left to repair, and the volume takes a create and an unlink;
 //   - death: the operation's process died at fence k, holding whatever line
-//     busy bits it held. A second client reads the tree, mutates a name on
-//     every held line — which makes it recover the line (§4.3) — and reads
-//     the tree again, within 5 s. When more than one line is held, it runs again
-//     with the lines taken in the other order: the recovery of one may need
-//     the other.
+//     busy bits and file lock it held. A second client reads the tree,
+//     mutates a name on every held line — which makes it recover the line
+//     (§4.3) — writes a data operation's file back over itself, and reads
+//     the tree again, within 5 s. Reading and writing the file take its lock
+//     over. When more than one line is held, it runs again with the lines
+//     taken in the other order: the recovery of one may need the other.
 //
 // Claims then pin the specific recovery branch a fence must reach, each at a
 // named fence (see fenceSites).
@@ -70,8 +71,7 @@ type crashOp struct {
 	// operation.
 	prep func(c fsapi.Client) (func(c fsapi.Client) error, error)
 	// data names the one file a data operation changes. Its size may be old
-	// or new and each byte old or new. Data operations keep the file's
-	// volatile lock across their fences, so they get no process death.
+	// or new and each byte old or new.
 	data string
 	// replaced is the destination a rename onto an existing name removes
 	// before it moves the source: a crash may leave neither (DESIGN §5).
@@ -375,9 +375,6 @@ func enumerate(t *testing.T, op *crashOp) *crashReport {
 		}
 	}
 	kinds := []failure{power, torn, death, reversed}
-	if op.data != "" {
-		kinds = kinds[:2]
-	}
 	for k := 1; k <= len(rep.sites); k++ {
 		held := 0
 		for _, kind := range kinds {
@@ -476,7 +473,8 @@ type heldLine struct {
 }
 
 // survive is the second process after a death: it reads the tree, mutates a
-// name on every line the dead one held, and reads the tree again.
+// name on every line the dead one held, writes a data operation's file back
+// over itself, and reads the tree again.
 func survive(op *crashOp, v *enumVol, kind failure, before, after fsTree) (*crashCase, error) {
 	r := &crashCase{kind: kind, fs: v.fs}
 	c, _ := v.fs.Attach(fsapi.Root)
@@ -499,6 +497,12 @@ func survive(op *crashOp, v *enumVol, kind failure, before, after fsTree) (*cras
 				return
 			}
 		}
+		if op.data != "" {
+			if err := writeBack(c, op.data, pre[op.data].data); err != nil {
+				done <- err
+				return
+			}
+		}
 		if r.tree = readTree(c); !op.allowed(r.tree, before, after, death) {
 			done <- fmt.Errorf("tree after recovering %d lines: %s", len(held), treeDiff(r.tree, before, after))
 			return
@@ -517,7 +521,21 @@ func survive(op *crashOp, v *enumVol, kind failure, before, after fsTree) (*cras
 	if r.held > 0 && (r.snap.Events[obs.EvLineLockTimeout] == 0 || r.snap.Events[obs.EvWaiterRecovery] == 0 || r.snap.LockWaits[obs.LockLine].Waits == 0) {
 		return nil, fmt.Errorf("%d held lines recovered without a counted timeout, waiter recovery and line wait", r.held)
 	}
+	if op.data != "" && (r.snap.Events[obs.EvFileLockTimeout] == 0 || r.snap.LockWaits[obs.LockFile].Waits == 0) {
+		return nil, errors.New("the file lock was taken over without a counted timeout and file wait")
+	}
 	return r, nil
+}
+
+// writeBack pwrites data over the start of the file at p.
+func writeBack(c fsapi.Client, p, data string) error {
+	fd, err := c.Open(p, fsapi.ORdwr, 0)
+	if err != nil {
+		return err
+	}
+	defer c.Close(fd)
+	_, err = c.Pwrite(fd, []byte(data), 0)
+	return err
 }
 
 // heldLines reads the busy bits of every directory of the trees.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"time"
 
 	"simurgh/internal/alloc"
@@ -49,56 +48,30 @@ type entryRef struct {
 // every holder announces itself to lock-free lookups through the line's
 // sequence counter (see dirLine.seq).
 func (fs *FS) lockLine(first pmem.Ptr, line int) *dirState {
-	ds := fs.ensureIndex(first)
-	bit := uint64(1) << uint(line)
-	off := uint64(first) + dirBusyOff
-	old := fs.dev.AtomicLoad64(off)
-	if old&bit != 0 || !fs.dev.CompareAndSwap64(off, old, old|bit) {
-		fs.lockLineSlow(first, line, bit, off, false)
-	}
-	ds.lines[line].seq.Add(1)
-	return ds
+	return fs.lockLineAs(first, line, false)
 }
 
-// lockLineInRecovery is lockLine for a recovery that holds recoveryMu (or
+// lockLineAs is lockLine; inRecovery says the caller holds recoveryMu (or
 // runs alone, at mount): a dead same-directory rename holds both of its
 // lines, so the second one is recovered under the mutex already held.
-func (fs *FS) lockLineInRecovery(first pmem.Ptr, line int) {
+func (fs *FS) lockLineAs(first pmem.Ptr, line int, inRecovery bool) *dirState {
 	ds := fs.ensureIndex(first)
 	bit, off := uint64(1)<<uint(line), uint64(first)+dirBusyOff
 	if old := fs.dev.AtomicLoad64(off); old&bit != 0 || !fs.dev.CompareAndSwap64(off, old, old|bit) {
-		fs.lockLineSlow(first, line, bit, off, true)
+		fs.lockSlow(off, obs.LockLine, func(old uint64, _ bool) (uint64, bool) {
+			return old | bit, old&bit == 0
+		}, func() bool {
+			fs.obsR.Event(obs.EvLineLockTimeout)
+			if inRecovery {
+				fs.recoverLineLocked(first, line)
+			} else {
+				fs.recoverStuckLine(first, line)
+			}
+			return false
+		})
 	}
 	ds.lines[line].seq.Add(1)
-}
-
-func (fs *FS) lockLineSlow(first pmem.Ptr, line int, bit, off uint64, inRecovery bool) {
-	start := time.Now()
-	deadline := start.Add(fs.lineTimeout)
-	for spins := 0; ; spins++ {
-		old := fs.dev.AtomicLoad64(off)
-		if old&bit == 0 {
-			if fs.dev.CompareAndSwap64(off, old, old|bit) {
-				ns := uint64(time.Since(start).Nanoseconds())
-				fs.obsR.LockWait(obs.LockLine, ns)
-				fs.obsR.Span(obs.SpanLockWait, 0, start, ns, false)
-				return
-			}
-			continue
-		}
-		if spins&0x3f == 0x3f {
-			runtime.Gosched()
-			if time.Now().After(deadline) {
-				fs.obsR.Event(obs.EvLineLockTimeout)
-				if inRecovery {
-					fs.recoverLineLocked(first, line)
-				} else {
-					fs.recoverStuckLine(first, line)
-				}
-				deadline = time.Now().Add(fs.lineTimeout)
-			}
-		}
-	}
+	return ds
 }
 
 // unlockLine releases the busy bit (also on behalf of a dead holder). The

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,8 +21,10 @@ type Options struct {
 	// Fig. 7k (the application coordinates writers itself). A write that
 	// grows the file or fills a hole still takes it.
 	RelaxedWrites bool
-	// LineLockTimeout is how long a process busy-waits on a directory line
-	// lock before assuming the holder crashed and running recovery.
+	// LineLockTimeout is how long a process busy-waits on a lock in NVMM, a
+	// directory line's busy bit or a file's lock word, before it presumes
+	// the holder dead: it recovers the line, or takes the file lock over. A
+	// live holder that outlasts it loses the lock.
 	LineLockTimeout time.Duration
 	// Cost is the per-call CPU cost model; nil charges nothing.
 	Cost *cost.Model
@@ -32,16 +35,14 @@ type Options struct {
 
 const defaultLineLockTimeout = 500 * time.Millisecond
 
-// sharded is the generic volatile sharded-map type backing the FS's
-// mutex-guarded "shared DRAM" coordination state: file locks and open-file
-// references (per-directory state, which lookups read, lives in the
-// load-only dirTable instead). Shards are selected by
-// key, values are created on demand, and every shard counts how many lock
-// acquisitions found the shard already held so Stats() can expose
-// contention per map.
+// sharded is the volatile sharded map behind the FS's open-file references,
+// its one piece of mutex-guarded "shared DRAM" state (per-directory state,
+// which lookups read, lives in the load-only dirTable; locks live in NVMM,
+// as line busy bits and inode lock words). Shards are selected by key, and
+// every shard counts how many lock acquisitions found the shard already
+// held so Stats() can expose contention per map.
 type sharded[V any] struct {
 	name   string
-	newV   func() V
 	shards []shardOf[V]
 	mask   uint64 // len(shards)-1
 }
@@ -65,8 +66,8 @@ type shardOf[V any] struct {
 	_         [32]byte
 }
 
-func newSharded[V any](name string, newV func() V) sharded[V] {
-	s := sharded[V]{name: name, newV: newV, shards: make([]shardOf[V], mapShards), mask: mapShards - 1}
+func newSharded[V any](name string) sharded[V] {
+	s := sharded[V]{name: name, shards: make([]shardOf[V], mapShards), mask: mapShards - 1}
 	for i := range s.shards {
 		s.shards[i].m = make(map[pmem.Ptr]V)
 	}
@@ -86,27 +87,6 @@ func (sh *shardOf[V]) lock() {
 	sh.mu.Lock()
 	sh.gets++
 	sh.contended++
-}
-
-// get returns the value for key, creating it on first use.
-func (s *sharded[V]) get(key pmem.Ptr) V {
-	sh := s.shard(key)
-	sh.lock()
-	v, ok := sh.m[key]
-	if !ok {
-		v = s.newV()
-		sh.m[key] = v
-	}
-	sh.mu.Unlock()
-	return v
-}
-
-// drop forgets key's value.
-func (s *sharded[V]) drop(key pmem.Ptr) {
-	sh := s.shard(key)
-	sh.lock()
-	delete(sh.m, key)
-	sh.mu.Unlock()
 }
 
 // update runs f on key's entry under the shard lock. f receives the current
@@ -155,14 +135,16 @@ type FS struct {
 
 	relaxedWrites bool
 	lineTimeout   time.Duration
+	// epoch is the mount's epoch (sbEpochOff): the tag of the lock words
+	// this mount takes.
+	epoch uint64
 
 	// obsR is the per-op observability sink every public operation reports
 	// into (never nil on a mounted FS).
 	obsR *obs.Registry
 
-	locks sharded[*sync.RWMutex]
-	dirs  dirTable // see dirindex.go
-	open  sharded[refEntry]
+	dirs dirTable // see dirindex.go
+	open sharded[refEntry]
 
 	// recoveryMu serializes concurrent waiter-initiated line recoveries.
 	recoveryMu sync.Mutex
@@ -193,20 +175,18 @@ func classConfigs() []alloc.ClassConfig {
 	}
 }
 
-func (o *Options) fill() {
-	if o.LineLockTimeout == 0 {
-		o.LineLockTimeout = defaultLineLockTimeout
-	}
-}
-
 func newFS(dev *pmem.Device, opts Options) (*FS, error) {
-	opts.fill()
+	if opts.LineLockTimeout == 0 {
+		opts.LineLockTimeout = defaultLineLockTimeout
+	}
 	nBlocks := dev.Size()/BlockSize - 1
 	if nBlocks < 16 {
 		return nil, fmt.Errorf("core: device too small (%d bytes)", dev.Size())
 	}
-	ba := alloc.NewBlockAlloc(dev, BlockSize, 1, nBlocks, 2*maxProcs())
-	oa, err := alloc.NewObjAlloc(dev, ba, classConfigs(), 2*maxProcs())
+	// Segment and shard counts follow the paper's "twice the number of
+	// cores".
+	ba := alloc.NewBlockAlloc(dev, BlockSize, 1, nBlocks, 2*runtime.NumCPU())
+	oa, err := alloc.NewObjAlloc(dev, ba, classConfigs(), 2*runtime.NumCPU())
 	if err != nil {
 		return nil, err
 	}
@@ -224,9 +204,8 @@ func newFS(dev *pmem.Device, opts Options) (*FS, error) {
 		relaxedWrites: opts.RelaxedWrites,
 		lineTimeout:   opts.LineLockTimeout,
 		obsR:          obsR,
-		locks:         newSharded("locks", func() *sync.RWMutex { return new(sync.RWMutex) }),
 		dirs:          newDirTable(dev.Size()),
-		open:          newSharded("refs", func() refEntry { return refEntry{} }),
+		open:          newSharded[refEntry]("refs"),
 	}
 	return fs, nil
 }
@@ -280,15 +259,6 @@ func (fs *FS) releaseOrOrphan(ino pmem.Ptr) {
 	}
 }
 
-func maxProcs() int {
-	// Segment/shard counts follow the paper's "twice the number of cores".
-	n := numCPU()
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // Format initializes dev with an empty Simurgh file system owned by cred.
 func Format(dev *pmem.Device, cred fsapi.Cred, opts Options) (*FS, error) {
 	dev.Zero(0, BlockSize) // superblock area
@@ -302,6 +272,7 @@ func Format(dev *pmem.Device, cred fsapi.Cred, opts Options) (*FS, error) {
 	d.Store64(sbVersionOff, sbVersion)
 	d.Store64(sbEpochOff, 1)
 	d.Persist(0, BlockSize)
+	fs.epoch = 1
 
 	// Root inode + first directory block.
 	root, err := fs.newInode(cred, fsapi.ModeDir|0o755, 0)
@@ -350,7 +321,9 @@ func Mount(dev *pmem.Device, opts Options) (*FS, *RecoveryStats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	dev.AtomicAdd64(sbEpochOff, 1)
+	// A new epoch frees every lock word an earlier mount left held. It
+	// shares the clean mark's line, so the one flush makes both durable.
+	fs.epoch = dev.AtomicAdd64(sbEpochOff, 1)
 	dev.Store64(sbCleanOff, 0)
 	dev.Persist(sbCleanOff, 8)
 	return fs, stats, nil
@@ -380,7 +353,7 @@ func (fs *FS) Obs() *obs.Registry { return fs.obsR }
 // belongs on polling paths, not inside operations.
 func (fs *FS) Stats() obs.Snapshot {
 	s := fs.obsR.Snapshot()
-	s.Shards = []obs.ShardStat{fs.locks.stats(), fs.open.stats()}
+	s.Shards = []obs.ShardStat{fs.open.stats()}
 	s.Device = toDelta(fs.dev.StatsSnapshot())
 	s.Gauges = fs.gauges()
 	return s
@@ -442,40 +415,106 @@ func toDelta(s pmem.StatsSnapshot) obs.Delta {
 	}
 }
 
-// fileLock returns the volatile read/write lock of an inode.
-func (fs *FS) fileLock(ino pmem.Ptr) *sync.RWMutex {
-	return fs.locks.get(ino)
-}
-
-// lockFileExcl takes l exclusively, timing the wait if the first try does
-// not succeed. Uncontended acquisitions cost one TryLock (a single CAS, as
-// cheap as the plain Lock fast path) and record nothing.
-func (fs *FS) lockFileExcl(l *sync.RWMutex) {
-	if l.TryLock() {
-		return
-	}
+// lockSlow is the one timed busy-wait behind every lock in NVMM: a
+// directory line's busy bit and a file's lock word. take returns what the
+// word becomes when the caller takes it from old, and whether old lets it.
+// Each time the holder outlasts the timeout, expired acts on the presumed
+// dead holder: it recovers a line, or reports true (force) to take a file
+// lock over.
+func (fs *FS) lockSlow(off uint64, class obs.LockClass, take func(old uint64, force bool) (uint64, bool), expired func() bool) {
 	start := time.Now()
-	l.Lock()
-	ns := uint64(time.Since(start).Nanoseconds())
-	fs.obsR.LockWait(obs.LockFile, ns)
-	fs.obsR.Span(obs.SpanLockWait, 0, start, ns, false)
-}
-
-// lockFileShared is lockFileExcl for read locks.
-func (fs *FS) lockFileShared(l *sync.RWMutex) {
-	if l.TryRLock() {
-		return
+	deadline := start.Add(fs.lineTimeout)
+	for spins := 0; ; spins++ {
+		old := fs.dev.AtomicLoad64(off)
+		nw, ok := take(old, false)
+		if !ok && spins&0x3f == 0x3f {
+			runtime.Gosched()
+			if time.Now().After(deadline) {
+				nw, ok = take(old, expired())
+				deadline = time.Now().Add(fs.lineTimeout)
+			}
+		}
+		if ok && fs.dev.CompareAndSwap64(off, old, nw) {
+			ns := uint64(time.Since(start).Nanoseconds())
+			fs.obsR.LockWait(class, ns)
+			fs.obsR.Span(obs.SpanLockWait, 0, start, ns, false)
+			return
+		}
 	}
-	start := time.Now()
-	l.RLock()
-	ns := uint64(time.Since(start).Nanoseconds())
-	fs.obsR.LockWait(obs.LockFile, ns)
-	fs.obsR.Span(obs.SpanLockWait, 0, start, ns, false)
 }
 
-// dropFileLock forgets the volatile lock of a deleted inode.
-func (fs *FS) dropFileLock(ino pmem.Ptr) {
-	fs.locks.drop(ino)
+// A file's lock word (inoLockOff) holds a writer bit and a reader count in
+// its low half and, in its high half, the epoch of the mount that took it:
+// a word from an earlier mount, left held by a crash or copied held into a
+// snapshot, is free. A waiter that takes a dead holder's word over repairs
+// nothing: a write fences its data before its size, and the zero mark
+// before a growth, so every state a holder dies in is one a reader may see.
+const fileWriter = 1 << 31
+
+// holders returns the writer bit and reader count w holds in this mount.
+func (fs *FS) holders(w uint64) uint64 {
+	if w>>32 != fs.epoch {
+		return 0
+	}
+	return w & (fileWriter<<1 - 1)
+}
+
+func (fs *FS) takeWriter(old uint64, force bool) (uint64, bool) {
+	return fs.epoch<<32 | fileWriter, force || fs.holders(old) == 0
+}
+
+func (fs *FS) takeReader(old uint64, force bool) (uint64, bool) {
+	h := fs.holders(old)
+	if force {
+		h = 0
+	}
+	return fs.epoch<<32 | (h + 1), h&fileWriter == 0
+}
+
+func (fs *FS) fileLockExpired() bool {
+	fs.obsR.Event(obs.EvFileLockTimeout)
+	return true
+}
+
+// lockFile takes ino's lock exclusively: uncontended, one load and one CAS.
+func (fs *FS) lockFile(ino pmem.Ptr) {
+	off := uint64(ino) + inoLockOff
+	old := fs.dev.AtomicLoad64(off)
+	if nw, ok := fs.takeWriter(old, false); !ok || !fs.dev.CompareAndSwap64(off, old, nw) {
+		fs.lockSlow(off, obs.LockFile, fs.takeWriter, fs.fileLockExpired)
+	}
+}
+
+// rlockFile takes ino's lock shared. A CAS lost to another reader is no
+// wait: it is retried.
+func (fs *FS) rlockFile(ino pmem.Ptr) {
+	off := uint64(ino) + inoLockOff
+	for {
+		old := fs.dev.AtomicLoad64(off)
+		if nw, ok := fs.takeReader(old, false); !ok {
+			fs.lockSlow(off, obs.LockFile, fs.takeReader, fs.fileLockExpired)
+			return
+		} else if fs.dev.CompareAndSwap64(off, old, nw) {
+			return
+		}
+	}
+}
+
+// unlockFile and runlockFile release a hold, unless a waiter took it over.
+// Holders call them directly, not deferred: an operation stopped at a fence
+// is a process death, and must leave its word held as a dead process does.
+func (fs *FS) unlockFile(ino pmem.Ptr) {
+	fs.dev.AtomicAnd64(uint64(ino)+inoLockOff, ^uint64(fileWriter))
+}
+
+func (fs *FS) runlockFile(ino pmem.Ptr) {
+	off := uint64(ino) + inoLockOff
+	for {
+		old := fs.dev.AtomicLoad64(off)
+		if fs.holders(old)&^fileWriter == 0 || fs.dev.CompareAndSwap64(off, old, old-1) {
+			return
+		}
+	}
 }
 
 // newInode allocates and fills an inode (valid|dirty until the caller

@@ -423,7 +423,6 @@ func (fs *FS) freeInode(ino pmem.Ptr) {
 			eb = next
 		}
 	}
-	fs.dropFileLock(ino)
 	fs.oa.Free(ClassInode, ino)
 }
 

@@ -64,6 +64,7 @@ const (
 	// file: one more than the offset from which it reads zero up to its
 	// size (0: none; see inoZeroFrom)
 	inoZeroFromOff = 72
+	inoLockOff     = 80 // file: the reader/writer lock word (see lockFile)
 )
 
 // Directory hash-block layout (§4.3, Figure 4). Each block is a fixed array

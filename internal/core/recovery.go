@@ -137,7 +137,7 @@ func (fs *FS) completeRenameMove(first pmem.Ptr, ds *dirState, srcLine int, srcS
 	name := fs.entryName(e)
 	h64 := fnv64(name)
 	if target != srcLine {
-		fs.lockLineInRecovery(first, target)
+		fs.lockLineAs(first, target, true)
 		defer fs.unlockLine(first, target)
 	}
 	// Check the entry is not already placed in its proper line (crash

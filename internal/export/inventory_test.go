@@ -37,7 +37,7 @@ var inventory = map[string]series{
 	"simurgh_op_errors_total":       {"Operations failed, by class.", "simurghtop errs column"},
 	"simurgh_op_latency_ns":         {"Sampled operation latency, by class.", "simurghtop mean/p50/p95/p99 columns (hist in /stats.json)"},
 	"simurgh_lock_wait_ns":          {"Contended lock wait time, by lock class.", "simurghtop lock panel; ladder core.lockwait_ns_per_op"},
-	"simurgh_events_total":          {"Rare events (timeouts, recovery, steals).", "simurghtop events line"},
+	"simurgh_events_total":          {"Rare events (timeouts, recovery, steals).", "simurghtop events line; core TestDeadWriterReleasesFileLock (file_lock_timeout)"},
 	"simurgh_shard_gets_total":      {"Sharded-map lock acquisitions.", "simurghsh stats shards line"},
 	"simurgh_shard_contended_total": {"Sharded-map acquisitions that found the lock held.", "simurghsh stats shards line"},
 	"simurgh_device_total":          {"Device-global NVMM traffic counters.", "simurghsh stats device line"},

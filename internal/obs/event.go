@@ -28,6 +28,9 @@ const (
 	// EvSegLockSteal counts block-allocator segment locks stolen from
 	// stale holders.
 	EvSegLockSteal
+	// EvFileLockTimeout counts file-lock waits that exceeded the lock
+	// timeout and took the lock over from a holder presumed dead.
+	EvFileLockTimeout
 	// NumEvents bounds the Event enum.
 	NumEvents
 )
@@ -40,6 +43,7 @@ var eventNames = [NumEvents]string{
 	EvMountRecovery:      "mount_recovery",
 	EvDirChainExtend:     "dir_chain_extend",
 	EvSegLockSteal:       "seg_lock_steal",
+	EvFileLockTimeout:    "file_lock_timeout",
 }
 
 // String returns the event name (snake_case, stable for exporters).
@@ -51,13 +55,13 @@ func (e Event) String() string {
 }
 
 // LockClass distinguishes the lock families whose contended waits are
-// timed: persistent busy-flag directory lines and volatile per-file locks.
+// timed: directory lines' busy bits and files' lock words, both in NVMM.
 type LockClass uint8
 
 const (
 	// LockLine is the persistent busy-flag lock of a directory line.
 	LockLine LockClass = iota
-	// LockFile is the volatile per-file reader/writer lock.
+	// LockFile is a file's reader/writer lock word in its inode.
 	LockFile
 	// NumLockClasses bounds the LockClass enum.
 	NumLockClasses
@@ -83,7 +87,7 @@ func (r *Registry) Event(e Event) {
 
 // LockWait records one contended lock acquisition of class c that blocked
 // for ns nanoseconds. Only contended waits reach the registry — the
-// uncontended fast paths (first-try CAS, TryLock) record nothing — so the
+// uncontended fast paths (a first-try CAS) record nothing — so the
 // wait histogram is a pure picture of contention. Nil-safe.
 func (r *Registry) LockWait(c LockClass, ns uint64) {
 	if r == nil || c >= NumLockClasses {

@@ -172,10 +172,7 @@ type Registry struct {
 // NewRegistry creates a Registry sized for the host's parallelism, deep-
 // sampling every DefaultSamplePeriod-th call.
 func NewRegistry() *Registry {
-	n := nextPow2(runtime.GOMAXPROCS(0))
-	if n > 32 {
-		n = 32
-	}
+	n := min(nextPow2(runtime.GOMAXPROCS(0)), 32)
 	r := &Registry{shards: make([]regShard, n), shardMask: uint32(n - 1)}
 	r.SetSamplePeriod(DefaultSamplePeriod)
 	return r
@@ -196,10 +193,7 @@ func (r *Registry) SetSamplePeriod(period int) {
 	if r == nil {
 		return
 	}
-	if period < 1 {
-		period = 1
-	}
-	r.sampleMask.Store(uint64(nextPow2(period)) - 1)
+	r.sampleMask.Store(uint64(nextPow2(max(period, 1))) - 1)
 }
 
 // SamplePeriod returns the current deep-sampling period.
