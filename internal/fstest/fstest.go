@@ -55,12 +55,22 @@ func RunConformance(t *testing.T, mk Factory) {
 	}
 }
 
+// attach attaches as root; see attachAs.
 func attach(t *testing.T, fs fsapi.FileSystem) fsapi.Client {
 	t.Helper()
-	c, err := fs.Attach(fsapi.Root)
+	return attachAs(t, fs, fsapi.Root)
+}
+
+// attachAs attaches with cred and detaches when the test ends, so that no
+// session outlives its test: a remote one left attached would keep
+// reconnecting to servers that later tests have stopped.
+func attachAs(t *testing.T, fs fsapi.FileSystem, cred fsapi.Cred) fsapi.Client {
+	t.Helper()
+	c, err := fs.Attach(cred)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Detach() })
 	return c
 }
 
@@ -284,8 +294,8 @@ func testHardLink(t *testing.T, fs fsapi.FileSystem) {
 func testPermissions(t *testing.T, fs fsapi.FileSystem) {
 	root := attach(t, fs)
 	root.Chmod("/", 0o777)
-	alice, _ := fs.Attach(fsapi.Cred{UID: 1000, GID: 1000})
-	bob, _ := fs.Attach(fsapi.Cred{UID: 1001, GID: 1001})
+	alice := attachAs(t, fs, fsapi.Cred{UID: 1000, GID: 1000})
+	bob := attachAs(t, fs, fsapi.Cred{UID: 1001, GID: 1001})
 	if err := alice.Mkdir("/priv", 0o700); err != nil {
 		t.Fatal(err)
 	}
@@ -438,6 +448,7 @@ func testConcurrentCreates(t *testing.T, fs fsapi.FileSystem) {
 		go func() {
 			defer wg.Done()
 			c, _ := fs.Attach(fsapi.Root)
+			defer c.Detach()
 			for i := 0; i < per; i++ {
 				if _, err := c.Create(fmt.Sprintf("/c%d-%d", w, i), 0o644); err != nil {
 					t.Errorf("worker %d: %v", w, err)
@@ -464,6 +475,7 @@ func testConcurrentSharedAppends(t *testing.T, fs fsapi.FileSystem) {
 		go func() {
 			defer wg.Done()
 			cw, _ := fs.Attach(fsapi.Root)
+			defer cw.Detach()
 			fd, err := cw.Open("/shared-log", fsapi.OWronly|fsapi.OAppend, 0)
 			if err != nil {
 				t.Error(err)

@@ -44,13 +44,13 @@ func repConfig() replica.Config {
 // The device is small on purpose: each join snapshots the whole of it under
 // the log lock, and under -race on one CPU a large cut starves heartbeats
 // long enough to flap every established link.
-func startPrimary(t *testing.T, cfg replica.Config) *member {
+func startPrimary(t testing.TB, cfg replica.Config) *member {
 	t.Helper()
 	return startPrimarySized(t, cfg, 16<<20)
 }
 
 // startPrimarySized is startPrimary on a device of the given size.
-func startPrimarySized(t *testing.T, cfg replica.Config, size uint64) *member {
+func startPrimarySized(t testing.TB, cfg replica.Config, size uint64) *member {
 	t.Helper()
 	dev := pmem.New(size)
 	vol, err := core.Format(dev, fsapi.Root, core.Options{})
@@ -78,7 +78,7 @@ func startPrimarySized(t *testing.T, cfg replica.Config, size uint64) *member {
 }
 
 // startBackup serves a backup that joins primaryAddr.
-func startBackup(t *testing.T, cfg replica.Config, primaryAddr string) *member {
+func startBackup(t testing.TB, cfg replica.Config, primaryAddr string) *member {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -89,7 +89,7 @@ func startBackup(t *testing.T, cfg replica.Config, primaryAddr string) *member {
 
 // startBackupOn is startBackup on a listener the caller made, so a client can
 // be given the backup's address before the backup exists.
-func startBackupOn(t *testing.T, cfg replica.Config, primaryAddr string, ln net.Listener) *member {
+func startBackupOn(t testing.TB, cfg replica.Config, primaryAddr string, ln net.Listener) *member {
 	t.Helper()
 	cfg.Advertise = ln.Addr().String()
 	cfg.PrimaryAddr = primaryAddr
@@ -117,7 +117,7 @@ func mountImage(img []byte) (*core.FS, error) {
 	return fs, err
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
+func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	// Generous: under -race on one CPU a concurrent pair of snapshot joins
 	// alone can take tens of seconds.

@@ -86,7 +86,7 @@ func (s *rawSession) reply(t *testing.T) []wire.Response {
 	var resps []wire.Response
 	for len(b) > 0 {
 		var resp wire.Response
-		if resp, b, err = wire.DecodeResponseAlias(b); err != nil {
+		if resp, b, err = wire.DecodeResponseInto(b, nil); err != nil {
 			t.Fatal(err)
 		}
 		resps = append(resps, resp)

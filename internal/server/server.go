@@ -217,6 +217,27 @@ type session struct {
 	// descriptor operations are only fenced when the node serves nothing.
 	claimShard uint32
 	claimed    bool
+
+	// cur is the replicated request exec runs. The connection's one executor
+	// sets it before each Replica.Apply; exec is execReplicated, bound once,
+	// so that a replicated op allocates no callback.
+	cur  *wire.Request
+	exec func() wire.Response
+}
+
+// execReplicated executes sess.cur under the replication op gate. It
+// re-checks the shard fence there: a migration's authority swap between
+// execBatch's check and this exec must still fence the op. A Moved response
+// never enters the log (only CodeOK ships), so the client retries it on the
+// new owner with nothing half-applied here.
+func (sess *session) execReplicated() wire.Response {
+	req := sess.cur
+	if sess.srv.cfg.Sharding != nil {
+		if mv := sess.srv.shardMoved(sess, req); mv != nil {
+			return movedResponse(sess, req, mv)
+		}
+	}
+	return wire.Execute(sess.client, req)
 }
 
 // New builds a Server for cfg. Call Serve to start accepting.
@@ -285,6 +306,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	fr := wire.NewFrameReader(countingReader{inner: conn, m: &s.m})
 	defer fr.Release()
 	sess := &session{srv: s, conn: conn}
+	sess.exec = sess.execReplicated
 
 	// The handshake must arrive promptly; afterwards the connection may
 	// idle indefinitely between batches.
@@ -555,20 +577,9 @@ func (s *Server) execBatch(sess *session, reqs []wire.Request, rs *replyScratch,
 				rs.payload, landed = p, true
 			}
 		case rep != nil && req.Op.Replicated():
+			sess.cur = req
 			var seq uint64
-			resp, seq = rep.Apply(sess.sessID, req, trace, func() wire.Response {
-				// Re-check under the replication op gate: a migration's
-				// authority swap between the loop's check and this exec must
-				// still fence the op. A Moved response never enters the log
-				// (only CodeOK ships), so the client retries it on the new
-				// owner with nothing half-applied here.
-				if shd != nil {
-					if mv := s.shardMoved(sess, req); mv != nil {
-						return movedResponse(sess, req, mv)
-					}
-				}
-				return wire.Execute(sess.client, req)
-			})
+			resp, seq = rep.Apply(sess.sessID, req, trace, sess.exec)
 			if seq > pendingSeq && req.Op != wire.OpClose {
 				pendingSeq = seq
 			}

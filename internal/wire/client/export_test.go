@@ -24,16 +24,13 @@ func (s *Session) InFlight() (calls, buffers int) {
 	return calls, buffers
 }
 
-// FrameReads is, over the session's links, the count of in-flight read calls
-// that brought no destination buffer — what makes a link's reader hand reply
-// frames to responses.
-func (s *Session) FrameReads() (n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, l := range s.links {
-		n += int(l.frameReads.Load())
+// LandingSpace is the capacity of the landing space the session's idle
+// Submit working set keeps between calls.
+func (s *Session) LandingSpace() int {
+	if sc := s.idle.Load(); sc != nil {
+		return cap(sc.land)
 	}
-	return n
+	return 0
 }
 
 // OpenFiles is the size of the session's open-file table.

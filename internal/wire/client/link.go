@@ -75,9 +75,9 @@ func (rb *refBuf) release(l *link) {
 // retains the request's encoded bytes so a failover can replay it verbatim
 // (same ID — the server deduplicates replicated operations by request ID,
 // making the replay exactly-once), and seqNo orders replays by original
-// submission. out is where the reader lands the response; dst, when set, is
-// where it lands read data (the caller's buffer, eliminating the
-// frame→response→caller double copy).
+// submission. out is where the reader lands the response; dst, when set,
+// is where it lands read data — a Pread's buffer or a Submit's landing
+// slot — copied once out of the pooled reply frame.
 //
 // Ownership protocol: a pendingCall in l.pend may be touched only by
 // whoever removes it from the map under l.mu — the reader claims it to
@@ -110,7 +110,6 @@ type submission struct {
 	done  chan struct{} // buffered 1: sent by whichever reader takes left to zero
 	trace uint64        // distributed trace ID; 0 = untraced
 	begin time.Time     // submission time; the round-trip spans' begin
-	reads int32         // read calls that brought no buffer: l.frameReads' share
 
 	// one is the request and response of a single call (callDst): they live
 	// here, not on the caller's stack, because the call's out pointer is
@@ -156,13 +155,6 @@ type link struct {
 	pend    map[uint32]*pendingCall
 	t       *transport
 	cmu     sync.Mutex // held by connect: one connect at a time
-
-	// frameReads counts the read calls in flight that brought no destination
-	// buffer (a Submit's; Read and Pread bring theirs). While it is non-zero
-	// the reader takes large reply frames out of the pool and hands them to
-	// the responses as their Data's backing store. start adds and retire
-	// subtracts, so a call stays counted across a failover replay.
-	frameReads atomic.Int32
 
 	// Distributed-trace sampling state (from Options.Obs/TraceSample). The
 	// untraced steady state costs one atomic load per submission; only the
@@ -478,30 +470,17 @@ func (l *link) writeLoop(t *transport) {
 	}
 }
 
-// ownedFrameMin is the smallest reply payload worth taking out of the pool
-// to back its responses' read data: below it, a frame holds less than one
-// block and the pooled buffer plus a copy is the cheaper way.
-const ownedFrameMin = 4 << 10
-
 // readLoop decodes reply frames and routes each response to its waiter.
 // Each response's call is claimed out of pend before decoding, so the
 // claimer may safely land read data in the call's dst buffer; a response
 // for an already-answered ID (a failover replay racing its original) is
 // dropped. On a decode error the claimed call is returned to pend so the
-// failover replay still covers it.
-//
-// Read data reaches the caller with one copy or none. A call that brought a
-// buffer gets its bytes copied into it out of the frame. A call that did not
-// gets a view of the frame itself: while any such call is in flight, a large
-// frame is read into a buffer of its own (wire.FrameReader.NextOwned) that
-// is never pooled or reused — the responses pointing into it are what keeps
-// it alive, and the garbage collector frees it after the last of them.
+// failover replay still covers it. Frames are read into the transport's
+// pooled buffer, and read data reaches the caller with one copy: out of the
+// frame into the call's dst.
 func (l *link) readLoop(t *transport) {
-	// Asked when a frame's header is in: a reply cannot overtake its request,
-	// so the count already covers every call the frame may answer.
-	own := func(n int) bool { return n >= ownedFrameMin && l.frameReads.Load() > 0 }
 	for {
-		kind, payload, owned, err := t.fr.NextOwned(own)
+		kind, payload, err := t.fr.Next()
 		if err != nil {
 			l.transportFailed(t, err)
 			return
@@ -524,14 +503,7 @@ func (l *link) readLoop(t *transport) {
 				if pc != nil {
 					dst = pc.dst
 				}
-				var resp wire.Response
-				var rest []byte
-				var err error
-				if owned && dst == nil {
-					resp, rest, err = wire.DecodeResponseAlias(payload)
-				} else {
-					resp, rest, err = wire.DecodeResponseInto(payload, dst)
-				}
+				resp, rest, err := wire.DecodeResponseInto(payload, dst)
 				if err != nil {
 					if pc != nil {
 						l.mu.Lock()
@@ -567,12 +539,12 @@ func (l *link) readLoop(t *transport) {
 // start is the first half of every submission, explicit batch or single
 // fsapi call: it encodes reqs into a pooled refcounted buffer, registers
 // sub's pending calls, and queues the group for the writer. Request j's
-// response will land in out[idx[j]] (out[j] when idx is nil). dst, when
-// non-nil, is handed to the first request's pending call so the reader can
-// land read data directly in the caller's buffer; only single-request
-// submissions pass it. After a nil return the caller owes sub a wait; after
-// an error sub is idle again.
-func (l *link) start(sub *submission, reqs []wire.Request, out []wire.Response, idx []int32, dst []byte) error {
+// response will land in out[idx[j]] (out[j] when idx is nil). Each pread
+// takes the next Size bytes of land as its pending call's dst, where the
+// reader lands its data: a single Pread passes the caller's buffer, a Submit
+// its working set's landing space. After a nil return the caller owes sub a
+// wait; after an error sub is idle again.
+func (l *link) start(sub *submission, reqs []wire.Request, out []wire.Response, idx []int32, land []byte) error {
 	if len(reqs) > wire.MaxBatch {
 		return fmt.Errorf("%w: %d requests > %d", wire.ErrBadMessage, len(reqs), wire.MaxBatch)
 	}
@@ -580,15 +552,11 @@ func (l *link) start(sub *submission, reqs []wire.Request, out []wire.Response, 
 	// server's decoder would reject them as a protocol error and tear down
 	// the whole connection (and paths beyond uint16 would not even encode).
 	est := 0
-	reads := int32(0)
 	for i := range reqs {
 		if len(reqs[i].Path) > wire.MaxPath || len(reqs[i].Path2) > wire.MaxPath {
 			return fsapi.ErrNameTooLong
 		}
 		est += 48 + len(reqs[i].Path) + len(reqs[i].Path2) + len(reqs[i].Data)
-		if dst == nil && reqs[i].Op == wire.OpPread {
-			reads++
-		}
 	}
 	if err := l.err(); err != nil {
 		return err
@@ -614,11 +582,6 @@ func (l *link) start(sub *submission, reqs []wire.Request, out []wire.Response, 
 	rb := l.getRefBuf(est)
 	sub.rb = rb
 	rb.refs.Store(2) // the submission's and the writer's
-	if sub.reads = reads; reads > 0 {
-		// Before anything is registered or sent: by the time a reply to this
-		// group can arrive, the reader sees the count.
-		l.frameReads.Add(reads)
-	}
 	sub.left.Store(int32(len(reqs)))
 	payload := rb.buf.B
 	l.mu.Lock()
@@ -641,12 +604,16 @@ func (l *link) start(sub *submission, reqs []wire.Request, out []wire.Response, 
 		if idx != nil {
 			k = int(idx[i])
 		}
+		var dst []byte
+		if reqs[i].Op == wire.OpPread {
+			n := min(int(reqs[i].Size), len(land))
+			dst, land = land[:n:n], land[n:]
+		}
 		pc := &sub.calls[i]
 		*pc = pendingCall{sub: sub, id: id, out: &out[k],
-			seg: payload[begin:len(payload):len(payload)], seqNo: l.subNo}
+			seg: payload[begin:len(payload):len(payload)], seqNo: l.subNo, dst: dst}
 		l.pend[id] = pc
 	}
-	sub.calls[0].dst = dst
 	rb.buf.B = payload
 	t := l.t
 	l.mu.Unlock()
@@ -719,20 +686,15 @@ func (l *link) withdraw(sub *submission) (unanswered bool) {
 }
 
 // retire makes a submission whose count has reached zero idle: it drops the
-// group's buffer reference, its share of the link's frame-read count, and
-// everything the calls point at.
+// group's buffer reference and everything the calls point at.
 func (sub *submission) retire() {
-	if sub.reads > 0 {
-		sub.l.frameReads.Add(-sub.reads)
-		sub.reads = 0
-	}
 	sub.rb.release(sub.l)
 	sub.rb = nil
 	clear(sub.calls)
 }
 
-// callDst performs one request/response round trip, landing read data in dst
-// when it is non-nil (see start). A single call is a submission of one,
+// callDst performs one request/response round trip, landing a pread's data
+// in dst (see start). A single call is a submission of one,
 // through the same two halves as a batch; its request and response slots
 // live in the pooled submission — no per-call heap allocation.
 func (l *link) callDst(req wire.Request, dst []byte) (wire.Response, error) {

@@ -5,49 +5,26 @@ import (
 
 	"simurgh/internal/fsapi"
 	"simurgh/internal/wire"
-	"simurgh/internal/wire/client"
 )
 
-// benchReadTargets attaches a plain session to a one-node cluster and a
-// routed session to a two-shard one, each with one patterned file open — a
-// descriptor pins its calls to one shard, so both see one reply frame a call.
+// benchReadTargets runs a read benchmark on a plain session over a one-node
+// cluster and on a routed session over a two-shard one, each reading one
+// patterned file — a descriptor pins its calls to one shard, so both see one
+// reply frame a call.
 func benchReadTargets(b *testing.B, run func(b *testing.B, c batchClient, fd fsapi.FD)) {
-	for _, tc := range []struct {
-		name   string
-		shards int
-	}{{"session", 1}, {"routed", 2}} {
+	for _, tc := range readTargets {
 		b.Run(tc.name, func(b *testing.B) {
-			rt, m, vols, _ := serveClusterVols(b, make([]string, tc.shards))
-			for _, vol := range vols {
-				// The volume's one-in-32 deep sample allocates its window;
-				// BenchmarkResolve* gates the volume (see BenchmarkRoutedSubmitStat).
-				vol.Obs().SetSamplePeriod(1 << 30)
-			}
-			var c fsapi.Client
-			var err error
-			if tc.shards == 1 {
-				var remote *client.Remote
-				if remote, err = client.Dial(m.Shards[0].Addrs[0], client.Options{}); err != nil {
-					b.Fatal(err)
-				}
-				defer remote.Close()
-				c, err = remote.Attach(fsapi.Root)
-			} else {
-				c, err = rt.Attach(fsapi.Root)
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Detach()
-			run(b, c.(batchClient), writeReadFile(b, c, "/r0", 0))
+			tg := openReadTarget(b, tc.shards)
+			run(b, tg.c, tg.fds[0])
 		})
 	}
 }
 
 // BenchmarkSubmitRead4K is the ladder's read4k call: 32 block preads per
 // Submit against an in-process server over loopback. bench-smoke gates it at
-// the two allocations a call cannot avoid — the []wire.Response it returns
-// and the reply frame the responses' Data points into.
+// 0 allocs/op: the responses and the blocks land in the session's working
+// set, reused by every call, and each block is copied once, out of the
+// pooled reply frame into its landing slot.
 func BenchmarkSubmitRead4K(b *testing.B) {
 	benchReadTargets(b, func(b *testing.B, c batchClient, fd fsapi.FD) {
 		reqs := make([]wire.Request, readBatch)

@@ -148,6 +148,7 @@ func TestReplayReusedBuffersUnderReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Detach()
 
 	// A patterned file so replayed reads are verifiable byte-for-byte.
 	const fileSize = 128 << 10

@@ -574,17 +574,27 @@ type part struct {
 	link  *link   // the shard's link when it was already attached
 	idx   []int32 // positions in the caller's batch
 	reqs  []wire.Request
+	land  int // bytes of landing space the part's preads take
 	sub   submission
 	// answered is whether every response of the part has landed.
 	answered bool
 }
 
-// scatter is the reusable working set of one Submit: a part per shard the
-// batch touches. parts[:n] are in use; the rest keep their buffers.
+// scatter is a session's reusable working set for Submit: a part per shard
+// the batch touches, the responses the call returns, and the landing space
+// its preads' data is copied into, one slot of Size bytes a pread.
+// parts[:n] are in use; the rest keep their buffers. What one Submit returns
+// lives here until the next Submit takes the working set again.
 type scatter struct {
 	parts []*part
 	n     int
+	out   []wire.Response
+	land  []byte
 }
+
+// maxIdleLand is the most landing space a working set keeps between calls;
+// a batch that needed more gets it for that call only.
+const maxIdleLand = 1 << 20
 
 // part returns the in-use part for a shard, adding one when the batch has
 // not touched the shard yet. Caller holds s.mu.
@@ -599,7 +609,7 @@ func (sc *scatter) part(s *Session, shard uint32) *part {
 	}
 	p := sc.parts[sc.n]
 	sc.n++
-	p.shard, p.link, p.answered = shard, s.links[shard], false
+	p.shard, p.link, p.answered, p.land = shard, s.links[shard], false, 0
 	p.idx, p.reqs = p.idx[:0], p.reqs[:0]
 	return p
 }
@@ -623,18 +633,24 @@ func (sc *scatter) part(s *Session, shard uint32) *part {
 // Submit does not retry Moved answers: they come back as CodeMoved
 // responses for the caller.
 //
-// The responses are the caller's for good. The Data of the pread responses
-// one shard answered may be views of one shared backing array — the reply
-// frame they arrived in — so keeping a single Data alive keeps up to a whole
-// frame (at most wire.MaxFrame) reachable; copy it out to hold on to less.
+// Submit allocates nothing once its working set has grown to the batch: the
+// responses, and the Data of its preads, live in the session's working set
+// (scatter) and stay valid until the session's next Submit, which reuses
+// them. Copy out whatever must outlive that call. Concurrent Submits are safe
+// — one that finds the working set taken builds its own — but a result is
+// then valid only until any goroutine's next Submit on the session.
 func (s *Session) Submit(reqs []wire.Request) ([]wire.Response, error) {
-	out := make([]wire.Response, len(reqs))
 	tab := s.rt.tab.Load() // one epoch routes the whole batch
 	sc := s.idle.Swap(nil)
 	if sc == nil {
 		sc = new(scatter)
 	}
 	sc.n = 0
+	if cap(sc.out) < len(reqs) {
+		sc.out = make([]wire.Response, len(reqs))
+	}
+	out := sc.out[:len(reqs)]
+	land := 0
 	s.mu.Lock() // one hold for the whole translation loop, not per request
 	for i := range reqs {
 		req := reqs[i] // copy: the FD field may be rewritten
@@ -646,11 +662,21 @@ func (s *Session) Submit(reqs []wire.Request) ([]wire.Response, error) {
 		p := sc.part(s, id)
 		p.idx = append(p.idx, int32(i))
 		p.reqs = append(p.reqs, req)
+		if req.Op == wire.OpPread {
+			n := min(int(req.Size), wire.MaxIO)
+			p.land += n
+			land += n
+		}
 	}
 	s.mu.Unlock()
+	if cap(sc.land) < land {
+		sc.land = make([]byte, land)
+	}
+	free := sc.land[:land]
 	var err error
 	for _, p := range sc.parts[:sc.n] {
-		perr := s.startPart(p, out)
+		perr := s.startPart(p, out, free[:p.land])
+		free = free[p.land:]
 		p.answered = perr == nil
 		err = joinShardErr(err, p.shard, perr)
 	}
@@ -672,6 +698,9 @@ func (s *Session) Submit(reqs []wire.Request) ([]wire.Response, error) {
 		}
 		clear(p.reqs) // the requests point at the caller's paths and data
 	}
+	if cap(sc.land) > maxIdleLand {
+		sc.land = nil // this call's Data keep it alive until the next Submit
+	}
 	s.idle.Store(sc)
 	if err = errors.Join(err, terr); err != nil {
 		return nil, err
@@ -680,8 +709,8 @@ func (s *Session) Submit(reqs []wire.Request) ([]wire.Response, error) {
 }
 
 // startPart attaches the part's link if need be (see shardLink) and starts
-// the part's submission on it.
-func (s *Session) startPart(p *part, out []wire.Response) error {
+// the part's submission on it, its preads landing in land.
+func (s *Session) startPart(p *part, out []wire.Response, land []byte) error {
 	l := p.link
 	if l == nil || l.err() != nil {
 		var err error
@@ -689,7 +718,7 @@ func (s *Session) startPart(p *part, out []wire.Response) error {
 			return err
 		}
 	}
-	return l.start(&p.sub, p.reqs, out, p.idx, nil)
+	return l.start(&p.sub, p.reqs, out, p.idx, land)
 }
 
 // joinShardErr adds a shard's failure to a batch's error.

@@ -21,7 +21,8 @@ import (
 // which of the two tables it runs over, except that a Remote's fixed table
 // declines to follow a Moved (see Router.fixed). It implements fsapi.Client and is
 // safe for concurrent use; calls from many goroutines coalesce into shared
-// batch frames on each link.
+// batch frames on each link. Submit, the explicit batch, returns responses
+// that live in the session's working set until its next Submit.
 type Session struct {
 	rt   *Router
 	cred fsapi.Cred
@@ -38,8 +39,9 @@ type Session struct {
 	nextFD fsapi.FD
 	closed bool
 
-	// idle is Submit's working set between calls. A Submit takes it and puts
-	// it back; one that finds it taken makes its own.
+	// idle is Submit's working set between calls: it holds what the last
+	// Submit returned. A Submit takes it and puts it back; one that finds it
+	// taken makes its own.
 	idle atomic.Pointer[scatter]
 }
 

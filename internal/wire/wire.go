@@ -645,32 +645,19 @@ func ResponseSize(r *Response) int {
 
 // DecodeResponseInto decodes one response from b, returning the remaining
 // bytes, and lands read data in dataDst when it fits (the client passes the
-// caller's read buffer, so the payload is copied exactly once: frame →
-// destination). Every variable-length field is a copy, safe to retain after
-// b is reused; only Data may alias dataDst.
+// caller's read buffer or a slot of its session's working set, so the payload
+// is copied exactly once: frame → destination). Every variable-length field
+// is a copy, safe to retain after b is reused; only Data may alias dataDst.
 func DecodeResponseInto(b, dataDst []byte) (Response, []byte, error) {
-	return decodeOneResponse(b, dataDst, false)
-}
-
-// DecodeResponseAlias is DecodeResponseInto for a buffer the response may
-// keep: Data is a capacity-clipped sub-slice of b, not a copy, so b must
-// never be reused while the response is reachable (the client hands it a
-// reply frame it has taken out of the pool for good). Msg, Str and
-// directory names are still copied — Data is the only field that pins b.
-func DecodeResponseAlias(b []byte) (Response, []byte, error) {
-	return decodeOneResponse(b, nil, true)
-}
-
-func decodeOneResponse(b, dataDst []byte, aliasData bool) (Response, []byte, error) {
 	rd := reader{b: b}
-	r, err := decodeResponse(&rd, dataDst, aliasData)
+	r, err := decodeResponse(&rd, dataDst)
 	if err != nil {
 		return Response{}, nil, err
 	}
 	return r, rd.b, nil
 }
 
-func decodeResponse(rd *reader, dataDst []byte, aliasData bool) (Response, error) {
+func decodeResponse(rd *reader, dataDst []byte) (Response, error) {
 	var r Response
 	r.ID = rd.u32()
 	r.Op = Op(rd.u8())
@@ -689,7 +676,7 @@ func decodeResponse(rd *reader, dataDst []byte, aliasData bool) (Response, error
 	case OpCreate, OpOpen:
 		r.FD = fsapi.FD(rd.u32())
 	case OpRead, OpPread:
-		r.Data = rd.payload(MaxIO, dataDst, aliasData)
+		r.Data = rd.payload(MaxIO, dataDst, false)
 	case OpWrite:
 		r.N = rd.u32()
 		r.Off = int64(rd.u64())
@@ -837,41 +824,25 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // aliases a pooled buffer that the next call overwrites: finish with it, or
 // decode with copies, before calling Next again.
 func (fr *FrameReader) Next() (Kind, []byte, error) {
-	kind, payload, _, err := fr.NextOwned(nil)
-	return kind, payload, err
-}
-
-// NextOwned is Next for a caller that may keep payloads. Once a frame's
-// length is known, own (nil: never) is asked whether its n-byte payload
-// should land in a buffer of its own — exactly sized, never pooled, never
-// reused. Such a payload is reported as owned: it is the caller's for good
-// and the garbage collector frees it. Every other frame is read as Next
-// reads it.
-func (fr *FrameReader) NextOwned(own func(n int) bool) (kind Kind, payload []byte, owned bool, err error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		return 0, nil, false, err
+		return 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(fr.hdr[:])
 	if n == 0 {
-		return 0, nil, false, fmt.Errorf("%w: empty frame", ErrBadMessage)
+		return 0, nil, fmt.Errorf("%w: empty frame", ErrBadMessage)
 	}
 	if n > MaxFrame {
-		return 0, nil, false, ErrFrameTooLarge
+		return 0, nil, ErrFrameTooLarge
 	}
-	var buf []byte
-	if owned = own != nil && own(int(n)-1); owned {
-		buf = make([]byte, n)
-	} else {
-		if fr.buf == nil || uint32(cap(fr.buf.B)) < n {
-			PutBuf(fr.buf)
-			fr.buf = GetBuf(int(n))
-		}
-		buf = fr.buf.B[:n]
+	if fr.buf == nil || uint32(cap(fr.buf.B)) < n {
+		PutBuf(fr.buf)
+		fr.buf = GetBuf(int(n))
 	}
+	buf := fr.buf.B[:n]
 	if _, err := io.ReadFull(fr.r, buf); err != nil {
-		return 0, nil, false, err
+		return 0, nil, err
 	}
-	return Kind(buf[0]), buf[1:], owned, nil
+	return Kind(buf[0]), buf[1:], nil
 }
 
 // Release returns the FrameReader's current buffer to the pool. Call it

@@ -11,12 +11,14 @@
 # BenchmarkRoute and BenchmarkMovedPath are the two ends of shard routing (the
 # client's route, the server's fence) over maps with 2 and 16 hash shards,
 # with and without prefix shards: both must stay at 0. BenchmarkRoutedSubmitStat
-# is a 32-stat batch fanned out over two in-process groups, end to end.
+# is a 32-stat batch fanned out over two in-process groups, end to end, and
+# must stay at 0: a Submit's responses live in the session's working set.
 #
 # BenchmarkSubmitRead4K is the read path end to end — 32 block preads per
-# Submit, on a plain session and through the router — held to the returned
-# slice and the one reply frame the responses keep; BenchmarkSessionPread4K is
-# a single Pread into the caller's buffer, which must stay at 0.
+# Submit, on a plain session and through the router — and must stay at 0: each
+# block is copied out of the pooled reply frame into a landing slot of the
+# session's working set, which every call reuses. BenchmarkSessionPread4K is
+# a single Pread into the caller's buffer, which must stay at 0 too.
 #
 # BenchmarkShipEntry and BenchmarkReplayCache are the replication layer's
 # per-operation bookkeeping on the primary — encoding an entry into a link's
@@ -26,7 +28,9 @@
 # The BenchmarkServer* pattern also covers the traced-but-unsampled path
 # (BenchmarkServerPwriteTracedUnsampled): a node running with -trace must
 # stay at 0 allocs/op for the ~1023/1024 of requests that carry no trace
-# context.
+# context. In internal/replica it runs BenchmarkServerPwriteReplicated, a
+# 32-pwrite Submit through a primary with one backup at quorum 1, which must
+# stay at 0 too: a replicated op's exec callback is built once per session.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
