@@ -33,7 +33,8 @@ func TestObjAllocFlagsProtocol(t *testing.T) {
 		t.Fatalf("freshly allocated flags = %b, want valid|dirty", f)
 	}
 	// Body must be zero.
-	body := dev.Bytes(uint64(ptr)+BodyOff, 128-BodyOff)
+	body := make([]byte, 128-BodyOff)
+	dev.ReadAt(uint64(ptr)+BodyOff, body)
 	for i, b := range body {
 		if b != 0 {
 			t.Fatalf("body byte %d = %d, want 0", i, b)

@@ -323,7 +323,10 @@ func (c *Client) open(path string, flags fsapi.OpenFlag, perm uint32) (fsapi.FD,
 			if err != nil {
 				return -1, err
 			}
-			return c.openPinned(ino, flags)
+			// The file is new and empty, and made by this caller: like
+			// POSIX, the create grants what flags ask whatever perm says,
+			// and there is nothing to truncate.
+			return c.newFD(ino, flags), nil
 		default:
 			return -1, err
 		}
@@ -337,9 +340,14 @@ func (c *Client) openPinned(ino pmem.Ptr, flags fsapi.OpenFlag) (fsapi.FD, error
 		c.fs.decRef(ino)
 		return -1, err
 	}
+	return c.newFD(ino, flags), nil
+}
+
+// newFD installs a descriptor for the pinned inode ino.
+func (c *Client) newFD(ino pmem.Ptr, flags fsapi.OpenFlag) fsapi.FD {
 	fd := fsapi.FD(c.nextFD.Add(1))
 	c.files.Store(fd, &openFile{ino: ino, flags: flags, append: flags&fsapi.OAppend != 0})
-	return fd, nil
+	return fd
 }
 
 // ReserveFDs makes every descriptor the client hands out from now on greater

@@ -277,3 +277,40 @@ func TestFilesWithSameHashLine(t *testing.T) {
 		}
 	}
 }
+
+// TestCreateGrantsWhatItAsks: a create returns the descriptor its flags
+// ask for, whatever permissions it gives the new file (POSIX open(2) with
+// O_CREAT), and pays for the create only: no access check against the mode
+// just given, no truncate of the empty file and none of its file-lock round
+// trip.
+func TestCreateGrantsWhatItAsks(t *testing.T) {
+	dev, fs := newFSForTest(t, 32<<20)
+	if err := rootClient(t, fs).Mkdir("/tmp", 0o777); err != nil {
+		t.Fatal(err)
+	}
+	cl, _ := fs.Attach(fsapi.Cred{UID: 1000, GID: 1000})
+	c := cl.(*Client)
+	fd, err := c.Create("/tmp/ro", 0o444)
+	if err != nil {
+		t.Fatalf("create of a read-only file: %v", err)
+	}
+	if n, err := c.Write(fd, []byte("first")); err != nil || n != 5 {
+		t.Fatalf("write through the create's descriptor = (%d, %v)", n, err)
+	}
+	c.Close(fd)
+	if _, err := c.Open("/tmp/ro", fsapi.OWronly, 0); !errors.Is(err, fsapi.ErrPerm) {
+		t.Fatalf("a later open for writing = %v, want a permission error", err)
+	}
+
+	for i := 0; i < 4; i++ {
+		before := dev.Stats.Snapshot()
+		fd, err := c.Create(fmt.Sprintf("/tmp/f%d", i), 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := dev.Stats.Snapshot().Sub(before); d.Flushes != 8 || d.Fences != 4 {
+			t.Fatalf("create %d: %d flushes and %d fences, want 8 and 4", i, d.Flushes, d.Fences)
+		}
+		c.Close(fd)
+	}
+}

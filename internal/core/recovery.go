@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"time"
 
 	"simurgh/internal/alloc"
@@ -248,15 +249,64 @@ func (fs *FS) recoverRenameLog(srcFirst pmem.Ptr, st *RecoveryStats) {
 	}
 }
 
-// markState accumulates the reachable object sets of the mark phase.
+// markState accumulates what the mark phase finds reachable: a bitmap per
+// object class (see objSet), the data and slab blocks in use, and the names
+// an inode has past its first.
 type markState struct {
-	inodes    map[pmem.Ptr]bool
-	entries   map[pmem.Ptr]bool
-	dirBlocks map[pmem.Ptr]bool
-	extents   map[pmem.Ptr]bool
-	blobs     map[pmem.Ptr]bool
-	links     map[pmem.Ptr]uint32 // inode -> valid entries naming it
-	dataUsed  map[uint64]uint64   // start block -> run length
+	inodes, entries, dirBlocks, extents, blobs objSet
+
+	// extraNames counts, per inode named more than once, the valid entries
+	// naming it past the first: with the inodes set it gives every
+	// non-directory inode its link count, and it holds only hard links.
+	extraNames map[pmem.Ptr]uint32
+
+	firstBlock uint64
+	used       []bool // block firstBlock+i is in use
+}
+
+// markBlocks marks blocks [block, block+n) in use, ignoring any part of the
+// run outside the allocator's range.
+func (ms *markState) markBlocks(block, n uint64) {
+	for b := block; b < block+n && b-ms.firstBlock < uint64(len(ms.used)); b++ {
+		if b >= ms.firstBlock {
+			ms.used[b-ms.firstBlock] = true
+		}
+	}
+}
+
+// objSet is a set of metadata objects: one bit per cache line of the arena.
+// Every object starts on its own line (a slab segment is block-aligned, its
+// header is one line long and every class's size is a multiple of a line),
+// and plausible refuses any other pointer.
+type objSet []uint64
+
+func newObjSet(arena uint64) objSet {
+	return make(objSet, (arena/pmem.CachelineSize+63)/64)
+}
+
+func (s objSet) has(p pmem.Ptr) bool {
+	i := uint64(p) / pmem.CachelineSize
+	return s[i/64]&(1<<(i%64)) != 0
+}
+
+// add inserts p and reports whether it was absent.
+func (s objSet) add(p pmem.Ptr) bool {
+	i := uint64(p) / pmem.CachelineSize
+	w, bit := &s[i/64], uint64(1)<<(i%64)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	return true
+}
+
+// each calls fn for every member, in address order.
+func (s objSet) each(fn func(pmem.Ptr)) {
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			fn(pmem.Ptr((uint64(i)*64 + uint64(bits.TrailingZeros64(w))) * pmem.CachelineSize))
+		}
+	}
 }
 
 // recoverAll is the mount-time scan: mark from the root, fix half-done
@@ -274,14 +324,17 @@ func (fs *FS) recoverAll(fix bool) (*RecoveryStats, error) {
 			fs.obsR.Span(obs.SpanRecovery, 0, start, uint64(time.Since(start).Nanoseconds()), false)
 		}()
 	}
+	arena := fs.dev.Size()
+	firstBlock, nBlocks := fs.ba.Range()
 	ms := &markState{
-		inodes:    map[pmem.Ptr]bool{},
-		entries:   map[pmem.Ptr]bool{},
-		dirBlocks: map[pmem.Ptr]bool{},
-		extents:   map[pmem.Ptr]bool{},
-		blobs:     map[pmem.Ptr]bool{},
-		links:     map[pmem.Ptr]uint32{},
-		dataUsed:  map[uint64]uint64{},
+		inodes:     newObjSet(arena),
+		entries:    newObjSet(arena),
+		dirBlocks:  newObjSet(arena),
+		extents:    newObjSet(arena),
+		blobs:      newObjSet(arena),
+		extraNames: map[pmem.Ptr]uint32{},
+		firstBlock: firstBlock,
+		used:       make([]bool, nBlocks),
 	}
 	fs.markInode(fs.rootInode, ms, st, fix)
 
@@ -289,25 +342,25 @@ func (fs *FS) recoverAll(fix bool) (*RecoveryStats, error) {
 		// A link count is the number of names. Link raises it before the
 		// new entry exists and unlink lowers it after the old one is gone,
 		// so a crash in between leaves it one high: the inode would never
-		// be freed.
-		for ino, n := range ms.links {
-			if ms.inodes[ino] && !fsapi.IsDir(fs.inoMode(ino)) && fs.inoNlink(ino) != n {
+		// be freed. Every marked inode but the root was reached by a name.
+		ms.inodes.each(func(ino pmem.Ptr) {
+			if n := 1 + ms.extraNames[ino]; ino != fs.rootInode && !fsapi.IsDir(fs.inoMode(ino)) && fs.inoNlink(ino) != n {
 				fs.setNlink(ino, n)
 				st.FixedLinks++
 			}
-		}
+		})
 		// Reclaim unreachable subtrees before the generic sweep so their
 		// data blocks and nested objects do not leak. (The sweep itself
 		// only frees single objects.)
 		fs.oa.Scan(ClassInode, func(ptr pmem.Ptr, flags uint64) {
-			if flags&alloc.FlagValid != 0 && !ms.inodes[ptr] {
+			if flags&alloc.FlagValid != 0 && !ms.inodes.has(ptr) {
 				fs.reclaimTree(ptr, st)
 			}
 		})
 	}
 
-	sweep := func(class int, set map[pmem.Ptr]bool) {
-		s := fs.oa.Sweep(class, func(p pmem.Ptr) bool { return set[p] })
+	sweep := func(class int, set objSet) {
+		s := fs.oa.Sweep(class, set.has)
 		st.Reclaimed += s.Reclaimed + s.Completed
 	}
 	sweep(ClassInode, ms.inodes)
@@ -317,21 +370,8 @@ func (fs *FS) recoverAll(fix bool) (*RecoveryStats, error) {
 	sweep(ClassBlob, ms.blobs)
 
 	// Rebuild the volatile block allocator: slab segments + reachable data.
-	firstBlock, nBlocks := fs.ba.Range()
-	used := make([]bool, nBlocks)
-	markRun := func(block, n uint64) {
-		for b := block; b < block+n && b-firstBlock < nBlocks; b++ {
-			if b >= firstBlock {
-				used[b-firstBlock] = true
-			}
-		}
-	}
-	fs.oa.UsedSegments(markRun)
-	for startBlk, n := range ms.dataUsed {
-		markRun(startBlk, n)
-		st.UsedDataBlock += n
-	}
-	fs.ba.RebuildFromUsed(used)
+	fs.oa.UsedSegments(ms.markBlocks)
+	fs.ba.RebuildFromUsed(ms.used)
 
 	st.Elapsed = time.Since(start)
 	return st, nil
@@ -341,16 +381,15 @@ func (fs *FS) recoverAll(fix bool) (*RecoveryStats, error) {
 // it: after a torn crash, corrupt pointers must degrade to skipped objects,
 // never to a wild read.
 func (fs *FS) plausible(ptr pmem.Ptr, size uint64) bool {
-	return ptr != 0 && uint64(ptr)%8 == 0 && uint64(ptr)+size <= fs.dev.Size() &&
+	return ptr != 0 && uint64(ptr)%pmem.CachelineSize == 0 && uint64(ptr)+size <= fs.dev.Size() &&
 		uint64(ptr) >= BlockSize
 }
 
 // markInode visits one inode and, for directories, recurses into entries.
 func (fs *FS) markInode(ino pmem.Ptr, ms *markState, st *RecoveryStats, fix bool) {
-	if !fs.plausible(ino, InodeSize) || ms.inodes[ino] {
+	if !fs.plausible(ino, InodeSize) || !ms.inodes.add(ino) {
 		return
 	}
-	ms.inodes[ino] = true
 	d := fs.dev
 	mode := fs.inoMode(ino)
 	switch {
@@ -371,24 +410,24 @@ func (fs *FS) markInode(ino pmem.Ptr, ms *markState, st *RecoveryStats, fix bool
 				fs.repairLine(first, line, st)
 			}
 		}
-		for b := first; fs.plausible(b, DirBlockSize) && !ms.dirBlocks[b]; b = fs.nextBlock(b) {
-			ms.dirBlocks[b] = true
+		for b := first; fs.plausible(b, DirBlockSize) && ms.dirBlocks.add(b); b = fs.nextBlock(b) {
 			st.DirBlocks++
 			for i := 0; i < NLines*SlotsPerLine; i++ {
 				e := pmem.Ptr(d.AtomicLoad64(uint64(b) + dirSlotsOff + uint64(i)*8))
 				if !fs.plausible(e, FileEntrySize) || fs.oa.Flags(e)&alloc.FlagValid == 0 {
 					continue
 				}
-				ms.entries[e] = true
+				ms.entries.add(e)
 				meta := d.AtomicLoad32(uint64(e) + feNlenOff)
 				if (meta>>16)&feBitLongName != 0 {
 					if blob := pmem.Ptr(d.AtomicLoad64(uint64(e) + feNameOff)); fs.plausible(blob, BlobSize) {
-						ms.blobs[blob] = true
+						ms.blobs.add(blob)
 					}
 				}
 				child := pmem.Ptr(d.AtomicLoad64(uint64(e) + feInodeOff))
-				if !child.IsNull() {
-					ms.links[child]++
+				if fs.plausible(child, InodeSize) && ms.inodes.has(child) {
+					ms.extraNames[child]++
+				} else {
 					fs.markInode(child, ms, st, fix)
 				}
 			}
@@ -396,14 +435,13 @@ func (fs *FS) markInode(ino pmem.Ptr, ms *markState, st *RecoveryStats, fix bool
 	case fsapi.IsSymlink(mode):
 		st.Symlinks++
 		if blob := fs.inoData(ino); fs.plausible(blob, BlobSize) {
-			ms.blobs[blob] = true
+			ms.blobs.add(blob)
 		}
 	default:
 		st.Files++
 		_, nBlocks := fs.ba.Range()
 		eb := fs.inoData(ino)
-		for fs.plausible(eb, ExtentSize) && !ms.extents[eb] {
-			ms.extents[eb] = true
+		for fs.plausible(eb, ExtentSize) && ms.extents.add(eb) {
 			cnt := d.Load64(uint64(eb) + extCountOff)
 			if cnt > extMaxEntries {
 				cnt = extMaxEntries
@@ -412,7 +450,8 @@ func (fs *FS) markInode(ino pmem.Ptr, ms *markState, st *RecoveryStats, fix bool
 				startBlk := d.Load64(uint64(eb) + extEntriesOff + i*16)
 				n := d.Load64(uint64(eb) + extEntriesOff + i*16 + 8)
 				if n > 0 && startBlk+n <= nBlocks+1 {
-					ms.dataUsed[startBlk] = n
+					ms.markBlocks(startBlk, n)
+					st.UsedDataBlock += n
 				}
 			}
 			eb = pmem.Ptr(d.Load64(uint64(eb) + extNextOff))

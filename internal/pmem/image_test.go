@@ -3,6 +3,7 @@ package pmem
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -201,5 +202,57 @@ func TestZeroLatencyChargesNothing(t *testing.T) {
 	d.Fence()
 	if called {
 		t.Fatal("zero latency model still spun")
+	}
+}
+
+// TestEveryStoreMarksItsPage drives each store path once, on a page of a
+// fresh device, and requires the written map to hold that page (and no
+// other) and the image to ship it. The file system's metadata stores land
+// in slab segments that a Zero has already marked, so a run of file-system
+// operations alone would not notice a word store that forgot its mark.
+func TestEveryStoreMarksItsPage(t *testing.T) {
+	const at = 2*imagePage + 64
+	stores := []struct {
+		name  string
+		store func(d *Device)
+		zero  bool // stores only zero bytes: marked, but shipped in no run
+	}{
+		{"Store64", func(d *Device) { d.Store64(at, 1) }, false},
+		{"Store32", func(d *Device) { d.Store32(at, 1) }, false},
+		{"AtomicStore64", func(d *Device) { d.AtomicStore64(at, 1) }, false},
+		{"AtomicStore32", func(d *Device) { d.AtomicStore32(at, 1) }, false},
+		{"CompareAndSwap64", func(d *Device) { d.CompareAndSwap64(at, 0, 1) }, false},
+		{"AtomicAdd64", func(d *Device) { d.AtomicAdd64(at, 1) }, false},
+		{"AtomicOr64", func(d *Device) { d.AtomicOr64(at, 1) }, false},
+		{"AtomicAnd64", func(d *Device) { d.AtomicAnd64(at, 1) }, true},
+		{"WriteAt", func(d *Device) { d.WriteAt(at, []byte{1}) }, false},
+		{"NTStore", func(d *Device) { d.NTStore(at, []byte{1}) }, false},
+		{"AtomicWriteAt", func(d *Device) { d.AtomicWriteAt(at, []byte{1}) }, false},
+		{"Zero", func(d *Device) { d.Zero(at, 64) }, true},
+		{"NTZero", func(d *Device) { d.NTZero(at, 64) }, true},
+		{"AtomicZero", func(d *Device) { d.AtomicZero(at, 64) }, true},
+	}
+	for _, tc := range stores {
+		for _, mode := range []Mode{ModeFast, ModeTracked} {
+			d := New(4 * imagePage)
+			d.SetMode(mode)
+			tc.store(d)
+			if got := d.written[0]; got != 1<<2 {
+				t.Errorf("%s (mode %d): written map %#b, want only page 2", tc.name, mode, got)
+			}
+			runs, compared := d.writtenRuns()
+			want := []imageRun{{2 * imagePage, imagePage}}
+			if tc.zero {
+				want = nil
+			}
+			if compared != 1 || !slices.Equal(runs, want) {
+				t.Errorf("%s (mode %d): runs %v after comparing %d pages, want %v after 1", tc.name, mode, runs, compared, want)
+			}
+		}
+	}
+	// A failed compare-and-swap stores nothing.
+	d := New(4 * imagePage)
+	if d.CompareAndSwap64(at, 5, 1) || d.written[0] != 0 {
+		t.Errorf("a failed CompareAndSwap64 marked %#b", d.written[0])
 	}
 }

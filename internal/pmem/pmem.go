@@ -21,6 +21,17 @@
 //     through cache eviction). Crash-consistency tests run in this mode and
 //     falsify incorrect ordering exactly as real NVMM would.
 //
+// In both modes the Device keeps a written map: one bit per 4 KiB page,
+// set by every store to the page (Store*, AtomicStore*, CompareAndSwap64,
+// AtomicAdd/Or/And64, WriteAt, NTStore, NTZero, Zero, AtomicZero and
+// AtomicWriteAt) and by ReadImage for the runs it restores. Its invariant is
+// that a page whose bit is clear holds only zero bytes, so WriteTo compares
+// the marked pages and no others: a snapshot costs what the volume holds,
+// not what the device spans. A store tests its page's bit with one load and
+// sets it with an atomic OR only the first time. No exported view of the
+// live arena exists to write around the map; Prefault writes zeros, and
+// Crash puts back bytes that marked stores wrote.
+//
 // All multi-word data structures stored in the arena use relative offsets
 // instead of machine pointers, because the paper maps NVMM at a different
 // virtual address in every process (ASLR); Ptr is that relative pointer.
@@ -32,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -136,6 +148,10 @@ type Device struct {
 	lat  Latency
 	spin func(ns uint64)
 
+	// written is the written map: bit p%64 of word p/64 is set once page p
+	// (imagePage bytes) has been stored to. See mark.
+	written []uint64
+
 	// Tracked-mode state, guarded by mu.
 	mu      sync.Mutex
 	shadow  []byte
@@ -166,9 +182,11 @@ func (d *Device) SetFenceObserver(o FenceObserver) { d.fenceObs = o }
 // The arena is zero-filled, which doubles as the "freshly formatted" state.
 func New(size uint64) *Device {
 	size = (size + CachelineSize - 1) &^ uint64(CachelineSize-1)
+	pages := (size + imagePage - 1) / imagePage
 	return &Device{
 		buf:     make([]byte, size),
 		size:    size,
+		written: make([]uint64, (pages+63)/64),
 		pending: make(map[uint64]struct{}),
 		staged:  make(map[uint64]struct{}),
 	}
@@ -230,6 +248,23 @@ func (d *Device) check(off, n uint64) {
 	}
 }
 
+// markPage sets the written bit of the page holding off. A bit that is set
+// already costs one load: the word stays shared in every core's cache.
+func (d *Device) markPage(off uint64) {
+	p := off / imagePage
+	w, bit := &d.written[p/64], uint64(1)<<(p%64)
+	if atomic.LoadUint64(w)&bit == 0 {
+		atomic.OrUint64(w, bit)
+	}
+}
+
+// mark sets the written bit of every page [off, off+n) touches.
+func (d *Device) mark(off, n uint64) {
+	for p := off &^ (imagePage - 1); p < off+n; p += imagePage {
+		d.markPage(p)
+	}
+}
+
 // markDirty records the cache lines of [off, off+n) as pending (written but
 // not yet flushed). Only called in tracked mode.
 func (d *Device) markDirty(off, n uint64) {
@@ -279,6 +314,7 @@ func (d *Device) Load64(off uint64) uint64 { return *d.word(off) }
 // Store64 writes the 8-byte word at off with a plain store.
 func (d *Device) Store64(off uint64, v uint64) {
 	*d.word(off) = v
+	d.markPage(off)
 	if d.tracked() {
 		d.markDirty(off, 8)
 	}
@@ -290,6 +326,7 @@ func (d *Device) Load32(off uint64) uint32 { return *d.word32(off) }
 // Store32 writes the 4-byte word at off.
 func (d *Device) Store32(off uint64, v uint32) {
 	*d.word32(off) = v
+	d.markPage(off)
 	if d.tracked() {
 		d.markDirty(off, 4)
 	}
@@ -308,6 +345,7 @@ func (d *Device) AtomicLoad32(off uint64) uint32 {
 // AtomicStore32 writes the 4-byte word at off with release semantics.
 func (d *Device) AtomicStore32(off uint64, v uint32) {
 	atomic.StoreUint32(d.word32(off), v)
+	d.markPage(off)
 	if d.tracked() {
 		d.markDirty(off, 4)
 	}
@@ -317,6 +355,7 @@ func (d *Device) AtomicStore32(off uint64, v uint32) {
 // hardware, the store is not durable until the line is flushed and fenced.
 func (d *Device) AtomicStore64(off uint64, v uint64) {
 	atomic.StoreUint64(d.word(off), v)
+	d.markPage(off)
 	if d.tracked() {
 		d.markDirty(off, 8)
 	}
@@ -325,8 +364,11 @@ func (d *Device) AtomicStore64(off uint64, v uint64) {
 // CompareAndSwap64 atomically swaps the word at off if it equals old.
 func (d *Device) CompareAndSwap64(off uint64, old, new uint64) bool {
 	ok := atomic.CompareAndSwapUint64(d.word(off), old, new)
-	if ok && d.tracked() {
-		d.markDirty(off, 8)
+	if ok {
+		d.markPage(off)
+		if d.tracked() {
+			d.markDirty(off, 8)
+		}
 	}
 	return ok
 }
@@ -334,6 +376,7 @@ func (d *Device) CompareAndSwap64(off uint64, old, new uint64) bool {
 // AtomicAdd64 atomically adds delta to the word at off and returns the new value.
 func (d *Device) AtomicAdd64(off uint64, delta uint64) uint64 {
 	v := atomic.AddUint64(d.word(off), delta)
+	d.markPage(off)
 	if d.tracked() {
 		d.markDirty(off, 8)
 	}
@@ -342,28 +385,22 @@ func (d *Device) AtomicAdd64(off uint64, delta uint64) uint64 {
 
 // AtomicOr64 atomically ORs mask into the word at off, returning the old value.
 func (d *Device) AtomicOr64(off uint64, mask uint64) uint64 {
-	for {
-		old := atomic.LoadUint64(d.word(off))
-		if atomic.CompareAndSwapUint64(d.word(off), old, old|mask) {
-			if d.tracked() {
-				d.markDirty(off, 8)
-			}
-			return old
-		}
+	old := atomic.OrUint64(d.word(off), mask)
+	d.markPage(off)
+	if d.tracked() {
+		d.markDirty(off, 8)
 	}
+	return old
 }
 
 // AtomicAnd64 atomically ANDs mask into the word at off, returning the old value.
 func (d *Device) AtomicAnd64(off uint64, mask uint64) uint64 {
-	for {
-		old := atomic.LoadUint64(d.word(off))
-		if atomic.CompareAndSwapUint64(d.word(off), old, old&mask) {
-			if d.tracked() {
-				d.markDirty(off, 8)
-			}
-			return old
-		}
+	old := atomic.AndUint64(d.word(off), mask)
+	d.markPage(off)
+	if d.tracked() {
+		d.markDirty(off, 8)
 	}
+	return old
 }
 
 // ReadAt copies len(p) bytes starting at off into p.
@@ -377,6 +414,7 @@ func (d *Device) ReadAt(off uint64, p []byte) {
 func (d *Device) WriteAt(off uint64, p []byte) {
 	d.check(off, uint64(len(p)))
 	copy(d.buf[off:off+uint64(len(p))], p)
+	d.mark(off, uint64(len(p)))
 	d.Stats.StoreBytes.Add(uint64(len(p)))
 	if d.tracked() {
 		d.markDirty(off, uint64(len(p)))
@@ -389,6 +427,7 @@ func (d *Device) WriteAt(off uint64, p []byte) {
 func (d *Device) NTStore(off uint64, p []byte) {
 	d.check(off, uint64(len(p)))
 	copy(d.buf[off:off+uint64(len(p))], p)
+	d.mark(off, uint64(len(p)))
 	d.Stats.NTBytes.Add(uint64(len(p)))
 	d.charge(d.lat.NTStoreNsPerLine * ((uint64(len(p)) + CachelineSize - 1) / CachelineSize))
 	if d.tracked() {
@@ -401,6 +440,7 @@ func (d *Device) NTStore(off uint64, p []byte) {
 func (d *Device) NTZero(off, n uint64) {
 	d.check(off, n)
 	clear(d.buf[off : off+n])
+	d.mark(off, n)
 	d.Stats.NTBytes.Add(n)
 	d.charge(d.lat.NTStoreNsPerLine * ((n + CachelineSize - 1) / CachelineSize))
 	if d.tracked() {
@@ -408,18 +448,11 @@ func (d *Device) NTZero(off, n uint64) {
 	}
 }
 
-// Bytes returns the live arena slice [off, off+n). The caller must treat it
-// as volatile memory: reads are fine, writes bypass persistence tracking.
-// It exists for zero-copy read paths.
-func (d *Device) Bytes(off, n uint64) []byte {
-	d.check(off, n)
-	return d.buf[off : off+n : off+n]
-}
-
 // Zero clears [off, off+n) with regular stores.
 func (d *Device) Zero(off, n uint64) {
 	d.check(off, n)
 	clear(d.buf[off : off+n])
+	d.mark(off, n)
 	d.Stats.StoreBytes.Add(n)
 	if d.tracked() {
 		d.markDirty(off, n)
@@ -452,6 +485,7 @@ func (d *Device) AtomicZero(off, n uint64) {
 			atomic.StoreUint64(&ws[i], 0)
 		}
 	}
+	d.mark(off, n)
 	d.Stats.StoreBytes.Add(n)
 	if d.tracked() {
 		d.markDirty(off, n)
@@ -467,6 +501,7 @@ func (d *Device) AtomicWriteAt(off uint64, p []byte) {
 		copy(w[:], p[i*8:])
 		atomic.StoreUint64(&ws[i], binary.NativeEndian.Uint64(w[:]))
 	}
+	d.mark(off, uint64(len(ws))*8)
 	d.Stats.StoreBytes.Add(uint64(len(p)))
 	if len(ws) != 0 && d.tracked() {
 		d.markDirty(off, uint64(len(ws))*8)
@@ -637,22 +672,26 @@ var zeroPage [imagePage]byte
 type imageRun struct{ off, n uint64 }
 
 // writtenRuns returns the arena's maximal runs of pages that hold a
-// non-zero byte. The last page may be partial (New rounds only to a cache
-// line).
-func (d *Device) writtenRuns() []imageRun {
-	var runs []imageRun
-	for off := uint64(0); off < d.size; off += imagePage {
-		end := min(off+imagePage, d.size)
-		if bytes.Equal(d.buf[off:end], zeroPage[:end-off]) {
-			continue
-		}
-		if k := len(runs) - 1; k >= 0 && runs[k].off+runs[k].n == off {
-			runs[k].n += end - off
-		} else {
-			runs = append(runs, imageRun{off, end - off})
+// non-zero byte, and how many pages it compared to find them: the marked
+// ones only (an unmarked page is zero; see mark). The last page may be
+// partial (New rounds only to a cache line).
+func (d *Device) writtenRuns() (runs []imageRun, compared int) {
+	for i := range d.written {
+		for w := atomic.LoadUint64(&d.written[i]); w != 0; w &= w - 1 {
+			off := (uint64(i)*64 + uint64(bits.TrailingZeros64(w))) * imagePage
+			end := min(off+imagePage, d.size)
+			compared++
+			if bytes.Equal(d.buf[off:end], zeroPage[:end-off]) {
+				continue
+			}
+			if k := len(runs) - 1; k >= 0 && runs[k].off+runs[k].n == off {
+				runs[k].n += end - off
+			} else {
+				runs = append(runs, imageRun{off, end - off})
+			}
 		}
 	}
-	return runs
+	return runs, compared
 }
 
 // WriteTo serializes the device's current contents as a run image (see
@@ -660,7 +699,7 @@ func (d *Device) writtenRuns() []imageRun {
 // joining backup and reopened later with ReadImage. A writer with a Grow
 // method (a bytes.Buffer) is grown once to the image's exact size.
 func (d *Device) WriteTo(w io.Writer) (int64, error) {
-	runs := d.writtenRuns()
+	runs, _ := d.writtenRuns()
 	total := imageHdrSize * (len(runs) + 2)
 	for _, r := range runs {
 		total += int(r.n)
@@ -694,7 +733,8 @@ func (d *Device) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadImage deserializes a device previously written with WriteTo. Only
-// the image's runs are copied into the fresh arena. Images in the dense
+// the image's runs are copied into the fresh arena, and they are marked
+// written, so the device's own WriteTo ships them again. Images in the dense
 // format of earlier builds (header + raw arena) still load. Runs that
 // overlap, descend, or reach past the arena are refused.
 func ReadImage(r io.Reader) (*Device, error) {
@@ -715,6 +755,7 @@ func ReadImage(r io.Reader) (*Device, error) {
 		if _, err := io.ReadFull(r, d.buf); err != nil {
 			return nil, err
 		}
+		d.mark(0, d.size)
 		return d, nil
 	}
 	var end uint64 // end of the previous run
@@ -735,6 +776,7 @@ func ReadImage(r io.Reader) (*Device, error) {
 		if _, err := io.ReadFull(r, d.buf[off:off+n]); err != nil {
 			return nil, noEOF(err)
 		}
+		d.mark(off, n)
 		end = off + n
 	}
 }

@@ -140,9 +140,10 @@ func (s *stats) snapshot() Stats {
 // fsapi.FileSystem: each Attach dials a connection and performs the wire
 // handshake.
 type Remote struct {
-	addrs []string
-	opts  Options
-	st    stats
+	addrs  []string
+	opts   Options
+	st     stats
+	closed atomic.Bool // see Close
 
 	mu      sync.Mutex
 	name    string // remote FS name, learned from the first AttachOK
@@ -241,9 +242,15 @@ func (r *Remote) Name() string {
 	return "wire(" + strings.Join(r.addrs, ",") + ")"
 }
 
-// Close is a no-op: a Remote holds no connection of its own. Live sessions
-// are unaffected; detach them individually.
-func (r *Remote) Close() error { return nil }
+// Close ends reconnection. A Remote holds no connection of its own, and the
+// sessions attached keep the connections they hold (detach them
+// individually), but from now on a link that loses its transport gives up
+// at its connect loop's next pass instead of dialing again, and an attach
+// fails with ErrClosed.
+func (r *Remote) Close() error {
+	r.closed.Store(true)
+	return nil
+}
 
 // redirectErr carries a KindRedirect answer out of the handshake.
 type redirectErr struct{ addr string }

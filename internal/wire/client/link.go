@@ -261,8 +261,9 @@ func (l *link) rehome() {
 // session keeps retrying through it, because mid-migration the target answers
 // with the old epoch, or redirects to the fenced old primary, until it is
 // promoted. When the budget runs out, a link that held a session fails with
-// ErrNoPrimary. The caller holds cmu: a second connect racing this one would
-// replay the same request IDs on two transports.
+// ErrNoPrimary. A pass that starts after the Remote was closed gives up with
+// ErrClosed instead. The caller holds cmu: a second connect racing this one
+// would replay the same request IDs on two transports.
 func (l *link) connect(first bool) error {
 	rt := l.r.router()
 	budget := l.r.opts.FailoverTimeout
@@ -271,6 +272,12 @@ func (l *link) connect(first bool) error {
 	for {
 		if err := l.err(); err != nil {
 			return err
+		}
+		if l.r.closed.Load() {
+			if !first {
+				l.fail(ErrClosed)
+			}
+			return ErrClosed
 		}
 		conn, fr, err := l.r.attachConn(l.cred, l.clientID)
 		if err == nil {

@@ -165,11 +165,15 @@ func (rt *Router) Attach(cred fsapi.Cred) (fsapi.Client, error) {
 	return rt.newSession(cred), nil
 }
 
-// Close drops every per-shard Remote. Attached sessions fail on their next
-// operation.
+// Close closes and drops every per-shard Remote: attached sessions keep the
+// connections they hold, but a link that loses one gives up instead of
+// reconnecting, and no new link attaches.
 func (rt *Router) Close() error {
 	rt.mu.Lock()
 	rt.closed = true
+	for _, r := range rt.remotes {
+		r.Close()
+	}
 	rt.remotes = nil
 	rt.mu.Unlock()
 	return nil
