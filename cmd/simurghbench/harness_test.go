@@ -31,9 +31,9 @@ func rowValues(t *testing.T, out, label string) []float64 {
 }
 
 // TestFigureCommands runs the figure commands at their smallest scale and
-// checks the rows they print: micro over a list of workloads, ycsb over two
-// file systems, and the breakdown, whose three shares of each row must be
-// a partition of the run.
+// checks the rows they print: micro over a list of workloads, filebench and
+// ycsb over two file systems, and the breakdown, whose three shares of each
+// row must be a partition of the run.
 func TestFigureCommands(t *testing.T) {
 	// Each file system's device is a live 1 GiB arena, which at the default
 	// GOGC lets garbage grow the heap by as much again.
@@ -56,6 +56,19 @@ func TestFigureCommands(t *testing.T) {
 		}
 		if v := rowValues(t, s, "simurgh"); len(v) != 1 || v[0] <= 0 {
 			t.Fatalf("simurgh row = %v", v)
+		}
+	})
+
+	t.Run("filebench", func(t *testing.T) {
+		var out strings.Builder
+		err := runFilebench(&out, []string{"-files", "20", "-threads", "2", "-duration", "20ms", "-fs", "simurgh,nova"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []string{"varmail", "webserver", "webproxy", "fileserver"} {
+			if v := rowValues(t, out.String(), p); len(v) != 2 || v[0] <= 0 || v[1] <= 0 {
+				t.Fatalf("%s row = %v, want two positive rates", p, v)
+			}
 		}
 	})
 
@@ -95,30 +108,4 @@ func TestFigureCommands(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestAppMedians pins the application harness's schedule: one discarded
-// warm-up point, the system order reversed on every repetition, and the
-// median of each column.
-func TestAppMedians(t *testing.T) {
-	var calls []string
-	vals := map[string][]float64{"a": {5, 1, 3}, "b": {20, 40, 10}}
-	med, err := appMedians([]string{"a", "b"}, 3, func(fs string) ([]float64, error) {
-		calls = append(calls, fs)
-		if len(calls) == 1 {
-			return []float64{1e9, 1e9}, nil // the warm-up, never reported
-		}
-		v := vals[fs][0]
-		vals[fs] = vals[fs][1:]
-		return []float64{v, -v}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(calls, ""); got != "aabbaab" {
-		t.Errorf("schedule %q, want the warm-up a, then ab, ba, ab", got)
-	}
-	if a, b := med["a"], med["b"]; len(a) != 2 || a[0] != 3 || a[1] != -3 || b[0] != 20 || b[1] != -20 {
-		t.Errorf("medians a %v b %v, want [3 -3] and [20 -20]", a, b)
-	}
 }

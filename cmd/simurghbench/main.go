@@ -127,13 +127,12 @@ var microFigs = map[string]string{
 // is the default list; Fig 6 is the cache-hot and random shared reads on
 // simurgh and nova (read-shared carries the raw-bandwidth line), and the
 // ablation is three metadata workloads on simurgh against simurgh-syscall
-// (see runAll for both inputs).
+// (see runAll for both inputs). A system's point is its whole thread sweep.
 func runMicro(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("micro", flag.ExitOnError)
 	benchList := fs.String("bench", "all", "comma-separated workload names, or 'all' for Fig 7 (see DESIGN.md §4)")
 	threads := fs.String("threads", "", "comma-separated thread counts (default 1..min(10,cores))")
 	dur := fs.Duration("duration", 500*time.Millisecond, "measurement time per point")
-	reps := fs.Int("reps", 1, "repetitions per point (the best by ops/s is kept)")
 	fsList := fs.String("fs", "all", "file systems (comma separated)")
 	fs.Parse(args)
 
@@ -154,37 +153,42 @@ func runMicro(w io.Writer, args []string) error {
 	ths := parseThreads(*threads)
 	for _, name := range names {
 		fsNames := parseFS(*fsList)
-		if name == "overwrite-shared" {
-			fsNames = append(append([]string{}, fsNames...), "simurgh-relaxed")
-		}
-		var results []bench.Result
-		for _, fsName := range fsNames {
-			for _, th := range ths {
-				var best bench.Result
-				for r := 0; r < *reps; r++ {
-					res, err := bench.RunPoint(ws[name], fsName, 512<<20, th, *dur)
-					if err != nil {
-						return err
-					}
-					if res.OpsPerSec() > best.OpsPerSec() || best.Elapsed == 0 {
-						best = res
-					}
-				}
-				results = append(results, best)
-			}
-		}
-		if name == "read-shared" {
-			for _, t := range ths {
-				results = append(results, bench.RawReadBandwidth(1<<30, t, *dur))
-			}
+		switch name {
+		case "overwrite-shared":
+			fsNames = append(slices.Clone(fsNames), "simurgh-relaxed")
+		case "read-shared":
+			fsNames = append(slices.Clone(fsNames), "max-bandwidth")
 		}
 		inMB := strings.HasPrefix(name, "read") || strings.HasPrefix(name, "write") ||
 			strings.HasPrefix(name, "overwrite") || strings.HasPrefix(name, "append")
-		bench.PrintSeries(w, microFigs[name], results, inMB)
+		med, err := bench.Medians(fsNames, func(fsName string) ([]float64, error) {
+			var vals []float64
+			for _, th := range ths {
+				var res bench.Result
+				var err error
+				if fsName == "max-bandwidth" {
+					res = bench.RawReadBandwidth(1<<30, th, *dur)
+				} else if res, err = bench.RunPoint(ws[name], fsName, 512<<20, th, *dur); err != nil {
+					return nil, err
+				}
+				v := res.OpsPerSec()
+				if inMB {
+					v = res.MBPerSec()
+				}
+				vals = append(vals, v)
+			}
+			return vals, nil
+		})
+		if err != nil {
+			return err
+		}
+		bench.PrintSeries(w, microFigs[name], ths, fsNames, med, inMB)
 	}
 	return nil
 }
 
+// runFilebench draws Fig 8. A system's point is every personality, each
+// one bench.RunPoint over its own fresh volume.
 func runFilebench(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("filebench", flag.ExitOnError)
 	files := fs.Int("files", 300, "fileset size (paper: 1k/10k)")
@@ -193,33 +197,40 @@ func runFilebench(w io.Writer, args []string) error {
 	fsList := fs.String("fs", "all", "file systems")
 	fs.Parse(args)
 
+	names := parseFS(*fsList)
+	ps := filebench.Personalities()
+	med, err := bench.Medians(names, func(fsName string) ([]float64, error) {
+		var vals []float64
+		for _, p := range ps {
+			res, err := bench.RunPoint(p.Workload(*files), fsName, 1<<30, *threads, *dur)
+			if err != nil {
+				return nil, err
+			}
+			vals = append(vals, res.OpsPerSec())
+		}
+		return vals, nil
+	})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "## Fig 8: Filebench throughput (flowops/s)")
 	fmt.Fprintf(w, "%-12s", "workload")
-	names := parseFS(*fsList)
 	for _, n := range names {
 		fmt.Fprintf(w, "%12s", n)
 	}
 	fmt.Fprintln(w)
-	for _, p := range filebench.Personalities() {
+	for i, p := range ps {
 		fmt.Fprintf(w, "%-12s", p.Name)
-		for _, fsName := range names {
-			fsi, err := bench.MakeFS(fsName, 1<<30)
-			if err != nil {
-				return err
-			}
-			res, err := filebench.Run(fsi, p, filebench.Config{
-				Files: *files, Threads: *threads, Duration: *dur,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%12.0f", res.Throughput())
+		for _, n := range names {
+			fmt.Fprintf(w, "%12.0f", med[n][i])
 		}
 		fmt.Fprintln(w)
 	}
 	return nil
 }
 
+// runYCSB draws Fig 9. A system's point is the six workloads, each on its
+// own fresh volume.
 func runYCSB(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("ycsb", flag.ExitOnError)
 	records := fs.Int("records", 5000, "rows loaded")
@@ -229,44 +240,43 @@ func runYCSB(w io.Writer, args []string) error {
 	fs.Parse(args)
 
 	names := parseFS(*fsList)
-	fmt.Fprintln(w, "## Fig 9: YCSB throughput on LevelDB (ops/s; last row normalizes to SplitFS)")
-	fmt.Fprintf(w, "%-10s", "workload")
-	for _, n := range names {
-		fmt.Fprintf(w, "%12s", n)
-	}
-	fmt.Fprintln(w)
-	results := map[string]map[string]ycsb.Result{}
-	for _, spec := range ycsb.Workloads {
-		fmt.Fprintf(w, "Run%-7s", spec.Name)
-		results[spec.Name] = map[string]ycsb.Result{}
-		for _, fsName := range names {
+	med, err := bench.Medians(names, func(fsName string) ([]float64, error) {
+		var vals []float64
+		for _, spec := range ycsb.Workloads {
 			fsi, err := bench.MakeFS(fsName, 1<<30)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			res, err := ycsb.Run(fsi, spec, ycsb.Config{Records: *records, Ops: *ops, Threads: *threads})
 			if err != nil {
-				return err
+				return nil, err
 			}
-			results[spec.Name][fsName] = res
-			fmt.Fprintf(w, "%12.0f", res.RunThroughput())
+			vals = append(vals, res.RunThroughput())
+		}
+		return vals, nil
+	})
+	if err != nil {
+		return err
+	}
+	table := func(format string, base []float64) {
+		fmt.Fprintf(w, "%-10s", "workload")
+		for _, n := range names {
+			fmt.Fprintf(w, "%12s", n)
 		}
 		fmt.Fprintln(w)
-	}
-	if base, ok := results["A"]["splitfs"]; ok && base.RunThroughput() > 0 {
-		fmt.Fprintln(w, "\nnormalized to splitfs:")
-		for _, spec := range ycsb.Workloads {
+		for i, spec := range ycsb.Workloads {
 			fmt.Fprintf(w, "Run%-7s", spec.Name)
-			sf := results[spec.Name]["splitfs"].RunThroughput()
-			for _, fsName := range names {
-				if sf > 0 {
-					fmt.Fprintf(w, "%12.2f", results[spec.Name][fsName].RunThroughput()/sf)
-				} else {
-					fmt.Fprintf(w, "%12s", "-")
-				}
+			for _, n := range names {
+				fmt.Fprintf(w, format, med[n][i]/base[i])
 			}
 			fmt.Fprintln(w)
 		}
+	}
+	fmt.Fprintln(w, "## Fig 9: YCSB throughput on LevelDB (ops/s)")
+	table("%12.0f", slices.Repeat([]float64{1}, len(ycsb.Workloads)))
+	if sf, ok := med["splitfs"]; ok {
+		fmt.Fprintln(w, "\nnormalized to splitfs:")
+		table("%12.2f", sf)
 	}
 	return nil
 }
@@ -275,7 +285,8 @@ func runYCSB(w io.Writer, args []string) error {
 // copy and file system (Table 1 for nova, Fig 10 for simurgh). Every file
 // system is measured one way: its client is wrapped in bench.TimedClient,
 // whose stopwatch around each call gives the in-FS time and whose byte
-// count, at the host's memcpy bandwidth, gives the copy share.
+// count, at the host's memcpy bandwidth, gives the copy share. Each share is
+// of the three durations' medians, so a row still sums to 100 %.
 func runBreakdown(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("breakdown", flag.ExitOnError)
 	fsName := fs.String("fs", "nova", "file system to break down (Table 1: nova; Fig 10: simurgh)")
@@ -329,66 +340,41 @@ func runBreakdown(w io.Writer, args []string) error {
 		}},
 	}
 
-	fmt.Fprintf(w, "## Execution-time breakdown for %s (Table 1 / Fig 10)\n", *fsName)
-	fmt.Fprintf(w, "%-12s %14s %14s %14s\n", "workload", "application", "data copy", "file system")
-	for _, r := range rows {
-		fsi, err := bench.MakeFS(*fsName, 1<<30)
-		if err != nil {
-			return err
-		}
-		app, cp, fst, err := r.run(fsi)
-		if err != nil {
-			return err
-		}
-		total := float64(max(app+cp+fst, 1))
-		fmt.Fprintf(w, "%-12s %13.2f%% %13.2f%% %13.2f%%\n", r.name,
-			100*float64(app)/total, 100*float64(cp)/total, 100*float64(fst)/total)
-	}
-	return nil
-}
-
-// appMedians runs an application point on every file system reps times and
-// returns each system's median per column. A discarded warm-up point runs
-// first, and the order of the systems reverses on every repetition, so
-// neither the process's first point nor a fixed position favours one.
-func appMedians(fsNames []string, reps int, point func(fsName string) ([]float64, error)) (map[string][]float64, error) {
-	if _, err := point(fsNames[0]); err != nil {
-		return nil, err
-	}
-	runs := map[string][][]float64{}
-	order := slices.Clone(fsNames)
-	for r := 0; r < reps; r++ {
-		for _, name := range order {
-			v, err := point(name)
+	med, err := bench.Medians([]string{*fsName}, func(fsName string) ([]float64, error) {
+		var vals []float64
+		for _, r := range rows {
+			fsi, err := bench.MakeFS(fsName, 1<<30)
 			if err != nil {
 				return nil, err
 			}
-			runs[name] = append(runs[name], v)
-		}
-		slices.Reverse(order)
-	}
-	med := map[string][]float64{}
-	for name, rs := range runs {
-		for col := range rs[0] {
-			vs := make([]float64, len(rs))
-			for i, v := range rs {
-				vs[i] = v[col]
+			app, cp, fst, err := r.run(fsi)
+			if err != nil {
+				return nil, err
 			}
-			slices.Sort(vs)
-			med[name] = append(med[name], (vs[(len(vs)-1)/2]+vs[len(vs)/2])/2)
+			vals = append(vals, float64(app), float64(cp), float64(fst))
 		}
+		return vals, nil
+	})
+	if err != nil {
+		return err
 	}
-	return med, nil
+	fmt.Fprintf(w, "## Execution-time breakdown for %s (Table 1 / Fig 10)\n", *fsName)
+	fmt.Fprintf(w, "%-12s %14s %14s %14s\n", "workload", "application", "data copy", "file system")
+	for i, r := range rows {
+		v := med[*fsName][3*i : 3*i+3]
+		total := max(v[0]+v[1]+v[2], 1)
+		fmt.Fprintf(w, "%-12s %13.2f%% %13.2f%% %13.2f%%\n", r.name, 100*v[0]/total, 100*v[1]/total, 100*v[2]/total)
+	}
+	return nil
 }
 
 func runTar(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("tar", flag.ExitOnError)
 	scale := fs.Int("scale", 2, "corpus scale factor")
-	reps := fs.Int("reps", 3, "repetitions per system (the median is reported)")
 	fsList := fs.String("fs", "all", "file systems")
 	fs.Parse(args)
 	names := parseFS(*fsList)
-	med, err := appMedians(names, *reps, func(fsName string) ([]float64, error) {
+	med, err := bench.Medians(names, func(fsName string) ([]float64, error) {
 		fsi, err := bench.MakeFS(fsName, 2<<30)
 		if err != nil {
 			return nil, err
@@ -422,11 +408,10 @@ func runTar(w io.Writer, args []string) error {
 func runGit(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("git", flag.ExitOnError)
 	scale := fs.Int("scale", 2, "corpus scale factor")
-	reps := fs.Int("reps", 3, "repetitions per system (the median is reported)")
 	fsList := fs.String("fs", "all", "file systems")
 	fs.Parse(args)
 	names := parseFS(*fsList)
-	med, err := appMedians(names, *reps, func(fsName string) ([]float64, error) {
+	med, err := bench.Medians(names, func(fsName string) ([]float64, error) {
 		fsi, err := bench.MakeFS(fsName, 2<<30)
 		if err != nil {
 			return nil, err
@@ -528,7 +513,7 @@ func runAll(w io.Writer, _ []string) error {
 		// saved cycles halve a resolvepath; slower operations gain mostly
 		// from the library design itself.
 		{runMicro, []string{"-bench", "resolve-private,create-shared,unlink-private", "-fs", "simurgh,simurgh-syscall",
-			"-threads", "1", "-reps", "3", "-duration", "2s"}},
+			"-threads", "1", "-duration", "2s"}},
 		{runFilebench, []string{"-duration", "500ms", "-files", "200", "-threads", "4"}},
 		{runYCSB, []string{"-records", "3000", "-ops", "6000"}},
 		{runBreakdown, []string{"-fs", "nova"}},

@@ -193,7 +193,9 @@ func (a *ObjAlloc) popFree(cs *classState, hint uint64) pmem.Ptr {
 // grow links a freshly formatted segment into the class chain. Ordering:
 // the segment header (including its next pointer) is persisted before the
 // chain head is swung, so a crash leaves either the old chain or the new
-// one — never a dangling head.
+// one — never a dangling head. The segment is zeroed with non-temporal
+// stores, so formatting it flushes only the header's line, and the one
+// fence before the head swings makes both durable.
 func (a *ObjAlloc) grow(class int, hint uint64) error {
 	cs := a.classes[class]
 	cs.growMu.Lock()
@@ -209,14 +211,14 @@ func (a *ObjAlloc) grow(class int, hint uint64) error {
 	}
 	segOff := a.blocks.Off(block)
 	segBytes := cs.cfg.SegBlocks * a.blocks.BlockSize()
-	a.dev.Zero(segOff, segBytes)
+	a.dev.NTZero(segOff, segBytes)
 	for {
 		head := a.dev.AtomicLoad64(cs.cfg.HeadOff)
 		a.dev.Store64(segOff, segMagic)
 		a.dev.Store64(segOff+8, head)
 		a.dev.Store64(segOff+16, cs.cfg.ObjSize)
 		a.dev.Store64(segOff+24, cs.objsPerSeg)
-		a.dev.Flush(segOff, segBytes)
+		a.dev.Flush(segOff, segHeaderLen)
 		a.dev.Fence()
 		if a.dev.CompareAndSwap64(cs.cfg.HeadOff, head, segOff) {
 			a.dev.Persist(cs.cfg.HeadOff, 8)

@@ -1,15 +1,15 @@
 // Package bench provides the shared harness for the paper's evaluation:
 // file-system factories for all five systems, fixed-duration points
-// measuring throughput at a thread count, the stopwatch client behind the
-// time breakdown, and the series formatting that mirrors the paper's
-// figures.
+// measuring throughput at a thread count, the repetition schedule every
+// figure takes its points through, the stopwatch client behind the time
+// breakdown, and the series formatting that mirrors the paper's figures.
 package bench
 
 import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,11 +69,6 @@ func MakeFSModel(name string, devSize uint64) (fsapi.FileSystem, *cost.Model, er
 		// Ablation: Simurgh's design but with a full syscall charged per
 		// operation instead of the jmpp delta — isolates how much of the
 		// win comes from protected functions vs. the file-system design.
-		// Simurgh enters through ProtectedCall whatever the crossing costs,
-		// so the syscall's cycles are this model's protected entry (a
-		// KernelModel, which charges SyscallEntry, charged this variant
-		// nothing and made it the faster of the two).
-		m = &cost.Model{ProtectedEntry: cost.SyscallCycles}
 		opts.Cost = m
 		fs, err = core.Format(dev, fsapi.Root, opts)
 	case "nova":
@@ -214,52 +209,64 @@ func DefaultThreads() []int {
 	return ts
 }
 
-// PrintSeries renders results as one row per fs with a column per thread
-// count, in ops/s (like the Fig 7 series).
-func PrintSeries(w io.Writer, title string, results []Result, inMB bool) {
-	fmt.Fprintf(w, "\n## %s\n", title)
-	threads := map[int]bool{}
-	byFS := map[string]map[int]Result{}
-	var fsOrder []string
-	for _, r := range results {
-		threads[r.Threads] = true
-		if byFS[r.FS] == nil {
-			byFS[r.FS] = map[int]Result{}
-			fsOrder = append(fsOrder, r.FS)
+// Reps is how many measured points Medians takes of every system.
+const Reps = 3
+
+// Medians is the one repetition schedule of the paper's figures: it runs
+// point on every named system Reps times and returns each system's median
+// per column. A discarded warm-up point runs first, and the order of the
+// systems reverses on every repetition, so neither the process's first
+// point nor a fixed position favours one system.
+func Medians(names []string, point func(name string) ([]float64, error)) (map[string][]float64, error) {
+	if _, err := point(names[0]); err != nil {
+		return nil, err
+	}
+	runs := map[string][][]float64{}
+	order := slices.Clone(names)
+	for r := 0; r < Reps; r++ {
+		for _, name := range order {
+			v, err := point(name)
+			if err != nil {
+				return nil, err
+			}
+			runs[name] = append(runs[name], v)
 		}
-		byFS[r.FS][r.Threads] = r
+		slices.Reverse(order)
 	}
-	var ths []int
-	for t := range threads {
-		ths = append(ths, t)
+	med := map[string][]float64{}
+	for name, rs := range runs {
+		for col := range rs[0] {
+			vs := make([]float64, len(rs))
+			for i, v := range rs {
+				vs[i] = v[col]
+			}
+			slices.Sort(vs)
+			med[name] = append(med[name], (vs[(len(vs)-1)/2]+vs[len(vs)/2])/2)
+		}
 	}
-	sort.Ints(ths)
-	fmt.Fprintf(w, "%-16s", "fs \\ threads")
-	for _, t := range ths {
+	return med, nil
+}
+
+// PrintSeries renders a figure's series (like the Fig 7 ones): one row per
+// system with a column per thread count, in MiB/s or ops/s.
+func PrintSeries(w io.Writer, title string, threads []int, names []string, vals map[string][]float64, inMB bool) {
+	fmt.Fprintf(w, "\n## %s\n%-16s", title, "fs \\ threads")
+	for _, t := range threads {
 		fmt.Fprintf(w, "%12d", t)
 	}
 	fmt.Fprintln(w)
-	for _, fsName := range fsOrder {
-		fmt.Fprintf(w, "%-16s", fsName)
-		for _, t := range ths {
-			r, ok := byFS[fsName][t]
-			if !ok {
-				fmt.Fprintf(w, "%12s", "-")
-				continue
-			}
-			if inMB {
-				fmt.Fprintf(w, "%12.1f", r.MBPerSec())
-			} else {
-				fmt.Fprintf(w, "%12.0f", r.OpsPerSec())
-			}
+	format, unit := "%12.0f", "(ops/s)"
+	if inMB {
+		format, unit = "%12.1f", "(MiB/s)"
+	}
+	for _, name := range names {
+		fmt.Fprintf(w, "%-16s", name)
+		for _, v := range vals[name] {
+			fmt.Fprintf(w, format, v)
 		}
 		fmt.Fprintln(w)
 	}
-	if inMB {
-		fmt.Fprintln(w, "(MiB/s)")
-	} else {
-		fmt.Fprintln(w, "(ops/s)")
-	}
+	fmt.Fprintln(w, unit)
 }
 
 // RawReadBandwidth measures the emulated NVMM's raw read bandwidth (the

@@ -59,21 +59,63 @@ func TestRunPointAndSweep(t *testing.T) {
 	if res.Ops == 0 || res.OpsPerSec() <= 0 {
 		t.Fatalf("bad result: %+v", res)
 	}
-	var all []Result
-	for _, fsName := range []string{"simurgh", "nova"} {
-		for _, th := range []int{1, 2} {
+	names, ths := []string{"simurgh", "nova"}, []int{1, 2}
+	vals := map[string][]float64{}
+	for _, fsName := range names {
+		for _, th := range ths {
 			r, err := RunPoint(w, fsName, 32<<20, th, 20*time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
 			}
-			all = append(all, r)
+			vals[fsName] = append(vals[fsName], r.OpsPerSec())
 		}
 	}
 	var sb strings.Builder
-	PrintSeries(&sb, "test", all, false)
+	PrintSeries(&sb, "test", ths, names, vals, false)
 	out := sb.String()
-	if !strings.Contains(out, "simurgh") || !strings.Contains(out, "nova") {
+	if !strings.Contains(out, "\nsimurgh ") || !strings.Contains(out, "\nnova ") {
 		t.Fatalf("series output missing rows:\n%s", out)
+	}
+}
+
+// TestMedians pins the figures' schedule: one discarded warm-up point, the
+// system order reversed on every repetition, and the median of each
+// column; a one-system list gets the warm-up and then its Reps points.
+func TestMedians(t *testing.T) {
+	var calls []string
+	vals := map[string][]float64{"a": {5, 1, 3}, "b": {20, 40, 10}}
+	med, err := Medians([]string{"a", "b"}, func(fs string) ([]float64, error) {
+		calls = append(calls, fs)
+		if len(calls) == 1 {
+			return []float64{1e9, 1e9}, nil // the warm-up, never reported
+		}
+		v := vals[fs][0]
+		vals[fs] = vals[fs][1:]
+		return []float64{v, -v}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(calls, ""); got != "aabbaab" {
+		t.Errorf("schedule %q, want the warm-up a, then ab, ba, ab", got)
+	}
+	if a, b := med["a"], med["b"]; len(a) != 2 || a[0] != 3 || a[1] != -3 || b[0] != 20 || b[1] != -20 {
+		t.Errorf("medians a %v b %v, want [3 -3] and [20 -20]", a, b)
+	}
+
+	calls = nil
+	med, err = Medians([]string{"solo"}, func(fs string) ([]float64, error) {
+		calls = append(calls, fs)
+		return []float64{float64(len(calls))}, nil // 1 is the warm-up
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 1+Reps {
+		t.Errorf("one system: %d points, want a warm-up and %d reps", len(calls), Reps)
+	}
+	if got := med["solo"]; len(got) != 1 || got[0] != 3 {
+		t.Errorf("one system: median %v, want [3] (of 2, 3, 4)", got)
 	}
 }
 

@@ -77,7 +77,7 @@ type opWindow struct {
 
 // begin is the single cost/instrumentation entry helper of the client.
 func (c *Client) begin(op obs.Op) opCall {
-	c.fs.costM.ProtectedCall()
+	c.fs.costM.Cross()
 	oc := opCall{c: c, op: op}
 	if c.fs.obsR.EnterAt(c.obsShard, op) {
 		oc.w = &opWindow{base: c.fs.dev.StatsSnapshot(), start: time.Now()}

@@ -1029,3 +1029,30 @@ func TestFailedCreateStoresNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestSlabGrowthFlushesOneLine pins what growing a slab chain costs: the
+// first Mkdir on a volume formats a directory-block segment, and the
+// segment's body is zeroed with non-temporal stores, so the Mkdir flushes
+// about what a steady-state one does, not one line per 64 bytes of segment.
+func TestSlabGrowthFlushesOneLine(t *testing.T) {
+	dev, fs := newFSForTest(t, 16<<20)
+	c := rootClient(t, fs)
+	before := dev.Stats.Snapshot()
+	if err := c.Mkdir("/first", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	first := dev.Stats.Snapshot().Sub(before)
+	before = dev.Stats.Snapshot()
+	if err := c.Mkdir("/second", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	steady := dev.Stats.Snapshot().Sub(before)
+	t.Logf("first mkdir: %d flushes, %d fences, %d B stored, %d B non-temporal; steady: %d flushes, %d fences",
+		first.Flushes, first.Fences, first.StoreBytes, first.NTBytes, steady.Flushes, steady.Fences)
+	if first.Flushes > 20 {
+		t.Errorf("first mkdir: %d flushes, want at most 20", first.Flushes)
+	}
+	if first.NTBytes < 32<<10 {
+		t.Errorf("first mkdir: %d B non-temporal, want the segment (32 KiB) zeroed with non-temporal stores", first.NTBytes)
+	}
+}

@@ -66,12 +66,12 @@ func spinLoop(n int) uint64 {
 	return acc
 }
 
-// Model is a per-file-system cost model. The zero value charges nothing.
+// Model is a per-file-system cost model: one price per crossing into the
+// file system, a syscall for a kernel one and the jmpp/pret delta for
+// Simurgh. The zero value charges nothing.
 type Model struct {
-	// SyscallEntry cycles charged on every kernel-crossing call.
-	SyscallEntry uint64
-	// ProtectedEntry cycles charged on every protected-function call.
-	ProtectedEntry uint64
+	// Cycles charged on every crossing.
+	Cycles uint64
 	// Disabled suppresses the busy-spin (costs are still tallied).
 	Disabled bool
 
@@ -81,40 +81,21 @@ type Model struct {
 
 // KernelModel returns the cost model for a kernel file system: a syscall per
 // operation.
-func KernelModel() *Model { return &Model{SyscallEntry: SyscallCycles} }
+func KernelModel() *Model { return &Model{Cycles: SyscallCycles} }
 
 // SimurghModel returns the cost model for Simurgh: the jmpp/pret delta per
 // operation.
-func SimurghModel() *Model { return &Model{ProtectedEntry: JmppExtraCycles} }
+func SimurghModel() *Model { return &Model{Cycles: JmppExtraCycles} }
 
-// FreeModel returns a model that charges nothing (for raw-substrate
-// measurements such as the max-bandwidth line in Fig 7i).
-func FreeModel() *Model { return &Model{} }
-
-// Syscall charges one kernel entry/exit. Safe on a nil model.
-func (m *Model) Syscall() {
-	if m == nil {
+// Cross charges one crossing. Safe on a nil model.
+func (m *Model) Cross() {
+	if m == nil || m.Cycles == 0 {
 		return
 	}
-	m.charge(m.SyscallEntry)
-}
-
-// ProtectedCall charges one jmpp/pret round trip delta. Safe on a nil model.
-func (m *Model) ProtectedCall() {
-	if m == nil {
-		return
-	}
-	m.charge(m.ProtectedEntry)
-}
-
-func (m *Model) charge(cycles uint64) {
-	if m == nil || cycles == 0 {
-		return
-	}
-	m.charged.Add(cycles)
+	m.charged.Add(m.Cycles)
 	m.calls.Add(1)
 	if !m.Disabled {
-		Spin(cycles)
+		Spin(m.Cycles)
 	}
 }
 

@@ -20,7 +20,7 @@ func TestModelsChargeCorrectAmounts(t *testing.T) {
 	k := KernelModel()
 	k.Disabled = true
 	for i := 0; i < 10; i++ {
-		k.Syscall()
+		k.Cross()
 	}
 	if k.ChargedCycles() != 10*SyscallCycles {
 		t.Fatalf("kernel charged %d", k.ChargedCycles())
@@ -30,7 +30,7 @@ func TestModelsChargeCorrectAmounts(t *testing.T) {
 	}
 	s := SimurghModel()
 	s.Disabled = true
-	s.ProtectedCall()
+	s.Cross()
 	if s.ChargedCycles() != JmppExtraCycles {
 		t.Fatalf("simurgh charged %d", s.ChargedCycles())
 	}
@@ -42,20 +42,18 @@ func TestModelsChargeCorrectAmounts(t *testing.T) {
 
 func TestNilModelSafe(t *testing.T) {
 	var m *Model
-	m.Syscall()
-	m.ProtectedCall()
+	m.Cross()
 	if m.ChargedCycles() != 0 || m.Calls() != 0 {
 		t.Fatal("nil model accounted something")
 	}
 	m.Reset()
 }
 
-func TestFreeModelChargesNothing(t *testing.T) {
-	f := FreeModel()
-	f.Syscall()
-	f.ProtectedCall()
-	if f.ChargedCycles() != 0 {
-		t.Fatalf("free model charged %d", f.ChargedCycles())
+func TestZeroModelChargesNothing(t *testing.T) {
+	var z Model
+	z.Cross()
+	if z.ChargedCycles() != 0 || z.Calls() != 0 {
+		t.Fatalf("zero model charged %d cycles over %d calls", z.ChargedCycles(), z.Calls())
 	}
 }
 

@@ -8,18 +8,17 @@
 //	webproxy    10,000  1,000,000  16 KB      100
 //	fileserver  10,000  20         128 KB     50
 //
-// Each personality follows the canonical Filebench flowop sequence; the
-// measured figure is operations per second, as Filebench reports.
+// Each personality follows the canonical Filebench flowop sequence and runs
+// as a bench.Workload; the measured figure is flowops per second, as
+// Filebench reports.
 package filebench
 
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
+	"simurgh/internal/bench"
 	"simurgh/internal/fsapi"
 )
 
@@ -28,36 +27,9 @@ type Personality struct {
 	Name     string
 	Files    int
 	FileSize int
-	Threads  int
 	// Loop runs one iteration for a thread; it returns how many flowops it
 	// performed.
 	Loop func(w *worker) (int, error)
-}
-
-// Config overrides scale for constrained hosts.
-type Config struct {
-	// Files overrides the file count (0 = personality default).
-	Files int
-	// Threads overrides the thread count (0 = personality default).
-	Threads int
-	// Duration is how long the measured phase runs.
-	Duration time.Duration
-}
-
-// Result is ops/s plus totals.
-type Result struct {
-	Personality string
-	FS          string
-	Ops         uint64
-	Elapsed     time.Duration
-}
-
-// Throughput returns flowops per second.
-func (r Result) Throughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Ops) / r.Elapsed.Seconds()
 }
 
 type worker struct {
@@ -202,14 +174,15 @@ func fileserverLoop(w *worker) (int, error) {
 	return 10, nil
 }
 
-// Personalities returns the four workloads with the paper's Table 2
-// defaults (thread counts are clamped to the host by Run).
+// Personalities returns the four workloads with the paper's Table 2 file
+// counts and sizes. A point's thread count is the caller's (bench.RunPoint's
+// threads), not the table's.
 func Personalities() []Personality {
 	return []Personality{
-		{Name: "varmail", Files: 1000, FileSize: 16 << 10, Threads: 16, Loop: varmailLoop},
-		{Name: "webserver", Files: 1000, FileSize: 64 << 10, Threads: 100, Loop: webserverLoop},
-		{Name: "webproxy", Files: 10000, FileSize: 16 << 10, Threads: 100, Loop: webproxyLoop},
-		{Name: "fileserver", Files: 10000, FileSize: 128 << 10, Threads: 50, Loop: fileserverLoop},
+		{Name: "varmail", Files: 1000, FileSize: 16 << 10, Loop: varmailLoop},
+		{Name: "webserver", Files: 1000, FileSize: 64 << 10, Loop: webserverLoop},
+		{Name: "webproxy", Files: 10000, FileSize: 16 << 10, Loop: webproxyLoop},
+		{Name: "fileserver", Files: 10000, FileSize: 128 << 10, Loop: fileserverLoop},
 	}
 }
 
@@ -223,94 +196,88 @@ func ByName(name string) (Personality, error) {
 	return Personality{}, fmt.Errorf("filebench: unknown personality %q", name)
 }
 
-// Run prepopulates the fileset and executes the personality against fs.
-func Run(fs fsapi.FileSystem, p Personality, cfg Config) (Result, error) {
-	files := p.Files
-	if cfg.Files > 0 {
-		files = cfg.Files
-	}
-	threads := p.Threads
-	if cfg.Threads > 0 {
-		threads = cfg.Threads
-	}
-	if cfg.Duration == 0 {
-		cfg.Duration = time.Second
-	}
-	res := Result{Personality: p.Name, FS: fs.Name()}
+// fileset is a point's shared state: each thread's worker, registered by
+// Prepare.
+type fileset struct {
+	mu      sync.Mutex
+	workers map[int]*worker
+}
 
-	setup, err := fs.Attach(fsapi.Root)
-	if err != nil {
-		return res, err
+// Workload returns p as a bench.Workload over a fileset of files files (0
+// is the personality's default): Setup populates the fileset, Prepare
+// attaches each thread's client, and Worker runs the personality's loop.
+func (p Personality) Workload(files int) bench.Workload {
+	if files == 0 {
+		files = p.Files
 	}
-	if err := setup.Mkdir("/data", 0o777); err != nil {
-		return res, err
-	}
-	if err := setup.Mkdir("/logs", 0o777); err != nil {
-		return res, err
-	}
-	buf := make([]byte, 64<<10)
-	for i := 0; i < files; i++ {
-		fd, err := setup.Create(fmt.Sprintf("/data/f%06d", i), 0o666)
-		if err != nil {
-			return res, err
-		}
-		for off := 0; off < p.FileSize; off += len(buf) {
-			chunk := p.FileSize - off
-			if chunk > len(buf) {
-				chunk = len(buf)
-			}
-			if _, err := setup.Write(fd, buf[:chunk]); err != nil {
-				return res, err
-			}
-		}
-		setup.Close(fd)
-	}
-
-	runtime.GC() // previous runs' arenas must not be collected inside the window
-	var ops atomic.Uint64
-	stop := make(chan struct{})
-	errs := make(chan error, threads)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for t := 0; t < threads; t++ {
-		t := t
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	return bench.Workload{
+		Name: p.Name,
+		Setup: func(fs fsapi.FileSystem) (any, error) {
+			return &fileset{workers: map[int]*worker{}}, populate(fs, files, p.FileSize)
+		},
+		Prepare: func(fs fsapi.FileSystem, ctx any, tid int) error {
 			c, err := fs.Attach(fsapi.Root)
 			if err != nil {
-				errs <- err
-				return
+				return err
 			}
-			w := &worker{
-				c: c, rng: rand.New(rand.NewSource(int64(t) + 1)),
+			set := ctx.(*fileset)
+			set.mu.Lock()
+			defer set.mu.Unlock()
+			set.workers[tid] = &worker{
+				c: c, rng: rand.New(rand.NewSource(int64(tid) + 1)),
 				files: files, size: p.FileSize,
-				buf: make([]byte, 64<<10), tid: t,
+				buf: make([]byte, 64<<10), tid: tid,
 			}
+			return nil
+		},
+		Worker: func(_ fsapi.FileSystem, ctx any, tid int, stop <-chan struct{}) (uint64, uint64, error) {
+			set := ctx.(*fileset)
+			set.mu.Lock()
+			w := set.workers[tid]
+			set.mu.Unlock()
+			var ops uint64
 			for {
 				select {
 				case <-stop:
-					return
+					return ops, 0, nil
 				default:
 				}
 				n, err := p.Loop(w)
 				if err != nil {
-					errs <- fmt.Errorf("thread %d: %w", t, err)
-					return
+					return ops, 0, fmt.Errorf("thread %d: %w", tid, err)
 				}
-				ops.Add(uint64(n))
+				ops += uint64(n)
 			}
-		}()
+		},
 	}
-	time.Sleep(cfg.Duration)
-	close(stop)
-	wg.Wait()
-	res.Elapsed = time.Since(start)
-	res.Ops = ops.Load()
-	select {
-	case err := <-errs:
-		return res, err
-	default:
+}
+
+// populate creates the fileset: /data holds files files of size bytes, and
+// /logs is the webserver's log directory.
+func populate(fs fsapi.FileSystem, files, size int) error {
+	c, err := fs.Attach(fsapi.Root)
+	if err != nil {
+		return err
 	}
-	return res, nil
+	defer c.Detach()
+	if err := c.Mkdir("/data", 0o777); err != nil {
+		return err
+	}
+	if err := c.Mkdir("/logs", 0o777); err != nil {
+		return err
+	}
+	buf := make([]byte, 64<<10)
+	for i := 0; i < files; i++ {
+		fd, err := c.Create(fmt.Sprintf("/data/f%06d", i), 0o666)
+		if err != nil {
+			return err
+		}
+		for off := 0; off < size; off += len(buf) {
+			if _, err := c.Write(fd, buf[:min(size-off, len(buf))]); err != nil {
+				return err
+			}
+		}
+		c.Close(fd)
+	}
+	return nil
 }

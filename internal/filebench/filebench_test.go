@@ -21,13 +21,8 @@ func TestPersonalityLookup(t *testing.T) {
 
 func TestEveryPersonalityOnSimurgh(t *testing.T) {
 	for _, p := range Personalities() {
-		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			fs, err := bench.MakeFS("simurgh", 512<<20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Run(fs, p, Config{Files: 60, Threads: 4, Duration: 100 * time.Millisecond})
+			res, err := bench.RunPoint(p.Workload(60), "simurgh", 512<<20, 4, 100*time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,11 +36,7 @@ func TestEveryPersonalityOnSimurgh(t *testing.T) {
 func TestVarmailOnAllFS(t *testing.T) {
 	p, _ := ByName("varmail")
 	for _, name := range bench.FSNames {
-		fs, err := bench.MakeFS(name, 512<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(fs, p, Config{Files: 40, Threads: 3, Duration: 80 * time.Millisecond})
+		res, err := bench.RunPoint(p.Workload(40), name, 512<<20, 3, 80*time.Millisecond)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

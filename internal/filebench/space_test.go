@@ -6,17 +6,21 @@ import (
 
 	"simurgh/internal/bench"
 	"simurgh/internal/core"
+	"simurgh/internal/fsapi"
 )
 
 // TestVarmailDoesNotExhaustSpace pins the stationary fileset size of the
 // varmail personality (appends are balanced by delete-resets).
 func TestVarmailDoesNotExhaustSpace(t *testing.T) {
-	fs, err := bench.MakeFS("simurgh", 1<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
 	p, _ := ByName("varmail")
-	res, err := Run(fs, p, Config{Files: 200, Threads: 4, Duration: 500 * time.Millisecond})
+	w := p.Workload(200)
+	var fs fsapi.FileSystem
+	populate := w.Setup
+	w.Setup = func(f fsapi.FileSystem) (any, error) {
+		fs = f
+		return populate(f)
+	}
+	res, err := bench.RunPoint(w, "simurgh", 1<<30, 4, 500*time.Millisecond)
 	if err != nil {
 		t.Fatalf("err=%v free=%d", err, fs.(*core.FS).FreeBlocks())
 	}

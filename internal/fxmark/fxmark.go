@@ -24,6 +24,9 @@ const (
 	sharedFileSize  = 64 << 20 // Fig 7i/7k shared file
 	privateFileSize = 16 << 20 // Fig 7j/7l per-thread files
 	ioSize          = 4096
+	// overwriteStripes divides the Fig 7k file between threads; it is
+	// above the paper's 10 threads.
+	overwriteStripes = 16
 )
 
 // attached runs one thread's setup (a bench.Workload's Prepare) on a client
@@ -481,6 +484,10 @@ func ReadSharedCacheHot() bench.Workload {
 
 // OverwriteShared is Fig 7k: random 4 kB overwrites of one shared file.
 // Run it with fs "simurgh-relaxed" as well to reproduce the relaxed series.
+// Each thread overwrites random blocks of its own stripe of the file (block
+// ≡ tid mod overwriteStripes), as FxMark gives each thread its own blocks:
+// relaxed writes take no file lock, and two of them on one block would
+// race.
 func OverwriteShared() bench.Workload {
 	return bench.Workload{
 		Name:    "overwrite-shared",
@@ -505,8 +512,8 @@ func OverwriteShared() bench.Workload {
 			buf := make([]byte, ioSize)
 			var bytes uint64
 			ops, err := loop(stop, func(int) error {
-				off := uint64(rng.Int63n(sharedFileSize-ioSize)) &^ (ioSize - 1)
-				n, err := c.Pwrite(fd, buf, off)
+				block := uint64(rng.Int63n(sharedFileSize/ioSize/overwriteStripes))*overwriteStripes + uint64(tid%overwriteStripes)
+				n, err := c.Pwrite(fd, buf, block*ioSize)
 				bytes += uint64(n)
 				return err
 			})

@@ -175,7 +175,7 @@ func (fs *FS) relinkLocked(n vfs.NodeID, st *staging) {
 	if st.used == 0 {
 		return
 	}
-	fs.costM.Syscall() // the relink ioctl
+	fs.costM.Cross() // the relink ioctl
 	dev := fs.inner.Device()
 	oldSize := st.base
 	headOff := oldSize % blockSize
@@ -252,7 +252,7 @@ func (fs *FS) stageAppend(n vfs.NodeID, p []byte) (int, error) {
 		if st.used >= st.avail {
 			// Grab a fresh staging region (occasionally hits the kernel to
 			// preallocate, amortized over the region size).
-			fs.costM.Syscall()
+			fs.costM.Cross()
 			start, err := fs.inner.AllocBlocks(stagingRunBlocks, uint64(n))
 			if err != nil {
 				fs.relinkLocked(n, st)
@@ -376,7 +376,7 @@ func (c *Client) pwrite(of *openFile, p []byte, off uint64) (int, error) {
 		// Growing writes behave like appends at the tail: relink staged
 		// data first, then extend through the inner FS (one syscall).
 		c.fs.relink(of.node)
-		c.fs.costM.Syscall()
+		c.fs.costM.Cross()
 		return c.fs.inner.WriteAt(of.node, p, off)
 	}
 	// In-place overwrite: pure user-space NVMM write.

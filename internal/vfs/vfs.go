@@ -206,7 +206,7 @@ func (v *VFS) Attach(cred fsapi.Cred) (fsapi.Client, error) {
 	return c, nil
 }
 
-func (c *Client) syscall() { c.v.costM.Syscall() }
+func (c *Client) syscall() { c.v.costM.Cross() }
 
 const maxSymlinkDepth = 10
 

@@ -145,32 +145,40 @@ func scramble(v, n uint64) uint64 {
 
 func keyName(i uint64) string { return fmt.Sprintf("user%012d", i) }
 
+// load opens the store on c and puts cfg.Records rows: the load phase of
+// every workload, and the phase RunLoadOnly breaks down.
+func load(c fsapi.Client, cfg Config, value string) (*leveldb.DB, time.Duration, error) {
+	db, err := leveldb.Open(c, "/ycsb", leveldb.Options{SyncWrites: cfg.Sync})
+	if err != nil {
+		return nil, 0, err
+	}
+	start := time.Now()
+	for i := 0; i < cfg.Records; i++ {
+		if err := db.Put(keyName(uint64(i)), value); err != nil {
+			db.Close()
+			return nil, 0, fmt.Errorf("load: %w", err)
+		}
+	}
+	return db, time.Since(start), nil
+}
+
 // Run executes load + run phases of the workload against fs. The workers
 // share the attached client as it is: no stopwatch sits in the measured
 // loop (RunLoadOnly is the one phase that is broken down).
 func Run(fs fsapi.FileSystem, spec Spec, cfg Config) (Result, error) {
 	cfg.fill()
-	res := Result{Workload: spec.Name, FS: fs.Name()}
+	res := Result{Workload: spec.Name, FS: fs.Name(), LoadOps: cfg.Records}
 	c, err := fs.Attach(fsapi.Root)
 	if err != nil {
 		return res, err
 	}
-	db, err := leveldb.Open(c, "/ycsb", leveldb.Options{SyncWrites: cfg.Sync})
+	value := string(make([]byte, cfg.ValueSize))
+	db, loadTime, err := load(c, cfg, value)
 	if err != nil {
 		return res, err
 	}
 	defer db.Close()
-	value := string(make([]byte, cfg.ValueSize))
-
-	// Load phase.
-	loadStart := time.Now()
-	for i := 0; i < cfg.Records; i++ {
-		if err := db.Put(keyName(uint64(i)), value); err != nil {
-			return res, fmt.Errorf("load: %w", err)
-		}
-	}
-	res.LoadOps = cfg.Records
-	res.LoadTime = time.Since(loadStart)
+	res.LoadTime = loadTime
 
 	// Run phase.
 	var inserted atomic.Uint64
@@ -235,26 +243,18 @@ func Run(fs fsapi.FileSystem, spec Spec, cfg Config) (Result, error) {
 // RunLoadOnly performs just the load phase with breakdown (Table 1 LoadA).
 func RunLoadOnly(fs fsapi.FileSystem, cfg Config) (Result, error) {
 	cfg.fill()
-	res := Result{Workload: "LoadA", FS: fs.Name()}
+	res := Result{Workload: "LoadA", FS: fs.Name(), LoadOps: cfg.Records}
 	base, err := fs.Attach(fsapi.Root)
 	if err != nil {
 		return res, err
 	}
 	tc := bench.NewTimedClient(base)
-	db, err := leveldb.Open(tc, "/ycsb", leveldb.Options{SyncWrites: cfg.Sync})
+	db, loadTime, err := load(tc, cfg, string(make([]byte, cfg.ValueSize)))
 	if err != nil {
 		return res, err
 	}
 	defer db.Close()
-	value := string(make([]byte, cfg.ValueSize))
-	start := time.Now()
-	for i := 0; i < cfg.Records; i++ {
-		if err := db.Put(keyName(uint64(i)), value); err != nil {
-			return res, err
-		}
-	}
-	res.LoadOps = cfg.Records
-	res.LoadTime = time.Since(start)
-	res.App, res.Copy, res.FSTime = tc.Breakdown(res.LoadTime)
+	res.LoadTime = loadTime
+	res.App, res.Copy, res.FSTime = tc.Breakdown(loadTime)
 	return res, nil
 }

@@ -25,29 +25,32 @@ import (
 // form in shape_timing_test.go, behind the timing build tag, for a host
 // quiet enough to be asked for it (EXPERIMENTS.md says which is which).
 
-func runPointBest(t *testing.T, w bench.Workload, fsName string, reps int) float64 {
+// medianRates measures w at one thread on every named system through the
+// figures' schedule (bench.Medians: a warm-up, alternating order, medians)
+// and returns each system's median ops/s.
+func medianRates(t *testing.T, w bench.Workload, d time.Duration, names ...string) map[string]float64 {
 	t.Helper()
-	best := 0.0
-	for i := 0; i < reps; i++ {
-		r, err := bench.RunPoint(w, fsName, 512<<20, 1, 400*time.Millisecond)
-		if err != nil {
-			t.Fatalf("%s on %s: %v", w.Name, fsName, err)
-		}
-		if v := r.OpsPerSec(); v > best {
-			best = v
-		}
+	med, err := bench.Medians(names, func(fsName string) ([]float64, error) {
+		r, err := bench.RunPoint(w, fsName, 512<<20, 1, d)
+		return []float64{r.OpsPerSec()}, err
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", w.Name, err)
 	}
-	return best
+	rates := map[string]float64{}
+	for name, v := range med {
+		rates[name] = v[0]
+	}
+	t.Logf("%s, median ops/s: %v", w.Name, rates)
+	return rates
 }
 
 func TestShapeSimurghWinsSharedDirCreates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timed workload")
 	}
-	w := fxmark.CreateShared()
-	simurgh := runPointBest(t, w, "simurgh", 2)
-	nova := runPointBest(t, w, "nova", 2)
-	ext4 := runPointBest(t, w, "ext4-dax", 2)
+	r := medianRates(t, fxmark.CreateShared(), 150*time.Millisecond, "simurgh", "nova", "ext4-dax")
+	simurgh, nova, ext4 := r["simurgh"], r["nova"], r["ext4-dax"]
 	if simurgh <= nova {
 		t.Errorf("create-shared: simurgh %.0f <= nova %.0f (paper: simurgh >2x nova)", simurgh, nova)
 	}
@@ -62,10 +65,8 @@ func TestShapePMFSCollapsesOnLargeDirectories(t *testing.T) {
 	}
 	// PMFS's unsorted linear directories make creates O(n); by the end of a
 	// timed window its rate must be far below Simurgh's hash directories.
-	w := fxmark.CreateShared()
-	simurgh := runPointBest(t, w, "simurgh", 1)
-	pmfs := runPointBest(t, w, "pmfs", 1)
-	if pmfs*3 > simurgh {
+	r := medianRates(t, fxmark.CreateShared(), 150*time.Millisecond, "simurgh", "pmfs")
+	if simurgh, pmfs := r["simurgh"], r["pmfs"]; pmfs*3 > simurgh {
 		t.Errorf("create-shared: pmfs %.0f not collapsed vs simurgh %.0f", pmfs, simurgh)
 	}
 }

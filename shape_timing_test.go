@@ -21,10 +21,8 @@ import (
 func TestShapeTimedResolveBenefitsFromProtectedCalls(t *testing.T) {
 	// The ablation claim: the same design with syscall-cost entry is slower
 	// on resolvepath; and Simurgh beats the kernel systems on it.
-	w := fxmark.ResolvePrivate()
-	jmpp := runPointBest(t, w, "simurgh", 3)
-	sysc := runPointBest(t, w, "simurgh-syscall", 3)
-	nova := runPointBest(t, w, "nova", 2)
+	r := medianRates(t, fxmark.ResolvePrivate(), 400*time.Millisecond, "simurgh", "simurgh-syscall", "nova")
+	jmpp, sysc, nova := r["simurgh"], r["simurgh-syscall"], r["nova"]
 	if jmpp <= nova {
 		t.Errorf("resolve: simurgh %.0f <= nova %.0f (paper: simurgh ~2x kernel FSes)", jmpp, nova)
 	}
