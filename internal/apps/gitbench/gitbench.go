@@ -22,38 +22,27 @@ import (
 	"simurgh/internal/fsapi"
 )
 
-// Repo is an open repository inside a file system under test.
+// Repo is an open repository inside a file system under test. Every
+// operation takes the client it runs through.
 type Repo struct {
-	c    fsapi.Client
 	dir  string            // repo root, e.g. "/repo"
 	work string            // working tree root, e.g. "/src"
 	idx  map[string]string // path -> blob hash
+	made []string          // what the last operation created, in order, for Undo
+	zw   *zlib.Writer      // reused: a new one zeroes ~0.5 MB per object
 }
 
-// Result measures one git operation.
+// Result reports what one git operation did: the files it added, stated or
+// restored, and the object bytes it wrote (add, commit) or restored (reset).
 type Result struct {
-	Op      string
-	FS      string
-	Files   uint64
-	Bytes   uint64
-	Elapsed time.Duration
+	Files uint64
+	Bytes uint64
 }
 
-// FilesPerSec is the reported throughput.
-func (r Result) FilesPerSec() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Files) / r.Elapsed.Seconds()
-}
-
-// Init creates the repository layout.
-func Init(fs fsapi.FileSystem, repoDir, workDir string) (*Repo, error) {
-	c, err := fs.Attach(fsapi.Root)
-	if err != nil {
-		return nil, err
-	}
-	r := &Repo{c: c, dir: repoDir, work: workDir, idx: map[string]string{}}
+// Init creates the repository layout through c.
+func Init(c fsapi.Client, repoDir, workDir string) (*Repo, error) {
+	zw, _ := zlib.NewWriterLevel(nil, zlib.BestSpeed)
+	r := &Repo{dir: repoDir, work: workDir, idx: map[string]string{}, zw: zw}
 	for _, d := range []string{repoDir, repoDir + "/objects", repoDir + "/refs", repoDir + "/refs/heads"} {
 		if err := c.Mkdir(d, 0o755); err != nil && err != fsapi.ErrExist {
 			return nil, err
@@ -62,10 +51,16 @@ func Init(fs fsapi.FileSystem, repoDir, workDir string) (*Repo, error) {
 	return r, nil
 }
 
-// WithClient returns a view of the repository that performs its file-system
-// calls through c (sharing the index); used to wrap a timing client.
-func (r *Repo) WithClient(c fsapi.Client) *Repo {
-	return &Repo{c: c, dir: r.dir, work: r.work, idx: r.idx}
+// Undo removes, through c, what the last Add, Commit or Reset created: the
+// state that operation started from, so that it can run again.
+func (r *Repo) Undo(c fsapi.Client) error {
+	for i := len(r.made) - 1; i >= 0; i-- {
+		if err := fsapi.RemoveAll(c, r.made[i]); err != nil {
+			return err
+		}
+	}
+	r.made = r.made[:0]
+	return nil
 }
 
 func hashOf(data []byte) string {
@@ -73,41 +68,49 @@ func hashOf(data []byte) string {
 	return hex.EncodeToString(h[:20])
 }
 
-// writeObject stores data under objects/xx/rest (compressed), like git.
-func (r *Repo) writeObject(hash string, data []byte) error {
+// writeObject stores data under objects/xx/rest, compressed at git's
+// loose-object level (core.looseCompression defaults to 1, best speed),
+// and returns how many bytes of data it stored: none if the object is
+// present.
+func (r *Repo) writeObject(c fsapi.Client, hash string, data []byte) (uint64, error) {
 	dir := r.dir + "/objects/" + hash[:2]
 	path := dir + "/" + hash[2:]
-	if _, err := r.c.Stat(path); err == nil {
-		return nil // object already present
+	if _, err := c.Stat(path); err == nil {
+		return 0, nil // object already present
 	}
-	if err := r.c.Mkdir(dir, 0o755); err != nil && err != fsapi.ErrExist {
-		return err
+	switch err := c.Mkdir(dir, 0o755); err {
+	case nil:
+		r.made = append(r.made, dir)
+	case fsapi.ErrExist:
+	default:
+		return 0, err
 	}
 	var buf bytes.Buffer
-	zw := zlib.NewWriter(&buf)
-	zw.Write(data)
-	zw.Close()
-	fd, err := r.c.Create(path, 0o444)
+	r.zw.Reset(&buf)
+	r.zw.Write(data)
+	r.zw.Close()
+	fd, err := c.Create(path, 0o444)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	defer r.c.Close(fd)
-	_, err = r.c.Write(fd, buf.Bytes())
-	return err
+	defer c.Close(fd)
+	r.made = append(r.made, path)
+	_, err = c.Write(fd, buf.Bytes())
+	return uint64(len(data)), err
 }
 
 // readObject loads and decompresses an object.
-func (r *Repo) readObject(hash string) ([]byte, error) {
+func (r *Repo) readObject(c fsapi.Client, hash string) ([]byte, error) {
 	path := r.dir + "/objects/" + hash[:2] + "/" + hash[2:]
-	fd, err := r.c.Open(path, fsapi.ORdonly, 0)
+	fd, err := c.Open(path, fsapi.ORdonly, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer r.c.Close(fd)
+	defer c.Close(fd)
 	var raw bytes.Buffer
 	buf := make([]byte, 64<<10)
 	for {
-		n, err := r.c.Read(fd, buf)
+		n, err := c.Read(fd, buf)
 		if n > 0 {
 			raw.Write(buf[:n])
 		}
@@ -125,38 +128,35 @@ func (r *Repo) readObject(hash string) ([]byte, error) {
 
 // Add hashes every file in the working tree, stores missing blobs, and
 // rewrites the index.
-func (r *Repo) Add() (Result, error) {
-	res := Result{Op: "add"}
-	start := time.Now()
-	err := corpus.Walk(r.c, r.work, func(path string, st fsapi.Stat) error {
-		fd, err := r.c.Open(path, fsapi.ORdonly, 0)
+func (r *Repo) Add(c fsapi.Client) (Result, error) {
+	var res Result
+	r.made = r.made[:0]
+	err := corpus.Walk(c, r.work, func(path string, st fsapi.Stat) error {
+		fd, err := c.Open(path, fsapi.ORdonly, 0)
 		if err != nil {
 			return err
 		}
 		data := make([]byte, st.Size)
-		n, _ := r.c.Pread(fd, data, 0)
-		r.c.Close(fd)
+		n, _ := c.Pread(fd, data, 0)
+		c.Close(fd)
 		data = data[:n]
 		h := hashOf(data)
-		if err := r.writeObject(h, data); err != nil {
+		wrote, err := r.writeObject(c, h, data)
+		if err != nil {
 			return err
 		}
 		r.idx[path] = h
 		res.Files++
-		res.Bytes += uint64(n)
+		res.Bytes += wrote
 		return nil
 	})
 	if err != nil {
 		return res, err
 	}
-	if err := r.writeIndex(); err != nil {
-		return res, err
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return res, r.writeIndex(c)
 }
 
-func (r *Repo) writeIndex() error {
+func (r *Repo) writeIndex(c fsapi.Client) error {
 	paths := make([]string, 0, len(r.idx))
 	for p := range r.idx {
 		paths = append(paths, p)
@@ -167,28 +167,29 @@ func (r *Repo) writeIndex() error {
 		fmt.Fprintf(&sb, "%s %s\n", r.idx[p], p)
 	}
 	tmp := r.dir + "/index.tmp"
-	fd, err := r.c.Create(tmp, 0o644)
+	fd, err := c.Create(tmp, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := r.c.Write(fd, []byte(sb.String())); err != nil {
-		r.c.Close(fd)
+	if _, err := c.Write(fd, []byte(sb.String())); err != nil {
+		c.Close(fd)
 		return err
 	}
-	r.c.Close(fd)
-	return r.c.Rename(tmp, r.dir+"/index")
+	c.Close(fd)
+	r.made = append(r.made, r.dir+"/index")
+	return c.Rename(tmp, r.dir+"/index")
 }
 
 // Commit stats every tracked file (the metadata-heavy phase the paper
 // highlights), builds tree objects bottom-up, writes the commit object, and
 // updates the branch ref.
-func (r *Repo) Commit(msg string) (Result, error) {
-	res := Result{Op: "commit"}
-	start := time.Now()
+func (r *Repo) Commit(c fsapi.Client, msg string) (Result, error) {
+	var res Result
+	r.made = r.made[:0]
 	// git retrieves the metadata of all files on commit.
 	trees := map[string][]string{} // dir -> entry lines
 	for path, h := range r.idx {
-		st, err := r.c.Stat(path)
+		st, err := c.Stat(path)
 		if err != nil {
 			return res, err
 		}
@@ -226,9 +227,11 @@ func (r *Repo) Commit(msg string) (Result, error) {
 			sort.Strings(lines)
 			content := []byte(strings.Join(lines, "\n"))
 			h := hashOf(content)
-			if err := r.writeObject(h, content); err != nil {
+			wrote, err := r.writeObject(c, h, content)
+			if err != nil {
 				return res, err
 			}
+			res.Bytes += wrote
 			treeHash[d] = h
 			if d != r.work && d != "/" {
 				trees[parentOf(d)] = append(trees[parentOf(d)],
@@ -237,31 +240,31 @@ func (r *Repo) Commit(msg string) (Result, error) {
 		}
 	}
 	root := treeHash[r.work]
+	// The commit's time is content, as in git, not a measurement.
 	commit := fmt.Sprintf("tree %s\nmessage %s\ntime %d\n", root, msg, time.Now().UnixNano())
 	ch := hashOf([]byte(commit))
-	if err := r.writeObject(ch, []byte(commit)); err != nil {
-		return res, err
-	}
-	// Update the ref via write + rename, like git's lockfile protocol.
-	tmp := r.dir + "/refs/heads/main.lock"
-	fd, err := r.c.Create(tmp, 0o644)
+	wrote, err := r.writeObject(c, ch, []byte(commit))
 	if err != nil {
 		return res, err
 	}
-	r.c.Write(fd, []byte(ch+"\n"))
-	r.c.Close(fd)
-	if err := r.c.Rename(tmp, r.dir+"/refs/heads/main"); err != nil {
+	res.Bytes += wrote
+	// Update the ref via write + rename, like git's lockfile protocol.
+	tmp := r.dir + "/refs/heads/main.lock"
+	fd, err := c.Create(tmp, 0o644)
+	if err != nil {
 		return res, err
 	}
-	res.Elapsed = time.Since(start)
-	return res, nil
+	c.Write(fd, []byte(ch+"\n"))
+	c.Close(fd)
+	r.made = append(r.made, r.dir+"/refs/heads/main")
+	return res, c.Rename(tmp, r.dir+"/refs/heads/main")
 }
 
 // DeleteWorkTree removes all tracked files (the paper deletes all files
 // between commit and reset).
-func (r *Repo) DeleteWorkTree() error {
+func (r *Repo) DeleteWorkTree(c fsapi.Client) error {
 	for path := range r.idx {
-		if err := r.c.Unlink(path); err != nil && err != fsapi.ErrNotExist {
+		if err := c.Unlink(path); err != nil && err != fsapi.ErrNotExist {
 			return err
 		}
 	}
@@ -269,27 +272,27 @@ func (r *Repo) DeleteWorkTree() error {
 }
 
 // Reset restores the working tree from the index (reset --hard).
-func (r *Repo) Reset() (Result, error) {
-	res := Result{Op: "reset"}
-	start := time.Now()
+func (r *Repo) Reset(c fsapi.Client) (Result, error) {
+	var res Result
+	r.made = r.made[:0]
 	for path, h := range r.idx {
-		data, err := r.readObject(h)
+		data, err := r.readObject(c, h)
 		if err != nil {
 			return res, err
 		}
-		fd, err := r.c.Create(path, 0o644)
+		fd, err := c.Create(path, 0o644)
 		if err != nil {
 			return res, err
 		}
-		if _, err := r.c.Write(fd, data); err != nil {
-			r.c.Close(fd)
+		r.made = append(r.made, path)
+		if _, err := c.Write(fd, data); err != nil {
+			c.Close(fd)
 			return res, err
 		}
-		r.c.Close(fd)
+		c.Close(fd)
 		res.Files++
 		res.Bytes += uint64(len(data))
 	}
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 

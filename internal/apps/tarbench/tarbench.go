@@ -16,20 +16,10 @@ import (
 	"simurgh/internal/fsapi"
 )
 
-// Result reports one pack or unpack run.
+// Result reports what one pack or unpack pass moved.
 type Result struct {
-	FS      string
-	Files   uint64
-	Bytes   uint64
-	Elapsed time.Duration
-}
-
-// MBPerSec is the figure's throughput metric.
-func (r Result) MBPerSec() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Bytes) / (1 << 20) / r.Elapsed.Seconds()
+	Files uint64
+	Bytes uint64
 }
 
 // fdWriter adapts an fsapi descriptor to io.Writer.
@@ -48,34 +38,9 @@ type fdReader struct {
 
 func (r fdReader) Read(p []byte) (int, error) { return r.c.Read(r.fd, p) }
 
-// Prepare generates the source tree under /src.
-func Prepare(fs fsapi.FileSystem, spec corpus.Spec) (corpus.Stats, error) {
-	c, err := fs.Attach(fsapi.Root)
-	if err != nil {
-		return corpus.Stats{}, err
-	}
-	if err := c.Mkdir("/src", 0o755); err != nil {
-		return corpus.Stats{}, err
-	}
-	return corpus.Generate(c, "/src", spec)
-}
-
-// Pack archives /src into /archive.tar and reports throughput.
-func Pack(fs fsapi.FileSystem) (Result, error) {
-	c, err := fs.Attach(fsapi.Root)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := PackWithClient(c)
-	res.FS = fs.Name()
-	return res, err
-}
-
-// PackWithClient packs through an explicit client (the breakdown
-// experiment wraps it in a timing decorator).
-func PackWithClient(c fsapi.Client) (Result, error) {
+// Pack archives the tree at /src (a corpus) into /archive.tar through c.
+func Pack(c fsapi.Client) (Result, error) {
 	var res Result
-	start := time.Now()
 	afd, err := c.Open("/archive.tar", fsapi.OCreate|fsapi.OWronly|fsapi.OTrunc|fsapi.OAppend, 0o644)
 	if err != nil {
 		return res, err
@@ -121,19 +86,16 @@ func PackWithClient(c fsapi.Client) (Result, error) {
 		return res, err
 	}
 	c.Close(afd)
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
-// Unpack extracts /archive.tar into /unpacked, issuing the same per-file
-// attribute updates (chmod + utimes) a real tar does.
-func Unpack(fs fsapi.FileSystem) (Result, error) {
-	c, err := fs.Attach(fsapi.Root)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{FS: fs.Name()}
-	start := time.Now()
+// UndoPack removes what Pack wrote, the state a pack starts from.
+func UndoPack(c fsapi.Client) error { return c.Unlink("/archive.tar") }
+
+// Unpack extracts /archive.tar into /unpacked through c, issuing the same
+// per-file attribute updates (chmod + utimes) a real tar does.
+func Unpack(c fsapi.Client) (Result, error) {
+	var res Result
 	if err := c.Mkdir("/unpacked", 0o755); err != nil && err != fsapi.ErrExist {
 		return res, err
 	}
@@ -187,9 +149,11 @@ func Unpack(fs fsapi.FileSystem) (Result, error) {
 		}
 		res.Files++
 	}
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
+
+// UndoUnpack removes what Unpack wrote, the state an unpack starts from.
+func UndoUnpack(c fsapi.Client) error { return fsapi.RemoveAll(c, "/unpacked") }
 
 // mkdirs creates all parent directories of path.
 func mkdirs(c fsapi.Client, path string) error {
@@ -208,11 +172,7 @@ func mkdirs(c fsapi.Client, path string) error {
 }
 
 // Verify compares the unpacked tree against the source (test support).
-func Verify(fs fsapi.FileSystem) error {
-	c, err := fs.Attach(fsapi.Root)
-	if err != nil {
-		return err
-	}
+func Verify(c fsapi.Client) error {
 	var srcFiles, dstFiles uint64
 	var srcBytes, dstBytes uint64
 	if err := corpus.Walk(c, "/src", func(path string, st fsapi.Stat) error {

@@ -1,8 +1,9 @@
 // Package bench provides the shared harness for the paper's evaluation:
-// file-system factories for all five systems, fixed-duration points
-// measuring throughput at a thread count, the repetition schedule every
-// figure takes its points through, the stopwatch client behind the time
-// breakdown, and the series formatting that mirrors the paper's figures.
+// file-system factories for all five systems, the two measured windows
+// (RunPoint's fixed-duration, multi-thread point and RunPasses' repeated
+// sequential pass), the repetition schedule every figure takes its points
+// through, the stopwatch client behind the time breakdown, and the series
+// formatting that mirrors the paper's figures.
 package bench
 
 import (
@@ -30,14 +31,15 @@ var FSNames = []string{"simurgh", "nova", "pmfs", "ext4-dax", "splitfs"}
 // emulated NVMM device of the given size, with the paper's cost accounting
 // (jmpp delta for Simurgh, syscall cost for the kernel systems).
 func MakeFS(name string, devSize uint64) (fsapi.FileSystem, error) {
-	fs, _, err := MakeFSModel(name, devSize)
+	fs, _, _, err := MakeFSModel(name, devSize)
 	return fs, err
 }
 
 // MakeFSModel is MakeFS that also hands back the cost model the system's
-// calls are charged through, for experiments that read its tally (set
-// Disabled on it before the first call to count without spinning).
-func MakeFSModel(name string, devSize uint64) (fsapi.FileSystem, *cost.Model, error) {
+// calls are charged through and its device, for experiments that read
+// their tallies (set Disabled on the model before the first call to count
+// without spinning).
+func MakeFSModel(name string, devSize uint64) (fsapi.FileSystem, *cost.Model, *pmem.Device, error) {
 	// Free the arenas of earlier instances first, so that this one reuses
 	// their memory instead of adding to it.
 	runtime.GC()
@@ -82,15 +84,13 @@ func MakeFSModel(name string, devSize uint64) (fsapi.FileSystem, *cost.Model, er
 		sfs.Inner().EnableSoftwareCosts(cost.Spin)
 		fs = sfs
 	default:
-		return nil, nil, fmt.Errorf("bench: unknown file system %q", name)
+		return nil, nil, nil, fmt.Errorf("bench: unknown file system %q", name)
 	}
-	return fs, m, err
+	return fs, m, dev, err
 }
 
-// Result is one measured point: a file system at a thread count.
+// Result is one measured point: what a window counted and how long it was.
 type Result struct {
-	FS      string
-	Threads int
 	Ops     uint64
 	Bytes   uint64
 	Elapsed time.Duration
@@ -116,7 +116,8 @@ func (r Result) MBPerSec() float64 {
 type Workload struct {
 	// Name identifies the benchmark (e.g. "create-private").
 	Name string
-	// DevSize overrides the device size when nonzero.
+	// DevSize is the size of the device the point runs on: what the
+	// workload holds at its peak, with headroom.
 	DevSize uint64
 	// Setup prepares the volume (shared across all workers); it may return
 	// a context value passed to every worker.
@@ -130,12 +131,10 @@ type Workload struct {
 	Worker func(fs fsapi.FileSystem, ctx any, tid int, stop <-chan struct{}) (ops, bytes uint64, err error)
 }
 
-// RunPoint measures one (fs, threads) point for the given duration.
-func RunPoint(w Workload, fsName string, devSize uint64, threads int, d time.Duration) (Result, error) {
-	if w.DevSize != 0 {
-		devSize = w.DevSize
-	}
-	fs, err := MakeFS(fsName, devSize)
+// RunPoint measures one (fs, threads) point for the given duration, on a
+// fresh volume of w.DevSize bytes.
+func RunPoint(w Workload, fsName string, threads int, d time.Duration) (Result, error) {
+	fs, err := MakeFS(fsName, w.DevSize)
 	if err != nil {
 		return Result{}, err
 	}
@@ -190,21 +189,54 @@ func RunPoint(w Workload, fsName string, devSize uint64, threads int, d time.Dur
 		return Result{}, fmt.Errorf("%s on %s: %w", w.Name, fsName, err)
 	default:
 	}
-	return Result{FS: fsName, Threads: threads, Ops: ops.Load(), Bytes: bytes.Load(), Elapsed: elapsed}, nil
+	return Result{Ops: ops.Load(), Bytes: bytes.Load(), Elapsed: elapsed}, nil
+}
+
+// PassWindow is the least timed work RunPasses takes of a pass: the one
+// window of every sequential application point (tar, git, the breakdown).
+const PassWindow = 500 * time.Millisecond
+
+// Passes is what RunPasses measured.
+type Passes struct {
+	N      int           // timed passes
+	Median time.Duration // the median pass
+	Total  time.Duration // every timed pass together
+}
+
+// RunPasses is the window of a sequential point, one that changes the
+// volume and must be undone to run again: it times pass until the timed
+// passes add up to PassWindow (at least one pass), and between passes runs
+// reset, untimed, which restores the state the first pass started from.
+// A collection runs before every pass, so no pass pays for the garbage of
+// the one before it. The state after the last pass is left as it is.
+func RunPasses(pass, reset func() error) (Passes, error) {
+	var p Passes
+	var times []time.Duration
+	for p.Total < PassWindow {
+		if p.N > 0 {
+			if err := reset(); err != nil {
+				return p, err
+			}
+		}
+		runtime.GC()
+		start := time.Now()
+		if err := pass(); err != nil {
+			return p, err
+		}
+		times = append(times, time.Since(start))
+		p.Total += times[p.N]
+		p.N++
+	}
+	slices.Sort(times)
+	p.Median = (times[(p.N-1)/2] + times[p.N/2]) / 2
+	return p, nil
 }
 
 // DefaultThreads returns the paper's 1..10 sweep clamped to the host.
 func DefaultThreads() []int {
-	max := runtime.NumCPU()
-	if max > 10 {
-		max = 10
-	}
-	var ts []int
-	for t := 1; t <= max; t++ {
+	ts := []int{1}
+	for t := 2; t <= min(runtime.NumCPU(), 10); t++ {
 		ts = append(ts, t)
-	}
-	if len(ts) == 0 {
-		ts = []int{1}
 	}
 	return ts
 }
@@ -284,7 +316,7 @@ func RawReadBandwidth(devSize uint64, threads int, d time.Duration) Result {
 		dev.WriteAt(off, page[:min(uint64(len(page)), dev.Size()-off)])
 	}
 	stop := make(chan struct{})
-	reads := make([]uint64, threads) // per goroutine; summed after the window
+	var reads atomic.Uint64 // each goroutine adds its count once, at the end
 	var wg sync.WaitGroup
 	start := time.Now()
 	for t := 0; t < threads; t++ {
@@ -299,7 +331,7 @@ func RawReadBandwidth(devSize uint64, threads int, d time.Duration) Result {
 			for {
 				select {
 				case <-stop:
-					reads[t] = n
+					reads.Add(n)
 					return
 				default:
 				}
@@ -313,11 +345,5 @@ func RawReadBandwidth(devSize uint64, threads int, d time.Duration) Result {
 	time.Sleep(d)
 	close(stop)
 	wg.Wait()
-	elapsed := time.Since(start)
-	var ops uint64
-	for _, n := range reads {
-		ops += n
-	}
-	return Result{FS: "max-bandwidth", Threads: threads, Ops: ops,
-		Bytes: ops * 4096, Elapsed: elapsed}
+	return Result{Ops: reads.Load(), Bytes: reads.Load() * 4096, Elapsed: time.Since(start)}
 }

@@ -30,7 +30,8 @@ func TestMakeFSAllVariants(t *testing.T) {
 
 func TestRunPointAndSweep(t *testing.T) {
 	w := Workload{
-		Name: "touch",
+		Name:    "touch",
+		DevSize: 32 << 20,
 		Worker: func(fs fsapi.FileSystem, _ any, tid int, stop <-chan struct{}) (uint64, uint64, error) {
 			c, _ := fs.Attach(fsapi.Root)
 			var ops uint64
@@ -52,7 +53,7 @@ func TestRunPointAndSweep(t *testing.T) {
 			}
 		},
 	}
-	res, err := RunPoint(w, "simurgh", 32<<20, 2, 30*time.Millisecond)
+	res, err := RunPoint(w, "simurgh", 2, 30*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestRunPointAndSweep(t *testing.T) {
 	vals := map[string][]float64{}
 	for _, fsName := range names {
 		for _, th := range ths {
-			r, err := RunPoint(w, fsName, 32<<20, th, 20*time.Millisecond)
+			r, err := RunPoint(w, fsName, th, 20*time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +126,8 @@ func TestMedians(t *testing.T) {
 func TestRunPointWindowExcludesPrepare(t *testing.T) {
 	const window = 50 * time.Millisecond
 	w := Workload{
-		Name: "slow-prepare",
+		Name:    "slow-prepare",
+		DevSize: 32 << 20,
 		Prepare: func(fsapi.FileSystem, any, int) error {
 			time.Sleep(3 * window)
 			return nil
@@ -149,7 +151,7 @@ func TestRunPointWindowExcludesPrepare(t *testing.T) {
 			}
 		},
 	}
-	res, err := RunPoint(w, "simurgh", 32<<20, 2, window)
+	res, err := RunPoint(w, "simurgh", 2, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +160,49 @@ func TestRunPointWindowExcludesPrepare(t *testing.T) {
 	}
 	if res.Elapsed >= 2*window {
 		t.Fatalf("Elapsed = %v for a %v window: Prepare was timed", res.Elapsed, window)
+	}
+}
+
+// TestRunPassesTimesPassesOnly: a 10 ms pass with a 20 ms reset between
+// passes reports a median pass below the reset's 20 ms, which it would not
+// if the reset were timed, and as many passes as fit the window; a pass as
+// long as the window runs once, with no reset.
+func TestRunPassesTimesPassesOnly(t *testing.T) {
+	const pass, reset = 10 * time.Millisecond, 20 * time.Millisecond
+	var passes, resets int
+	p, err := RunPasses(func() error {
+		passes++
+		time.Sleep(pass)
+		return nil
+	}, func() error {
+		resets++
+		time.Sleep(reset)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Median < pass || p.Median >= reset {
+		t.Errorf("median pass %v, want within [%v, %v): the reset was timed", p.Median, pass, reset)
+	}
+	if p.N != passes || resets != passes-1 {
+		t.Errorf("N = %d after %d passes and %d resets, want N passes and N-1 resets", p.N, passes, resets)
+	}
+	if p.Total < PassWindow || p.N > int(PassWindow/pass)+1 {
+		t.Errorf("%d passes took %v of timed work, want the fewest to reach %v", p.N, p.Total, PassWindow)
+	}
+
+	passes, resets = 0, 0
+	p, err = RunPasses(func() error {
+		passes++
+		time.Sleep(PassWindow)
+		return nil
+	}, func() error {
+		resets++
+		return nil
+	})
+	if err != nil || p.N != 1 || passes != 1 || resets != 0 || p.Median < PassWindow {
+		t.Errorf("one long pass: %+v, %d passes, %d resets, err %v; want one pass and no reset", p, passes, resets, err)
 	}
 }
 
@@ -180,9 +225,6 @@ func TestRawReadBandwidth(t *testing.T) {
 	r := RawReadBandwidth(64<<20, 2, 30*time.Millisecond)
 	if r.MBPerSec() <= 0 {
 		t.Fatalf("no bandwidth measured: %+v", r)
-	}
-	if r.FS != "max-bandwidth" {
-		t.Fatalf("label = %q", r.FS)
 	}
 }
 

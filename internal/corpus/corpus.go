@@ -83,6 +83,24 @@ func sizeFor(rng *rand.Rand, mean int) int {
 	return int(float64(mean)*f*0.5) + 64
 }
 
+// Stats returns the Stats that Generate reports for s, without writing
+// anything: a file's size is its draw from the seeded generator, one draw
+// per file, so the sizes do not depend on the tree's shape.
+func (s Spec) Stats() Stats {
+	rng := rand.New(rand.NewSource(s.Seed))
+	var st Stats
+	for level, n := 0, uint64(1); level <= s.Depth; level, n = level+1, n*uint64(s.Fanout) {
+		if level > 0 {
+			st.Dirs += n
+		}
+		st.Files += n * uint64(s.FilesPerDir)
+	}
+	for i := uint64(0); i < st.Files; i++ {
+		st.Bytes += uint64(sizeFor(rng, s.MeanFileSize))
+	}
+	return st
+}
+
 // Generate builds the tree under root (which must exist) using c.
 func Generate(c fsapi.Client, root string, spec Spec) (Stats, error) {
 	rng := rand.New(rand.NewSource(spec.Seed))

@@ -37,6 +37,9 @@ func TestGenerateIsDeterministic(t *testing.T) {
 	if st1 != st2 {
 		t.Fatalf("non-deterministic: %+v vs %+v", st1, st2)
 	}
+	if st := spec.Stats(); st != st1 {
+		t.Fatalf("Spec.Stats() = %+v, Generate wrote %+v", st, st1)
+	}
 	// Identical trees file-by-file.
 	var paths1 []string
 	Walk(c1, "/a", func(p string, st fsapi.Stat) error {
@@ -96,5 +99,34 @@ func TestFileContentDeterministic(t *testing.T) {
 	}
 	if len(FileContent(3, 3_000_000)) != 3_000_000 {
 		t.Fatal("large content wrong size")
+	}
+}
+
+// TestRemoveAllEmptiesATree: fsapi.RemoveAll takes a generated tree away,
+// root included, and a tree generated and removed again leaves the same
+// free space as the first (what a repeated pass and its reset rely on).
+func TestRemoveAllEmptiesATree(t *testing.T) {
+	dev := pmem.New(64 << 20)
+	fs, err := core.Format(dev, fsapi.Root, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := fs.Attach(fsapi.Root)
+	var free []uint64
+	for i := 0; i < 3; i++ {
+		c.Mkdir("/a", 0o755)
+		if _, err := Generate(c, "/a", Spec{Depth: 2, Fanout: 3, FilesPerDir: 4, MeanFileSize: 5000, Seed: 7}); err != nil {
+			t.Fatal(err)
+		}
+		if err := fsapi.RemoveAll(c, "/a"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Stat("/a"); err != fsapi.ErrNotExist {
+			t.Fatalf("stat after RemoveAll: %v, want ErrNotExist", err)
+		}
+		free = append(free, fs.FreeBlocks())
+	}
+	if free[1] != free[0] || free[2] != free[0] {
+		t.Fatalf("free blocks after each generate and remove: %v, want one value", free)
 	}
 }

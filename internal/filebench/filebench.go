@@ -120,14 +120,20 @@ func varmailLoop(w *worker) (int, error) {
 	return 16, nil // flowops per iteration in the varmail personality
 }
 
-// webserver: open+read ten files, append 16 KB to a shared log.
+// webserver: open+read ten files, append 16 KB to a shared log. The logs
+// rotate: a thread deletes its log after every 1 MiB it appended, so the
+// logs hold at most 1 MiB a thread however long the window.
 func webserverLoop(w *worker) (int, error) {
 	for i := 0; i < 10; i++ {
 		if err := w.readWhole(w.pick()); err != nil {
 			return 0, err
 		}
 	}
-	if err := w.appendTo(fmt.Sprintf("/logs/log%d", w.tid%4), 16<<10, false); err != nil {
+	log := fmt.Sprintf("/logs/log%d", w.tid%4)
+	if w.seq++; w.seq%64 == 0 {
+		w.c.Unlink(log) // another thread may have rotated it already
+	}
+	if err := w.appendTo(log, 16<<10, false); err != nil {
 		return 0, err
 	}
 	return 21, nil
@@ -212,6 +218,10 @@ func (p Personality) Workload(files int) bench.Workload {
 	}
 	return bench.Workload{
 		Name: p.Name,
+		// The fileset twice over (a varmail file grows by appends until it
+		// is deleted), and 64 MiB for what the threads hold besides:
+		// webproxy's and fileserver's files in flight and the rotating logs.
+		DevSize: 64<<20 + 2*uint64(files)*uint64(p.FileSize),
 		Setup: func(fs fsapi.FileSystem) (any, error) {
 			return &fileset{workers: map[int]*worker{}}, populate(fs, files, p.FileSize)
 		},

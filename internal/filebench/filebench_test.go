@@ -22,7 +22,7 @@ func TestPersonalityLookup(t *testing.T) {
 func TestEveryPersonalityOnSimurgh(t *testing.T) {
 	for _, p := range Personalities() {
 		t.Run(p.Name, func(t *testing.T) {
-			res, err := bench.RunPoint(p.Workload(60), "simurgh", 512<<20, 4, 100*time.Millisecond)
+			res, err := bench.RunPoint(p.Workload(60), "simurgh", 4, 100*time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,7 +36,7 @@ func TestEveryPersonalityOnSimurgh(t *testing.T) {
 func TestVarmailOnAllFS(t *testing.T) {
 	p, _ := ByName("varmail")
 	for _, name := range bench.FSNames {
-		res, err := bench.RunPoint(p.Workload(40), name, 512<<20, 3, 80*time.Millisecond)
+		res, err := bench.RunPoint(p.Workload(40), name, 3, 80*time.Millisecond)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -20,7 +20,7 @@ func TestVarmailDoesNotExhaustSpace(t *testing.T) {
 		fs = f
 		return populate(f)
 	}
-	res, err := bench.RunPoint(w, "simurgh", 1<<30, 4, 500*time.Millisecond)
+	res, err := bench.RunPoint(w, "simurgh", 4, 500*time.Millisecond)
 	if err != nil {
 		t.Fatalf("err=%v free=%d", err, fs.(*core.FS).FreeBlocks())
 	}

@@ -299,3 +299,25 @@ const (
 	AccessWrite uint32 = 2
 	AccessExec  uint32 = 1
 )
+
+// RemoveAll removes path through c and, if it is a directory, everything
+// under it first (rm -r).
+func RemoveAll(c Client, path string) error {
+	st, err := c.Lstat(path)
+	if err != nil {
+		return err
+	}
+	if !IsDir(st.Mode) {
+		return c.Unlink(path)
+	}
+	ents, err := c.ReadDir(path)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		if err := RemoveAll(c, path+"/"+e.Name); err != nil {
+			return err
+		}
+	}
+	return c.Rmdir(path)
+}

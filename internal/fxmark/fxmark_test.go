@@ -16,7 +16,7 @@ func TestEveryWorkloadRunsOnEveryFS(t *testing.T) {
 		w := w
 		t.Run(name, func(t *testing.T) {
 			for _, fsName := range fss {
-				r, err := bench.RunPoint(w, fsName, 256<<20, 2, 30*time.Millisecond)
+				r, err := bench.RunPoint(w, fsName, 2, 30*time.Millisecond)
 				if err != nil {
 					t.Fatalf("%s on %s: %v", name, fsName, err)
 				}

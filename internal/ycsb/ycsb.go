@@ -12,9 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"simurgh/internal/bench"
 	"simurgh/internal/fsapi"
@@ -53,47 +51,27 @@ func SpecByName(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("ycsb: unknown workload %q", name)
 }
 
-// Config scales a run.
+// Config scales a workload.
 type Config struct {
 	Records   int // rows loaded
-	Ops       int // operations in the run phase
-	Threads   int
 	ValueSize int
-	Sync      bool // WAL fsync per update
 }
 
 func (c *Config) fill() {
 	if c.Records == 0 {
 		c.Records = 10000
 	}
-	if c.Ops == 0 {
-		c.Ops = 20000
-	}
-	if c.Threads == 0 {
-		c.Threads = 2
-	}
 	if c.ValueSize == 0 {
 		c.ValueSize = 1000
 	}
 }
 
-// Result reports one workload execution.
-type Result struct {
-	Workload          string
-	FS                string
-	LoadOps           int
-	LoadTime          time.Duration
-	RunOps            int
-	RunTime           time.Duration
-	App, Copy, FSTime time.Duration // breakdown of the load phase (RunLoadOnly only)
-}
-
-// RunThroughput returns run-phase ops/s.
-func (r Result) RunThroughput() float64 {
-	if r.RunTime <= 0 {
-		return 0
-	}
-	return float64(r.RunOps) / r.RunTime.Seconds()
+// DevSize sizes a device for c's store: four times the rows (a compaction
+// holds the old tables and the new one at once), and 64 MiB for the L0
+// tables and the log.
+func (c Config) DevSize() uint64 {
+	c.fill()
+	return 64<<20 + 4*uint64(c.Records)*uint64(c.ValueSize+32)
 }
 
 // zipfian is the YCSB ZipfianGenerator (Gray et al.).
@@ -145,116 +123,111 @@ func scramble(v, n uint64) uint64 {
 
 func keyName(i uint64) string { return fmt.Sprintf("user%012d", i) }
 
-// load opens the store on c and puts cfg.Records rows: the load phase of
-// every workload, and the phase RunLoadOnly breaks down.
-func load(c fsapi.Client, cfg Config, value string) (*leveldb.DB, time.Duration, error) {
-	db, err := leveldb.Open(c, "/ycsb", leveldb.Options{SyncWrites: cfg.Sync})
+// storeDir is the store's directory on the volume.
+const storeDir = "/ycsb"
+
+// open opens the store on c and puts cfg.Records rows: the load phase of
+// every workload.
+func open(c fsapi.Client, cfg Config) (*leveldb.DB, error) {
+	cfg.fill()
+	db, err := leveldb.Open(c, storeDir, leveldb.Options{})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	start := time.Now()
+	value := string(make([]byte, cfg.ValueSize))
 	for i := 0; i < cfg.Records; i++ {
 		if err := db.Put(keyName(uint64(i)), value); err != nil {
 			db.Close()
-			return nil, 0, fmt.Errorf("load: %w", err)
+			return nil, fmt.Errorf("load: %w", err)
 		}
 	}
-	return db, time.Since(start), nil
+	return db, nil
 }
 
-// Run executes load + run phases of the workload against fs. The workers
-// share the attached client as it is: no stopwatch sits in the measured
-// loop (RunLoadOnly is the one phase that is broken down).
-func Run(fs fsapi.FileSystem, spec Spec, cfg Config) (Result, error) {
-	cfg.fill()
-	res := Result{Workload: spec.Name, FS: fs.Name(), LoadOps: cfg.Records}
-	c, err := fs.Attach(fsapi.Root)
+// Load is the load phase as one pass, the LoadA row of Table 1 and Fig 10:
+// it opens the store on c, puts cfg.Records rows, and closes it (YCSB
+// cleans up its store inside the timed run).
+func Load(c fsapi.Client, cfg Config) error {
+	db, err := open(c, cfg)
 	if err != nil {
-		return res, err
+		return err
 	}
-	value := string(make([]byte, cfg.ValueSize))
-	db, loadTime, err := load(c, cfg, value)
-	if err != nil {
-		return res, err
-	}
-	defer db.Close()
-	res.LoadTime = loadTime
+	return db.Close()
+}
 
-	// Run phase.
-	var inserted atomic.Uint64
-	inserted.Store(uint64(cfg.Records))
-	z := newZipfian(uint64(cfg.Records))
-	opsPer := cfg.Ops / cfg.Threads
-	runStart := time.Now()
-	errs := make(chan error, cfg.Threads)
-	var wg sync.WaitGroup
-	for t := 0; t < cfg.Threads; t++ {
-		t := t
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(t)*7919 + 17))
-			for i := 0; i < opsPer; i++ {
+// UndoLoad removes the store Load wrote, the state a load starts from.
+func UndoLoad(c fsapi.Client) error { return fsapi.RemoveAll(c, storeDir) }
+
+// store is a run phase's shared state.
+type store struct {
+	db       *leveldb.DB
+	z        *zipfian
+	inserted atomic.Uint64 // rows in the store, for inserts and workload D
+}
+
+// Workload returns spec's run phase as a bench.Workload: Setup loads
+// cfg.Records rows (untimed), and every worker runs spec's operation mix
+// until the window closes. The workers share one attached client as it
+// is: no stopwatch sits in the measured loop. The store is never closed:
+// it lives on the point's volume, which is dropped with the point.
+func (spec Spec) Workload(cfg Config) bench.Workload {
+	cfg.fill()
+	value := string(make([]byte, cfg.ValueSize))
+	dev := cfg.DevSize()
+	if spec.Insert > 0 {
+		// Inserts grow the store for as long as the window runs: 128 MiB
+		// holds workload D's for 3 s on a 2-vCPU host.
+		dev += 128 << 20
+	}
+	return bench.Workload{
+		Name:    "Run" + spec.Name,
+		DevSize: dev,
+		Setup: func(fs fsapi.FileSystem) (any, error) {
+			c, err := fs.Attach(fsapi.Root)
+			if err != nil {
+				return nil, err
+			}
+			st := &store{z: newZipfian(uint64(cfg.Records))}
+			st.inserted.Store(uint64(cfg.Records))
+			st.db, err = open(c, cfg)
+			return st, err
+		},
+		Worker: func(_ fsapi.FileSystem, ctx any, tid int, stop <-chan struct{}) (uint64, uint64, error) {
+			st := ctx.(*store)
+			rng := rand.New(rand.NewSource(int64(tid)*7919 + 17))
+			for ops := uint64(0); ; ops++ {
+				select {
+				case <-stop:
+					return ops, 0, nil
+				default:
+				}
 				var key string
 				if spec.Latest {
-					max := inserted.Load()
-					off := z.next(rng)
-					if off >= max {
-						off = max - 1
-					}
-					key = keyName(max - 1 - off)
+					last := st.inserted.Load() - 1
+					key = keyName(last - min(st.z.next(rng), last))
 				} else {
-					key = keyName(scramble(z.next(rng), uint64(cfg.Records)))
+					key = keyName(scramble(st.z.next(rng), uint64(cfg.Records)))
 				}
 				var err error
 				p := rng.Float64()
 				switch {
 				case p < spec.Read:
-					_, _, err = db.Get(key)
+					_, _, err = st.db.Get(key)
 				case p < spec.Read+spec.Update:
-					err = db.Put(key, value)
+					err = st.db.Put(key, value)
 				case p < spec.Read+spec.Update+spec.Insert:
-					err = db.Put(keyName(inserted.Add(1)-1), value)
+					err = st.db.Put(keyName(st.inserted.Add(1)-1), value)
 				case p < spec.Read+spec.Update+spec.Insert+spec.Scan:
-					_, err = db.Scan(key, 1+rng.Intn(100))
+					_, err = st.db.Scan(key, 1+rng.Intn(100))
 				default: // read-modify-write
-					if _, _, err = db.Get(key); err == nil {
-						err = db.Put(key, value)
+					if _, _, err = st.db.Get(key); err == nil {
+						err = st.db.Put(key, value)
 					}
 				}
 				if err != nil {
-					errs <- fmt.Errorf("op %d: %w", i, err)
-					return
+					return ops, 0, fmt.Errorf("thread %d op %d: %w", tid, ops, err)
 				}
 			}
-		}()
+		},
 	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return res, err
-	default:
-	}
-	res.RunOps = opsPer * cfg.Threads
-	res.RunTime = time.Since(runStart)
-	return res, nil
-}
-
-// RunLoadOnly performs just the load phase with breakdown (Table 1 LoadA).
-func RunLoadOnly(fs fsapi.FileSystem, cfg Config) (Result, error) {
-	cfg.fill()
-	res := Result{Workload: "LoadA", FS: fs.Name(), LoadOps: cfg.Records}
-	base, err := fs.Attach(fsapi.Root)
-	if err != nil {
-		return res, err
-	}
-	tc := bench.NewTimedClient(base)
-	db, loadTime, err := load(tc, cfg, string(make([]byte, cfg.ValueSize)))
-	if err != nil {
-		return res, err
-	}
-	defer db.Close()
-	res.LoadTime = loadTime
-	res.App, res.Copy, res.FSTime = tc.Breakdown(loadTime)
-	return res, nil
 }

@@ -4,8 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"simurgh/internal/bench"
+	"simurgh/internal/fsapi"
 )
 
 func TestZipfianSkew(t *testing.T) {
@@ -67,21 +69,12 @@ func TestAllWorkloadsRunOnSimurgh(t *testing.T) {
 	for _, spec := range Workloads {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			fs, err := bench.MakeFS("simurgh", 256<<20)
+			res, err := bench.RunPoint(spec.Workload(Config{Records: 500, ValueSize: 200}), "simurgh", 2, 30*time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(fs, spec, Config{Records: 500, Ops: 1000, Threads: 2, ValueSize: 200})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.RunOps == 0 || res.RunThroughput() <= 0 {
+			if res.Ops == 0 || res.OpsPerSec() <= 0 {
 				t.Fatalf("no throughput: %+v", res)
-			}
-			// Run times nothing: a stopwatch would put a line shared by
-			// every worker inside the measured loop.
-			if res.App != 0 || res.Copy != 0 || res.FSTime != 0 {
-				t.Fatalf("Run filled the breakdown: %+v", res)
 			}
 		})
 	}
@@ -90,35 +83,63 @@ func TestAllWorkloadsRunOnSimurgh(t *testing.T) {
 func TestWorkloadARunsOnAllFS(t *testing.T) {
 	spec, _ := SpecByName("A")
 	for _, name := range bench.FSNames {
-		fs, err := bench.MakeFS(name, 256<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(fs, spec, Config{Records: 300, Ops: 600, Threads: 2, ValueSize: 100})
+		res, err := bench.RunPoint(spec.Workload(Config{Records: 300, ValueSize: 100}), name, 2, 20*time.Millisecond)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if res.RunOps == 0 {
+		if res.Ops == 0 {
 			t.Fatalf("%s: zero ops", name)
 		}
 	}
 }
 
-func TestBreakdownAccounting(t *testing.T) {
-	fs, _ := bench.MakeFS("nova", 256<<20)
-	res, err := RunLoadOnly(fs, Config{Records: 2000, ValueSize: 500})
+// loadPasses runs Load through a bench.TimedClient in the pass window,
+// with UndoLoad as its reset on the plain client, as the breakdown's LoadA
+// row does, and returns the window, the stopwatch client, and the calls and
+// bytes each pass made through it.
+func loadPasses(t *testing.T, fsName string, cfg Config) (bench.Passes, *bench.TimedClient, [][2]uint64) {
+	t.Helper()
+	fs, err := bench.MakeFS(fsName, cfg.DevSize())
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := res.App + res.Copy + res.FSTime
-	if total <= 0 {
-		t.Fatal("empty breakdown")
+	c, _ := fs.Attach(fsapi.Root)
+	tc := bench.NewTimedClient(c)
+	var work [][2]uint64
+	p, err := bench.RunPasses(func() error {
+		calls, bytes := tc.Calls.Load(), tc.Bytes.Load()
+		err := Load(tc, cfg)
+		work = append(work, [2]uint64{tc.Calls.Load() - calls, tc.Bytes.Load() - bytes})
+		return err
+	}, func() error { return UndoLoad(c) })
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The three parts must roughly cover the load wall time.
-	if total > res.LoadTime*3/2 {
-		t.Fatalf("breakdown %v exceeds wall %v", total, res.LoadTime)
+	return p, tc, work
+}
+
+func TestBreakdownAccounting(t *testing.T) {
+	p, tc, _ := loadPasses(t, "nova", Config{Records: 2000, ValueSize: 500})
+	app, cp, fsT := tc.Breakdown(p.Total)
+	// The three parts are a partition of the timed passes.
+	if total := app + cp + fsT; total <= 0 || total > p.Total {
+		t.Fatalf("breakdown %v of %d passes taking %v", total, p.N, p.Total)
 	}
-	if res.FSTime <= 0 {
+	if fsT <= 0 {
 		t.Fatal("no file-system time measured for a write-heavy load")
+	}
+}
+
+// TestEveryLoadPassRepeatsTheFirst: after UndoLoad, a load makes the calls
+// and moves the bytes the first load did.
+func TestEveryLoadPassRepeatsTheFirst(t *testing.T) {
+	p, _, work := loadPasses(t, "simurgh", Config{Records: 2000, ValueSize: 500})
+	if p.N < 2 || len(work) != p.N || work[0][0] == 0 || work[0][1] < 2000*500 {
+		t.Fatalf("%d passes, work %v: want several that each write the rows", p.N, work)
+	}
+	for i, w := range work {
+		if w != work[0] {
+			t.Fatalf("load pass %d made %d calls moving %d bytes, the first %d and %d", i, w[0], w[1], work[0][0], work[0][1])
+		}
 	}
 }

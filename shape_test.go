@@ -31,7 +31,7 @@ import (
 func medianRates(t *testing.T, w bench.Workload, d time.Duration, names ...string) map[string]float64 {
 	t.Helper()
 	med, err := bench.Medians(names, func(fsName string) ([]float64, error) {
-		r, err := bench.RunPoint(w, fsName, 512<<20, 1, d)
+		r, err := bench.RunPoint(w, fsName, 1, d)
 		return []float64{r.OpsPerSec()}, err
 	})
 	if err != nil {
@@ -78,7 +78,7 @@ func TestShapePMFSCollapsesOnLargeDirectories(t *testing.T) {
 // is a count, the same on any host.
 func resolveCharge(t *testing.T, fsName string, n int) (crossings, cycles float64) {
 	t.Helper()
-	fs, m, err := bench.MakeFSModel(fsName, 64<<20)
+	fs, m, _, err := bench.MakeFSModel(fsName, 64<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +195,11 @@ func TestShapeCacheHotReadInflation(t *testing.T) {
 	}
 	// Fig 6: the original FxMark's cache-hot reads report far more than the
 	// adapted random reads — the reason the paper adapted the benchmark.
-	hot, err := bench.RunPoint(fxmark.ReadSharedCacheHot(), "simurgh", 512<<20, 1, 300*time.Millisecond)
+	hot, err := bench.RunPoint(fxmark.ReadSharedCacheHot(), "simurgh", 1, 300*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := bench.RunPoint(fxmark.ReadShared(), "simurgh", 512<<20, 1, 300*time.Millisecond)
+	rnd, err := bench.RunPoint(fxmark.ReadShared(), "simurgh", 1, 300*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestShapeEveryFSCompletesEveryMicrobench(t *testing.T) {
 	// Completeness net: every Fig 7 workload must run on every system.
 	for name, w := range fxmark.All() {
 		for _, fsName := range bench.FSNames {
-			r, err := bench.RunPoint(w, fsName, 512<<20, 1, 30*time.Millisecond)
+			r, err := bench.RunPoint(w, fsName, 1, 30*time.Millisecond)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", name, fsName, err)
 			}

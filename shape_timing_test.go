@@ -33,7 +33,7 @@ func TestShapeTimedResolveBenefitsFromProtectedCalls(t *testing.T) {
 
 func TestShapeTimedReadsTrackDeviceBandwidth(t *testing.T) {
 	w := fxmark.ReadShared()
-	r, err := bench.RunPoint(w, "simurgh", 1<<30, 1, 400*time.Millisecond)
+	r, err := bench.RunPoint(w, "simurgh", 1, 400*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
