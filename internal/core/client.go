@@ -38,7 +38,6 @@ const maxSymlinkDepth = 10
 func (fs *FS) Attach(cred fsapi.Cred) (fsapi.Client, error) {
 	c := &Client{fs: fs, cred: cred, obsShard: fs.obsR.ShardHint()}
 	c.nextFD.Store(2) // 0/1/2 conventionally reserved
-	fs.attached.Store(c, struct{}{})
 	return c, nil
 }
 
@@ -855,6 +854,5 @@ func (c *Client) Detach() (err error) {
 		}
 		return true
 	})
-	c.fs.attached.Delete(c)
 	return nil
 }

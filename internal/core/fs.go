@@ -153,9 +153,6 @@ type FS struct {
 	recStats atomic.Pointer[RecoveryStats]
 
 	rootInode pmem.Ptr
-
-	// attach counter for shard hints.
-	attached sync.Map // *Client -> struct{}
 }
 
 func classConfigs() []alloc.ClassConfig {

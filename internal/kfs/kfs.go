@@ -25,7 +25,6 @@ package kfs
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"simurgh/internal/alloc"
@@ -126,7 +125,6 @@ type FS struct {
 	spin  func(cycles uint64) // nil = no software-cost accounting
 	nodes []*node
 	nmu   sync.RWMutex
-	next  atomic.Uint64
 
 	inodeBase uint64 // device offset of the persistent inode table
 	inodeCap  uint64

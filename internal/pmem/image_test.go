@@ -8,14 +8,6 @@ import (
 	"testing"
 )
 
-// denseImage builds an image in the format earlier builds wrote: the header
-// with the dense magic, then the raw arena.
-func denseImage(d *Device) []byte {
-	img := binary.LittleEndian.AppendUint64(nil, denseImageMagic)
-	img = binary.LittleEndian.AppendUint64(img, d.size)
-	return append(img, d.buf...)
-}
-
 // runImage builds a run image of a size-byte device by hand: each run is
 // (offset, length) filled with 0xa5, and a zero-length run ends it.
 func runImage(size uint64, runs ...imageRun) []byte {
@@ -50,35 +42,28 @@ func TestImageRoundTrip(t *testing.T) {
 	cases := []struct {
 		name    string
 		dev     *Device
-		dense   bool // load the dense image of dev instead of its run image
-		wantLen int  // exact run-image length, 0 to skip the check
+		wantLen int // exact image length
 	}{
 		{name: "all-zero", dev: New(size), wantLen: 2 * imageHdrSize},
 		{name: "all-nonzero", dev: allSet, wantLen: 3*imageHdrSize + size},
 		{name: "alternating-pages", dev: alternating, wantLen: 2*imageHdrSize + 8*(imageHdrSize+imagePage)},
 		{name: "partial-last-page", dev: partial, wantLen: 3*imageHdrSize + 192},
 		{name: "content", dev: withContent(New(size)), wantLen: 3*imageHdrSize + 2*imagePage},
-		{name: "dense", dev: withContent(New(size)), dense: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var img []byte
-			if tc.dense {
-				img = denseImage(tc.dev)
-			} else {
-				var buf bytes.Buffer
-				n, err := tc.dev.WriteTo(&buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n != int64(buf.Len()) {
-					t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-				}
-				if tc.wantLen != 0 && buf.Len() != tc.wantLen {
-					t.Fatalf("image is %d bytes, want %d", buf.Len(), tc.wantLen)
-				}
-				img = buf.Bytes()
+			var buf bytes.Buffer
+			n, err := tc.dev.WriteTo(&buf)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if n != int64(buf.Len()) {
+				t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+			}
+			if buf.Len() != tc.wantLen {
+				t.Fatalf("image is %d bytes, want %d", buf.Len(), tc.wantLen)
+			}
+			img := buf.Bytes()
 			if got := ImageSize(img); got != tc.dev.Size() {
 				t.Fatalf("ImageSize = %d, want %d", got, tc.dev.Size())
 			}
@@ -110,9 +95,6 @@ func TestReadImageRejectsTruncated(t *testing.T) {
 	trunc := bytes.NewReader(buf.Bytes()[:buf.Len()/2])
 	if _, err := ReadImage(trunc); err == nil {
 		t.Fatal("truncated image accepted")
-	}
-	if _, err := ReadImage(bytes.NewReader(denseImage(d)[:1<<13])); err == nil {
-		t.Fatal("truncated dense image accepted")
 	}
 }
 
@@ -152,7 +134,6 @@ func FuzzReadImage(f *testing.F) {
 	var buf bytes.Buffer
 	d.WriteTo(&buf)
 	f.Add(buf.Bytes())
-	f.Add(denseImage(d))
 	f.Add(runImage(1<<13, imageRun{0, 100}, imageRun{4096, 4096}))
 	f.Add(runImage(1<<13, imageRun{4096, 100}, imageRun{0, 100}))
 	f.Add([]byte("this is not a device image at all"))

@@ -660,10 +660,9 @@ func (d *Device) crash(rng *rand.Rand) {
 // bytes belongs to no run: New's arena is zero already, so a page that was
 // never written is neither shipped nor, on the reading side, touched.
 const (
-	imageMagic      = 0x53494d5552474852 // "SIMURGHR": run image
-	denseImageMagic = 0x53494d5552474844 // "SIMURGHD": header + raw arena, written by earlier builds
-	imagePage       = 4096
-	imageHdrSize    = 16
+	imageMagic   = 0x53494d5552474852 // "SIMURGHR"
+	imagePage    = 4096
+	imageHdrSize = 16
 )
 
 var zeroPage [imagePage]byte
@@ -734,16 +733,14 @@ func (d *Device) WriteTo(w io.Writer) (int64, error) {
 
 // ReadImage deserializes a device previously written with WriteTo. Only
 // the image's runs are copied into the fresh arena, and they are marked
-// written, so the device's own WriteTo ships them again. Images in the dense
-// format of earlier builds (header + raw arena) still load. Runs that
-// overlap, descend, or reach past the arena are refused.
+// written, so the device's own WriteTo ships them again. Runs that overlap,
+// descend, or reach past the arena are refused.
 func ReadImage(r io.Reader) (*Device, error) {
 	var hdr [imageHdrSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	magic := binary.LittleEndian.Uint64(hdr[0:])
-	if magic != imageMagic && magic != denseImageMagic {
+	if binary.LittleEndian.Uint64(hdr[0:]) != imageMagic {
 		return nil, fmt.Errorf("pmem: not a device image")
 	}
 	size := binary.LittleEndian.Uint64(hdr[8:])
@@ -751,13 +748,6 @@ func ReadImage(r io.Reader) (*Device, error) {
 		return nil, fmt.Errorf("pmem: implausible image size %d", size)
 	}
 	d := New(size)
-	if magic == denseImageMagic {
-		if _, err := io.ReadFull(r, d.buf); err != nil {
-			return nil, err
-		}
-		d.mark(0, d.size)
-		return d, nil
-	}
 	var end uint64 // end of the previous run
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -796,7 +786,7 @@ func ImageSize(img []byte) uint64 {
 	if len(img) < imageHdrSize {
 		return 0
 	}
-	if m := binary.LittleEndian.Uint64(img); m != imageMagic && m != denseImageMagic {
+	if binary.LittleEndian.Uint64(img) != imageMagic {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(img[8:])

@@ -23,12 +23,13 @@ var errStaleJoin = errors.New("replica: joiner has seen a newer epoch")
 // returns the session — resuming an existing one when clientID matches a
 // session the group already carries, which is how a failed-over client
 // keeps its descriptor table. On a backup it fails with wire.ErrNotPrimary
-// and the last known primary address for the redirect frame.
+// and the last known primary address, which the server sends the client as
+// an epoch-0 Moved.
 func (n *Node) AttachClient(cred fsapi.Cred, clientID uint64) (fsapi.Client, uint64, string, error) {
 	if n.Role() != RolePrimary {
 		addr, _ := n.primaryAddr.Load().(string)
 		if addr == n.cfg.Advertise {
-			addr = "" // don't redirect clients back to ourselves
+			addr = "" // don't send clients back to ourselves
 		}
 		return nil, 0, addr, wire.ErrNotPrimary
 	}

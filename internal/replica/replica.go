@@ -284,7 +284,7 @@ type Node struct {
 	// by mu like everything else on the ship path.
 	shipBuf []byte
 
-	// primaryAddr is the last known primary (for redirects from backups).
+	// primaryAddr is the last known primary (named in a backup's attach refusals).
 	primaryAddr atomic.Value // string
 
 	// joinConn is the backup's live replication connection, closed by

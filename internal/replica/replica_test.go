@@ -217,8 +217,8 @@ func TestJoinReplayPromote(t *testing.T) {
 	writeFile(t, c2, "/after-promote", "writable")
 }
 
-// TestBackupRedirects verifies a client that dials the backup is
-// redirected to the primary transparently.
+// TestBackupRedirects verifies a client that dials the backup follows its
+// refusal, a Moved at epoch 0 naming the primary, transparently.
 func TestBackupRedirects(t *testing.T) {
 	p := startPrimary(t, repConfig())
 	b := startBackup(t, repConfig(), p.addr)

@@ -50,8 +50,9 @@ import (
 type Replica interface {
 	// AttachClient routes a client attach: on the primary it returns the
 	// session (resuming an existing one when clientID matches), on a
-	// backup it fails with wire.ErrNotPrimary and a redirect address.
-	AttachClient(cred fsapi.Cred, clientID uint64) (c fsapi.Client, sessID uint64, redirect string, err error)
+	// backup it fails with wire.ErrNotPrimary and the primary's address,
+	// which the server sends as an epoch-0 Moved.
+	AttachClient(cred fsapi.Cred, clientID uint64) (c fsapi.Client, sessID uint64, primary string, err error)
 	// Apply executes one replicated operation: exec runs under the log
 	// lock, the entry ships to the backups, and the returned sequence is
 	// what WaitQuorum gates on. Duplicate request IDs (a client replaying
@@ -319,7 +320,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	if done {
 		// The handshake consumed the whole connection (a replication join
-		// that has since died, a redirect, an admin promote).
+		// that has since died, a Moved refusal, an admin promote).
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
@@ -413,11 +414,12 @@ func (s *Server) handshake(fr *wire.FrameReader, sess *session) (done bool, err 
 	var name string
 	if s.cfg.Replica != nil {
 		var sessID uint64
-		var redirect string
-		client, sessID, redirect, err = s.cfg.Replica.AttachClient(cred, clientID)
+		var primary string
+		client, sessID, primary, err = s.cfg.Replica.AttachClient(cred, clientID)
 		if errors.Is(err, wire.ErrNotPrimary) {
-			rdr := wire.Redirect{Addr: redirect}
-			return true, wire.WriteFrame(sess.conn, wire.KindRedirect, wire.AppendRedirect(nil, &rdr))
+			// Epoch 0 names no map: the group is served here, by another node.
+			mv := wire.Moved{Shard: claim.Shard, Epoch: 0, Addr: primary}
+			return true, wire.WriteFrame(sess.conn, wire.KindMoved, wire.AppendMoved(nil, &mv))
 		}
 		if err != nil {
 			return false, err

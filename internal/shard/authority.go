@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"path"
@@ -107,10 +108,15 @@ func (st *authState) servesID(id uint32) bool {
 
 // NewAuthority builds an authority for the node advertised at self, serving
 // whatever shards of m list that address. onRetire may be nil (nodes that
-// never drain, e.g. tests).
+// never drain, e.g. tests). A map's epoch starts at 1: a Moved at epoch 0
+// is a backup's refusal, which names no map, so an authority (whose
+// installs only advance the epoch) never answers at 0.
 func NewAuthority(m *Map, self string, onRetire func(lost []uint32, next *Map) error) (*Authority, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
+	}
+	if m.Epoch == 0 {
+		return nil, errors.New("shard: map epoch 0 is reserved for a backup's attach refusal")
 	}
 	a := &Authority{self: self, onRetire: onRetire}
 	a.state.Store(a.buildState(m.Clone(), m.Encode()))

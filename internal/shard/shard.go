@@ -102,7 +102,8 @@ type Shard struct {
 	// are bucketed across the hash shards by their first path component.
 	Prefix string `json:"prefix"`
 	// Addrs lists the owner group's node addresses (primary and backups,
-	// in no guaranteed order — clients follow intra-group redirects).
+	// in no guaranteed order — a client that reaches a backup follows its
+	// epoch-0 Moved to the primary).
 	Addrs []string `json:"addrs"`
 	// State is the shard's lifecycle state.
 	State State `json:"state"`

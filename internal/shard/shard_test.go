@@ -190,6 +190,19 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestAuthorityRefusesEpochZero: a Moved at epoch 0 is a backup's attach
+// refusal, so no authority may hold a map at epoch 0 and answer with one.
+func TestAuthorityRefusesEpochZero(t *testing.T) {
+	m := &Map{Shards: []Shard{{ID: 0, Prefix: "/", Addrs: []string{"self:1"}}}}
+	if _, err := NewAuthority(m, "self:1", nil); err == nil {
+		t.Fatal("authority built over a map at epoch 0")
+	}
+	m.Epoch = 1
+	if _, err := NewAuthority(m, "self:1", nil); err != nil {
+		t.Fatalf("map at epoch 1: %v", err)
+	}
+}
+
 func TestAuthorityServesAndFences(t *testing.T) {
 	m := &Map{Epoch: 3, Shards: []Shard{
 		{ID: 0, Prefix: "/", Addrs: []string{"other:1"}},

@@ -11,9 +11,9 @@
 // Replies are matched by request ID, out of order.
 //
 // A Remote may name several addresses (a replicated primary/backup group):
-// attaches probe the list and follow KindRedirect frames to the current
-// primary. A link connects one way, through one loop, for its first attach,
-// after losing its connection and after a Moved: each pass attaches to
+// attaches probe the list and follow a backup's epoch-0 Moved to the
+// current primary. A link connects one way, through one loop, for its first
+// attach, after losing its connection and after a Moved: each pass attaches to
 // whichever node now serves the volume, resumes the server-side session by
 // client ID and replays the unacknowledged requests (the server deduplicates
 // by request ID, so replays are exactly-once for replicated operations).
@@ -54,9 +54,6 @@ var ErrNoPrimary = errors.New("wire client: no reachable primary")
 // maxCoalesce bounds the payload the writer merges into one batch frame,
 // leaving frame-header headroom under wire.MaxFrame.
 const maxCoalesce = wire.MaxFrame - 1024
-
-// maxRedirectHops bounds how many KindRedirect frames one attach follows.
-const maxRedirectHops = 4
 
 // dialTimeout bounds each TCP connect and each attach handshake.
 const dialTimeout = 5 * time.Second
@@ -110,7 +107,8 @@ type Stats struct {
 	// CodeOverload, so no call is retried. It stays until the benchmark's
 	// ledger, which reads it, stops doing so (like RoutedSession).
 	OverloadRetries uint64
-	// Redirects counts KindRedirect frames followed to another node.
+	// Redirects counts the epoch-0 Moved answers attaches met: a backup's
+	// refusal, followed to the primary it names (if it names one).
 	Redirects uint64
 	// Failovers counts successful reconnects of a link that held a
 	// session: after a lost connection, or after a Moved (rehome).
@@ -252,11 +250,6 @@ func (r *Remote) Close() error {
 	return nil
 }
 
-// redirectErr carries a KindRedirect answer out of the handshake.
-type redirectErr struct{ addr string }
-
-func (e *redirectErr) Error() string { return "wire client: redirected to " + e.addr }
-
 // noNodeErr marks an attach pass that reached no node: every dial failed.
 type noNodeErr struct{ err error }
 
@@ -264,9 +257,10 @@ func (e *noNodeErr) Error() string { return e.err.Error() }
 
 func (e *noNodeErr) Unwrap() error { return e.err }
 
-// movedErr carries a KindMoved answer out of the handshake: the claimed
-// shard is served elsewhere. It unwraps to wire.ErrMoved so routers can
-// match it and refetch the shard map.
+// movedErr carries a KindMoved answer out of the handshake. At epoch ≥ 1
+// the claimed shard is served elsewhere, and it unwraps to wire.ErrMoved so
+// routers can match it and refetch the shard map; attachConn follows an
+// epoch-0 one (a backup naming its primary) itself.
 type movedErr struct{ mv wire.Moved }
 
 func (e *movedErr) Error() string {
@@ -276,10 +270,10 @@ func (e *movedErr) Error() string {
 func (e *movedErr) Unwrap() error { return wire.ErrMoved }
 
 // attachConn resolves the current primary and performs one attach
-// handshake there: it tries the last known-good address first, follows
-// redirects, and falls back to the rest of the dial list. On success the
-// session keeps conn and fr. A pass whose every dial failed answers
-// *noNodeErr.
+// handshake there: it tries the last known-good address first, follows a
+// backup's epoch-0 Moved to the primary it names, and falls back to the
+// rest of the dial list. On success the session keeps conn and fr. A pass
+// whose every dial failed answers *noNodeErr.
 func (r *Remote) attachConn(cred fsapi.Cred, clientID uint64) (net.Conn, *wire.FrameReader, error) {
 	r.mu.Lock()
 	first := r.primary
@@ -297,7 +291,7 @@ func (r *Remote) attachConn(cred fsapi.Cred, clientID uint64) (net.Conn, *wire.F
 	var lastErr error
 	reached := false
 	for _, addr := range candidates {
-		for hop := 0; addr != "" && hop < maxRedirectHops; hop++ {
+		for hop := 0; addr != "" && hop < maxMovedHops; hop++ {
 			conn, err := r.dial(addr)
 			if err != nil {
 				lastErr = err
@@ -313,17 +307,20 @@ func (r *Remote) attachConn(cred fsapi.Cred, clientID uint64) (net.Conn, *wire.F
 				return conn, fr, nil
 			}
 			conn.Close()
-			var rdr *redirectErr
-			if errors.As(err, &rdr) {
+			var mv *movedErr
+			if errors.As(err, &mv) {
+				if mv.mv.Epoch != 0 {
+					// The whole group stopped serving the claimed shard; no
+					// other candidate will differ. Surface it so the router
+					// refetches.
+					return nil, nil, err
+				}
+				// A backup: try the primary it names. An empty name, or a
+				// chain that runs out, moves on to the next candidate.
 				r.st.redirects.Add(1)
-				addr = rdr.addr
-				lastErr = fmt.Errorf("%w (redirect loop?)", wire.ErrNotPrimary)
+				addr = mv.mv.Addr
+				lastErr = wire.ErrNotPrimary
 				continue
-			}
-			if errors.Is(err, wire.ErrMoved) {
-				// The whole group stopped serving the claimed shard; no other
-				// candidate will differ. Surface it so the router refetches.
-				return nil, nil, err
 			}
 			lastErr = err
 			break
@@ -391,8 +388,8 @@ func (r *Remote) attach(cred fsapi.Cred) (*link, error) {
 // handshake sends KindAttach (with the pre-encoded attach payload, which
 // may carry a shard claim) and waits for KindAttachOK, returning the
 // server's file system name. fr must be the reader the session will keep
-// using, so no buffered bytes are lost across the handoff. A KindRedirect
-// answer surfaces as *redirectErr, a KindMoved as *movedErr.
+// using, so no buffered bytes are lost across the handoff. A KindMoved
+// answer surfaces as *movedErr.
 func handshake(conn net.Conn, fr *wire.FrameReader, attach []byte) (string, error) {
 	conn.SetDeadline(time.Now().Add(dialTimeout))
 	defer conn.SetDeadline(time.Time{})
@@ -410,12 +407,6 @@ func handshake(conn net.Conn, fr *wire.FrameReader, attach []byte) (string, erro
 	switch kind {
 	case wire.KindAttachOK:
 		return string(payload), nil
-	case wire.KindRedirect:
-		rdr, err := wire.ParseRedirect(payload)
-		if err != nil {
-			return "", err
-		}
-		return "", &redirectErr{addr: rdr.Addr}
 	case wire.KindMoved:
 		mv, err := wire.ParseMoved(payload)
 		if err != nil {

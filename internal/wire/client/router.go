@@ -18,9 +18,10 @@ import (
 
 const (
 	// maxMovedHops bounds how many Moved answers one operation follows
-	// (refetch map, rehome, retry) before giving up. A bound matters: two
-	// nodes with conflicting stale maps could otherwise bounce a client
-	// between them forever.
+	// (refetch map, rehome, retry) before giving up, and how many nodes one
+	// attach dials from a candidate by following epoch-0 Moved answers. A
+	// bound matters: two nodes with conflicting stale maps, or two backups
+	// naming each other, could otherwise bounce a client forever.
 	maxMovedHops = 8
 	// hopBackoffStart is the first backoff between doShard's Moved hops
 	// (jittered, doubling, capped at 250ms). During a migration cutover the

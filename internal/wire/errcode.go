@@ -17,8 +17,8 @@ var (
 	// accepts new connections.
 	ErrShutdown = errors.New("wire: server shutting down")
 	// ErrNotPrimary reports that the contacted server is a replication
-	// backup (or candidate) and cannot serve the request; the redirect
-	// frame or message names the primary to contact instead.
+	// backup (or candidate) and cannot serve the request; an attach is
+	// answered with an epoch-0 Moved naming the primary instead.
 	ErrNotPrimary = errors.New("wire: not the primary")
 	// ErrMoved reports that the shard owning the request's path is no
 	// longer served by the contacted node; the client must refetch the

@@ -25,6 +25,9 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(AppendAttach(nil, fsapi.Cred{UID: 1000, GID: 1000}, 7, nil))
 	f.Add(AppendAttach(nil, fsapi.Cred{UID: 1000, GID: 1000}, 7, &AttachClaim{Shard: 3, Epoch: 9}))
 	f.Add(AppendErrFrame(nil, ErrOverload))
+	f.Add(AppendMoved(nil, &Moved{Shard: 3, Epoch: 9, Addr: "10.0.0.2:9190"})) // map refusal
+	f.Add(AppendMoved(nil, &Moved{Shard: 3, Epoch: 0, Addr: "10.0.0.1:9190"})) // a backup naming its primary
+	f.Add(AppendMoved(nil, &Moved{Shard: 3, Epoch: 0}))                        // a backup that knows no primary
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
@@ -88,6 +91,14 @@ func FuzzWireDecode(f *testing.F) {
 			got, gotID, gotClaim, gotClaimed, err := ParseAttachClaim(back)
 			if err != nil || got != cred || gotID != id || gotClaimed != claimed || gotClaim != claim {
 				t.Fatalf("attach round trip: (%+v, %d, %+v, %v, %v)", got, gotID, gotClaim, gotClaimed, err)
+			}
+		}
+		if mv, err := ParseMoved(data); err == nil {
+			if len(mv.Addr) > len(data) {
+				t.Fatalf("moved address of %d bytes decoded from %d", len(mv.Addr), len(data))
+			}
+			if again, err := ParseMoved(AppendMoved(nil, &mv)); err != nil || again != mv {
+				t.Fatalf("moved round trip: in %+v, out %+v, %v", mv, again, err)
 			}
 		}
 		_ = ParseErrFrame(data)

@@ -366,26 +366,3 @@ func ParseRepAck(payload []byte) (RepAck, error) {
 	}
 	return a, nil
 }
-
-// Redirect tells a client which address serves the volume. Addr may be
-// empty when the contacted node does not know a primary yet.
-type Redirect struct {
-	Epoch uint64
-	Addr  string
-}
-
-// AppendRedirect encodes the KindRedirect payload.
-func AppendRedirect(dst []byte, r *Redirect) []byte {
-	dst = appendU64(dst, r.Epoch)
-	return appendStr(dst, r.Addr)
-}
-
-// ParseRedirect decodes a KindRedirect payload.
-func ParseRedirect(payload []byte) (Redirect, error) {
-	rd := reader{b: payload}
-	r := Redirect{Epoch: rd.u64(), Addr: rd.str(MaxPath)}
-	if rd.err != nil {
-		return Redirect{}, rd.err
-	}
-	return r, nil
-}

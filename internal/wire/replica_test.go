@@ -207,7 +207,7 @@ func FuzzJoinOK(f *testing.F) {
 
 // FuzzReplicationDecode feeds arbitrary bytes to the decoders of every
 // replication frame: the log (KindReplicate), snapshot chunks, heartbeats,
-// acks, joins and redirects. Whatever the input: no panic, no decoded slice
+// acks and joins. Whatever the input: no panic, no decoded slice
 // or string longer than the input, and whatever a decoder accepts
 // re-encodes to bytes that decode to the same value.
 func FuzzReplicationDecode(f *testing.F) {
@@ -222,7 +222,6 @@ func FuzzReplicationDecode(f *testing.F) {
 	f.Add(AppendHeartbeat(nil, &Heartbeat{Epoch: 3, Seq: 99, SentNs: 1 << 50}))
 	f.Add(AppendRepAck(nil, &RepAck{Epoch: 3, Seq: 98}))
 	f.Add(AppendJoin(nil, &Join{Epoch: 2, Addr: "127.0.0.1:9191"}))
-	f.Add(AppendRedirect(nil, &Redirect{Epoch: 2, Addr: "127.0.0.1:9190"}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -268,12 +267,6 @@ func FuzzReplicationDecode(f *testing.F) {
 			}
 			roundTrip("join", j, AppendJoin(nil, &j), func(b []byte) (any, error) { return ParseJoin(b) })
 		}
-		if r, err := ParseRedirect(data); err == nil {
-			if len(r.Addr) > len(data) {
-				t.Fatalf("redirect address of %d bytes decoded from %d", len(r.Addr), len(data))
-			}
-			roundTrip("redirect", r, AppendRedirect(nil, &r), func(b []byte) (any, error) { return ParseRedirect(b) })
-		}
 	})
 }
 
@@ -307,7 +300,7 @@ func TestSnapChunkRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHeartbeatAckRedirectRoundTrip(t *testing.T) {
+func TestHeartbeatAckRoundTrip(t *testing.T) {
 	h := Heartbeat{Epoch: 2, Seq: 500, SentNs: 123456789}
 	if got, err := ParseHeartbeat(AppendHeartbeat(nil, &h)); err != nil || got != h {
 		t.Fatalf("heartbeat: got %+v, %v", got, err)
@@ -315,14 +308,5 @@ func TestHeartbeatAckRedirectRoundTrip(t *testing.T) {
 	a := RepAck{Epoch: 2, Seq: 499}
 	if got, err := ParseRepAck(AppendRepAck(nil, &a)); err != nil || got != a {
 		t.Fatalf("repack: got %+v, %v", got, err)
-	}
-	r := Redirect{Epoch: 4, Addr: "127.0.0.1:9190"}
-	if got, err := ParseRedirect(AppendRedirect(nil, &r)); err != nil || got != r {
-		t.Fatalf("redirect: got %+v, %v", got, err)
-	}
-	// Empty address is legal: "no primary known".
-	r = Redirect{Epoch: 0}
-	if got, err := ParseRedirect(AppendRedirect(nil, &r)); err != nil || got != r {
-		t.Fatalf("empty redirect: got %+v, %v", got, err)
 	}
 }

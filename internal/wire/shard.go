@@ -6,11 +6,15 @@ package wire
 // handshake (AttachClaim).
 
 // Moved is the payload of a KindMoved frame (and the structured detail
-// behind a CodeMoved response): the contacted node does not serve the shard
-// the client asked for. Epoch is the map epoch under which the node is
-// answering — a client holding an older map must refetch; Addr names one
-// address of the shard's current owner group (may be empty if the node only
-// knows the shard left). Shard echoes the claimed shard ID.
+// behind a CodeMoved response), the one refusal of an attach: the contacted
+// node will not serve the client, and Addr names the node to try. Shard
+// echoes the claimed shard ID. The epoch says why:
+//   - Epoch ≥ 1 is a map statement: under that map epoch the shard lives
+//     elsewhere, and a client holding an older map must refetch. Addr is
+//     one address of the current owner group (empty if the node only knows
+//     the shard left).
+//   - Epoch 0 names no map: the shard's group is served here, but this node
+//     is not its primary. Addr is the primary (empty if none is known).
 type Moved struct {
 	Shard uint32
 	Epoch uint64

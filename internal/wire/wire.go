@@ -75,16 +75,15 @@ const (
 	// the volume snapshot as KindSnapChunk frames, then ships log entries in
 	// KindReplicate frames which the backup acknowledges with KindRepAck.
 	// KindHeartbeat flows primary→backup and is echoed back for RTT and
-	// liveness. A server that is not the primary answers client attaches
-	// with KindRedirect carrying the primary's address. KindPromote is the
-	// admin handshake that promotes a backup explicitly.
+	// liveness. KindPromote is the admin handshake that promotes a backup
+	// explicitly. Kind 12 (a backup's former attach refusal) is retired:
+	// a backup now answers an attach with KindMoved at epoch 0.
 	KindJoin      Kind = 6
 	KindJoinOK    Kind = 7
 	KindSnapChunk Kind = 8
 	KindReplicate Kind = 9
 	KindRepAck    Kind = 10
 	KindHeartbeat Kind = 11
-	KindRedirect  Kind = 12
 	KindPromote   Kind = 13
 	KindPromoteOK Kind = 14
 
@@ -102,10 +101,10 @@ const (
 	// answers KindMapOK with the encoded map, or an empty payload when the
 	// client is already current. KindMapSet pushes a new map to a node (the
 	// migration coordinator's install frame), answered with KindMapOK after
-	// the node has fenced and drained any shards it lost. KindMoved answers
-	// an attach whose shard claim this node does not serve — the shard-map
-	// generalization of KindRedirect, naming a current owner address and the
-	// map epoch that says so.
+	// the node has fenced and drained any shards it lost. KindMoved is the
+	// one attach refusal, naming the node to try: at epoch ≥ 1 the claimed
+	// shard lives elsewhere under that map; at epoch 0 this node is not its
+	// group's primary (see Moved).
 	KindMapGet Kind = 17
 	KindMapOK  Kind = 18
 	KindMoved  Kind = 19

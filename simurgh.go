@@ -101,14 +101,25 @@ func Create(size uint64) (*Volume, error) {
 // CreateWithOptions makes a fresh volume with explicit options.
 func CreateWithOptions(size uint64, opts Options) (*Volume, error) {
 	dev := pmem.New(size)
-	if opts.Tracked {
-		dev.SetMode(pmem.ModeTracked)
-	}
+	setMode(dev, opts)
 	fs, err := core.Format(dev, fsapi.Root, coreOptions(opts))
 	if err != nil {
 		return nil, err
 	}
 	return &Volume{dev: dev, fs: fs}, nil
+}
+
+// setMode puts dev in the persistence-tracking mode opts asks for. A device
+// already in that mode is left alone: switching to ModeTracked again would
+// make every store not yet persisted durable.
+func setMode(dev *pmem.Device, opts Options) {
+	m := pmem.ModeFast
+	if opts.Tracked {
+		m = pmem.ModeTracked
+	}
+	if dev.Mode() != m {
+		dev.SetMode(m)
+	}
 }
 
 func coreOptions(opts Options) core.Options {
@@ -130,8 +141,10 @@ func (v *Volume) Unmount() { v.fs.Unmount() }
 func (v *Volume) Crash() { v.dev.Crash() }
 
 // Remount re-mounts after a crash or unmount, running recovery as needed,
-// and returns what the recovery found.
+// and returns what the recovery found. The device takes the tracking mode
+// opts asks for.
 func (v *Volume) Remount(opts Options) (*RecoveryStats, error) {
+	setMode(v.dev, opts)
 	fs, stats, err := core.Mount(v.dev, coreOptions(opts))
 	if err != nil {
 		return nil, err

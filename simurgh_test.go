@@ -65,6 +65,41 @@ func TestFacadeCrashAndRemount(t *testing.T) {
 	}
 }
 
+// TestFacadeRemountTracked: a volume created untracked and remounted with
+// Tracked can crash, and the crash keeps what was persisted.
+func TestFacadeRemountTracked(t *testing.T) {
+	vol, err := simurgh.Create(32 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := vol.Attach(simurgh.Root)
+	fd, _ := c.Create("/before", 0o644)
+	c.Write(fd, []byte("kept"))
+	c.Close(fd)
+	vol.Unmount()
+	if _, err := vol.Remount(simurgh.Options{Tracked: true}); err != nil {
+		t.Fatal(err)
+	}
+	vol.Crash()
+	stats, err := vol.Remount(simurgh.Options{Tracked: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.WasClean {
+		t.Fatal("crash reported as clean shutdown")
+	}
+	c2, _ := vol.Attach(simurgh.Root)
+	fd, err = c2.Open("/before", simurgh.ORdonly, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 8)
+	n, _ := c2.Read(fd, buf)
+	if string(buf[:n]) != "kept" {
+		t.Fatalf("content = %q", buf[:n])
+	}
+}
+
 func TestFacadeRelaxedOption(t *testing.T) {
 	vol, err := simurgh.CreateWithOptions(32<<20, simurgh.Options{RelaxedWrites: true, ChargeProtectedCalls: true})
 	if err != nil {
